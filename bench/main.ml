@@ -372,8 +372,8 @@ let robust_report () =
 
 (* ---------------- machine-readable trace-store report -------------- *)
 
-(* what the indexed store costs at record time (framing + checkpoints
-   + index vs the plain in-memory array) and what it buys back when an
+(* what the indexed store costs at record time (framing + index vs
+   the plain in-memory array) and what it buys back when an
    analysis reopens the file instead of re-running the VM — including
    the headline `--explain` seek-vs-rerun speedup *)
 let trace_report () =

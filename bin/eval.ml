@@ -962,8 +962,9 @@ let debug_cmd =
        ~doc:
          "Interactive trace debugger: record (or reopen, with \
           --trace-dir) one concrete execution and step forward and \
-          backward through it from VM checkpoints, run to an \
-          address/syscall/taint event, and query taint provenance \
+          backward through it, inspect memory rebuilt by replaying the \
+          recorded events, run to an address/syscall/taint event, and \
+          query taint provenance \
           (reads commands from stdin; try `help`)")
     Term.(const run_debug $ bomb_arg $ input_arg $ trace_dir_arg)
 

@@ -2,10 +2,10 @@
 
     Records (or reopens, under [--trace-dir]) one concrete execution
     and walks it through {!Trace}'s cursor API: step forward, step
-    {e backward} (a seek — state is rebuilt from the nearest VM
-    checkpoint, never by re-running the program), run to an
+    {e backward} (a cursor move — nothing is re-run), run to an
     instruction address / syscall / first tainted event, inspect
-    registers and reconstructed memory, and answer "why is this byte
+    registers and memory (rebuilt by replaying the recorded events,
+    never by re-running the program), and answer "why is this byte
     tainted" by walking the taint analyzer's provenance chain back to
     the argv source bytes.
 
@@ -52,7 +52,6 @@ let cmd_info s =
   Printf.printf "bomb:        %s (%s)\n" s.bomb.name s.bomb.category;
   Printf.printf "events:      %d (%d execs)\n" (Trace.length t)
     (Trace.exec_count t);
-  Printf.printf "checkpoints: %d\n" (Array.length (Trace.checkpoints t));
   Printf.printf "backing:     %s\n"
     (if Trace.store_backed t then "store file" else "memory");
   (match s.sources with
@@ -85,9 +84,8 @@ let cmd_regs s =
     Printf.printf "  flags = 0x%x\n" e.flags_before
 
 let cmd_mem s addr n =
-  let mem, base = Trace.mem_before s.trace s.pos in
-  Printf.printf "memory before #%d (checkpoint @%d + %d replayed events):\n"
-    s.pos base (s.pos - base);
+  let mem = Trace.mem_before s.trace s.pos in
+  Printf.printf "memory before #%d (%d replayed events):\n" s.pos s.pos;
   let bytes = Vm.Mem.read_bytes mem addr n in
   let i = ref 0 in
   while !i < n do
@@ -225,13 +223,13 @@ let help () =
     \  info                 trace summary\n\
     \  list [N]             print N events from the cursor (default 10)\n\
     \  step|s [N]           advance N events (default 1)\n\
-    \  back|b [N]           step back N events (checkpoint seek)\n\
+    \  back|b [N]           step back N events\n\
     \  goto SEQ             jump to event SEQ\n\
     \  run-to addr 0xA      next exec at instruction address\n\
     \  run-to sys NAME      next syscall NAME\n\
     \  run-to taint         first tainted event at/after the cursor\n\
     \  regs                 CPU state at the cursor\n\
-    \  mem 0xA [N]          N bytes of reconstructed memory (default 16)\n\
+    \  mem 0xA [N]          N bytes of memory, rebuilt by replay (default 16)\n\
     \  taint                taint summary (forces the analysis)\n\
     \  why LOC              provenance: why is LOC tainted here\n\
     \  help                 this text\n\
@@ -312,9 +310,7 @@ let dispatch s line =
 let run ?input (bomb : Bombs.Common.t) =
   let argv1 = match input with Some s -> s | None -> bomb.decoy in
   let config = Bombs.Common.config_for bomb argv1 in
-  let trace =
-    Trace.record ~checkpoint_interval:256 ~config (Bombs.Catalog.image bomb)
-  in
+  let trace = Trace.record ~config (Bombs.Catalog.image bomb) in
   let sources =
     match Trace.argv_region trace 1 with
     | Some (addr, len) when len > 1 -> [ (addr, len - 1) ]
@@ -329,9 +325,8 @@ let run ?input (bomb : Bombs.Common.t) =
                 ~sources trace);
       pos = 0 }
   in
-  Printf.printf "trace debugger: %s, argv[1]=%S, %d events, %d checkpoints%s\n"
+  Printf.printf "trace debugger: %s, argv[1]=%S, %d events%s\n"
     bomb.name argv1 (Trace.length trace)
-    (Array.length (Trace.checkpoints trace))
     (if Trace.store_backed trace then " (store-backed)" else "");
   show_current s;
   let interactive = Unix.isatty Unix.stdin in

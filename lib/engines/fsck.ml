@@ -119,8 +119,7 @@ let detect path : kind =
         s
       with Sys_error _ -> ""
     in
-    if String.length head >= 5 && String.sub head 0 5 = "BTRC\x01" then
-      Trace_store
+    if Trace.Store.is_store_header head then Trace_store
     else
       let first_line =
         match String.index_opt head '\n' with

@@ -1,12 +1,12 @@
 (** Seekable binary trace store: compact framed encoding of
-    {!Vm.Event.t} streams with periodic machine checkpoints and an
-    in-file index, so consumers seek instead of re-executing the VM.
+    {!Vm.Event.t} streams with an in-file index, so consumers seek
+    instead of re-executing the VM.
 
-    File layout:
+    File layout (format v2):
 
     {v
-    "BTRC\x01"  <fingerprint:str>          header
-    frame*                                 event + checkpoint frames
+    "BTRC\x02"  <fingerprint:str>          header
+    frame*                                 one frame per event
     frame                                  meta (result, argv layout)
     frame                                  index (samples, postings)
     frame?                                 taint hint (appended later)
@@ -19,17 +19,27 @@
     payloads use varint/zigzag coding with pc/register deltas against
     the previous exec frame; every {!keyframe_interval}-th exec frame
     is encoded in full and listed in the sample table, giving seeks a
-    nearby self-contained restart point.  Checkpoint frames carry CPU
-    snapshots plus memory page deltas and never consume an event
-    sequence number, so stored traces stay index-compatible with the
-    in-memory event array. *)
+    nearby self-contained restart point.  Frame [i] is event [i], so
+    stored traces stay index-compatible with the in-memory event
+    array.  Machine state is never stored: {!Trace.mem_before} rebuilds
+    it by replaying the events.  A file of another format version is
+    refused at open with a pointer at [eval fsck --repair]. *)
 
 exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
-let format_version = 1
-let magic = "BTRC\x01"
+let format_version = 2
+let magic_prefix = "BTRC"
+let magic = magic_prefix ^ String.make 1 (Char.chr format_version)
+
+(** [s] opens like a trace store of any format version — how
+    [eval fsck] recognises stores, including old or damaged ones that
+    {!open_file} refuses. *)
+let is_store_header s =
+  String.length s > String.length magic_prefix
+  && String.sub s 0 (String.length magic_prefix) = magic_prefix
+
 let trailer_magic = "BTRCEND\n"
 let trailer_size = 40
 let keyframe_interval = 64
@@ -41,7 +51,6 @@ let m_opened = Telemetry.Metrics.counter "trace.store.opened"
 let m_corrupt = Telemetry.Metrics.counter "trace.store.corrupt"
 let m_bytes = Telemetry.Metrics.counter "trace.store.bytes"
 let m_frames = Telemetry.Metrics.counter "trace.store.frames"
-let m_checkpoints = Telemetry.Metrics.counter "trace.store.checkpoints"
 
 (* ------------------------------------------------------------------ *)
 (* Primitive codec: LEB128 varints, zigzag, length-prefixed strings    *)
@@ -199,7 +208,6 @@ let tag_exec_full = 0
 let tag_exec_delta = 1
 let tag_sys = 2
 let tag_signal = 3
-let tag_checkpoint = 4
 
 let put_exec b d ~full (e : Vm.Event.exec) =
   Buffer.add_char b (Char.chr (if full then tag_exec_full else tag_exec_delta));
@@ -358,61 +366,13 @@ let get_signal c : Vm.Event.t =
   let resume = get_u64 c in
   Signal { pid; tid; signum; handler; resume }
 
-let put_checkpoint b (ck : Vm.Event.checkpoint) =
-  Buffer.add_char b (Char.chr tag_checkpoint);
-  put_uint b ck.ck_events;
-  put_uint b (List.length ck.ck_tasks);
-  List.iter
-    (fun (ts : Vm.Event.task_snap) ->
-       put_uint b ts.ck_pid;
-       put_uint b ts.ck_tid;
-       put_u64 b ts.ck_pc;
-       Array.iter (fun r -> put_fix64 b r) ts.ck_regs;
-       Array.iter (fun x -> put_fix64 b (Int64.bits_of_float x)) ts.ck_xmm;
-       put_uint b ts.ck_flags)
-    ck.ck_tasks;
-  put_uint b (List.length ck.ck_pages);
-  List.iter
-    (fun (addr, data) ->
-       put_u64 b addr;
-       put_str b data)
-    ck.ck_pages
-
-let get_checkpoint c : Vm.Event.checkpoint =
-  let ck_events = get_uint c in
-  let n_tasks = get_uint c in
-  let ck_tasks =
-    List.init n_tasks (fun _ ->
-        let ck_pid = get_uint c in
-        let ck_tid = get_uint c in
-        let ck_pc = get_u64 c in
-        let ck_regs = Array.init Isa.Reg.count (fun _ -> get_fix64 c) in
-        let ck_xmm =
-          Array.init Isa.Reg.xmm_count (fun _ ->
-              Int64.float_of_bits (get_fix64 c))
-        in
-        let ck_flags = get_uint c in
-        { Vm.Event.ck_pid; ck_tid; ck_pc; ck_regs; ck_xmm; ck_flags })
-  in
-  let n_pages = get_uint c in
-  let ck_pages =
-    List.init n_pages (fun _ ->
-        let addr = get_u64 c in
-        let data = get_str c in
-        (addr, data))
-  in
-  { Vm.Event.ck_events; ck_tasks; ck_pages }
-
-type decoded = D_event of Vm.Event.t | D_checkpoint of Vm.Event.checkpoint
-
-let decode_payload d (payload : string) : decoded =
+let decode_payload d (payload : string) : Vm.Event.t =
   let c = { src = payload; pos = 0 } in
   match get_u8 c with
-  | t when t = tag_exec_full -> D_event (Exec (get_exec c d ~full:true))
-  | t when t = tag_exec_delta -> D_event (Exec (get_exec c d ~full:false))
-  | t when t = tag_sys -> D_event (get_sys c)
-  | t when t = tag_signal -> D_event (get_signal c)
-  | t when t = tag_checkpoint -> D_checkpoint (get_checkpoint c)
+  | t when t = tag_exec_full -> Exec (get_exec c d ~full:true)
+  | t when t = tag_exec_delta -> Exec (get_exec c d ~full:false)
+  | t when t = tag_sys -> get_sys c
+  | t when t = tag_signal -> get_signal c
   | t -> corrupt "unknown frame tag %d" t
 
 (* ------------------------------------------------------------------ *)
@@ -573,11 +533,8 @@ type writer = {
   w_scratch : Buffer.t;
   w_dctx : dctx;
   mutable w_events : int;
-  mutable w_frames : int;
-  mutable w_ck : int;
   mutable w_execs_since_key : int;   (* 0 = next exec is a keyframe *)
   mutable w_samples : (int * int) list;      (* (seq, offset), newest first *)
-  mutable w_checkpoints : (int * int) list;  (* (ck_events, offset) *)
   w_pc_post : (int64, int list ref) Hashtbl.t;
   w_sys_post : (string, int list ref) Hashtbl.t;
   w_tid_post : (int, int list ref) Hashtbl.t;
@@ -592,9 +549,9 @@ let create_writer ~fingerprint ~path : writer =
   { w_buf; w_path = path;
     w_scratch = Buffer.create 512;
     w_dctx = fresh_dctx ();
-    w_events = 0; w_frames = 0; w_ck = 0;
+    w_events = 0;
     w_execs_since_key = 0;
-    w_samples = []; w_checkpoints = [];
+    w_samples = [];
     w_pc_post = Hashtbl.create 256;
     w_sys_post = Hashtbl.create 16;
     w_tid_post = Hashtbl.create 4 }
@@ -603,11 +560,6 @@ let posting tbl key seq =
   match Hashtbl.find_opt tbl key with
   | Some l -> l := seq :: !l
   | None -> Hashtbl.replace tbl key (ref [ seq ])
-
-let flush_scratch w =
-  add_frame w.w_buf (Buffer.contents w.w_scratch);
-  Buffer.clear w.w_scratch;
-  w.w_frames <- w.w_frames + 1
 
 let add_event w (ev : Vm.Event.t) =
   (* cooperative budget poll, amortized over the write stream *)
@@ -627,32 +579,23 @@ let add_event w (ev : Vm.Event.t) =
      posting w.w_sys_post record.name seq
    | Signal { pid; tid; signum; handler; resume } ->
      put_signal w.w_scratch ~pid ~tid ~signum ~handler ~resume);
-  flush_scratch w;
+  add_frame w.w_buf (Buffer.contents w.w_scratch);
+  Buffer.clear w.w_scratch;
   w.w_events <- seq + 1
-
-let add_checkpoint w (ck : Vm.Event.checkpoint) =
-  w.w_checkpoints <- (ck.ck_events, Buffer.length w.w_buf) :: w.w_checkpoints;
-  put_checkpoint w.w_scratch ck;
-  flush_scratch w;
-  w.w_ck <- w.w_ck + 1
 
 let encode_index w =
   let b = Buffer.create 1024 in
   put_uint b w.w_events;
-  let pairs lst =
-    let arr = Array.of_list (List.rev lst) in
-    put_uint b (Array.length arr);
-    let pk = ref 0 and pv = ref 0 in
-    Array.iter
-      (fun (k, v) ->
-         put_uint b (k - !pk);
-         put_uint b (v - !pv);
-         pk := k;
-         pv := v)
-      arr
-  in
-  pairs w.w_samples;
-  pairs w.w_checkpoints;
+  let samples = Array.of_list (List.rev w.w_samples) in
+  put_uint b (Array.length samples);
+  let pk = ref 0 and pv = ref 0 in
+  Array.iter
+    (fun (k, v) ->
+       put_uint b (k - !pk);
+       put_uint b (v - !pv);
+       pk := k;
+       pv := v)
+    samples;
   let sorted_postings tbl cmp =
     Hashtbl.fold (fun k l acc -> (k, Array.of_list (List.rev !l)) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> cmp a b)
@@ -708,8 +651,7 @@ let finish w (m : meta) =
   write_atomically w.w_path contents;
   Telemetry.Metrics.incr m_written;
   Telemetry.Metrics.add m_bytes (String.length contents);
-  Telemetry.Metrics.add m_frames (w.w_frames + 2);
-  Telemetry.Metrics.add m_checkpoints w.w_ck
+  Telemetry.Metrics.add m_frames (w.w_events + 2)
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
@@ -723,7 +665,6 @@ type reader = {
   r_meta : meta;
   r_events : int;
   samples : (int * int) array;          (* (seq, offset), ascending *)
-  r_checkpoints : (int * int) array;    (* (ck_events, offset), ascending *)
   pc_post : (int64, int array) Hashtbl.t;
   sys_post : (string, int array) Hashtbl.t;
   tid_post : (int, int array) Hashtbl.t;
@@ -732,9 +673,9 @@ type reader = {
 let decode_index (payload : string) =
   let c = { src = payload; pos = 0 } in
   let events = get_uint c in
-  let pairs () =
-    let n = get_uint c in
-    let pk = ref 0 and pv = ref 0 in
+  let n = get_uint c in
+  let pk = ref 0 and pv = ref 0 in
+  let samples =
     Array.init n (fun _ ->
         let k = !pk + get_uint c in
         let v = !pv + get_uint c in
@@ -742,8 +683,6 @@ let decode_index (payload : string) =
         pv := v;
         (k, v))
   in
-  let samples = pairs () in
-  let checkpoints = pairs () in
   let n_pc = get_uint c in
   let pc_post = Hashtbl.create (max 16 n_pc) in
   let prev = ref 0L in
@@ -764,7 +703,7 @@ let decode_index (payload : string) =
     let tid = get_uint c in
     Hashtbl.replace tid_post tid (get_deltas c)
   done;
-  (events, samples, checkpoints, pc_post, sys_post, tid_post)
+  (events, samples, pc_post, sys_post, tid_post)
 
 let read_file path = Robust.Diskio.read_all path
 
@@ -777,7 +716,11 @@ let open_file path : reader =
   let len = String.length raw in
   if len < String.length magic + trailer_size then corrupt "file too short";
   if not (String.sub raw 0 (String.length magic) = magic) then
-    corrupt "bad magic";
+    if is_store_header raw then
+      corrupt "trace store format v%d, this build reads v%d; run \
+               `eval fsck --repair` to quarantine it"
+        (Char.code raw.[String.length magic_prefix]) format_version
+    else corrupt "bad magic";
   let hdr = { src = raw; pos = String.length magic } in
   let r_fingerprint = get_str hdr in
   let frames_off = hdr.pos in
@@ -801,25 +744,23 @@ let open_file path : reader =
   let r_meta = decode_meta meta_payload in
   let index_end = if taint_off <> 0 then taint_off else toff in
   let index_payload, _ = read_frame raw ~limit:index_end index_off in
-  let r_events, samples, r_checkpoints, pc_post, sys_post, tid_post =
+  let r_events, samples, pc_post, sys_post, tid_post =
     decode_index index_payload
   in
-  (* verify every event/checkpoint frame checksum; count both kinds *)
+  (* verify every event frame checksum *)
   let off = ref frames_off in
-  let n_ev = ref 0 and n_ck = ref 0 in
+  let n_ev = ref 0 in
   while !off < meta_off do
     let payload, next = read_frame raw ~limit:meta_off !off in
     if String.length payload = 0 then corrupt "empty frame at %d" !off;
-    if Char.code payload.[0] = tag_checkpoint then incr n_ck else incr n_ev;
+    incr n_ev;
     off := next
   done;
   if !n_ev <> r_events then
     corrupt "event count mismatch: %d frames, index says %d" !n_ev r_events;
-  if !n_ck <> Array.length r_checkpoints then
-    corrupt "checkpoint count mismatch";
   Telemetry.Metrics.incr m_opened;
   { raw; r_fingerprint; frames_off; frames_end = meta_off; r_meta; r_events;
-    samples; r_checkpoints; pc_post; sys_post; tid_post }
+    samples; pc_post; sys_post; tid_post }
 
 let fingerprint r = r.r_fingerprint
 let event_count r = r.r_events
@@ -875,17 +816,14 @@ let cursor_start rd =
 
 let rcursor_seq c = c.c_seq
 
-(** Next event, skipping checkpoint frames (they own no seq). *)
-let rec read_next (c : rcursor) : Vm.Event.t option =
+(** Next event, or [None] past the last one. *)
+let read_next (c : rcursor) : Vm.Event.t option =
   if c.c_off >= c.rd.frames_end then None
   else begin
     let payload, next = read_frame c.rd.raw ~limit:c.rd.frames_end c.c_off in
     c.c_off <- next;
-    match decode_payload c.c_dctx payload with
-    | D_checkpoint _ -> read_next c
-    | D_event ev ->
-      c.c_seq <- c.c_seq + 1;
-      Some ev
+    c.c_seq <- c.c_seq + 1;
+    Some (decode_payload c.c_dctx payload)
   end
 
 (** Cursor positioned at event [target], restarted from the nearest
@@ -906,14 +844,6 @@ let cursor_at rd target : rcursor =
     | None -> corrupt "seek to %d ran off the stream at %d" target c.c_seq
   done;
   c
-
-let checkpoint_at rd off : Vm.Event.checkpoint =
-  let payload, _ = read_frame rd.raw ~limit:rd.frames_end off in
-  match decode_payload (fresh_dctx ()) payload with
-  | D_checkpoint ck -> ck
-  | D_event _ -> corrupt "expected checkpoint frame at %d" off
-
-let checkpoints rd = rd.r_checkpoints
 
 let pc_seqs rd pc =
   match Hashtbl.find_opt rd.pc_post pc with Some a -> a | None -> [||]

@@ -23,9 +23,6 @@ type backing =
 
 type t = {
   backing : backing;
-  checkpoints : Vm.Event.checkpoint array Lazy.t;
-      (** replay checkpoints, ascending by [ck_events]; empty unless
-          recording ran with a checkpoint interval (stores always do) *)
   result : Vm.Machine.run_result;
   argv_layout : (int64 * int) list;
       (** where the loader placed each argv string *)
@@ -40,12 +37,6 @@ type t = {
 let m_events = Telemetry.Metrics.counter "trace.events"
 let m_truncated = Telemetry.Metrics.counter "trace.truncated"
 let m_store_shed = Telemetry.Metrics.counter "trace.store.shed"
-
-(** Store checkpoint cadence: every [n] root events.  Dense enough
-    that a debugger window replays at most a few thousand events,
-    sparse enough that checkpoint pages stay a small fraction of the
-    frame bytes. *)
-let default_checkpoint_interval = 2048
 
 (* ------------------------------------------------------------------ *)
 (* Store directory plumbing                                            *)
@@ -83,11 +74,9 @@ let event_pid (ev : Vm.Event.t) =
   | Vm.Event.Sys s -> s.pid
   | Vm.Event.Signal s -> s.pid
 
-let record_fresh ~max_events ~interval ~writer ~(config : Vm.Machine.config)
-    image : t =
+let record_fresh ~max_events ~writer ~(config : Vm.Machine.config) image : t =
   let machine = Vm.Machine.create ~config image in
   let events = ref [] in
-  let cks = ref [] in
   let n = ref 0 in
   let truncated = ref false in
   Vm.Machine.set_hook machine (fun ev ->
@@ -105,18 +94,6 @@ let record_fresh ~max_events ~interval ~writer ~(config : Vm.Machine.config)
              capped prefix of the execution"
             max_events
         end);
-  (match interval with
-   | None -> ()
-   | Some iv ->
-     Vm.Machine.set_checkpoint_hook machine ~interval:iv (fun ck ->
-         (* past the cap the event stream stops, so checkpoints
-            describing later state would dangle — drop them too *)
-         if not !truncated then begin
-           cks := ck :: !cks;
-           match writer with
-           | Some w -> Store.add_checkpoint w ck
-           | None -> ()
-         end));
   let result = Vm.Machine.run machine in
   Telemetry.Metrics.add m_events !n;
   let argv_layout = machine.Vm.Machine.argv_layout in
@@ -143,7 +120,6 @@ let record_fresh ~max_events ~interval ~writer ~(config : Vm.Machine.config)
           None)
   in
   { backing = Memory (Array.of_list (List.rev !events));
-    checkpoints = Lazy.from_val (Array.of_list (List.rev !cks));
     result; argv_layout; image; config;
     truncated = !truncated;
     store_path;
@@ -158,10 +134,6 @@ let open_stored ~(config : Vm.Machine.config) image path fp : t =
   Telemetry.Metrics.add m_events (Store.event_count r);
   if meta.Store.s_truncated then Telemetry.Metrics.incr m_truncated;
   { backing = Stored r;
-    checkpoints =
-      lazy
-        (Array.map (fun (_, off) -> Store.checkpoint_at r off)
-           (Store.checkpoints r));
     result = meta.Store.s_result;
     argv_layout = meta.Store.s_argv_layout;
     image; config;
@@ -178,27 +150,18 @@ let open_stored ~(config : Vm.Machine.config) image path fp : t =
     fresh trace.  A store that fails validation is warned about,
     counted in [trace.store.corrupt] and re-recorded — corruption
     costs a re-run, never a wrong trace. *)
-let record ?(max_events = 3_000_000) ?checkpoint_interval
-    ~(config : Vm.Machine.config) image : t =
+let record ?(max_events = 3_000_000) ~(config : Vm.Machine.config) image : t =
   Telemetry.with_span "trace.record" @@ fun () ->
   match !store_dir with
-  | None ->
-    record_fresh ~max_events ~interval:checkpoint_interval ~writer:None
-      ~config image
+  | None -> record_fresh ~max_events ~writer:None ~config image
   | Some dir ->
     let fp = fingerprint ~max_events ~config image in
     let path = Filename.concat dir (Printf.sprintf "trace-%s.btrc" fp) in
-    let interval =
-      Some
-        (match checkpoint_interval with
-         | Some iv -> iv
-         | None -> default_checkpoint_interval)
-    in
     let fresh () =
       (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
        with Sys_error _ -> ());
       let writer = Store.create_writer ~fingerprint:fp ~path in
-      record_fresh ~max_events ~interval ~writer:(Some writer) ~config image
+      record_fresh ~max_events ~writer:(Some writer) ~config image
     in
     if Sys.file_exists path then
       match open_stored ~config image path fp with
@@ -360,62 +323,24 @@ let next_syscall t ~from name =
     go (max 0 from)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoints and state reconstruction                                *)
+(* State reconstruction                                                *)
 (* ------------------------------------------------------------------ *)
 
-let checkpoints t = Lazy.force t.checkpoints
-
-(** Latest checkpoint describing state at or before event [pos]. *)
-let nearest_checkpoint t pos =
-  Array.fold_left
-    (fun best (ck : Vm.Event.checkpoint) ->
-       if ck.ck_events <= pos then Some ck else best)
-    None (checkpoints t)
-
 (** Reconstruct the traced process's memory as it was immediately
-    before event [pos]: start from the fresh image, apply the
-    cumulative page deltas of every checkpoint up to the nearest one,
-    then replay the remaining event window.
-
-    The window replay is idempotent — each exec event first restores
-    its recorded memory-read pre-images, and a signal's resume push is
-    skipped when the checkpoint already contains it — so a checkpoint
-    that landed between an exec and its paired Sys/Signal event still
-    reconstructs exactly.  Returns the memory and the [ck_events] of
-    the checkpoint used (0 = replayed from the start). *)
-let mem_before ?(use_checkpoints = true) t pos =
+    before event [pos]: start from the freshly loaded image and replay
+    events [\[0, pos)] — each exec re-executed on a scratch CPU, each
+    syscall's kernel-to-memory copies applied, each signal's resume
+    push written below the faulting exec's stack pointer. *)
+let mem_before t pos =
   let mem, _rsp, _layout =
     Vm.Machine.fresh_memory ~config:t.config t.image
   in
-  let base =
-    if not use_checkpoints then 0
-    else begin
-      let applied = ref 0 in
-      Array.iter
-        (fun (ck : Vm.Event.checkpoint) ->
-           if ck.ck_events <= pos then begin
-             List.iter
-               (fun (addr, data) -> Vm.Mem.write_bytes mem addr data)
-               ck.ck_pages;
-             applied := ck.ck_events
-           end)
-        (checkpoints t);
-      !applied
-    end
-  in
   let scratch = Vm.Cpu.create () in
-  let saw_exec = ref false in
   let last_rsp = ref 0L in
-  iteri ~from:base ~upto:pos t (fun _ ev ->
+  iteri ~upto:pos t (fun _ ev ->
       match ev with
       | Vm.Event.Exec e ->
-        saw_exec := true;
         last_rsp := e.regs_before.(Isa.Reg.index Isa.Reg.RSP);
-        (* pre-image restore makes read-modify-write replay idempotent
-           across the checkpoint boundary *)
-        List.iter
-          (fun (a, data) -> Vm.Mem.write_bytes mem a data)
-          e.mem_reads;
         Array.blit e.regs_before 0 scratch.Vm.Cpu.regs 0 Isa.Reg.count;
         Array.blit e.xmm_before 0 scratch.Vm.Cpu.xmm 0 Isa.Reg.xmm_count;
         Vm.Cpu.unpack_flags scratch e.flags_before;
@@ -432,13 +357,8 @@ let mem_before ?(use_checkpoints = true) t pos =
              | Vm.Event.Eff_write _ | Vm.Event.Eff_spawn _ -> ())
           record.effects
       | Vm.Event.Signal { resume; _ } ->
-        (* no exec yet in this window means the checkpoint fired after
-           the faulting exec: its memory already holds the push *)
-        if !saw_exec then begin
-          let slot = Int64.sub !last_rsp 8L in
-          Vm.Mem.write mem slot 8 resume
-        end);
-  (mem, base)
+        Vm.Mem.write mem (Int64.sub !last_rsp 8L) 8 resume);
+  mem
 
 (* ------------------------------------------------------------------ *)
 (* Taint hint                                                          *)

@@ -42,32 +42,6 @@ type t =
   | Signal of { pid : int; tid : int; signum : int; handler : int64;
                 resume : int64 }
 
-(** Architectural snapshot of one task at a checkpoint. *)
-type task_snap = {
-  ck_pid : int;
-  ck_tid : int;
-  ck_pc : int64;
-  ck_regs : int64 array;
-  ck_xmm : float array;
-  ck_flags : int;          (** packed as in {!exec.flags_before} *)
-}
-
-(** Periodic replay checkpoint of the traced (root) process: CPU
-    snapshots of its live tasks plus the memory pages that changed
-    since the previous checkpoint.  [ck_events] counts the root
-    events emitted before this point, i.e. the checkpoint describes
-    the state immediately before trace event [ck_events] — replaying
-    forward from here reconstructs any later position without
-    re-running the whole program. *)
-type checkpoint = {
-  ck_events : int;
-  ck_tasks : task_snap list;
-  ck_pages : (int64 * string) list;
-      (** (page base address, page bytes) deltas since the last
-          checkpoint; the first checkpoint is relative to the freshly
-          loaded image *)
-}
-
 (** Well-known kernel object ids. *)
 module Obj_id = struct
   let stdin_ = 0

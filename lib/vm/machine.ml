@@ -108,13 +108,6 @@ type t = {
   mutable fault : fault option;
   decode_cache : (int64, Isa.Insn.t * int64) Hashtbl.t;
   mutable hook : (Event.t -> unit) option;
-  mutable ck_hook : (Event.checkpoint -> unit) option;
-  mutable ck_interval : int;
-  mutable ck_root_events : int;
-      (** root (pid 1) events emitted so far — the checkpoint clock *)
-  ck_shadow : (int, Bytes.t) Hashtbl.t;
-      (** root-process page contents at the previous checkpoint, so
-          each checkpoint carries only the pages that changed *)
   argv_layout : (int64 * int) list;
       (** (address, length-with-NUL) of each argv string *)
   meter : Robust.Meter.t option;
@@ -194,10 +187,6 @@ let create ?meter ?(config = default_config) image =
       fault = None;
       decode_cache = Hashtbl.create 1024;
       hook = None;
-      ck_hook = None;
-      ck_interval = 0;
-      ck_root_events = 0;
-      ck_shadow = Hashtbl.create 64;
       argv_layout;
       meter }
   in
@@ -212,82 +201,7 @@ let create ?meter ?(config = default_config) image =
 
 let set_hook t f = t.hook <- Some f
 
-let root_proc t =
-  match List.find_opt (fun task -> task.proc.pid = 1) t.tasks with
-  | Some task -> Some task.proc
-  | None -> None
-
-(** Install a checkpoint hook firing every [interval] root events.
-    The shadow pages are baselined now, so the first checkpoint's page
-    deltas are relative to the machine state at installation time
-    (normally the freshly loaded image — what {!fresh_memory}
-    reproduces). *)
-let set_checkpoint_hook t ~interval f =
-  t.ck_hook <- Some f;
-  t.ck_interval <- interval;
-  Hashtbl.reset t.ck_shadow;
-  match root_proc t with
-  | None -> ()
-  | Some proc ->
-    Hashtbl.iter
-      (fun idx page -> Hashtbl.replace t.ck_shadow idx (Bytes.copy page))
-      proc.mem.Mem.pages
-
-let fire_checkpoint t =
-  match t.ck_hook with
-  | None -> ()
-  | Some f ->
-    let ck_tasks =
-      List.filter_map
-        (fun task ->
-           if task.proc.pid = 1 && task.state <> Dead then
-             Some
-               { Event.ck_pid = task.proc.pid; ck_tid = task.tid;
-                 ck_pc = task.cpu.Cpu.pc;
-                 ck_regs = Array.copy task.cpu.Cpu.regs;
-                 ck_xmm = Array.copy task.cpu.Cpu.xmm;
-                 ck_flags = Cpu.pack_flags task.cpu }
-           else None)
-        t.tasks
-    in
-    let deltas = ref [] in
-    (match root_proc t with
-     | None -> ()
-     | Some proc ->
-       Hashtbl.iter
-         (fun idx page ->
-            let changed =
-              match Hashtbl.find_opt t.ck_shadow idx with
-              | Some old -> not (Bytes.equal old page)
-              | None -> true
-            in
-            if changed then begin
-              deltas := (idx, Bytes.to_string page) :: !deltas;
-              Hashtbl.replace t.ck_shadow idx (Bytes.copy page)
-            end)
-         proc.mem.Mem.pages);
-    let ck_pages =
-      List.sort (fun (a, _) (b, _) -> compare a b) !deltas
-      |> List.map (fun (idx, s) -> (Int64.of_int (idx lsl 12), s))
-    in
-    f { Event.ck_events = t.ck_root_events; ck_tasks; ck_pages }
-
-let emit t ev =
-  (match t.hook with Some f -> f ev | None -> ());
-  match t.ck_hook with
-  | None -> ()
-  | Some _ ->
-    let pid =
-      match ev with
-      | Event.Exec e -> e.pid
-      | Event.Sys s -> s.pid
-      | Event.Signal s -> s.pid
-    in
-    if pid = 1 then begin
-      t.ck_root_events <- t.ck_root_events + 1;
-      if t.ck_interval > 0 && t.ck_root_events mod t.ck_interval = 0 then
-        fire_checkpoint t
-    end
+let emit t ev = match t.hook with Some f -> f ev | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* PRNG (SplitMix64, deterministic)                                    *)
@@ -553,7 +467,12 @@ let handle_syscall t task : sys_outcome =
     let wfd = alloc_fd proc (Fd_pipe_w id) in
     Mem.write proc.mem a0 4 (Int64.of_int rfd);
     Mem.write proc.mem (Int64.add a0 4L) 4 (Int64.of_int wfd);
-    done_ 0L
+    done_
+      ~effects:
+        [ Event.Eff_read
+            { obj = id; off = 0; addr = a0; len = 8;
+              data = Mem.read_bytes proc.mem a0 8 } ]
+      0L
   | 35 (* nanosleep *) -> done_ 0L
   | 39 (* getpid *) -> done_ (Int64.of_int proc.pid)
   | 41 (* socket *) ->

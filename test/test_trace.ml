@@ -1,5 +1,6 @@
 (** Trace-store tests: binary codec round-trip through a store file,
-    checkpoint-replay determinism, corrupt/torn store rejection and
+    replayed memory checked against a live VM, corrupt/torn/old-format
+    store rejection and
     recovery, truncation accounting, the cursor/index API, and the
     acceptance gates — Table II and Figure 3 byte-identical with a
     store, and [--explain] over an existing store running zero VM
@@ -88,7 +89,7 @@ let codec_roundtrip () =
       ("sha1_bomb", "abc") ]
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint replay                                                   *)
+(* Replay against a live VM                                            *)
 (* ------------------------------------------------------------------ *)
 
 let mem_equal (a : Vm.Mem.t) (b : Vm.Mem.t) =
@@ -105,35 +106,53 @@ let mem_equal (a : Vm.Mem.t) (b : Vm.Mem.t) =
     (fun idx -> String.equal (get a idx) (get b idx))
     (List.sort_uniq compare (keys a @ keys b))
 
-(* resuming from every checkpoint must reconstruct the same memory a
-   straight replay from event 0 does — at the checkpoint itself and a
-   few events into the following window *)
-let checkpoint_replay_deterministic () =
-  let config = config_of ~argv1:"abc" "sha1_bomb" in
-  let t =
-    Trace.record ~checkpoint_interval:64 ~config
-      (Bombs.Catalog.image (bomb "sha1_bomb"))
-  in
-  let cks = Trace.checkpoints t in
-  Alcotest.(check bool) "trace long enough to checkpoint" true
-    (Array.length cks >= 3);
-  Array.iter
-    (fun (ck : Vm.Event.checkpoint) ->
-       List.iter
-         (fun pos ->
-            if pos <= Trace.length t then begin
-              let fast, base = Trace.mem_before t pos in
-              let slow, base0 = Trace.mem_before ~use_checkpoints:false t pos in
-              Alcotest.(check int) "straight replay starts at 0" 0 base0;
-              Alcotest.(check bool)
-                (Printf.sprintf "checkpoint used at pos %d" pos) true
-                (base > 0 || pos < 64);
-              if not (mem_equal fast slow) then
-                Alcotest.failf
-                  "memory diverges at pos %d (checkpoint base %d)" pos base
-            end)
-         [ ck.ck_events; ck.ck_events + 3; ck.ck_events + 17 ])
-    cks
+(* the oracle is the machine itself: rerun each Table II bomb on its
+   decoy input and, as the hook sees root event [p], compare the root
+   process's live memory with [mem_before t (p+1)].  Events are emitted
+   after their instruction (and syscall) ran, so a Sys or Signal event
+   that follows an exec is already in memory at the exec's hook; the
+   check therefore runs where event [p+1] is an exec, and at the end.
+   The long crypto traces are sampled with a stride. *)
+let mem_before_matches_live_vm () =
+  List.iter
+    (fun (b : Bombs.Common.t) ->
+       let config = Bombs.Common.config_for b b.decoy in
+       let image = Bombs.Catalog.image b in
+       let t = Trace.record ~config image in
+       let n = Trace.length t in
+       let is_exec = Array.make n false in
+       Trace.iteri t (fun i ev ->
+           is_exec.(i) <- (match ev with Vm.Event.Exec _ -> true | _ -> false));
+       let stride =
+         if List.mem b.name [ "sha1_bomb"; "aes_bomb" ] then 97 else 1
+       in
+       let checks = ref 0 in
+       let seq = ref 0 in
+       let m = Vm.Machine.create ~config image in
+       Vm.Machine.set_hook m (fun ev ->
+           if Trace.event_pid ev = 1 then begin
+             let p = !seq in
+             incr seq;
+             if p = n - 1 || (p + 1 < n && is_exec.(p + 1) && p mod stride = 0)
+             then begin
+               incr checks;
+               let root =
+                 List.find
+                   (fun (task : Vm.Machine.task) -> task.proc.pid = 1)
+                   m.Vm.Machine.tasks
+               in
+               if not (mem_equal (Trace.mem_before t (p + 1)) root.proc.mem)
+               then
+                 Alcotest.failf "%s: replayed memory before #%d differs from \
+                                 the live VM" b.name (p + 1)
+             end
+           end);
+       ignore (Vm.Machine.run m : Vm.Machine.run_result);
+       Alcotest.(check int) (b.name ^ ": live run emits the traced events") n
+         !seq;
+       Alcotest.(check bool) (b.name ^ ": positions checked") true
+         (!checks > 0))
+    Bombs.Catalog.table2
 
 (* ------------------------------------------------------------------ *)
 (* Corruption                                                          *)
@@ -366,9 +385,9 @@ let () =
          Alcotest.test_case "corrupt rejected" `Quick corrupt_store_rejected;
          Alcotest.test_case "torn rejected" `Quick torn_store_rejected;
          Alcotest.test_case "taint hint persists" `Quick taint_hint_persists ]);
-      ("checkpoints",
-       [ Alcotest.test_case "replay deterministic" `Quick
-           checkpoint_replay_deterministic ]);
+      ("replay",
+       [ Alcotest.test_case "mem_before matches live VM" `Quick
+           mem_before_matches_live_vm ]);
       ("cursor",
        [ Alcotest.test_case "seek and index" `Quick cursor_and_index;
          Alcotest.test_case "argv_region total" `Quick argv_region_total;
