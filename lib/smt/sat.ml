@@ -28,6 +28,8 @@ type t = {
   mutable cla_inc : float;
   mutable ok : bool;
   mutable conflicts : int;
+  mutable decisions : int;      (* decision levels opened *)
+  mutable propagations : int;   (* trail literals dequeued *)
   (* activity-ordered heap of candidate decision variables *)
   mutable heap : int array;
   mutable heap_n : int;
@@ -57,6 +59,8 @@ let create () =
     cla_inc = 1.0;
     ok = true;
     conflicts = 0;
+    decisions = 0;
+    propagations = 0;
     heap = Array.make 8 0;
     heap_n = 0;
     heap_pos = Array.make 8 (-1) }
@@ -196,6 +200,7 @@ let propagate t : clause option =
   while !conflict = None && t.prop_head < t.trail_n do
     let l = t.trail.(t.prop_head) in
     t.prop_head <- t.prop_head + 1;
+    t.propagations <- t.propagations + 1;
     (* literals watching ~l = watches.(l) *)
     let ws = t.watches.(l) in
     t.watches.(l) <- [];
@@ -405,6 +410,7 @@ let solve ?(conflict_budget = max_int) ?meter ?(assumptions = []) t : result =
                  raise Exit
                end;
                t.trail_lim <- t.trail_n :: t.trail_lim;
+               t.decisions <- t.decisions + 1;
                enqueue t l None
              | None ->
                if List.exists (fun a -> lit_value t a = 0) assumptions then begin
@@ -415,6 +421,7 @@ let solve ?(conflict_budget = max_int) ?meter ?(assumptions = []) t : result =
                if v < 0 then result := Sat
                else begin
                  t.trail_lim <- t.trail_n :: t.trail_lim;
+                 t.decisions <- t.decisions + 1;
                  enqueue t (mk_lit v t.phase.(v)) None
                end
            end
@@ -429,3 +436,5 @@ let model_value t v = t.assign.(v) = 1
 let num_vars t = t.nvars
 let num_clauses t = List.length t.clauses
 let num_conflicts t = t.conflicts
+let num_decisions t = t.decisions
+let num_propagations t = t.propagations

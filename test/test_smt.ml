@@ -78,6 +78,182 @@ let sat_random_models () =
     | Unknown -> Alcotest.fail "unexpected unknown"
   done
 
+(* Random CNF sessions over at most 12 variables: rounds of clauses
+   added between solves, each solve under its own (possibly empty)
+   assumptions.  A Sat answer must give a model of every clause so far
+   and every assumption; an Unsat answer is checked against all 2^n
+   assignments, so a solver that wrongly answers Unsat fails. *)
+let gen_cnf_session =
+  let open QCheck2.Gen in
+  int_range 1 12 >>= fun nv ->
+  let lit = map2 Sat.mk_lit (int_bound (nv - 1)) bool in
+  let clause = list_size (int_range 1 4) lit in
+  let round =
+    pair (list_size (int_range 1 (3 * nv)) clause) (list_size (int_bound 3) lit)
+  in
+  map (fun rounds -> (nv, rounds)) (list_size (int_range 1 3) round)
+
+let print_cnf_session (nv, rounds) =
+  let lits ls = String.concat " " (List.map string_of_int ls) in
+  Printf.sprintf "nvars=%d\n%s" nv
+    (String.concat "\n"
+       (List.map
+          (fun (clauses, assume) ->
+             Printf.sprintf "clauses [%s] assume [%s]"
+               (String.concat "; " (List.map lits clauses))
+               (lits assume))
+          rounds))
+
+let sat_answers_checked_by_enumeration =
+  QCheck2.Test.make ~count:500
+    ~name:"sat models hold, unsat confirmed by enumeration"
+    ~print:print_cnf_session gen_cnf_session
+    (fun (nv, rounds) ->
+       let s = Sat.create () in
+       for _ = 1 to nv do ignore (Sat.new_var s) done;
+       let holds value l =
+         if Sat.lit_sign l then value (Sat.lit_var l)
+         else not (value (Sat.lit_var l))
+       in
+       let satisfied value clauses assume =
+         List.for_all (List.exists (holds value)) clauses
+         && List.for_all (holds value) assume
+       in
+       let some_model clauses assume =
+         let rec from m =
+           m < 1 lsl nv
+           && (satisfied (fun v -> (m lsr v) land 1 = 1) clauses assume
+               || from (m + 1))
+         in
+         from 0
+       in
+       let rec go clauses = function
+         | [] -> true
+         | (added, assume) :: rest ->
+           Sat.reset_to_root s;
+           List.iter (Sat.add_clause s) added;
+           let clauses = added @ clauses in
+           (match Sat.solve ~assumptions:assume s with
+            | Sat.Sat -> satisfied (Sat.model_value s) clauses assume
+            | Unsat -> not (some_model clauses assume)
+            | Unknown -> false)
+           && go clauses rest
+       in
+       go [] rounds)
+
+(* ---------------- trajectory pins ---------------- *)
+
+(* One solve's search trajectory as a row: verdict, then the deltas of
+   the conflict, decision and propagation counters, then an MD5 prefix
+   of the model over every variable ("-" unless Sat).  Equal rows mean
+   the same decisions, propagation order and learnt clauses, so a
+   data-structure change to the CDCL core must leave them all alone. *)
+let trajectory s solve =
+  let c0 = Sat.num_conflicts s
+  and d0 = Sat.num_decisions s
+  and p0 = Sat.num_propagations s in
+  let r = solve () in
+  let verdict, model =
+    match r with
+    | Sat.Sat ->
+      let bits =
+        String.init (Sat.num_vars s) (fun v ->
+            if Sat.model_value s v then '1' else '0')
+      in
+      ("sat", String.sub (Digest.to_hex (Digest.string bits)) 0 12)
+    | Unsat -> ("unsat", "-")
+    | Unknown -> ("unknown", "-")
+  in
+  Printf.sprintf "%s c=%d d=%d p=%d m=%s" verdict
+    (Sat.num_conflicts s - c0) (Sat.num_decisions s - d0)
+    (Sat.num_propagations s - p0) model
+
+(* [n] clauses of three distinct variables with random signs *)
+let add_random_3sat rng s vars n =
+  let nv = Array.length vars in
+  for _ = 1 to n do
+    let rec pick acc =
+      if List.length acc = 3 then acc
+      else
+        let v = Random.State.int rng nv in
+        pick (if List.mem v acc then acc else v :: acc)
+    in
+    Sat.add_clause s
+      (List.map (fun v -> Sat.mk_lit vars.(v) (Random.State.bool rng)) (pick []))
+  done
+
+let ratio_426 nv = int_of_float (Float.round (4.26 *. float_of_int nv))
+
+let pin_random_3sat () =
+  let rows =
+    List.map
+      (fun (seed, nv) ->
+         let rng = Random.State.make [| seed |] in
+         let s = Sat.create () in
+         let vars = Array.init nv (fun _ -> Sat.new_var s) in
+         add_random_3sat rng s vars (ratio_426 nv);
+         Printf.sprintf "seed=%d n=%d %s" seed nv
+           (trajectory s (fun () -> Sat.solve s)))
+      [ (1, 60); (2, 70); (3, 80); (4, 90); (5, 100); (6, 110); (7, 120);
+        (8, 130); (9, 150); (10, 160); (11, 170); (12, 180) ]
+  in
+  Alcotest.(check (list string)) "random 3-sat trajectories"
+    [ "seed=1 n=60 sat c=58 d=86 p=890 m=32e44c456cb1";
+      "seed=2 n=70 sat c=195 d=248 p=3574 m=db8c1f33d652";
+      "seed=3 n=80 sat c=216 d=272 p=4254 m=d79e59a6e093";
+      "seed=4 n=90 sat c=183 d=256 p=3828 m=62eaf1db4896";
+      "seed=5 n=100 sat c=354 d=477 p=8472 m=dc267d26575f";
+      "seed=6 n=110 sat c=138 d=200 p=3217 m=2d60340a6124";
+      "seed=7 n=120 unsat c=1202 d=1424 p=31936 m=-";
+      "seed=8 n=130 sat c=370 d=465 p=11236 m=b9fefd2d6a63";
+      "seed=9 n=150 sat c=294 d=408 p=8449 m=9e54b99e946d";
+      "seed=10 n=160 sat c=817 d=1058 p=23966 m=9264c21e2a08";
+      "seed=11 n=170 unsat c=8791 d=10500 p=281176 m=-";
+      "seed=12 n=180 sat c=3618 d=4385 p=124946 m=32f0c4e38bb3" ]
+    rows
+
+let pin_pigeonhole () =
+  let s = Sat.create () in
+  let pigeons = 6 and holes = 5 in
+  let v =
+    Array.init pigeons (fun _ -> Array.init holes (fun _ -> Sat.new_var s))
+  in
+  for p = 0 to pigeons - 1 do
+    Sat.add_clause s (List.init holes (fun h -> Sat.mk_lit v.(p).(h) true))
+  done;
+  for h = 0 to holes - 1 do
+    for p1 = 0 to pigeons - 1 do
+      for p2 = p1 + 1 to pigeons - 1 do
+        Sat.add_clause s
+          [ Sat.mk_lit v.(p1).(h) false; Sat.mk_lit v.(p2).(h) false ]
+      done
+    done
+  done;
+  Alcotest.(check string) "PHP(6,5) trajectory" "unsat c=155 d=187 p=1779 m=-"
+    (trajectory s (fun () -> Sat.solve s))
+
+(* the session protocol: solve under assumptions, back to the root,
+   more clauses, then solve again under a conflict budget *)
+let pin_incremental () =
+  let rng = Random.State.make [| 42 |] in
+  let s = Sat.create () in
+  let vars = Array.init 90 (fun _ -> Sat.new_var s) in
+  add_random_3sat rng s vars 300;
+  let assume = [ Sat.mk_lit vars.(0) true; Sat.mk_lit vars.(1) false;
+                 Sat.mk_lit vars.(2) true ] in
+  let first = trajectory s (fun () -> Sat.solve ~assumptions:assume s) in
+  Sat.reset_to_root s;
+  add_random_3sat rng s vars 90;
+  let second =
+    trajectory s (fun () -> Sat.solve ~conflict_budget:40 s)
+  in
+  let third = trajectory s (fun () -> Sat.solve s) in
+  Alcotest.(check (list string)) "incremental trajectory"
+    [ "sat c=34 d=59 p=701 m=23bb794b239d";
+      "unknown c=40 d=56 p=726 m=-";
+      "sat c=99 d=125 p=2167 m=94909ded6fd9" ]
+    [ first; second; third ]
+
 (* ---------------- expr generators ---------------- *)
 
 let gen_expr_with_var : (Expr.t * int) QCheck2.Gen.t =
@@ -434,7 +610,11 @@ let () =
        [ Alcotest.test_case "basic" `Quick sat_basic;
          Alcotest.test_case "unsat" `Quick sat_unsat;
          Alcotest.test_case "pigeonhole" `Quick sat_pigeonhole;
-         Alcotest.test_case "random 3-sat models" `Quick sat_random_models ]);
+         Alcotest.test_case "random 3-sat models" `Quick sat_random_models;
+         Alcotest.test_case "pin random 3-sat" `Quick pin_random_3sat;
+         Alcotest.test_case "pin pigeonhole" `Quick pin_pigeonhole;
+         Alcotest.test_case "pin incremental" `Quick pin_incremental;
+         QCheck_alcotest.to_alcotest sat_answers_checked_by_enumeration ]);
       ("blast", qcheck_tests);
       ("solver",
        [ Alcotest.test_case "simple eq" `Quick solve_simple_eq;
