@@ -1,31 +1,39 @@
 (** A CDCL SAT solver: two-watched-literal propagation, first-UIP
     clause learning, VSIDS-style decision heuristic with phase saving,
-    and Luby restarts.  This is the engine under the bit-blaster, the
-    role STP/Z3 play for the paper's tools.
+    and geometric restarts (every [100 * 1.5^n] conflicts).  This is
+    the engine under the bit-blaster, the role STP/Z3 play for the
+    paper's tools.
 
-    Literal encoding: variable [v] (0-based) has positive literal
-    [2*v] and negative literal [2*v+1]. *)
+    Literal [2*v] is variable [v] (0-based), [2*v+1] its negation.  A
+    clause is an offset into one [int array] arena: a size header, then
+    its literals.  [watches.(l)] holds, in push order, the clauses
+    watching [lit_neg l].  The trajectory tests in [test_smt.ml] pin
+    the search (counts, verdicts, models): layout changes must keep
+    them, heuristic changes (blockers, clause deletion, minimisation)
+    move them. *)
 
 type result = Sat | Unsat | Unknown
 
-type clause = { lits : int array; mutable activity : float; learnt : bool }
-
 type t = {
   mutable nvars : int;
-  mutable clauses : clause list;
-  mutable learnts : clause list;
-  mutable watches : clause list array;   (* indexed by literal *)
-  mutable assign : int array;            (* -1 unset, 0 false, 1 true *)
+  mutable arena : int array;             (* size header, then literals *)
+  mutable arena_n : int;
+  mutable nclauses : int;                (* problem clauses in the arena *)
+  mutable watches : int array array;     (* literal -> clause offsets *)
+  mutable watch_n : int array;
+  mutable scratch : int array;           (* watchers being visited *)
+  mutable value : int array;             (* literal -> -1 unset, 0 false, 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;            (* clause offset, -1 for none *)
   mutable activity : float array;
   mutable phase : bool array;            (* saved phases *)
+  mutable seen : bool array;             (* [analyze] marks, clear between calls *)
   mutable trail : int array;             (* literals in assignment order *)
   mutable trail_n : int;
-  mutable trail_lim : int list;          (* decision-level boundaries *)
+  mutable trail_lim : int array;         (* decision-level boundaries *)
+  mutable levels : int;                  (* current decision level *)
   mutable prop_head : int;
   mutable var_inc : float;
-  mutable cla_inc : float;
   mutable ok : bool;
   mutable conflicts : int;
   mutable decisions : int;      (* decision levels opened *)
@@ -43,20 +51,24 @@ let mk_lit v positive = (v lsl 1) lor (if positive then 0 else 1)
 
 let create () =
   { nvars = 0;
-    clauses = [];
-    learnts = [];
-    watches = Array.make 16 [];
-    assign = Array.make 8 (-1);
+    arena = Array.make 64 0;
+    arena_n = 0;
+    nclauses = 0;
+    watches = Array.make 16 [||];
+    watch_n = Array.make 16 0;
+    scratch = Array.make 16 0;
+    value = Array.make 16 (-1);
     level = Array.make 8 0;
-    reason = Array.make 8 None;
+    reason = Array.make 8 (-1);
     activity = Array.make 8 0.0;
     phase = Array.make 8 false;
+    seen = Array.make 8 false;
     trail = Array.make 8 0;
     trail_n = 0;
-    trail_lim = [];
+    trail_lim = Array.make 8 0;
+    levels = 0;
     prop_head = 0;
     var_inc = 1.0;
-    cla_inc = 1.0;
     ok = true;
     conflicts = 0;
     decisions = 0;
@@ -65,29 +77,29 @@ let create () =
     heap_n = 0;
     heap_pos = Array.make 8 (-1) }
 
-let ensure_capacity t n =
-  let grow arr def =
-    let len = Array.length arr in
-    if n <= len then arr
-    else begin
-      let arr' = Array.make (max n (2 * len)) def in
-      Array.blit arr 0 arr' 0 len;
-      arr'
-    end
-  in
-  t.assign <- grow t.assign (-1);
-  t.level <- grow t.level 0;
-  t.reason <- grow t.reason None;
-  t.activity <- grow t.activity 0.0;
-  t.phase <- grow t.phase false;
-  t.trail <- grow t.trail 0;
-  t.heap <- grow t.heap 0;
-  t.heap_pos <- grow t.heap_pos (-1);
-  if 2 * n > Array.length t.watches then begin
-    let w = Array.make (max (2 * n) (2 * Array.length t.watches)) [] in
-    Array.blit t.watches 0 w 0 (Array.length t.watches);
-    t.watches <- w
+(* [arr] with room for [n] cells, doubling; new cells hold [def] *)
+let grow arr n def =
+  let len = Array.length arr in
+  if n <= len then arr
+  else begin
+    let arr' = Array.make (max n (2 * len)) def in
+    Array.blit arr 0 arr' 0 len;
+    arr'
   end
+
+let ensure_capacity t n =
+  t.level <- grow t.level n 0;
+  t.reason <- grow t.reason n (-1);
+  t.activity <- grow t.activity n 0.0;
+  t.phase <- grow t.phase n false;
+  t.seen <- grow t.seen n false;
+  t.trail <- grow t.trail n 0;
+  t.trail_lim <- grow t.trail_lim n 0;
+  t.heap <- grow t.heap n 0;
+  t.heap_pos <- grow t.heap_pos n (-1);
+  t.value <- grow t.value (2 * n) (-1);
+  t.watches <- grow t.watches (2 * n) [||];
+  t.watch_n <- grow t.watch_n (2 * n) 0
 
 (* ---- VSIDS order heap ---- *)
 
@@ -146,26 +158,34 @@ let new_var t =
   heap_insert t v;
   v
 
-(* value of a literal under the current assignment: -1/0/1 *)
-let lit_value t l =
-  let a = t.assign.(lit_var l) in
-  if a < 0 then -1 else if lit_sign l then a else 1 - a
-
-let decision_level t = List.length t.trail_lim
-
 let enqueue t l reason =
-  t.assign.(lit_var l) <- (if lit_sign l then 1 else 0);
-  t.level.(lit_var l) <- decision_level t;
+  t.value.(l) <- 1;
+  t.value.(lit_neg l) <- 0;
+  t.level.(lit_var l) <- t.levels;
   t.reason.(lit_var l) <- reason;
   t.phase.(lit_var l) <- lit_sign l;
   t.trail.(t.trail_n) <- l;
   t.trail_n <- t.trail_n + 1
 
-(* attach a clause to the watch lists of its first two literals *)
-let attach t c =
-  t.watches.(lit_neg c.lits.(0)) <- c :: t.watches.(lit_neg c.lits.(0));
-  if Array.length c.lits > 1 then
-    t.watches.(lit_neg c.lits.(1)) <- c :: t.watches.(lit_neg c.lits.(1))
+(* push clause [c] onto the watch vector of literal [l] *)
+let watch t l c =
+  let n = t.watch_n.(l) in
+  if n = Array.length t.watches.(l) then
+    t.watches.(l) <- grow t.watches.(l) (max 4 (n + 1)) 0;
+  t.watches.(l).(n) <- c;
+  t.watch_n.(l) <- n + 1
+
+(* copy [lits] into the arena and watch its first two literals *)
+let new_clause t lits =
+  let c = t.arena_n in
+  let n = List.length lits in
+  t.arena <- grow t.arena (c + n + 1) 0;
+  t.arena.(c) <- n;
+  List.iteri (fun i l -> t.arena.(c + 1 + i) <- l) lits;
+  t.arena_n <- c + n + 1;
+  watch t (lit_neg t.arena.(c + 1)) c;
+  watch t (lit_neg t.arena.(c + 2)) c;
+  c
 
 let add_clause t lits =
   if t.ok then begin
@@ -175,79 +195,76 @@ let add_clause t lits =
     if not taut then begin
       let lits =
         List.filter
-          (fun l -> not (lit_value t l = 0 && t.level.(lit_var l) = 0))
+          (fun l -> not (t.value.(l) = 0 && t.level.(lit_var l) = 0))
           lits
       in
-      if List.exists (fun l -> lit_value t l = 1 && t.level.(lit_var l) = 0)
+      if List.exists (fun l -> t.value.(l) = 1 && t.level.(lit_var l) = 0)
           lits
       then ()
       else
         match lits with
         | [] -> t.ok <- false
         | [ l ] ->
-          if lit_value t l = 0 then t.ok <- false
-          else if lit_value t l < 0 then enqueue t l None
+          if t.value.(l) = 0 then t.ok <- false
+          else if t.value.(l) < 0 then enqueue t l (-1)
         | _ ->
-          let c = { lits = Array.of_list lits; activity = 0.0; learnt = false } in
-          t.clauses <- c :: t.clauses;
-          attach t c
+          ignore (new_clause t lits);
+          t.nclauses <- t.nclauses + 1
     end
   end
 
-(* propagate all queued assignments; return the conflicting clause *)
-let propagate t : clause option =
-  let conflict = ref None in
-  while !conflict = None && t.prop_head < t.trail_n do
+(* Propagate all queued assignments; return the conflicting clause, or
+   -1.  A literal's watchers are visited newest first and pushed back
+   (kept, left behind by a conflict) in the order they are met. *)
+let propagate t =
+  let conflict = ref (-1) in
+  while !conflict < 0 && t.prop_head < t.trail_n do
     let l = t.trail.(t.prop_head) in
     t.prop_head <- t.prop_head + 1;
     t.propagations <- t.propagations + 1;
-    (* literals watching ~l = watches.(l) *)
-    let ws = t.watches.(l) in
-    t.watches.(l) <- [];
-    let rec process = function
-      | [] -> ()
-      | c :: rest -> (
-          (* make sure the false literal is at position 1 *)
-          let false_lit = lit_neg l in
-          if c.lits.(0) = false_lit then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- false_lit
-          end;
-          if lit_value t c.lits.(0) = 1 then begin
-            (* satisfied: keep watching *)
-            t.watches.(l) <- c :: t.watches.(l);
-            process rest
+    let false_lit = lit_neg l in
+    let n = t.watch_n.(l) in
+    if n > Array.length t.scratch then t.scratch <- grow t.scratch n 0;
+    let ws = t.scratch and old = t.watches.(l) in
+    for j = 0 to n - 1 do ws.(j) <- old.(j) done;
+    t.watch_n.(l) <- 0;
+    let i = ref (n - 1) in
+    while !i >= 0 do
+      let c = ws.(!i) in
+      decr i;
+      let a = t.arena in
+      (* make sure the false literal is at position 1 *)
+      if a.(c + 1) = false_lit then begin
+        a.(c + 1) <- a.(c + 2);
+        a.(c + 2) <- false_lit
+      end;
+      let first = a.(c + 1) in
+      if t.value.(first) = 1 then watch t l c (* satisfied: keep watching *)
+      else begin
+        (* look for a new watch *)
+        let stop = c + 1 + a.(c) in
+        let k = ref (c + 3) in
+        while !k < stop && t.value.(a.(!k)) = 0 do incr k done;
+        if !k < stop then begin
+          a.(c + 2) <- a.(!k);
+          a.(!k) <- false_lit;
+          watch t (lit_neg a.(c + 2)) c
+        end
+        else begin
+          (* unit or conflict *)
+          watch t l c;
+          if t.value.(first) = 0 then begin
+            conflict := c;
+            (* put the remaining watchers back *)
+            while !i >= 0 do
+              watch t l ws.(!i);
+              decr i
+            done
           end
-          else
-            (* look for a new watch *)
-            let n = Array.length c.lits in
-            let rec find i =
-              if i >= n then None
-              else if lit_value t c.lits.(i) <> 0 then Some i
-              else find (i + 1)
-            in
-            match find 2 with
-            | Some i ->
-              c.lits.(1) <- c.lits.(i);
-              c.lits.(i) <- false_lit;
-              t.watches.(lit_neg c.lits.(1)) <- c :: t.watches.(lit_neg c.lits.(1));
-              process rest
-            | None ->
-              (* unit or conflict *)
-              t.watches.(l) <- c :: t.watches.(l);
-              if lit_value t c.lits.(0) = 0 then begin
-                conflict := Some c;
-                (* put the remaining watchers back *)
-                List.iter
-                  (fun c' -> t.watches.(l) <- c' :: t.watches.(l))
-                  rest
-              end
-              else begin
-                enqueue t c.lits.(0) (Some c);
-                process rest
-              end)
-    in
-    process ws
+          else enqueue t first c
+        end
+      end
+    done
   done;
   !conflict
 
@@ -267,64 +284,50 @@ let var_decay t = t.var_inc <- t.var_inc /. 0.95
 (* first-UIP conflict analysis; returns the learnt clause (UIP first)
    and the backtrack level *)
 let analyze t confl =
-  let learnt = ref [] in
-  let seen = Array.make t.nvars false in
-  let counter = ref 0 in
-  let p = ref (-1) in
-  let confl = ref (Some confl) in
-  let index = ref (t.trail_n - 1) in
-  let btlevel = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    (match !confl with
-     | None -> ()
-     | Some c ->
-       Array.iter
-         (fun q ->
-            let v = lit_var q in
-            if (not seen.(v)) && t.level.(v) > 0 && q <> !p then begin
-              seen.(v) <- true;
-              var_bump t v;
-              if t.level.(v) >= decision_level t then incr counter
-              else begin
-                learnt := q :: !learnt;
-                btlevel := max !btlevel t.level.(v)
-              end
-            end)
-         c.lits);
+  let learnt = ref [] and btlevel = ref 0 in
+  let counter = ref 0 and p = ref (-1) and index = ref (t.trail_n - 1) in
+  let rec resolve c =
+    if c >= 0 then
+      for k = c + 1 to c + t.arena.(c) do
+        let q = t.arena.(k) in
+        let v = lit_var q in
+        if (not t.seen.(v)) && t.level.(v) > 0 && q <> !p then begin
+          t.seen.(v) <- true;
+          var_bump t v;
+          if t.level.(v) >= t.levels then incr counter
+          else begin
+            learnt := q :: !learnt;
+            btlevel := max !btlevel t.level.(v)
+          end
+        end
+      done;
     (* pick the next literal on the trail to resolve *)
-    let rec next i =
-      if not seen.(lit_var t.trail.(i)) then next (i - 1) else i
-    in
-    index := next !index;
+    while not t.seen.(lit_var t.trail.(!index)) do decr index done;
     let q = t.trail.(!index) in
     p := q;
-    confl := t.reason.(lit_var q);
-    seen.(lit_var q) <- false;
+    t.seen.(lit_var q) <- false;
     decr counter;
-    index := !index - 1;
-    if !counter <= 0 then continue_ := false
-  done;
+    decr index;
+    if !counter > 0 then resolve t.reason.(lit_var q)
+  in
+  resolve confl;
+  (* the only marks left are the lower-level literals kept *)
+  List.iter (fun q -> t.seen.(lit_var q) <- false) !learnt;
   (lit_neg !p :: !learnt, !btlevel)
 
 let cancel_until t lvl =
-  if decision_level t > lvl then begin
-    let rec bound lims n =
-      match lims with
-      | [] -> 0
-      | b :: rest -> if n = lvl + 1 then b else bound rest (n - 1)
-    in
-    let target = bound t.trail_lim (decision_level t) in
+  if t.levels > lvl then begin
+    let target = t.trail_lim.(lvl) in
     for i = t.trail_n - 1 downto target do
-      let v = lit_var t.trail.(i) in
-      t.assign.(v) <- -1;
-      t.reason.(v) <- None;
-      heap_insert t v
+      let l = t.trail.(i) in
+      t.value.(l) <- -1;
+      t.value.(lit_neg l) <- -1;
+      t.reason.(lit_var l) <- -1;
+      heap_insert t (lit_var l)
     done;
     t.trail_n <- target;
     t.prop_head <- target;
-    let rec drop lims n = if n = lvl then lims else drop (List.tl lims) (n - 1) in
-    t.trail_lim <- drop t.trail_lim (decision_level t)
+    t.levels <- lvl
   end
 
 let rec pick_branch t =
@@ -332,9 +335,9 @@ let rec pick_branch t =
   if t.heap_n = 0 then -1
   else
     let v = heap_pop t in
-    if t.assign.(v) < 0 then v else pick_branch t
+    if t.value.(mk_lit v true) < 0 then v else pick_branch t
 
-(* simpler restart schedule: geometric *)
+(* geometric restart schedule *)
 let restart_interval n = int_of_float (100.0 *. (1.5 ** float_of_int n))
 
 (** Undo every assignment above the root level.  Incremental sessions
@@ -348,17 +351,15 @@ let solve ?(conflict_budget = max_int) ?meter ?(assumptions = []) t : result =
   else begin
     cancel_until t 0;
     let result = ref Unknown in
-    let restarts = ref 0 in
+    let restarts = ref 0 and restart_limit = ref (restart_interval 0) in
     let conflicts_here = ref 0 in
     (* budget is per-call: [t.conflicts] accumulates over the solver's
        lifetime so an incremental session would otherwise starve *)
     let start_conflicts = t.conflicts in
-    let budget_left () = t.conflicts - start_conflicts < conflict_budget in
     (try
-       (* assume the assumption literals at successive levels *)
        while !result = Unknown do
-         match propagate t with
-         | Some confl ->
+         let confl = propagate t in
+         if confl >= 0 then begin
            t.conflicts <- t.conflicts + 1;
            incr conflicts_here;
            (* charge the cell budget meter; a tripped conflict cap or
@@ -367,74 +368,62 @@ let solve ?(conflict_budget = max_int) ?meter ?(assumptions = []) t : result =
            (match meter with
             | Some m -> Robust.Meter.charge_solver_conflicts m 1
             | None -> ());
-           if decision_level t = 0 then begin
+           if t.levels = 0 then begin
              t.ok <- false;
              result := Unsat
            end
            else begin
              let learnt, btlevel = analyze t confl in
              cancel_until t btlevel;
-             (match learnt with
-              | [] -> t.ok <- false; result := Unsat
-              | [ l ] -> enqueue t l None
-              | l :: _ ->
-                let c =
-                  { lits = Array.of_list learnt; activity = t.cla_inc;
-                    learnt = true }
-                in
-                t.learnts <- c :: t.learnts;
-                attach t c;
-                enqueue t l (Some c));
+             let reason =
+               match learnt with [ _ ] -> -1 | _ -> new_clause t learnt
+             in
+             enqueue t (List.hd learnt) reason;
              var_decay t
            end;
-           if not (budget_left ()) then begin
+           if t.conflicts - start_conflicts >= conflict_budget then begin
              result := Unknown;
              raise Exit
            end
-         | None ->
-           (* restart? *)
-           if !conflicts_here > restart_interval !restarts then begin
-             incr restarts;
-             conflicts_here := 0;
-             cancel_until t 0
-           end
-           else begin
-             (* extend with assumptions first *)
-             let unassigned_assumption =
-               List.find_opt (fun l -> lit_value t l < 0) assumptions
-             in
-             match unassigned_assumption with
-             | Some l ->
-               if List.exists (fun a -> lit_value t a = 0) assumptions then begin
-                 result := Unsat;
-                 raise Exit
-               end;
-               t.trail_lim <- t.trail_n :: t.trail_lim;
-               t.decisions <- t.decisions + 1;
-               enqueue t l None
+         end
+         else if !conflicts_here > !restart_limit then begin
+           incr restarts;
+           restart_limit := restart_interval !restarts;
+           conflicts_here := 0;
+           cancel_until t 0
+         end
+         else begin
+           if List.exists (fun a -> t.value.(a) = 0) assumptions then begin
+             result := Unsat;
+             raise Exit
+           end;
+           (* assume the assumption literals at successive levels, then
+              decide *)
+           let next =
+             match List.find_opt (fun l -> t.value.(l) < 0) assumptions with
+             | Some l -> l
              | None ->
-               if List.exists (fun a -> lit_value t a = 0) assumptions then begin
-                 result := Unsat;
-                 raise Exit
-               end;
                let v = pick_branch t in
-               if v < 0 then result := Sat
-               else begin
-                 t.trail_lim <- t.trail_n :: t.trail_lim;
-                 t.decisions <- t.decisions + 1;
-                 enqueue t (mk_lit v t.phase.(v)) None
-               end
+               if v < 0 then -1 else mk_lit v t.phase.(v)
+           in
+           if next < 0 then result := Sat
+           else begin
+             t.trail_lim.(t.levels) <- t.trail_n;
+             t.levels <- t.levels + 1;
+             t.decisions <- t.decisions + 1;
+             enqueue t next (-1)
            end
+         end
        done
      with Exit -> ());
     !result
   end
 
 (** Value of variable [v] in the satisfying assignment. *)
-let model_value t v = t.assign.(v) = 1
+let model_value t v = t.value.(mk_lit v true) = 1
 
 let num_vars t = t.nvars
-let num_clauses t = List.length t.clauses
+let num_clauses t = t.nclauses
 let num_conflicts t = t.conflicts
 let num_decisions t = t.decisions
 let num_propagations t = t.propagations
