@@ -290,8 +290,6 @@ let reset t = Sat.reset_to_root t.sat
 (** Distinct term nodes encoded so far (the per-session memo size). *)
 let num_nodes t = Phys.length t.cache
 
-let num_conflicts t = Sat.num_conflicts t.sat
-
 let solve ?conflict_budget ?meter ?assumptions t =
   Sat.solve ?conflict_budget ?meter ?assumptions t.sat
 

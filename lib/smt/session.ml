@@ -339,14 +339,21 @@ let solve_uncached t (cfg : config) (cs_i : interned list) : outcome =
         | exception Blast.Unsupported_fp -> Unknown Fp_unsupported
         | assumptions -> (
             Stats.add_blasted t.stats (Blast.num_nodes t.blast - nodes_before);
-            let conflicts_before = Blast.num_conflicts t.blast in
-            let result =
-              Blast.solve ~conflict_budget:cfg.conflict_budget
-                ?meter:t.meter ~assumptions t.blast
+            let sat = t.blast.Blast.sat in
+            let c0 = Sat.num_conflicts sat and d0 = Sat.num_decisions sat
+            and p0 = Sat.num_propagations sat in
+            (* account the search also when a budget trip unwinds it *)
+            let account () =
+              Stats.add_search t.stats
+                ~conflicts:(Sat.num_conflicts sat - c0)
+                ~decisions:(Sat.num_decisions sat - d0)
+                ~propagations:(Sat.num_propagations sat - p0)
             in
-            Stats.add_conflicts t.stats
-              (Blast.num_conflicts t.blast - conflicts_before);
-            match result with
+            match
+              Fun.protect ~finally:account (fun () ->
+                  Blast.solve ~conflict_budget:cfg.conflict_budget
+                    ?meter:t.meter ~assumptions t.blast)
+            with
             | Sat ->
               let m = restrict_model (Blast.model t.blast) cs in
               (* defensive validation, as in the one-shot front-end *)
@@ -371,6 +378,9 @@ let check ?config t : outcome =
    | None -> ());
   let cfg = Option.value ~default:t.config config in
   let t0 = Sys.time () in
+  (* wall time counts also when a budget trip escapes the check *)
+  Fun.protect ~finally:(fun () -> Stats.add_wall t.stats (Sys.time () -. t0))
+  @@ fun () ->
   Stats.record_query t.stats;
   let cs_i = asserted t in
   let result =
@@ -436,7 +446,6 @@ let check ?config t : outcome =
    | Sat _ -> Stats.record_sat t.stats
    | Unsat -> Stats.record_unsat t.stats
    | Unknown _ -> Stats.record_unknown t.stats);
-  Stats.add_wall t.stats (Sys.time () -. t0);
   result
 
 (** [set_assertions] followed by [check] — the engines' entry point.

@@ -11,6 +11,8 @@ type t = {
   mutable unknown : int;
   mutable blasted_nodes : int;  (** term nodes newly encoded to CNF *)
   mutable conflicts : int;      (** CDCL conflicts spent in [check] *)
+  mutable decisions : int;      (** CDCL decision levels opened in [check] *)
+  mutable propagations : int;   (** CDCL trail literals propagated in [check] *)
   mutable wall_time : float;    (** seconds spent inside [check] *)
   mutable degraded_resimplify : int;
       (** budget-tripped checks decided by the resimplify rung *)
@@ -28,6 +30,8 @@ let create () =
     unknown = 0;
     blasted_nodes = 0;
     conflicts = 0;
+    decisions = 0;
+    propagations = 0;
     wall_time = 0.0;
     degraded_resimplify = 0;
     degraded_enumerate = 0;
@@ -42,6 +46,8 @@ let copy s =
     unknown = s.unknown;
     blasted_nodes = s.blasted_nodes;
     conflicts = s.conflicts;
+    decisions = s.decisions;
+    propagations = s.propagations;
     wall_time = s.wall_time;
     degraded_resimplify = s.degraded_resimplify;
     degraded_enumerate = s.degraded_enumerate;
@@ -56,6 +62,8 @@ let add ~into:dst src =
   dst.unknown <- dst.unknown + src.unknown;
   dst.blasted_nodes <- dst.blasted_nodes + src.blasted_nodes;
   dst.conflicts <- dst.conflicts + src.conflicts;
+  dst.decisions <- dst.decisions + src.decisions;
+  dst.propagations <- dst.propagations + src.propagations;
   dst.wall_time <- dst.wall_time +. src.wall_time;
   dst.degraded_resimplify <- dst.degraded_resimplify + src.degraded_resimplify;
   dst.degraded_enumerate <- dst.degraded_enumerate + src.degraded_enumerate;
@@ -78,6 +86,8 @@ let m_unsat = Telemetry.Metrics.counter "smt.unsat"
 let m_unknown = Telemetry.Metrics.counter "smt.unknown"
 let m_blasted = Telemetry.Metrics.counter "smt.blasted_nodes"
 let m_conflicts = Telemetry.Metrics.counter "smt.conflicts"
+let m_decisions = Telemetry.Metrics.counter "smt.decisions"
+let m_propagations = Telemetry.Metrics.counter "smt.propagations"
 let m_wall = Telemetry.Metrics.gauge "smt.wall_s"
 
 let record_query s =
@@ -104,9 +114,14 @@ let add_blasted s n =
   s.blasted_nodes <- s.blasted_nodes + n;
   Telemetry.Metrics.add m_blasted n
 
-let add_conflicts s n =
-  s.conflicts <- s.conflicts + n;
-  Telemetry.Metrics.add m_conflicts n
+(** Fold one CDCL search's counter deltas in. *)
+let add_search s ~conflicts ~decisions ~propagations =
+  s.conflicts <- s.conflicts + conflicts;
+  s.decisions <- s.decisions + decisions;
+  s.propagations <- s.propagations + propagations;
+  Telemetry.Metrics.add m_conflicts conflicts;
+  Telemetry.Metrics.add m_decisions decisions;
+  Telemetry.Metrics.add m_propagations propagations
 
 let add_wall s dt =
   s.wall_time <- s.wall_time +. dt;
@@ -151,9 +166,9 @@ let to_string s =
   let base =
     Printf.sprintf
       "queries=%d hits=%d sat=%d unsat=%d unknown=%d blasted=%d conflicts=%d \
-       wall=%.4fs"
+       decisions=%d propagations=%d wall=%.4fs"
       s.queries s.cache_hits s.sat s.unsat s.unknown s.blasted_nodes
-      s.conflicts s.wall_time
+      s.conflicts s.decisions s.propagations s.wall_time
   in
   if degraded_total s = 0 then base
   else
@@ -167,7 +182,9 @@ let to_json_fields s =
   Printf.sprintf
     "\"queries\": %d, \"cache_hits\": %d, \"sat\": %d, \"unsat\": %d, \
      \"unknown\": %d, \"blasted_nodes\": %d, \"conflicts\": %d, \
-     \"solver_wall_s\": %.6f, \"degraded_resimplify\": %d, \
-     \"degraded_enumerate\": %d, \"degraded_give_up\": %d"
+     \"decisions\": %d, \"propagations\": %d, \"solver_wall_s\": %.6f, \
+     \"degraded_resimplify\": %d, \"degraded_enumerate\": %d, \
+     \"degraded_give_up\": %d"
     s.queries s.cache_hits s.sat s.unsat s.unknown s.blasted_nodes s.conflicts
-    s.wall_time s.degraded_resimplify s.degraded_enumerate s.degraded_give_up
+    s.decisions s.propagations s.wall_time s.degraded_resimplify
+    s.degraded_enumerate s.degraded_give_up

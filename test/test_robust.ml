@@ -364,11 +364,20 @@ let conflict_capped_session ?config () =
   in
   Smt.Session.create ~meter ?config ()
 
+(* the conflict that trips the cap was spent: the session stats and the
+   smt.conflicts counter both count it *)
+let check_tripping_conflict_counted s ~before =
+  Alcotest.(check int) "session counts the tripping conflict" 1
+    (Smt.Session.stats s).Smt.Stats.conflicts;
+  Alcotest.(check int) "smt.conflicts counts it" 1
+    (Telemetry.Metrics.counter_value "smt.conflicts" - before)
+
 let square y n = Smt.Expr.eq (Smt.Expr.Binop (Mul, v y, v y)) (c n)
 
 let ladder_resimplify_decides_sat () =
   let s = conflict_capped_session () in
   let before = Telemetry.Metrics.counter_value "solver.degraded" in
+  let conflicts_before = Telemetry.Metrics.counter_value "smt.conflicts" in
   (match
      Smt.Session.check_assertions s
        [ Smt.Expr.eq (v "x") (c 5L); square "y" 225L ]
@@ -383,7 +392,8 @@ let ladder_resimplify_decides_sat () =
   Alcotest.(check int) "resimplify rung recorded" 1
     (Smt.Session.stats s).Smt.Stats.degraded_resimplify;
   Alcotest.(check bool) "solver.degraded bumped" true
-    (Telemetry.Metrics.counter_value "solver.degraded" > before)
+    (Telemetry.Metrics.counter_value "solver.degraded" > before);
+  check_tripping_conflict_counted s ~before:conflicts_before
 
 let ladder_enumerate_decides_unsat () =
   let config =
@@ -414,11 +424,15 @@ let ladder_gives_up_when_rungs_decline () =
 let ladder_off_restores_hard_failure () =
   let config = { Smt.Session.default_config with ladder = [] } in
   let s = conflict_capped_session ~config () in
-  match Smt.Session.check_assertions s [ square "y" 225L ] with
-  | exception Robust.Meter.Exhausted { resource; _ } ->
-    Alcotest.(check bool) "tripped on conflicts" true
-      (resource = Robust.Meter.Solver_conflicts)
-  | _ -> Alcotest.fail "empty ladder must re-raise the budget trip"
+  let before = Telemetry.Metrics.counter_value "smt.conflicts" in
+  (match Smt.Session.check_assertions s [ square "y" 225L ] with
+   | exception Robust.Meter.Exhausted { resource; _ } ->
+     Alcotest.(check bool) "tripped on conflicts" true
+       (resource = Robust.Meter.Solver_conflicts)
+   | _ -> Alcotest.fail "empty ladder must re-raise the budget trip");
+  check_tripping_conflict_counted s ~before;
+  Alcotest.(check bool) "wall time of the escaped check counted" true
+    ((Smt.Session.stats s).Smt.Stats.wall_time > 0.0)
 
 let ladder_turns_e_into_p () =
   (* srand_bomb x BAP exhausts a 50-conflict cap; pre-ladder engines
