@@ -143,9 +143,8 @@ let explore ?(seed = "5") (config : config) (target : target) : verdict =
            let path = Trace_exec.run config.trace_cfg ?session trace in
            diags := path.diags @ !diags;
            let ordered = Array.of_list path.constraints in
-           if
-             Array.exists (fun (c, _) -> E.contains_fp c) ordered
-           then fp_seen := true;
+           if E.exists_fp (List.map fst path.constraints) then
+             fp_seen := true;
            (* negate each unflipped branch, oldest first *)
            let occurrence : (int64, int) Hashtbl.t = Hashtbl.create 16 in
            List.iter

@@ -461,18 +461,22 @@ let input_of_model ~width (model : Smt.Solver.model) =
   | None -> str
 
 let feasible t (s : sstate) =
-  let cs = State.path_condition s.st in
-  if List.exists E.contains_fp cs then true (* cannot check: assume *)
-  else if s.st.State.built_cost > t.config.max_constraint_nodes then true
+  (* the O(1) size guard first: on crypto paths it spares a walk of the
+     whole path per fork *)
+  if s.st.State.built_cost > t.config.max_constraint_nodes then true
   else
-    match
-      solve t
-        ~config:
-          { t.config.solver with conflict_budget = t.config.feasibility_budget }
-        cs
-    with
-    | Smt.Solver.Unsat -> false
-    | _ -> true
+    let cs = State.path_condition s.st in
+    if List.exists E.contains_fp cs then true (* cannot check: assume *)
+    else
+      match
+        solve t
+          ~config:
+            { t.config.solver with
+              conflict_budget = t.config.feasibility_budget }
+          cs
+      with
+      | Smt.Solver.Unsat -> false
+      | _ -> true
 
 let m_dse_steps = Telemetry.Metrics.counter "dse.steps"
 let m_dse_states = Telemetry.Metrics.counter "dse.states"
@@ -544,7 +548,7 @@ let explore ?goal_symbol:(goal = "bomb") (config : config)
          if Int64.equal s.pc t.goal then begin
            incr reached;
            let cs = State.path_condition s.st in
-           if List.exists E.contains_fp cs then begin
+           if E.exists_fp cs then begin
              t.fp_seen <- true;
              t.all_diags <- Error.Fp_constraint :: t.all_diags
            end;

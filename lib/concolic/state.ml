@@ -6,12 +6,7 @@
 
 module E = Smt.Expr
 
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+module Phys = E.Phys
 
 type t = {
   env : (string, E.t) Hashtbl.t;        (** registers, flags, temps *)
@@ -173,24 +168,12 @@ let mk_fsqrt a = fold1 (fun a -> E.Fsqrt a) a
 let mk_fof_int a = fold1 (fun a -> E.Fof_int a) a
 let mk_fto_int a = fold1 (fun a -> E.Fto_int a) a
 
-(* node weight, mirroring {!Smt.Expr.blast_cost} *)
-let node_weight (e : E.t) =
-  match e with
-  | E.Binop ((Mul | Udiv | Urem | Sdiv | Srem), a, _) ->
-    let w = E.width_of a in
-    3 * w * w
-  | E.Binop ((Shl | Lshr | Ashr), a, _) -> 24 * E.width_of a
-  | E.Binop (_, a, _) -> 5 * E.width_of a
-  | E.Cmp (_, a, _) -> 3 * E.width_of a
-  | E.Ite (_, a, _) -> 4 * E.width_of a
-  | E.Unop (Neg, a) -> 5 * E.width_of a
-  | _ -> 1
-
-(* charge a state for a freshly built (non-constant) node *)
+(* charge a state for a freshly built (non-constant) node, at the
+   weight {!Smt.Expr.blast_cost} sums *)
 let charge t (e : E.t) =
   (match e with
    | E.Const _ -> ()
-   | _ -> t.built_cost <- t.built_cost + node_weight e);
+   | _ -> t.built_cost <- t.built_cost + E.blast_weight e);
   e
 
 (* ------------------------------------------------------------------ *)

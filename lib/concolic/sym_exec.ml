@@ -36,19 +36,12 @@ module Phys = State.Phys
    depth of previously built load results *)
 let depth_of depths (e : E.t) =
   let best = ref 0 in
-  let rec go e =
-    (match Phys.find_opt depths (Obj.repr e) with
-     | Some d -> if d > !best then best := d
-     | None -> ());
-    match e with
-    | E.Var _ | E.Const _ -> ()
-    | E.Unop (_, a) | E.Extract (_, _, a) | E.Zext (_, a) | E.Sext (_, a)
-    | E.Fsqrt a | E.Fof_int a | E.Fto_int a -> go a
-    | E.Binop (_, a, b) | E.Cmp (_, a, b) | E.Concat (a, b)
-    | E.Fbin (_, a, b) | E.Fcmp (_, a, b) -> go a; go b
-    | E.Ite (c, a, b) -> go c; go a; go b
-  in
-  go e;
+  E.iter_dag
+    (fun e ->
+       match Phys.find_opt depths (Obj.repr e) with
+       | Some d when d > !best -> best := d
+       | _ -> ())
+    [ e ];
   !best
 
 type ctx = {

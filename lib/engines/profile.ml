@@ -97,7 +97,7 @@ let run_bap ?(incremental = true) ?(ladder = Smt.Degrade.default_ladder)
     Concolic.Trace_exec.run Concolic.Trace_exec.bap_like_config ?session trace
   in
   let cs = List.map fst path.constraints in
-  let fp = List.exists Smt.Expr.contains_fp cs in
+  let fp = Smt.Expr.exists_fp cs in
   let symbolic_branches = List.length path.branches in
   if path_too_large path then
     { proposed = None;

@@ -7,12 +7,7 @@
 
 exception Unsupported_fp
 
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+module Phys = Expr.Phys
 
 type t = {
   sat : Sat.t;

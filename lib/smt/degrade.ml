@@ -125,7 +125,7 @@ let resimplify ~conflicts cs : verdict =
     (* pins came from asserted equalities, so a contradicted residual
        contradicts the original set *)
     Unsat
-  else if List.exists Expr.contains_fp residual then Undecided
+  else if Expr.exists_fp residual then Undecided
   else begin
     (* fresh throwaway blaster, deliberately un-metered: the rung's
        own conflict budget is the bound *)

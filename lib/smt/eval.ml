@@ -23,12 +23,7 @@ let sext_to64 w v =
     Int64.shift_right (Int64.shift_left v sh) sh
 
 (* memoised on physical identity so shared sub-DAGs evaluate once *)
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+module Phys = Expr.Phys
 
 let eval ?(memo = true) (env : env) (e : Expr.t) : int64 =
   let cache : int64 Phys.t = Phys.create 256 in

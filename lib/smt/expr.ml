@@ -61,188 +61,115 @@ let rec width_of = function
   | Fbin _ | Fsqrt _ | Fof_int _ -> 64
   | Fto_int _ -> 64
 
-(* DAG-aware: shared sub-terms are visited once (a naive tree
-   recursion is exponential on circuit-like terms) *)
-let contains_fp e =
-  let seen : (int, t list) Hashtbl.t = Hashtbl.create 256 in
-  let visited e =
-    let key = Hashtbl.hash_param 2 4 e in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
-    if List.memq e bucket then true
-    else begin
-      Hashtbl.replace seen key (e :: bucket);
-      false
-    end
-  in
-  let rec go stack =
-    match stack with
-    | [] -> false
-    | e :: rest ->
-      if visited e then go rest
-      else
-        match e with
-        | Fbin _ | Fcmp _ | Fsqrt _ | Fof_int _ | Fto_int _ -> true
-        | Var _ | Const _ -> go rest
-        | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a) ->
-          go (a :: rest)
-        | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b) ->
-          go (a :: b :: rest)
-        | Ite (c, a, b) -> go (c :: a :: b :: rest)
-  in
-  go [ e ]
+(** Hash table keyed on physical identity: structurally equal but
+    physically distinct nodes are distinct keys.  Every memo over terms
+    ([Eval], [Simplify], [Blast], [Session]) uses it. *)
+module Phys = Hashtbl.Make (struct
+    type t = Obj.t
 
-(** Free variables, de-duplicated.  DAG-aware like {!contains_fp}. *)
-let vars e =
-  let names = Hashtbl.create 16 in
-  let acc = ref [] in
-  let seen : (int, t list) Hashtbl.t = Hashtbl.create 256 in
-  let visited e =
-    let key = Hashtbl.hash_param 2 4 e in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
-    if List.memq e bucket then true
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
+(** A fresh visited set: [visit e] is [true] the first time it sees
+    (physically) [e], [false] after. *)
+let visitor () =
+  let seen : unit Phys.t = Phys.create 256 in
+  fun (e : t) ->
+    let k = Obj.repr e in
+    if Phys.mem seen k then false
     else begin
-      Hashtbl.replace seen key (e :: bucket);
-      false
+      Phys.add seen k ();
+      true
     end
-  in
-  let rec go stack =
-    match stack with
+
+(* [f] on every node reachable from [es], each physically distinct node
+   once, pre-order and left to right (a naive tree recursion is
+   exponential on circuit-like terms).  [f] stops the walk by raising. *)
+let iter_dag f es =
+  let visit = visitor () in
+  let rec go = function
     | [] -> ()
+    | e :: rest when not (visit e) -> go rest
     | e :: rest ->
-      if visited e then go rest
-      else
-        match e with
-        | Var v ->
-          if not (Hashtbl.mem names v.vname) then begin
-            Hashtbl.replace names v.vname ();
-            acc := v :: !acc
-          end;
-          go rest
-        | Const _ -> go rest
-        | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
-        | Fsqrt a | Fof_int a | Fto_int a -> go (a :: rest)
-        | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
-        | Fbin (_, a, b) | Fcmp (_, a, b) -> go (a :: b :: rest)
-        | Ite (c, a, b) -> go (c :: a :: b :: rest)
+      f e;
+      go
+        (match e with
+         | Var _ | Const _ -> rest
+         | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
+         | Fsqrt a | Fof_int a | Fto_int a -> a :: rest
+         | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
+         | Fbin (_, a, b) | Fcmp (_, a, b) -> a :: b :: rest
+         | Ite (c, a, b) -> c :: a :: b :: rest)
   in
-  go [ e ];
-  List.rev !acc
+  go es
 
-(** Free variables of a constraint list, de-duplicated across the whole
-    list in one DAG-aware pass (first-occurrence order).  This is the
+(** Does any term of [es] use a floating-point operation?  One walk over
+    the union of their DAGs. *)
+let exists_fp es =
+  match
+    iter_dag
+      (function
+        | Fbin _ | Fcmp _ | Fsqrt _ | Fof_int _ | Fto_int _ -> raise Exit
+        | _ -> ())
+      es
+  with
+  | () -> false
+  | exception Exit -> true
+
+let contains_fp e = exists_fp [ e ]
+
+(** Free variables of a constraint list, de-duplicated by name across
+    the whole list in one walk (first-occurrence order).  This is the
     single var-collection used by {!Solver.all_vars}, the FP search and
-    {!Session} — previously each re-deduplicated with its own table. *)
+    {!Session}. *)
 let vars_of_list es =
   let names = Hashtbl.create 16 in
   let acc = ref [] in
-  let seen : (int, t list) Hashtbl.t = Hashtbl.create 256 in
-  let visited e =
-    let key = Hashtbl.hash_param 2 4 e in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
-    if List.memq e bucket then true
-    else begin
-      Hashtbl.replace seen key (e :: bucket);
-      false
-    end
-  in
-  let rec go stack =
-    match stack with
-    | [] -> ()
-    | e :: rest ->
-      if visited e then go rest
-      else
-        match e with
-        | Var v ->
-          if not (Hashtbl.mem names v.vname) then begin
-            Hashtbl.replace names v.vname ();
-            acc := v :: !acc
-          end;
-          go rest
-        | Const _ -> go rest
-        | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
-        | Fsqrt a | Fof_int a | Fto_int a -> go (a :: rest)
-        | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
-        | Fbin (_, a, b) | Fcmp (_, a, b) -> go (a :: b :: rest)
-        | Ite (c, a, b) -> go (c :: a :: b :: rest)
-  in
-  List.iter (fun e -> go [ e ]) es;
+  iter_dag
+    (function
+      | Var v when not (Hashtbl.mem names v.vname) ->
+        Hashtbl.replace names v.vname ();
+        acc := v :: !acc
+      | _ -> ())
+    es;
   List.rev !acc
 
-(** Number of distinct nodes (DAG size, by physical identity). *)
-let dag_size e =
-  let module H = Hashtbl in
-  let seen : (Obj.t, unit) H.t = H.create 256 in
-  let count = ref 0 in
-  let rec go e =
-    let key = Obj.repr e in
-    if not (H.mem seen key) then begin
-      H.replace seen key ();
-      incr count;
-      match e with
-      | Var _ | Const _ -> ()
-      | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
-      | Fsqrt a | Fof_int a | Fto_int a -> go a
-      | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
-      | Fbin (_, a, b) | Fcmp (_, a, b) -> go a; go b
-      | Ite (c, a, b) -> go c; go a; go b
-    end
-  in
-  go e;
-  !count
+let vars e = vars_of_list [ e ]
 
-(** Estimated CNF size if this term were bit-blasted, saturating at
-    [cap]: multiplications and divisions dominate (quadratic in
-    width), so a node count alone badly underestimates crypto-style
-    terms.  The traversal itself is budgeted — structural hashing of
-    huge DAGs must not cost more than the solving it guards — so the
-    result is exact below the budget and a safe over-approximation
-    ([cap]) beyond it. *)
+(** Bit-blast weight of one node: multiplications and divisions are
+    quadratic in width, so a node count alone badly underestimates
+    crypto-style terms. *)
+let blast_weight = function
+  | Binop ((Mul | Udiv | Urem | Sdiv | Srem), a, _) ->
+    let w = width_of a in
+    3 * w * w
+  | Binop ((Shl | Lshr | Ashr), a, _) -> 24 * width_of a
+  | Binop (_, a, _) -> 5 * width_of a
+  | Cmp (_, a, _) -> 3 * width_of a
+  | Ite (_, a, _) -> 4 * width_of a
+  | Unop (Neg, a) -> 5 * width_of a
+  | _ -> 1
+
+(** Estimated CNF size if this term were bit-blasted: the sum of
+    {!blast_weight} over its distinct nodes.  The traversal itself is
+    budgeted — walking huge DAGs must not cost more than the solving it
+    guards — so the result is exact up to [cap] and [node_budget]
+    nodes; beyond either it saturates at [cap + 1] ([max_int] when
+    [cap] is [max_int]), so [blast_cost ~cap e > cap] tests "too
+    large". *)
 let blast_cost ?(cap = max_int) ?(node_budget = 50_000) e =
-  let module H = Hashtbl in
-  (* shallow hashing keeps per-node cost constant; collisions only
-     grow buckets, and the node budget bounds the total work *)
-  let seen : (int, t list) H.t = H.create 1024 in
-  let weight = function
-    | Binop ((Mul | Udiv | Urem | Sdiv | Srem), a, _) ->
-      let w = width_of a in
-      3 * w * w
-    | Binop ((Shl | Lshr | Ashr), a, _) -> 24 * width_of a
-    | Binop (_, a, _) -> 5 * width_of a
-    | Cmp (_, a, _) -> 3 * width_of a
-    | Ite (_, a, _) -> 4 * width_of a
-    | Unop (Neg, a) -> 5 * width_of a
-    | _ -> 1
-  in
-  let cost = ref 0 in
-  let visited = ref 0 in
-  let stack = ref [ e ] in
-  (try
-     while !stack <> [] do
-       match !stack with
-       | [] -> ()
-       | e :: rest ->
-         stack := rest;
-         let key = H.hash_param 2 4 e in
-         let bucket = Option.value ~default:[] (H.find_opt seen key) in
-         if not (List.memq e bucket) then begin
-           H.replace seen key (e :: bucket);
-           incr visited;
-           cost := !cost + weight e;
-           if !cost > cap || !visited > node_budget then begin
-             cost := cap + 1;
-             raise Exit
-           end;
-           match e with
-           | Var _ | Const _ -> ()
-           | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
-           | Fsqrt a | Fof_int a | Fto_int a -> stack := a :: !stack
-           | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
-           | Fbin (_, a, b) | Fcmp (_, a, b) -> stack := a :: b :: !stack
-           | Ite (c, a, b) -> stack := c :: a :: b :: !stack
-         end
-     done
-   with Exit -> ());
-  !cost
+  let cost = ref 0 and visited = ref 0 in
+  match
+    iter_dag
+      (fun e ->
+         incr visited;
+         cost := !cost + blast_weight e;
+         if !cost > cap || !visited > node_budget then raise Exit)
+      [ e ]
+  with
+  | () -> !cost
+  | exception Exit -> if cap = max_int then cap else cap + 1
 
 (* ------------------------------------------------------------------ *)
 (* Smart constructors                                                  *)

@@ -59,7 +59,7 @@ let rec smtlib (e : Expr.t) : string =
 let smtlib_script (constraints : Expr.t list) : string =
   let buf = Buffer.create 1024 in
   let logic =
-    if List.exists Expr.contains_fp constraints then "QF_FPBV" else "QF_BV"
+    if Expr.exists_fp constraints then "QF_FPBV" else "QF_BV"
   in
   Buffer.add_string buf (Printf.sprintf "(set-logic %s)\n" logic);
   List.iter

@@ -60,12 +60,7 @@ let default_config =
 (* Hash-consing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+module Phys = Expr.Phys
 
 (* shallow structural key: constructor tag + immediate payload +
    canonical child ids.  Children are interned first, so two nodes

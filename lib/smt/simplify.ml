@@ -2,12 +2,7 @@
     that matter for lifted machine code (flag computations produce many
     [x ^ x], [x & mask], double-extract patterns). *)
 
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+module Phys = Expr.Phys
 
 let empty_env : Eval.env = Hashtbl.create 1
 

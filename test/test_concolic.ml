@@ -244,6 +244,18 @@ let dse_crashes_on_socket () =
   let o = Concolic.Dse.explore config (Bombs.Catalog.image bomb) in
   Alcotest.(check bool) "crashed" true (o.crashed <> None)
 
+(* a registered load result under 64 levels of [Add (e, e)]: a tree
+   recursion would visit 2^64 paths *)
+let depth_of_shared_dag () =
+  let depths = Concolic.State.Phys.create 4 in
+  let load = Smt.Expr.var "load" in
+  Concolic.State.Phys.replace depths (Obj.repr load) 3;
+  let rec double e n =
+    if n = 0 then e else double (Smt.Expr.Binop (Add, e, e)) (n - 1)
+  in
+  Alcotest.(check int) "registered depth" 3
+    (Concolic.Sym_exec.depth_of depths (double load 64))
+
 let qtests = List.map QCheck_alcotest.to_alcotest [ lifter_consistency ]
 
 let () =
@@ -258,6 +270,9 @@ let () =
          Alcotest.test_case "covert taint policy" `Quick
            covert_taint_policy_matters;
          Alcotest.test_case "memory model gap" `Quick memory_model_gap ]);
+      ("sym-exec",
+       [ Alcotest.test_case "load depth on a shared DAG" `Quick
+           depth_of_shared_dag ]);
       ("driver",
        [ Alcotest.test_case "cracks stack bomb" `Quick
            driver_cracks_stack_bomb;

@@ -313,6 +313,123 @@ let simplify_sound =
        let after = Eval.eval env (Simplify.run e) in
        Int64.equal before after)
 
+(* ---------------- DAG walks ---------------- *)
+
+let children (e : Expr.t) =
+  match e with
+  | Var _ | Const _ -> []
+  | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
+  | Fsqrt a | Fof_int a | Fto_int a -> [ a ]
+  | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
+  | Fbin (_, a, b) | Fcmp (_, a, b) -> [ a; b ]
+  | Ite (c, a, b) -> [ c; a; b ]
+
+(* naive tree-recursive references for the DAG walks *)
+let rec naive_fp (e : Expr.t) =
+  match e with
+  | Fbin _ | Fcmp _ | Fsqrt _ | Fof_int _ | Fto_int _ -> true
+  | _ -> List.exists naive_fp (children e)
+
+let naive_var_names es =
+  let rec go acc (e : Expr.t) =
+    match e with
+    | Var v -> if List.mem v.vname acc then acc else v.vname :: acc
+    | _ -> List.fold_left go acc (children e)
+  in
+  List.rev (List.fold_left go [] es)
+
+let naive_blast_cost e =
+  let seen = ref [] in
+  let rec go e =
+    if not (List.memq e !seen) then begin
+      seen := e :: !seen;
+      List.iter go (children e)
+    end
+  in
+  go e;
+  List.fold_left (fun acc e -> acc + Expr.blast_weight e) 0 !seen
+
+let var_names vs = List.map (fun (v : Expr.var) -> v.vname) vs
+
+(* Term lists over a growing pool: every new node combines earlier pool
+   nodes, so subterms are physically shared across and within terms.
+   Variables of one name are built as distinct nodes, and FP appears
+   both as leaves and as interior nodes. *)
+let gen_shared_terms : Expr.t list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let leaf =
+    frequency
+      [ (4, map (fun i -> Expr.var ~width:8 (Printf.sprintf "v%d" i))
+              (int_bound 4));
+        (3, map (fun v -> Expr.const_int ~width:8 v) (int_bound 255));
+        (1, map (fun i -> Expr.Fof_int (Expr.var (Printf.sprintf "f%d" i)))
+              (int_bound 1)) ]
+  in
+  let step = tup4 (int_bound 7) nat nat nat in
+  map3
+    (fun leaves steps picks ->
+       let pool =
+         List.fold_left
+           (fun pool (kind, i, j, k) ->
+              let n = Array.length pool in
+              let a = pool.(i mod n) and b = pool.(j mod n)
+              and c = pool.(k mod n) in
+              let e : Expr.t =
+                match kind with
+                | 0 -> Binop (Add, a, b)
+                | 1 -> Binop (Mul, a, b)
+                | 2 -> Cmp (Ult, a, b)
+                | 3 -> Ite (c, a, b)
+                | 4 -> Unop (Neg, a)
+                | 5 -> Extract (3, 0, a)
+                | 6 -> Concat (a, b)
+                | _ -> Fbin (Fadd, a, b)
+              in
+              Array.append pool [| e |])
+           (Array.of_list leaves) steps
+       in
+       List.map (fun i -> pool.(i mod Array.length pool)) picks)
+    (list_size (int_range 1 5) leaf)
+    (list_size (int_bound 10) step)
+    (list_size (int_range 1 4) nat)
+
+let walks_match_tree_references =
+  QCheck2.Test.make ~count:300
+    ~name:"DAG walks match tree-recursive references"
+    ~print:(fun es -> String.concat "\n" (List.map Expr.show es))
+    gen_shared_terms
+    (fun es ->
+       let fp = Expr.exists_fp es in
+       fp = List.exists Expr.contains_fp es
+       && fp = List.exists naive_fp es
+       && var_names (Expr.vars_of_list es) = naive_var_names es
+       && List.for_all (fun e -> Expr.blast_cost e = naive_blast_cost e) es)
+
+(* 64 levels of [Add (e, e)]: 65 distinct nodes, 2^64 tree paths *)
+let doubling_chain base =
+  let rec go e n = if n = 0 then e else go (Expr.Binop (Add, e, e)) (n - 1) in
+  go base 64
+
+let walks_on_doubling_chain () =
+  let x = Expr.var ~width:64 "x" in
+  let chain = doubling_chain x in
+  Alcotest.(check bool) "no fp" false (Expr.exists_fp [ chain; chain ]);
+  Alcotest.(check bool) "fp leaf found" true
+    (Expr.contains_fp (doubling_chain (Expr.Fof_int x)));
+  Alcotest.(check (list string)) "vars" [ "x" ]
+    (var_names (Expr.vars_of_list [ chain; doubling_chain x ]));
+  Alcotest.(check int) "cost" (1 + (64 * 5 * 64)) (Expr.blast_cost chain)
+
+(* a node budget that trips must read as "too large", never wrap round
+   to a negative cost *)
+let blast_cost_saturates () =
+  let rec chain e i =
+    if i = 0 then e else chain (Expr.Binop (Add, e, Expr.const_int i)) (i - 1)
+  in
+  let e = chain (Expr.var "x") 30_000 in
+  Alcotest.(check int) "default cap" max_int (Expr.blast_cost e);
+  Alcotest.(check int) "explicit cap" 101 (Expr.blast_cost ~cap:100 e)
+
 (* ---------------- end-to-end solver ---------------- *)
 
 let solve_simple_eq () =
@@ -616,6 +733,11 @@ let () =
          Alcotest.test_case "pin incremental" `Quick pin_incremental;
          QCheck_alcotest.to_alcotest sat_answers_checked_by_enumeration ]);
       ("blast", qcheck_tests);
+      ("walks",
+       [ QCheck_alcotest.to_alcotest walks_match_tree_references;
+         Alcotest.test_case "doubling chain" `Quick walks_on_doubling_chain;
+         Alcotest.test_case "blast cost saturates" `Quick
+           blast_cost_saturates ]);
       ("solver",
        [ Alcotest.test_case "simple eq" `Quick solve_simple_eq;
          Alcotest.test_case "mul inverse" `Quick solve_mul_inverse;
