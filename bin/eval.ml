@@ -6,14 +6,41 @@
     diagnosis ([--tool] selects the engine, [--sink] the rendering,
     [--trace-out]/[--jsonl-out] dump the recorded spans). *)
 
+(* an unknown --tool/--bomb name is a usage error: list the valid
+   names, exit 2 *)
+let unknown_name kind name valid =
+  Printf.eprintf "unknown %s %S (valid: %s)\n" kind name
+    (String.concat ", " valid);
+  exit 2
+
+(* --tool filters keep [Profile.all] order, whatever order they came in *)
 let parse_tools tools_filter =
   match tools_filter with
   | [] -> Engines.Profile.all
   | names ->
-    List.filter
-      (fun t -> List.mem (String.lowercase_ascii (Engines.Profile.name t))
-          (List.map String.lowercase_ascii names))
-      Engines.Profile.all
+    let wanted =
+      List.map
+        (fun n ->
+           match Engines.Profile.of_name n with
+           | Some t -> t
+           | None ->
+             unknown_name "tool" n
+               (List.map Engines.Profile.name Engines.Profile.all))
+        names
+    in
+    List.filter (fun t -> List.mem t wanted) Engines.Profile.all
+
+(* --bomb filters, in the order given *)
+let parse_bombs bombs_filter =
+  match bombs_filter with
+  | [] -> Bombs.Catalog.table2
+  | names ->
+    List.map
+      (fun n ->
+         match Bombs.Catalog.find_opt n with
+         | Some b -> b
+         | None -> unknown_name "bomb" n Bombs.Catalog.names)
+      names
 
 (* supervision policy off the CLI flags; an unlimited budget with no
    retries is the default-policy fast path preserving current output *)
@@ -72,11 +99,7 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
     exit 2
   end;
   let tools = parse_tools tools_filter in
-  let bombs =
-    match bombs_filter with
-    | [] -> Bombs.Catalog.table2
-    | names -> List.map Bombs.Catalog.find names
-  in
+  let bombs = parse_bombs bombs_filter in
   let policy = parse_policy budget_spec retries backoff in
   let ladder = if no_ladder then Some [] else None in
   let journal =
@@ -227,10 +250,7 @@ let run_submit socket reconnect tools_filter bombs_filter budget_spec retries
     backoff no_incremental no_ladder =
   let tools = parse_tools tools_filter in
   let bombs =
-    match bombs_filter with
-    | [] -> List.map (fun (b : Bombs.Common.t) -> b.name) Bombs.Catalog.table2
-    | names ->
-      List.map (fun n -> (Bombs.Catalog.find n).Bombs.Common.name) names
+    List.map (fun (b : Bombs.Common.t) -> b.name) (parse_bombs bombs_filter)
   in
   (match budget_spec with
    | None -> ()

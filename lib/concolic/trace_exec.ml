@@ -178,21 +178,16 @@ let run (config : config) ?session ?(sources : source list option)
     | All_threads -> true
     | Only_thread t -> tid = t
   in
-  (* replay one exec event concretely on the replica *)
-  let replay (e : Vm.Event.exec) =
+  (* one encode and one lift per static instruction of this run *)
+  let lifts = Ir.Lifter.Memo.create config.features in
+  (* replay one exec event concretely on the replica; [next] is its
+     fall-through address *)
+  let replay (e : Vm.Event.exec) next =
     Array.blit e.regs_before 0 scratch.Vm.Cpu.regs 0 Isa.Reg.count;
     Array.blit e.xmm_before 0 scratch.Vm.Cpu.xmm 0 Isa.Reg.xmm_count;
     Vm.Cpu.unpack_flags scratch e.flags_before;
     scratch.Vm.Cpu.pc <- e.pc;
-    (* fall-through address: encoded size past pc *)
-    let size = String.length (Isa.Codec.encode e.insn) in
-    let next_pc = Int64.add e.pc (Int64.of_int size) in
-    (match Vm.Cpu.execute scratch mem ~next_pc e.insn with
-     | _ -> ());
-    next_pc
-  in
-  let fallthrough (e : Vm.Event.exec) =
-    Int64.add e.pc (Int64.of_int (String.length (Isa.Codec.encode e.insn)))
+    match Vm.Cpu.execute scratch mem ~next_pc:next e.insn with _ -> ()
   in
   let havoc_written (e : Vm.Event.exec) =
     (* lift failed: written state becomes its concrete value *)
@@ -231,7 +226,8 @@ let run (config : config) ?session ?(sources : source list option)
          cur_event := Some e;
          last_rsp := e.regs_before.(Isa.Reg.index Isa.Reg.RSP);
          let follow = followed e.tid && not !aborted in
-         let next = fallthrough e in
+         let entry = Ir.Lifter.Memo.find lifts ~pc:e.pc e.insn in
+         let next = entry.next in
          (* symbolic step first (it reads pre-state), then replay *)
          if follow then begin
            let stack_gap =
@@ -246,7 +242,7 @@ let run (config : config) ?session ?(sources : source list option)
                (Error.Lift_failure
                   (Printf.sprintf "tainted stack op %s"
                      (Isa.Insn.mnemonic e.insn)));
-             ignore (replay e);
+             replay e next;
              havoc_written e
            end
            else
@@ -275,16 +271,15 @@ let run (config : config) ?session ?(sources : source list option)
                          else E.not_ (State.mk_cmp Eq d_exp zero));
                       taken = faulted }
                     :: !branches);
-               if not faulted then begin
-                 let stmts = Ir.Lifter.lift config.features ~next e.insn in
-                 ignore (Sym_exec.run_stmts ctx stmts)
-               end;
-               ignore (replay e)
+               if not faulted then
+                 ignore
+                   (Sym_exec.run_stmts ctx (Ir.Lifter.Memo.lift lifts entry));
+               replay e next
              | _ -> (
-                 let stmts = Ir.Lifter.lift config.features ~next e.insn in
+                 let stmts = Ir.Lifter.Memo.lift lifts entry in
                  match Sym_exec.run_stmts ctx stmts with
                  | Sym_exec.Fallthrough | Sym_exec.Sys_enter ->
-                   ignore (replay e)
+                   replay e next
                  | Sym_exec.Cond (cond, target) ->
                    (match cond with
                     | E.Const _ -> ()
@@ -296,20 +291,20 @@ let run (config : config) ?session ?(sources : source list option)
                         { seq = List.length st.constraints - 1;
                           pc = e.pc; cond = oriented; taken }
                         :: !branches);
-                   ignore (replay e)
+                   replay e next
                  | Sym_exec.Jump tgt ->
                    (match tgt with
                     | E.Const _ -> ()
                     | _ ->
                       State.diag st Error.Symbolic_jump_target;
                       sym_jumps := (e.pc, tgt, e.next_pc) :: !sym_jumps);
-                   ignore (replay e)
+                   replay e next
                  | Sym_exec.Unliftable msg ->
                    State.diag st (Error.Lift_failure msg);
-                   ignore (replay e);
+                   replay e next;
                    havoc_written e)
          end
-         else ignore (replay e)
+         else replay e next
        | Vm.Event.Sys { tid; record; _ } ->
          (* a tainted string passed as a syscall *argument* (open's
             path, say) is input leaving through the kernel: contextual

@@ -288,6 +288,13 @@ let lift_insn (features : features) ~(next : int64) (insn : Isa.Insn.t) :
     | Nop -> []
     | Hlt -> [ Special "hlt" ]
 
+(* the counts every lift call makes, memoised or not *)
+let count stmts =
+  Telemetry.Metrics.incr m_insns_lifted;
+  if List.exists (function Special _ -> true | _ -> false) stmts then
+    Telemetry.Metrics.incr m_unmodeled;
+  stmts
+
 (** Instrumented entry point: counts lifted instructions and those
     whose lifting degrades to [Special] (the Es1 failure mode —
     semantics the IR cannot model). *)
@@ -296,8 +303,44 @@ let lift features ~next insn : stmt list =
      probe) before doing the work: a tripped lifted-insn cap must stop
      the cell here, at the paper's Es1 stage *)
   Robust.Meter.lift_tick ();
-  let stmts = lift_insn features ~next insn in
-  Telemetry.Metrics.incr m_insns_lifted;
-  if List.exists (function Special _ -> true | _ -> false) stmts then
-    Telemetry.Metrics.incr m_unmodeled;
-  stmts
+  count (lift_insn features ~next insn)
+
+(** One lift per static instruction.  A trace replay meets the same
+    few instructions over and over; a memo keeps, per pc, the
+    instruction, its fall-through address and its statements, so each
+    is encoded and lifted once per memo.  [lift_insn] is pure in
+    [(features, next, insn)], and a hit also requires the instruction
+    at the pc to equal the remembered one.  [Memo.lift] ticks the meter
+    and the counters on every call, exactly as {!lift} does, so
+    lifted-insn budgets, the chaos probe and every count are
+    unchanged. *)
+module Memo = struct
+  type entry = {
+    insn : Isa.Insn.t;
+    next : int64;  (** fall-through: pc + encoded size *)
+    mutable stmts : stmt list option;  (** lifted on first [lift] *)
+  }
+
+  type t = { features : features; entries : (int64, entry) Hashtbl.t }
+
+  let create features = { features; entries = Hashtbl.create 64 }
+
+  (** The entry for [insn] at [pc], made (and encoded) on a miss. *)
+  let find t ~pc insn =
+    match Hashtbl.find_opt t.entries pc with
+    | Some e when e.insn == insn || Isa.Insn.equal e.insn insn -> e
+    | _ ->
+      let next = Int64.add pc (Int64.of_int (Isa.Codec.encoded_size insn)) in
+      let e = { insn; next; stmts = None } in
+      Hashtbl.replace t.entries pc e;
+      e
+
+  let lift t e =
+    Robust.Meter.lift_tick ();
+    match e.stmts with
+    | Some stmts -> count stmts
+    | None ->
+      let stmts = count (lift_insn t.features ~next:e.next e.insn) in
+      e.stmts <- Some stmts;
+      stmts
+end

@@ -22,21 +22,26 @@ let sext_to64 w v =
     let sh = 64 - w in
     Int64.shift_right (Int64.shift_left v sh) sh
 
-(* memoised on physical identity so shared sub-DAGs evaluate once *)
+(* memoised on physical identity so shared sub-DAGs evaluate once.  The
+   table exists only when memoising: the constant folds in [State] and
+   [Simplify] call with [~memo:false] once per node they build. *)
 module Phys = Expr.Phys
 
 let eval ?(memo = true) (env : env) (e : Expr.t) : int64 =
-  let cache : int64 Phys.t = Phys.create 256 in
+  let cache : int64 Phys.t option =
+    if memo then Some (Phys.create 256) else None
+  in
   let rec go (e : Expr.t) : int64 =
-    if not memo then compute e
-    else
+    match cache with
+    | None -> compute e
+    | Some cache -> (
       let key = Obj.repr e in
       match Phys.find_opt cache key with
       | Some v -> v
       | None ->
         let v = compute e in
         Phys.replace cache key v;
-        v
+        v)
   and compute (e : Expr.t) : int64 =
     let m = Expr.mask (Expr.width_of e) in
     let f64 x = Int64.float_of_bits x in

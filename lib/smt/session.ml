@@ -372,9 +372,11 @@ let check ?config t : outcome =
      Robust.Meter.checkpoint m
    | None -> ());
   let cfg = Option.value ~default:t.config config in
-  let t0 = Sys.time () in
-  (* wall time counts also when a budget trip escapes the check *)
-  Fun.protect ~finally:(fun () -> Stats.add_wall t.stats (Sys.time () -. t0))
+  (* wall-clock time on the spans' clock, not process CPU time; it
+     counts also when a budget trip escapes the check *)
+  let t0 = Telemetry.clock_us () in
+  Fun.protect ~finally:(fun () ->
+      Stats.add_wall t.stats ((Telemetry.clock_us () -. t0) /. 1e6))
   @@ fun () ->
   Stats.record_query t.stats;
   let cs_i = asserted t in

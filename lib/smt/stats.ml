@@ -13,7 +13,7 @@ type t = {
   mutable conflicts : int;      (** CDCL conflicts spent in [check] *)
   mutable decisions : int;      (** CDCL decision levels opened in [check] *)
   mutable propagations : int;   (** CDCL trail literals propagated in [check] *)
-  mutable wall_time : float;    (** seconds spent inside [check] *)
+  mutable wall_time : float;    (** wall-clock seconds inside [check] *)
   mutable degraded_resimplify : int;
       (** budget-tripped checks decided by the resimplify rung *)
   mutable degraded_enumerate : int;

@@ -1,5 +1,6 @@
 (** Lifter golden tests: the BIL statements produced for each
-    instruction class, plus feature gating and branch lowering. *)
+    instruction class, plus feature gating and branch lowering, and the
+    per-pc lift memo against fresh lifts over real traces. *)
 
 open Ir.Bil
 module L = Ir.Lifter
@@ -115,6 +116,70 @@ let width_of_sane () =
   Alcotest.(check int) "extract width" 8
     (width_of_exp (Extract (15, 8, Int (0L, 64))))
 
+(* ---------------- lift memo ---------------- *)
+
+let winning_trace bomb =
+  Trace.record
+    ~config:
+      (Bombs.Common.config_for ~winning:true bomb
+         (Bombs.Common.winning_argv bomb))
+    (Bombs.Catalog.image bomb)
+
+(* every exec of every Table II bomb's winning trace, under both
+   feature sets: a memoised lift equals a fresh [Lifter.lift], and hits
+   and misses alike tick [lifter.insns_lifted] and the ambient meter's
+   lifted-insn charge exactly once *)
+let memo_matches_fresh_lift () =
+  let hits = ref 0 and misses = ref 0 in
+  let lifted () = Telemetry.Metrics.counter_value "lifter.insns_lifted" in
+  List.iter
+    (fun (bomb : Bombs.Common.t) ->
+       let trace = winning_trace bomb in
+       List.iter
+         (fun features ->
+            let memo = L.Memo.create features in
+            let meter = Robust.Meter.create Robust.Budget.unlimited in
+            Robust.Meter.with_ambient meter @@ fun () ->
+            Trace.iteri trace (fun _ ev ->
+                match ev with
+                | Vm.Event.Exec e ->
+                  let entry = L.Memo.find memo ~pc:e.pc e.insn in
+                  Alcotest.(check int64) "fall-through"
+                    (Int64.add e.pc
+                       (Int64.of_int (Isa.Codec.encoded_size e.insn)))
+                    entry.next;
+                  if entry.stmts = None then incr misses else incr hits;
+                  let n0 = lifted () and c0 = meter.lifted_insns in
+                  let stmts = L.Memo.lift memo entry in
+                  Alcotest.(check int) "insns_lifted once" (n0 + 1) (lifted ());
+                  Alcotest.(check int) "meter charged once" (c0 + 1)
+                    meter.lifted_insns;
+                  let fresh = L.lift features ~next:entry.next e.insn in
+                  if not (List.equal equal_stmt stmts fresh) then
+                    Alcotest.failf "%s: memo differs from a fresh lift of %s"
+                      bomb.name (I.show e.insn)
+                | _ -> ()))
+         [ L.no_fp; L.full ])
+    Bombs.Catalog.table2;
+  Alcotest.(check bool) "memo hit" true (!hits > 0);
+  Alcotest.(check bool) "memo missed" true (!misses > 0)
+
+(* code rewritten at a remembered pc is encoded and lifted afresh *)
+let memo_rewritten_code () =
+  let memo = L.Memo.create L.full in
+  let pc = 0x1000L in
+  let nop = L.Memo.find memo ~pc I.Nop in
+  ignore (L.Memo.lift memo nop);
+  let mov = I.Mov (W64, Reg RAX, Imm 7L) in
+  let entry = L.Memo.find memo ~pc mov in
+  Alcotest.(check bool) "fresh entry" true (entry.stmts = None);
+  Alcotest.(check int64) "fall-through of the new insn"
+    (Int64.add pc (Int64.of_int (Isa.Codec.encoded_size mov)))
+    entry.next;
+  Alcotest.(check bool) "lifts the new insn" true
+    (List.equal equal_stmt (L.Memo.lift memo entry)
+       (L.lift L.full ~next:entry.next mov))
+
 let () =
   Alcotest.run "ir"
     [ ("lifter",
@@ -133,4 +198,8 @@ let () =
          Alcotest.test_case "shift masking" `Quick shifts_mask_amount;
          Alcotest.test_case "setcc" `Quick setcc_byte;
          Alcotest.test_case "nop" `Quick nop_empty;
-         Alcotest.test_case "widths" `Quick width_of_sane ]) ]
+         Alcotest.test_case "widths" `Quick width_of_sane ]);
+      ("memo",
+       [ Alcotest.test_case "memo matches fresh lift" `Quick
+           memo_matches_fresh_lift;
+         Alcotest.test_case "rewritten code" `Quick memo_rewritten_code ]) ]

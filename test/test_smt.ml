@@ -393,6 +393,149 @@ let gen_shared_terms : Expr.t list QCheck2.Gen.t =
     (list_size (int_bound 10) step)
     (list_size (int_range 1 4) nat)
 
+(* ---------------- evaluator ---------------- *)
+
+(* Well-typed 8-bit terms over a growing pool (1-bit conditions kept in
+   a pool of their own), so subterms are physically shared and the
+   memoised evaluator meets them more than once. *)
+let gen_eval_terms : Expr.t list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [ map (fun i -> Expr.var ~width:8 (Printf.sprintf "v%d" i))
+          (int_bound 3);
+        map (fun v -> Expr.const_int ~width:8 v) (int_bound 255) ]
+  in
+  let step = tup4 (int_bound 21) nat nat nat in
+  map3
+    (fun leaves steps picks ->
+       let pool = ref (Array.of_list leaves) and conds = ref [||] in
+       let pick arr i = arr.(i mod Array.length arr) in
+       List.iter
+         (fun (kind, i, j, k) ->
+            let a = pick !pool i and b = pick !pool j in
+            let bv (op : Expr.binop) = Expr.Binop (op, a, b) in
+            let cmp (op : Expr.cmpop) = Expr.Cmp (op, a, b) in
+            let push e = pool := Array.append !pool [| e |] in
+            let push_cond e = conds := Array.append !conds [| e |] in
+            match kind with
+            | 0 -> push (bv Add) | 1 -> push (bv Sub) | 2 -> push (bv Mul)
+            | 3 -> push (bv And) | 4 -> push (bv Xor) | 5 -> push (bv Udiv)
+            | 6 -> push (bv Urem) | 7 -> push (bv Sdiv) | 8 -> push (bv Srem)
+            | 9 -> push (bv Shl) | 10 -> push (bv Lshr) | 11 -> push (bv Ashr)
+            | 12 -> push (Expr.Unop (Neg, a))
+            | 13 -> push (Expr.Unop (Not, a))
+            | 14 -> push_cond (cmp Ult) | 15 -> push_cond (cmp Ule)
+            | 16 -> push_cond (cmp Slt) | 17 -> push_cond (cmp Sle)
+            | 18 -> push_cond (cmp Eq)
+            | 19 ->
+              let c =
+                if !conds = [||] then Expr.Cmp (Eq, a, b) else pick !conds k
+              in
+              push (Expr.Ite (c, a, b))
+            | 20 ->
+              push (Expr.Concat (Expr.Extract (3, 0, a), Expr.Extract (7, 4, b)))
+            | _ ->
+              push
+                (Expr.Binop
+                   ( Xor,
+                     Expr.Extract (11, 4, Expr.Zext (16, a)),
+                     Expr.Extract (15, 8, Expr.Sext (16, b)) )))
+         steps;
+       List.map
+         (fun i ->
+            if i mod 3 = 0 && !conds <> [||] then pick !conds i
+            else pick !pool i)
+         picks)
+    (list_size (int_range 1 4) leaf)
+    (list_size (int_bound 24) step)
+    (list_size (int_range 1 4) nat)
+
+(* tree-recursive reference over OCaml ints (every width here is at
+   most 16 bits), written apart from [Eval]'s Int64 code *)
+let rec reference_eval env (e : Expr.t) =
+  let mask w = (1 lsl w) - 1 in
+  let signed w v = if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v in
+  let w = Expr.width_of e in
+  let go = reference_eval env in
+  let r =
+    match e with
+    | Var v -> List.assoc v.vname env
+    | Const (v, _) -> Int64.to_int v
+    | Unop (Neg, a) -> - go a
+    | Unop (Not, a) -> lnot (go a)
+    | Binop (op, a, b) -> (
+        let wa = Expr.width_of a in
+        let x = go a and y = go b in
+        let sx = signed wa x and sy = signed wa y in
+        match op with
+        | Add -> x + y
+        | Sub -> x - y
+        | Mul -> x * y
+        | And -> x land y
+        | Or -> x lor y
+        | Xor -> x lxor y
+        | Udiv -> if y = 0 then mask wa else x / y
+        | Urem -> if y = 0 then x else x mod y
+        | Sdiv -> if y = 0 then (if sx < 0 then 1 else mask wa) else sx / sy
+        | Srem -> if y = 0 then x else sx mod sy
+        | Shl -> if y >= wa then 0 else x lsl y
+        | Lshr -> if y >= wa then 0 else x lsr y
+        | Ashr -> sx asr min y (wa - 1))
+    | Cmp (op, a, b) ->
+      let wa = Expr.width_of a in
+      let x = go a and y = go b in
+      let holds =
+        match op with
+        | Eq -> x = y
+        | Ult -> x < y
+        | Ule -> x <= y
+        | Slt -> signed wa x < signed wa y
+        | Sle -> signed wa x <= signed wa y
+      in
+      Bool.to_int holds
+    | Ite (c, a, b) -> if go c = 1 then go a else go b
+    | Extract (hi, lo, a) -> (go a lsr lo) land mask (hi - lo + 1)
+    | Concat (a, b) -> (go a lsl Expr.width_of b) lor go b
+    | Zext (_, a) -> go a
+    | Sext (_, a) -> signed (Expr.width_of a) (go a)
+    | _ -> invalid_arg "reference_eval: operator outside the generator"
+  in
+  r land mask w
+
+let eval_agrees_with_reference =
+  QCheck2.Test.make ~count:500
+    ~name:"eval ~memo:false = eval ~memo:true = tree reference"
+    QCheck2.Gen.(pair gen_eval_terms (list_repeat 4 (int_bound 255)))
+    (fun (terms, values) ->
+       let binding = List.mapi (fun i v -> (Printf.sprintf "v%d" i, v)) values in
+       let env =
+         Eval.env_of_list
+           (List.map (fun (n, v) -> (n, Int64.of_int v)) binding)
+       in
+       List.for_all
+         (fun e ->
+            let expected = Int64.of_int (reference_eval binding e) in
+            Int64.equal (Eval.eval ~memo:false env e) expected
+            && Int64.equal (Eval.eval ~memo:true env e) expected)
+         terms)
+
+(* the constant folds in [State] and [Simplify] evaluate one new node
+   per call with [~memo:false]; that must not build a memo table *)
+let eval_unmemoised_allocation () =
+  let e = Expr.Binop (Add, Expr.const 3L, Expr.const 4L) in
+  let env = Eval.env_of_list [] in
+  let calls = 1_000 in
+  ignore (Eval.eval ~memo:false env e);
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Eval.eval ~memo:false env e))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per call < 64" per_call)
+    true (per_call < 64.0)
+
 let walks_match_tree_references =
   QCheck2.Test.make ~count:300
     ~name:"DAG walks match tree-recursive references"
@@ -706,6 +849,41 @@ let session_stats_deterministic () =
   Alcotest.(check int) "blasted_nodes" a.Stats.blasted_nodes b.Stats.blasted_nodes;
   Alcotest.(check int) "conflicts" a.Stats.conflicts b.Stats.conflicts
 
+(* [Stats.wall_time] (mirrored as the [smt.wall_s] gauge) is wall-clock
+   time on the spans' clock.  With a second domain spinning, process
+   CPU time runs up to twice the wall clock on two cores, so a CPU
+   clock would overshoot the wall time measured around the call. *)
+let session_wall_time_is_wall_clock () =
+  let x = Expr.var ~width:32 "x" and y = Expr.var ~width:32 "y" in
+  let c w v = Expr.const ~width:w v in
+  (* factor 65521 * 65519 over 16-bit factors: a CDCL search of many
+     milliseconds, bounded by the conflict budget *)
+  let cs =
+    [ Expr.eq (Expr.Binop (Mul, x, y)) (c 32 4292870399L);
+      Expr.Cmp (Ult, x, c 32 65536L); Expr.Cmp (Ult, y, c 32 65536L);
+      Expr.Cmp (Ult, c 32 1L, x); Expr.Cmp (Ult, c 32 1L, y) ]
+  in
+  let config = { Session.default_config with conflict_budget = 3_000 } in
+  let s = Session.create ~config () in
+  let stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () -> while not (Atomic.get stop) do () done)
+  in
+  let wall =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true; Domain.join spinner)
+      (fun () ->
+         let t0 = Unix.gettimeofday () in
+         ignore (Session.check_assertions s cs);
+         Unix.gettimeofday () -. t0)
+  in
+  let reported = (Session.stats s).Stats.wall_time in
+  Alcotest.(check bool) "multi-millisecond check" true (wall >= 0.002);
+  Alcotest.(check bool)
+    (Printf.sprintf "wall_time %.4f s <= 1.5 x %.4f s" reported wall)
+    true
+    (reported <= 1.5 *. wall)
+
 let printers_smoke () =
   let x = Expr.var ~width:8 "x" in
   let c = Expr.eq (Expr.Binop (Add, x, Expr.const ~width:8 1L))
@@ -733,6 +911,10 @@ let () =
          Alcotest.test_case "pin incremental" `Quick pin_incremental;
          QCheck_alcotest.to_alcotest sat_answers_checked_by_enumeration ]);
       ("blast", qcheck_tests);
+      ("eval",
+       [ QCheck_alcotest.to_alcotest eval_agrees_with_reference;
+         Alcotest.test_case "unmemoised allocation" `Quick
+           eval_unmemoised_allocation ]);
       ("walks",
        [ QCheck_alcotest.to_alcotest walks_match_tree_references;
          Alcotest.test_case "doubling chain" `Quick walks_on_doubling_chain;
@@ -757,4 +939,6 @@ let () =
          Alcotest.test_case "stats accounting exact" `Quick
            session_stats_exact;
          Alcotest.test_case "stats deterministic" `Quick
-           session_stats_deterministic ]) ]
+           session_stats_deterministic;
+         Alcotest.test_case "wall time is wall clock" `Quick
+           session_wall_time_is_wall_clock ]) ]

@@ -243,6 +243,81 @@ let fuel_limits () =
   let r = Vm.Machine.run_image ~config image in
   Alcotest.(check bool) "fuel exhausted" true r.fuel_exhausted
 
+(* ---------------- paged memory ---------------- *)
+
+type mem_op = Read of int64 * int | Write of int64 * int * int64
+
+(* 1..8-byte accesses over four pages (three adjacent, one far), mostly
+   within 8 bytes of a page boundary, so accesses cross pages and the
+   last-page cache both hits and misses *)
+let gen_mem_ops : mem_op list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let ps = Vm.Mem.page_size in
+  let addr =
+    let* page = oneofl [ 0x10; 0x11; 0x12; 0x400 ] in
+    let* off =
+      frequency
+        [ (3, int_range (ps - 8) (ps - 1)); (2, int_range 0 7);
+          (1, int_bound (ps - 1)) ]
+    in
+    return (Int64.of_int ((page * ps) + off))
+  in
+  let op =
+    let* a = addr and* n = int_range 1 8 and* write = bool in
+    if write then map (fun v -> Write (a, n, v)) ui64 else return (Read (a, n))
+  in
+  list_size (int_range 1 120) op
+
+let mem_matches_byte_map =
+  QCheck2.Test.make ~count:300 ~name:"mem matches a reference byte map"
+    gen_mem_ops (fun ops ->
+        let m = Vm.Mem.create () and bytes = Hashtbl.create 64 in
+        let byte a = Option.value ~default:0 (Hashtbl.find_opt bytes a) in
+        let at a i = Int64.add a (Int64.of_int i) in
+        List.for_all
+          (function
+            | Write (a, n, v) ->
+              Vm.Mem.write m a n v;
+              for i = 0 to n - 1 do
+                Hashtbl.replace bytes (at a i)
+                  (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
+              done;
+              true
+            | Read (a, n) ->
+              let expected = ref 0L in
+              for i = n - 1 downto 0 do
+                expected :=
+                  Int64.logor (Int64.shift_left !expected 8)
+                    (Int64.of_int (byte (at a i)))
+              done;
+              Int64.equal (Vm.Mem.read m a n) !expected
+              && List.for_all
+                   (fun i -> Vm.Mem.read_u8 m (at a i) = byte (at a i))
+                   (List.init n Fun.id))
+          ops)
+
+(* a clone taken while the last-page cache is warm shares no page with
+   its source: writes on either side stay on that side *)
+let mem_clone_after_primed_cache () =
+  let m = Vm.Mem.create () in
+  let a = 0x5000L and b = 0x5008L in
+  Vm.Mem.write m a 8 0x1111111111111111L;
+  ignore (Vm.Mem.read m a 8);
+  let c = Vm.Mem.clone m in
+  Vm.Mem.write m a 8 0x2222222222222222L;
+  Alcotest.(check int64) "source write not in clone" 0x1111111111111111L
+    (Vm.Mem.read c a 8);
+  Vm.Mem.write c b 8 0x3333333333333333L;
+  Vm.Mem.write_u8 c a 0x44;
+  Alcotest.(check int64) "clone write not in source" 0L (Vm.Mem.read m b 8);
+  Alcotest.(check int64) "clone byte write not in source"
+    0x2222222222222222L (Vm.Mem.read m a 8);
+  Vm.Mem.write_u8 m b 0x55;
+  Alcotest.(check int64) "source byte write not in clone"
+    0x3333333333333333L (Vm.Mem.read c b 8);
+  Alcotest.(check int64) "clone keeps its own writes" 0x1111111111111144L
+    (Vm.Mem.read c a 8)
+
 let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ codec_roundtrip ]
 
 let () =
@@ -262,4 +337,8 @@ let () =
          Alcotest.test_case "fork + pipe" `Quick fork_isolates_memory;
          Alcotest.test_case "threads share memory" `Quick threads_share_memory;
          Alcotest.test_case "determinism" `Quick deterministic_runs;
-         Alcotest.test_case "fuel" `Quick fuel_limits ]) ]
+         Alcotest.test_case "fuel" `Quick fuel_limits ]);
+      ("mem",
+       [ QCheck_alcotest.to_alcotest mem_matches_byte_map;
+         Alcotest.test_case "clone after primed cache" `Quick
+           mem_clone_after_primed_cache ]) ]
