@@ -370,88 +370,6 @@ let robust_report () =
     (Engines.Supervisor.contained soak);
   print_endline "wrote BENCH_robust.json"
 
-(* ---------------- machine-readable trace-store report -------------- *)
-
-(* what the indexed store costs at record time (framing + index vs
-   the plain in-memory array) and what it buys back when an
-   analysis reopens the file instead of re-running the VM — including
-   the headline `--explain` seek-vs-rerun speedup *)
-let trace_report () =
-  let reps = 5 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let b = bomb "sha1_bomb" in
-  let config = Bombs.Common.config_for b "abc" in
-  let image = Bombs.Catalog.image b in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bench_trace_store.%d" (Unix.getpid ()))
-  in
-  let rm_store () =
-    if Sys.file_exists dir then
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir)
-  in
-  let saved = Trace.current_store_dir () in
-  Fun.protect ~finally:(fun () ->
-      Trace.set_store_dir saved;
-      rm_store ();
-      try Sys.rmdir dir with Sys_error _ -> ())
-  @@ fun () ->
-  Trace.set_store_dir None;
-  let record_mem = time (fun () -> Trace.record ~config image) in
-  Trace.set_store_dir (Some dir);
-  let record_store =
-    time (fun () ->
-        rm_store ();
-        Trace.record ~config image)
-  in
-  ignore (Trace.record ~config image);
-  (* the store now exists: further records are seekable reopens *)
-  let reopen = time (fun () -> Trace.record ~config image) in
-  let explain_tool = Engines.Profile.Triton and explain_bomb = bomb "time_bomb" in
-  Trace.set_store_dir None;
-  let explain_cold =
-    time (fun () -> Engines.Explain.run explain_tool explain_bomb)
-  in
-  Trace.set_store_dir (Some dir);
-  ignore (Engines.Explain.run explain_tool explain_bomb);
-  let explain_warm =
-    time (fun () -> Engines.Explain.run explain_tool explain_bomb)
-  in
-  let json =
-    Printf.sprintf
-      "{\n  \"record\": {\"workload\": \"trace/sha1_bomb\", \
-       \"memory_wall_s\": %.6f, \"store_write_wall_s\": %.6f, \
-       \"write_overhead_pct\": %.2f, \"reopen_wall_s\": %.6f, \
-       \"reopen_speedup\": %.1f},\n  \"explain\": {\"workload\": \
-       \"explain/triton_time_bomb\", \"rerun_wall_s\": %.6f, \
-       \"seek_wall_s\": %.6f, \"seek_speedup\": %.1f}\n}\n"
-      record_mem record_store
-      (100. *. (record_store -. record_mem) /. record_mem)
-      reopen (record_mem /. reopen) explain_cold explain_warm
-      (explain_cold /. explain_warm)
-  in
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\ntrace store: record %.3f ms in-memory, %.3f ms writing (%+.2f%%), \
-     reopen %.3f ms (%.0fx)\n"
-    (record_mem *. 1e3) (record_store *. 1e3)
-    (100. *. (record_store -. record_mem) /. record_mem)
-    (reopen *. 1e3) (record_mem /. reopen);
-  Printf.printf "explain: rerun %.3f ms, store seek %.3f ms (%.1fx)\n"
-    (explain_cold *. 1e3) (explain_warm *. 1e3)
-    (explain_cold /. explain_warm);
-  print_endline "wrote BENCH_trace.json"
-
 (* ---------------- machine-readable fleet report -------------------- *)
 
 (* the evaluation fleet, measured three ways:
@@ -1040,19 +958,15 @@ let disk_report () =
   print_endline "wrote BENCH_disk.json"
 
 let () =
-  (* `bench --solver-report` / `--robust-report` / `--trace-report`
-     skip the Bechamel timing loop and only regenerate the
-     machine-readable reports *)
+  (* `bench --solver-report` / `--robust-report` / ... skip the
+     Bechamel timing loop and only regenerate the machine-readable
+     reports *)
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--solver-report" then begin
     solver_report ();
     exit 0
   end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--robust-report" then begin
     robust_report ();
-    exit 0
-  end;
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--trace-report" then begin
-    trace_report ();
     exit 0
   end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--fleet-report" then begin
@@ -1090,5 +1004,4 @@ let () =
          results)
     benchmarks;
   solver_report ();
-  robust_report ();
-  trace_report ()
+  robust_report ()

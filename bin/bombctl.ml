@@ -1,6 +1,11 @@
 (** Dataset CLI: list bombs, show one (metadata + disassembly), run
     one concretely, or dump a trace. *)
 
+let find_bomb name =
+  match Bombs.Catalog.find_opt name with
+  | Some b -> b
+  | None -> Cli.unknown_name "bomb" name Bombs.Catalog.names
+
 let list_bombs () =
   Printf.printf "%-18s %-28s %s\n" "name" "category" "trigger";
   List.iter
@@ -14,7 +19,7 @@ let list_bombs () =
     Bombs.Catalog.all
 
 let show_bomb name =
-  let b = Bombs.Catalog.find name in
+  let b = find_bomb name in
   let image = Bombs.Catalog.image b in
   Printf.printf "%s — %s\n%s\nimage: %d bytes, entry 0x%Lx\n\n" b.name
     b.category b.challenge (Asm.Image.size image) image.entry;
@@ -37,7 +42,7 @@ let show_bomb name =
     (Asm.Image.disassemble image)
 
 let run_bomb name argv1 winning =
-  let b = Bombs.Catalog.find name in
+  let b = find_bomb name in
   let argv1 =
     match argv1 with
     | Some s -> s
@@ -51,15 +56,13 @@ let run_bomb name argv1 winning =
     res.steps res.stdout;
   if Bombs.Common.triggered res then print_endline ">>> BOOM <<<"
 
-let dump_trace name argv1 limit trace_dir =
-  (match trace_dir with Some d -> Trace.set_store_dir (Some d) | None -> ());
-  let b = Bombs.Catalog.find name in
+let dump_trace name argv1 limit =
+  let b = find_bomb name in
   let config = Bombs.Common.config_for b argv1 in
   let trace = Trace.record ~config (Bombs.Catalog.image b) in
   let upto = min limit (Trace.length trace) in
   Trace.iteri ~upto trace (fun _ ev -> Fmt.pr "%a@." Trace.pp_event ev);
-  Printf.printf "(%d events total%s)\n" (Trace.length trace)
-    (if Trace.store_backed trace then ", store-backed" else "")
+  Printf.printf "(%d events total)\n" (Trace.length trace)
 
 open Cmdliner
 
@@ -67,11 +70,6 @@ let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"BOMB")
 let argv1_arg = Arg.(value & opt (some string) None & info [ "input" ])
 let winning_arg = Arg.(value & flag & info [ "winning" ])
 let limit_arg = Arg.(value & opt int 200 & info [ "limit" ])
-
-let trace_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-dir" ] ~docv:"DIR"
-           ~doc:"Persist/reuse the trace as an indexed store file in $(docv).")
 
 let () =
   let cmds =
@@ -84,6 +82,6 @@ let () =
       Cmd.v (Cmd.info "trace" ~doc:"Dump an execution trace")
         Term.(const dump_trace $ name_arg
               $ Arg.(value & opt string "5" & info [ "input" ])
-              $ limit_arg $ trace_dir_arg) ]
+              $ limit_arg) ]
   in
   exit (Cmd.eval (Cmd.group (Cmd.info "bombs" ~doc:"Logic-bomb dataset") cmds))

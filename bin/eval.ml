@@ -6,13 +6,6 @@
     diagnosis ([--tool] selects the engine, [--sink] the rendering,
     [--trace-out]/[--jsonl-out] dump the recorded spans). *)
 
-(* an unknown --tool/--bomb name is a usage error: list the valid
-   names, exit 2 *)
-let unknown_name kind name valid =
-  Printf.eprintf "unknown %s %S (valid: %s)\n" kind name
-    (String.concat ", " valid);
-  exit 2
-
 (* --tool filters keep [Profile.all] order, whatever order they came in *)
 let parse_tools tools_filter =
   match tools_filter with
@@ -24,7 +17,7 @@ let parse_tools tools_filter =
            match Engines.Profile.of_name n with
            | Some t -> t
            | None ->
-             unknown_name "tool" n
+             Cli.unknown_name "tool" n
                (List.map Engines.Profile.name Engines.Profile.all))
         names
     in
@@ -39,7 +32,7 @@ let parse_bombs bombs_filter =
       (fun n ->
          match Bombs.Catalog.find_opt n with
          | Some b -> b
-         | None -> unknown_name "bomb" n Bombs.Catalog.names)
+         | None -> Cli.unknown_name "bomb" n Bombs.Catalog.names)
       names
 
 (* supervision policy off the CLI flags; an unlimited budget with no
@@ -60,12 +53,6 @@ let parse_policy budget_spec retries backoff =
 (* a simulated crash (--kill-after) must look like a death, not a
    clean exit: distinctive code, no table output *)
 let kill_exit_code = 9
-
-(* --trace-dir: record-once/analyze-many trace store (also settable
-   via TRACE_DIR; the flag wins) *)
-let set_trace_dir = function
-  | Some d -> Trace.set_store_dir (Some d)
-  | None -> ()
 
 (* --metrics-out: the deterministic engine counters (vm/smt/lifter/
    taint/concolic/dse) as "name value" lines — the fleet-merge
@@ -91,9 +78,7 @@ let write_metrics_out path =
 
 let run_table2_common ~require_journal ?(force = false) no_incremental
     no_ladder budget_spec retries backoff tools_filter bombs_filter journal
-    kill_after kill_torn trace_dir workers profile fleet_trace progress
-    metrics_out =
-  set_trace_dir trace_dir;
+    kill_after kill_torn workers profile fleet_trace progress metrics_out =
   if workers < 1 then begin
     Printf.eprintf "--workers must be >= 1\n";
     exit 2
@@ -193,26 +178,25 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
   end
 
 let run_table2 no_incremental no_ladder budget_spec retries backoff
-    tools_filter bombs_filter journal kill_after kill_torn trace_dir workers
-    profile fleet_trace progress metrics_out =
+    tools_filter bombs_filter journal kill_after kill_torn workers profile
+    fleet_trace progress metrics_out =
   run_table2_common ~require_journal:false no_incremental no_ladder
     budget_spec retries backoff tools_filter bombs_filter journal kill_after
-    kill_torn trace_dir workers profile fleet_trace progress metrics_out
+    kill_torn workers profile fleet_trace progress metrics_out
 
 let run_resume force no_incremental no_ladder budget_spec retries backoff
-    tools_filter bombs_filter journal trace_dir workers profile fleet_trace
-    progress metrics_out =
+    tools_filter bombs_filter journal workers profile fleet_trace progress
+    metrics_out =
   run_table2_common ~require_journal:true ~force no_incremental no_ladder
     budget_spec retries backoff tools_filter bombs_filter journal None false
-    trace_dir workers profile fleet_trace progress metrics_out
+    workers profile fleet_trace progress metrics_out
 
 (* ------------------------------------------------------------------ *)
 (* Fleet service: serve / submit / drain                               *)
 (* ------------------------------------------------------------------ *)
 
 let run_serve socket workers max_queue queue_journal force task_timeout
-    breaker trace_dir =
-  set_trace_dir trace_dir;
+    breaker =
   if workers < 1 then begin
     Printf.eprintf "--workers must be >= 1\n";
     exit 2
@@ -354,8 +338,7 @@ let run_drain socket =
     Printf.eprintf "drain: daemon on %s hung up mid-stream\n" socket;
     exit 2
 
-let run_fig3 trace_dir =
-  set_trace_dir trace_dir;
+let run_fig3 () =
   let r = Engines.Eval.run_fig3 () in
   Printf.printf
     "Figure 3 (argv[1] = 7):\n\
@@ -488,13 +471,9 @@ let run_chaos no_incremental seed plans serve disk rate workers tools_filter
 (* --explain: run one cell under span tracing, print the Es-stage
    diagnosis, then render/dump the trace through the chosen sinks *)
 let run_explain no_incremental no_ladder budget_spec bomb_name tool_name sinks
-    trace_out jsonl_out trace_dir =
-  set_trace_dir trace_dir;
+    trace_out jsonl_out =
   match Bombs.Catalog.find_opt bomb_name with
-  | None ->
-    Printf.eprintf "unknown bomb %S (see `eval sizes` for the catalog)\n"
-      bomb_name;
-    exit 2
+  | None -> Cli.unknown_name "bomb" bomb_name Bombs.Catalog.names
   | Some bomb ->
     let tool =
       match Engines.Profile.of_name tool_name with
@@ -553,21 +532,10 @@ let run_explain no_incremental no_ladder budget_spec bomb_name tool_name sinks
       jsonl_out
 
 (* debug: interactive step/step-back replay over one recorded trace *)
-let run_debug bomb_name input trace_dir =
-  set_trace_dir trace_dir;
+let run_debug bomb_name input =
   match Bombs.Catalog.find_opt bomb_name with
-  | None ->
-    Printf.eprintf "unknown bomb %S (see `eval sizes` for the catalog)\n"
-      bomb_name;
-    exit 2
-  | Some bomb -> (
-      try Engines.Debug.run ?input bomb
-      with Trace.Store.Corrupt msg ->
-        Printf.eprintf
-          "debug: trace store is corrupt (%s) — run `eval fsck --repair` \
-           on the store file, or remove it to re-record\n"
-          msg;
-        exit 2)
+  | None -> Cli.unknown_name "bomb" bomb_name Bombs.Catalog.names
+  | Some bomb -> Engines.Debug.run ?input bomb
 
 (* fsck: verify (and with --repair, fix) on-disk artifacts *)
 let run_fsck repair paths =
@@ -671,14 +639,6 @@ let backoff_arg =
        & info [ "backoff" ]
          ~doc:"Budget scale factor applied on each retry")
 
-let trace_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-dir" ] ~docv:"DIR"
-         ~doc:
-           "Persist concrete execution traces as indexed store files \
-            in $(docv) and reuse matching ones instead of re-running \
-            the VM (also settable via $(b,TRACE_DIR); the flag wins)")
-
 let workers_arg =
   Arg.(value & opt int 1
        & info [ "workers" ] ~docv:"N"
@@ -730,7 +690,7 @@ let table2_cmd =
   Cmd.v (Cmd.info "table2" ~doc:"Reproduce Table II")
     Term.(const run_table2 $ no_incremental_arg $ no_ladder_arg $ budget_arg
           $ retries_arg $ backoff_arg $ tools_arg $ bombs_arg $ journal_arg
-          $ kill_after_arg $ kill_torn_arg $ trace_dir_arg $ workers_arg
+          $ kill_after_arg $ kill_torn_arg $ workers_arg
           $ profile_out_arg $ fleet_trace_arg $ progress_arg
           $ metrics_out_arg)
 
@@ -752,7 +712,7 @@ let resume_cmd =
           --force)")
     Term.(const run_resume $ force_arg $ no_incremental_arg $ no_ladder_arg
           $ budget_arg $ retries_arg $ backoff_arg $ tools_arg $ bombs_arg
-          $ journal_arg $ trace_dir_arg $ workers_arg $ profile_out_arg
+          $ journal_arg $ workers_arg $ profile_out_arg
           $ fleet_trace_arg $ progress_arg $ metrics_out_arg)
 
 let socket_arg =
@@ -811,8 +771,7 @@ let serve_cmd =
           live or stale socket. Runs until `eval drain` (or SIGINT), \
           which finishes the queue and removes the socket.")
     Term.(const run_serve $ socket_arg $ serve_workers_arg $ max_queue_arg
-          $ queue_journal_arg $ force_arg $ task_timeout_arg $ breaker_arg
-          $ trace_dir_arg)
+          $ queue_journal_arg $ force_arg $ task_timeout_arg $ breaker_arg)
 
 let submit_cmd =
   let reconnect_arg =
@@ -966,7 +925,7 @@ let table1_cmd =
 
 let fig3_cmd =
   Cmd.v (Cmd.info "fig3" ~doc:"Reproduce Figure 3")
-    Term.(const run_fig3 $ trace_dir_arg)
+    Term.(const run_fig3 $ const ())
 
 let debug_cmd =
   let bomb_arg =
@@ -980,13 +939,12 @@ let debug_cmd =
   Cmd.v
     (Cmd.info "debug"
        ~doc:
-         "Interactive trace debugger: record (or reopen, with \
-          --trace-dir) one concrete execution and step forward and \
-          backward through it, inspect memory rebuilt by replaying the \
-          recorded events, run to an address/syscall/taint event, and \
-          query taint provenance \
+         "Interactive trace debugger: record one concrete execution \
+          and step forward and backward through it, inspect memory \
+          rebuilt by replaying the recorded events, run to an \
+          address/syscall/taint event, and query taint provenance \
           (reads commands from stdin; try `help`)")
-    Term.(const run_debug $ bomb_arg $ input_arg $ trace_dir_arg)
+    Term.(const run_debug $ bomb_arg $ input_arg)
 
 let fsck_cmd =
   let repair_arg =
@@ -994,16 +952,15 @@ let fsck_cmd =
          & info [ "repair" ]
            ~doc:
              "Fix what can be fixed: rewrite journals and shards \
-              keeping only sound records, truncate torn tails, \
-              quarantine corrupt trace stores (renamed to *.corrupt; \
-              the next run re-records), and remove stale *.tmp files")
+              keeping only sound records, truncate torn tails, and \
+              remove stale *.tmp files")
   in
   let paths_arg =
     Arg.(non_empty & pos_all string []
          & info [] ~docv:"PATH"
            ~doc:
-             "Artifacts to check — journals, trace stores, span/profile \
-              shards, or directories (scanned recursively)")
+             "Artifacts to check — journals, span/profile shards, or \
+              directories (scanned recursively)")
   in
   Cmd.v
     (Cmd.info "fsck"
@@ -1030,10 +987,10 @@ let all_cmd =
     print_newline ();
     run_sizes ();
     print_newline ();
-    run_table2 false false None 0 10.0 [] [] None None false None 1 None
-      None false None;
+    run_table2 false false None 0 10.0 [] [] None None false 1 None None
+      false None;
     print_newline ();
-    run_fig3 None;
+    run_fig3 ();
     print_newline ();
     run_negative ()
   in
@@ -1082,19 +1039,18 @@ let explain_term =
          & info [ "jsonl-out" ] ~docv:"FILE"
            ~doc:"Write the recorded spans as JSONL")
   in
-  let run no_incremental no_ladder budget bomb tool sinks trace_out jsonl_out
-      trace_dir =
+  let run no_incremental no_ladder budget bomb tool sinks trace_out jsonl_out =
     match bomb with
     | Some bomb_name ->
       run_explain no_incremental no_ladder budget bomb_name tool sinks
-        trace_out jsonl_out trace_dir;
+        trace_out jsonl_out;
       `Ok ()
     | None -> `Help (`Pager, None)
   in
   Term.(ret
           (const run $ no_incremental_arg $ no_ladder_arg $ budget_arg
            $ explain_arg $ tool_arg $ sink_arg $ trace_out_arg
-           $ jsonl_out_arg $ trace_dir_arg))
+           $ jsonl_out_arg))
 
 let () =
   let info = Cmd.info "eval" ~doc:"Logic-bomb evaluation harness" in

@@ -1,7 +1,6 @@
 (** Interactive trace debugger ([eval debug BOMB]).
 
-    Records (or reopens, under [--trace-dir]) one concrete execution
-    and walks it through {!Trace}'s cursor API: step forward, step
+    Records one concrete execution and walks it: step forward, step
     {e backward} (a cursor move — nothing is re-run), run to an
     instruction address / syscall / first tainted event, inspect
     registers and memory (rebuilt by replaying the recorded events,
@@ -19,7 +18,7 @@ type session = {
   sources : (int64 * int) list;
   taint : Taint.result Lazy.t;
       (** full-policy, provenance-recording analysis; forced only by
-          [taint], [why] and (without a stored hint) [run-to taint] *)
+          [taint], [why] and [run-to taint] *)
   mutable pos : int;  (** seq of the event the cursor sits on *)
 }
 
@@ -52,8 +51,6 @@ let cmd_info s =
   Printf.printf "bomb:        %s (%s)\n" s.bomb.name s.bomb.category;
   Printf.printf "events:      %d (%d execs)\n" (Trace.length t)
     (Trace.exec_count t);
-  Printf.printf "backing:     %s\n"
-    (if Trace.store_backed t then "store file" else "memory");
   (match s.sources with
    | [ (a, n) ] -> Printf.printf "taint src:   argv[1] at 0x%Lx (%d bytes)\n" a n
    | _ -> ());
@@ -107,26 +104,15 @@ let cmd_mem s addr n =
 (* Taint and provenance                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** First tainted event at or after [from] — from the stored hint when
-    one exists, else by forcing the analysis. *)
+(** First tainted event at or after [from] (forces the analysis). *)
 let first_taint_from s from =
-  let scan (seqs : int array) =
-    let n = Array.length seqs in
-    let rec go i = if i >= n then None
-      else if seqs.(i) >= from then Some seqs.(i) else go (i + 1)
-    in
-    go 0
+  let t = Lazy.force s.taint in
+  let rec go i =
+    if i >= Array.length t.tainted then None
+    else if t.tainted.(i) then Some i
+    else go (i + 1)
   in
-  match Trace.taint_hint s.trace with
-  | Some h -> scan h.Trace.Store.th_tainted
-  | None ->
-    let t = Lazy.force s.taint in
-    let rec go i =
-      if i >= Array.length t.tainted then None
-      else if t.tainted.(i) then Some i
-      else go (i + 1)
-    in
-    go from
+  go from
 
 let cmd_taint s =
   let t = Lazy.force s.taint in
@@ -325,9 +311,8 @@ let run ?input (bomb : Bombs.Common.t) =
                 ~sources trace);
       pos = 0 }
   in
-  Printf.printf "trace debugger: %s, argv[1]=%S, %d events%s\n"
-    bomb.name argv1 (Trace.length trace)
-    (if Trace.store_backed trace then " (store-backed)" else "");
+  Printf.printf "trace debugger: %s, argv[1]=%S, %d events\n"
+    bomb.name argv1 (Trace.length trace);
   show_current s;
   let interactive = Unix.isatty Unix.stdin in
   let rec loop () =

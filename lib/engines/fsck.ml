@@ -1,6 +1,6 @@
 (** [eval fsck]: format-detecting verify/repair over every durable
-    artifact the system writes — cell/queue journals, BTRC trace
-    stores, span shards and profile sidecars.
+    artifact the system writes — cell/queue journals, span shards and
+    profile sidecars.
 
     Verification is structural, not configuration-bound: a journal
     line is sound when its FNV-1a checksum covers its body and the
@@ -14,9 +14,6 @@
       short-written lines, truncates a torn tail.  Lossy by design:
       the loaders re-run what a journal no longer carries, so a
       repair costs compute, never a wrong cached result.
-    - Trace stores: a store is a record-once cache; an unsound one is
-      quarantined (renamed [*.corrupt]) so the next record re-creates
-      it.  Nothing inside a damaged store is trusted.
     - Stale [*.tmp] files (interrupted atomic publishes): removed.
 
     Exit discipline (see {!exit_code}): 0 all clean, 1 damage found
@@ -25,7 +22,6 @@
 
 type kind =
   | Journal
-  | Trace_store
   | Span_shard
   | Profile_sidecar
   | Stale_tmp
@@ -33,7 +29,6 @@ type kind =
 
 let kind_name = function
   | Journal -> "journal"
-  | Trace_store -> "trace store"
   | Span_shard -> "span shard"
   | Profile_sidecar -> "profile sidecar"
   | Stale_tmp -> "stale tmp"
@@ -119,23 +114,21 @@ let detect path : kind =
         s
       with Sys_error _ -> ""
     in
-    if Trace.Store.is_store_header head then Trace_store
+    let first_line =
+      match String.index_opt head '\n' with
+      | Some i -> String.sub head 0 i
+      | None -> head
+    in
+    if looks_journal_line first_line then Journal
     else
-      let first_line =
-        match String.index_opt head '\n' with
-        | Some i -> String.sub head 0 i
-        | None -> head
-      in
-      if looks_journal_line first_line then Journal
-      else
-        match Telemetry.Trace_check.parse_opt first_line with
-        | Some j
-          when Telemetry.Trace_check.member "wall_us" j <> None
-               && Telemetry.Trace_check.member "key" j <> None ->
-            Profile_sidecar
-        | Some j when Telemetry.Trace_check.member "ts_us" j <> None ->
-            Span_shard
-        | _ -> Unknown
+      match Telemetry.Trace_check.parse_opt first_line with
+      | Some j
+        when Telemetry.Trace_check.member "wall_us" j <> None
+             && Telemetry.Trace_check.member "key" j <> None ->
+          Profile_sidecar
+      | Some j when Telemetry.Trace_check.member "ts_us" j <> None ->
+          Span_shard
+      | _ -> Unknown
 
 (* ------------------------------------------------------------------ *)
 (* JSONL walks                                                         *)
@@ -253,23 +246,6 @@ let check ?(repair = false) path : report =
             { r with r_repaired = true }
           end
           else r
-      | Trace_store -> (
-          let r = { r with r_kind = Trace_store } in
-          match Trace.Store.open_file path with
-          | reader ->
-              { r with
-                r_records = Trace.Store.event_count reader;
-                r_fingerprints = [ Trace.Store.fingerprint reader ] }
-          | exception Trace.Store.Corrupt msg ->
-              let r = { r with r_damaged = 1 } in
-              if repair then (
-                (* a store is a record-once cache: quarantine so the
-                   next record re-creates it from scratch *)
-                match Sys.rename path (path ^ ".corrupt") with
-                | () -> { r with r_repaired = true }
-                | exception Sys_error e ->
-                    { r with r_unrepairable = Some e })
-              else { r with r_unrepairable = Some msg })
       | Journal as k -> (
           let r = { r with r_kind = k } in
           try check_jsonl ~repair ~sound:journal_line_fp path r
@@ -288,8 +264,8 @@ let check ?(repair = false) path : report =
   if r.r_repaired then Telemetry.Metrics.incr m_repaired;
   r
 
-(** Check paths, recursing into directories (a trace-store dir scans
-    every file inside). *)
+(** Check paths, recursing into directories (every file inside is
+    checked). *)
 let rec scan ?(repair = false) (paths : string list) : report list =
   List.concat_map
     (fun path ->

@@ -1,7 +1,7 @@
 (** Durable-IO layer: the one audited path every on-disk artifact
     goes through — append-only record files (cell journals, queue
     journals, span and profile shards), atomic tmp+rename publication
-    (trace stores, merged artifacts) and whole-file reads.
+    (merged artifacts) and whole-file reads.
 
     Before this module the repo carried five independent copies of
     torn-tail healing and tmp+rename.  Centralizing them buys one
@@ -14,8 +14,7 @@
 
     Fault semantics, as a caller observes them:
     - [Enospc]: {!Full} raised, nothing written — callers shed or
-      degrade (the journal stops journaling, the trace store falls
-      back to memory backing).
+      degrade (the journal stops journaling).
     - [Short_write]: a prefix of the record lands (torn tail), then
       {!Full} — the next append on the same handle heals with a
       newline first, exactly like a crashed-writer reopen.
@@ -31,8 +30,8 @@
 
 (* ------------------------------------------------------------------ *)
 (* FNV-1a 64-bit — the checksum every durable format shares.  It      *)
-(* lives here (not in Journal) so the store, the wire protocol and    *)
-(* fsck all hash through the IO layer without a dependency cycle.     *)
+(* lives here (not in Journal) so the wire protocol and fsck both     *)
+(* hash through the IO layer without a dependency cycle.              *)
 (* ------------------------------------------------------------------ *)
 
 let fnv_offset = 0xcbf29ce484222325L

@@ -7,8 +7,7 @@
     (files, pipes, sockets), which is how the covert-propagation rows
     of Table II fail.
 
-    The analysis drives the trace through its cursor API, so it works
-    identically over in-memory and store-backed traces, and optionally
+    The analysis makes one in-order pass over the trace and optionally
     records {e provenance} — for each write that became tainted, which
     tainted locations fed it — which is what the debugger's "why is
     this byte tainted" query walks. *)
@@ -121,8 +120,7 @@ let analyze ?(policy = pin_policy) ?(provenance = false)
       end
     done
   in
-  let n_events = Trace.length trace in
-  let tainted = Array.make (max 1 n_events) false in
+  let tainted = Array.make (max 1 (Trace.length trace)) false in
   let branches = ref [] and jumps = ref [] and kwrites = ref [] in
   let prov = ref [] in
   let count = ref 0 in
@@ -270,25 +268,10 @@ let analyze ?(policy = pin_policy) ?(provenance = false)
       | Vm.Event.Signal _ -> ());
   Telemetry.Metrics.add m_tainted_insns !count;
   Telemetry.Metrics.add m_kills !kills;
-  let tainted_branch = List.rev !branches in
-  let r =
-    { tainted;
-      tainted_branch;
-      tainted_jumps = List.rev !jumps;
-      tainted_count = !count;
-      kills = !kills;
-      kernel_writes = List.rev !kwrites;
-      prov = List.rev !prov }
-  in
-  (* persist the summary so a store-backed trace answers "first taint
-     event" on later opens without re-analyzing *)
-  let tainted_seqs = ref [] in
-  for i = n_events - 1 downto 0 do
-    if tainted.(i) then tainted_seqs := i :: !tainted_seqs
-  done;
-  Trace.save_taint_hint trace
-    { Trace.Store.th_first =
-        (match !tainted_seqs with [] -> -1 | i :: _ -> i);
-      th_tainted = Array.of_list !tainted_seqs;
-      th_branches = Array.of_list tainted_branch };
-  r
+  { tainted;
+    tainted_branch = List.rev !branches;
+    tainted_jumps = List.rev !jumps;
+    tainted_count = !count;
+    kills = !kills;
+    kernel_writes = List.rev !kwrites;
+    prov = List.rev !prov }

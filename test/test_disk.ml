@@ -134,80 +134,6 @@ let fsck_journal_roundtrip () =
     (l.Robust.Journal.corrupt + l.Robust.Journal.truncated);
   rm path
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
-let with_trace_dir dir f =
-  let saved = Trace.current_store_dir () in
-  Fun.protect ~finally:(fun () -> Trace.set_store_dir saved) @@ fun () ->
-  Trace.set_store_dir (Some dir);
-  f ()
-
-let fsck_store_quarantine () =
-  let path = "disk_test_store.btrc" in
-  let dir = "disk_test_store_v1" in
-  let clear () =
-    List.iter rm [ path; path ^ ".corrupt" ];
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> rm (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  clear ();
-  Robust.Diskio.write_atomic ~path "BTRC\x02garbage, not a real store";
-  (* a real store with its format version byte set back to 1 *)
-  let bomb = Bombs.Catalog.find "stack_bomb" in
-  let record () =
-    ignore
-      (Trace.record ~config:(Bombs.Common.config_for bomb bomb.decoy)
-         (Bombs.Catalog.image bomb)
-       : Trace.t)
-  in
-  Sys.mkdir dir 0o755;
-  with_trace_dir dir record;
-  let old =
-    match Sys.readdir dir with
-    | [| f |] -> Filename.concat dir f
-    | fs -> Alcotest.failf "expected 1 store file, found %d" (Array.length fs)
-  in
-  let raw = Bytes.of_string (Robust.Diskio.read_all old) in
-  Bytes.set raw 4 '\001';
-  Robust.Diskio.write_atomic ~path:old (Bytes.to_string raw);
-  (match Trace.Store.open_file old with
-   | _ -> Alcotest.fail "open_file accepted a format-v1 store"
-   | exception Trace.Store.Corrupt msg ->
-     Alcotest.(check bool) "one-line refusal naming v1 and fsck --repair" true
-       (not (String.contains msg '\n')
-        && contains msg "format v1"
-        && contains msg "eval fsck --repair"));
-  let inputs = [ path; old ] in
-  let reports = Engines.Fsck.scan inputs in
-  Alcotest.(check bool) "both detected as trace stores" true
-    (List.for_all
-       (fun (r : Engines.Fsck.report) -> r.r_kind = Engines.Fsck.Trace_store)
-       reports);
-  Alcotest.(check int) "verify flags both stores (exit 2)" 2
-    (Engines.Fsck.exit_code ~repair:false reports);
-  Alcotest.(check int) "repair quarantines (exit 1)" 1
-    (Engines.Fsck.exit_code ~repair:true
-       (Engines.Fsck.scan ~repair:true inputs));
-  List.iter
-    (fun p ->
-       Alcotest.(check bool) "quarantined copy exists" true
-         (Sys.file_exists (p ^ ".corrupt"));
-       Alcotest.(check bool) "original is gone (next run re-records)" false
-         (Sys.file_exists p))
-    inputs;
-  (* the next run re-records the old store's slot in the current format *)
-  with_trace_dir dir record;
-  Alcotest.(check int) "re-recorded store verifies clean (exit 0)" 0
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ old ]));
-  clear ()
-
 let fsck_orphan_shard () =
   let base = "disk_test_orphan.jsonl" in
   let shard = base ^ ".w3" in
@@ -263,8 +189,6 @@ let () =
       ("fsck",
        [ Alcotest.test_case "journal verify/repair round trip" `Quick
            fsck_journal_roundtrip;
-         Alcotest.test_case "corrupt store quarantined" `Quick
-           fsck_store_quarantine;
          Alcotest.test_case "orphan shard reported, not damage" `Quick
            fsck_orphan_shard ]);
       ("enospc",
