@@ -425,12 +425,12 @@ let fleet_report () =
     (List.length det_bombs);
   let w4_s, w4 =
     wall (fun () ->
-        Engines.Parallel.run_table2 ~policy ~bombs:det_bombs ~workers:4 ())
+        Engines.Eval.run_table2 ~policy ~bombs:det_bombs ~workers:4 ())
   in
   Printf.printf "  2 workers...\n%!";
   let w2_s, w2 =
     wall (fun () ->
-        Engines.Parallel.run_table2 ~policy ~bombs:det_bombs ~workers:2 ())
+        Engines.Eval.run_table2 ~policy ~bombs:det_bombs ~workers:2 ())
   in
   Printf.printf "  sequential...\n%!";
   let seq_s, seq =
@@ -446,7 +446,7 @@ let fleet_report () =
   let kills_before = Telemetry.Metrics.counter_value "fleet.watchdog_kills" in
   let fleet_straggler_s, _ =
     wall (fun () ->
-        Engines.Parallel.run_table2 ~bombs:straggler_bombs ~workers:4
+        Engines.Eval.run_table2 ~bombs:straggler_bombs ~workers:4
           ~task_timeout:straggler_timeout ())
   in
   let watchdog_kills =

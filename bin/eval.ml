@@ -139,43 +139,23 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
       Some
         { Engines.Eval.journal_path = path; kill_after; kill_torn }
   in
-  if workers > 1 then begin
-    (* fleet path: same grid, same journal semantics, sharded across
-       forked workers; the crash simulation is sequential-only *)
-    if kill_after <> None || kill_torn then begin
-      Printf.eprintf "--kill-after/--kill-torn require --workers 1\n";
-      exit 2
-    end;
-    let r =
-      Engines.Parallel.run_table2 ~incremental:(not no_incremental) ?ladder
-        ~policy ~tools ~bombs
-        ?journal_path:
-          (Option.map (fun j -> j.Engines.Eval.journal_path) journal)
-        ~workers
-        ~snapshots:(metrics_out <> None)
-        ?profile ?spans_out:fleet_trace ~progress ()
-    in
+  (* the crash simulation is in-process only *)
+  if workers > 1 && (kill_after <> None || kill_torn) then begin
+    Printf.eprintf "--kill-after/--kill-torn require --workers 1\n";
+    exit 2
+  end;
+  match
+    Engines.Eval.run_table2 ~incremental:(not no_incremental) ?ladder
+      ~policy ~tools ~bombs ?journal ~workers
+      ~snapshots:(metrics_out <> None) ?profile ?spans_out:fleet_trace
+      ~progress ()
+  with
+  | r ->
     print_string (Engines.Eval.render_table2 r);
     Option.iter write_metrics_out metrics_out
-  end
-  else begin
-    (* sequential --fleet-trace: one lane, same Chrome timeline *)
-    if fleet_trace <> None then begin
-      Telemetry.reset ();
-      Telemetry.enable ()
-    end;
-    match
-      Engines.Eval.run_table2 ~incremental:(not no_incremental) ?ladder
-        ~policy ~tools ~bombs ?journal ?profile ~progress ()
-    with
-    | r ->
-      print_string (Engines.Eval.render_table2 r);
-      Option.iter Telemetry.write_chrome fleet_trace;
-      Option.iter write_metrics_out metrics_out
-    | exception Engines.Eval.Simulated_crash ->
-      Printf.eprintf "simulated crash after --kill-after cells\n";
-      exit kill_exit_code
-  end
+  | exception Engines.Eval.Simulated_crash ->
+    Printf.eprintf "simulated crash after --kill-after cells\n";
+    exit kill_exit_code
 
 let run_table2 no_incremental no_ladder budget_spec retries backoff
     tools_filter bombs_filter journal kill_after kill_torn workers profile

@@ -15,9 +15,10 @@
       allowed to stay wrong.
     + Recovery: faults off, [fsck --repair] over the surviving
       journal and shards (drop corrupt records, truncate torn tails,
-      clear stale tmps), then a sequential resume re-runs whatever
-      the repaired journal no longer carries, and a canonical merge
-      rewrites the journal in grid order.
+      clear stale tmps), then a sequential resume replays the
+      repaired journal and shards, folding the shards in, and re-runs
+      whatever they no longer carry; a canonical merge rewrites the
+      journal in grid order.
     + Containment: every plan's recovered table and canonical journal
       must be byte-identical to the fault-free baseline; every fault
       the seeded state fired must be accounted in the
@@ -67,9 +68,7 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
   let fp = Eval.journal_fingerprint ~tools ~bombs () in
   let baseline_path = prefix ^ "_baseline.jsonl" in
   let chaos_path = prefix ^ "_chaos.jsonl" in
-  let chaos_shards () =
-    Fleet.Pool.worker_journal_paths ~path:chaos_path ~workers:256
-  in
+  let chaos_shards () = Eval.worker_shards chaos_path in
   let clear_chaos () =
     rm chaos_path;
     rm (chaos_path ^ ".tmp");
@@ -107,15 +106,10 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
     (* --- chaos phase: journaled grid under disk faults --- *)
     Robust.Diskio.set_fault_hook (Some (Robust.Chaos.disk_hook st));
     (try
-       if workers > 1 then
-         ignore
-           (Parallel.run_table2 ~tools ~bombs ~journal_path:chaos_path
-              ~workers ~snapshots:true ()
-             : Eval.table2_result)
-       else
-         ignore
-           (Eval.run_table2 ~tools ~bombs ~journal:(no_kill chaos_path) ()
-             : Eval.table2_result)
+       ignore
+         (Eval.run_table2 ~tools ~bombs ~journal:(no_kill chaos_path)
+            ~workers ~snapshots:true ()
+           : Eval.table2_result)
      with _ -> incr crashed);
     Robust.Diskio.set_fault_hook None;
     List.iter
@@ -142,12 +136,12 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
       Eval.render_table2
         (Eval.run_table2 ~tools ~bombs ~journal:(no_kill chaos_path) ())
     in
+    (* the resume already folded and retired any worker shards; this
+       puts a sequentially appended tail back in grid order *)
     ignore
-      (Fleet.Merge.run ~fingerprint:fp ~order
-         ~sources:(chaos_path :: chaos_shards ())
+      (Fleet.Merge.run ~fingerprint:fp ~order ~sources:[ chaos_path ]
          ~out:chaos_path ()
         : Fleet.Merge.report);
-    List.iter rm (chaos_shards ());
     let bytes = Robust.Diskio.read_all chaos_path in
     if not (String.equal table table_base && String.equal bytes bytes_base)
     then begin

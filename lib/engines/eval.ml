@@ -21,18 +21,22 @@ type table2_result = {
   agreement : int * int;  (** matching cells, total cells with expectations *)
 }
 
+(** A {!cell_result} from an already-supervised outcome (journal
+    replay, fleet worker payload). *)
+let cell_of_outcome tool (bomb : Bombs.Common.t) (o : Supervisor.outcome) =
+  { tool;
+    bomb = bomb.name;
+    measured = o.Supervisor.graded.cell;
+    expected = Paper.expected bomb.name tool;
+    graded = o.Supervisor.graded;
+    robust = o }
+
 (** One supervised cell.  With the default policy (no budgets, no
     chaos) the measured cell is exactly {!Grade.run_cell}'s — the
     supervisor only isolates crashes. *)
-let run_cell ?incremental ?ladder ?policy tool (bomb : Bombs.Common.t) :
-  cell_result =
-  let robust = Supervisor.run_cell ?incremental ?ladder ?policy tool bomb in
-  { tool;
-    bomb = bomb.name;
-    measured = robust.graded.cell;
-    expected = Paper.expected bomb.name tool;
-    graded = robust.graded;
-    robust }
+let run_cell ?incremental ?ladder ?policy tool bomb : cell_result =
+  cell_of_outcome tool bomb
+    (Supervisor.run_cell ?incremental ?ladder ?policy tool bomb)
 
 (* ------------------------------------------------------------------ *)
 (* Write-ahead cell journal                                            *)
@@ -78,19 +82,8 @@ let journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs () =
             [ b.name; b.category; Asm.Image.to_bytes (Bombs.Catalog.image b) ])
          bombs)
 
-(** A {!cell_result} from an already-supervised outcome (journal
-    replay, fleet worker payload). *)
-let cell_of_outcome tool (bomb : Bombs.Common.t) (o : Supervisor.outcome) =
-  { tool;
-    bomb = bomb.name;
-    measured = o.Supervisor.graded.cell;
-    expected = Paper.expected bomb.name tool;
-    graded = o.Supervisor.graded;
-    robust = o }
-
 (** Fold finished cells into the table: per-tool solved counts and the
-    paper-agreement ratio.  Shared by the sequential and fleet paths so
-    both render identically. *)
+    paper-agreement ratio. *)
 let collate ~tools cells : table2_result =
   let solved =
     List.map
@@ -112,44 +105,85 @@ let collate ~tools cells : table2_result =
   in
   { cells; solved; agreement = (matches, total) }
 
-(** [run_table2 ?profile ?progress …]: [profile] appends a
-    {!Cellprof} sample per freshly-executed cell to that sidecar path;
-    [progress] keeps a live cells-done/total line on stderr. *)
+(** How a fleet-level failure (worker killed repeatedly, runner
+    exception, cancellation) grades: synthesized supervised outcome,
+    same mapping the in-process supervisor applies. *)
+let outcome_of_failure ~attempts (f : Fleet.Pool.failure) :
+  Supervisor.outcome =
+  let cause =
+    match f with
+    | Fleet.Pool.Cancelled -> Supervisor.Exhausted Robust.Meter.Cancelled
+    | f -> Supervisor.Crashed ("fleet: " ^ Fleet.Pool.failure_to_string f)
+  in
+  { Supervisor.graded =
+      { Grade.cell = Supervisor.cell_of_cause cause;
+        proposed = None;
+        detonated = false;
+        false_positive = false;
+        diags = [ Supervisor.diag_of_cause cause ];
+        work = 0 };
+    cause = Some cause;
+    stage = Supervisor.stage_of_cause cause;
+    attempts;
+    fired = [] }
+
+(* leftover per-worker journals can outlive the pool geometry that
+   wrote them (a 4-worker run crashed, this one has 2 or 1), so scan a
+   generous slot range rather than [workers] *)
+let worker_shards path = Fleet.Pool.worker_journal_paths ~path ~workers:256
+
+(** The Table II runner: every (tool × bomb) cell, in bomb-major grid
+    order.  Journaled cells — from [journal] and from any [PATH.wN]
+    worker shards a crashed fleet run left behind — are replayed; the
+    rest run fresh on one of two executors:
+
+    - [workers = 1] (the default) runs them in this process, appending
+      a write-ahead record per cell to [journal] and honouring its
+      [kill_after]/[kill_torn] crash simulation;
+    - [workers > 1] shards them across a {!Fleet.Pool} of forked
+      workers, each journaling to its own shard.  A worker death
+      re-dispatches the cell up to [max 1 policy.retries] times, each
+      attempt escalating the budget by the policy's backoff, before
+      the cell grades as crashed; [task_timeout] arms the watchdog and
+      [snapshots] folds the workers' metric deltas into this process's
+      registry, so the fleet's [vm.*]/[smt.*] counters equal an
+      in-process run's.  The crash simulation is in-process only:
+      setting it with [workers > 1] raises [Invalid_argument].
+
+    Whichever executor ran them, cells fold in grid order and the
+    table, the journal (merged back into one canonical file when shards
+    exist) and the [journal.replayed] count come out the same.
+    [profile] appends a {!Cellprof} sample per fresh cell to that
+    sidecar; [spans_out] writes a Chrome trace of the fresh cells, one
+    lane per worker; [progress] keeps a live done/total line with lane
+    states and an ETA on stderr. *)
 let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
-    ?(bombs = Bombs.Catalog.table2) ?journal ?profile ?(progress = false) ()
-  : table2_result =
-  let total = List.length bombs * List.length tools in
-  let done_cells = ref 0 in
-  let tick key =
-    incr done_cells;
-    if progress then
-      Printf.eprintf "\r[table2] %d/%d %-32s%!" !done_cells total key;
-    if progress && !done_cells = total then prerr_newline ()
+    ?(bombs = Bombs.Catalog.table2) ?journal ?profile ?(progress = false)
+    ?(workers = 1) ?task_timeout ?(snapshots = false) ?spans_out () :
+  table2_result =
+  (match journal with
+   | Some { kill_after = Some _; _ } | Some { kill_torn = true; _ }
+     when workers > 1 ->
+       invalid_arg "Eval.run_table2: kill_after/kill_torn need workers = 1"
+   | _ -> ());
+  let pol = Option.value ~default:Supervisor.default_policy policy in
+  let grid =
+    List.concat_map
+      (fun bomb ->
+         List.map (fun tool -> (cell_key tool bomb, (tool, bomb))) tools)
+      bombs
   in
-  (* the profiler wraps the supervised run without touching its
-     outcome; disabled, this is exactly the bare [run_cell] *)
-  let run_cell_counted tool bomb =
-    let key = cell_key tool bomb in
-    let r =
-      match profile with
-      | None -> run_cell ?incremental ?ladder ?policy tool bomb
-      | Some path ->
-          let o, sample =
-            Cellprof.profiled ~phases:true ~key (fun () ->
-                Supervisor.run_cell ?incremental ?ladder ?policy tool bomb)
-          in
-          Cellprof.append ~path sample;
-          cell_of_outcome tool bomb o
-    in
-    tick key;
-    r
+  let order = List.map fst grid in
+  let fp =
+    journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs ()
   in
-  let run_journaled (jc : journal) =
-    let fp = journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs () in
-    let loaded = Robust.Journal.load ~fingerprint:fp jc.journal_path in
-    let replayable : (string, Supervisor.outcome) Hashtbl.t =
-      Hashtbl.create 128
-    in
+  (* replay every journaled cell — the main journal plus any worker
+     shards orphaned by a crashed fleet run — before running any *)
+  let replayable : (string, Supervisor.outcome) Hashtbl.t =
+    Hashtbl.create 128
+  in
+  let load_into path =
+    let loaded = Robust.Journal.load ~fingerprint:fp path in
     List.iter
       (fun (e : Robust.Journal.entry) ->
          match Journal_codec.decode_outcome e.cell with
@@ -160,49 +194,230 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
                "journal: record for %s does not decode; cell will re-run"
                e.key)
       loaded.entries;
-    let w =
-      Robust.Journal.open_writer ~fingerprint:fp ~seq:loaded.next_seq
-        jc.journal_path
-    in
-    let executed = ref 0 in
-    let cells =
-      List.concat_map
-        (fun bomb ->
-           List.map
-             (fun tool ->
-                let key = cell_key tool bomb in
-                match Hashtbl.find_opt replayable key with
-                | Some o ->
-                    Robust.Journal.count_replayed ();
-                    tick key;
-                    cell_of_outcome tool bomb o
-                | None ->
-                    (match jc.kill_after with
-                     | Some k when !executed >= k ->
-                         (* simulated crash: die before this cell runs,
-                            optionally mid-append of its record *)
-                         if jc.kill_torn then
-                           Robust.Journal.append_torn w ~key;
-                         raise Simulated_crash
-                     | _ -> ());
-                    let r = run_cell_counted tool bomb in
-                    Robust.Journal.append w ~key
-                      ~payload:(Journal_codec.encode_outcome r.robust);
-                    incr executed;
-                    r)
-             tools)
-        bombs
-    in
-    Robust.Journal.close_writer w;
-    cells
+    loaded.next_seq
   in
-  let cells =
+  let next_seq, orphans =
     match journal with
-    | Some jc -> run_journaled jc
-    | None ->
-        List.concat_map
-          (fun bomb -> List.map (fun tool -> run_cell_counted tool bomb) tools)
-          bombs
+    | None -> (0, [])
+    | Some j ->
+        let next_seq = load_into j.journal_path in
+        let shards = worker_shards j.journal_path in
+        List.iter (fun p -> ignore (load_into p : int)) shards;
+        (next_seq, shards)
+  in
+  let todo =
+    List.filter (fun (key, _) -> not (Hashtbl.mem replayable key)) grid
+  in
+  let total = List.length grid and n_todo = List.length todo in
+  let t_start = Unix.gettimeofday () in
+  let show ~left lanes =
+    if progress then begin
+      let done_fresh = n_todo - left in
+      let eta =
+        if done_fresh > 0 then
+          (Unix.gettimeofday () -. t_start)
+          /. float_of_int done_fresh *. float_of_int left
+        else 0.
+      in
+      (* padded so a shorter line overwrites a longer one *)
+      Printf.eprintf "\r%-78s%!"
+        (Printf.sprintf "[table2] %d/%d  %s  ETA %.0fs" (total - left) total
+           (String.concat " " lanes) eta)
+    end
+  in
+  (* the profiler wraps the supervised run without touching its
+     outcome; a pool worker appends to its own sidecar shard, merged
+     after the run like the journal shards *)
+  let run_one ~policy ~key tool bomb =
+    match profile with
+    | None -> Supervisor.run_cell ?incremental ?ladder ~policy tool bomb
+    | Some path ->
+        let o, sample =
+          Cellprof.profiled ~phases:true ~key (fun () ->
+              Supervisor.run_cell ?incremental ?ladder ~policy tool bomb)
+        in
+        let path =
+          match Fleet.Pool.worker_slot () with
+          | Some slot -> Cellprof.shard_path ~path slot
+          | None -> path
+        in
+        Cellprof.append ~path sample;
+        o
+  in
+  let fresh : (string, Supervisor.outcome) Hashtbl.t = Hashtbl.create 128 in
+  let in_process () =
+    (* one lane, same Chrome timeline as the fleet's *)
+    if spans_out <> None then begin
+      Telemetry.reset ();
+      Telemetry.enable ()
+    end;
+    let w =
+      Option.map
+        (fun j ->
+           (j, Robust.Journal.open_writer ~fingerprint:fp ~seq:next_seq
+                 j.journal_path))
+        journal
+    in
+    List.iteri
+      (fun i (key, (tool, bomb)) ->
+         show ~left:(n_todo - i) [ "main:" ^ key ];
+         (match w with
+          | Some ({ kill_after = Some k; kill_torn; _ }, w) when i >= k ->
+              (* simulated crash: die before this cell runs, optionally
+                 mid-append of its record *)
+              if kill_torn then Robust.Journal.append_torn w ~key;
+              raise Simulated_crash
+          | _ -> ());
+         let o = run_one ~policy:pol ~key tool bomb in
+         Option.iter
+           (fun (_, w) ->
+              Robust.Journal.append w ~key
+                ~payload:(Journal_codec.encode_outcome o))
+           w;
+         Hashtbl.replace fresh key o)
+      todo;
+    Option.iter (fun (_, w) -> Robust.Journal.close_writer w) w;
+    Option.iter Telemetry.write_chrome spans_out
+  in
+  let in_pool () =
+    (* only the key crosses the pipe; the worker looks its cell up in
+       the closed-over grid, so custom tool/bomb lists work *)
+    let run ~attempt ~key (_task : string) =
+      let tool, bomb = List.assoc key grid in
+      (* a re-dispatched cell (its worker died) escalates like a
+         supervisor retry would *)
+      let policy =
+        if attempt <= 1 then pol
+        else
+          { pol with
+            budget =
+              Robust.Budget.scale
+                (pol.backoff ** float_of_int (attempt - 1))
+                pol.budget }
+      in
+      Journal_codec.encode_outcome (run_one ~policy ~key tool bomb)
+    in
+    let config =
+      { Fleet.Pool.default_config with
+        workers;
+        respawns = max 1 pol.retries;
+        task_timeout;
+        snapshots;
+        spans = spans_out;
+        journal =
+          Option.map
+            (fun j ->
+               { Fleet.Pool.j_path = j.journal_path; j_fingerprint = fp })
+            journal }
+    in
+    (* stale observability shards from a crashed prior run must not
+       leak into this run's merge *)
+    Option.iter
+      (fun path ->
+         List.iter
+           (fun p -> try Sys.remove p with Sys_error _ -> ())
+           (Cellprof.existing_shards ~path))
+      profile;
+    Option.iter (fun base -> Fleet.Spans.remove_shards ~base) spans_out;
+    let pool = Fleet.Pool.create ~config run in
+    let restore_sigint = Fleet.Pool.install_sigint pool in
+    let results =
+      Fun.protect
+        ~finally:(fun () ->
+          restore_sigint ();
+          Fleet.Pool.shutdown pool)
+      @@ fun () ->
+      List.iter
+        (fun (key, _) -> Fleet.Pool.submit pool ~key ~task:key ())
+        todo;
+      let last_tick = ref 0. in
+      let on_round () =
+        let t = Unix.gettimeofday () in
+        if progress && t -. !last_tick >= 0.5 then begin
+          last_tick := t;
+          show ~left:(Fleet.Pool.pending pool)
+            (List.map
+               (fun (slot, alive, quarantined, task) ->
+                  Printf.sprintf "w%d:%s" slot
+                    (if quarantined then "quar"
+                     else if not alive then "dead"
+                     else Option.value ~default:"-" task))
+               (Fleet.Pool.worker_states pool))
+        end
+      in
+      Fleet.Pool.drain ~on_round pool
+    in
+    (* fold worker-reported metrics into this registry, stitch the span
+       shards into one Chrome timeline, merge the profile shards *)
+    if snapshots then Fleet.Pool.publish_metrics pool;
+    Option.iter
+      (fun out ->
+         let report = Fleet.Spans.merge_chrome ~base:out ~out () in
+         Telemetry.Log.infof
+           "fleet: merged %d span shard(s), %d span(s), %d skipped -> %s"
+           report.Fleet.Spans.mr_shards report.Fleet.Spans.mr_spans
+           report.Fleet.Spans.mr_skipped out)
+      spans_out;
+    Option.iter (fun path -> Cellprof.merge_shards ~path ~order ()) profile;
+    List.iter
+      (fun (r : Fleet.Pool.result) ->
+         let o =
+           match r.r_payload with
+           | Ok payload -> (
+               match
+                 Option.bind
+                   (Telemetry.Trace_check.parse_opt payload)
+                   Journal_codec.decode_outcome
+               with
+               | Some o -> o
+               | None ->
+                   Telemetry.Log.warnf
+                     "fleet: undecodable payload for %s; grading as crash"
+                     r.r_key;
+                   outcome_of_failure ~attempts:1
+                     (Fleet.Pool.Run_raised "undecodable worker payload"))
+           | Error (Fleet.Pool.Worker_lost n as f) ->
+               outcome_of_failure ~attempts:n f
+           | Error f -> outcome_of_failure ~attempts:1 f
+         in
+         Hashtbl.replace fresh r.r_key o)
+      results
+  in
+  if workers > 1 then in_pool () else in_process ();
+  if progress then begin
+    show ~left:0 [];
+    prerr_newline ()
+  end;
+  (* fold the worker shards (this run's, or orphans a crashed run left)
+     and the main journal into one canonical journal, then retire the
+     shards.  A sequential run with no shards keeps its journal as
+     written. *)
+  (match journal with
+   | Some j when workers > 1 || orphans <> [] ->
+       let shards = worker_shards j.journal_path in
+       ignore
+         (Fleet.Merge.run ~fingerprint:fp ~order
+            ~sources:(j.journal_path :: shards) ~out:j.journal_path ()
+           : Fleet.Merge.report);
+       List.iter Sys.remove shards
+   | _ -> ());
+  let cells =
+    List.map
+      (fun (key, (tool, bomb)) ->
+         match Hashtbl.find_opt replayable key with
+         | Some o ->
+             Robust.Journal.count_replayed ();
+             cell_of_outcome tool bomb o
+         | None ->
+             cell_of_outcome tool bomb
+               (match Hashtbl.find_opt fresh key with
+                | Some o -> o
+                | None ->
+                    (* unreachable unless the pool lost the task without
+                       reporting it; grade, don't raise *)
+                    outcome_of_failure ~attempts:0
+                      (Fleet.Pool.Run_raised "no result from fleet")))
+      grid
   in
   collate ~tools cells
 

@@ -46,12 +46,6 @@ let ok r =
   && r.sk_unanswered = 0
   && List.fold_left (fun a (_, n) -> a + n) 0 r.sk_faults > 0
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let rm path = try Sys.remove path with Sys_error _ -> ()
 
 (* fault counters out of the daemon's aggregated metrics response:
@@ -238,7 +232,8 @@ let run ?(prefix = "serve_soak") ?(plans = 30) ?(seed = 0xC0FFEEL)
     requests;
   Robust.Journal.close_writer mw;
   let byte_identical =
-    String.equal (read_file baseline_path) (read_file merged_path)
+    String.equal (Robust.Diskio.read_all baseline_path)
+      (Robust.Diskio.read_all merged_path)
   in
   { sk_requests = plans;
     sk_kills = 1;

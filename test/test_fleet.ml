@@ -4,8 +4,9 @@
     cooperative cancellation), journal-shard merging (canonical
     byte-identity, torn-tail healing, orphan keys), fleet-vs-sequential
     Table II determinism across 1/2/4 workers (table and journal both
-    byte-identical, replayable by the sequential resume path), and the
-    [eval serve] daemon round trip over a temp socket. *)
+    byte-identical, replayable by the sequential resume path), orphaned
+    worker shards replayed by either executor, and the [eval serve]
+    daemon round trip over a temp socket. *)
 
 open Concolic.Error
 
@@ -251,6 +252,9 @@ let det_tools = [ Engines.Profile.Bap; Engines.Profile.Triton ]
 let det_bombs () =
   List.map Bombs.Catalog.find [ "time_bomb"; "argvlen_bomb"; "stack_bomb" ]
 
+let journal_at path =
+  { Engines.Eval.journal_path = path; kill_after = None; kill_torn = false }
+
 let symbols (r : Engines.Eval.table2_result) =
   List.map
     (fun (c : Engines.Eval.cell_result) -> cell_symbol c.measured)
@@ -263,7 +267,7 @@ let fleet_matches_sequential () =
   List.iter
     (fun workers ->
        let fleet =
-         Engines.Parallel.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
+         Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
            ~workers ()
        in
        Alcotest.(check string)
@@ -279,14 +283,11 @@ let fleet_journal_byte_identical () =
   Sys.remove par_path;
   let seq =
     Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal:
-        { Engines.Eval.journal_path = seq_path; kill_after = None;
-          kill_torn = false }
-      ()
+      ~journal:(journal_at seq_path) ()
   in
   let fleet =
-    Engines.Parallel.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal_path:par_path ~workers:4 ()
+    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
+      ~journal:(journal_at par_path) ~workers:4 ()
   in
   Alcotest.(check (list string)) "same grade grid" (symbols seq)
     (symbols fleet);
@@ -301,10 +302,7 @@ let fleet_journal_byte_identical () =
   let replayed0 = counter "journal.replayed" in
   let resumed =
     Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal:
-        { Engines.Eval.journal_path = par_path; kill_after = None;
-          kill_torn = false }
-      ()
+      ~journal:(journal_at par_path) ()
   in
   Alcotest.(check (list string)) "resumed table matches" (symbols seq)
     (symbols resumed);
@@ -333,8 +331,8 @@ let fleet_recovers_worker_shard () =
   Robust.Journal.close_writer w;
   let replayed0 = counter "journal.replayed" in
   let fleet =
-    Engines.Parallel.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal_path:path ~workers:2 ()
+    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
+      ~journal:(journal_at path) ~workers:2 ()
   in
   Alcotest.(check bool) "planted shard replayed" true
     (counter "journal.replayed" > replayed0);
@@ -346,6 +344,63 @@ let fleet_recovers_worker_shard () =
   Alcotest.(check bool) "shard retired by the merge" false
     (Sys.file_exists (path ^ ".w3"));
   Sys.remove path
+
+(* the same recovery on the in-process executor: a shard holding every
+   cell answers the whole grid, is folded into the main journal and
+   retired, and leaves the journal a fresh sequential run writes *)
+let sequential_replays_orphan_shard () =
+  let path = Filename.temp_file "seq_crash" ".jsonl" in
+  let fresh_path = Filename.temp_file "seq_fresh" ".jsonl" in
+  Sys.remove path;
+  Sys.remove fresh_path;
+  let fp =
+    Engines.Eval.journal_fingerprint ~tools:det_tools ~bombs:(det_bombs ())
+      ()
+  in
+  let w = Robust.Journal.open_writer ~fingerprint:fp (path ^ ".w3") in
+  List.iter
+    (fun bomb ->
+       List.iter
+         (fun tool ->
+            Robust.Journal.append w
+              ~key:(Engines.Eval.cell_key tool bomb)
+              ~payload:
+                (Engines.Journal_codec.encode_outcome
+                   (Engines.Supervisor.run_cell tool bomb)))
+         det_tools)
+    (det_bombs ());
+  Robust.Journal.close_writer w;
+  let replayed0 = counter "journal.replayed" in
+  let recovered =
+    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
+      ~journal:(journal_at path) ~workers:1 ()
+  in
+  Alcotest.(check int) "every cell answered from the shard"
+    (replayed0 + 6)
+    (counter "journal.replayed");
+  Alcotest.(check bool) "shard retired" false
+    (Sys.file_exists (path ^ ".w3"));
+  let fresh =
+    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
+      ~journal:(journal_at fresh_path) ()
+  in
+  Alcotest.(check (list string)) "recovered table = fresh" (symbols fresh)
+    (symbols recovered);
+  Alcotest.(check string)
+    "recovered journal byte-identical to a fresh sequential journal"
+    (read_file fresh_path) (read_file path);
+  Sys.remove path;
+  Sys.remove fresh_path
+
+(* the crash simulation belongs to the in-process executor *)
+let pool_rejects_kill_after () =
+  match
+    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
+      ~journal:{ (journal_at "unused.jsonl") with kill_after = Some 1 }
+      ~workers:2 ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "kill_after with workers > 1 must be refused"
 
 (* ---------------- the serve daemon ---------------- *)
 
@@ -877,7 +932,11 @@ let () =
          Alcotest.test_case "merged journal byte-identical + replays"
            `Quick fleet_journal_byte_identical;
          Alcotest.test_case "crashed-run worker shard recovered" `Quick
-           fleet_recovers_worker_shard ]);
+           fleet_recovers_worker_shard;
+         Alcotest.test_case "sequential run replays orphan shard" `Quick
+           sequential_replays_orphan_shard;
+         Alcotest.test_case "kill_after refused with workers > 1" `Quick
+           pool_rejects_kill_after ]);
       ("serve",
        [ Alcotest.test_case "stale/live socket refused" `Quick
            stale_socket_detected;

@@ -165,7 +165,7 @@ let fleet_counters_equal_sequential () =
       (fun workers ->
          let base = Snap.capture () in
          let _ =
-           Engines.Parallel.run_table2 ~tools:det_tools ~bombs:det_bombs
+           Engines.Eval.run_table2 ~tools:det_tools ~bombs:det_bombs
              ~workers ~snapshots:true ()
          in
          (workers, engine_counters ~base (Snap.capture ())))
@@ -307,7 +307,7 @@ let profile_sidecar_fleet () =
   let path = Filename.temp_file "obs_prof_par" ".jsonl" in
   Sys.remove path;
   let _ =
-    Engines.Parallel.run_table2 ~tools:det_tools ~bombs:det_bombs ~workers:2
+    Engines.Eval.run_table2 ~tools:det_tools ~bombs:det_bombs ~workers:2
       ~profile:path ()
   in
   let samples = Engines.Cellprof.load path in
