@@ -87,10 +87,21 @@ let simos_clone s =
 (* States                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(** A model of every constraint in [upto], which is physically the
+    state's [st.constraints] list as it was when the model was last
+    checked.  Constraints are only ever consed on, so [upto] stays a
+    suffix of the live list. *)
+type witness = {
+  env : Smt.Eval.env;
+  upto : (E.t * State.info) list;
+}
+
 type sstate = {
   mutable pc : int64;
   st : State.t;
   os : simos;
+  mutable witness : witness option;
+      (** last model of this path, tried before the solver at a fork *)
 }
 
 type claim = {
@@ -116,7 +127,8 @@ type outcome = {
 }
 
 let clone_sstate s =
-  { pc = s.pc; st = State.clone s.st; os = simos_clone s.os }
+  { pc = s.pc; st = State.clone s.st; os = simos_clone s.os;
+    witness = s.witness }
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -130,6 +142,9 @@ type t = {
   lib_funcs : (int64, string) Hashtbl.t;  (** lib function entry points *)
   session : Smt.Session.t option;  (** shared by every explored state *)
   stats : Smt.Stats.t;
+  lifts : Ir.Lifter.Memo.t;
+  decoded : (int64, Ir.Lifter.Memo.entry option) Hashtbl.t;
+      (** one decode per pc; [None]: the pc does not decode *)
   mutable total_steps : int;
   mutable spawned : int;
   mutable all_diags : Error.diag list;
@@ -460,32 +475,71 @@ let input_of_model ~width (model : Smt.Solver.model) =
   | Some i -> String.sub str 0 i
   | None -> str
 
+(** Does [w] model all of [cs] (newest first)?  It models [w.upto], so
+    only the constraints consed on since need evaluating — including
+    those recorded with no check ([Address_bound], [Fault_guard]). *)
+let witness_covers w cs =
+  let rec newer_hold l =
+    l == w.upto
+    || match l with
+       | (c, _) :: rest -> Smt.Eval.satisfies w.env c && newer_hold rest
+       | [] -> false
+  in
+  newer_hold cs
+
+let m_dse_witnessed = Telemetry.Metrics.counter "dse.witnessed"
+
 let feasible t (s : sstate) =
   (* the O(1) size guard first: on crypto paths it spares a walk of the
      whole path per fork *)
   if s.st.State.built_cost > t.config.max_constraint_nodes then true
   else
-    let cs = State.path_condition s.st in
-    if List.exists E.contains_fp cs then true (* cannot check: assume *)
-    else
-      match
-        solve t
-          ~config:
-            { t.config.solver with
-              conflict_budget = t.config.feasibility_budget }
-          cs
-      with
-      | Smt.Solver.Unsat -> false
-      | _ -> true
+    let cs = s.st.State.constraints in
+    match s.witness with
+    | Some w when witness_covers w cs ->
+      (* a path's model satisfies one side of every fork it passes:
+         that side needs no solver call *)
+      Telemetry.Metrics.incr m_dse_witnessed;
+      s.witness <- Some { w with upto = cs };
+      true
+    | _ ->
+      let path = State.path_condition s.st in
+      if E.exists_fp path then true (* cannot check: assume *)
+      else
+        match
+          solve t
+            ~config:
+              { t.config.solver with
+                conflict_budget = t.config.feasibility_budget }
+            path
+        with
+        | Smt.Solver.Sat m ->
+          s.witness <- Some { env = Smt.Eval.env_of_list m; upto = cs };
+          true
+        | Smt.Solver.Unsat -> false
+        | Smt.Solver.Unknown _ -> true
 
 let m_dse_steps = Telemetry.Metrics.counter "dse.steps"
 let m_dse_states = Telemetry.Metrics.counter "dse.states"
 let m_dse_forks = Telemetry.Metrics.counter "dse.forks"
 
-(** Explore [image] looking for a path into the [goal] symbol. *)
-let explore ?goal_symbol:(goal = "bomb") (config : config)
-    (image : Asm.Image.t) : outcome =
-  Telemetry.with_span "concolic.dse" @@ fun () ->
+(* the instruction at [pc], decoded once per exploration; its lift is
+   memoised in the entry *)
+let insn_at t pc =
+  match Hashtbl.find_opt t.decoded pc with
+  | Some e -> e
+  | None ->
+    let e =
+      match Asm.Image.decode_at t.image pc with
+      | insn, next -> Some { Ir.Lifter.Memo.insn; next; stmts = None }
+      | exception _ -> None
+    in
+    Hashtbl.replace t.decoded pc e;
+    e
+
+(** The engine for one exploration of [image], and its initial state. *)
+let init ?goal_symbol:(goal = "bomb") (config : config) (image : Asm.Image.t)
+  =
   let run_config =
     { Vm.Machine.default_config with
       argv = [ "prog"; String.make config.argv_width 'x' ] }
@@ -510,16 +564,25 @@ let explore ?goal_symbol:(goal = "bomb") (config : config)
   let t =
     { config; image; base_mem; goal = goal_addr; lib_funcs;
       session; stats;
+      lifts = Ir.Lifter.Memo.create Ir.Lifter.full;
+      decoded = Hashtbl.create 256;
       total_steps = 0; spawned = 0; all_diags = []; unknowns = 0;
       fp_seen = false; forks = 0 }
   in
   (* initial state; forks clone it, so they share the session *)
   let s0 =
-    { pc = image.entry; st = State.create ?session (); os = simos_create () }
+    { pc = image.entry; st = State.create ?session (); os = simos_create ();
+      witness = None }
   in
   set_reg s0 RSP (E.Const (init_rsp, 64));
   let argv1_addr, _argv1_len = List.nth argv_layout 1 in
   State.symbolize_region s0.st ~prefix:"argv1" argv1_addr config.argv_width;
+  (t, s0)
+
+(** Explore [image] looking for a path into the [goal] symbol. *)
+let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
+  Telemetry.with_span "concolic.dse" @@ fun () ->
+  let t, s0 = init ?goal_symbol config image in
   let queue = Queue.create () in
   Queue.add s0 queue;
   t.spawned <- 1;
@@ -605,18 +668,19 @@ let explore ?goal_symbol:(goal = "bomb") (config : config)
                  live := false;
                  t.all_diags <- s.st.State.diags @ t.all_diags)
            | None -> (
-               match Asm.Image.decode_at image s.pc with
-               | exception _ ->
+               match insn_at t s.pc with
+               | None ->
                  (* jumped into the weeds *)
                  live := false;
                  t.all_diags <- s.st.State.diags @ t.all_diags
-               | insn, next ->
+               | Some entry ->
+                 let insn = entry.insn and next = entry.next in
+                 let lift () = Ir.Lifter.Memo.lift t.lifts entry in
                  let ctx = Sym_exec.make_ctx s.st (hooks_of t s) in
                  let finish_state () =
                    (if Telemetry.Log.enabled Telemetry.Log.Debug then
                       Telemetry.Log.debugf "dse: state dies at 0x%Lx (%s)" s.pc
-                        (try Isa.Pp.to_string (fst (Asm.Image.decode_at t.image s.pc))
-                         with _ -> "?"));
+                        (Isa.Pp.to_string insn));
                    live := false;
                    t.all_diags <- s.st.State.diags @ t.all_diags
                  in
@@ -628,9 +692,7 @@ let explore ?goal_symbol:(goal = "bomb") (config : config)
                       match d with
                       | E.Const (0L, _) -> finish_state ()
                       | E.Const _ ->
-                        ignore
-                          (Sym_exec.run_stmts ctx
-                             (Ir.Lifter.lift Ir.Lifter.full ~next insn));
+                        ignore (Sym_exec.run_stmts ctx (lift ()));
                         s.pc <- next
                       | _ ->
                         (* constrain the fault away, as angr does *)
@@ -640,12 +702,10 @@ let explore ?goal_symbol:(goal = "bomb") (config : config)
                           (E.not_
                              (State.mk_cmp Eq d
                                 (E.Const (0L, E.width_of d))));
-                        ignore
-                          (Sym_exec.run_stmts ctx
-                             (Ir.Lifter.lift Ir.Lifter.full ~next insn));
+                        ignore (Sym_exec.run_stmts ctx (lift ()));
                         s.pc <- next)
                   | _ -> (
-                      let stmts = Ir.Lifter.lift Ir.Lifter.full ~next insn in
+                      let stmts = lift () in
                       match Sym_exec.run_stmts ctx stmts with
                       | Sym_exec.Fallthrough -> s.pc <- next
                       | Sym_exec.Cond (cond, target) -> (

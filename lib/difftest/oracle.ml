@@ -36,9 +36,6 @@ let enumerate (vars : E.var list) (f : Smt.Eval.env -> 'a option) : 'a option =
   in
   go vars
 
-let holds_defensive env c =
-  try Smt.Eval.holds env c with Smt.Eval.Unbound _ -> false
-
 (* a model may omit variables the simplifier eliminated; default them *)
 let model_env (vars : E.var list) (m : (string * int64) list) : Smt.Eval.env =
   let env : Smt.Eval.env = Hashtbl.create 8 in
@@ -58,7 +55,7 @@ let blast_vs_eval ?(simplify = fun e -> Smt.Simplify.run e) (c : E.t) :
   else
     let witness =
       enumerate vars (fun env ->
-          if holds_defensive env c then
+          if Smt.Eval.satisfies env c then
             Some
               (List.map
                  (fun (v : E.var) -> (v.vname, Hashtbl.find env v.vname))
@@ -88,7 +85,7 @@ let blast_vs_eval ?(simplify = fun e -> Smt.Simplify.run e) (c : E.t) :
               sat with %s"
            (1 lsl total_bits)
            (String.concat "," (List.map (fun (n, v) -> spf "%s=%Ld" n v) m)))
-    | Some _, `Sat m when not (holds_defensive (model_env vars m) c) ->
+    | Some _, `Sat m when not (Smt.Eval.satisfies (model_env vars m) c) ->
       Error
         (spf "solver model %s does not satisfy the original constraint"
            (String.concat "," (List.map (fun (n, v) -> spf "%s=%Ld" n v) m)))
@@ -113,7 +110,7 @@ let session_vs_oneshot (s : Gen.script) : (unit, string) result =
   let session = Smt.Session.create () in
   let check_model side cs m =
     let env = model_env (E.vars_of_list cs) m in
-    if List.for_all (holds_defensive env) cs then Ok ()
+    if List.for_all (Smt.Eval.satisfies env) cs then Ok ()
     else Error (spf "%s model does not satisfy the assertions" side)
   in
   let rec go idx = function
@@ -388,8 +385,8 @@ let concolic_flip (f : Gen.flip) : (unit, string) result =
           (* ground truth: no input byte may flip the branch *)
           let flips v =
             let env = Smt.Eval.env_of_list [ ("argv1_0", Int64.of_int v) ] in
-            List.for_all (holds_defensive env) prefix
-            && holds_defensive env (E.not_ b.cond)
+            List.for_all (Smt.Eval.satisfies env) prefix
+            && Smt.Eval.satisfies env (E.not_ b.cond)
           in
           let rec scan v = if v > 255 then None else if flips v then Some v
             else scan (v + 1)

@@ -165,32 +165,35 @@ let run_triton ?(incremental = true) ?(ladder = Smt.Degrade.default_ladder)
 (* Angr-like: directed DSE                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_angr ?(incremental = true) ?(ladder = Smt.Degrade.default_ladder)
-    ~(mode : Concolic.Dse.mode) ~(image : Asm.Image.t) () : attempt =
+(** The DSE configuration an Angr column runs with. *)
+let angr_config ?(incremental = true) ?(ladder = Smt.Degrade.default_ladder)
+    (mode : Concolic.Dse.mode) =
   let base = Concolic.Dse.default_config mode in
-  let config =
-    { base with incremental; solver = { base.solver with ladder } }
+  { base with incremental; solver = { base.solver with ladder } }
+
+let attempt_of_dse (outcome : Concolic.Dse.outcome) =
+  let proposed =
+    match outcome.claims with
+    | { input; _ } :: _ -> Some input
+    | [] -> None
   in
-  match Concolic.Dse.explore config image with
-  | outcome ->
-    let proposed =
-      match outcome.claims with
-      | { input; _ } :: _ -> Some input
-      | [] -> None
-    in
-    let claim_diags =
-      List.concat_map (fun (c : Concolic.Dse.claim) -> c.diags) outcome.claims
-    in
-    { proposed;
-      diags =
-        List.sort_uniq Concolic.Error.compare_diag
-          (claim_diags @ outcome.diags);
-      crashed = outcome.crashed <> None;
-      budget_exhausted = outcome.budget_exhausted || outcome.solver_unknowns > 0;
-      fp_seen = outcome.fp_seen;
-      symbolic_branches = outcome.symbolic_branches;
-      trace_based = false;
-      work = outcome.steps }
+  let claim_diags =
+    List.concat_map (fun (c : Concolic.Dse.claim) -> c.diags) outcome.claims
+  in
+  { proposed;
+    diags =
+      List.sort_uniq Concolic.Error.compare_diag (claim_diags @ outcome.diags);
+    crashed = outcome.crashed <> None;
+    budget_exhausted = outcome.budget_exhausted || outcome.solver_unknowns > 0;
+    fp_seen = outcome.fp_seen;
+    symbolic_branches = outcome.symbolic_branches;
+    trace_based = false;
+    work = outcome.steps }
+
+let run_angr ?incremental ?ladder ~(mode : Concolic.Dse.mode)
+    ~(image : Asm.Image.t) () : attempt =
+  match Concolic.Dse.explore (angr_config ?incremental ?ladder mode) image with
+  | outcome -> attempt_of_dse outcome
   | exception e when not (Robust.is_fault e) ->
     (* typed robust faults (budget trips, injected chaos) must reach
        the cell supervisor for cause attribution — only unexpected

@@ -79,8 +79,9 @@ let g_mux t s a b =
 
 (* full adder: (sum, carry_out) *)
 let g_fa t a b cin =
-  let sum = g_xor t (g_xor t a b) cin in
-  let cout = g_or t (g_and t a b) (g_and t cin (g_xor t a b)) in
+  let half = g_xor t a b in
+  let sum = g_xor t half cin in
+  let cout = g_or t (g_and t a b) (g_and t cin half) in
   (sum, cout)
 
 (* ---- vectors ---- *)

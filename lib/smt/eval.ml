@@ -129,3 +129,7 @@ let eval ?(memo = true) (env : env) (e : Expr.t) : int64 =
 
 (** Does [env] satisfy the (1-bit) constraint? *)
 let holds env e = eval env e = 1L
+
+(** Is [env] a model of [e]: does [e] hold, with every variable bound?
+    [Unbound] is the only exception [eval] raises. *)
+let satisfies env e = try holds env e with Unbound _ -> false

@@ -275,10 +275,7 @@ let contains_fp t (i : interned) =
     b
 
 let model_holds (m : model) cs =
-  let env = Eval.env_of_list m in
-  List.for_all
-    (fun c -> try Eval.holds env c with Eval.Unbound _ -> false)
-    cs
+  List.for_all (Eval.satisfies (Eval.env_of_list m)) cs
 
 (* restrict a session-wide model to the variables of the checked set,
    matching the one-shot front-end's model shape *)
@@ -304,9 +301,7 @@ let solve_uncached t (cfg : config) (cs_i : interned list) : outcome =
   else begin
     (* try caller seeds before paying for bit-blasting *)
     let seed_hit =
-      List.find_opt
-        (fun seed ->
-           try List.for_all (Eval.holds seed) cs with Eval.Unbound _ -> false)
+      List.find_opt (fun seed -> List.for_all (Eval.satisfies seed) cs)
         cfg.seeds
     in
     match seed_hit with
@@ -379,6 +374,7 @@ let check ?config t : outcome =
       Stats.add_wall t.stats ((Telemetry.clock_us () -. t0) /. 1e6))
   @@ fun () ->
   Stats.record_query t.stats;
+  let conflicts0 = t.stats.conflicts in
   let cs_i = asserted t in
   let result =
     if List.exists (fun (i : interned) -> Expr.is_false i.node) cs_i then Unsat
@@ -442,7 +438,11 @@ let check ?config t : outcome =
   (match result with
    | Sat _ -> Stats.record_sat t.stats
    | Unsat -> Stats.record_unsat t.stats
-   | Unknown _ -> Stats.record_unknown t.stats);
+   | Unknown reason ->
+     Stats.record_unknown t.stats;
+     if reason = Budget then
+       Stats.record_unknown_budget
+         ~conflicts:(t.stats.conflicts - conflicts0));
   result
 
 (** [set_assertions] followed by [check] — the engines' entry point.

@@ -123,6 +123,17 @@ let add_search s ~conflicts ~decisions ~propagations =
   Telemetry.Metrics.add m_decisions decisions;
   Telemetry.Metrics.add m_propagations propagations
 
+(* checks that came back [Unknown Budget], and the conflicts they
+   spent: solver time that bought no answer.  Registry only — no
+   engine grades off them. *)
+let m_unknown_budget = Telemetry.Metrics.counter "smt.unknown_budget"
+let m_unknown_budget_conflicts =
+  Telemetry.Metrics.counter "smt.unknown_budget_conflicts"
+
+let record_unknown_budget ~conflicts =
+  Telemetry.Metrics.incr m_unknown_budget;
+  Telemetry.Metrics.add m_unknown_budget_conflicts conflicts
+
 let add_wall s dt =
   s.wall_time <- s.wall_time +. dt;
   Telemetry.Metrics.gauge_add m_wall dt

@@ -244,6 +244,78 @@ let dse_crashes_on_socket () =
   let o = Concolic.Dse.explore config (Bombs.Catalog.image bomb) in
   Alcotest.(check bool) "crashed" true (o.crashed <> None)
 
+(* A state's witness must be checked against every constraint consed on
+   since it was taken, not only the newest.  [x < 3] is recorded with no
+   check (as a fault guard), so the model of [x > 5] no longer models the
+   path, though it satisfies the constraint recorded after the guard. *)
+let dse_witness_checks_unchecked_constraints () =
+  let config = Concolic.Dse.default_config Concolic.Dse.With_libs in
+  let t, s =
+    Concolic.Dse.init config
+      (Bombs.Catalog.image (Bombs.Catalog.find "jump_bomb"))
+  in
+  let st = s.Concolic.Dse.st in
+  let x = E.var ~width:8 "argv1_0" and c v = E.const ~width:8 v in
+  let add ?kind e = Concolic.State.add_constraint st ?kind ~pc:0L ~taken:true e in
+  let queries () = t.Concolic.Dse.stats.Smt.Stats.queries in
+  add (E.Cmp (Ult, c 5L, x));
+  Alcotest.(check bool) "x > 5 feasible" true (Concolic.Dse.feasible t s);
+  Alcotest.(check bool) "its model is the witness" true (s.witness <> None);
+  let q = queries () in
+  add (E.Cmp (Ult, c 4L, x));
+  Alcotest.(check bool) "x > 4 feasible" true (Concolic.Dse.feasible t s);
+  Alcotest.(check int) "answered by the witness" q (queries ());
+  add ~kind:Concolic.State.Fault_guard (E.Cmp (Ult, x, c 3L));
+  add (E.not_ (E.eq x (c 0L)));
+  Alcotest.(check bool) "x < 3 makes the path infeasible" false
+    (Concolic.Dse.feasible t s);
+  Alcotest.(check int) "answered by the solver" (q + 1) (queries ())
+
+(* Walking a path down to the witness's [upto] agrees with evaluating
+   the whole path under the witness, given that the witness models
+   [upto].  Constraints over 4-bit [a] and [b] (bound) and [u] (never
+   bound); the older part is flipped constraint by constraint until the
+   witness models it. *)
+let gen_witness_case =
+  let open QCheck2.Gen in
+  let gen_cmp =
+    let* v = oneofl [ "a"; "b"; "u" ]
+    and* k = int_bound 15
+    and* op = oneofl E.[ Eq; Ult; Ule; Slt; Sle ]
+    and* flip = bool
+    and* neg = bool in
+    let x = E.var ~width:4 v and c = E.const ~width:4 (Int64.of_int k) in
+    let e = if flip then E.Cmp (op, c, x) else E.Cmp (op, x, c) in
+    return (if neg then E.not_ e else e)
+  in
+  let* a = int_bound 15
+  and* b = int_bound 15
+  and* newer = list_size (int_bound 6) gen_cmp
+  and* older = list_size (int_bound 6) gen_cmp in
+  return (a, b, newer, older)
+
+let witness_walk_agrees_with_whole_path =
+  QCheck2.Test.make ~count:500 ~name:"witness walk agrees with the whole path"
+    gen_witness_case (fun (a, b, newer, older) ->
+        let env =
+          Smt.Eval.env_of_list [ ("a", Int64.of_int a); ("b", Int64.of_int b) ]
+        in
+        let info =
+          { Concolic.State.pc = 0L; taken = true; kind = Branch; cost = 0 }
+        in
+        let holds = Smt.Eval.satisfies env in
+        let upto =
+          List.filter_map
+            (fun c ->
+               if holds c then Some (c, info)
+               else if holds (E.not_ c) then Some (E.not_ c, info)
+               else None)
+            older
+        in
+        let cs = List.map (fun c -> (c, info)) newer @ upto in
+        Concolic.Dse.witness_covers { env; upto } cs
+        = List.for_all (fun (c, _) -> holds c) cs)
+
 (* a registered load result under 64 levels of [Add (e, e)]: a tree
    recursion would visit 2^64 paths *)
 let depth_of_shared_dag () =
@@ -282,4 +354,7 @@ let () =
        [ Alcotest.test_case "solves one-level array" `Quick dse_solves_array1;
          Alcotest.test_case "misses two-level array" `Quick dse_misses_array2;
          Alcotest.test_case "sequential fork" `Quick dse_sequential_fork;
-         Alcotest.test_case "socket crash" `Quick dse_crashes_on_socket ]) ]
+         Alcotest.test_case "socket crash" `Quick dse_crashes_on_socket;
+         Alcotest.test_case "witness checks unchecked constraints" `Quick
+           dse_witness_checks_unchecked_constraints;
+         QCheck_alcotest.to_alcotest witness_walk_agrees_with_whole_path ]) ]

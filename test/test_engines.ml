@@ -10,6 +10,26 @@ let check_cell tool bomb_name expected () =
     (Printf.sprintf "%s on %s" (Engines.Profile.name tool) bomb_name)
     (cell_symbol expected) (cell_symbol g.cell)
 
+(* a DSE cell graded as [Grade.run_cell] grades it, with the shape of
+   its exploration pinned: a feasibility check that kept an infeasible
+   state, or pruned a feasible one, moves these counts *)
+let check_dse_cell tool bomb_name expected ~states ~branches () =
+  let bomb = Bombs.Catalog.find bomb_name in
+  let mode =
+    if tool = Engines.Profile.Angr then Concolic.Dse.With_libs
+    else Concolic.Dse.No_libs
+  in
+  let o =
+    Concolic.Dse.explore (Engines.Profile.angr_config mode)
+      (Bombs.Catalog.image bomb)
+  in
+  let g = Engines.Grade.grade bomb (Engines.Profile.attempt_of_dse o) in
+  let what = Printf.sprintf "%s on %s" (Engines.Profile.name tool) bomb_name in
+  Alcotest.(check string) what (cell_symbol expected) (cell_symbol g.cell);
+  Alcotest.(check int) (what ^ ": explored states") states o.explored_states;
+  Alcotest.(check int) (what ^ ": symbolic branches") branches
+    o.symbolic_branches
+
 let fig3_shape () =
   let r = Engines.Eval.run_fig3 () in
   (* the paper: 5 instructions -> 66 (61 more); our libc differs in
@@ -219,6 +239,23 @@ let () =
          (* fork: only the NoLib summary solves it *)
          Alcotest.test_case "angr-nolib/fork OK" `Quick
            (check_cell Engines.Profile.Angr_nolib "fork_bomb" Success) ]);
+      ("dse cells",
+       (* the solver-heavy fork loops of the Angr columns *)
+       List.map
+         (fun (tool, bomb, expected, states, branches) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s/%s %s" (Engines.Profile.name tool) bomb
+                 (cell_symbol expected))
+              `Quick
+              (check_dse_cell tool bomb expected ~states ~branches))
+         Engines.Profile.
+           [ (Angr, "jump_bomb", Fail Es3, 58, 59);
+             (Angr_nolib, "jump_bomb", Fail Es3, 58, 59);
+             (Angr, "jumptable_bomb", Fail Es3, 60, 59);
+             (Angr_nolib, "jumptable_bomb", Fail Es3, 60, 59);
+             (Angr, "pthread_bomb", Fail Es2, 50, 49);
+             (Angr_nolib, "pthread_bomb", Fail Es2, 50, 49);
+             (Angr, "fork_bomb", Fail Es2, 67, 66) ]);
       ("aggregates",
        [ Alcotest.test_case "fig3 shape" `Quick fig3_shape;
          Alcotest.test_case "fig3 telemetry agreement" `Quick

@@ -742,6 +742,10 @@ let session_budget_unknown () =
       ne p.(1) p.(2) ]
   in
   let s = Session.create () in
+  (* the registry counts the budget-Unknown check and its conflicts *)
+  let count = Telemetry.Metrics.counter_value in
+  let n0 = count "smt.unknown_budget"
+  and c0 = count "smt.unknown_budget_conflicts" in
   (match
      Session.check_assertions
        ~config:{ Session.default_config with conflict_budget = 0 }
@@ -751,13 +755,18 @@ let session_budget_unknown () =
    | o ->
      Alcotest.failf "expected budget unknown, got %s"
        (Solver.outcome_to_string o));
+  let spent = (Session.stats s).Stats.conflicts in
   (match Session.check s with
    | Session.Unsat -> ()
    | o ->
      Alcotest.failf "expected unsat with full budget, got %s"
        (Solver.outcome_to_string o));
   let st = Session.stats s in
-  Alcotest.(check int) "no cache hit for unknown" 0 st.Stats.cache_hits
+  Alcotest.(check int) "no cache hit for unknown" 0 st.Stats.cache_hits;
+  Alcotest.(check int) "one budget unknown counted" (n0 + 1)
+    (count "smt.unknown_budget");
+  Alcotest.(check int) "its conflicts counted" (c0 + spent)
+    (count "smt.unknown_budget_conflicts")
 
 (* exact accounting on a scripted session: every counter is predicted
    by the script, and cache hits must cost zero blasting/conflicts *)
@@ -896,6 +905,15 @@ let printers_smoke () =
   Alcotest.(check bool) "cvc mentions BITVECTOR" true
     (String.length v > 0 && String.index_opt v 'B' <> None)
 
+(* a full adder builds its half-sum XOR once: at width 64, x + y = z
+   encodes to 637 variables, one per full adder fewer than the 701 of
+   a [g_fa] that built that XOR twice *)
+let blast_adder_size () =
+  let v n = Expr.var ~width:64 n in
+  let b = Blast.create () in
+  Blast.assert_true b (Expr.eq (Expr.Binop (Add, v "x", v "y")) (v "z"));
+  Alcotest.(check int) "CNF variables" 637 (Sat.num_vars b.Blast.sat)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ blast_agrees_with_eval; simplify_sound ]
 
@@ -910,7 +928,9 @@ let () =
          Alcotest.test_case "pin pigeonhole" `Quick pin_pigeonhole;
          Alcotest.test_case "pin incremental" `Quick pin_incremental;
          QCheck_alcotest.to_alcotest sat_answers_checked_by_enumeration ]);
-      ("blast", qcheck_tests);
+      ("blast",
+       qcheck_tests
+       @ [ Alcotest.test_case "adder CNF size" `Quick blast_adder_size ]);
       ("eval",
        [ QCheck_alcotest.to_alcotest eval_agrees_with_reference;
          Alcotest.test_case "unmemoised allocation" `Quick
