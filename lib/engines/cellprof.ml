@@ -1,8 +1,9 @@
 (** Per-cell resource profiler: wraps a supervised cell run and
     records what it cost — wall time broken down by span phase, VM
     steps, lifted instructions, solver blast/conflict/cache counters,
-    taint coverage — keyed so a whole Table II run persists as a JSONL
-    sidecar next to the journal.
+    budget-Unknown solver checks and their wall time, taint coverage —
+    keyed so a whole Table II run persists as a JSONL sidecar next to
+    the journal.
 
     The measurement is a counter-delta around the run (the registry is
     cumulative), so profiles compose with journaling, the fleet (each
@@ -29,6 +30,8 @@ type sample = {
   p_cache_hits : int;
   p_queries : int;
   p_tainted : int;
+  p_unknown_budget : int;  (** solver checks that spent their budget *)
+  p_unknown_budget_ms : float;  (** their wall time *)
   p_phases : (string * float) list;
       (** inclusive µs per span phase (a phase nested under another is
           counted in both), name-sorted; empty unless [phases] *)
@@ -42,7 +45,11 @@ let phase_names =
 (* counter-name, field-extractor pairs drive both capture and codec *)
 let counters =
   [ "vm.steps"; "lifter.insns_lifted"; "smt.blasted_nodes"; "smt.conflicts";
-    "smt.cache_hits"; "smt.queries"; Taint.metric_tainted_insns ]
+    "smt.cache_hits"; "smt.queries"; Taint.metric_tainted_insns;
+    "smt.unknown_budget" ]
+
+let unknown_budget_wall () =
+  Telemetry.Metrics.gauge_value_of "smt.unknown_budget_wall_s"
 
 (** Run [run] under the profiler.  Deltas of the deterministic engine
     counters across the call; with [phases] additionally records span
@@ -51,6 +58,7 @@ let counters =
 let profiled ?(phases = false) ~key (run : unit -> Supervisor.outcome) :
   Supervisor.outcome * sample =
   let before = List.map Telemetry.Metrics.counter_value counters in
+  let unknown_wall0 = unknown_budget_wall () in
   let was = Telemetry.is_enabled () in
   if phases then begin
     Telemetry.reset ();
@@ -92,6 +100,8 @@ let profiled ?(phases = false) ~key (run : unit -> Supervisor.outcome) :
       p_cache_hits = delta 4;
       p_queries = delta 5;
       p_tainted = delta 6;
+      p_unknown_budget = delta 7;
+      p_unknown_budget_ms = 1000. *. (unknown_budget_wall () -. unknown_wall0);
       p_phases }
   in
   (o, sample)
@@ -111,10 +121,12 @@ let encode (s : sample) =
     "{\"key\":\"%s\",\"grade\":\"%s\",\"stage\":%s,\"cause\":%s,\
      \"attempts\":%d,\"wall_us\":%.1f,\"vm_steps\":%d,\"lifted\":%d,\
      \"blasted\":%d,\"conflicts\":%d,\"cache_hits\":%d,\"queries\":%d,\
-     \"tainted\":%d,\"phases\":{%s}}"
+     \"tainted\":%d,\"unknown_budget\":%d,\"unknown_budget_ms\":%.3f,\
+     \"phases\":{%s}}"
     (esc s.p_key) (esc s.p_grade) (opt s.p_stage) (opt s.p_cause)
     s.p_attempts s.p_wall_us s.p_vm_steps s.p_lifted s.p_blasted
-    s.p_conflicts s.p_cache_hits s.p_queries s.p_tainted
+    s.p_conflicts s.p_cache_hits s.p_queries s.p_tainted s.p_unknown_budget
+    s.p_unknown_budget_ms
     (String.concat ","
        (List.map
           (fun (k, v) -> Printf.sprintf "\"%s\":%.1f" (esc k) v)
@@ -158,6 +170,11 @@ let decode line : sample option =
               p_cache_hits = Option.value ~default:0 (int "cache_hits");
               p_queries = Option.value ~default:0 (int "queries");
               p_tainted = Option.value ~default:0 (int "tainted");
+              (* absent from sidecars written before it was recorded *)
+              p_unknown_budget =
+                Option.value ~default:0 (int "unknown_budget");
+              p_unknown_budget_ms =
+                Option.value ~default:0.0 (num "unknown_budget_ms");
               p_phases = phases }
       | _ -> None)
 
@@ -268,9 +285,12 @@ let render_report ?(top = 10) (samples : sample list) : string =
   List.iteri
     (fun i s ->
        if i < top then begin
-         pr "  %-28s %8.1f ms  %s  vm:%d blast:%d cdcl:%d q:%d hit:%d%s%s\n"
+         pr
+           "  %-28s %8.1f ms  %s  vm:%d blast:%d cdcl:%d q:%d hit:%d \
+            unk:%d/%.1fms%s%s\n"
            s.p_key (ms s.p_wall_us) s.p_grade s.p_vm_steps s.p_blasted
-           s.p_conflicts s.p_queries s.p_cache_hits
+           s.p_conflicts s.p_queries s.p_cache_hits s.p_unknown_budget
+           s.p_unknown_budget_ms
            (match s.p_cause with Some c -> "  [" ^ c ^ "]" | None -> "")
            (match s.p_stage with Some st -> " @" ^ st | None -> "");
          match s.p_phases with

@@ -3,7 +3,15 @@
     Every term maps to an array of SAT literals, LSB first, memoised on
     physical identity so shared sub-DAGs are encoded once.  Floating-
     point terms are not blastable ({!Unsupported_fp}); the front-end
-    falls back to the search solver for those. *)
+    falls back to the search solver for those.
+
+    Every gate variable records its (at most 3) input variables, and
+    each of its clauses names it as owner.  [lit_of] and [assert_true]
+    mark the cone of their root literal live.  [solve] walks the cone
+    of the assumptions and asserted roots; when it is smaller than the
+    live set, the CDCL search decides that cone only (see {!Sat}), so
+    an incremental check pays for the gates it asserts, not for every
+    gate the session has encoded. *)
 
 exception Unsupported_fp
 
@@ -14,6 +22,15 @@ type t = {
   cache : int array Phys.t;
   var_bits : (string, int array) Hashtbl.t;
   true_lit : int;
+  mutable fanin : int array;
+      (** var [v]'s input variables at [3v .. 3v+2], [-1] padded *)
+  mutable live : Bytes.t;  (** var -> ['\001'] in the cone of a root *)
+  mutable live_n : int;
+  mutable live_roots : int list;  (** roots whose cones make up [live] *)
+  mutable roots : int list;  (** variables of the asserted roots *)
+  mutable stamp : int array;  (** var -> last cone walk reaching it *)
+  mutable epoch : int;
+  mutable queue : int array;  (** walk buffer; the cone after a walk *)
 }
 
 let create () =
@@ -21,15 +38,32 @@ let create () =
   let tv = Sat.new_var sat in
   let true_lit = Sat.mk_lit tv true in
   Sat.add_clause sat [ true_lit ];
-  { sat; cache = Phys.create 1024; var_bits = Hashtbl.create 32; true_lit }
+  { sat; cache = Phys.create 1024; var_bits = Hashtbl.create 32; true_lit;
+    fanin = Array.make 48 (-1); live = Bytes.make 16 '\000'; live_n = 0;
+    live_roots = []; roots = []; stamp = Array.make 16 0; epoch = 0;
+    queue = Array.make 16 0 }
 
 let false_lit t = Sat.lit_neg t.true_lit
 
 let lit_of_bool t b = if b then t.true_lit else false_lit t
 
-let fresh t = Sat.mk_lit (Sat.new_var t.sat) true
+let new_var t =
+  let v = Sat.new_var t.sat in
+  t.fanin <- Sat.grow t.fanin ((3 * v) + 3) (-1);
+  v
+
+let fresh t = Sat.mk_lit (new_var t) true
 
 (* ---- gates ---- *)
+
+(* a fresh gate variable over the input literals [a], [b] and, when
+   [c >= 0], [c] *)
+let gate t a b c =
+  let v = new_var t in
+  t.fanin.(3 * v) <- Sat.lit_var a;
+  t.fanin.((3 * v) + 1) <- Sat.lit_var b;
+  if c >= 0 then t.fanin.((3 * v) + 2) <- Sat.lit_var c;
+  v
 
 let g_and t a b =
   if a = t.true_lit then b
@@ -38,10 +72,11 @@ let g_and t a b =
   else if a = b then a
   else if a = Sat.lit_neg b then false_lit t
   else begin
-    let c = fresh t in
-    Sat.add_clause t.sat [ Sat.lit_neg a; Sat.lit_neg b; c ];
-    Sat.add_clause t.sat [ a; Sat.lit_neg c ];
-    Sat.add_clause t.sat [ b; Sat.lit_neg c ];
+    let owner = gate t a b (-1) in
+    let c = Sat.mk_lit owner true in
+    Sat.add_clause ~owner t.sat [ Sat.lit_neg a; Sat.lit_neg b; c ];
+    Sat.add_clause ~owner t.sat [ a; Sat.lit_neg c ];
+    Sat.add_clause ~owner t.sat [ b; Sat.lit_neg c ];
     c
   end
 
@@ -55,11 +90,12 @@ let g_xor t a b =
   else if a = b then false_lit t
   else if a = Sat.lit_neg b then t.true_lit
   else begin
-    let c = fresh t in
-    Sat.add_clause t.sat [ Sat.lit_neg a; Sat.lit_neg b; Sat.lit_neg c ];
-    Sat.add_clause t.sat [ a; b; Sat.lit_neg c ];
-    Sat.add_clause t.sat [ a; Sat.lit_neg b; c ];
-    Sat.add_clause t.sat [ Sat.lit_neg a; b; c ];
+    let owner = gate t a b (-1) in
+    let c = Sat.mk_lit owner true in
+    Sat.add_clause ~owner t.sat [ Sat.lit_neg a; Sat.lit_neg b; Sat.lit_neg c ];
+    Sat.add_clause ~owner t.sat [ a; b; Sat.lit_neg c ];
+    Sat.add_clause ~owner t.sat [ a; Sat.lit_neg b; c ];
+    Sat.add_clause ~owner t.sat [ Sat.lit_neg a; b; c ];
     c
   end
 
@@ -69,11 +105,12 @@ let g_mux t s a b =
   else if s = false_lit t then b
   else if a = b then a
   else begin
-    let c = fresh t in
-    Sat.add_clause t.sat [ Sat.lit_neg s; Sat.lit_neg a; c ];
-    Sat.add_clause t.sat [ Sat.lit_neg s; a; Sat.lit_neg c ];
-    Sat.add_clause t.sat [ s; Sat.lit_neg b; c ];
-    Sat.add_clause t.sat [ s; b; Sat.lit_neg c ];
+    let owner = gate t s a b in
+    let c = Sat.mk_lit owner true in
+    Sat.add_clause ~owner t.sat [ Sat.lit_neg s; Sat.lit_neg a; c ];
+    Sat.add_clause ~owner t.sat [ Sat.lit_neg s; a; Sat.lit_neg c ];
+    Sat.add_clause ~owner t.sat [ s; Sat.lit_neg b; c ];
+    Sat.add_clause ~owner t.sat [ s; b; Sat.lit_neg c ];
     c
   end
 
@@ -268,16 +305,93 @@ and compute t (e : Expr.t) : int array =
     Array.init w (fun i -> if i < n then va.(i) else va.(n - 1))
   | Fbin _ | Fcmp _ | Fsqrt _ | Fof_int _ | Fto_int _ -> raise Unsupported_fp
 
+(* ---- cones ---- *)
+
+(* [queue.(n) <- v], growing the queue *)
+let push t n v =
+  if n = Array.length t.queue then t.queue <- Sat.grow t.queue (n + 1) 0;
+  t.queue.(n) <- v
+
+(* Close [queue.(0 .. n-1)] under gate inputs, breadth first with the
+   queue as the worklist: append every input variable [fresh] accepts
+   (and marks).  Returns the closed length.  Carry chains are
+   thousands of gates deep, hence no recursion. *)
+let close t n fresh =
+  let n = ref n and i = ref 0 in
+  while !i < !n do
+    let v = t.queue.(!i) in
+    incr i;
+    for k = 3 * v to (3 * v) + 2 do
+      let w = t.fanin.(k) in
+      if w >= 0 && fresh w then begin
+        push t !n w;
+        incr n
+      end
+    done
+  done;
+  !n
+
+(* mark the cone of root literal [l] live *)
+let mark_live t l =
+  let nv = Sat.num_vars t.sat and len = Bytes.length t.live in
+  if nv > len then begin
+    let live = Bytes.make (max nv (2 * len)) '\000' in
+    Bytes.blit t.live 0 live 0 len;
+    t.live <- live
+  end;
+  let fresh v =
+    Bytes.get t.live v = '\000'
+    && (Bytes.set t.live v '\001';
+        true)
+  in
+  let v = Sat.lit_var l in
+  if fresh v then begin
+    t.live_roots <- v :: t.live_roots;
+    push t 0 v;
+    t.live_n <- t.live_n + close t 1 fresh
+  end
+
+(* The cone of [assumptions] and the asserted roots, left in
+   [queue.(0 .. n-1)]: returns [n], or [-1] when the cone covers every
+   live variable.  It does when it holds every root that made
+   variables live; only otherwise is the fan-in walked. *)
+let cone t assumptions =
+  t.stamp <- Sat.grow t.stamp (Sat.num_vars t.sat) 0;
+  t.epoch <- t.epoch + 1;
+  let fresh v =
+    t.stamp.(v) <> t.epoch
+    && (t.stamp.(v) <- t.epoch;
+        true)
+  in
+  let n = ref 0 in
+  let root v =
+    if fresh v then begin
+      push t !n v;
+      incr n
+    end
+  in
+  List.iter (fun l -> root (Sat.lit_var l)) assumptions;
+  List.iter root t.roots;
+  if List.for_all (fun v -> t.stamp.(v) = t.epoch) t.live_roots then -1
+  else
+    let n = close t !n fresh in
+    if n >= t.live_n then -1 else n
+
 (** Assert a 1-bit term. *)
 let assert_true t e =
   let v = bits t e in
+  mark_live t v.(0);
+  t.roots <- Sat.lit_var v.(0) :: t.roots;
   Sat.add_clause t.sat [ v.(0) ]
 
 (** Encode a 1-bit term and return its literal *without* asserting it.
     Incremental sessions pass these literals as assumptions so an
     assertion can be popped while its CNF encoding (and any clauses
     learnt from it) stay behind for reuse. *)
-let lit_of t e = (bits t e).(0)
+let lit_of t e =
+  let l = (bits t e).(0) in
+  mark_live t l;
+  l
 
 (** Clear any assignment left by a previous [solve] — required before
     encoding new terms into a solver that answered Sat. *)
@@ -286,8 +400,20 @@ let reset t = Sat.reset_to_root t.sat
 (** Distinct term nodes encoded so far (the per-session memo size). *)
 let num_nodes t = Phys.length t.cache
 
-let solve ?conflict_budget ?meter ?assumptions t =
-  Sat.solve ?conflict_budget ?meter ?assumptions t.sat
+(** Decide the asserted roots under [assumptions] (literals of
+    [lit_of]).  When the cone of the two covers every live variable,
+    the search is the plain full one (every one-shot solve, and the
+    first check of a session); otherwise it decides only that cone. *)
+let solve ?conflict_budget ?meter ?(assumptions = []) t =
+  let n = cone t assumptions in
+  let cone =
+    if n < 0 then None
+    else begin
+      Stats.record_cone ~cone_vars:n ~session_vars:(Sat.num_vars t.sat);
+      Some (t.queue, n)
+    end
+  in
+  Sat.solve ?conflict_budget ?meter ~assumptions ?cone t.sat
 
 (** Extract the model for the named variables after [Sat] answered. *)
 let model t : (string * int64) list =

@@ -5,12 +5,29 @@
     paper's tools.
 
     Literal [2*v] is variable [v] (0-based), [2*v+1] its negation.  A
-    clause is an offset into one [int array] arena: a size header, then
-    its literals.  [watches.(l)] holds, in push order, the clauses
-    watching [lit_neg l].  The trajectory tests in [test_smt.ml] pin
-    the search (counts, verdicts, models): layout changes must keep
-    them, heuristic changes (blockers, clause deletion, minimisation)
-    move them. *)
+    clause is an offset into one [int array] arena: a header word, then
+    its literals.  The header packs the clause size (low 31 bits) and
+    its owner plus one above them: the gate variable whose Tseitin
+    definition the clause is part of, or 0 for learnt clauses and
+    clauses added without [~owner].  [watches.(l)] holds, in push
+    order, the clauses watching [lit_neg l].
+
+    {b Cone-restricted solves.}  [solve ~cone] decides only the cone
+    variables, a set the caller closes under gate inputs (the
+    bit-blaster walks its fan-in table).  Above level 0, [propagate]
+    leaves a clause whose owner is outside the cone inert (it keeps its
+    watch and does nothing else); level-0 propagation stays complete,
+    and learnt and owner-less clauses are always active.  The order
+    heap holds only unassigned cone variables, so the answer is Sat
+    once every cone variable is assigned without a conflict: every
+    gate being a full definition of its inputs, the gates outside the
+    cone extend that assignment to a model of the whole CNF.  Without
+    [~cone] every variable is in the cone and the search is the plain
+    one.
+
+    The trajectory tests in [test_smt.ml] pin the search (counts,
+    verdicts, models): layout changes must keep them, heuristic changes
+    (blockers, clause deletion, minimisation) move them. *)
 
 type result = Sat | Unsat | Unknown
 
@@ -42,6 +59,11 @@ type t = {
   mutable heap : int array;
   mutable heap_n : int;
   mutable heap_pos : int array;   (* var -> heap index, -1 if absent *)
+  mutable heap_full : bool;       (* the heap holds every unassigned var *)
+  (* the cone of the running solve; [cone = false] means every var *)
+  mutable cone : bool;
+  mutable in_cone : int array;    (* var -> [cone_stamp] when in the cone *)
+  mutable cone_stamp : int;
 }
 
 let lit_var l = l lsr 1
@@ -75,7 +97,11 @@ let create () =
     propagations = 0;
     heap = Array.make 8 0;
     heap_n = 0;
-    heap_pos = Array.make 8 (-1) }
+    heap_pos = Array.make 8 (-1);
+    heap_full = true;
+    cone = false;
+    in_cone = Array.make 8 0;
+    cone_stamp = 0 }
 
 (* [arr] with room for [n] cells, doubling; new cells hold [def] *)
 let grow arr n def =
@@ -151,6 +177,24 @@ let heap_pop t =
   end;
   v
 
+(* [v] may be decided: any var, or in a cone solve only a cone var *)
+let decidable t v = (not t.cone) || t.in_cone.(v) = t.cone_stamp
+
+(* replace the heap's contents by the unassigned [decidable] variables in
+   [lo .. hi], in index order (as [new_var] inserts them), heapified in
+   O(hi - lo) *)
+let heap_rebuild t lo hi =
+  for i = 0 to t.heap_n - 1 do t.heap_pos.(t.heap.(i)) <- -1 done;
+  t.heap_n <- 0;
+  for v = lo to hi do
+    if decidable t v && t.value.(mk_lit v true) < 0 then begin
+      t.heap.(t.heap_n) <- v;
+      t.heap_pos.(v) <- t.heap_n;
+      t.heap_n <- t.heap_n + 1
+    end
+  done;
+  for i = (t.heap_n / 2) - 1 downto 0 do heap_down t i done
+
 let new_var t =
   let v = t.nvars in
   t.nvars <- v + 1;
@@ -175,19 +219,27 @@ let watch t l c =
   t.watches.(l).(n) <- c;
   t.watch_n.(l) <- n + 1
 
+(* clause header: size in the low bits, owner + 1 above them *)
+let owner_shift = 31
+let size_mask = (1 lsl owner_shift) - 1
+
 (* copy [lits] into the arena and watch its first two literals *)
-let new_clause t lits =
+let new_clause ?(owner = -1) t lits =
   let c = t.arena_n in
   let n = List.length lits in
   t.arena <- grow t.arena (c + n + 1) 0;
-  t.arena.(c) <- n;
+  t.arena.(c) <- n lor ((owner + 1) lsl owner_shift);
   List.iteri (fun i l -> t.arena.(c + 1 + i) <- l) lits;
   t.arena_n <- c + n + 1;
   watch t (lit_neg t.arena.(c + 1)) c;
   watch t (lit_neg t.arena.(c + 2)) c;
   c
 
-let add_clause t lits =
+(** Add a problem clause.  [owner] names the gate variable whose
+    Tseitin definition the clause belongs to: a cone-restricted
+    [solve] leaves it inert above level 0 while [owner] is outside the
+    cone.  Without [owner] the clause is always active. *)
+let add_clause ?owner t lits =
   if t.ok then begin
     (* simplify: drop duplicate/false literals, detect tautology *)
     let lits = List.sort_uniq compare lits in
@@ -208,14 +260,20 @@ let add_clause t lits =
           if t.value.(l) = 0 then t.ok <- false
           else if t.value.(l) < 0 then enqueue t l (-1)
         | _ ->
-          ignore (new_clause t lits);
+          ignore (new_clause ?owner t lits);
           t.nclauses <- t.nclauses + 1
     end
   end
 
+(* a clause [header] whose owner gate is outside the running cone *)
+let outside_cone t header =
+  let o = header lsr owner_shift in
+  o > 0 && t.in_cone.(o - 1) <> t.cone_stamp
+
 (* Propagate all queued assignments; return the conflicting clause, or
    -1.  A literal's watchers are visited newest first and pushed back
-   (kept, left behind by a conflict) in the order they are met. *)
+   (kept, left behind by a conflict, or inert outside the cone) in the
+   order they are met. *)
 let propagate t =
   let conflict = ref (-1) in
   while !conflict < 0 && t.prop_head < t.trail_n do
@@ -233,35 +291,39 @@ let propagate t =
       let c = ws.(!i) in
       decr i;
       let a = t.arena in
-      (* make sure the false literal is at position 1 *)
-      if a.(c + 1) = false_lit then begin
-        a.(c + 1) <- a.(c + 2);
-        a.(c + 2) <- false_lit
-      end;
-      let first = a.(c + 1) in
-      if t.value.(first) = 1 then watch t l c (* satisfied: keep watching *)
+      if t.cone && t.levels > 0 && outside_cone t a.(c) then
+        watch t l c (* a gate outside the cone: inert *)
       else begin
-        (* look for a new watch *)
-        let stop = c + 1 + a.(c) in
-        let k = ref (c + 3) in
-        while !k < stop && t.value.(a.(!k)) = 0 do incr k done;
-        if !k < stop then begin
-          a.(c + 2) <- a.(!k);
-          a.(!k) <- false_lit;
-          watch t (lit_neg a.(c + 2)) c
-        end
+        (* make sure the false literal is at position 1 *)
+        if a.(c + 1) = false_lit then begin
+          a.(c + 1) <- a.(c + 2);
+          a.(c + 2) <- false_lit
+        end;
+        let first = a.(c + 1) in
+        if t.value.(first) = 1 then watch t l c (* satisfied: keep watching *)
         else begin
-          (* unit or conflict *)
-          watch t l c;
-          if t.value.(first) = 0 then begin
-            conflict := c;
-            (* put the remaining watchers back *)
-            while !i >= 0 do
-              watch t l ws.(!i);
-              decr i
-            done
+          (* look for a new watch *)
+          let stop = c + 1 + (a.(c) land size_mask) in
+          let k = ref (c + 3) in
+          while !k < stop && t.value.(a.(!k)) = 0 do incr k done;
+          if !k < stop then begin
+            a.(c + 2) <- a.(!k);
+            a.(!k) <- false_lit;
+            watch t (lit_neg a.(c + 2)) c
           end
-          else enqueue t first c
+          else begin
+            (* unit or conflict *)
+            watch t l c;
+            if t.value.(first) = 0 then begin
+              conflict := c;
+              (* put the remaining watchers back *)
+              while !i >= 0 do
+                watch t l ws.(!i);
+                decr i
+              done
+            end
+            else enqueue t first c
+          end
         end
       end
     done
@@ -288,7 +350,7 @@ let analyze t confl =
   let counter = ref 0 and p = ref (-1) and index = ref (t.trail_n - 1) in
   let rec resolve c =
     if c >= 0 then
-      for k = c + 1 to c + t.arena.(c) do
+      for k = c + 1 to c + (t.arena.(c) land size_mask) do
         let q = t.arena.(k) in
         let v = lit_var q in
         if (not t.seen.(v)) && t.level.(v) > 0 && q <> !p then begin
@@ -323,7 +385,7 @@ let cancel_until t lvl =
       t.value.(l) <- -1;
       t.value.(lit_neg l) <- -1;
       t.reason.(lit_var l) <- -1;
-      heap_insert t (lit_var l)
+      if decidable t (lit_var l) then heap_insert t (lit_var l)
     done;
     t.trail_n <- target;
     t.prop_head <- target;
@@ -346,10 +408,44 @@ let restart_interval n = int_of_float (100.0 *. (1.5 ** float_of_int n))
     previous SAT answer must not leak into clause simplification. *)
 let reset_to_root t = cancel_until t 0
 
-let solve ?(conflict_budget = max_int) ?meter ?(assumptions = []) t : result =
+(* back to the root with the order heap holding exactly the unassigned
+   variables the solve may decide *)
+let start t cone =
+  match cone with
+  | None ->
+    t.cone <- false;
+    cancel_until t 0;
+    if not t.heap_full then begin
+      (* a cone solve left only its own variables in the heap *)
+      heap_rebuild t 0 (t.nvars - 1);
+      t.heap_full <- true
+    end
+  | Some (vars, n) ->
+    (* a fresh stamp with no variable yet: unwinding the previous
+       solve's trail re-inserts nothing *)
+    t.cone <- true;
+    t.cone_stamp <- t.cone_stamp + 1;
+    t.in_cone <- grow t.in_cone t.nvars 0;
+    cancel_until t 0;
+    let lo = ref max_int and hi = ref (-1) in
+    for i = 0 to n - 1 do
+      let v = vars.(i) in
+      t.in_cone.(v) <- t.cone_stamp;
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
+    done;
+    heap_rebuild t !lo !hi;
+    t.heap_full <- false
+
+(** Decide the clauses under [assumptions].  [cone = (vars, n)]
+    restricts the search to the [n] variables [vars.(0..n-1)], which
+    must hold every assumption variable and be closed under the inputs
+    of every gate in it (see the header). *)
+let solve ?(conflict_budget = max_int) ?meter ?(assumptions = []) ?cone t :
+  result =
   if not t.ok then Unsat
   else begin
-    cancel_until t 0;
+    start t cone;
     let result = ref Unknown in
     let restarts = ref 0 and restart_limit = ref (restart_interval 0) in
     let conflicts_here = ref 0 in

@@ -370,8 +370,8 @@ let check ?config t : outcome =
   (* wall-clock time on the spans' clock, not process CPU time; it
      counts also when a budget trip escapes the check *)
   let t0 = Telemetry.clock_us () in
-  Fun.protect ~finally:(fun () ->
-      Stats.add_wall t.stats ((Telemetry.clock_us () -. t0) /. 1e6))
+  let wall () = (Telemetry.clock_us () -. t0) /. 1e6 in
+  Fun.protect ~finally:(fun () -> Stats.add_wall t.stats (wall ()))
   @@ fun () ->
   Stats.record_query t.stats;
   let conflicts0 = t.stats.conflicts in
@@ -441,8 +441,8 @@ let check ?config t : outcome =
    | Unknown reason ->
      Stats.record_unknown t.stats;
      if reason = Budget then
-       Stats.record_unknown_budget
-         ~conflicts:(t.stats.conflicts - conflicts0));
+       Stats.record_unknown_budget t.stats
+         ~conflicts:(t.stats.conflicts - conflicts0) ~wall:(wall ()));
   result
 
 (** [set_assertions] followed by [check] — the engines' entry point.

@@ -20,6 +20,10 @@ type t = {
       (** budget-tripped checks decided by exhaustive enumeration *)
   mutable degraded_give_up : int;
       (** budget-tripped checks no ladder rung could decide *)
+  mutable unknown_budget : int;
+      (** checks that spent their conflict budget: [Unknown Budget] *)
+  mutable unknown_budget_conflicts : int;  (** the conflicts they spent *)
+  mutable unknown_budget_wall : float;  (** their wall-clock seconds *)
 }
 
 let create () =
@@ -35,7 +39,10 @@ let create () =
     wall_time = 0.0;
     degraded_resimplify = 0;
     degraded_enumerate = 0;
-    degraded_give_up = 0 }
+    degraded_give_up = 0;
+    unknown_budget = 0;
+    unknown_budget_conflicts = 0;
+    unknown_budget_wall = 0.0 }
 
 (** Independent copy (for snapshots of a live accumulator). *)
 let copy s =
@@ -51,7 +58,10 @@ let copy s =
     wall_time = s.wall_time;
     degraded_resimplify = s.degraded_resimplify;
     degraded_enumerate = s.degraded_enumerate;
-    degraded_give_up = s.degraded_give_up }
+    degraded_give_up = s.degraded_give_up;
+    unknown_budget = s.unknown_budget;
+    unknown_budget_conflicts = s.unknown_budget_conflicts;
+    unknown_budget_wall = s.unknown_budget_wall }
 
 (** Add [src] into [dst] (merging per-engine accumulators). *)
 let add ~into:dst src =
@@ -67,7 +77,11 @@ let add ~into:dst src =
   dst.wall_time <- dst.wall_time +. src.wall_time;
   dst.degraded_resimplify <- dst.degraded_resimplify + src.degraded_resimplify;
   dst.degraded_enumerate <- dst.degraded_enumerate + src.degraded_enumerate;
-  dst.degraded_give_up <- dst.degraded_give_up + src.degraded_give_up
+  dst.degraded_give_up <- dst.degraded_give_up + src.degraded_give_up;
+  dst.unknown_budget <- dst.unknown_budget + src.unknown_budget;
+  dst.unknown_budget_conflicts <-
+    dst.unknown_budget_conflicts + src.unknown_budget_conflicts;
+  dst.unknown_budget_wall <- dst.unknown_budget_wall +. src.unknown_budget_wall
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry registry mirrors                                          *)
@@ -123,16 +137,33 @@ let add_search s ~conflicts ~decisions ~propagations =
   Telemetry.Metrics.add m_decisions decisions;
   Telemetry.Metrics.add m_propagations propagations
 
-(* checks that came back [Unknown Budget], and the conflicts they
-   spent: solver time that bought no answer.  Registry only — no
-   engine grades off them. *)
+(* checks that came back [Unknown Budget], the conflicts they spent and
+   their wall time: solver time that bought no answer.  No engine
+   grades off them.  The wall time is a gauge, so it stays out of the
+   deterministic counters. *)
 let m_unknown_budget = Telemetry.Metrics.counter "smt.unknown_budget"
 let m_unknown_budget_conflicts =
   Telemetry.Metrics.counter "smt.unknown_budget_conflicts"
+let m_unknown_budget_wall = Telemetry.Metrics.gauge "smt.unknown_budget_wall_s"
 
-let record_unknown_budget ~conflicts =
+let record_unknown_budget s ~conflicts ~wall =
+  s.unknown_budget <- s.unknown_budget + 1;
+  s.unknown_budget_conflicts <- s.unknown_budget_conflicts + conflicts;
+  s.unknown_budget_wall <- s.unknown_budget_wall +. wall;
   Telemetry.Metrics.incr m_unknown_budget;
-  Telemetry.Metrics.add m_unknown_budget_conflicts conflicts
+  Telemetry.Metrics.add m_unknown_budget_conflicts conflicts;
+  Telemetry.Metrics.gauge_add m_unknown_budget_wall wall
+
+(* checks a session solved on a strict cone of its CNF (see {!Blast}),
+   the cone sizes and the session sizes they were cut from *)
+let m_cone_checks = Telemetry.Metrics.counter "smt.cone_checks"
+let m_cone_vars = Telemetry.Metrics.counter "smt.cone_vars"
+let m_session_vars = Telemetry.Metrics.counter "smt.session_vars"
+
+let record_cone ~cone_vars ~session_vars =
+  Telemetry.Metrics.incr m_cone_checks;
+  Telemetry.Metrics.add m_cone_vars cone_vars;
+  Telemetry.Metrics.add m_session_vars session_vars
 
 let add_wall s dt =
   s.wall_time <- s.wall_time +. dt;

@@ -282,6 +282,22 @@ let profiled_sample_and_codec () =
       Alcotest.(check string) "codec round trips" enc
         (Engines.Cellprof.encode s')
 
+(* a sidecar line written before budget-Unknown checks were recorded
+   still decodes, with both fields at 0 *)
+let profile_decodes_older_sidecar () =
+  let line =
+    "{\"key\":\"BAP/time_bomb\",\"grade\":\"OK\",\"stage\":null,\
+     \"cause\":null,\"attempts\":1,\"wall_us\":12.5,\"vm_steps\":3,\
+     \"lifted\":2,\"blasted\":1,\"conflicts\":0,\"cache_hits\":0,\
+     \"queries\":1,\"tainted\":0,\"phases\":{}}"
+  in
+  match Engines.Cellprof.decode line with
+  | None -> Alcotest.fail "older sample does not decode"
+  | Some s ->
+    Alcotest.(check int) "unknown_budget" 0 s.Engines.Cellprof.p_unknown_budget;
+    Alcotest.(check (float 0.0)) "unknown_budget_ms" 0.0
+      s.Engines.Cellprof.p_unknown_budget_ms
+
 let profile_sidecar_sequential () =
   let path = Filename.temp_file "obs_prof_seq" ".jsonl" in
   Sys.remove path;
@@ -402,6 +418,8 @@ let () =
       ("profile",
        [ Alcotest.test_case "profiled sample + codec" `Quick
            profiled_sample_and_codec;
+         Alcotest.test_case "older sidecar decodes" `Quick
+           profile_decodes_older_sidecar;
          Alcotest.test_case "sequential sidecar covers the grid" `Quick
            profile_sidecar_sequential;
          Alcotest.test_case "fleet shards merge to one sidecar" `Quick

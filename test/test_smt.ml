@@ -766,7 +766,14 @@ let session_budget_unknown () =
   Alcotest.(check int) "one budget unknown counted" (n0 + 1)
     (count "smt.unknown_budget");
   Alcotest.(check int) "its conflicts counted" (c0 + spent)
-    (count "smt.unknown_budget_conflicts")
+    (count "smt.unknown_budget_conflicts");
+  (* and so do the session's own stats, with its wall time *)
+  Alcotest.(check int) "stats: one budget unknown" 1 st.Stats.unknown_budget;
+  Alcotest.(check int) "stats: its conflicts" spent
+    st.Stats.unknown_budget_conflicts;
+  Alcotest.(check bool) "stats: its wall time" true
+    (st.Stats.unknown_budget_wall > 0.0
+     && st.Stats.unknown_budget_wall <= st.Stats.wall_time)
 
 (* exact accounting on a scripted session: every counter is predicted
    by the script, and cache hits must cost zero blasting/conflicts *)
@@ -914,6 +921,160 @@ let blast_adder_size () =
   Blast.assert_true b (Expr.eq (Expr.Binop (Add, v "x", v "y")) (v "z"));
   Alcotest.(check int) "CNF variables" 637 (Sat.num_vars b.Blast.sat)
 
+(* ---------------- cone-restricted checks ---------------- *)
+
+(* 2-4 constraints over the shared 6-bit variables a, b and c (with
+   ite, so mux gates and their third input are in play), blasted into
+   one session, then 3-8 checks of random subsets of them (bit masks) *)
+let gen_cone_session =
+  let open QCheck2.Gen in
+  let w = 6 in
+  let leaf =
+    oneof
+      [ map (fun v -> Expr.const_int ~width:w v) (int_bound 63);
+        map (fun n -> Expr.var ~width:w n) (oneofl [ "a"; "b"; "c" ]) ]
+  in
+  let rec term d =
+    if d = 0 then leaf
+    else
+      let sub = term (d - 1) in
+      oneof
+        [ leaf;
+          map3
+            (fun op x y -> Expr.Binop (op, x, y))
+            (oneofl [ Expr.Add; Sub; Mul; And; Or; Xor; Shl; Lshr; Udiv; Urem ])
+            sub sub;
+          map3 Expr.ite (cmp (d - 1)) sub sub ]
+  and cmp d =
+    map3
+      (fun op x y -> Expr.Cmp (op, x, y))
+      (oneofl [ Expr.Eq; Ult; Ule; Slt; Sle ])
+      (term d) (term d)
+  in
+  pair
+    (list_size (int_range 2 4) (cmp 2))
+    (list_size (int_range 3 8) (int_bound 15))
+
+let print_cone_session (cs, masks) =
+  Printf.sprintf "%s\nchecks %s" (Printer.smtlib_script cs)
+    (String.concat " " (List.map string_of_int masks))
+
+(* every answer of a session check, on a strict cone or not, agrees
+   with a one-shot solve of the same constraints (the plain full
+   search), and every Sat model satisfies them.  The first constraint
+   is asserted, so it is part of every check; the checks assume
+   subsets of the others. *)
+let cone_checks_agree_with_one_shot =
+  QCheck2.Test.make ~count:300 ~name:"cone checks agree with one-shot solves"
+    ~print:print_cone_session gen_cone_session
+    (fun (cs, masks) ->
+       let b = Blast.create () in
+       let root, rest = (List.hd cs, List.tl cs) in
+       let lits = List.map (Blast.lit_of b) rest in
+       Blast.assert_true b root;
+       List.for_all
+         (fun mask ->
+            let pick l = List.filteri (fun i _ -> (mask lsr i) land 1 = 1) l in
+            let checked = root :: pick rest in
+            Blast.reset b;
+            let answer = Blast.solve ~assumptions:(pick lits) b in
+            match answer, Solver.solve checked with
+            | Sat.Sat, Solver.Sat _ ->
+              let env = Eval.env_of_list (Blast.model b) in
+              List.for_all (Eval.satisfies env) checked
+            | Sat.Unsat, Solver.Unsat -> true
+            | _ -> false)
+         masks)
+
+(* an asserted root belongs to every check's cone: with x * y = 15
+   asserted, a check assuming only x = 3 must decide the multiplier
+   too.  The live z = 7 constraint keeps the cone strict. *)
+let cone_keeps_asserted_roots () =
+  let v n = Expr.var ~width:8 n and c k = Expr.const_int ~width:8 k in
+  let b = Blast.create () in
+  ignore (Blast.lit_of b (Expr.eq (v "z") (c 7)));
+  Blast.assert_true b (Expr.eq (Expr.Binop (Mul, v "x", v "y")) (c 15));
+  let x3 = Blast.lit_of b (Expr.eq (v "x") (c 3)) in
+  let cone_checks () = Telemetry.Metrics.counter_value "smt.cone_checks" in
+  let before = cone_checks () in
+  Blast.reset b;
+  (match Blast.solve ~assumptions:[ x3 ] b with
+   | Sat.Sat -> ()
+   | _ -> Alcotest.fail "x * y = 15 with x = 3 is satisfiable");
+  Alcotest.(check int) "solved on a strict cone" (before + 1) (cone_checks ());
+  let m = Blast.model b in
+  Alcotest.(check int64) "x" 3L (List.assoc "x" m);
+  Alcotest.(check int64) "y" 5L (List.assoc "y" m)
+
+(* level-0 propagation reaches every gate, in the cone or not: the
+   first check fixes x's bits at level 0 while the gate x0 AND x1 of
+   the earlier-blasted (x & (x >> 1)) = 0 is outside its cone.  Left
+   unpropagated, both watched literals of that gate's clause
+   (not x0, not x1, g) would stay false, and the second check could
+   set g false unseen and answer Sat. *)
+let cone_level0_reaches_all_gates () =
+  let v n = Expr.var ~width:8 n and c k = Expr.const_int ~width:8 k in
+  let b = Blast.create () in
+  let x = v "x" in
+  let zero_and =
+    Blast.lit_of b
+      (Expr.eq
+         (Expr.Binop (And, x, Expr.Binop (Lshr, x, c 1)))
+         (c 0))
+  in
+  let z1 = Blast.lit_of b (Expr.eq (v "z") (c 1)) in
+  Blast.assert_true b (Expr.eq x (c 3));
+  let check name assumptions expected =
+    Blast.reset b;
+    Alcotest.(check bool) name true (Blast.solve ~assumptions b = expected)
+  in
+  check "z = 1 beside x = 3" [ z1 ] Sat.Sat;
+  check "3 & (3 >> 1) <> 0" [ zero_and ] Sat.Unsat
+
+(* a check pays for its own cone only: after a 64-bit multiplication
+   check, an unrelated 8-bit check in the same session propagates and
+   decides the 8-bit circuit, not the multiplier it does not assert *)
+let pin_cone_check_cost () =
+  let x = Expr.var ~width:64 "x" and y = Expr.var ~width:64 "y" in
+  let s = Session.create () in
+  ignore
+    (Session.check_assertions s
+       [ Expr.eq (Expr.Binop (Mul, x, y)) (Expr.const 0x1234567L) ]);
+  let st = Session.stats s in
+  let p0 = st.Stats.propagations and d0 = st.Stats.decisions in
+  let u = Expr.var ~width:8 "u" in
+  (match
+     Session.check_assertions s
+       [ Expr.Cmp (Ult, Expr.const_int ~width:8 200, u) ]
+   with
+   | Session.Sat _ -> ()
+   | o -> Alcotest.failf "expected sat, got %s" (Solver.outcome_to_string o));
+  Alcotest.(check (pair int int)) "second check: propagations, decisions"
+    (18, 9)
+    (st.Stats.propagations - p0, st.Stats.decisions - d0)
+
+(* a one-shot solve covers its whole CNF, so it runs the plain search:
+   this trajectory is the one the solver had before cone checks *)
+let pin_one_shot_trajectory () =
+  let x = Expr.var ~width:16 "x" and y = Expr.var ~width:16 "y" in
+  let c k = Expr.const_int ~width:16 k in
+  let stats = Stats.create () in
+  let o =
+    Solver.solve ~stats
+      [ Expr.eq (Expr.Binop (Mul, x, y)) (c 0xec4b);
+        Expr.Cmp (Ult, c 1, x); Expr.Cmp (Ult, c 1, y);
+        Expr.Cmp (Ult, x, y) ]
+  in
+  let verdict =
+    match o with
+    | Solver.Sat _ -> "sat"
+    | Solver.Unsat -> "unsat"
+    | Solver.Unknown _ -> "unknown"
+  in
+  Alcotest.(check string) "verdict c d p" "sat c=22 d=256 p=3170"
+    (Printf.sprintf "%s c=%d d=%d p=%d" verdict stats.Stats.conflicts
+       stats.Stats.decisions stats.Stats.propagations)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ blast_agrees_with_eval; simplify_sound ]
 
@@ -931,6 +1092,15 @@ let () =
       ("blast",
        qcheck_tests
        @ [ Alcotest.test_case "adder CNF size" `Quick blast_adder_size ]);
+      ("cone",
+       [ QCheck_alcotest.to_alcotest cone_checks_agree_with_one_shot;
+         Alcotest.test_case "asserted roots in the cone" `Quick
+           cone_keeps_asserted_roots;
+         Alcotest.test_case "level-0 facts reach every gate" `Quick
+           cone_level0_reaches_all_gates;
+         Alcotest.test_case "pin cone check cost" `Quick pin_cone_check_cost;
+         Alcotest.test_case "pin one-shot trajectory" `Quick
+           pin_one_shot_trajectory ]);
       ("eval",
        [ QCheck_alcotest.to_alcotest eval_agrees_with_reference;
          Alcotest.test_case "unmemoised allocation" `Quick
