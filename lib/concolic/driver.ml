@@ -52,7 +52,6 @@ type verdict = {
   solver_unknowns : int;
   fp_constraints : bool;
   constraints_seen : int;
-  solver_stats : Smt.Stats.t;
 }
 
 let dedup_diags diags =
@@ -208,5 +207,4 @@ let explore ?(seed = "5") (config : config) (target : target) : verdict =
     diags = dedup_diags !diags;
     solver_unknowns = !unknowns;
     fp_constraints = !fp_seen;
-    constraints_seen = Hashtbl.length flipped;
-    solver_stats = stats }
+    constraints_seen = Hashtbl.length flipped }

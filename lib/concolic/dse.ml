@@ -123,7 +123,6 @@ type outcome = {
   symbolic_branches : int;
       (** forks on input-dependent conditions — zero means the input
           never reached a condition (the Es0 signature) *)
-  solver_stats : Smt.Stats.t;
 }
 
 let clone_sstate s =
@@ -776,5 +775,4 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
     budget_exhausted = !budget_hit;
     solver_unknowns = t.unknowns;
     fp_seen = t.fp_seen;
-    symbolic_branches = t.forks;
-    solver_stats = t.stats }
+    symbolic_branches = t.forks }

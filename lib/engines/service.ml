@@ -178,7 +178,7 @@ let queue_fingerprint () =
     [task_timeout] is the per-cell wall watchdog (0 disables);
     [breaker] quarantines a worker slot after that many consecutive
     deaths; [chaos_rate]/[chaos_seed] arm seeded IPC fault injection
-    on the pool pipes and client sockets (soak/bench only). *)
+    on the pool pipes and client sockets (soaks only). *)
 let serve ?(workers = 2) ?(max_queue = 10_000) ?queue_journal
     ?(force = false) ?task_timeout ?(respawns = 1) ?breaker
     ?(chaos_seed = 0xC0FFEEL) ?(chaos_rate = 0.) ?default_deadline ~socket ()

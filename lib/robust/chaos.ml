@@ -174,7 +174,7 @@ let fleet_point_name = function
       deterministic placement for unit tests ("corrupt the first
       reply, nothing else").
     - [Rate]: per-probe Bernoulli draw at the given rate over the
-      enabled points, from a seed-pure stream — the soak/bench mode,
+      enabled points, from a seed-pure stream — the soak mode,
       where fault {e placement} may vary with scheduling but the run
       is still reproducible for a fixed seed and message order. *)
 type fleet_mode =
@@ -277,7 +277,7 @@ let disk_point_of_name = function
 
 (** Same two firing disciplines as {!fleet_mode}: [Disk_arms] places
     faults at exact probe hits (unit tests), [Disk_rate] draws each
-    probe Bernoulli from a seed-pure per-point stream (soak/bench). *)
+    probe Bernoulli from a seed-pure per-point stream (soaks). *)
 type disk_mode =
   | Disk_arms of (disk_point * int) list
   | Disk_rate of { rate : float; points : disk_point list }

@@ -1,7 +1,7 @@
 (** Solver-side counters, accumulated per {!Session} (or shared across
     many one-shot sessions when the caller passes one accumulator in).
-    Every engine surfaces these on its outcome so the cost of solving
-    is measured, not guessed. *)
+    Every solver mutation also lands in the global [smt.*] telemetry
+    counters, so the cost of solving is measured, not guessed. *)
 
 type t = {
   mutable queries : int;        (** [check] calls, including cache hits *)
@@ -63,33 +63,13 @@ let copy s =
     unknown_budget_conflicts = s.unknown_budget_conflicts;
     unknown_budget_wall = s.unknown_budget_wall }
 
-(** Add [src] into [dst] (merging per-engine accumulators). *)
-let add ~into:dst src =
-  dst.queries <- dst.queries + src.queries;
-  dst.cache_hits <- dst.cache_hits + src.cache_hits;
-  dst.sat <- dst.sat + src.sat;
-  dst.unsat <- dst.unsat + src.unsat;
-  dst.unknown <- dst.unknown + src.unknown;
-  dst.blasted_nodes <- dst.blasted_nodes + src.blasted_nodes;
-  dst.conflicts <- dst.conflicts + src.conflicts;
-  dst.decisions <- dst.decisions + src.decisions;
-  dst.propagations <- dst.propagations + src.propagations;
-  dst.wall_time <- dst.wall_time +. src.wall_time;
-  dst.degraded_resimplify <- dst.degraded_resimplify + src.degraded_resimplify;
-  dst.degraded_enumerate <- dst.degraded_enumerate + src.degraded_enumerate;
-  dst.degraded_give_up <- dst.degraded_give_up + src.degraded_give_up;
-  dst.unknown_budget <- dst.unknown_budget + src.unknown_budget;
-  dst.unknown_budget_conflicts <-
-    dst.unknown_budget_conflicts + src.unknown_budget_conflicts;
-  dst.unknown_budget_wall <- dst.unknown_budget_wall +. src.unknown_budget_wall
-
 (* ------------------------------------------------------------------ *)
 (* Telemetry registry mirrors                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-session record stays authoritative (engines surface exact
-   per-outcome accounting off it); the helpers below additionally fold
-   each mutation into the global registry so one `smt.*` namespace
+(* The per-session record stays authoritative (engines read their own
+   session's degradation rungs off it); the helpers below additionally
+   fold each mutation into the global registry so one `smt.*` namespace
    aggregates solver work across every session in a run.  Sessions
    mutate stats only through these. *)
 
@@ -200,33 +180,3 @@ let degraded_rungs s =
     [ (s.degraded_resimplify, "resimplify");
       (s.degraded_enumerate, "enumerate");
       (s.degraded_give_up, "give_up") ]
-
-let degraded_total s =
-  s.degraded_resimplify + s.degraded_enumerate + s.degraded_give_up
-
-let to_string s =
-  let base =
-    Printf.sprintf
-      "queries=%d hits=%d sat=%d unsat=%d unknown=%d blasted=%d conflicts=%d \
-       decisions=%d propagations=%d wall=%.4fs"
-      s.queries s.cache_hits s.sat s.unsat s.unknown s.blasted_nodes
-      s.conflicts s.decisions s.propagations s.wall_time
-  in
-  if degraded_total s = 0 then base
-  else
-    Printf.sprintf "%s degraded=%d(resimplify=%d,enumerate=%d,give_up=%d)"
-      base (degraded_total s) s.degraded_resimplify s.degraded_enumerate
-      s.degraded_give_up
-
-(** The fields as JSON object members (no enclosing braces), for the
-    bench harness's machine-readable output. *)
-let to_json_fields s =
-  Printf.sprintf
-    "\"queries\": %d, \"cache_hits\": %d, \"sat\": %d, \"unsat\": %d, \
-     \"unknown\": %d, \"blasted_nodes\": %d, \"conflicts\": %d, \
-     \"decisions\": %d, \"propagations\": %d, \"solver_wall_s\": %.6f, \
-     \"degraded_resimplify\": %d, \"degraded_enumerate\": %d, \
-     \"degraded_give_up\": %d"
-    s.queries s.cache_hits s.sat s.unsat s.unknown s.blasted_nodes s.conflicts
-    s.decisions s.propagations s.wall_time s.degraded_resimplify
-    s.degraded_enumerate s.degraded_give_up

@@ -6,7 +6,8 @@
     Table II determinism across 1/2/4 workers (table and journal both
     byte-identical, replayable by the sequential resume path), orphaned
     worker shards replayed by either executor, and the [eval serve]
-    daemon round trip over a temp socket. *)
+    daemon over a temp socket: round trip, durable queue and load
+    shedding. *)
 
 open Concolic.Error
 
@@ -409,6 +410,19 @@ let temp_socket () =
   Sys.remove p;
   p
 
+(* wait up to 20 s for a freshly forked daemon to answer a ping *)
+let await_daemon socket =
+  let rec go tries =
+    if tries = 0 then Alcotest.fail "daemon never answered a ping"
+    else
+      match Engines.Service.ping ~socket () with
+      | Some _ -> ()
+      | None ->
+          ignore (Unix.select [] [] [] 0.05);
+          go (tries - 1)
+  in
+  go 400
+
 let stale_socket_detected () =
   let path = temp_socket () in
   (* a plain file where the socket should be: stale, not EADDRINUSE *)
@@ -449,17 +463,7 @@ let serve_round_trip () =
       (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
       if Sys.file_exists socket then Sys.remove socket)
   @@ fun () ->
-  (* wait for the daemon to come up *)
-  let rec await tries =
-    if tries = 0 then Alcotest.fail "daemon never answered a ping"
-    else
-      match Engines.Service.ping ~socket () with
-      | Some _ -> ()
-      | None ->
-          ignore (Unix.select [] [] [] 0.05);
-          await (tries - 1)
-  in
-  await 400;
+  await_daemon socket;
   let cells =
     [ (Engines.Profile.Bap, "time_bomb");
       (Engines.Profile.Triton, "stack_bomb");
@@ -793,6 +797,89 @@ let serve_queue_mismatch_refused () =
    | None, _, _ -> Alcotest.fail "--force must still open the journal");
   Sys.remove path
 
+(* overload: one worker held busy by a slow runner and a queue capped at
+   2, so a burst of submits overflows it.  The overflow must be shed
+   with a "queue full" rejection and a retry hint, and counted in both
+   the [stats] and the [metrics] reply *)
+let serve_sheds_when_queue_full () =
+  let socket = temp_socket () in
+  let max_queue = 2 and offered = 6 in
+  let shed0 = counter "serve.shed" in
+  let pid =
+    match Unix.fork () with
+    | 0 -> (
+        try
+          let pool =
+            Fleet.Pool.create
+              ~config:{ Fleet.Pool.default_config with workers = 1 }
+              (fun ~attempt:_ ~key:_ _ ->
+                 (* the client only counts final statuses *)
+                 Unix.sleepf 0.5;
+                 "{\"status\":\"done\"}")
+          in
+          Fleet.Serve.run
+            { (Fleet.Serve.default_config ~socket) with max_queue }
+            ~pool;
+          Unix._exit 0
+        with _ -> Unix._exit 1)
+    | pid -> pid
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      if Sys.file_exists socket then Sys.remove socket)
+  @@ fun () ->
+  await_daemon socket;
+  let lines = ref [] in
+  let failures =
+    Engines.Service.submit ~socket
+      ~on_line:(fun l -> lines := l :: !lines)
+      (List.init offered (fun i ->
+           Printf.sprintf "{\"op\":\"submit\",\"id\":\"shed%d\"}" i))
+  in
+  let open Telemetry.Trace_check in
+  let rejected =
+    List.filter_map
+      (fun l ->
+         if Engines.Service.status_of_line l = Some "rejected" then parse_opt l
+         else None)
+      !lines
+  in
+  let shed = List.length rejected in
+  (* at most one task runs and [max_queue] wait while the runner sleeps *)
+  Alcotest.(check bool) "the burst overflows the queue" true
+    (shed >= offered - (max_queue + 1));
+  Alcotest.(check int) "only shed requests fail" shed failures;
+  List.iter
+    (fun j ->
+       Alcotest.(check (option string)) "queue-full error"
+         (Some (Printf.sprintf "queue full (max %d)" max_queue))
+         (match member "error" j with Some (Str s) -> Some s | _ -> None);
+       match member "retry_after_s" j with
+       | Some (Num s) ->
+           Alcotest.(check bool) "retry hint of at least 1 s" true (s >= 1.)
+       | _ -> Alcotest.fail "a shed reply must carry retry_after_s")
+    rejected;
+  let num path j =
+    match List.fold_left (fun j k -> Option.bind j (member k)) j path with
+    | Some (Num n) -> int_of_float n
+    | _ -> Alcotest.failf "reply lacks %s" (String.concat "." path)
+  in
+  Alcotest.(check int) "stats counts the shed requests" shed
+    (num [ "shed" ]
+       (Option.bind
+          (Engines.Service.request ~socket "{\"op\":\"stats\"}")
+          parse_opt));
+  Alcotest.(check int) "metrics serve.shed went up by the shed requests"
+    (shed0 + shed)
+    (num [ "metrics"; "c"; "serve.shed" ]
+       (Option.bind (Engines.Service.metrics ~socket ()) parse_opt));
+  Engines.Service.drain ~socket ();
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not exit cleanly after the drain"
+
 (* kill the daemon after one graded request, warm-restart it from the
    queue journal, resubmit under the same idempotency key: the client
    gets the journaled response byte-for-byte and the journal holds
@@ -809,18 +896,6 @@ let serve_durable_exactly_once () =
           Unix._exit 0
         with _ -> Unix._exit 1)
     | pid -> pid
-  in
-  let await () =
-    let rec go tries =
-      if tries = 0 then Alcotest.fail "daemon never answered a ping"
-      else
-        match Engines.Service.ping ~socket () with
-        | Some _ -> ()
-        | None ->
-            ignore (Unix.select [] [] [] 0.05);
-            go (tries - 1)
-    in
-    go 400
   in
   let request =
     Engines.Service.encode_request ~id:"once/Bap/time_bomb"
@@ -852,7 +927,7 @@ let serve_durable_exactly_once () =
       if Sys.file_exists socket then Sys.remove socket;
       if Sys.file_exists queue then Sys.remove queue)
   @@ fun () ->
-  await ();
+  await_daemon socket;
   let resp1 = submit_one () in
   (* SIGKILL: no drain, no cleanup — the journal is all that survives *)
   Unix.kill pid Sys.sigkill;
@@ -863,7 +938,7 @@ let serve_durable_exactly_once () =
      fun () ->
        (try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ());
        (try ignore (Unix.waitpid [] pid2) with Unix.Unix_error _ -> ()));
-  await ();
+  await_daemon socket;
   let resp2 = submit_one () in
   Alcotest.(check string)
     "resubmission answered verbatim from the journal, not re-graded"
@@ -943,5 +1018,7 @@ let () =
          Alcotest.test_case "daemon round trip" `Quick serve_round_trip;
          Alcotest.test_case "queue fingerprint mismatch refused" `Quick
            serve_queue_mismatch_refused;
+         Alcotest.test_case "full queue sheds with a retry hint" `Quick
+           serve_sheds_when_queue_full;
          Alcotest.test_case "crash + warm restart = exactly once" `Quick
            serve_durable_exactly_once ]) ]
