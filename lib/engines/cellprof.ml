@@ -9,8 +9,8 @@
     cumulative), so profiles compose with journaling, the fleet (each
     worker appends to its own shard; {!merge_shards} folds them) and
     the supervisor's retries without touching {!Supervisor.outcome}.
-    With [phases:false] nothing is reset or enabled, so profiling can
-    ride along even where span tracing must stay off. *)
+    With [phases:false] tracing is not enabled, so profiling can ride
+    along even where span tracing must stay off. *)
 
 open Concolic.Error
 
@@ -42,28 +42,22 @@ let phase_names =
   [ "cell"; "trace.record"; "vm.run"; "taint.analyze"; "concolic.driver";
     "concolic.trace_exec"; "concolic.dse"; "smt.check" ]
 
-(* counter-name, field-extractor pairs drive both capture and codec *)
-let counters =
-  [ "vm.steps"; "lifter.insns_lifted"; "smt.blasted_nodes"; "smt.conflicts";
-    "smt.cache_hits"; "smt.queries"; Taint.metric_tainted_insns;
-    "smt.unknown_budget" ]
-
-let unknown_budget_wall () =
-  Telemetry.Metrics.gauge_value_of "smt.unknown_budget_wall_s"
-
 (** Run [run] under the profiler.  Deltas of the deterministic engine
     counters across the call; with [phases] additionally records span
-    tracing for the call's duration (resetting recorded spans, and
-    restoring the previous enablement after). *)
+    tracing for the call's duration and sums only the spans finished
+    during it, so spans recorded before (a sequential [--fleet-trace]
+    run's) are kept.  Enablement is restored after, and spans recorded
+    only because this call switched tracing on are dropped. *)
 let profiled ?(phases = false) ~key (run : unit -> Supervisor.outcome) :
   Supervisor.outcome * sample =
-  let before = List.map Telemetry.Metrics.counter_value counters in
-  let unknown_wall0 = unknown_budget_wall () in
+  let base = Telemetry.Snapshot.capture () in
+  let unknown_wall () =
+    Telemetry.Metrics.gauge_value_of "smt.unknown_budget_wall_s"
+  in
+  let unknown_wall0 = unknown_wall () in
   let was = Telemetry.is_enabled () in
-  if phases then begin
-    Telemetry.reset ();
-    Telemetry.enable ()
-  end;
+  let mark = Telemetry.watermark () in
+  if phases then Telemetry.enable ();
   let t0 = Unix.gettimeofday () in
   let o = run () in
   let wall_us = (Unix.gettimeofday () -. t0) *. 1e6 in
@@ -78,14 +72,18 @@ let profiled ?(phases = false) ~key (run : unit -> Supervisor.outcome) :
              Hashtbl.replace tbl name
                (Telemetry.duration_us s
                 +. (try Hashtbl.find tbl name with Not_found -> 0.)))
-        (Telemetry.finished_spans ());
+        (Telemetry.spans_since mark);
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
       |> List.sort compare
     end
   in
-  if phases && not was then Telemetry.disable ();
-  let after = List.map Telemetry.Metrics.counter_value counters in
-  let delta i = List.nth after i - List.nth before i in
+  if phases && not was then begin
+    Telemetry.disable ();
+    Telemetry.drop_since mark
+  end;
+  let delta n =
+    Telemetry.Metrics.counter_value n - Telemetry.Snapshot.find_counter base n
+  in
   let sample =
     { p_key = key;
       p_grade = cell_symbol o.Supervisor.graded.Grade.cell;
@@ -93,15 +91,15 @@ let profiled ?(phases = false) ~key (run : unit -> Supervisor.outcome) :
       p_cause = Option.map Supervisor.cause_name o.Supervisor.cause;
       p_attempts = o.Supervisor.attempts;
       p_wall_us = wall_us;
-      p_vm_steps = delta 0;
-      p_lifted = delta 1;
-      p_blasted = delta 2;
-      p_conflicts = delta 3;
-      p_cache_hits = delta 4;
-      p_queries = delta 5;
-      p_tainted = delta 6;
-      p_unknown_budget = delta 7;
-      p_unknown_budget_ms = 1000. *. (unknown_budget_wall () -. unknown_wall0);
+      p_vm_steps = delta "vm.steps";
+      p_lifted = delta "lifter.insns_lifted";
+      p_blasted = delta "smt.blasted_nodes";
+      p_conflicts = delta "smt.conflicts";
+      p_cache_hits = delta "smt.cache_hits";
+      p_queries = delta "smt.queries";
+      p_tainted = delta Taint.metric_tainted_insns;
+      p_unknown_budget = delta "smt.unknown_budget";
+      p_unknown_budget_ms = 1000. *. (unknown_wall () -. unknown_wall0);
       p_phases }
   in
   (o, sample)

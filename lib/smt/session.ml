@@ -1,6 +1,6 @@
 (** Stateful solver sessions: a push/pop assertion stack over one
     long-lived bit-blaster and CDCL instance, with hash-consed terms,
-    a query cache, and per-session {!Stats}.
+    a query cache, and a {!Stats.t} of degraded-ladder rungs.
 
     The paper's Table II engines issue thousands of near-identical
     feasibility queries — each branch negation shares the entire
@@ -328,14 +328,13 @@ let solve_uncached t (cfg : config) (cs_i : interned list) : outcome =
         with
         | exception Blast.Unsupported_fp -> Unknown Fp_unsupported
         | assumptions -> (
-            Stats.add_blasted t.stats (Blast.num_nodes t.blast - nodes_before);
+            Stats.add_blasted (Blast.num_nodes t.blast - nodes_before);
             let sat = t.blast.Blast.sat in
             let c0 = Sat.num_conflicts sat and d0 = Sat.num_decisions sat
             and p0 = Sat.num_propagations sat in
             (* account the search also when a budget trip unwinds it *)
             let account () =
-              Stats.add_search t.stats
-                ~conflicts:(Sat.num_conflicts sat - c0)
+              Stats.add_search ~conflicts:(Sat.num_conflicts sat - c0)
                 ~decisions:(Sat.num_decisions sat - d0)
                 ~propagations:(Sat.num_propagations sat - p0)
             in
@@ -371,10 +370,10 @@ let check ?config t : outcome =
      counts also when a budget trip escapes the check *)
   let t0 = Telemetry.clock_us () in
   let wall () = (Telemetry.clock_us () -. t0) /. 1e6 in
-  Fun.protect ~finally:(fun () -> Stats.add_wall t.stats (wall ()))
+  Fun.protect ~finally:(fun () -> Stats.add_wall (wall ()))
   @@ fun () ->
-  Stats.record_query t.stats;
-  let conflicts0 = t.stats.conflicts in
+  Stats.record_query ();
+  let conflicts0 = Sat.num_conflicts t.blast.Blast.sat in
   let cs_i = asserted t in
   let result =
     if List.exists (fun (i : interned) -> Expr.is_false i.node) cs_i then Unsat
@@ -399,7 +398,7 @@ let check ?config t : outcome =
         in
         match cached with
         | Some r ->
-          Stats.record_cache_hit t.stats;
+          Stats.record_cache_hit ();
           r
         | None ->
           let r =
@@ -436,13 +435,14 @@ let check ?config t : outcome =
     end
   in
   (match result with
-   | Sat _ -> Stats.record_sat t.stats
-   | Unsat -> Stats.record_unsat t.stats
+   | Sat _ -> Stats.record_sat ()
+   | Unsat -> Stats.record_unsat ()
    | Unknown reason ->
-     Stats.record_unknown t.stats;
+     Stats.record_unknown ();
      if reason = Budget then
-       Stats.record_unknown_budget t.stats
-         ~conflicts:(t.stats.conflicts - conflicts0) ~wall:(wall ()));
+       Stats.record_unknown_budget
+         ~conflicts:(Sat.num_conflicts t.blast.Blast.sat - conflicts0)
+         ~wall:(wall ()));
   result
 
 (** [set_assertions] followed by [check] — the engines' entry point.

@@ -44,7 +44,7 @@ let all_vars = Expr.vars_of_list
 
 (** Solve the conjunction of [constraints].  A returned model is
     validated by concrete evaluation before being reported.  [stats],
-    when given, accumulates query counters across calls. *)
+    when given, accumulates the degraded-ladder rungs across calls. *)
 let solve ?(config = default_config) ?stats (constraints : Expr.t list) :
   outcome =
   Session.check_assertions (Session.create ~config ?stats ()) constraints

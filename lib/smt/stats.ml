@@ -1,135 +1,56 @@
-(** Solver-side counters, accumulated per {!Session} (or shared across
-    many one-shot sessions when the caller passes one accumulator in).
-    Every solver mutation also lands in the global [smt.*] telemetry
-    counters, so the cost of solving is measured, not guessed. *)
+(** Solver-work accounting.  The [smt.*] and [solver.degraded*]
+    counters of {!Telemetry.Metrics} are the only count of solver work
+    ([eval profile], the perf ledger and [--metrics-out] read them);
+    each helper below declares its counters and does one registry
+    update.  {!t} is only the degraded-rung accumulator engines grade
+    from: one per {!Session}, or one shared by a cell's one-shot
+    {!Solver.solve} calls. *)
 
 type t = {
-  mutable queries : int;        (** [check] calls, including cache hits *)
-  mutable cache_hits : int;     (** answered from the session query cache *)
-  mutable sat : int;
-  mutable unsat : int;
-  mutable unknown : int;
-  mutable blasted_nodes : int;  (** term nodes newly encoded to CNF *)
-  mutable conflicts : int;      (** CDCL conflicts spent in [check] *)
-  mutable decisions : int;      (** CDCL decision levels opened in [check] *)
-  mutable propagations : int;   (** CDCL trail literals propagated in [check] *)
-  mutable wall_time : float;    (** wall-clock seconds inside [check] *)
-  mutable degraded_resimplify : int;
-      (** budget-tripped checks decided by the resimplify rung *)
-  mutable degraded_enumerate : int;
-      (** budget-tripped checks decided by exhaustive enumeration *)
-  mutable degraded_give_up : int;
-      (** budget-tripped checks no ladder rung could decide *)
-  mutable unknown_budget : int;
-      (** checks that spent their conflict budget: [Unknown Budget] *)
-  mutable unknown_budget_conflicts : int;  (** the conflicts they spent *)
-  mutable unknown_budget_wall : float;  (** their wall-clock seconds *)
+  mutable degraded_resimplify : int;  (** decided by the resimplify rung *)
+  mutable degraded_enumerate : int;  (** decided by exhaustive enumeration *)
+  mutable degraded_give_up : int;  (** no ladder rung could decide *)
 }
 
 let create () =
-  { queries = 0;
-    cache_hits = 0;
-    sat = 0;
-    unsat = 0;
-    unknown = 0;
-    blasted_nodes = 0;
-    conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    wall_time = 0.0;
-    degraded_resimplify = 0;
-    degraded_enumerate = 0;
-    degraded_give_up = 0;
-    unknown_budget = 0;
-    unknown_budget_conflicts = 0;
-    unknown_budget_wall = 0.0 }
-
-(** Independent copy (for snapshots of a live accumulator). *)
-let copy s =
-  { queries = s.queries;
-    cache_hits = s.cache_hits;
-    sat = s.sat;
-    unsat = s.unsat;
-    unknown = s.unknown;
-    blasted_nodes = s.blasted_nodes;
-    conflicts = s.conflicts;
-    decisions = s.decisions;
-    propagations = s.propagations;
-    wall_time = s.wall_time;
-    degraded_resimplify = s.degraded_resimplify;
-    degraded_enumerate = s.degraded_enumerate;
-    degraded_give_up = s.degraded_give_up;
-    unknown_budget = s.unknown_budget;
-    unknown_budget_conflicts = s.unknown_budget_conflicts;
-    unknown_budget_wall = s.unknown_budget_wall }
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry registry mirrors                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The per-session record stays authoritative (engines read their own
-   session's degradation rungs off it); the helpers below additionally
-   fold each mutation into the global registry so one `smt.*` namespace
-   aggregates solver work across every session in a run.  Sessions
-   mutate stats only through these. *)
+  { degraded_resimplify = 0; degraded_enumerate = 0; degraded_give_up = 0 }
 
 let m_queries = Telemetry.Metrics.counter "smt.queries"
 let m_cache_hits = Telemetry.Metrics.counter "smt.cache_hits"
 let m_sat = Telemetry.Metrics.counter "smt.sat"
 let m_unsat = Telemetry.Metrics.counter "smt.unsat"
 let m_unknown = Telemetry.Metrics.counter "smt.unknown"
+let record_query () = Telemetry.Metrics.incr m_queries
+let record_cache_hit () = Telemetry.Metrics.incr m_cache_hits
+let record_sat () = Telemetry.Metrics.incr m_sat
+let record_unsat () = Telemetry.Metrics.incr m_unsat
+let record_unknown () = Telemetry.Metrics.incr m_unknown
+
+(* term nodes newly encoded to CNF, and one CDCL search's deltas *)
 let m_blasted = Telemetry.Metrics.counter "smt.blasted_nodes"
 let m_conflicts = Telemetry.Metrics.counter "smt.conflicts"
 let m_decisions = Telemetry.Metrics.counter "smt.decisions"
 let m_propagations = Telemetry.Metrics.counter "smt.propagations"
-let m_wall = Telemetry.Metrics.gauge "smt.wall_s"
+let add_blasted n = Telemetry.Metrics.add m_blasted n
 
-let record_query s =
-  s.queries <- s.queries + 1;
-  Telemetry.Metrics.incr m_queries
-
-let record_cache_hit s =
-  s.cache_hits <- s.cache_hits + 1;
-  Telemetry.Metrics.incr m_cache_hits
-
-let record_sat s =
-  s.sat <- s.sat + 1;
-  Telemetry.Metrics.incr m_sat
-
-let record_unsat s =
-  s.unsat <- s.unsat + 1;
-  Telemetry.Metrics.incr m_unsat
-
-let record_unknown s =
-  s.unknown <- s.unknown + 1;
-  Telemetry.Metrics.incr m_unknown
-
-let add_blasted s n =
-  s.blasted_nodes <- s.blasted_nodes + n;
-  Telemetry.Metrics.add m_blasted n
-
-(** Fold one CDCL search's counter deltas in. *)
-let add_search s ~conflicts ~decisions ~propagations =
-  s.conflicts <- s.conflicts + conflicts;
-  s.decisions <- s.decisions + decisions;
-  s.propagations <- s.propagations + propagations;
+let add_search ~conflicts ~decisions ~propagations =
   Telemetry.Metrics.add m_conflicts conflicts;
   Telemetry.Metrics.add m_decisions decisions;
   Telemetry.Metrics.add m_propagations propagations
 
+(* wall-clock seconds inside [check]: a gauge, so it stays out of the
+   deterministic counters *)
+let m_wall = Telemetry.Metrics.gauge "smt.wall_s"
+let add_wall dt = Telemetry.Metrics.gauge_add m_wall dt
+
 (* checks that came back [Unknown Budget], the conflicts they spent and
-   their wall time: solver time that bought no answer.  No engine
-   grades off them.  The wall time is a gauge, so it stays out of the
-   deterministic counters. *)
+   their wall time: solver time that bought no answer *)
 let m_unknown_budget = Telemetry.Metrics.counter "smt.unknown_budget"
 let m_unknown_budget_conflicts =
   Telemetry.Metrics.counter "smt.unknown_budget_conflicts"
 let m_unknown_budget_wall = Telemetry.Metrics.gauge "smt.unknown_budget_wall_s"
 
-let record_unknown_budget s ~conflicts ~wall =
-  s.unknown_budget <- s.unknown_budget + 1;
-  s.unknown_budget_conflicts <- s.unknown_budget_conflicts + conflicts;
-  s.unknown_budget_wall <- s.unknown_budget_wall +. wall;
+let record_unknown_budget ~conflicts ~wall =
   Telemetry.Metrics.incr m_unknown_budget;
   Telemetry.Metrics.add m_unknown_budget_conflicts conflicts;
   Telemetry.Metrics.gauge_add m_unknown_budget_wall wall
@@ -145,31 +66,27 @@ let record_cone ~cone_vars ~session_vars =
   Telemetry.Metrics.add m_cone_vars cone_vars;
   Telemetry.Metrics.add m_session_vars session_vars
 
-let add_wall s dt =
-  s.wall_time <- s.wall_time +. dt;
-  Telemetry.Metrics.gauge_add m_wall dt
-
 (* degradation-ladder outcomes: one total plus a per-rung breakdown,
    keyed by the rung names {!Degrade.rung_name} reports *)
 let m_degraded = Telemetry.Metrics.counter "solver.degraded"
-let m_degraded_resimplify = Telemetry.Metrics.counter "solver.degraded.resimplify"
-let m_degraded_enumerate = Telemetry.Metrics.counter "solver.degraded.enumerate"
-let m_degraded_give_up = Telemetry.Metrics.counter "solver.degraded.give_up"
+let m_resimplify = Telemetry.Metrics.counter "solver.degraded.resimplify"
+let m_enumerate = Telemetry.Metrics.counter "solver.degraded.enumerate"
+let m_give_up = Telemetry.Metrics.counter "solver.degraded.give_up"
 
 (** Record a budget-tripped check resolved (or abandoned) by the
-    degradation-ladder rung named [rung]. *)
+    ladder rung named [rung], in the registry and in [s]. *)
 let record_degraded s rung =
   Telemetry.Metrics.incr m_degraded;
   match rung with
   | "resimplify" ->
     s.degraded_resimplify <- s.degraded_resimplify + 1;
-    Telemetry.Metrics.incr m_degraded_resimplify
+    Telemetry.Metrics.incr m_resimplify
   | "enumerate" ->
     s.degraded_enumerate <- s.degraded_enumerate + 1;
-    Telemetry.Metrics.incr m_degraded_enumerate
+    Telemetry.Metrics.incr m_enumerate
   | _ ->
     s.degraded_give_up <- s.degraded_give_up + 1;
-    Telemetry.Metrics.incr m_degraded_give_up
+    Telemetry.Metrics.incr m_give_up
 
 (** Rung names with a nonzero degraded count, shallowest first
     (resimplify < enumerate < give_up) — callers that want "the rung

@@ -60,6 +60,19 @@ let reset () =
 let finished_spans () =
   List.sort (fun a b -> compare a.id b.id) !spans
 
+(** A watermark in the finished spans: {!spans_since} lists the spans
+    finished after it was taken, {!drop_since} forgets them. *)
+let watermark () = !spans
+
+let spans_since mark =
+  let rec go acc l =
+    if l == mark then acc
+    else match l with s :: rest -> go (s :: acc) rest | [] -> acc
+  in
+  go [] !spans
+
+let drop_since mark = spans := mark
+
 (** Attach a key/value attribute to the innermost open span; no-op
     when tracing is disabled or no span is open. *)
 let annotate key value =

@@ -257,7 +257,7 @@ let dse_witness_checks_unchecked_constraints () =
   let st = s.Concolic.Dse.st in
   let x = E.var ~width:8 "argv1_0" and c v = E.const ~width:8 v in
   let add ?kind e = Concolic.State.add_constraint st ?kind ~pc:0L ~taken:true e in
-  let queries () = t.Concolic.Dse.stats.Smt.Stats.queries in
+  let queries () = Telemetry.Metrics.counter_value "smt.queries" in
   add (E.Cmp (Ult, c 5L, x));
   Alcotest.(check bool) "x > 5 feasible" true (Concolic.Dse.feasible t s);
   Alcotest.(check bool) "its model is the witness" true (s.witness <> None);

@@ -298,14 +298,39 @@ let profile_decodes_older_sidecar () =
     Alcotest.(check (float 0.0)) "unknown_budget_ms" 0.0
       s.Engines.Cellprof.p_unknown_budget_ms
 
+(* profiling a sequential run leaves its --fleet-trace spans alone:
+   the Chrome trace holds one cell span per grid cell *)
 let profile_sidecar_sequential () =
   let path = Filename.temp_file "obs_prof_seq" ".jsonl" in
+  let spans_out = Filename.temp_file "obs_prof_seq" ".json" in
   Sys.remove path;
+  let was = Telemetry.is_enabled () in
   let _ =
-    Engines.Eval.run_table2 ~tools:det_tools ~bombs:det_bombs ~profile:path ()
+    Engines.Eval.run_table2 ~tools:det_tools ~bombs:det_bombs ~profile:path
+      ~spans_out ()
   in
+  if not was then Telemetry.disable ();
   let samples = Engines.Cellprof.load path in
   Sys.remove path;
+  (match Telemetry.Trace_check.validate_chrome_file spans_out with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "sequential trace invalid: %s" e);
+  let open Telemetry.Trace_check in
+  let cell_spans =
+    match member "traceEvents" (parse (read_file spans_out)) with
+    | Some (Arr evs) ->
+      List.length
+        (List.filter
+           (fun ev ->
+              member "name" ev = Some (Str "cell")
+              && member "ph" ev = Some (Str "B"))
+           evs)
+    | _ -> 0
+  in
+  Sys.remove spans_out;
+  Alcotest.(check int) "one cell span per grid cell"
+    (List.length det_tools * List.length det_bombs)
+    cell_spans;
   let keys =
     List.sort compare
       (List.map (fun s -> s.Engines.Cellprof.p_key) samples)

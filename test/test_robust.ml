@@ -357,19 +357,16 @@ let soak_contains_every_fault () =
    any query that needs actual search degrades; [y*y = 225] is sat
    (y = 15) but forces search, [y*y = 2] is unsat (2 is not a square
    mod 256) and forces search to prove it *)
-let conflict_capped_session ?config () =
-  let meter =
-    Robust.Meter.create
-      { Robust.Budget.unlimited with solver_conflicts = Some 0 }
-  in
-  Smt.Session.create ~meter ?config ()
+let zero_conflict_meter () =
+  Robust.Meter.create
+    { Robust.Budget.unlimited with solver_conflicts = Some 0 }
 
-(* the conflict that trips the cap was spent: the session stats and the
-   smt.conflicts counter both count it *)
-let check_tripping_conflict_counted s ~before =
-  Alcotest.(check int) "session counts the tripping conflict" 1
-    (Smt.Session.stats s).Smt.Stats.conflicts;
-  Alcotest.(check int) "smt.conflicts counts it" 1
+let conflict_capped_session ?config () =
+  Smt.Session.create ~meter:(zero_conflict_meter ()) ?config ()
+
+(* the conflict that trips the cap was spent: smt.conflicts counts it *)
+let check_tripping_conflict_counted ~before =
+  Alcotest.(check int) "smt.conflicts counts the tripping conflict" 1
     (Telemetry.Metrics.counter_value "smt.conflicts" - before)
 
 let square y n = Smt.Expr.eq (Smt.Expr.Binop (Mul, v y, v y)) (c n)
@@ -393,7 +390,7 @@ let ladder_resimplify_decides_sat () =
     (Smt.Session.stats s).Smt.Stats.degraded_resimplify;
   Alcotest.(check bool) "solver.degraded bumped" true
     (Telemetry.Metrics.counter_value "solver.degraded" > before);
-  check_tripping_conflict_counted s ~before:conflicts_before
+  check_tripping_conflict_counted ~before:conflicts_before
 
 let ladder_enumerate_decides_unsat () =
   let config =
@@ -421,18 +418,41 @@ let ladder_gives_up_when_rungs_decline () =
   Alcotest.(check int) "give-up recorded" 1
     (Smt.Session.stats s).Smt.Stats.degraded_give_up
 
+(* one-shot solves that share one accumulator (the --no-incremental
+   path of Profile.run_bap, Driver and Dse) add up their degraded
+   rungs: the cell grades from every call's, not only the last one's *)
+let ladder_rungs_accumulate_across_one_shots () =
+  let stats = Smt.Stats.create () in
+  Robust.Meter.with_ambient (zero_conflict_meter ()) (fun () ->
+      (match
+         Smt.Solver.solve ~stats
+           [ Smt.Expr.eq (v "x") (c 5L); square "y" 225L ]
+       with
+       | Smt.Solver.Sat _ -> ()
+       | _ -> Alcotest.fail "resimplify must decide the sat query");
+      let config =
+        { Smt.Solver.default_config with
+          ladder = [ Smt.Degrade.Enumerate { max_bits = 4 } ] }
+      in
+      match Smt.Solver.solve ~config ~stats [ square "y" 225L ] with
+      | Smt.Solver.Unknown _ -> ()
+      | _ -> Alcotest.fail "declined rungs must surface as Unknown");
+  Alcotest.(check (list string)) "both calls' rungs"
+    [ "resimplify"; "give_up" ] (Smt.Stats.degraded_rungs stats)
+
 let ladder_off_restores_hard_failure () =
   let config = { Smt.Session.default_config with ladder = [] } in
   let s = conflict_capped_session ~config () in
   let before = Telemetry.Metrics.counter_value "smt.conflicts" in
+  let wall0 = Telemetry.Metrics.gauge_value_of "smt.wall_s" in
   (match Smt.Session.check_assertions s [ square "y" 225L ] with
    | exception Robust.Meter.Exhausted { resource; _ } ->
      Alcotest.(check bool) "tripped on conflicts" true
        (resource = Robust.Meter.Solver_conflicts)
    | _ -> Alcotest.fail "empty ladder must re-raise the budget trip");
-  check_tripping_conflict_counted s ~before;
+  check_tripping_conflict_counted ~before;
   Alcotest.(check bool) "wall time of the escaped check counted" true
-    ((Smt.Session.stats s).Smt.Stats.wall_time > 0.0)
+    (Telemetry.Metrics.gauge_value_of "smt.wall_s" > wall0)
 
 let ladder_turns_e_into_p () =
   (* srand_bomb x BAP exhausts a 50-conflict cap; pre-ladder engines
@@ -676,6 +696,8 @@ let () =
            ladder_enumerate_decides_unsat;
          Alcotest.test_case "declined rungs -> Unknown" `Quick
            ladder_gives_up_when_rungs_decline;
+         Alcotest.test_case "one-shot rungs accumulate" `Quick
+           ladder_rungs_accumulate_across_one_shots;
          Alcotest.test_case "empty ladder re-raises" `Quick
            ladder_off_restores_hard_failure;
          Alcotest.test_case "budget-tripped cell -> P" `Quick

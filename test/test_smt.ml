@@ -650,6 +650,14 @@ let fp_rounding_search () =
 
 (* ---------------- sessions ---------------- *)
 
+(* solver work is counted in the [smt.*] registry only: after [let n =
+   smt_since () in], [n "queries"] is the [smt.queries] count since *)
+let smt_since () =
+  let base = Telemetry.Snapshot.capture () in
+  fun name ->
+    Telemetry.Metrics.counter_value ("smt." ^ name)
+    - Telemetry.Snapshot.find_counter base ("smt." ^ name)
+
 let session_push_pop () =
   let x = Expr.var ~width:8 "x" in
   let s = Session.create () in
@@ -689,10 +697,12 @@ let session_matches_oneshot_and_caches () =
     | Session.Unsat -> "unsat"
     | Session.Unknown _ -> "unknown"
   in
-  let check_one cs =
-    let one = Solver.solve cs in
+  (* the one-shot answers first, so [n] counts the session's work only *)
+  let one_shot = List.map (fun cs -> (cs, status (Solver.solve cs))) sets in
+  let n = smt_since () in
+  let check_one (cs, one) =
     let inc = Session.check_assertions s cs in
-    Alcotest.(check string) "status matches one-shot" (status one) (status inc);
+    Alcotest.(check string) "status matches one-shot" one (status inc);
     match inc with
     | Session.Sat m ->
       let env = Eval.env_of_list m in
@@ -702,11 +712,10 @@ let session_matches_oneshot_and_caches () =
         cs
     | _ -> ()
   in
-  List.iter check_one sets;
-  List.iter check_one sets;
-  let st = Session.stats s in
-  Alcotest.(check int) "queries" 8 st.Stats.queries;
-  Alcotest.(check int) "second round served from cache" 4 st.Stats.cache_hits
+  List.iter check_one one_shot;
+  List.iter check_one one_shot;
+  Alcotest.(check int) "queries" 8 (n "queries");
+  Alcotest.(check int) "second round served from cache" 4 (n "cache_hits")
 
 let session_fp_fallback () =
   let x = Expr.var ~width:64 "x" in
@@ -742,10 +751,12 @@ let session_budget_unknown () =
       ne p.(1) p.(2) ]
   in
   let s = Session.create () in
-  (* the registry counts the budget-Unknown check and its conflicts *)
-  let count = Telemetry.Metrics.counter_value in
-  let n0 = count "smt.unknown_budget"
-  and c0 = count "smt.unknown_budget_conflicts" in
+  (* the registry counts the budget-Unknown check, its conflicts and
+     its wall time *)
+  let n = smt_since () in
+  let gauge = Telemetry.Metrics.gauge_value_of in
+  let wall0 = gauge "smt.wall_s"
+  and unknown_wall0 = gauge "smt.unknown_budget_wall_s" in
   (match
      Session.check_assertions
        ~config:{ Session.default_config with conflict_budget = 0 }
@@ -755,25 +766,19 @@ let session_budget_unknown () =
    | o ->
      Alcotest.failf "expected budget unknown, got %s"
        (Solver.outcome_to_string o));
-  let spent = (Session.stats s).Stats.conflicts in
+  let spent = n "conflicts" in
   (match Session.check s with
    | Session.Unsat -> ()
    | o ->
      Alcotest.failf "expected unsat with full budget, got %s"
        (Solver.outcome_to_string o));
-  let st = Session.stats s in
-  Alcotest.(check int) "no cache hit for unknown" 0 st.Stats.cache_hits;
-  Alcotest.(check int) "one budget unknown counted" (n0 + 1)
-    (count "smt.unknown_budget");
-  Alcotest.(check int) "its conflicts counted" (c0 + spent)
-    (count "smt.unknown_budget_conflicts");
-  (* and so do the session's own stats, with its wall time *)
-  Alcotest.(check int) "stats: one budget unknown" 1 st.Stats.unknown_budget;
-  Alcotest.(check int) "stats: its conflicts" spent
-    st.Stats.unknown_budget_conflicts;
-  Alcotest.(check bool) "stats: its wall time" true
-    (st.Stats.unknown_budget_wall > 0.0
-     && st.Stats.unknown_budget_wall <= st.Stats.wall_time)
+  Alcotest.(check int) "no cache hit for unknown" 0 (n "cache_hits");
+  Alcotest.(check int) "one budget unknown counted" 1 (n "unknown_budget");
+  Alcotest.(check int) "its conflicts counted" spent
+    (n "unknown_budget_conflicts");
+  let unknown_wall = gauge "smt.unknown_budget_wall_s" -. unknown_wall0 in
+  Alcotest.(check bool) "its wall time" true
+    (unknown_wall > 0.0 && unknown_wall <= gauge "smt.wall_s" -. wall0)
 
 (* exact accounting on a scripted session: every counter is predicted
    by the script, and cache hits must cost zero blasting/conflicts *)
@@ -781,8 +786,8 @@ let session_stats_exact () =
   let x = Expr.var ~width:8 "x" in
   let c1 = Expr.Cmp (Ult, x, Expr.const ~width:8 5L) in
   let c2 = Expr.Cmp (Ult, Expr.const ~width:8 10L, x) in
-  let stats = Stats.create () in
-  let s = Session.create ~stats () in
+  let s = Session.create () in
+  let n = smt_since () in
   let expect what outcome = function
     | true -> ()
     | false ->
@@ -792,57 +797,60 @@ let session_stats_exact () =
   Session.assert_ s c1;
   let o = Session.check s in
   expect "q1 sat" o (match o with Session.Sat _ -> true | _ -> false);
-  Alcotest.(check int) "q1 queries" 1 stats.Stats.queries;
-  Alcotest.(check int) "q1 no hits" 0 stats.Stats.cache_hits;
-  Alcotest.(check int) "q1 sat count" 1 stats.Stats.sat;
-  Alcotest.(check bool) "q1 blasted nodes" true (stats.Stats.blasted_nodes > 0);
-  let blasted_q1 = stats.Stats.blasted_nodes in
-  let conflicts_q1 = stats.Stats.conflicts in
+  Alcotest.(check int) "q1 queries" 1 (n "queries");
+  Alcotest.(check int) "q1 no hits" 0 (n "cache_hits");
+  Alcotest.(check int) "q1 sat count" 1 (n "sat");
+  Alcotest.(check bool) "q1 blasted nodes" true (n "blasted_nodes" > 0);
+  let blasted_q1 = n "blasted_nodes" in
+  let conflicts_q1 = n "conflicts" in
   (* q2: {c1} again — answered by the query cache *)
   let o = Session.check s in
   expect "q2 sat" o (match o with Session.Sat _ -> true | _ -> false);
-  Alcotest.(check int) "q2 queries" 2 stats.Stats.queries;
-  Alcotest.(check int) "q2 hit" 1 stats.Stats.cache_hits;
-  Alcotest.(check int) "q2 sat count" 2 stats.Stats.sat;
-  Alcotest.(check int) "q2 blasts nothing" blasted_q1 stats.Stats.blasted_nodes;
-  Alcotest.(check int) "q2 zero conflicts" conflicts_q1 stats.Stats.conflicts;
+  Alcotest.(check int) "q2 queries" 2 (n "queries");
+  Alcotest.(check int) "q2 hit" 1 (n "cache_hits");
+  Alcotest.(check int) "q2 sat count" 2 (n "sat");
+  Alcotest.(check int) "q2 blasts nothing" blasted_q1 (n "blasted_nodes");
+  Alcotest.(check int) "q2 zero conflicts" conflicts_q1 (n "conflicts");
   (* q3: {c1, c2} — new set, new nodes, unsat *)
   Session.push s;
   Session.assert_ s c2;
   let o = Session.check s in
   expect "q3 unsat" o (o = Session.Unsat);
-  Alcotest.(check int) "q3 queries" 3 stats.Stats.queries;
-  Alcotest.(check int) "q3 no new hit" 1 stats.Stats.cache_hits;
-  Alcotest.(check int) "q3 unsat count" 1 stats.Stats.unsat;
+  Alcotest.(check int) "q3 queries" 3 (n "queries");
+  Alcotest.(check int) "q3 no new hit" 1 (n "cache_hits");
+  Alcotest.(check int) "q3 unsat count" 1 (n "unsat");
   Alcotest.(check bool) "q3 blasted more" true
-    (stats.Stats.blasted_nodes > blasted_q1);
-  let blasted_q3 = stats.Stats.blasted_nodes in
-  let conflicts_q3 = stats.Stats.conflicts in
+    (n "blasted_nodes" > blasted_q1);
+  let blasted_q3 = n "blasted_nodes" in
+  let conflicts_q3 = n "conflicts" in
   (* q4: {c1, c2} again — unsat from cache, zero solver work *)
   let o = Session.check s in
   expect "q4 unsat" o (o = Session.Unsat);
-  Alcotest.(check int) "q4 queries" 4 stats.Stats.queries;
-  Alcotest.(check int) "q4 hit" 2 stats.Stats.cache_hits;
-  Alcotest.(check int) "q4 unsat count" 2 stats.Stats.unsat;
-  Alcotest.(check int) "q4 blasts nothing" blasted_q3 stats.Stats.blasted_nodes;
-  Alcotest.(check int) "q4 zero conflicts" conflicts_q3 stats.Stats.conflicts;
+  Alcotest.(check int) "q4 queries" 4 (n "queries");
+  Alcotest.(check int) "q4 hit" 2 (n "cache_hits");
+  Alcotest.(check int) "q4 unsat count" 2 (n "unsat");
+  Alcotest.(check int) "q4 blasts nothing" blasted_q3 (n "blasted_nodes");
+  Alcotest.(check int) "q4 zero conflicts" conflicts_q3 (n "conflicts");
   (* q5: pop back to {c1} — still cached from q1 *)
   Session.pop s;
   let o = Session.check s in
   expect "q5 sat" o (match o with Session.Sat _ -> true | _ -> false);
-  Alcotest.(check int) "q5 queries" 5 stats.Stats.queries;
-  Alcotest.(check int) "q5 hit" 3 stats.Stats.cache_hits;
-  Alcotest.(check int) "q5 sat count" 3 stats.Stats.sat;
-  Alcotest.(check int) "q5 blasts nothing" blasted_q3 stats.Stats.blasted_nodes;
-  Alcotest.(check int) "unknown never incremented" 0 stats.Stats.unknown;
-  Alcotest.(check int) "stats copy is independent"
-    (Stats.copy stats).Stats.queries stats.Stats.queries
+  Alcotest.(check int) "q5 queries" 5 (n "queries");
+  Alcotest.(check int) "q5 hit" 3 (n "cache_hits");
+  Alcotest.(check int) "q5 sat count" 3 (n "sat");
+  Alcotest.(check int) "q5 blasts nothing" blasted_q3 (n "blasted_nodes");
+  Alcotest.(check int) "unknown never incremented" 0 (n "unknown")
 
 (* identical scripts on two fresh sessions must produce identical
    counters (everything except wall time is deterministic) *)
 let session_stats_deterministic () =
-  let script stats =
-    let s = Session.create ~stats () in
+  let names =
+    [ "queries"; "cache_hits"; "sat"; "unsat"; "unknown"; "blasted_nodes";
+      "conflicts" ]
+  in
+  let script () =
+    let s = Session.create () in
+    let n = smt_since () in
     let x = Expr.var ~width:8 "x" in
     let y = Expr.var ~width:16 "y" in
     ignore (Session.check_assertions s [ Expr.Cmp (Ult, x, Expr.const ~width:8 9L) ]);
@@ -852,23 +860,19 @@ let session_stats_deterministic () =
            Expr.eq
              (Expr.Binop (Mul, Expr.const ~width:16 3L, y))
              (Expr.const ~width:16 51L) ]);
-    ignore (Session.check_assertions s [ Expr.fls ])
+    ignore (Session.check_assertions s [ Expr.fls ]);
+    List.map n names
   in
-  let a = Stats.create () and b = Stats.create () in
-  script a;
-  script b;
-  Alcotest.(check int) "queries" a.Stats.queries b.Stats.queries;
-  Alcotest.(check int) "cache_hits" a.Stats.cache_hits b.Stats.cache_hits;
-  Alcotest.(check int) "sat" a.Stats.sat b.Stats.sat;
-  Alcotest.(check int) "unsat" a.Stats.unsat b.Stats.unsat;
-  Alcotest.(check int) "unknown" a.Stats.unknown b.Stats.unknown;
-  Alcotest.(check int) "blasted_nodes" a.Stats.blasted_nodes b.Stats.blasted_nodes;
-  Alcotest.(check int) "conflicts" a.Stats.conflicts b.Stats.conflicts
+  let a = script () in
+  let b = script () in
+  List.iter2
+    (fun name (x, y) -> Alcotest.(check int) name x y)
+    names (List.combine a b)
 
-(* [Stats.wall_time] (mirrored as the [smt.wall_s] gauge) is wall-clock
-   time on the spans' clock.  With a second domain spinning, process
-   CPU time runs up to twice the wall clock on two cores, so a CPU
-   clock would overshoot the wall time measured around the call. *)
+(* the [smt.wall_s] gauge is wall-clock time on the spans' clock.
+   With a second domain spinning, process CPU time runs up to twice
+   the wall clock on two cores, so a CPU clock would overshoot the
+   wall time measured around the call. *)
 let session_wall_time_is_wall_clock () =
   let x = Expr.var ~width:32 "x" and y = Expr.var ~width:32 "y" in
   let c w v = Expr.const ~width:w v in
@@ -881,6 +885,7 @@ let session_wall_time_is_wall_clock () =
   in
   let config = { Session.default_config with conflict_budget = 3_000 } in
   let s = Session.create ~config () in
+  let wall0 = Telemetry.Metrics.gauge_value_of "smt.wall_s" in
   let stop = Atomic.make false in
   let spinner =
     Domain.spawn (fun () -> while not (Atomic.get stop) do () done)
@@ -893,7 +898,7 @@ let session_wall_time_is_wall_clock () =
          ignore (Session.check_assertions s cs);
          Unix.gettimeofday () -. t0)
   in
-  let reported = (Session.stats s).Stats.wall_time in
+  let reported = Telemetry.Metrics.gauge_value_of "smt.wall_s" -. wall0 in
   Alcotest.(check bool) "multi-millisecond check" true (wall >= 0.002);
   Alcotest.(check bool)
     (Printf.sprintf "wall_time %.4f s <= 1.5 x %.4f s" reported wall)
@@ -1040,8 +1045,7 @@ let pin_cone_check_cost () =
   ignore
     (Session.check_assertions s
        [ Expr.eq (Expr.Binop (Mul, x, y)) (Expr.const 0x1234567L) ]);
-  let st = Session.stats s in
-  let p0 = st.Stats.propagations and d0 = st.Stats.decisions in
+  let n = smt_since () in
   let u = Expr.var ~width:8 "u" in
   (match
      Session.check_assertions s
@@ -1051,16 +1055,16 @@ let pin_cone_check_cost () =
    | o -> Alcotest.failf "expected sat, got %s" (Solver.outcome_to_string o));
   Alcotest.(check (pair int int)) "second check: propagations, decisions"
     (18, 9)
-    (st.Stats.propagations - p0, st.Stats.decisions - d0)
+    (n "propagations", n "decisions")
 
 (* a one-shot solve covers its whole CNF, so it runs the plain search:
    this trajectory is the one the solver had before cone checks *)
 let pin_one_shot_trajectory () =
   let x = Expr.var ~width:16 "x" and y = Expr.var ~width:16 "y" in
   let c k = Expr.const_int ~width:16 k in
-  let stats = Stats.create () in
+  let n = smt_since () in
   let o =
-    Solver.solve ~stats
+    Solver.solve
       [ Expr.eq (Expr.Binop (Mul, x, y)) (c 0xec4b);
         Expr.Cmp (Ult, c 1, x); Expr.Cmp (Ult, c 1, y);
         Expr.Cmp (Ult, x, y) ]
@@ -1072,8 +1076,8 @@ let pin_one_shot_trajectory () =
     | Solver.Unknown _ -> "unknown"
   in
   Alcotest.(check string) "verdict c d p" "sat c=22 d=256 p=3170"
-    (Printf.sprintf "%s c=%d d=%d p=%d" verdict stats.Stats.conflicts
-       stats.Stats.decisions stats.Stats.propagations)
+    (Printf.sprintf "%s c=%d d=%d p=%d" verdict (n "conflicts")
+       (n "decisions") (n "propagations"))
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ blast_agrees_with_eval; simplify_sound ]
