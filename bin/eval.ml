@@ -146,9 +146,8 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
   end;
   match
     Engines.Eval.run_table2 ~incremental:(not no_incremental) ?ladder
-      ~policy ~tools ~bombs ?journal ~workers
-      ~snapshots:(metrics_out <> None) ?profile ?spans_out:fleet_trace
-      ~progress ()
+      ~policy ~tools ~bombs ?journal ~workers ?profile
+      ?spans_out:fleet_trace ~progress ()
   with
   | r ->
     print_string (Engines.Eval.render_table2 r);
@@ -625,8 +624,11 @@ let workers_arg =
          ~doc:
            "Shard the grid across $(docv) forked worker processes \
             (the evaluation fleet). With --journal, each worker \
-            write-ahead journals its cells and the shards are merged \
-            into one canonical journal at the end. 1 = sequential.")
+            write-ahead journals its cells to its own shard \
+            (JOURNAL.wN) and the shards are merged into one canonical \
+            journal at the end. Profile samples and spans come back \
+            in each worker's reply, so --profile and --fleet-trace \
+            write only their own files. 1 = sequential.")
 
 let profile_out_arg =
   Arg.(value & opt (some string) None
@@ -637,16 +639,17 @@ let profile_out_arg =
             lifted instructions, solver blast/conflict/cache \
             counters, taint coverage, degradation attribution). \
             Inspect with $(b,eval profile PATH). With --workers, \
-            workers write per-slot shards merged after the run.")
+            the workers return their samples and this process \
+            appends them in grid order, as a sequential run does.")
 
 let fleet_trace_arg =
   Arg.(value & opt (some string) None
        & info [ "fleet-trace" ] ~docv:"FILE"
          ~doc:
-           "Write one merged Chrome trace_event timeline for the \
-            whole run, with a lane (pid) per fleet worker — loadable \
-            in about:tracing / Perfetto, checkable with \
-            $(b,eval validate-trace)")
+           "Write one Chrome trace_event timeline of the run's fresh \
+            cells: nested B/E spans, one lane (pid) per fleet worker \
+            (lane 0 when sequential) — loadable in about:tracing / \
+            Perfetto, checkable with $(b,eval validate-trace)")
 
 let progress_arg =
   Arg.(value & flag
@@ -939,8 +942,8 @@ let fsck_cmd =
     Arg.(non_empty & pos_all string []
          & info [] ~docv:"PATH"
            ~doc:
-             "Artifacts to check — journals, span/profile shards, or \
-              directories (scanned recursively)")
+             "Artifacts to check — journals, journal shards, profile \
+              sidecars, or directories (scanned recursively)")
   in
   Cmd.v
     (Cmd.info "fsck"

@@ -100,11 +100,7 @@ let explore ?(seed = "5") (config : config) (target : target) : verdict =
       Some (Smt.Session.create ~config:config.solver ~stats ())
     else None
   in
-  let solve cs =
-    match session with
-    | Some sess -> Smt.Session.check_assertions sess cs
-    | None -> Smt.Solver.solve ~config:config.solver ~stats cs
-  in
+  let solve cs = Smt.Solver.solve ~config:config.solver ~stats ?session cs in
   let worklist = Queue.create () in
   Queue.add (pad_seed seed) worklist;
   let tried : (string, unit) Hashtbl.t = Hashtbl.create 32 in

@@ -154,11 +154,8 @@ type t = {
 
 (* every solver query goes through here: the session when incremental,
    a one-shot solve otherwise — same pipeline, same outcomes *)
-let solve t ?config:cfg cs =
-  let cfg = Option.value ~default:t.config.solver cfg in
-  match t.session with
-  | Some sess -> Smt.Session.check_assertions ~config:cfg sess cs
-  | None -> Smt.Solver.solve ~config:cfg ~stats:t.stats cs
+let solve t ?(config = t.config.solver) cs =
+  Smt.Solver.solve ~config ~stats:t.stats ?session:t.session cs
 
 let fresh_var st os prefix width =
   os.fresh <- os.fresh + 1;

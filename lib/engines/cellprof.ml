@@ -6,11 +6,11 @@
     the journal.
 
     The measurement is a counter-delta around the run (the registry is
-    cumulative), so profiles compose with journaling, the fleet (each
-    worker appends to its own shard; {!merge_shards} folds them) and
-    the supervisor's retries without touching {!Supervisor.outcome}.
-    With [phases:false] tracing is not enabled, so profiling can ride
-    along even where span tracing must stay off. *)
+    cumulative), so profiles compose with journaling, the fleet (a
+    worker ships its sample back in its reply and the master appends
+    it, like an in-process run does) and the supervisor's retries
+    without touching {!Supervisor.outcome}.  The phase breakdown comes
+    from the cell's spans, which the caller captures ({!phases_of}). *)
 
 open Concolic.Error
 
@@ -34,7 +34,7 @@ type sample = {
   p_unknown_budget_ms : float;  (** their wall time *)
   p_phases : (string * float) list;
       (** inclusive µs per span phase (a phase nested under another is
-          counted in both), name-sorted; empty unless [phases] *)
+          counted in both), name-sorted; empty unless the run was traced *)
 }
 
 (* the span names the engine stack actually emits *)
@@ -42,45 +42,33 @@ let phase_names =
   [ "cell"; "trace.record"; "vm.run"; "taint.analyze"; "concolic.driver";
     "concolic.trace_exec"; "concolic.dse"; "smt.check" ]
 
-(** Run [run] under the profiler.  Deltas of the deterministic engine
-    counters across the call; with [phases] additionally records span
-    tracing for the call's duration and sums only the spans finished
-    during it, so spans recorded before (a sequential [--fleet-trace]
-    run's) are kept.  Enablement is restored after, and spans recorded
-    only because this call switched tracing on are dropped. *)
-let profiled ?(phases = false) ~key (run : unit -> Supervisor.outcome) :
+(** Inclusive µs per span phase over [spans] (a phase nested under
+    another is counted in both), name-sorted. *)
+let phases_of (spans : Telemetry.span list) =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Telemetry.span) ->
+       if List.mem s.name phase_names then
+         Hashtbl.replace tbl s.name
+           (Telemetry.duration_us s
+            +. Option.value ~default:0. (Hashtbl.find_opt tbl s.name)))
+    spans;
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(** Run [run] under the profiler: deltas of the deterministic engine
+    counters across the call.  The sample's [p_phases] is empty; a
+    caller that traced the run fills it from the run's spans with
+    {!phases_of}. *)
+let profiled ~key (run : unit -> Supervisor.outcome) :
   Supervisor.outcome * sample =
   let base = Telemetry.Snapshot.capture () in
   let unknown_wall () =
     Telemetry.Metrics.gauge_value_of "smt.unknown_budget_wall_s"
   in
   let unknown_wall0 = unknown_wall () in
-  let was = Telemetry.is_enabled () in
-  let mark = Telemetry.watermark () in
-  if phases then Telemetry.enable ();
   let t0 = Unix.gettimeofday () in
   let o = run () in
   let wall_us = (Unix.gettimeofday () -. t0) *. 1e6 in
-  let p_phases =
-    if not phases then []
-    else begin
-      let tbl = Hashtbl.create 8 in
-      List.iter
-        (fun s ->
-           let name = s.Telemetry.name in
-           if List.mem name phase_names then
-             Hashtbl.replace tbl name
-               (Telemetry.duration_us s
-                +. (try Hashtbl.find tbl name with Not_found -> 0.)))
-        (Telemetry.spans_since mark);
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort compare
-    end
-  in
-  if phases && not was then begin
-    Telemetry.disable ();
-    Telemetry.drop_since mark
-  end;
   let delta n =
     Telemetry.Metrics.counter_value n - Telemetry.Snapshot.find_counter base n
   in
@@ -100,7 +88,7 @@ let profiled ?(phases = false) ~key (run : unit -> Supervisor.outcome) :
       p_tainted = delta Taint.metric_tainted_insns;
       p_unknown_budget = delta "smt.unknown_budget";
       p_unknown_budget_ms = 1000. *. (unknown_wall () -. unknown_wall0);
-      p_phases }
+      p_phases = [] }
   in
   (o, sample)
 
@@ -177,7 +165,7 @@ let decode line : sample option =
       | _ -> None)
 
 (** Append one sample to the sidecar (one JSON object per line,
-    append-only — same torn-tail discipline as the span shards).
+    append-only — same torn-tail discipline as the journal).
     Profiles are observability, not results: a full disk sheds the
     sample instead of failing the cell. *)
 let append ~path (s : sample) =
@@ -206,46 +194,6 @@ let load path : sample list =
    with End_of_file -> ());
   close_in ic;
   List.rev_map (fun k -> Hashtbl.find tbl k) !order
-
-(* --- fleet shards: each worker appends to its own sidecar shard --- *)
-
-let shard_path ~path slot = Printf.sprintf "%s.w%d" path slot
-
-let existing_shards ~path =
-  List.filter_map
-    (fun slot ->
-       let p = shard_path ~path slot in
-       if Sys.file_exists p then Some p else None)
-    (List.init 256 Fun.id)
-
-(** Fold the per-worker sidecar shards (and any prior main sidecar)
-    into one canonical sidecar ordered by [order]; shards are removed
-    after the merge.  Mirrors {!Fleet.Merge} for journals. *)
-let merge_shards ~path ~(order : string list) () =
-  let tbl = Hashtbl.create 64 in
-  let eat p = List.iter (fun s -> Hashtbl.replace tbl s.p_key s) (load p) in
-  if Sys.file_exists path then eat path;
-  let shards = existing_shards ~path in
-  List.iter eat shards;
-  let buf = Buffer.create 4096 in
-  let emit s =
-    Buffer.add_string buf (encode s);
-    Buffer.add_char buf '\n'
-  in
-  List.iter
-    (fun key ->
-       match Hashtbl.find_opt tbl key with
-       | Some s ->
-           emit s;
-           Hashtbl.remove tbl key
-       | None -> ())
-    order;
-  (* samples outside the canonical order (a custom grid) still land *)
-  Hashtbl.fold (fun _ s acc -> s :: acc) tbl []
-  |> List.sort (fun a b -> compare a.p_key b.p_key)
-  |> List.iter emit;
-  Robust.Diskio.write_atomic ~path (Buffer.contents buf);
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) shards
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)

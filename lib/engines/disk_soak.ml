@@ -108,7 +108,7 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
     (try
        ignore
          (Eval.run_table2 ~tools ~bombs ~journal:(no_kill chaos_path)
-            ~workers ~snapshots:true ()
+            ~workers ()
            : Eval.table2_result)
      with _ -> incr crashed);
     Robust.Diskio.set_fault_hook None;

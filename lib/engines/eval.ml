@@ -127,10 +127,22 @@ let outcome_of_failure ~attempts (f : Fleet.Pool.failure) :
     attempts;
     fired = [] }
 
+(* worker [slot]'s cell journal beside the main one at [path] *)
+let shard_path path slot = Printf.sprintf "%s.w%d" path slot
+
 (* leftover per-worker journals can outlive the pool geometry that
    wrote them (a 4-worker run crashed, this one has 2 or 1), so scan a
    generous slot range rather than [workers] *)
-let worker_shards path = Fleet.Pool.worker_journal_paths ~path ~workers:256
+let worker_shards path =
+  List.filter Sys.file_exists (List.init 256 (shard_path path))
+
+(* one fresh cell as either executor hands it back: the outcome, its
+   profile sample when profiling, its Chrome events when tracing *)
+type capture = {
+  c_outcome : Supervisor.outcome;
+  c_sample : Cellprof.sample option;
+  c_events : string list;
+}
 
 (** The Table II runner: every (tool × bomb) cell, in bomb-major grid
     order.  Journaled cells — from [journal] and from any [PATH.wN]
@@ -141,26 +153,30 @@ let worker_shards path = Fleet.Pool.worker_journal_paths ~path ~workers:256
       a write-ahead record per cell to [journal] and honouring its
       [kill_after]/[kill_torn] crash simulation;
     - [workers > 1] shards them across a {!Fleet.Pool} of forked
-      workers, each journaling to its own shard.  A worker death
-      re-dispatches the cell up to [max 1 policy.retries] times, each
-      attempt escalating the budget by the policy's backoff, before
-      the cell grades as crashed; [task_timeout] arms the watchdog and
-      [snapshots] folds the workers' metric deltas into this process's
-      registry, so the fleet's [vm.*]/[smt.*] counters equal an
-      in-process run's.  The crash simulation is in-process only:
-      setting it with [workers > 1] raises [Invalid_argument].
+      workers, each journaling its cells to its own shard [PATH.wN]
+      before it replies.  A worker death re-dispatches the cell up to
+      [max 1 policy.retries] times, each attempt escalating the budget
+      by the policy's backoff, before the cell grades as crashed;
+      [task_timeout] arms the watchdog.  The workers' metric deltas
+      fold into this process's registry, so the fleet's
+      [vm.*]/[smt.*] counters equal an in-process run's.  The crash
+      simulation is in-process only: setting it with [workers > 1]
+      raises [Invalid_argument].
 
     Whichever executor ran them, cells fold in grid order and the
     table, the journal (merged back into one canonical file when shards
-    exist) and the [journal.replayed] count come out the same.
-    [profile] appends a {!Cellprof} sample per fresh cell to that
-    sidecar; [spans_out] writes a Chrome trace of the fresh cells, one
-    lane per worker; [progress] keeps a live done/total line with lane
-    states and an ETA on stderr. *)
+    exist) and the [journal.replayed] count come out the same.  Each
+    fresh cell runs under one capture that takes its spans and then
+    drops them, leaving span tracing as it found it: [profile] appends
+    a {!Cellprof} sample per fresh cell to that sidecar, [spans_out]
+    writes a Chrome trace of the fresh cells (one lane per worker),
+    and a pool worker returns both in its reply, so the sidecar and
+    the trace are written here, in grid order, as in process.
+    [progress] keeps a live done/total line with lane states and an
+    ETA on stderr. *)
 let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
     ?(bombs = Bombs.Catalog.table2) ?journal ?profile ?(progress = false)
-    ?(workers = 1) ?task_timeout ?(snapshots = false) ?spans_out () :
-  table2_result =
+    ?(workers = 1) ?task_timeout ?spans_out () : table2_result =
   (match journal with
    | Some { kill_after = Some _; _ } | Some { kill_torn = true; _ }
      when workers > 1 ->
@@ -225,32 +241,53 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
            (String.concat " " lanes) eta)
     end
   in
-  (* the profiler wraps the supervised run without touching its
-     outcome; a pool worker appends to its own sidecar shard, merged
-     after the run like the journal shards *)
-  let run_one ~policy ~key tool bomb =
-    match profile with
-    | None -> Supervisor.run_cell ?incremental ?ladder ~policy tool bomb
-    | Some path ->
-        let o, sample =
-          Cellprof.profiled ~phases:true ~key (fun () ->
-              Supervisor.run_cell ?incremental ?ladder ~policy tool bomb)
-        in
-        let path =
-          match Fleet.Pool.worker_slot () with
-          | Some slot -> Cellprof.shard_path ~path slot
-          | None -> path
-        in
-        Cellprof.append ~path sample;
-        o
+  (* the one per-cell capture, in process or in a pool worker: the
+     cell's spans feed both the sample's phases and the trace's
+     events, then leave the recorder, whose enablement is restored *)
+  let capture ~policy ~key tool bomb =
+    let run () =
+      Supervisor.run_cell ?incremental ?ladder ~policy tool bomb
+    in
+    let was = Telemetry.is_enabled () in
+    let mark = Telemetry.watermark () in
+    if profile <> None || spans_out <> None then Telemetry.enable ();
+    let o, sample, spans =
+      Fun.protect
+        ~finally:(fun () ->
+          Telemetry.drop_since mark;
+          if not was then Telemetry.disable ())
+      @@ fun () ->
+      let o, sample =
+        match profile with
+        | None -> (run (), None)
+        | Some _ ->
+            let o, s = Cellprof.profiled ~key run in
+            (o, Some s)
+      in
+      (o, sample, Telemetry.spans_since mark)
+    in
+    { c_outcome = o;
+      c_sample =
+        Option.map
+          (fun s -> { s with Cellprof.p_phases = Cellprof.phases_of spans })
+          sample;
+      c_events =
+        (if spans_out = None then []
+         else
+           Telemetry.chrome_events
+             ~lane:(Option.value ~default:0 (Fleet.Pool.worker_slot ()))
+             spans) }
   in
   let fresh : (string, Supervisor.outcome) Hashtbl.t = Hashtbl.create 128 in
+  let events = ref [] in  (* per-cell groups, newest first *)
+  let record key c =
+    (match (profile, c.c_sample) with
+     | Some path, Some s -> Cellprof.append ~path s
+     | _ -> ());
+    events := c.c_events :: !events;
+    Hashtbl.replace fresh key c.c_outcome
+  in
   let in_process () =
-    (* one lane, same Chrome timeline as the fleet's *)
-    if spans_out <> None then begin
-      Telemetry.reset ();
-      Telemetry.enable ()
-    end;
     let w =
       Option.map
         (fun j ->
@@ -268,18 +305,31 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
               if kill_torn then Robust.Journal.append_torn w ~key;
               raise Simulated_crash
           | _ -> ());
-         let o = run_one ~policy:pol ~key tool bomb in
+         let c = capture ~policy:pol ~key tool bomb in
+         record key c;
          Option.iter
            (fun (_, w) ->
               Robust.Journal.append w ~key
-                ~payload:(Journal_codec.encode_outcome o))
-           w;
-         Hashtbl.replace fresh key o)
+                ~payload:(Journal_codec.encode_outcome c.c_outcome))
+           w)
       todo;
-    Option.iter (fun (_, w) -> Robust.Journal.close_writer w) w;
-    Option.iter Telemetry.write_chrome spans_out
+    Option.iter (fun (_, w) -> Robust.Journal.close_writer w) w
   in
   let in_pool () =
+    (* each worker process opens its journal shard at its first cell *)
+    let shard = ref None in
+    let journal_shard j =
+      match !shard with
+      | Some w -> w
+      | None ->
+          let slot = Option.value ~default:0 (Fleet.Pool.worker_slot ()) in
+          let w =
+            Robust.Journal.open_writer ~fingerprint:fp
+              (shard_path j.journal_path slot)
+          in
+          shard := Some w;
+          w
+    in
     (* only the key crosses the pipe; the worker looks its cell up in
        the closed-over grid, so custom tool/bomb lists work *)
     let run ~attempt ~key (_task : string) =
@@ -295,30 +345,37 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
                 (pol.backoff ** float_of_int (attempt - 1))
                 pol.budget }
       in
-      Journal_codec.encode_outcome (run_one ~policy ~key tool bomb)
+      let c = capture ~policy ~key tool bomb in
+      let outcome = Journal_codec.encode_outcome c.c_outcome in
+      (* journaled before the reply, so a master crash loses no
+         finished cell *)
+      Option.iter
+        (fun j -> Robust.Journal.append (journal_shard j) ~key ~payload:outcome)
+        journal;
+      (* the whole capture rides the reply: every field is JSON whose
+         strings escape all control bytes, so tabs separate them *)
+      String.concat "\t"
+        (outcome :: Option.fold ~none:"" ~some:Cellprof.encode c.c_sample
+         :: c.c_events)
+    in
+    let decode payload =
+      match String.split_on_char '\t' payload with
+      | outcome :: sample :: c_events ->
+          Option.map
+            (fun c_outcome ->
+               { c_outcome; c_sample = Cellprof.decode sample; c_events })
+            (Option.bind
+               (Telemetry.Trace_check.parse_opt outcome)
+               Journal_codec.decode_outcome)
+      | _ -> None
     in
     let config =
       { Fleet.Pool.default_config with
         workers;
         respawns = max 1 pol.retries;
         task_timeout;
-        snapshots;
-        spans = spans_out;
-        journal =
-          Option.map
-            (fun j ->
-               { Fleet.Pool.j_path = j.journal_path; j_fingerprint = fp })
-            journal }
+        snapshots = true }
     in
-    (* stale observability shards from a crashed prior run must not
-       leak into this run's merge *)
-    Option.iter
-      (fun path ->
-         List.iter
-           (fun p -> try Sys.remove p with Sys_error _ -> ())
-           (Cellprof.existing_shards ~path))
-      profile;
-    Option.iter (fun base -> Fleet.Spans.remove_shards ~base) spans_out;
     let pool = Fleet.Pool.create ~config run in
     let restore_sigint = Fleet.Pool.install_sigint pool in
     let results =
@@ -347,43 +404,40 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
       in
       Fleet.Pool.drain ~on_round pool
     in
-    (* fold worker-reported metrics into this registry, stitch the span
-       shards into one Chrome timeline, merge the profile shards *)
-    if snapshots then Fleet.Pool.publish_metrics pool;
-    Option.iter
-      (fun out ->
-         let report = Fleet.Spans.merge_chrome ~base:out ~out () in
-         Telemetry.Log.infof
-           "fleet: merged %d span shard(s), %d span(s), %d skipped -> %s"
-           report.Fleet.Spans.mr_shards report.Fleet.Spans.mr_spans
-           report.Fleet.Spans.mr_skipped out)
-      spans_out;
-    Option.iter (fun path -> Cellprof.merge_shards ~path ~order ()) profile;
+    (* fold worker-reported metrics into this registry *)
+    Fleet.Pool.publish_metrics pool;
+    let failed ~attempts f =
+      { c_outcome = outcome_of_failure ~attempts f; c_sample = None;
+        c_events = [] }
+    in
+    let replies = Hashtbl.create 128 in
     List.iter
       (fun (r : Fleet.Pool.result) ->
-         let o =
-           match r.r_payload with
-           | Ok payload -> (
-               match
-                 Option.bind
-                   (Telemetry.Trace_check.parse_opt payload)
-                   Journal_codec.decode_outcome
-               with
-               | Some o -> o
-               | None ->
-                   Telemetry.Log.warnf
-                     "fleet: undecodable payload for %s; grading as crash"
-                     r.r_key;
-                   outcome_of_failure ~attempts:1
-                     (Fleet.Pool.Run_raised "undecodable worker payload"))
-           | Error (Fleet.Pool.Worker_lost n as f) ->
-               outcome_of_failure ~attempts:n f
-           | Error f -> outcome_of_failure ~attempts:1 f
-         in
-         Hashtbl.replace fresh r.r_key o)
-      results
+         Hashtbl.replace replies r.r_key
+           (match r.r_payload with
+            | Ok payload -> (
+                match decode payload with
+                | Some c -> c
+                | None ->
+                    Telemetry.Log.warnf
+                      "fleet: undecodable payload for %s; grading as crash"
+                      r.r_key;
+                    failed ~attempts:1
+                      (Fleet.Pool.Run_raised "undecodable worker payload"))
+            | Error (Fleet.Pool.Worker_lost n as f) -> failed ~attempts:n f
+            | Error f -> failed ~attempts:1 f))
+      results;
+    (* recorded in grid order, as the in-process executor does *)
+    List.iter
+      (fun (key, _) -> Option.iter (record key) (Hashtbl.find_opt replies key))
+      todo
   in
   if workers > 1 then in_pool () else in_process ();
+  Option.iter
+    (fun path ->
+       Robust.Diskio.write_atomic ~path
+         (Telemetry.chrome_document (List.concat (List.rev !events))))
+    spans_out;
   if progress then begin
     show ~left:0 [];
     prerr_newline ()

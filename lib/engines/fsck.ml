@@ -1,6 +1,6 @@
 (** [eval fsck]: format-detecting verify/repair over every durable
-    artifact the system writes — cell/queue journals, span shards and
-    profile sidecars.
+    artifact the system writes — cell/queue journals, their per-worker
+    shards, and profile sidecars.
 
     Verification is structural, not configuration-bound: a journal
     line is sound when its FNV-1a checksum covers its body and the
@@ -9,7 +9,7 @@
     one fsck pass audit artifacts from many runs.
 
     Repair semantics per format:
-    - JSONL artifacts (journals, shards, sidecars): rewrite the file
+    - JSONL artifacts (journals, journal shards, sidecars): rewrite the file
       atomically keeping only sound records — drops bit-flipped and
       short-written lines, truncates a torn tail.  Lossy by design:
       the loaders re-run what a journal no longer carries, so a
@@ -22,14 +22,12 @@
 
 type kind =
   | Journal
-  | Span_shard
   | Profile_sidecar
   | Stale_tmp
   | Unknown
 
 let kind_name = function
   | Journal -> "journal"
-  | Span_shard -> "span shard"
   | Profile_sidecar -> "profile sidecar"
   | Stale_tmp -> "stale tmp"
   | Unknown -> "unknown"
@@ -74,33 +72,21 @@ let looks_journal_line line =
         (String.sub line 0 16);
       !ok)
 
-(* "<base>.w<slot>" (journal / profile shards) or
-   "<base>.spans.w<slot>.jsonl" (span shards) *)
+(* "<base>.w<slot>": a per-worker journal shard; the base is the
+   longest prefix such that the rest is ".w<digits>" *)
 let shard_base path =
-  let chop s suf =
-    if Filename.check_suffix s suf then
-      Some (Filename.chop_suffix s suf)
-    else None
+  let rec digits i =
+    if i < String.length path && path.[i] >= '0' && path.[i] <= '9' then
+      digits (i + 1)
+    else i
   in
-  let rec digits s i = if i < String.length s && s.[i] >= '0' && s.[i] <= '9'
-    then digits s (i + 1) else i in
-  let split_w s =
-    (* longest prefix such that the rest is ".w<digits>" *)
-    match String.rindex_opt s '.' with
-    | Some i
-      when i + 2 < String.length s
-           && s.[i + 1] = 'w'
-           && digits s (i + 2) = String.length s ->
-        Some (String.sub s 0 i)
-    | _ -> None
-  in
-  match chop path ".jsonl" with
-  | Some stem -> (
-      match split_w stem with
-      | Some b when Filename.check_suffix b ".spans" ->
-          Some (Filename.chop_suffix b ".spans")
-      | _ -> split_w path)
-  | None -> split_w path
+  match String.rindex_opt path '.' with
+  | Some i
+    when i + 2 < String.length path
+         && path.[i + 1] = 'w'
+         && digits (i + 2) = String.length path ->
+      Some (String.sub path 0 i)
+  | _ -> None
 
 let detect path : kind =
   if Filename.check_suffix path ".tmp" then Stale_tmp
@@ -126,8 +112,6 @@ let detect path : kind =
         when Telemetry.Trace_check.member "wall_us" j <> None
              && Telemetry.Trace_check.member "key" j <> None ->
           Profile_sidecar
-      | Some j when Telemetry.Trace_check.member "ts_us" j <> None ->
-          Span_shard
       | _ -> Unknown
 
 (* ------------------------------------------------------------------ *)
@@ -211,15 +195,6 @@ let check_jsonl ~repair ~(sound : string -> string option) path r =
 let sound_profile line =
   match Cellprof.decode line with Some _ -> Some "" | None -> None
 
-let sound_span line =
-  let open Telemetry.Trace_check in
-  match parse_opt line with
-  | Some j
-    when member "name" j <> None && member "ts_us" j <> None
-         && member "dur_us" j <> None ->
-      Some ""
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Per-file check                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -253,10 +228,6 @@ let check ?(repair = false) path : report =
       | Profile_sidecar as k -> (
           let r = { r with r_kind = k } in
           try check_jsonl ~repair ~sound:sound_profile path r
-          with Sys_error msg -> { r with r_unrepairable = Some msg })
-      | Span_shard as k -> (
-          let r = { r with r_kind = k } in
-          try check_jsonl ~repair ~sound:sound_span path r
           with Sys_error msg -> { r with r_unrepairable = Some msg })
       | Unknown -> { r with r_kind = Unknown }
   in

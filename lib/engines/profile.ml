@@ -110,11 +110,7 @@ let run_bap ?(incremental = true) ?(ladder = Smt.Degrade.default_ladder)
       work = trace.result.steps }
   else
     let proposed, extra =
-      match
-        (match session with
-         | Some sess -> Smt.Session.check_assertions sess cs
-         | None -> Smt.Solver.solve ~config:solver_config ~stats cs)
-      with
+      match Smt.Solver.solve ~config:solver_config ~stats ?session cs with
       | Smt.Solver.Sat model ->
         (Some (input_of_model ~width:(String.length seed) model), [])
       | Smt.Solver.Unsat -> (None, [])

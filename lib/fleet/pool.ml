@@ -9,12 +9,12 @@
     so only task {e strings} and result {e payloads} cross the pipes,
     line-framed.
 
-    Durability: with {!config.journal} set, each worker appends every
-    completed (key, payload) to its own write-ahead journal
-    ([<path>.w<slot>], same checksummed format and fingerprint
-    discipline as {!Robust.Journal}) {e before} replying, so a master
-    crash loses no finished cell; {!Merge} folds the per-worker
-    journals back into one canonical journal.
+    The pool is transport only: it keeps no durable state of its own.
+    A caller that needs results to survive a master crash makes its
+    runner persist them before returning (Table II's runner appends
+    each cell to a per-worker journal, which {!Merge} folds back into
+    one canonical journal; the serve daemon keeps its own queue
+    journal).  {!worker_slot} tells a runner which worker it runs in.
 
     Liveness: every worker message doubles as a heartbeat.  A worker
     that dies (EOF on its pipe) or blows the per-task wall watchdog is
@@ -48,12 +48,6 @@ let m_quarantined = Telemetry.Metrics.counter "fleet.slots_quarantined"
 (* Types                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type journal_config = {
-  j_path : string;
-      (** base path; worker [slot] journals to [j_path ^ ".w<slot>"] *)
-  j_fingerprint : string;
-}
-
 type config = {
   workers : int;
   respawns : int;
@@ -61,7 +55,6 @@ type config = {
   task_timeout : float option;
       (** wall seconds a dispatched task may run before its worker is
           killed and the task re-dispatched (liveness watchdog) *)
-  journal : journal_config option;
   at_fork : (unit -> unit) option;
       (** run in the child right after [fork] — lets an embedding
           daemon close its listening/client sockets in workers *)
@@ -72,11 +65,6 @@ type config = {
           — surviving worker death and SIGKILL re-dispatch — for
           {!metrics_snapshot} / {!publish_metrics}.  Off by default:
           the disabled path adds nothing to the per-task protocol. *)
-  spans : string option;
-      (** base path for per-worker span shards: when set, workers run
-          with span tracing enabled and append finished spans to
-          [<base>.spans.w<slot>.jsonl] after every task
-          (see {!Spans}) *)
   breaker : int option;
       (** circuit breaker: a slot whose worker dies this many times in
           a row (without one verified reply in between) is quarantined
@@ -89,9 +77,8 @@ type config = {
 }
 
 let default_config =
-  { workers = 2; respawns = 1; task_timeout = None; journal = None;
-    at_fork = None; snapshots = false; spans = None; breaker = None;
-    chaos = None }
+  { workers = 2; respawns = 1; task_timeout = None; at_fork = None;
+    snapshots = false; breaker = None; chaos = None }
 
 type failure =
   | Worker_lost of int  (** workers died running it; the attempt count *)
@@ -183,8 +170,8 @@ let check_key key =
 (* Worker side                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* worker-side slot marker: lets runner closures (profile shards) know
-   which worker they execute in; [-1] in the master *)
+(* worker-side slot marker: lets runner closures (a journal shard, a
+   trace lane) know which worker they execute in; [-1] in the master *)
 let current_slot = ref (-1)
 
 let worker_slot () = if !current_slot >= 0 then Some !current_slot else None
@@ -205,17 +192,12 @@ let worker_loop ~(cfg : config) ~slot ~run rd wr : 'a =
          flush oc)
       fmt
   in
-  (* observability: a fork inherits the parent's registry and any
-     recorded spans, so snapshots diff against a baseline captured
-     here and span tracing starts from a clean slate *)
+  (* a fork inherits the parent's registry, so snapshots diff against
+     a baseline captured here *)
   let baseline =
     if cfg.snapshots then Telemetry.Snapshot.capture ()
     else Telemetry.Snapshot.empty
   in
-  if cfg.spans <> None then begin
-    Telemetry.reset ();
-    Telemetry.enable ()
-  end;
   let send_snapshot () =
     if cfg.snapshots then
       let d =
@@ -223,32 +205,10 @@ let worker_loop ~(cfg : config) ~slot ~run rd wr : 'a =
       in
       send "S %s" (Telemetry.Snapshot.to_json d)
   in
-  let flush_spans () =
-    match cfg.spans with
-    | Some base -> (try Spans.flush_shard ~base ~slot with Sys_error _ -> ())
-    | None -> ()
-  in
-  let journal = ref None in
-  let journal_writer () =
-    match (!journal, cfg.journal) with
-    | Some w, _ -> Some w
-    | None, None -> None
-    | None, Some jc ->
-        let w =
-          Robust.Journal.open_writer ~fingerprint:jc.j_fingerprint
-            (Printf.sprintf "%s.w%d" jc.j_path slot)
-        in
-        journal := Some w;
-        Some w
-  in
   let quit code =
-    (* final flush: completed spans and a last snapshot line reach the
-       master before EOF (it keeps reading until EOF on shutdown) *)
-    flush_spans ();
+    (* final flush: a last snapshot line reaches the master before EOF
+       (it keeps reading until EOF on shutdown) *)
     (try send_snapshot () with _ -> ());
-    (match !journal with
-     | Some w -> (try Robust.Journal.close_writer w with _ -> ())
-     | None -> ());
     (try flush oc with _ -> ());
     Unix._exit code
   in
@@ -287,17 +247,12 @@ let worker_loop ~(cfg : config) ~slot ~run rd wr : 'a =
               (match run ~attempt ~key task with
                | payload ->
                    check_frame "payload" payload;
-                   (match journal_writer () with
-                    | Some w -> Robust.Journal.append w ~key ~payload
-                    | None -> ());
-                   (* per-task observability flush, *before* the reply:
-                      spans to this slot's shard, registry delta on the
-                      pipe — so by the time the master routes this
-                      result, the task's counters are already folded in
-                      (a client seeing "done" can trust [metrics]), and
-                      a later SIGKILL loses at most the killed task's
-                      own work *)
-                   flush_spans ();
+                   (* registry delta on the pipe *before* the reply —
+                      so by the time the master routes this result, the
+                      task's counters are already folded in (a client
+                      seeing "done" can trust [metrics]), and a later
+                      SIGKILL loses at most the killed task's own
+                      work *)
                    send_snapshot ();
                    send "D %d %s %s" id (Robust.Journal.fnv64_hex payload)
                      payload
@@ -307,7 +262,6 @@ let worker_loop ~(cfg : config) ~slot ~run rd wr : 'a =
                        (fun c -> if c = '\n' then ' ' else c)
                        (Printexc.to_string e)
                    in
-                   flush_spans ();
                    send_snapshot ();
                    send "X %d %s %s" id (Robust.Journal.fnv64_hex msg) msg);
               loop ()
@@ -873,12 +827,6 @@ let shutdown (t : t) =
          end)
       t.ws
   end
-
-(** Per-worker journal paths a pool over [j_path] would write (only
-    those that exist on disk). *)
-let worker_journal_paths ~path ~workers =
-  List.filter Sys.file_exists
-    (List.init workers (fun slot -> Printf.sprintf "%s.w%d" path slot))
 
 (* ------------------------------------------------------------------ *)
 (* Observability (master side)                                         *)

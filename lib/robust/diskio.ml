@@ -128,8 +128,8 @@ let handle_path h = h.h_path
 
 (* a well-formed record file ends in '\n'; anything else is the torn
    tail of a crashed append — terminate it so new records never fuse
-   with the torn bytes.  (This is the healing formerly copied into
-   the journal writer, the span shards and the profile sidecar.) *)
+   with the torn bytes.  (The journal writer and the profile sidecar
+   both heal through here.) *)
 let ends_torn path =
   Sys.file_exists path
   && (let ic = open_in_bin path in

@@ -72,20 +72,10 @@ type writer = {
           records are shed instead of crashing the run *)
 }
 
-(* minimal JSON string escaper: every non-printable or non-ASCII byte
-   goes out as \u00XX, which the Trace_check parser maps back to the
-   same byte — proposed inputs can contain arbitrary bytes *)
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | ' ' .. '~' -> Buffer.add_char buf c
-       | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)))
-    s;
-  Buffer.contents buf
+(* proposed inputs can contain arbitrary bytes; the shared escaper
+   writes every byte outside ' '..'~' as \u00XX, which the loader's
+   parser maps back to the same byte *)
+let json_escape = Telemetry.Trace_check.json_escape
 
 (** Open [path] for appending records under [fingerprint].  [seq] is
     the next sequence number (continue from {!load}'s [next_seq] when

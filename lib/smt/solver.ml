@@ -42,12 +42,20 @@ let default_config = Session.default_config
 (** Free variables of a constraint set, de-duplicated. *)
 let all_vars = Expr.vars_of_list
 
-(** Solve the conjunction of [constraints].  A returned model is
-    validated by concrete evaluation before being reported.  [stats],
-    when given, accumulates the degraded-ladder rungs across calls. *)
-let solve ?(config = default_config) ?stats (constraints : Expr.t list) :
-  outcome =
-  Session.check_assertions (Session.create ~config ?stats ()) constraints
+(** Solve the conjunction of [constraints] — the engines' one solve
+    site.  With [session] the check runs there, reusing its learned
+    clauses and query cache ([config] overrides the session's for this
+    check only); without, a fresh session answers it one-shot, and
+    [stats], when given, accumulates the degraded-ladder rungs across
+    such calls.  A returned model is validated by concrete evaluation
+    before being reported. *)
+let solve ?config ?stats ?session (constraints : Expr.t list) : outcome =
+  let session =
+    match session with
+    | Some s -> s
+    | None -> Session.create ?config ?stats ()
+  in
+  Session.check_assertions ?config session constraints
 
 let outcome_to_string = function
   | Sat m ->

@@ -172,21 +172,7 @@ let publish ?(prefix = "") t =
 (* JSON codec                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-       match ch with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let esc = Trace_check.json_escape
 
 (** One line, no spaces — snapshots cross the fleet's line-framed
     pipes verbatim.  [%.17g] keeps gauge floats exact across the round
@@ -202,13 +188,13 @@ let to_json t =
   Buffer.add_string buf "{\"c\":{";
   List.iter
     (fun (name, v) ->
-       field (Printf.sprintf "\"%s\":%d" (json_escape name) v))
+       field (Printf.sprintf "\"%s\":%d" (esc name) v))
     t.counters;
   Buffer.add_string buf "},\"g\":{";
   sep := false;
   List.iter
     (fun (name, v) ->
-       field (Printf.sprintf "\"%s\":%.17g" (json_escape name) v))
+       field (Printf.sprintf "\"%s\":%.17g" (esc name) v))
     t.gauges;
   Buffer.add_string buf "},\"h\":{";
   sep := false;
@@ -216,7 +202,7 @@ let to_json t =
     (fun (name, h) ->
        field
          (Printf.sprintf "\"%s\":{\"n\":%d,\"s\":%d,\"m\":%d,\"b\":[%s]}"
-            (json_escape name) h.hs_count h.hs_sum h.hs_max
+            (esc name) h.hs_count h.hs_sum h.hs_max
             (String.concat ","
                (List.map
                   (fun (i, n) -> Printf.sprintf "[%d,%d]" i n)

@@ -207,21 +207,7 @@ let render_tree ?root () =
 
 (* --- JSON emission --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-       match ch with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Trace_check.json_escape
 
 let attrs_json attrs =
   String.concat ", "
@@ -231,8 +217,7 @@ let attrs_json attrs =
        attrs)
 
 (** One span as a single JSONL object (no trailing newline): id,
-    parent, name, start/duration in µs, attributes.  The fleet's
-    per-worker span shards append these incrementally. *)
+    parent, name, start/duration in µs, attributes. *)
 let span_jsonl s =
   Printf.sprintf
     "{\"id\": %d, \"parent\": %s, \"name\": \"%s\", \
@@ -254,34 +239,58 @@ let to_jsonl () =
     (finished_spans ());
   Buffer.contents buf
 
-(** Chrome trace_event JSON: paired B/E duration events emitted by
-    walking the span tree, so nesting in the viewer mirrors the
-    recorded parent/child structure and B/E events balance like
-    brackets. *)
-let to_chrome () =
-  let all = finished_spans () in
+(** One group of spans (one cell's, say) as Chrome trace_event events
+    on lane [lane] (the events' [pid]): paired B/E duration events
+    emitted by walking the group's span tree, so nesting in the viewer
+    mirrors the recorded parent/child structure and B/E events balance
+    like brackets.  A span whose parent is outside the group is one of
+    its roots.  Nesting never crosses groups, so span ids need to be
+    unique only within one group, and groups concatenate into one
+    valid trace ({!chrome_document}) in any order. *)
+let chrome_events ~lane group =
+  let group = List.sort (fun a b -> compare a.id b.id) group in
+  let ids = Hashtbl.create 64 and kids = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace ids s.id ()) group;
+  (* added newest first, so [find_all] lists each span's children in
+     start order *)
+  List.iter
+    (fun s -> Option.iter (fun p -> Hashtbl.add kids p s) s.parent)
+    (List.rev group);
   let events = ref [] in  (* reversed *)
   let emit ev = events := ev :: !events in
   let rec emit_span s =
     emit
       (Printf.sprintf
          "{\"name\": \"%s\", \"ph\": \"B\", \"ts\": %.1f, \
-          \"pid\": 1, \"tid\": 1%s}"
-         (json_escape s.name) s.t_start
+          \"pid\": %d, \"tid\": 1%s}"
+         (json_escape s.name) s.t_start lane
          (match s.attrs with
           | [] -> ""
           | attrs -> Printf.sprintf ", \"args\": {%s}" (attrs_json attrs)));
-    List.iter emit_span (children_of all s.id);
+    List.iter emit_span (Hashtbl.find_all kids s.id);
     emit
       (Printf.sprintf
          "{\"name\": \"%s\", \"ph\": \"E\", \"ts\": %.1f, \
-          \"pid\": 1, \"tid\": 1}"
-         (json_escape s.name) s.t_stop)
+          \"pid\": %d, \"tid\": 1}"
+         (json_escape s.name) s.t_stop lane)
   in
-  List.iter emit_span (List.filter (fun s -> s.parent = None) all);
+  List.iter
+    (fun s ->
+       match s.parent with
+       | Some p when Hashtbl.mem ids p -> ()
+       | _ -> emit_span s)
+    group;
+  List.rev !events
+
+(** A Chrome trace_event JSON document holding [events], loadable in
+    [about:tracing] / Perfetto. *)
+let chrome_document events =
   "{\"traceEvents\": [\n"
-  ^ String.concat ",\n" (List.rev !events)
+  ^ String.concat ",\n" events
   ^ "\n], \"displayTimeUnit\": \"ms\"}\n"
+
+(** Every finished span as one Chrome trace on lane 1. *)
+let to_chrome () = chrome_document (chrome_events ~lane:1 (finished_spans ()))
 
 let write_file path contents =
   let oc = open_out path in

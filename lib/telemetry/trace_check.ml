@@ -22,6 +22,23 @@ type json =
 
 exception Parse_error of string
 
+(** The one JSON string escaper every writer in the tree uses: ['"']
+    and ['\\'] get a backslash, and every byte outside [' '..'~']
+    goes out as [\u00XX], which {!parse} maps back to the same byte —
+    so any byte string (a proposed input, a span attribute) round-trips,
+    and an escaped string never holds a raw tab or newline. *)
+let json_escape (s : string) : string =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+       match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | ' ' .. '~' -> Buffer.add_char buf c
+       | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)))
+    s;
+  Buffer.contents buf
+
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
 type cursor = { src : string; mutable pos : int }

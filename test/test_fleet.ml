@@ -297,7 +297,7 @@ let fleet_journal_byte_identical () =
     (read_file seq_path) (read_file par_path);
   (* the merge retires every per-worker shard *)
   Alcotest.(check (list string)) "no shards left behind" []
-    (Fleet.Pool.worker_journal_paths ~path:par_path ~workers:8);
+    (Engines.Eval.worker_shards par_path);
   (* and the merged journal replays under the sequential resume path
      exactly like a sequentially written one *)
   let replayed0 = counter "journal.replayed" in

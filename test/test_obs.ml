@@ -166,7 +166,7 @@ let fleet_counters_equal_sequential () =
          let base = Snap.capture () in
          let _ =
            Engines.Eval.run_table2 ~tools:det_tools ~bombs:det_bombs
-             ~workers ~snapshots:true ()
+             ~workers ()
          in
          (workers, engine_counters ~base (Snap.capture ())))
       [ 2; 4 ]
@@ -262,10 +262,20 @@ let shutdown_flush_collects_final_snapshot () =
 
 let profiled_sample_and_codec () =
   let bomb = Bombs.Catalog.find "time_bomb" in
+  let was = Telemetry.is_enabled () in
+  let mark = Telemetry.watermark () in
+  Telemetry.enable ();
   let o, s =
-    Engines.Cellprof.profiled ~phases:true ~key:"BAP/time_bomb" (fun () ->
+    Engines.Cellprof.profiled ~key:"BAP/time_bomb" (fun () ->
         Engines.Supervisor.run_cell Engines.Profile.Bap bomb)
   in
+  let s =
+    { s with
+      Engines.Cellprof.p_phases =
+        Engines.Cellprof.phases_of (Telemetry.spans_since mark) }
+  in
+  Telemetry.drop_since mark;
+  if not was then Telemetry.disable ();
   Alcotest.(check string) "grade recorded"
     (Concolic.Error.cell_symbol o.Engines.Supervisor.graded.Engines.Grade.cell)
     s.Engines.Cellprof.p_grade;
@@ -298,35 +308,60 @@ let profile_decodes_older_sidecar () =
     Alcotest.(check (float 0.0)) "unknown_budget_ms" 0.0
       s.Engines.Cellprof.p_unknown_budget_ms
 
+(* the B events of [cell] spans in a Chrome trace file *)
+let count_cell_spans path =
+  let open Telemetry.Trace_check in
+  match member "traceEvents" (parse (read_file path)) with
+  | Some (Arr evs) ->
+    List.length
+      (List.filter
+         (fun ev ->
+            member "name" ev = Some (Str "cell")
+            && member "ph" ev = Some (Str "B"))
+         evs)
+  | _ -> 0
+
+(* a sequential traced run restores the recorder as it found it:
+   tracing off again, and none of the cells' spans left in memory *)
+let sequential_trace_restores_recorder () =
+  let spans_out = Filename.temp_file "obs_trace_seq" ".json" in
+  let ids () =
+    List.map (fun (s : Telemetry.span) -> s.id) (Telemetry.finished_spans ())
+  in
+  List.iter
+    (fun enabled ->
+       if enabled then Telemetry.enable () else Telemetry.disable ();
+       let before = ids () in
+       let _ =
+         Engines.Eval.run_table2 ~tools:det_tools ~bombs:[ List.hd det_bombs ]
+           ~spans_out ()
+       in
+       Alcotest.(check bool)
+         (Printf.sprintf "tracing still %b" enabled)
+         enabled (Telemetry.is_enabled ());
+       Alcotest.(check (list int))
+         (Printf.sprintf "finished spans untouched (tracing %b)" enabled)
+         before (ids ()))
+    [ false; true ];
+  Telemetry.disable ();
+  Sys.remove spans_out
+
 (* profiling a sequential run leaves its --fleet-trace spans alone:
    the Chrome trace holds one cell span per grid cell *)
 let profile_sidecar_sequential () =
   let path = Filename.temp_file "obs_prof_seq" ".jsonl" in
   let spans_out = Filename.temp_file "obs_prof_seq" ".json" in
   Sys.remove path;
-  let was = Telemetry.is_enabled () in
   let _ =
     Engines.Eval.run_table2 ~tools:det_tools ~bombs:det_bombs ~profile:path
       ~spans_out ()
   in
-  if not was then Telemetry.disable ();
   let samples = Engines.Cellprof.load path in
   Sys.remove path;
   (match Telemetry.Trace_check.validate_chrome_file spans_out with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "sequential trace invalid: %s" e);
-  let open Telemetry.Trace_check in
-  let cell_spans =
-    match member "traceEvents" (parse (read_file spans_out)) with
-    | Some (Arr evs) ->
-      List.length
-        (List.filter
-           (fun ev ->
-              member "name" ev = Some (Str "cell")
-              && member "ph" ev = Some (Str "B"))
-           evs)
-    | _ -> 0
-  in
+  let cell_spans = count_cell_spans spans_out in
   Sys.remove spans_out;
   Alcotest.(check int) "one cell span per grid cell"
     (List.length det_tools * List.length det_bombs)
@@ -344,17 +379,37 @@ let profile_sidecar_sequential () =
   in
   Alcotest.(check (list string)) "one sample per grid cell" grid keys
 
+(* a fleet run's workers return their samples and spans in their
+   replies: only the sidecar and the trace land on disk *)
 let profile_sidecar_fleet () =
   let path = Filename.temp_file "obs_prof_par" ".jsonl" in
+  let spans_out = Filename.temp_file "obs_prof_par" ".json" in
   Sys.remove path;
   let _ =
     Engines.Eval.run_table2 ~tools:det_tools ~bombs:det_bombs ~workers:2
-      ~profile:path ()
+      ~profile:path ~spans_out ()
   in
   let samples = Engines.Cellprof.load path in
-  Alcotest.(check int) "per-slot shards merged away" 0
-    (List.length (Engines.Cellprof.existing_shards ~path));
+  let dir = Filename.dirname path in
+  let leftovers =
+    List.filter
+      (fun f ->
+         List.exists
+           (fun prefix ->
+              String.starts_with ~prefix:(Filename.basename prefix) f)
+           [ path ^ ".w"; spans_out ^ ".spans.w" ])
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check (list string)) "no per-worker shard files" [] leftovers;
   Sys.remove path;
+  (match Telemetry.Trace_check.validate_chrome_file spans_out with
+   | Ok { spans; _ } ->
+     Alcotest.(check bool) "fleet trace has balanced spans" true (spans > 0)
+   | Error e -> Alcotest.failf "fleet trace invalid: %s" e);
+  Alcotest.(check int) "one cell span per grid cell"
+    (List.length det_tools * List.length det_bombs)
+    (count_cell_spans spans_out);
+  Sys.remove spans_out;
   let keys =
     List.sort compare
       (List.map (fun s -> s.Engines.Cellprof.p_key) samples)
@@ -373,53 +428,6 @@ let profile_sidecar_fleet () =
          (s.Engines.Cellprof.p_key ^ " profiled real work") true
          (s.Engines.Cellprof.p_vm_steps > 0))
     samples
-
-(* ---------------- span shards ---------------- *)
-
-let span_shards_merge_to_chrome () =
-  let base = Filename.temp_file "obs_spans" "" in
-  Sys.remove base;
-  let was = Telemetry.is_enabled () in
-  Telemetry.reset ();
-  Telemetry.enable ();
-  Telemetry.with_span "alpha" (fun () ->
-      Telemetry.with_span "beta" (fun () -> ()));
-  Fleet.Spans.flush_shard ~base ~slot:0;
-  Telemetry.with_span "gamma" (fun () -> ());
-  Fleet.Spans.flush_shard ~base ~slot:3;
-  if not was then Telemetry.disable ();
-  let out = base ^ ".chrome.json" in
-  let report = Fleet.Spans.merge_chrome ~base ~out () in
-  Alcotest.(check int) "two shards merged" 2
-    report.Fleet.Spans.mr_shards;
-  Alcotest.(check int) "three spans stitched" 3 report.Fleet.Spans.mr_spans;
-  Alcotest.(check int) "nothing skipped" 0 report.Fleet.Spans.mr_skipped;
-  Alcotest.(check int) "shards removed after merge" 0
-    (List.length (Fleet.Spans.existing_shards ~base));
-  (match Telemetry.Trace_check.validate_chrome_file out with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "merged trace invalid: %s" e);
-  Sys.remove out
-
-let span_shard_torn_tail_skipped () =
-  let base = Filename.temp_file "obs_torn" "" in
-  Sys.remove base;
-  let shard = Fleet.Spans.shard_path ~base 1 in
-  let oc = open_out shard in
-  output_string oc
-    "{\"id\": 0, \"parent\": null, \"name\": \"ok\", \"ts_us\": 1.0, \
-     \"dur_us\": 2.0}\n";
-  output_string oc "{\"id\": 1, \"parent\": null, \"na";  (* torn tail *)
-  close_out oc;
-  let out = base ^ ".chrome.json" in
-  let report = Fleet.Spans.merge_chrome ~base ~out () in
-  Alcotest.(check int) "good span kept" 1 report.Fleet.Spans.mr_spans;
-  Alcotest.(check int) "torn line skipped, not fatal" 1
-    report.Fleet.Spans.mr_skipped;
-  (match Telemetry.Trace_check.validate_chrome_file out with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "trace with skipped tail invalid: %s" e);
-  Sys.remove out
 
 let () =
   Alcotest.run "obs"
@@ -447,10 +455,7 @@ let () =
            profile_decodes_older_sidecar;
          Alcotest.test_case "sequential sidecar covers the grid" `Quick
            profile_sidecar_sequential;
-         Alcotest.test_case "fleet shards merge to one sidecar" `Quick
-           profile_sidecar_fleet ]);
-      ("spans",
-       [ Alcotest.test_case "shards merge to valid Chrome trace" `Quick
-           span_shards_merge_to_chrome;
-         Alcotest.test_case "torn shard tail skipped" `Quick
-           span_shard_torn_tail_skipped ]) ]
+         Alcotest.test_case "sequential trace restores the recorder" `Quick
+           sequential_trace_restores_recorder;
+         Alcotest.test_case "fleet run leaves only sidecar and trace" `Quick
+           profile_sidecar_fleet ]) ]

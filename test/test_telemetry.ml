@@ -158,6 +158,43 @@ let chrome_catches_imbalance () =
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ()
 
+(* per-group B/E nesting: two cells' groups on one lane whose span ids
+   repeat (a respawned worker restarts its ids) still balance, and a
+   cell whose root span sits under a span still open outside the group
+   keeps its root *)
+let chrome_groups_nest_per_cell () =
+  with_tracing @@ fun () ->
+  record_sample_spans ();
+  let first = T.finished_spans () in
+  T.reset ();
+  let outer = T.begin_span "outer" in
+  let mark = T.watermark () in
+  record_sample_spans ();
+  let second = T.spans_since mark in
+  T.end_span outer;
+  let id (s : T.span) = s.id in
+  Alcotest.(check bool) "span ids repeat across the groups" true
+    (List.exists (fun s -> List.mem (id s) (List.map id first)) second);
+  let events =
+    T.chrome_events ~lane:3 first @ T.chrome_events ~lane:3 second
+  in
+  match C.validate_chrome (T.chrome_document events) with
+  | Ok { spans; max_depth; _ } ->
+    Alcotest.(check int) "every span of both groups balanced" 6 spans;
+    Alcotest.(check int) "nesting stays within a group" 2 max_depth
+  | Error e -> Alcotest.failf "invalid grouped trace: %s" e
+
+(* the one escaper is total: every byte value survives escape -> parse,
+   and no escaped string holds a raw control byte *)
+let escape_round_trips_every_byte () =
+  let all = String.init 256 Char.chr in
+  let escaped = C.json_escape all in
+  Alcotest.(check bool) "only printable ASCII escaped" true
+    (String.for_all (fun c -> c >= ' ' && c <= '~') escaped);
+  match C.parse ("\"" ^ escaped ^ "\"") with
+  | C.Str s -> Alcotest.(check string) "all 256 bytes round-trip" all s
+  | _ -> Alcotest.fail "escaped string did not parse as a string"
+
 let tree_renders_aggregates () =
   with_tracing @@ fun () ->
   record_sample_spans ();
@@ -204,6 +241,10 @@ let () =
       ("sinks",
        [ Alcotest.test_case "jsonl parses" `Quick jsonl_well_formed;
          Alcotest.test_case "chrome balances" `Quick chrome_well_formed;
+         Alcotest.test_case "chrome groups nest per cell" `Quick
+           chrome_groups_nest_per_cell;
+         Alcotest.test_case "escape round-trips every byte" `Quick
+           escape_round_trips_every_byte;
          Alcotest.test_case "validator rejects broken traces" `Quick
            chrome_catches_imbalance;
          Alcotest.test_case "tree aggregates siblings" `Quick
