@@ -55,7 +55,7 @@ let parse_policy budget_spec retries backoff =
 let kill_exit_code = 9
 
 (* --metrics-out: the deterministic engine counters (vm/smt/lifter/
-   taint/concolic/dse) as "name value" lines — the fleet-merge
+   taint/concolic/dse) as "name value" lines — the fleet
    determinism check diffs these between sequential and fleet runs *)
 let metric_prefixes =
   [ "vm."; "smt."; "lifter."; "taint."; "concolic."; "dse." ]
@@ -139,11 +139,6 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
       Some
         { Engines.Eval.journal_path = path; kill_after; kill_torn }
   in
-  (* the crash simulation is in-process only *)
-  if workers > 1 && (kill_after <> None || kill_torn) then begin
-    Printf.eprintf "--kill-after/--kill-torn require --workers 1\n";
-    exit 2
-  end;
   match
     Engines.Eval.run_table2 ~incremental:(not no_incremental) ?ladder
       ~policy ~tools ~bombs ?journal ~workers ?profile
@@ -385,8 +380,8 @@ let run_chaos no_incremental seed plans serve disk rate workers tools_filter
     end;
     (* storage-fault soak: journaled fleet grid under seeded disk
        faults (ENOSPC, short writes, bit flips, torn fsyncs, failed
-       renames), then fsck --repair + resume + canonical merge must
-       reconstruct a byte-identical table and journal *)
+       renames), then fsck --repair + resume must reconstruct a
+       byte-identical table and journal *)
     let report =
       Engines.Disk_soak.run ~plans ~seed ~rate ~workers ~tools ~bombs ()
     in
@@ -601,9 +596,10 @@ let kill_after_arg =
   Arg.(value & opt (some int) None
        & info [ "kill-after" ] ~docv:"N"
          ~doc:
-           "Simulate a crash: die (exit 9) after N cells have been \
-            freshly executed and journaled (requires --journal; \
-            replayed cells do not count)")
+           "Simulate a crash: die (exit 9) when the journal record of \
+            fresh cell N+1 is due, leaving N freshly journaled cells \
+            (requires --journal; replayed cells do not count; works \
+            with --workers too)")
 
 let kill_torn_arg =
   Arg.(value & flag
@@ -623,12 +619,12 @@ let workers_arg =
        & info [ "workers" ] ~docv:"N"
          ~doc:
            "Shard the grid across $(docv) forked worker processes \
-            (the evaluation fleet). With --journal, each worker \
-            write-ahead journals its cells to its own shard \
-            (JOURNAL.wN) and the shards are merged into one canonical \
-            journal at the end. Profile samples and spans come back \
-            in each worker's reply, so --profile and --fleet-trace \
-            write only their own files. 1 = sequential.")
+            (the evaluation fleet). Each cell comes back whole in its \
+            worker's reply: this process journals it as it arrives \
+            (--journal), and writes the --profile sidecar and the \
+            --fleet-trace timeline in grid order at the end, so the \
+            journal ends byte-identical to a sequential run's and no \
+            other file is written. 1 = sequential.")
 
 let profile_out_arg =
   Arg.(value & opt (some string) None
@@ -867,9 +863,11 @@ let chaos_cmd =
              "Soak the storage layer instead of single cells: run a \
               journaled fleet grid under seeded disk faults (ENOSPC, \
               short writes, bit flips, lying fsyncs, failed renames) \
-              injected at every durable-IO append, sync and rename; \
-              then fsck --repair, resume and canonically merge the \
-              survivors; fails unless the recovered table and journal \
+              injected at every durable-IO append, sync and rename, \
+              all of them made by the master process; then fsck \
+              --repair and resume the survivors (the resume rewrites \
+              the journal in grid order); fails unless the recovered \
+              table and journal \
               are byte-identical to a fault-free baseline and every \
               fired fault is accounted in robust.disk_injected.*")
   in
@@ -934,7 +932,7 @@ let fsck_cmd =
     Arg.(value & flag
          & info [ "repair" ]
            ~doc:
-             "Fix what can be fixed: rewrite journals and shards \
+             "Fix what can be fixed: rewrite journals and sidecars \
               keeping only sound records, truncate torn tails, and \
               remove stale *.tmp files")
   in
@@ -942,15 +940,15 @@ let fsck_cmd =
     Arg.(non_empty & pos_all string []
          & info [] ~docv:"PATH"
            ~doc:
-             "Artifacts to check — journals, journal shards, profile \
-              sidecars, or directories (scanned recursively)")
+             "Artifacts to check — journals, profile sidecars, or \
+              directories (scanned recursively)")
   in
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
          "Verify on-disk artifacts: detect each file's format, walk \
-          its per-record checksums, flag torn tails, corrupt records, \
-          orphaned worker shards and stale tmp files, and report \
+          its per-record checksums, flag torn tails, corrupt records \
+          and stale tmp files, and report \
           journal fingerprints. Exit 0 if everything is clean, 1 if \
           damage was found and fully repaired (--repair), 2 if damage \
           remains.")

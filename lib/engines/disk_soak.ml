@@ -6,19 +6,18 @@
       (tool × bomb) grid — its rendered table and journal bytes are
       the ground truth.
     + Attack: [plans] journaled runs of the same grid through the
-      fleet path (per-worker journal shards, canonical merge), each
-      under rate-based disk faults from a fresh seed: ENOSPC, short
-      writes, failed renames, bit flips, lying fsyncs — injected at
-      every {!Robust.Diskio} append, sync and rename, in the master
-      and in the forked workers (which inherit the hook).  A run that
+      fleet path, each under rate-based disk faults from a fresh
+      seed: ENOSPC, short writes, failed renames, bit flips, lying
+      fsyncs — injected at every {!Robust.Diskio} append, sync and
+      rename.  Every durable write of a run happens in the master,
+      which journals each cell as its reply arrives.  A run that
       crashes outright is allowed; what it leaves on disk is not
       allowed to stay wrong.
     + Recovery: faults off, [fsck --repair] over the surviving
-      journal and shards (drop corrupt records, truncate torn tails,
-      clear stale tmps), then a sequential resume replays the
-      repaired journal and shards, folding the shards in, and re-runs
-      whatever they no longer carry; a canonical merge rewrites the
-      journal in grid order.
+      journal (drop corrupt records, truncate torn tails, clear stale
+      tmps), then a sequential resume replays the repaired journal,
+      re-runs whatever it no longer carries and rewrites it in grid
+      order.
     + Containment: every plan's recovered table and canonical journal
       must be byte-identical to the fault-free baseline; every fault
       the seeded state fired must be accounted in the
@@ -36,7 +35,7 @@ type report = {
   dk_faults : (string * int) list;
       (** [robust.disk_injected.*] deltas over the whole soak *)
   dk_accounted : bool;
-      (** every master-side fired count is covered by the metrics *)
+      (** the metrics count exactly the faults the seeded states fired *)
   dk_divergent : int;  (** plans whose recovered state diverged *)
   dk_baseline : string;
   dk_wall : float;
@@ -52,27 +51,19 @@ let no_kill path =
   { Eval.journal_path = path; kill_after = None; kill_torn = false }
 
 (** Run the soak.  [rate] is the per-probe Bernoulli fault rate;
-    [workers] > 1 routes the chaos phase through the fleet
-    (per-worker shards + merge), 1 keeps it sequential. *)
+    [workers] > 1 routes the chaos phase through the fleet, 1 keeps it
+    sequential. *)
 let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
     ?(rate = 0.02) ?(workers = 2)
     ?(tools = Supervisor.default_soak_tools)
     ?(bombs = Supervisor.default_soak_bombs) () : report =
   let t0 = Unix.gettimeofday () in
   let bombs = List.map Bombs.Catalog.find bombs in
-  let order =
-    List.concat_map
-      (fun bomb -> List.map (fun tool -> Eval.cell_key tool bomb) tools)
-      bombs
-  in
-  let fp = Eval.journal_fingerprint ~tools ~bombs () in
   let baseline_path = prefix ^ "_baseline.jsonl" in
   let chaos_path = prefix ^ "_chaos.jsonl" in
-  let chaos_shards () = Eval.worker_shards chaos_path in
   let clear_chaos () =
     rm chaos_path;
-    rm (chaos_path ^ ".tmp");
-    List.iter rm (chaos_shards ())
+    rm (chaos_path ^ ".tmp")
   in
   (* --- fault-free baseline: sequential journaled run --- *)
   rm baseline_path;
@@ -82,19 +73,14 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
   in
   let bytes_base = Robust.Diskio.read_all baseline_path in
   (* metric deltas over the whole soak *)
-  let fault_counters =
-    List.map
-      (fun p -> "robust.disk_injected." ^ Robust.Chaos.disk_point_name p)
-      Robust.Chaos.all_disk_points
-  in
+  let counter_of p = "robust.disk_injected." ^ Robust.Chaos.disk_point_name p in
+  let fault_counters = List.map counter_of Robust.Chaos.all_disk_points in
   let before = List.map Telemetry.Metrics.counter_value fault_counters in
   let shed_before = Telemetry.Metrics.counter_value "journal.shed" in
   let crashed = ref 0 and divergent = ref 0 in
   let damaged_files = ref 0 and repaired_files = ref 0 in
-  (* master-side fired counts, accumulated across plans (with workers
-     the forked side fires more; metrics cover those via snapshot
-     piggyback, so the accounting check is a ≥, exact for workers=1) *)
-  let fired_master = Hashtbl.create 8 in
+  (* fired counts per counter name, accumulated across plans *)
+  let fired = Hashtbl.create 8 in
   for i = 0 to plans - 1 do
     clear_chaos ();
     let st =
@@ -114,17 +100,13 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
     Robust.Diskio.set_fault_hook None;
     List.iter
       (fun (p, n) ->
-         let name = Robust.Chaos.disk_point_name p in
-         Hashtbl.replace fired_master name
-           (n + Option.value ~default:0 (Hashtbl.find_opt fired_master name)))
+         let name = counter_of p in
+         Hashtbl.replace fired name
+           (n + Option.value ~default:0 (Hashtbl.find_opt fired name)))
       (Robust.Chaos.disk_fired st);
-    (* --- recovery phase: fsck --repair, resume, canonical merge --- *)
+    (* --- recovery phase: fsck --repair, then resume --- *)
     let targets =
-      (if Sys.file_exists chaos_path then [ chaos_path ] else [])
-      @ (if Sys.file_exists (chaos_path ^ ".tmp") then
-           [ chaos_path ^ ".tmp" ]
-         else [])
-      @ chaos_shards ()
+      List.filter Sys.file_exists [ chaos_path; chaos_path ^ ".tmp" ]
     in
     let reports = Fsck.scan ~repair:true targets in
     List.iter
@@ -136,12 +118,6 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
       Eval.render_table2
         (Eval.run_table2 ~tools ~bombs ~journal:(no_kill chaos_path) ())
     in
-    (* the resume already folded and retired any worker shards; this
-       puts a sequentially appended tail back in grid order *)
-    ignore
-      (Fleet.Merge.run ~fingerprint:fp ~order ~sources:[ chaos_path ]
-         ~out:chaos_path ()
-        : Fleet.Merge.report);
     let bytes = Robust.Diskio.read_all chaos_path in
     if not (String.equal table table_base && String.equal bytes bytes_base)
     then begin
@@ -163,11 +139,11 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
   let accounted =
     List.for_all
       (fun (name, d) ->
-         d >= Option.value ~default:0 (Hashtbl.find_opt fired_master name))
+         d = Option.value ~default:0 (Hashtbl.find_opt fired name))
       deltas
   in
   { dk_plans = plans;
-    dk_cells = List.length order;
+    dk_cells = List.length tools * List.length bombs;
     dk_workers = workers;
     dk_crashed_runs = !crashed;
     dk_damaged_files = !damaged_files;

@@ -43,10 +43,11 @@ let run_cell ?incremental ?ladder ?policy tool bomb : cell_result =
 (* ------------------------------------------------------------------ *)
 
 (** Journal-backed execution of Table II (see {!Robust.Journal}).
-    [kill_after] simulates a crash: after that many cells have been
-    freshly executed (journaled replays do not count), the run raises
-    {!Simulated_crash} — with [kill_torn], after first writing a
-    deliberately torn record, modelling a death mid-append. *)
+    [kill_after] simulates a crash: when the record of fresh cell
+    [kill_after + 1] is due (journaled replays do not count), the run
+    raises {!Simulated_crash} instead of appending it — with
+    [kill_torn], after first writing half of it, modelling a death
+    mid-append. *)
 type journal = {
   journal_path : string;
   kill_after : int option;
@@ -127,15 +128,6 @@ let outcome_of_failure ~attempts (f : Fleet.Pool.failure) :
     attempts;
     fired = [] }
 
-(* worker [slot]'s cell journal beside the main one at [path] *)
-let shard_path path slot = Printf.sprintf "%s.w%d" path slot
-
-(* leftover per-worker journals can outlive the pool geometry that
-   wrote them (a 4-worker run crashed, this one has 2 or 1), so scan a
-   generous slot range rather than [workers] *)
-let worker_shards path =
-  List.filter Sys.file_exists (List.init 256 (shard_path path))
-
 (* one fresh cell as either executor hands it back: the outcome, its
    profile sample when profiling, its Chrome events when tracing *)
 type capture = {
@@ -145,43 +137,40 @@ type capture = {
 }
 
 (** The Table II runner: every (tool × bomb) cell, in bomb-major grid
-    order.  Journaled cells — from [journal] and from any [PATH.wN]
-    worker shards a crashed fleet run left behind — are replayed; the
-    rest run fresh on one of two executors:
+    order.  Cells journaled in [journal] are replayed; the rest run
+    fresh on one of two executors:
 
-    - [workers = 1] (the default) runs them in this process, appending
-      a write-ahead record per cell to [journal] and honouring its
-      [kill_after]/[kill_torn] crash simulation;
+    - [workers = 1] (the default) runs them in this process;
     - [workers > 1] shards them across a {!Fleet.Pool} of forked
-      workers, each journaling its cells to its own shard [PATH.wN]
-      before it replies.  A worker death re-dispatches the cell up to
+      workers.  A worker death re-dispatches the cell up to
       [max 1 policy.retries] times, each attempt escalating the budget
-      by the policy's backoff, before the cell grades as crashed;
-      [task_timeout] arms the watchdog.  The workers' metric deltas
-      fold into this process's registry, so the fleet's
-      [vm.*]/[smt.*] counters equal an in-process run's.  The crash
-      simulation is in-process only: setting it with [workers > 1]
-      raises [Invalid_argument].
+      by the policy's backoff ({!Supervisor.escalate}), before the
+      cell grades as crashed; [task_timeout] arms the watchdog.  The
+      workers' metric deltas fold into this process's registry, so
+      the fleet's [vm.*]/[smt.*] counters equal an in-process run's.
 
-    Whichever executor ran them, cells fold in grid order and the
-    table, the journal (merged back into one canonical file when shards
-    exist) and the [journal.replayed] count come out the same.  Each
-    fresh cell runs under one capture that takes its spans and then
-    drops them, leaving span tracing as it found it: [profile] appends
-    a {!Cellprof} sample per fresh cell to that sidecar, [spans_out]
-    writes a Chrome trace of the fresh cells (one lane per worker),
-    and a pool worker returns both in its reply, so the sidecar and
-    the trace are written here, in grid order, as in process.
-    [progress] keeps a live done/total line with lane states and an
-    ETA on stderr. *)
+    Either way this process is the journal's one writer: it appends
+    each fresh cell's record as the cell finishes (as the pool's reply
+    arrives), and [kill_after]/[kill_torn] simulate a crash at that
+    step.  A crash therefore loses at most the cells still running.
+    Cells the pool itself failed (a worker lost for good, a cancelled
+    run) are not journaled, so a resume re-runs them.  A journaled run
+    that finishes rewrites the journal once into grid order
+    ({!Robust.Journal.rewrite}), so it is byte-identical whichever
+    executor ran it and however often it was resumed.
+
+    Cells fold in grid order, and the table and the [journal.replayed]
+    count come out the same from both executors.  Each fresh cell runs
+    under one capture that takes its spans and then drops them, leaving
+    span tracing as it found it: [profile] appends a {!Cellprof}
+    sample per fresh cell to that sidecar, [spans_out] writes a Chrome
+    trace of the fresh cells (one lane per worker), and a pool worker
+    returns both in its reply, so the sidecar and the trace are
+    written here, in grid order, as in process.  [progress] keeps a
+    live done/total line with lane states and an ETA on stderr. *)
 let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
     ?(bombs = Bombs.Catalog.table2) ?journal ?profile ?(progress = false)
     ?(workers = 1) ?task_timeout ?spans_out () : table2_result =
-  (match journal with
-   | Some { kill_after = Some _; _ } | Some { kill_torn = true; _ }
-     when workers > 1 ->
-       invalid_arg "Eval.run_table2: kill_after/kill_torn need workers = 1"
-   | _ -> ());
   let pol = Option.value ~default:Supervisor.default_policy policy in
   let grid =
     List.concat_map
@@ -189,38 +178,28 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
          List.map (fun tool -> (cell_key tool bomb, (tool, bomb))) tools)
       bombs
   in
-  let order = List.map fst grid in
   let fp =
     journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs ()
   in
-  (* replay every journaled cell — the main journal plus any worker
-     shards orphaned by a crashed fleet run — before running any *)
+  (* replay every journaled cell before running any *)
   let replayable : (string, Supervisor.outcome) Hashtbl.t =
     Hashtbl.create 128
   in
-  let load_into path =
-    let loaded = Robust.Journal.load ~fingerprint:fp path in
-    List.iter
-      (fun (e : Robust.Journal.entry) ->
-         match Journal_codec.decode_outcome e.cell with
-         | Some o -> Hashtbl.replace replayable e.key o
-         | None ->
-             Robust.Journal.count_undecodable ();
-             Telemetry.Log.warnf
-               "journal: record for %s does not decode; cell will re-run"
-               e.key)
-      loaded.entries;
-    loaded.next_seq
-  in
-  let next_seq, orphans =
+  let loaded =
     match journal with
-    | None -> (0, [])
-    | Some j ->
-        let next_seq = load_into j.journal_path in
-        let shards = worker_shards j.journal_path in
-        List.iter (fun p -> ignore (load_into p : int)) shards;
-        (next_seq, shards)
+    | None -> Robust.Journal.empty_load
+    | Some j -> Robust.Journal.load ~fingerprint:fp j.journal_path
   in
+  List.iter
+    (fun (e : Robust.Journal.entry) ->
+       match Journal_codec.decode_outcome e.cell with
+       | Some o -> Hashtbl.replace replayable e.key o
+       | None ->
+           Robust.Journal.count_undecodable ();
+           Telemetry.Log.warnf
+             "journal: record for %s does not decode; cell will re-run"
+             e.key)
+    loaded.entries;
   let todo =
     List.filter (fun (key, _) -> not (Hashtbl.mem replayable key)) grid
   in
@@ -240,6 +219,29 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
         (Printf.sprintf "[table2] %d/%d  %s  ETA %.0fs" (total - left) total
            (String.concat " " lanes) eta)
     end
+  in
+  (* the one journaling step, for both executors *)
+  let writer =
+    Option.map
+      (fun j ->
+         ( j,
+           Robust.Journal.open_writer ~fingerprint:fp ~seq:loaded.next_seq
+             j.journal_path ))
+      journal
+  in
+  let journaled = ref 0 in
+  let journal_cell key o =
+    Option.iter
+      (fun (j, w) ->
+         (match j.kill_after with
+          | Some k when !journaled >= k ->
+              if j.kill_torn then Robust.Journal.append_torn w ~key;
+              raise Simulated_crash
+          | _ -> ());
+         Robust.Journal.append w ~key
+           ~payload:(Journal_codec.encode_outcome o);
+         incr journaled)
+      writer
   in
   (* the one per-cell capture, in process or in a pool worker: the
      cell's spans feed both the sample's phases and the trace's
@@ -288,74 +290,27 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
     Hashtbl.replace fresh key c.c_outcome
   in
   let in_process () =
-    let w =
-      Option.map
-        (fun j ->
-           (j, Robust.Journal.open_writer ~fingerprint:fp ~seq:next_seq
-                 j.journal_path))
-        journal
-    in
     List.iteri
       (fun i (key, (tool, bomb)) ->
          show ~left:(n_todo - i) [ "main:" ^ key ];
-         (match w with
-          | Some ({ kill_after = Some k; kill_torn; _ }, w) when i >= k ->
-              (* simulated crash: die before this cell runs, optionally
-                 mid-append of its record *)
-              if kill_torn then Robust.Journal.append_torn w ~key;
-              raise Simulated_crash
-          | _ -> ());
          let c = capture ~policy:pol ~key tool bomb in
          record key c;
-         Option.iter
-           (fun (_, w) ->
-              Robust.Journal.append w ~key
-                ~payload:(Journal_codec.encode_outcome c.c_outcome))
-           w)
-      todo;
-    Option.iter (fun (_, w) -> Robust.Journal.close_writer w) w
+         journal_cell key c.c_outcome)
+      todo
   in
   let in_pool () =
-    (* each worker process opens its journal shard at its first cell *)
-    let shard = ref None in
-    let journal_shard j =
-      match !shard with
-      | Some w -> w
-      | None ->
-          let slot = Option.value ~default:0 (Fleet.Pool.worker_slot ()) in
-          let w =
-            Robust.Journal.open_writer ~fingerprint:fp
-              (shard_path j.journal_path slot)
-          in
-          shard := Some w;
-          w
-    in
     (* only the key crosses the pipe; the worker looks its cell up in
        the closed-over grid, so custom tool/bomb lists work *)
     let run ~attempt ~key (_task : string) =
       let tool, bomb = List.assoc key grid in
-      (* a re-dispatched cell (its worker died) escalates like a
-         supervisor retry would *)
-      let policy =
-        if attempt <= 1 then pol
-        else
-          { pol with
-            budget =
-              Robust.Budget.scale
-                (pol.backoff ** float_of_int (attempt - 1))
-                pol.budget }
+      let c =
+        capture ~policy:(Supervisor.escalate pol ~attempt) ~key tool bomb
       in
-      let c = capture ~policy ~key tool bomb in
-      let outcome = Journal_codec.encode_outcome c.c_outcome in
-      (* journaled before the reply, so a master crash loses no
-         finished cell *)
-      Option.iter
-        (fun j -> Robust.Journal.append (journal_shard j) ~key ~payload:outcome)
-        journal;
       (* the whole capture rides the reply: every field is JSON whose
          strings escape all control bytes, so tabs separate them *)
       String.concat "\t"
-        (outcome :: Option.fold ~none:"" ~some:Cellprof.encode c.c_sample
+        (Journal_codec.encode_outcome c.c_outcome
+         :: Option.fold ~none:"" ~some:Cellprof.encode c.c_sample
          :: c.c_events)
     in
     let decode payload =
@@ -369,6 +324,29 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
                Journal_codec.decode_outcome)
       | _ -> None
     in
+    let failed ~attempts f =
+      { c_outcome = outcome_of_failure ~attempts f; c_sample = None;
+        c_events = [] }
+    in
+    let replies = Hashtbl.create 128 in
+    (* journaled as each reply arrives; recorded in grid order below *)
+    let take (r : Fleet.Pool.result) =
+      Hashtbl.replace replies r.r_key
+        (match r.r_payload with
+         | Ok payload -> (
+             match decode payload with
+             | Some c ->
+                 journal_cell r.r_key c.c_outcome;
+                 c
+             | None ->
+                 Telemetry.Log.warnf
+                   "fleet: undecodable payload for %s; grading as crash"
+                   r.r_key;
+                 failed ~attempts:1
+                   (Fleet.Pool.Run_raised "undecodable worker payload"))
+         | Error (Fleet.Pool.Worker_lost n as f) -> failed ~attempts:n f
+         | Error f -> failed ~attempts:1 f)
+    in
     let config =
       { Fleet.Pool.default_config with
         workers;
@@ -378,61 +356,52 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
     in
     let pool = Fleet.Pool.create ~config run in
     let restore_sigint = Fleet.Pool.install_sigint pool in
-    let results =
-      Fun.protect
-        ~finally:(fun () ->
-          restore_sigint ();
-          Fleet.Pool.shutdown pool)
-      @@ fun () ->
-      List.iter
-        (fun (key, _) -> Fleet.Pool.submit pool ~key ~task:key ())
-        todo;
-      let last_tick = ref 0. in
-      let on_round () =
-        let t = Unix.gettimeofday () in
-        if progress && t -. !last_tick >= 0.5 then begin
-          last_tick := t;
-          show ~left:(Fleet.Pool.pending pool)
-            (List.map
-               (fun (slot, alive, quarantined, task) ->
-                  Printf.sprintf "w%d:%s" slot
-                    (if quarantined then "quar"
-                     else if not alive then "dead"
-                     else Option.value ~default:"-" task))
-               (Fleet.Pool.worker_states pool))
-        end
-      in
-      Fleet.Pool.drain ~on_round pool
-    in
+    Fun.protect
+      ~finally:(fun () ->
+        restore_sigint ();
+        Fleet.Pool.shutdown pool)
+      (fun () ->
+         List.iter
+           (fun (key, _) -> Fleet.Pool.submit pool ~key ~task:key ())
+           todo;
+         let last_tick = ref 0. in
+         while Fleet.Pool.pending pool > 0 && not (Fleet.Pool.cancelled pool)
+         do
+           List.iter take (Fleet.Pool.poll ~timeout:0.25 pool);
+           let t = Unix.gettimeofday () in
+           if progress && t -. !last_tick >= 0.5 then begin
+             last_tick := t;
+             show ~left:(Fleet.Pool.pending pool)
+               (List.map
+                  (fun (slot, alive, quarantined, task) ->
+                     Printf.sprintf "w%d:%s" slot
+                       (if quarantined then "quar"
+                        else if not alive then "dead"
+                        else Option.value ~default:"-" task))
+                  (Fleet.Pool.worker_states pool))
+           end
+         done;
+         (* after a cancellation: the cells in flight finish, the
+            queued ones come back failed *)
+         List.iter take (Fleet.Pool.drain pool));
     (* fold worker-reported metrics into this registry *)
     Fleet.Pool.publish_metrics pool;
-    let failed ~attempts f =
-      { c_outcome = outcome_of_failure ~attempts f; c_sample = None;
-        c_events = [] }
-    in
-    let replies = Hashtbl.create 128 in
-    List.iter
-      (fun (r : Fleet.Pool.result) ->
-         Hashtbl.replace replies r.r_key
-           (match r.r_payload with
-            | Ok payload -> (
-                match decode payload with
-                | Some c -> c
-                | None ->
-                    Telemetry.Log.warnf
-                      "fleet: undecodable payload for %s; grading as crash"
-                      r.r_key;
-                    failed ~attempts:1
-                      (Fleet.Pool.Run_raised "undecodable worker payload"))
-            | Error (Fleet.Pool.Worker_lost n as f) -> failed ~attempts:n f
-            | Error f -> failed ~attempts:1 f))
-      results;
-    (* recorded in grid order, as the in-process executor does *)
     List.iter
       (fun (key, _) -> Option.iter (record key) (Hashtbl.find_opt replies key))
       todo
   in
   if workers > 1 then in_pool () else in_process ();
+  Option.iter
+    (fun (j, w) ->
+       Robust.Journal.close_writer w;
+       (* the appended journal is already sound; a failed reorder only
+          leaves it as appended *)
+       try
+         Robust.Journal.rewrite ~fingerprint:fp ~order:(List.map fst grid)
+           j.journal_path
+       with Robust.Diskio.Full msg | Sys_error msg ->
+         Telemetry.Log.warnf "journal: grid-order rewrite failed (%s)" msg)
+    writer;
   Option.iter
     (fun path ->
        Robust.Diskio.write_atomic ~path
@@ -442,19 +411,6 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
     show ~left:0 [];
     prerr_newline ()
   end;
-  (* fold the worker shards (this run's, or orphans a crashed run left)
-     and the main journal into one canonical journal, then retire the
-     shards.  A sequential run with no shards keeps its journal as
-     written. *)
-  (match journal with
-   | Some j when workers > 1 || orphans <> [] ->
-       let shards = worker_shards j.journal_path in
-       ignore
-         (Fleet.Merge.run ~fingerprint:fp ~order
-            ~sources:(j.journal_path :: shards) ~out:j.journal_path ()
-           : Fleet.Merge.report);
-       List.iter Sys.remove shards
-   | _ -> ());
   let cells =
     List.map
       (fun (key, (tool, bomb)) ->

@@ -1,6 +1,6 @@
 (** [eval fsck]: format-detecting verify/repair over every durable
-    artifact the system writes — cell/queue journals, their per-worker
-    shards, and profile sidecars.
+    artifact the system writes — cell/queue journals and profile
+    sidecars.
 
     Verification is structural, not configuration-bound: a journal
     line is sound when its FNV-1a checksum covers its body and the
@@ -9,7 +9,7 @@
     one fsck pass audit artifacts from many runs.
 
     Repair semantics per format:
-    - JSONL artifacts (journals, journal shards, sidecars): rewrite the file
+    - JSONL artifacts (journals, sidecars): rewrite the file
       atomically keeping only sound records — drops bit-flipped and
       short-written lines, truncates a torn tail.  Lossy by design:
       the loaders re-run what a journal no longer carries, so a
@@ -38,8 +38,6 @@ type report = {
   r_records : int;  (** sound records *)
   r_damaged : int;  (** unsound complete records (bit rot, fusion) *)
   r_torn : bool;  (** unterminated or damaged final record *)
-  r_shard : bool;  (** a per-worker merge shard ([*.w<slot>]) *)
-  r_orphan : bool;  (** a shard whose base artifact is missing *)
   r_fingerprints : string list;  (** distinct fingerprints, in order *)
   r_repaired : bool;
   r_unrepairable : string option;
@@ -55,7 +53,7 @@ let has_damage r =
 
 let base_report path =
   { r_path = path; r_kind = Unknown; r_records = 0; r_damaged = 0;
-    r_torn = false; r_shard = false; r_orphan = false; r_fingerprints = [];
+    r_torn = false; r_fingerprints = [];
     r_repaired = false; r_unrepairable = None }
 
 (* ------------------------------------------------------------------ *)
@@ -72,38 +70,16 @@ let looks_journal_line line =
         (String.sub line 0 16);
       !ok)
 
-(* "<base>.w<slot>": a per-worker journal shard; the base is the
-   longest prefix such that the rest is ".w<digits>" *)
-let shard_base path =
-  let rec digits i =
-    if i < String.length path && path.[i] >= '0' && path.[i] <= '9' then
-      digits (i + 1)
-    else i
-  in
-  match String.rindex_opt path '.' with
-  | Some i
-    when i + 2 < String.length path
-         && path.[i + 1] = 'w'
-         && digits (i + 2) = String.length path ->
-      Some (String.sub path 0 i)
-  | _ -> None
-
 let detect path : kind =
   if Filename.check_suffix path ".tmp" then Stale_tmp
   else
-    let head =
+    (* the whole first line: a profile sample runs to ~360 bytes *)
+    let first_line =
       try
         let ic = open_in_bin path in
-        let n = min 256 (in_channel_length ic) in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with Sys_error _ -> ""
-    in
-    let first_line =
-      match String.index_opt head '\n' with
-      | Some i -> String.sub head 0 i
-      | None -> head
+        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+            input_line ic)
+      with Sys_error _ | End_of_file -> ""
     in
     if looks_journal_line first_line then Journal
     else
@@ -204,12 +180,6 @@ let check ?(repair = false) path : report =
   Telemetry.Metrics.incr m_checked;
   let r = base_report path in
   let r =
-    match shard_base path with
-    | Some base ->
-        { r with r_shard = true; r_orphan = not (Sys.file_exists base) }
-    | None -> r
-  in
-  let r =
     if not (Sys.file_exists path) then
       { r with r_unrepairable = Some "no such file" }
     else
@@ -236,8 +206,12 @@ let check ?(repair = false) path : report =
   r
 
 (** Check paths, recursing into directories (every file inside is
-    checked). *)
+    checked).  Stale tmps go first: repairing [PATH] publishes through
+    [PATH.tmp], which would swallow a stale one checked after it. *)
 let rec scan ?(repair = false) (paths : string list) : report list =
+  let tmps, rest =
+    List.partition (fun p -> Filename.check_suffix p ".tmp") paths
+  in
   List.concat_map
     (fun path ->
        if Sys.file_exists path && Sys.is_directory path then
@@ -245,7 +219,7 @@ let rec scan ?(repair = false) (paths : string list) : report list =
            (Sys.readdir path |> Array.to_list |> List.sort compare
             |> List.map (Filename.concat path))
        else [ check ~repair path ])
-    paths
+    (tmps @ rest)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering and exit discipline                                       *)
@@ -255,8 +229,6 @@ let render_one (r : report) : string =
   let b = Buffer.create 128 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pr "%s: %s" r.r_path (kind_name r.r_kind);
-  if r.r_shard then
-    pr " (merge shard%s)" (if r.r_orphan then ", base missing" else "");
   (match r.r_kind with
    | Unknown | Stale_tmp -> ()
    | _ -> pr ", %d record(s)" r.r_records);

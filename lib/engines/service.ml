@@ -117,21 +117,11 @@ let worker_run ~attempt ~key:_ (task : string) : string =
   match decode_request task with
   | Error msg -> error_response ~id:None msg
   | Ok rq -> (
-      (* a worker died on this request before: escalate the budget by
-         the request's own backoff, like a supervisor retry *)
-      let policy =
-        if attempt <= 1 then rq.rq_policy
-        else
-          { rq.rq_policy with
-            budget =
-              Robust.Budget.scale
-                (rq.rq_policy.backoff ** float_of_int (attempt - 1))
-                rq.rq_policy.budget }
-      in
       match
         Supervisor.run_cell ~incremental:rq.rq_incremental
-          ?ladder:(if rq.rq_ladder then None else Some []) ~policy rq.rq_tool
-          rq.rq_bomb
+          ?ladder:(if rq.rq_ladder then None else Some [])
+          ~policy:(Supervisor.escalate rq.rq_policy ~attempt)
+          rq.rq_tool rq.rq_bomb
       with
       | o ->
           Printf.sprintf

@@ -41,6 +41,19 @@ let default_policy =
   { budget = Robust.Budget.unlimited; retries = 0; backoff = 10.0;
     chaos = None }
 
+(** The policy for dispatch [attempt] of a cell whose earlier
+    attempts died with their worker: the budget scaled by
+    [backoff ** (attempt - 1)], as that many supervisor retries would
+    have scaled it. *)
+let escalate policy ~attempt =
+  if attempt <= 1 then policy
+  else
+    { policy with
+      budget =
+        Robust.Budget.scale
+          (policy.backoff ** float_of_int (attempt - 1))
+          policy.budget }
+
 type outcome = {
   graded : Grade.graded;
   cause : cause option;  (** [None]: the final attempt completed *)

@@ -10,11 +10,11 @@
     line-framed.
 
     The pool is transport only: it keeps no durable state of its own.
-    A caller that needs results to survive a master crash makes its
-    runner persist them before returning (Table II's runner appends
-    each cell to a per-worker journal, which {!Merge} folds back into
-    one canonical journal; the serve daemon keeps its own queue
-    journal).  {!worker_slot} tells a runner which worker it runs in.
+    A caller that needs results to survive a crash persists them in
+    the master as the replies arrive ({!poll}): Table II journals each
+    cell, the serve daemon each response in its queue journal.  A
+    master crash then loses at most the tasks still in flight.
+    {!worker_slot} tells a runner which worker it runs in.
 
     Liveness: every worker message doubles as a heartbeat.  A worker
     that dies (EOF on its pipe) or blows the per-task wall watchdog is
@@ -170,8 +170,8 @@ let check_key key =
 (* Worker side                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* worker-side slot marker: lets runner closures (a journal shard, a
-   trace lane) know which worker they execute in; [-1] in the master *)
+(* worker-side slot marker: lets runner closures (a trace lane) know
+   which worker they execute in; [-1] in the master *)
 let current_slot = ref (-1)
 
 let worker_slot () = if !current_slot >= 0 then Some !current_slot else None
@@ -744,14 +744,11 @@ let poll ?(timeout = 0.05) (t : t) : result list =
 
 (** Run the pool to completion (or to cooperative cancellation):
     blocks until every submitted task has a result.  Tasks still
-    queued when the pool is cancelled come back as [Error Cancelled].
-    [on_round] runs after every scheduling round — a live progress
-    line hooks in here without owning the loop. *)
-let drain ?(on_round = fun () -> ()) (t : t) : result list =
+    queued when the pool is cancelled come back as [Error Cancelled]. *)
+let drain (t : t) : result list =
   let acc = ref [] in
   while pending t > 0 && not (t.pool_cancelled && t.inflight = 0) do
-    acc := List.rev_append (poll ~timeout:0.25 t) !acc;
-    on_round ()
+    acc := List.rev_append (poll ~timeout:0.25 t) !acc
   done;
   (* cancelled: fail what never ran *)
   Queue.iter

@@ -244,7 +244,7 @@ let fleet_fired st =
 
 (** The storage fault class, one layer below {!fleet_point}: not the
     pipes between processes but the bytes under the journals and
-    shards.  {!Diskio} consults an installed hook at every
+    sidecars.  {!Diskio} consults an installed hook at every
     append, sync and rename; this state turns those probes into
     seeded faults with the same [Arms]/[Rate] discipline as the
     fleet class.  Constructors are {!Diskio.fault}'s, re-exported. *)

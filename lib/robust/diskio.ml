@@ -1,7 +1,7 @@
 (** Durable-IO layer: the one audited path every on-disk artifact
     goes through — append-only record files (cell journals, queue
-    journals, span and profile shards), atomic tmp+rename publication
-    (merged artifacts) and whole-file reads.
+    journals, profile sidecars), atomic tmp+rename publication
+    (rewritten journals, traces) and whole-file reads.
 
     Before this module the repo carried five independent copies of
     torn-tail healing and tmp+rename.  Centralizing them buys one

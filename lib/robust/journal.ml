@@ -90,6 +90,11 @@ let body ~fingerprint ~seq ~key ~payload =
   Printf.sprintf "{\"fp\":\"%s\",\"seq\":%d,\"key\":\"%s\",\"cell\":%s}"
     (json_escape fingerprint) seq (json_escape key) payload
 
+(* one complete record line: checksum, body, newline *)
+let line ~fingerprint ~seq ~key ~payload =
+  let b = body ~fingerprint ~seq ~key ~payload in
+  fnv64_hex b ^ " " ^ b ^ "\n"
+
 (** Append one record ([payload] must be a complete JSON value) and
     flush: once [append] returns, the record survives a [kill -9].
 
@@ -101,8 +106,10 @@ let body ~fingerprint ~seq ~key ~payload =
 let append (w : writer) ~key ~payload =
   if w.shedding then Telemetry.Metrics.incr m_shed
   else begin
-    let b = body ~fingerprint:w.w_fingerprint ~seq:w.seq ~key ~payload in
-    match Diskio.append w.h (fnv64_hex b ^ " " ^ b ^ "\n") with
+    match
+      Diskio.append w.h
+        (line ~fingerprint:w.w_fingerprint ~seq:w.seq ~key ~payload)
+    with
     | () ->
         w.seq <- w.seq + 1;
         Telemetry.Metrics.incr m_appended
@@ -139,8 +146,8 @@ type entry = {
   seq : int;
   cell : Telemetry.Trace_check.json;  (** opaque payload, caller-decoded *)
   raw : string;
-      (** the payload's exact byte text, so a merge can re-append the
-          record without a decode/re-encode round trip *)
+      (** the payload's exact byte text, so {!rewrite} can re-append
+          the record without a decode/re-encode round trip *)
 }
 
 (* the writer's body layout is fixed ([body] above):
@@ -256,11 +263,11 @@ let peek_fingerprint path : string option =
 (** Load every record of [path] that matches [fingerprint].  A missing
     file is an empty journal.  Damaged or stale lines are skipped with
     a {!Telemetry.Log} warning and counted — in the result and in the
-    [journal.*] metrics.  [dedup:false] keeps every valid record in
-    file order instead of collapsing to last-wins per key — for
-    callers auditing the full append history (the exactly-once soak
-    check). *)
-let load ?(dedup = true) ~fingerprint path : load_result =
+    [journal.*] metrics ([quiet] counts them in the result only).
+    [dedup:false] keeps every valid record in file order instead of
+    collapsing to last-wins per key — for callers auditing the full
+    append history (the exactly-once soak check). *)
+let load ?(dedup = true) ?(quiet = false) ~fingerprint path : load_result =
   if not (Sys.file_exists path) then empty_load
   else begin
     let raw = Diskio.read_all path in
@@ -277,38 +284,20 @@ let load ?(dedup = true) ~fingerprint path : load_result =
       if complete = "" then [] else String.split_on_char '\n' complete
     in
     let acc = ref empty_load in
-    let note_line () =
-      acc := { !acc with total_lines = !acc.total_lines + 1 }
+    let skip ~kind metric lineno =
+      if not quiet then begin
+        Telemetry.Metrics.incr metric;
+        Telemetry.Log.warnf "journal: skipping %s record at %s:%d" kind path
+          lineno
+      end
     in
-    let warn_skip ~kind lineno =
-      Telemetry.Log.warnf "journal: skipping %s record at %s:%d" kind path
-        lineno
-    in
-    List.iteri
-      (fun i line ->
-         note_line ();
-         match parse_line ~fingerprint line with
-         | Valid (e, _) ->
-             acc :=
-               { !acc with
-                 valid = !acc.valid + 1;
-                 entries = e :: !acc.entries;
-                 next_seq = max !acc.next_seq (e.seq + 1) }
-         | Stale ->
-             Telemetry.Metrics.incr m_stale;
-             warn_skip ~kind:"stale (fingerprint mismatch)" (i + 1);
-             acc := { !acc with stale = !acc.stale + 1 }
-         | Damaged ->
-             Telemetry.Metrics.incr m_corrupt;
-             warn_skip ~kind:"corrupt" (i + 1);
-             acc := { !acc with corrupt = !acc.corrupt + 1 })
-      lines;
-    if tail <> "" then begin
-      note_line ();
-      (* a torn tail could still parse if the crash landed exactly on
-         the newline boundary minus the terminator; accept it only if
-         fully valid *)
-      match parse_line ~fingerprint tail with
+    (* [torn]: the bytes after the last newline.  A torn tail could
+       still parse if the crash landed exactly on the newline boundary
+       minus the terminator; it is accepted only if fully valid *)
+    let take ~torn line =
+      acc := { !acc with total_lines = !acc.total_lines + 1 };
+      let lineno = !acc.total_lines in
+      match parse_line ~fingerprint line with
       | Valid (e, _) ->
           acc :=
             { !acc with
@@ -316,14 +305,17 @@ let load ?(dedup = true) ~fingerprint path : load_result =
               entries = e :: !acc.entries;
               next_seq = max !acc.next_seq (e.seq + 1) }
       | Stale ->
-          Telemetry.Metrics.incr m_stale;
-          warn_skip ~kind:"stale (fingerprint mismatch)" !acc.total_lines;
+          skip ~kind:"stale (fingerprint mismatch)" m_stale lineno;
           acc := { !acc with stale = !acc.stale + 1 }
-      | Damaged ->
-          Telemetry.Metrics.incr m_truncated;
-          warn_skip ~kind:"truncated" !acc.total_lines;
+      | Damaged when torn ->
+          skip ~kind:"truncated" m_truncated lineno;
           acc := { !acc with truncated = !acc.truncated + 1 }
-    end;
+      | Damaged ->
+          skip ~kind:"corrupt" m_corrupt lineno;
+          acc := { !acc with corrupt = !acc.corrupt + 1 }
+    in
+    List.iter (take ~torn:false) lines;
+    if tail <> "" then take ~torn:true tail;
     (* last-wins per key: a resumed run may have re-executed a cell *)
     let entries =
       if not dedup then List.rev !acc.entries
@@ -342,3 +334,26 @@ let load ?(dedup = true) ~fingerprint path : load_result =
     in
     { !acc with entries }
   end
+
+(** Rewrite [path] as the canonical journal of [order]: the last
+    record of each key in [order] that carries [fingerprint], in
+    [order]'s order, numbered from 0 — byte-identical to the journal
+    a run appending exactly those cells in that order writes.  Damaged,
+    stale and off-grid records are dropped (the loads that replay the
+    file already counted them).  Published with one tmp+rename. *)
+let rewrite ~fingerprint ~order path =
+  let by_key = Hashtbl.create 64 in
+  List.iter
+    (fun (e : entry) -> Hashtbl.replace by_key e.key e.raw)
+    (load ~quiet:true ~fingerprint path).entries;
+  let buf = Buffer.create 4096 in
+  let seq = ref 0 in
+  List.iter
+    (fun key ->
+       Option.iter
+         (fun payload ->
+            Buffer.add_string buf (line ~fingerprint ~seq:!seq ~key ~payload);
+            incr seq)
+         (Hashtbl.find_opt by_key key))
+    order;
+  Diskio.write_atomic ~path (Buffer.contents buf)

@@ -134,25 +134,57 @@ let fsck_journal_roundtrip () =
     (l.Robust.Journal.corrupt + l.Robust.Journal.truncated);
   rm path
 
-let fsck_orphan_shard () =
-  let base = "disk_test_orphan.jsonl" in
-  let shard = base ^ ".w3" in
-  rm base;
-  rm shard;
-  let w = Robust.Journal.open_writer ~fingerprint:"fp" shard in
-  Robust.Journal.append w ~key:"k" ~payload:"{}";
+(* repairing a journal publishes through its tmp path: a stale tmp
+   named after the journal must still be reported removed, not missing *)
+let fsck_tmp_beside_journal () =
+  let path = "disk_test_fsck_tmp.jsonl" in
+  rm path;
+  let w = Robust.Journal.open_writer ~fingerprint:"fp" path in
+  Robust.Journal.append w ~key:"a" ~payload:"{}";
+  Robust.Journal.append_torn w ~key:"b";
   Robust.Journal.close_writer w;
-  (match Engines.Fsck.scan [ shard ] with
+  close_out (open_out (path ^ ".tmp"));
+  Alcotest.(check int) "both repaired (exit 1)" 1
+    (Engines.Fsck.exit_code ~repair:true
+       (Engines.Fsck.scan ~repair:true [ path; path ^ ".tmp" ]));
+  Alcotest.(check bool) "tmp gone" false (Sys.file_exists (path ^ ".tmp"));
+  rm path
+
+(* a real --profile sidecar: each line is a ~360-byte sample, so the
+   format must be told from the whole first line; a bit-flipped copy
+   must then verify damaged and repair *)
+let fsck_profile_sidecar () =
+  let path = "disk_test_profile.jsonl" and copy = "disk_test_profile2.jsonl" in
+  rm path;
+  rm copy;
+  ignore
+    (Engines.Eval.run_table2 ~tools:[ Engines.Profile.Bap ]
+       ~bombs:(Lazy.force bombs) ~profile:path ()
+      : Engines.Eval.table2_result);
+  (match Engines.Fsck.scan [ path ] with
    | [ r ] ->
-     Alcotest.(check bool) "detected as a worker shard" true
-       r.Engines.Fsck.r_shard;
-     Alcotest.(check bool) "flagged orphan (base journal missing)" true
-       r.Engines.Fsck.r_orphan;
-     Alcotest.(check int) "an orphan is a note, not damage" 0
+     Alcotest.(check string) "read as a profile sidecar" "profile sidecar"
+       (Engines.Fsck.kind_name r.Engines.Fsck.r_kind);
+     Alcotest.(check int) "one sample per cell" 2 r.Engines.Fsck.r_records;
+     Alcotest.(check int) "clean (exit 0)" 0
        (Engines.Fsck.exit_code ~repair:false [ r ])
    | reports ->
      Alcotest.failf "expected one report, got %d" (List.length reports));
-  rm shard
+  (* flip the low bit of the second sample's closing brace *)
+  let raw = Robust.Diskio.read_all path in
+  let flipped = Bytes.of_string raw in
+  let i = String.length raw - 2 in
+  Bytes.set flipped i (Char.chr (Char.code raw.[i] lxor 1));
+  Robust.Diskio.write_atomic ~path:copy (Bytes.to_string flipped);
+  Alcotest.(check int) "bit flip verifies damaged (exit 2)" 2
+    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ copy ]));
+  Alcotest.(check int) "repair fixes it (exit 1)" 1
+    (Engines.Fsck.exit_code ~repair:true
+       (Engines.Fsck.scan ~repair:true [ copy ]));
+  Alcotest.(check int) "re-verify clean (exit 0)" 0
+    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ copy ]));
+  rm path;
+  rm copy
 
 (* ---------------- ENOSPC mid-grid: shed and finish ---------------- *)
 
@@ -189,8 +221,10 @@ let () =
       ("fsck",
        [ Alcotest.test_case "journal verify/repair round trip" `Quick
            fsck_journal_roundtrip;
-         Alcotest.test_case "orphan shard reported, not damage" `Quick
-           fsck_orphan_shard ]);
+         Alcotest.test_case "profile sidecar verify/repair" `Quick
+           fsck_profile_sidecar;
+         Alcotest.test_case "stale tmp beside its journal" `Quick
+           fsck_tmp_beside_journal ]);
       ("enospc",
        [ Alcotest.test_case "shed and finish mid-grid" `Quick
            enospc_shed_and_finish ]) ]

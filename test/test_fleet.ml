@@ -1,13 +1,12 @@
 (** Fleet battery: pool scheduling (work-stealing, latency stamps,
     runner exceptions), fault injection (worker killed mid-cell →
     re-dispatch with identical grading, watchdog on a stuck worker,
-    cooperative cancellation), journal-shard merging (canonical
-    byte-identity, torn-tail healing, orphan keys), fleet-vs-sequential
-    Table II determinism across 1/2/4 workers (table and journal both
-    byte-identical, replayable by the sequential resume path), orphaned
-    worker shards replayed by either executor, and the [eval serve]
-    daemon over a temp socket: round trip, durable queue and load
-    shedding. *)
+    cooperative cancellation), the journal's grid-order rewrite
+    (canonical byte-identity), fleet-vs-sequential Table II
+    determinism across 1/2/4 workers (table and journal both
+    byte-identical, replayable by the sequential resume path), a
+    killed fleet run resumed sequentially, and the [eval serve] daemon
+    over a temp socket: round trip, durable queue and load shedding. *)
 
 open Concolic.Error
 
@@ -191,60 +190,39 @@ let pool_cancel_fails_queued () =
          (r.r_payload = Error Fleet.Pool.Cancelled))
     cancelled
 
-(* ---------------- the merge ---------------- *)
+(* ---------------- the grid-order rewrite ---------------- *)
 
-let merge_canonical_bytes () =
-  let fp = Robust.Journal.fingerprint [ "merge"; "unit" ] in
-  let tmp suffix = Filename.temp_file "fleet_merge" suffix in
-  let s1 = tmp ".w0" and s2 = tmp ".w1" in
-  let out = tmp ".jsonl" and expect = tmp ".expect" in
-  let write path records =
-    Sys.remove path;
-    let w = Robust.Journal.open_writer ~fingerprint:fp path in
+let rewrite_canonical_bytes () =
+  let fp = Robust.Journal.fingerprint [ "rewrite"; "unit" ] in
+  let tmp suffix = Filename.temp_file "journal_rewrite" suffix in
+  let path = tmp ".jsonl" and expect = tmp ".expect" in
+  let write ?(fingerprint = fp) path records =
+    let w = Robust.Journal.open_writer ~fingerprint path in
     List.iter (fun (key, payload) -> Robust.Journal.append w ~key ~payload)
       records;
     Robust.Journal.close_writer w
   in
-  write s1 [ ("a", "{\"n\":1}"); ("b", "{\"n\":1}"); ("z", "{\"n\":0}") ];
-  write s2 [ ("b", "{\"n\":2}"); ("c", "{\"n\":2}") ];
-  Sys.remove out;
-  let report =
-    Fleet.Merge.run ~fingerprint:fp ~order:[ "a"; "b"; "c" ]
-      ~sources:[ s1; s2 ] ~out ()
-  in
-  Alcotest.(check int) "three canonical records" 3 report.written;
-  Alcotest.(check int) "both sources read" 2 report.sources_read;
-  Alcotest.(check int) "z is an orphan" 1 report.orphans;
-  (* later source wins on b; the merged file is byte-identical to a
-     journal written fresh, in order, with the winning payloads *)
+  Sys.remove path;
+  (* an appended history: out of grid order, [b] re-run, an off-grid
+     key, a record of another run and a torn tail *)
+  write path
+    [ ("c", "{\"n\":2}"); ("b", "{\"n\":1}"); ("z", "{\"n\":0}");
+      ("a", "{\"n\":1}"); ("b", "{\"n\":2}") ];
+  write ~fingerprint:"other" path [ ("a", "{\"n\":9}") ];
+  let w = Robust.Journal.open_writer ~fingerprint:fp path in
+  Robust.Journal.append_torn w ~key:"a";
+  Robust.Journal.close_writer w;
+  Robust.Journal.rewrite ~fingerprint:fp ~order:[ "a"; "b"; "c" ] path;
+  (* the last [b] wins; the file is byte-identical to a journal
+     written fresh, in order, with the winning payloads *)
+  Sys.remove expect;
   write expect
     [ ("a", "{\"n\":1}"); ("b", "{\"n\":2}"); ("c", "{\"n\":2}") ];
   Alcotest.(check string) "byte-identical to a fresh sequential journal"
-    (read_file expect) (read_file out);
-  List.iter Sys.remove [ s1; s2; out; expect ]
-
-let merge_heals_torn_tail () =
-  let fp = Robust.Journal.fingerprint [ "merge"; "torn" ] in
-  let tmp suffix = Filename.temp_file "fleet_merge" suffix in
-  let s1 = tmp ".w0" and out = tmp ".jsonl" in
-  Sys.remove s1;
-  let w = Robust.Journal.open_writer ~fingerprint:fp s1 in
-  Robust.Journal.append w ~key:"a" ~payload:"{\"n\":1}";
-  Robust.Journal.append w ~key:"b" ~payload:"{\"n\":2}";
-  (* the worker died mid-append: its journal ends in a torn record *)
-  Robust.Journal.append_torn w ~key:"c";
-  Robust.Journal.close_writer w;
-  Sys.remove out;
-  let report =
-    Fleet.Merge.run ~fingerprint:fp ~order:[ "a"; "b"; "c" ]
-      ~sources:[ s1 ] ~out ()
-  in
-  Alcotest.(check bool) "torn tail healed over" true (report.damaged >= 1);
-  Alcotest.(check int) "only intact records survive" 2 report.written;
-  let l = Robust.Journal.load ~fingerprint:fp out in
-  Alcotest.(check int) "merged journal fully valid" 2 l.valid;
-  Alcotest.(check int) "no damage carried forward" 0 (l.corrupt + l.truncated);
-  List.iter Sys.remove [ s1; out ]
+    (read_file expect) (read_file path);
+  Alcotest.(check bool) "published by rename: no tmp left" false
+    (Sys.file_exists (path ^ ".tmp"));
+  List.iter Sys.remove [ path; expect ]
 
 (* ---------------- fleet = sequential ---------------- *)
 
@@ -293,12 +271,16 @@ let fleet_journal_byte_identical () =
   Alcotest.(check (list string)) "same grade grid" (symbols seq)
     (symbols fleet);
   Alcotest.(check string)
-    "4-worker merged journal byte-identical to the sequential journal"
+    "4-worker journal byte-identical to the sequential journal"
     (read_file seq_path) (read_file par_path);
-  (* the merge retires every per-worker shard *)
-  Alcotest.(check (list string)) "no shards left behind" []
-    (Engines.Eval.worker_shards par_path);
-  (* and the merged journal replays under the sequential resume path
+  (* the master is the one journal writer: no per-worker file beside
+     the journal, and nothing deletes one, so none ever existed *)
+  let shard_prefix = Filename.basename par_path ^ ".w" in
+  Alcotest.(check (list string)) "no PATH.w* file" []
+    (List.filter
+       (String.starts_with ~prefix:shard_prefix)
+       (Array.to_list (Sys.readdir (Filename.dirname par_path))));
+  (* and the fleet's journal replays under the sequential resume path
      exactly like a sequentially written one *)
   let replayed0 = counter "journal.replayed" in
   let resumed =
@@ -307,101 +289,44 @@ let fleet_journal_byte_identical () =
   in
   Alcotest.(check (list string)) "resumed table matches" (symbols seq)
     (symbols resumed);
-  Alcotest.(check int) "every cell answered from the merged journal"
+  Alcotest.(check int) "every cell answered from the fleet's journal"
     (replayed0 + 6)
     (counter "journal.replayed");
   Sys.remove seq_path;
   Sys.remove par_path
 
-(* a fleet run that recovers from leftover worker shards: simulate a
-   master crash by planting a shard journal, then run with a journal —
-   the shard's cell must replay, not re-run *)
-let fleet_recovers_worker_shard () =
-  let path = Filename.temp_file "fleet_crash" ".jsonl" in
+(* a fleet run killed mid-grid: the master journals each reply, so the
+   crash simulation works on the pool too and leaves exactly [k] sound
+   records and a torn tail, which a sequential resume completes *)
+let killed_fleet_run_resumes () =
+  let path = Filename.temp_file "fleet_kill" ".jsonl" in
   Sys.remove path;
   let fp =
     Engines.Eval.journal_fingerprint ~tools:det_tools ~bombs:(det_bombs ())
       ()
   in
-  let bomb = Bombs.Catalog.find "time_bomb" in
-  let key = Engines.Eval.cell_key Engines.Profile.Bap bomb in
-  let o = Engines.Supervisor.run_cell Engines.Profile.Bap bomb in
-  let w = Robust.Journal.open_writer ~fingerprint:fp (path ^ ".w3") in
-  Robust.Journal.append w ~key
-    ~payload:(Engines.Journal_codec.encode_outcome o);
-  Robust.Journal.close_writer w;
-  let replayed0 = counter "journal.replayed" in
-  let fleet =
-    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal:(journal_at path) ~workers:2 ()
-  in
-  Alcotest.(check bool) "planted shard replayed" true
-    (counter "journal.replayed" > replayed0);
+  (match
+     Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
+       ~journal:{ (journal_at path) with kill_after = Some 2; kill_torn = true }
+       ~workers:2 ()
+   with
+   | exception Engines.Eval.Simulated_crash -> ()
+   | _ -> Alcotest.fail "kill_after must abort the fleet run");
+  let l = Robust.Journal.load ~fingerprint:fp path in
+  Alcotest.(check int) "exactly k sound records" 2 l.valid;
+  Alcotest.(check int) "plus a torn tail" 1 l.truncated;
+  Alcotest.(check int) "and nothing else" 0 (l.corrupt + l.stale);
   let seq =
     Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ()) ()
   in
-  Alcotest.(check (list string)) "recovered run matches sequential"
-    (symbols seq) (symbols fleet);
-  Alcotest.(check bool) "shard retired by the merge" false
-    (Sys.file_exists (path ^ ".w3"));
+  let resumed =
+    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
+      ~journal:(journal_at path) ()
+  in
+  Alcotest.(check string) "sequential resume = sequential table"
+    (Engines.Eval.render_table2 seq)
+    (Engines.Eval.render_table2 resumed);
   Sys.remove path
-
-(* the same recovery on the in-process executor: a shard holding every
-   cell answers the whole grid, is folded into the main journal and
-   retired, and leaves the journal a fresh sequential run writes *)
-let sequential_replays_orphan_shard () =
-  let path = Filename.temp_file "seq_crash" ".jsonl" in
-  let fresh_path = Filename.temp_file "seq_fresh" ".jsonl" in
-  Sys.remove path;
-  Sys.remove fresh_path;
-  let fp =
-    Engines.Eval.journal_fingerprint ~tools:det_tools ~bombs:(det_bombs ())
-      ()
-  in
-  let w = Robust.Journal.open_writer ~fingerprint:fp (path ^ ".w3") in
-  List.iter
-    (fun bomb ->
-       List.iter
-         (fun tool ->
-            Robust.Journal.append w
-              ~key:(Engines.Eval.cell_key tool bomb)
-              ~payload:
-                (Engines.Journal_codec.encode_outcome
-                   (Engines.Supervisor.run_cell tool bomb)))
-         det_tools)
-    (det_bombs ());
-  Robust.Journal.close_writer w;
-  let replayed0 = counter "journal.replayed" in
-  let recovered =
-    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal:(journal_at path) ~workers:1 ()
-  in
-  Alcotest.(check int) "every cell answered from the shard"
-    (replayed0 + 6)
-    (counter "journal.replayed");
-  Alcotest.(check bool) "shard retired" false
-    (Sys.file_exists (path ^ ".w3"));
-  let fresh =
-    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal:(journal_at fresh_path) ()
-  in
-  Alcotest.(check (list string)) "recovered table = fresh" (symbols fresh)
-    (symbols recovered);
-  Alcotest.(check string)
-    "recovered journal byte-identical to a fresh sequential journal"
-    (read_file fresh_path) (read_file path);
-  Sys.remove path;
-  Sys.remove fresh_path
-
-(* the crash simulation belongs to the in-process executor *)
-let pool_rejects_kill_after () =
-  match
-    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal:{ (journal_at "unused.jsonl") with kill_after = Some 1 }
-      ~workers:2 ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "kill_after with workers > 1 must be refused"
 
 (* ---------------- the serve daemon ---------------- *)
 
@@ -685,64 +610,6 @@ let deadline_expires_in_queue () =
   Alcotest.(check bool) "expiry counted" true
     (counter "fleet.tasks_expired" > exp0)
 
-(* ---------------- merge: multi-shard last-wins / all-orphan -------- *)
-
-let merge_same_key_multi_shard () =
-  let fp = Robust.Journal.fingerprint [ "merge"; "multi" ] in
-  let tmp suffix = Filename.temp_file "fleet_merge" suffix in
-  let shards = [ tmp ".w0"; tmp ".w1"; tmp ".w2" ] in
-  let out = tmp ".jsonl" and expect = tmp ".expect" in
-  let write path records =
-    Sys.remove path;
-    let w = Robust.Journal.open_writer ~fingerprint:fp path in
-    List.iter (fun (key, payload) -> Robust.Journal.append w ~key ~payload)
-      records;
-    Robust.Journal.close_writer w
-  in
-  (* the same key graded on three shards (a cell re-dispatched across
-     worker deaths lands wherever it last ran): the last source in the
-     merge order wins, deterministically *)
-  List.iteri
-    (fun i s -> write s [ ("k", Printf.sprintf "{\"from\":%d}" i) ])
-    shards;
-  Sys.remove out;
-  let report =
-    Fleet.Merge.run ~fingerprint:fp ~order:[ "k" ] ~sources:shards ~out ()
-  in
-  Alcotest.(check int) "one canonical record" 1 report.written;
-  write expect [ ("k", "{\"from\":2}") ];
-  Alcotest.(check string) "last shard's grading wins, byte-identically"
-    (read_file expect) (read_file out);
-  List.iter Sys.remove (out :: expect :: shards)
-
-let merge_all_orphans () =
-  let fp = Robust.Journal.fingerprint [ "merge"; "orphan" ] in
-  let tmp suffix = Filename.temp_file "fleet_merge" suffix in
-  let s1 = tmp ".w0" and s2 = tmp ".w1" and out = tmp ".jsonl" in
-  let write path records =
-    Sys.remove path;
-    let w = Robust.Journal.open_writer ~fingerprint:fp path in
-    List.iter (fun (key, payload) -> Robust.Journal.append w ~key ~payload)
-      records;
-    Robust.Journal.close_writer w
-  in
-  (* every shard key is outside the canonical order (stale shards from
-     an older grid): merge must write a valid empty journal, not crash
-     and not leak the orphans through *)
-  write s1 [ ("stale1", "{\"n\":1}") ];
-  write s2 [ ("stale2", "{\"n\":2}"); ("stale3", "{\"n\":3}") ];
-  Sys.remove out;
-  let report =
-    Fleet.Merge.run ~fingerprint:fp ~order:[ "a"; "b" ] ~sources:[ s1; s2 ]
-      ~out ()
-  in
-  Alcotest.(check int) "nothing canonical to write" 0 report.written;
-  Alcotest.(check int) "every record an orphan" 3 report.orphans;
-  let l = Robust.Journal.load ~fingerprint:fp out in
-  Alcotest.(check int) "merged journal is empty but well-formed" 0 l.valid;
-  Alcotest.(check int) "and undamaged" 0 (l.corrupt + l.truncated);
-  List.iter Sys.remove [ s1; s2; out ]
-
 (* ---------------- journal fingerprint peek ---------------- *)
 
 let journal_peek_fingerprint () =
@@ -992,13 +859,7 @@ let () =
            chaos_worker_stall_watchdog_recovers ]);
       ("merge",
        [ Alcotest.test_case "canonical byte-identity" `Quick
-           merge_canonical_bytes;
-         Alcotest.test_case "torn shard tail heals" `Quick
-           merge_heals_torn_tail;
-         Alcotest.test_case "same key on three shards: last wins" `Quick
-           merge_same_key_multi_shard;
-         Alcotest.test_case "all-orphan shard set" `Quick
-           merge_all_orphans;
+           rewrite_canonical_bytes;
          Alcotest.test_case "journal fingerprint peek" `Quick
            journal_peek_fingerprint ]);
       ("determinism",
@@ -1006,12 +867,8 @@ let () =
            fleet_matches_sequential;
          Alcotest.test_case "merged journal byte-identical + replays"
            `Quick fleet_journal_byte_identical;
-         Alcotest.test_case "crashed-run worker shard recovered" `Quick
-           fleet_recovers_worker_shard;
-         Alcotest.test_case "sequential run replays orphan shard" `Quick
-           sequential_replays_orphan_shard;
-         Alcotest.test_case "kill_after refused with workers > 1" `Quick
-           pool_rejects_kill_after ]);
+         Alcotest.test_case "killed 2-worker run resumes" `Quick
+           killed_fleet_run_resumes ]);
       ("serve",
        [ Alcotest.test_case "stale/live socket refused" `Quick
            stale_socket_detected;
