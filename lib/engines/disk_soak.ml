@@ -84,9 +84,9 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
   for i = 0 to plans - 1 do
     clear_chaos ();
     let st =
-      Robust.Chaos.disk_state
+      Robust.Chaos.io_state Robust.Chaos.disk_class
         ~seed:(Int64.add seed (Int64.of_int i))
-        (Robust.Chaos.Disk_rate
+        (Robust.Chaos.Rate
            { rate; points = Robust.Chaos.all_disk_points })
     in
     (* --- chaos phase: journaled grid under disk faults --- *)
@@ -103,7 +103,7 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
          let name = counter_of p in
          Hashtbl.replace fired name
            (n + Option.value ~default:0 (Hashtbl.find_opt fired name)))
-      (Robust.Chaos.disk_fired st);
+      (Robust.Chaos.io_fired st);
     (* --- recovery phase: fsck --repair, then resume --- *)
     let targets =
       List.filter Sys.file_exists [ chaos_path; chaos_path ^ ".tmp" ]

@@ -351,8 +351,7 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
       { Fleet.Pool.default_config with
         workers;
         respawns = max 1 pol.retries;
-        task_timeout;
-        snapshots = true }
+        task_timeout }
     in
     let pool = Fleet.Pool.create ~config run in
     let restore_sigint = Fleet.Pool.install_sigint pool in
@@ -384,8 +383,6 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
          (* after a cancellation: the cells in flight finish, the
             queued ones come back failed *)
          List.iter take (Fleet.Pool.drain pool));
-    (* fold worker-reported metrics into this registry *)
-    Fleet.Pool.publish_metrics pool;
     List.iter
       (fun (key, _) -> Option.iter (record key) (Hashtbl.find_opt replies key))
       todo

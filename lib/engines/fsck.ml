@@ -70,26 +70,6 @@ let looks_journal_line line =
         (String.sub line 0 16);
       !ok)
 
-let detect path : kind =
-  if Filename.check_suffix path ".tmp" then Stale_tmp
-  else
-    (* the whole first line: a profile sample runs to ~360 bytes *)
-    let first_line =
-      try
-        let ic = open_in_bin path in
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-            input_line ic)
-      with Sys_error _ | End_of_file -> ""
-    in
-    if looks_journal_line first_line then Journal
-    else
-      match Telemetry.Trace_check.parse_opt first_line with
-      | Some j
-        when Telemetry.Trace_check.member "wall_us" j <> None
-             && Telemetry.Trace_check.member "key" j <> None ->
-          Profile_sidecar
-      | _ -> Unknown
-
 (* ------------------------------------------------------------------ *)
 (* JSONL walks                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -170,6 +150,34 @@ let check_jsonl ~repair ~(sound : string -> string option) path r =
 
 let sound_profile line =
   match Cellprof.decode line with Some _ -> Some "" | None -> None
+
+(* the first sound line tells the format, so damage to the first
+   record cannot hide the whole file; with no sound line the first
+   line's shape decides (a wholly damaged journal still reads as one) *)
+let detect path : kind =
+  if Filename.check_suffix path ".tmp" then Stale_tmp
+  else
+    let lines =
+      match split_lines (Robust.Diskio.read_all path) with
+      | lines, tail -> lines @ [ tail ]
+      | exception Sys_error _ -> []
+    in
+    let sound_kind line =
+      if journal_line_fp line <> None then Some Journal
+      else if sound_profile line <> None then Some Profile_sidecar
+      else None
+    in
+    match (List.find_map sound_kind lines, lines) with
+    | Some k, _ -> k
+    | None, first :: _ when looks_journal_line first -> Journal
+    | None, first :: _ -> (
+        match Telemetry.Trace_check.parse_opt first with
+        | Some j
+          when Telemetry.Trace_check.member "wall_us" j <> None
+               && Telemetry.Trace_check.member "key" j <> None ->
+            Profile_sidecar
+        | _ -> Unknown)
+    | None, [] -> Unknown
 
 (* ------------------------------------------------------------------ *)
 (* Per-file check                                                      *)

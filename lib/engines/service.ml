@@ -176,17 +176,14 @@ let serve ?(workers = 2) ?(max_queue = 10_000) ?queue_journal
   let mk_chaos points =
     if chaos_rate > 0. then
       Some
-        (Robust.Chaos.fleet_state ~seed:chaos_seed
+        (Robust.Chaos.io_state Robust.Chaos.fleet_class ~seed:chaos_seed
            (Robust.Chaos.Rate { rate = chaos_rate; points }))
     else None
   in
   let pool =
     Fleet.Pool.create
-      (* snapshots on: the daemon's [metrics] op reports the workers'
-         engine counters, not just its own request accounting *)
       ~config:
-        { Fleet.Pool.default_config with
-          workers; respawns; snapshots = true; task_timeout; breaker;
+        { Fleet.Pool.workers; respawns; task_timeout; breaker;
           chaos =
             mk_chaos
               Robust.Chaos.

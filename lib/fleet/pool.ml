@@ -7,7 +7,10 @@
     worker stuck on a heavy cell never strands queued work behind it).
     Workers are forked up front and inherit the task-runner closure,
     so only task {e strings} and result {e payloads} cross the pipes,
-    line-framed.
+    line-framed.  Each reply also carries the registry delta its task
+    produced in the worker; the master folds it into its own registry
+    when it accepts the reply, so a task's counters are counted once,
+    exactly when its result is.
 
     The pool is transport only: it keeps no durable state of its own.
     A caller that needs results to survive a crash persists them in
@@ -55,30 +58,20 @@ type config = {
   task_timeout : float option;
       (** wall seconds a dispatched task may run before its worker is
           killed and the task re-dispatched (liveness watchdog) *)
-  at_fork : (unit -> unit) option;
-      (** run in the child right after [fork] — lets an embedding
-          daemon close its listening/client sockets in workers *)
-  snapshots : bool;
-      (** workers piggyback a registry-delta snapshot (relative to the
-          registry they inherited at fork) on every reply and
-          final-flush one on shutdown; the master folds them per slot
-          — surviving worker death and SIGKILL re-dispatch — for
-          {!metrics_snapshot} / {!publish_metrics}.  Off by default:
-          the disabled path adds nothing to the per-task protocol. *)
   breaker : int option;
       (** circuit breaker: a slot whose worker dies this many times in
           a row (without one verified reply in between) is quarantined
           — no further respawns — instead of burning respawn cycles on
           a poisoned environment forever *)
-  chaos : Robust.Chaos.fleet_state option;
+  chaos : Robust.Chaos.fleet_point Robust.Chaos.io_state option;
       (** seeded IPC fault injection (master side): corrupt dispatch
           and reply frames, drop or delay replies, wedge workers past
           the watchdog.  [None] (the default) costs nothing. *)
 }
 
 let default_config =
-  { workers = 2; respawns = 1; task_timeout = None; at_fork = None;
-    snapshots = false; breaker = None; chaos = None }
+  { workers = 2; respawns = 1; task_timeout = None; breaker = None;
+    chaos = None }
 
 type failure =
   | Worker_lost of int  (** workers died running it; the attempt count *)
@@ -122,12 +115,6 @@ type worker = {
   mutable state : wstate;
   mutable w_alive : bool;
   mutable last_seen : float;
-  mutable w_snap : Telemetry.Snapshot.t;
-      (** the live incarnation's latest cumulative delta (replaced on
-          every "S" line, so a lost line heals at the next one) *)
-  mutable w_dead_snap : Telemetry.Snapshot.t;
-      (** accumulated last snapshots of this slot's dead incarnations
-          — what survives a SIGKILL *)
   mutable deaths : int;
       (** consecutive deaths without a verified reply in between —
           the circuit breaker's streak counter, deliberately carried
@@ -145,8 +132,7 @@ type t = {
   done_q : result Queue.t;
   mutable pool_cancelled : bool;
   mutable closed : bool;
-  mutable published : bool;  (** {!publish_metrics} ran (idempotence) *)
-  mutable at_fork_extra : (unit -> unit) option;
+  mutable fork_hook : (unit -> unit) option;
       (** set after creation by an embedding daemon (see
           {!set_at_fork}): run in respawned workers so they drop
           inherited listener/client sockets *)
@@ -179,7 +165,7 @@ let worker_slot () = if !current_slot >= 0 then Some !current_slot else None
 (* The child never returns: it loops on dispatch lines until [Q] or
    EOF, then [_exit]s without running the parent's at_exit handlers or
    flushing its inherited channel buffers. *)
-let worker_loop ~(cfg : config) ~slot ~run rd wr : 'a =
+let worker_loop ~slot ~run rd wr : 'a =
   let ic = Unix.in_channel_of_descr rd in
   let oc = Unix.out_channel_of_descr wr in
   current_slot := slot;
@@ -192,30 +178,22 @@ let worker_loop ~(cfg : config) ~slot ~run rd wr : 'a =
          flush oc)
       fmt
   in
-  (* a fork inherits the parent's registry, so snapshots diff against
-     a baseline captured here *)
-  let baseline =
-    if cfg.snapshots then Telemetry.Snapshot.capture ()
-    else Telemetry.Snapshot.empty
-  in
-  let send_snapshot () =
-    if cfg.snapshots then
-      let d =
-        Telemetry.Snapshot.diff ~base:baseline (Telemetry.Snapshot.capture ())
-      in
-      send "S %s" (Telemetry.Snapshot.to_json d)
-  in
-  let quit code =
-    (* final flush: a last snapshot line reaches the master before EOF
-       (it keeps reading until EOF on shutdown) *)
-    (try send_snapshot () with _ -> ());
-    (try flush oc with _ -> ());
-    Unix._exit code
+  (* a fork inherits the parent's registry, so each reply ships the
+     delta since the previous one (the first since this capture) *)
+  let prev = ref (Telemetry.Snapshot.capture ()) in
+  (* "D|X <id> <chk> <delta>\t<payload>", [chk] over everything after
+     it: the delta is accepted or refused together with its reply *)
+  let reply kind id payload =
+    let cur = Telemetry.Snapshot.capture () in
+    let delta = Telemetry.Snapshot.diff ~base:!prev cur in
+    prev := cur;
+    let body = Telemetry.Snapshot.to_json delta ^ "\t" ^ payload in
+    send "%c %d %s %s" kind id (Robust.Journal.fnv64_hex body) body
   in
   let rec loop () =
     match input_line ic with
-    | exception End_of_file -> quit 0
-    | "Q" -> quit 0
+    | exception End_of_file -> Unix._exit 0
+    | "Q" -> Unix._exit 0
     | line -> (
         (* "T <id> <attempt> <stall_ms> <chk> <key>\t<task>" where
            [chk] is the FNV-1a checksum of "<key>\t<task>" — a frame
@@ -247,26 +225,15 @@ let worker_loop ~(cfg : config) ~slot ~run rd wr : 'a =
               (match run ~attempt ~key task with
                | payload ->
                    check_frame "payload" payload;
-                   (* registry delta on the pipe *before* the reply —
-                      so by the time the master routes this result, the
-                      task's counters are already folded in (a client
-                      seeing "done" can trust [metrics]), and a later
-                      SIGKILL loses at most the killed task's own
-                      work *)
-                   send_snapshot ();
-                   send "D %d %s %s" id (Robust.Journal.fnv64_hex payload)
-                     payload
+                   reply 'D' id payload
                | exception e ->
-                   let msg =
-                     String.map
-                       (fun c -> if c = '\n' then ' ' else c)
-                       (Printexc.to_string e)
-                   in
-                   send_snapshot ();
-                   send "X %d %s %s" id (Robust.Journal.fnv64_hex msg) msg);
+                   reply 'X' id
+                     (String.map
+                        (fun c -> if c = '\n' then ' ' else c)
+                        (Printexc.to_string e)));
               loop ()
             end
-        | _ -> quit 3 (* protocol violation: die loudly *))
+        | _ -> Unix._exit 3 (* protocol violation: die loudly *))
   in
   (* whatever happens — a broken pipe racing the master's shutdown, a
      runner blowing the stack — the worker must die here, never return
@@ -302,9 +269,8 @@ let spawn (t : t) slot =
              (try Unix.close ow.from_w with Unix.Unix_error _ -> ())
            end)
         t.ws;
-      (match t.cfg.at_fork with Some f -> f () | None -> ());
-      (match t.at_fork_extra with Some f -> f () | None -> ());
-      worker_loop ~cfg:t.cfg ~slot ~run:t.run c_rd c_wr
+      (match t.fork_hook with Some f -> f () | None -> ());
+      worker_loop ~slot ~run:t.run c_rd c_wr
   | pid ->
       Unix.close c_rd;
       Unix.close c_wr;
@@ -317,9 +283,6 @@ let spawn (t : t) slot =
       Buffer.clear w.rbuf;
       w.state <- Idle;
       w.w_alive <- true;
-      (* a fresh incarnation ships deltas from its own fork baseline;
-         the previous incarnation's totals live in [w_dead_snap] *)
-      w.w_snap <- Telemetry.Snapshot.empty;
       w.last_seen <- now ()
 
 (* a worker dying between select and write must surface as EPIPE, not
@@ -349,17 +312,14 @@ let create ?(config = default_config) run : t =
         Array.init config.workers (fun slot ->
             { slot; pid = -1; to_w = Unix.stdin; from_w = Unix.stdin;
               rbuf = Buffer.create 256; state = Idle; w_alive = false;
-              last_seen = 0.; w_snap = Telemetry.Snapshot.empty;
-              w_dead_snap = Telemetry.Snapshot.empty; deaths = 0;
-              quarantined = false });
+              last_seen = 0.; deaths = 0; quarantined = false });
       queue = Queue.create ();
       inflight = 0;
       next_id = 0;
       done_q = Queue.create ();
       pool_cancelled = false;
       closed = false;
-      published = false;
-      at_fork_extra = None }
+      fork_hook = None }
   in
   for slot = 0 to config.workers - 1 do
     spawn t slot
@@ -382,7 +342,7 @@ let queued t = Queue.length t.queue
 let inflight t = t.inflight
 let cancelled t = t.pool_cancelled
 let cancel t = t.pool_cancelled <- true
-let set_at_fork t f = t.at_fork_extra <- Some f
+let set_at_fork t f = t.fork_hook <- Some f
 
 (** Install a SIGINT handler that cooperatively cancels the pool;
     returns a function restoring the previous handler. *)
@@ -405,10 +365,6 @@ let bury (t : t) (w : worker) ~respawn =
   Telemetry.Metrics.incr m_deaths;
   w.deaths <- w.deaths + 1;
   w.w_alive <- false;
-  (* keep what the dead incarnation last reported: its snapshot lines
-     are cumulative-since-fork, so the latest one is its whole story *)
-  w.w_dead_snap <- Telemetry.Snapshot.merge w.w_dead_snap w.w_snap;
-  w.w_snap <- Telemetry.Snapshot.empty;
   (try Unix.close w.to_w with Unix.Unix_error _ -> ());
   (try Unix.close w.from_w with Unix.Unix_error _ -> ());
   (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
@@ -472,8 +428,8 @@ let corrupt_at line i =
 let corrupt_dispatch_frame ~body_len line =
   corrupt_at line (String.length line - 1 - body_len + (body_len / 2))
 
-(* reply frames ("D <id> <chk> <payload>"): corrupt past the third
-   space, i.e. in the payload *)
+(* reply frames ("D <id> <chk> <delta>\t<payload>"): corrupt past the
+   third space, i.e. in the checksummed body *)
 let corrupt_reply_frame line =
   let n = String.length line in
   let sp = ref 0 and i = ref 0 in
@@ -493,7 +449,7 @@ let dispatch_one (t : t) (w : worker) (j : job) =
   let stall_ms =
     match (t.cfg.chaos, t.cfg.task_timeout) with
     | Some st, Some limit
-      when Robust.Chaos.fleet_fires st Robust.Chaos.Worker_stall ->
+      when Robust.Chaos.io_fires st Robust.Chaos.Worker_stall ->
         int_of_float (limit *. 2500.)
     | _ -> 0
   in
@@ -504,7 +460,7 @@ let dispatch_one (t : t) (w : worker) (j : job) =
   in
   let line =
     match t.cfg.chaos with
-    | Some st when Robust.Chaos.fleet_fires st Robust.Chaos.Corrupt_dispatch
+    | Some st when Robust.Chaos.io_fires st Robust.Chaos.Corrupt_dispatch
       ->
         corrupt_dispatch_frame ~body_len:(String.length body) line
     | _ -> line
@@ -555,7 +511,8 @@ let dispatch (t : t) =
 
 (* a reply frame that failed its checksum (or is unparseable while a
    task is in flight): the channel can no longer be trusted — kill the
-   incarnation and let [bury] re-dispatch its task *)
+   incarnation and let [bury] re-dispatch its task.  The frame's delta
+   goes with it: the re-run's reply carries the task's counters. *)
 let recover_corrupt_channel (t : t) (w : worker) line =
   Telemetry.Metrics.incr m_bad_frames;
   Telemetry.Log.warnf
@@ -568,104 +525,95 @@ let recover_corrupt_channel (t : t) (w : worker) line =
 (* one complete line from worker [w] *)
 let handle_line (t : t) (w : worker) line =
   w.last_seen <- now ();
-  if String.length line >= 2 && line.[0] = 'S' && line.[1] = ' ' then
-    (* registry-delta snapshot: cumulative since fork, so we replace
-       rather than accumulate — a lost line self-heals at the next *)
-    match
-      Telemetry.Snapshot.of_json
-        (String.sub line 2 (String.length line - 2))
-    with
-    | Some s -> w.w_snap <- s
-    | None ->
-        Telemetry.Log.warnf
-          "fleet: worker %d sent an undecodable snapshot; dropped" w.slot
-  else begin
-    (* chaos: reply frames can be dropped (only under a watchdog that
-       will eventually recover the silence), delayed, or corrupted on
-       the way in *)
-    let is_reply =
-      String.length line >= 2
-      && (line.[0] = 'D' || line.[0] = 'X')
-      && line.[1] = ' '
-    in
-    let line =
-      match t.cfg.chaos with
-      | Some st when is_reply ->
-          if
-            t.cfg.task_timeout <> None
-            && Robust.Chaos.fleet_fires st Robust.Chaos.Drop_reply
-          then begin
-            Telemetry.Log.warnf
-              "fleet(chaos): dropped a reply frame from worker %d" w.slot;
-            None
-          end
-          else begin
-            if Robust.Chaos.fleet_fires st Robust.Chaos.Delay_reply then
-              ignore (Unix.select [] [] [] 0.02);
-            if Robust.Chaos.fleet_fires st Robust.Chaos.Corrupt_reply then
-              Some (corrupt_reply_frame line)
-            else Some line
-          end
-      | _ -> Some line
-    in
-    match line with
-    | None -> ()
-    | Some line -> (
-        match String.split_on_char ' ' line with
-        | "H" :: _ -> () (* hello/heartbeat *)
-        | "N" :: id_s :: _ -> (
-            (* the worker refused a dispatch frame that failed its
-               checksum: damage in transit, not the task's fault — put
-               it back without charging an attempt *)
-            match (int_of_string_opt id_s, w.state) with
-            | Some id, Busy (j, _) when j.j_id = id ->
-                Telemetry.Metrics.incr m_nacked;
-                Telemetry.Log.warnf
-                  "fleet: worker %d nacked a damaged dispatch frame for %s; \
-                   re-sending"
-                  w.slot j.j_key;
-                w.deaths <- 0;
-                w.state <- Idle;
-                t.inflight <- t.inflight - 1;
-                Queue.push j t.queue
-            | _ ->
-                Telemetry.Log.warnf
-                  "fleet: worker %d nacked an unexpected frame; dropped"
-                  w.slot)
-        | ("D" | "X") :: id_s :: chk :: rest -> (
-            let body = String.concat " " rest in
-            match int_of_string_opt id_s with
-            | Some id
-              when String.equal chk (Robust.Journal.fnv64_hex body) -> (
-                let ok = line.[0] = 'D' in
-                match w.state with
-                | Busy (j, _) when j.j_id = id ->
-                    (* a verified reply proves the slot healthy: reset
-                       the breaker streak *)
-                    w.deaths <- 0;
-                    w.state <- Idle;
-                    t.inflight <- t.inflight - 1;
-                    if ok then begin
-                      Telemetry.Metrics.incr m_completed;
-                      complete t j (Ok body)
-                    end
-                    else begin
-                      Telemetry.Metrics.incr m_raised;
-                      complete t j (Error (Run_raised body))
-                    end
-                | _ ->
-                    Telemetry.Log.warnf
-                      "fleet: worker %d answered for unexpected task %d; \
-                       dropped"
-                      w.slot id)
-            | _ -> recover_corrupt_channel t w line)
-        | _ -> (
-            match w.state with
-            | Busy _ -> recover_corrupt_channel t w line
-            | Idle ->
-                Telemetry.Log.warnf "fleet: worker %d sent garbage %S" w.slot
-                  line))
-  end
+  (* chaos: reply frames can be dropped (only under a watchdog that
+     will eventually recover the silence), delayed, or corrupted on
+     the way in *)
+  let is_reply =
+    String.length line >= 2
+    && (line.[0] = 'D' || line.[0] = 'X')
+    && line.[1] = ' '
+  in
+  let line =
+    match t.cfg.chaos with
+    | Some st when is_reply ->
+        if
+          t.cfg.task_timeout <> None
+          && Robust.Chaos.io_fires st Robust.Chaos.Drop_reply
+        then begin
+          Telemetry.Log.warnf
+            "fleet(chaos): dropped a reply frame from worker %d" w.slot;
+          None
+        end
+        else begin
+          if Robust.Chaos.io_fires st Robust.Chaos.Delay_reply then
+            ignore (Unix.select [] [] [] 0.02);
+          if Robust.Chaos.io_fires st Robust.Chaos.Corrupt_reply then
+            Some (corrupt_reply_frame line)
+          else Some line
+        end
+    | _ -> Some line
+  in
+  match line with
+  | None -> ()
+  | Some line -> (
+      match String.split_on_char ' ' line with
+      | "H" :: _ -> () (* hello/heartbeat *)
+      | "N" :: id_s :: _ -> (
+          (* the worker refused a dispatch frame that failed its
+             checksum: damage in transit, not the task's fault — put
+             it back without charging an attempt *)
+          match (int_of_string_opt id_s, w.state) with
+          | Some id, Busy (j, _) when j.j_id = id ->
+              Telemetry.Metrics.incr m_nacked;
+              Telemetry.Log.warnf
+                "fleet: worker %d nacked a damaged dispatch frame for %s; \
+                 re-sending"
+                w.slot j.j_key;
+              w.deaths <- 0;
+              w.state <- Idle;
+              t.inflight <- t.inflight - 1;
+              Queue.push j t.queue
+          | _ ->
+              Telemetry.Log.warnf
+                "fleet: worker %d nacked an unexpected frame; dropped" w.slot)
+      | ("D" | "X") :: id_s :: chk :: rest -> (
+          let body = String.concat " " rest in
+          match (int_of_string_opt id_s, String.index_opt body '\t') with
+          | Some id, Some i
+            when String.equal chk (Robust.Journal.fnv64_hex body) -> (
+              match (Telemetry.Snapshot.of_json (String.sub body 0 i), w.state)
+              with
+              | None, _ -> recover_corrupt_channel t w line
+              | Some delta, Busy (j, _) when j.j_id = id ->
+                  (* a verified reply proves the slot healthy: reset the
+                     breaker streak *)
+                  w.deaths <- 0;
+                  w.state <- Idle;
+                  t.inflight <- t.inflight - 1;
+                  Telemetry.Snapshot.publish delta;
+                  let payload =
+                    String.sub body (i + 1) (String.length body - i - 1)
+                  in
+                  if line.[0] = 'D' then begin
+                    Telemetry.Metrics.incr m_completed;
+                    complete t j (Ok payload)
+                  end
+                  else begin
+                    Telemetry.Metrics.incr m_raised;
+                    complete t j (Error (Run_raised payload))
+                  end
+              | Some _, _ ->
+                  Telemetry.Log.warnf
+                    "fleet: worker %d answered for unexpected task %d; \
+                     dropped"
+                    w.slot id)
+          | _ -> recover_corrupt_channel t w line)
+      | _ -> (
+          match w.state with
+          | Busy _ -> recover_corrupt_channel t w line
+          | Idle ->
+              Telemetry.Log.warnf "fleet: worker %d sent garbage %S" w.slot
+                line))
 
 let pump_worker (t : t) (w : worker) =
   let chunk = Bytes.create 65536 in
@@ -764,40 +712,12 @@ let drain (t : t) : result list =
 let shutdown (t : t) =
   if not t.closed then begin
     t.closed <- true;
-    (* ask every worker to quit first, so their final-flush snapshot
-       lines are already in the pipes while we collect below *)
     Array.iter
       (fun w ->
          if w.w_alive then
            try ignore (Unix.write_substring w.to_w "Q\n" 0 2)
            with Unix.Unix_error _ -> ())
       t.ws;
-    (* with snapshots on, read each worker until EOF (bounded): the
-       quit path sends one last "S" line that must not be lost.
-       [bury] on EOF will not respawn — the pool is closed. *)
-    if t.cfg.snapshots then begin
-      let deadline = now () +. 2.0 in
-      let rec collect () =
-        let rd = fds t in
-        if rd <> [] && now () < deadline then begin
-          (match Unix.select rd [] [] 0.05 with
-           | readable, _, _ ->
-               List.iter
-                 (fun fd ->
-                    match
-                      Array.to_list t.ws
-                      |> List.find_opt
-                           (fun w -> w.w_alive && w.from_w = fd)
-                    with
-                    | Some w -> pump_worker t w
-                    | None -> ())
-                 readable
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          collect ()
-        end
-      in
-      collect ()
-    end;
     Array.iter
       (fun w ->
          if w.w_alive then begin
@@ -845,39 +765,3 @@ let worker_states (t : t) : (int * bool * bool * string option) list =
 (** Circuit-broken slot count. *)
 let quarantined_workers (t : t) =
   Array.fold_left (fun n w -> if w.quarantined then n + 1 else n) 0 t.ws
-
-(** The fleet-wide aggregate of everything workers have reported:
-    every slot's live snapshot plus its dead incarnations' — the
-    counters a sequential run of the same work would have produced
-    (the master itself runs no tasks). *)
-let metrics_snapshot (t : t) : Telemetry.Snapshot.t =
-  Array.fold_left
-    (fun acc w ->
-       Telemetry.Snapshot.merge acc
-         (Telemetry.Snapshot.merge w.w_dead_snap w.w_snap))
-    Telemetry.Snapshot.empty t.ws
-
-(** Per-slot snapshots for name-spaced publication:
-    (slot, dead-merged-with-live). *)
-let worker_snapshots (t : t) : (int * Telemetry.Snapshot.t) list =
-  Array.to_list t.ws
-  |> List.map (fun w ->
-      (w.slot, Telemetry.Snapshot.merge w.w_dead_snap w.w_snap))
-
-(** Fold the workers' reported metrics into the master's live registry:
-    once per pool, each slot under a [worker<N>.] prefix plus the
-    unprefixed additive aggregate.  After this, [Metrics.snapshot] in
-    the master reads like the sequential run.  No-op unless
-    [cfg.snapshots]; idempotent. *)
-let publish_metrics (t : t) =
-  if t.cfg.snapshots && not t.published then begin
-    t.published <- true;
-    List.iter
-      (fun (slot, s) ->
-         if not (Telemetry.Snapshot.is_empty s) then begin
-           Telemetry.Snapshot.publish
-             ~prefix:(Printf.sprintf "worker%d." slot) s;
-           Telemetry.Snapshot.publish s
-         end)
-      (worker_snapshots t)
-  end

@@ -68,7 +68,7 @@ type config = {
   default_deadline : float option;
       (** queue-wait budget applied to requests that don't carry their
           own ["deadline_s"] *)
-  chaos : Robust.Chaos.fleet_state option;
+  chaos : Robust.Chaos.fleet_point Robust.Chaos.io_state option;
       (** socket-side fault injection ({!Robust.Chaos.Client_reset}) *)
 }
 
@@ -282,12 +282,9 @@ let handle_request st (c : client) line =
                st.recovered
                (latency_ms 0.50) (latency_ms 0.95) (latency_ms 0.99))
       | Some (Str "metrics") ->
-          (* daemon registry + everything the workers have reported *)
-          let snap =
-            Telemetry.Snapshot.merge
-              (Telemetry.Snapshot.capture ())
-              (Pool.metrics_snapshot st.pool)
-          in
+          (* the pool folds each accepted reply's worker delta into
+             this registry, so it holds the workers' counters too *)
+          let snap = Telemetry.Snapshot.capture () in
           let prometheus =
             match member "format" j with
             | Some (Str "prometheus") -> true
@@ -423,7 +420,7 @@ let route_result st (r : Pool.result) =
       match st.cfg.chaos with
       | Some cst
         when c.c_alive
-             && Robust.Chaos.fleet_fires cst Robust.Chaos.Client_reset ->
+             && Robust.Chaos.io_fires cst Robust.Chaos.Client_reset ->
           Telemetry.Metrics.incr m_resets;
           Telemetry.Log.warnf
             "serve(chaos): reset a client connection before replying";

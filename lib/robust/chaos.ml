@@ -132,13 +132,97 @@ let fires st point =
   else None
 
 (* ------------------------------------------------------------------ *)
+(* IO fault classes: seeded probe states                               *)
+(* ------------------------------------------------------------------ *)
+
+(** How an {!io_state} decides whether a probe fires:
+    - [Arms]: fire at exactly the given hit counts of each point —
+      deterministic placement for unit tests ("corrupt the first
+      reply, nothing else").
+    - [Rate]: per-probe Bernoulli draw at the given rate over the
+      enabled points, from a seed-pure stream — the soak mode,
+      where fault {e placement} may vary with scheduling but the run
+      is still reproducible for a fixed seed and message order. *)
+type 'p mode =
+  | Arms of ('p * int) list
+  | Rate of { rate : float; points : 'p list }
+
+(** A class of fault points one layer out from {!point}: its points
+    (a point's index is its position in the list), the multiplier that
+    spaces each point's seed, and one injected-fault counter per
+    point. *)
+type 'p io_class = {
+  c_points : 'p list;
+  c_mult : int64;
+  c_injected : Telemetry.Metrics.counter array;
+}
+
+let io_class ~name ~prefix ~mult points =
+  { c_points = points; c_mult = mult;
+    c_injected =
+      Array.of_list
+        (List.map (fun p -> Telemetry.Metrics.counter (prefix ^ name p)) points)
+  }
+
+type 'p io_state = {
+  io_cls : 'p io_class;
+  io_mode : 'p mode;
+  io_rngs : int64 ref array;
+      (** one independent SplitMix stream per point, so probes of one
+          point never perturb another point's draws *)
+  io_hits : int array;
+  io_fired : int array;
+}
+
+let io_state cls ~seed mode =
+  let n = List.length cls.c_points in
+  { io_cls = cls;
+    io_mode = mode;
+    io_rngs =
+      Array.init n (fun i ->
+          ref (Int64.add seed (Int64.mul cls.c_mult (Int64.of_int (i + 1)))));
+    io_hits = Array.make n 0;
+    io_fired = Array.make n 0 }
+
+(* a 53-bit uniform draw in [0,1) from the point's own stream *)
+let uniform (rng : int64 ref) =
+  Int64.to_float (Int64.logand (mix rng) 0x1FFFFFFFFFFFFFL)
+  /. 9007199254740992.0
+
+(** [io_fires st point] counts one probe hit of [point] and reports
+    whether the fault fires there. *)
+let io_fires st point =
+  let rec index i = function
+    | [] -> invalid_arg "Chaos.io_fires: point not in its class"
+    | p :: rest -> if p = point then i else index (i + 1) rest
+  in
+  let i = index 0 st.io_cls.c_points in
+  st.io_hits.(i) <- st.io_hits.(i) + 1;
+  let fire =
+    match st.io_mode with
+    | Arms arms -> List.mem (point, st.io_hits.(i)) arms
+    | Rate { rate; points } ->
+        rate > 0. && List.mem point points && uniform st.io_rngs.(i) < rate
+  in
+  if fire then begin
+    st.io_fired.(i) <- st.io_fired.(i) + 1;
+    Telemetry.Metrics.incr st.io_cls.c_injected.(i)
+  end;
+  fire
+
+(** Per-point fired counts so far (non-zero entries only). *)
+let io_fired st =
+  List.mapi (fun i p -> (p, st.io_fired.(i))) st.io_cls.c_points
+  |> List.filter (fun (_, n) -> n > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Fleet fault class: faults at the IPC boundary                       *)
 (* ------------------------------------------------------------------ *)
 
 (** Fault sites one layer up from {!point}: not inside a cell but on
     the pipes and sockets that carry cells between processes.  The
     probe discipline is the same — the fleet master and the serve
-    daemon consult {!fleet_fires} at every dispatch write, reply read
+    daemon consult {!io_fires} at every dispatch write, reply read
     and response send, and the seeded state decides which probes turn
     into faults. *)
 type fleet_point =
@@ -153,14 +237,6 @@ let all_fleet_points =
   [ Corrupt_dispatch; Corrupt_reply; Drop_reply; Delay_reply; Worker_stall;
     Client_reset ]
 
-let fleet_point_index = function
-  | Corrupt_dispatch -> 0
-  | Corrupt_reply -> 1
-  | Drop_reply -> 2
-  | Delay_reply -> 3
-  | Worker_stall -> 4
-  | Client_reset -> 5
-
 let fleet_point_name = function
   | Corrupt_dispatch -> "corrupt_dispatch"
   | Corrupt_reply -> "corrupt_reply"
@@ -169,74 +245,9 @@ let fleet_point_name = function
   | Worker_stall -> "worker_stall"
   | Client_reset -> "client_reset"
 
-(** How a {!fleet_state} decides whether a probe fires:
-    - [Arms]: fire at exactly the given hit counts of each point —
-      deterministic placement for unit tests ("corrupt the first
-      reply, nothing else").
-    - [Rate]: per-probe Bernoulli draw at the given rate over the
-      enabled points, from a seed-pure stream — the soak mode,
-      where fault {e placement} may vary with scheduling but the run
-      is still reproducible for a fixed seed and message order. *)
-type fleet_mode =
-  | Arms of (fleet_point * int) list
-  | Rate of { rate : float; points : fleet_point list }
-
-type fleet_state = {
-  fs_mode : fleet_mode;
-  fs_rngs : int64 ref array;
-      (** one independent SplitMix stream per point, so probes of one
-          point never perturb another point's draws *)
-  fs_hits : int array;
-  fs_fired : int array;
-}
-
-let fleet_state ~seed mode =
-  let n = List.length all_fleet_points in
-  { fs_mode = mode;
-    fs_rngs =
-      Array.init n (fun i ->
-          ref (Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L
-                                 (Int64.of_int (i + 1)))));
-    fs_hits = Array.make n 0;
-    fs_fired = Array.make n 0 }
-
-let m_fleet_injected =
-  List.map
-    (fun p ->
-       ( fleet_point_index p,
-         Telemetry.Metrics.counter
-           ("robust.fleet_injected." ^ fleet_point_name p) ))
-    all_fleet_points
-
-(* a 53-bit uniform draw in [0,1) from the point's own stream *)
-let uniform (rng : int64 ref) =
-  Int64.to_float (Int64.logand (mix rng) 0x1FFFFFFFFFFFFFL)
-  /. 9007199254740992.0
-
-(** [fleet_fires st point] counts one probe hit of [point] and reports
-    whether the fault fires there. *)
-let fleet_fires st point =
-  let i = fleet_point_index point in
-  st.fs_hits.(i) <- st.fs_hits.(i) + 1;
-  let fire =
-    match st.fs_mode with
-    | Arms arms -> List.mem (point, st.fs_hits.(i)) arms
-    | Rate { rate; points } ->
-        rate > 0. && List.mem point points && uniform st.fs_rngs.(i) < rate
-  in
-  if fire then begin
-    st.fs_fired.(i) <- st.fs_fired.(i) + 1;
-    Telemetry.Metrics.incr (List.assoc i m_fleet_injected)
-  end;
-  fire
-
-(** Per-point fired counts so far (non-zero entries only). *)
-let fleet_fired st =
-  List.filter_map
-    (fun p ->
-       let n = st.fs_fired.(fleet_point_index p) in
-       if n > 0 then Some (p, n) else None)
-    all_fleet_points
+let fleet_class =
+  io_class ~name:fleet_point_name ~prefix:"robust.fleet_injected."
+    ~mult:0x9E3779B97F4A7C15L all_fleet_points
 
 (* ------------------------------------------------------------------ *)
 (* Disk fault class: faults under the durable-IO layer                 *)
@@ -245,9 +256,10 @@ let fleet_fired st =
 (** The storage fault class, one layer below {!fleet_point}: not the
     pipes between processes but the bytes under the journals and
     sidecars.  {!Diskio} consults an installed hook at every
-    append, sync and rename; this state turns those probes into
-    seeded faults with the same [Arms]/[Rate] discipline as the
-    fleet class.  Constructors are {!Diskio.fault}'s, re-exported. *)
+    append, sync and rename; a [disk_point io_state] turns those
+    probes into seeded faults with the same [Arms]/[Rate] discipline
+    as the fleet class.  Constructors are {!Diskio.fault}'s,
+    re-exported. *)
 type disk_point = Diskio.fault =
   | Enospc  (** the append raises {!Diskio.Full}; nothing lands *)
   | Short_write  (** a prefix lands (torn tail), then {!Diskio.Full} *)
@@ -258,79 +270,11 @@ type disk_point = Diskio.fault =
 let all_disk_points =
   [ Enospc; Short_write; Failed_rename; Bit_flip; Torn_fsync ]
 
-let disk_point_index = function
-  | Enospc -> 0
-  | Short_write -> 1
-  | Failed_rename -> 2
-  | Bit_flip -> 3
-  | Torn_fsync -> 4
-
 let disk_point_name = Diskio.fault_name
 
-let disk_point_of_name = function
-  | "enospc" -> Some Enospc
-  | "short_write" -> Some Short_write
-  | "failed_rename" -> Some Failed_rename
-  | "bit_flip" -> Some Bit_flip
-  | "torn_fsync" -> Some Torn_fsync
-  | _ -> None
-
-(** Same two firing disciplines as {!fleet_mode}: [Disk_arms] places
-    faults at exact probe hits (unit tests), [Disk_rate] draws each
-    probe Bernoulli from a seed-pure per-point stream (soaks). *)
-type disk_mode =
-  | Disk_arms of (disk_point * int) list
-  | Disk_rate of { rate : float; points : disk_point list }
-
-type disk_state = {
-  ds_mode : disk_mode;
-  ds_rngs : int64 ref array;
-  ds_hits : int array;
-  ds_fired : int array;
-}
-
-let disk_state ~seed mode =
-  let n = List.length all_disk_points in
-  { ds_mode = mode;
-    ds_rngs =
-      Array.init n (fun i ->
-          ref (Int64.add seed (Int64.mul 0xBF58476D1CE4E5B9L
-                                 (Int64.of_int (i + 1)))));
-    ds_hits = Array.make n 0;
-    ds_fired = Array.make n 0 }
-
-let m_disk_injected =
-  List.map
-    (fun p ->
-       ( disk_point_index p,
-         Telemetry.Metrics.counter
-           ("robust.disk_injected." ^ disk_point_name p) ))
-    all_disk_points
-
-(** [disk_fires st point] counts one probe hit of [point] and reports
-    whether the fault fires there. *)
-let disk_fires st point =
-  let i = disk_point_index point in
-  st.ds_hits.(i) <- st.ds_hits.(i) + 1;
-  let fire =
-    match st.ds_mode with
-    | Disk_arms arms -> List.mem (point, st.ds_hits.(i)) arms
-    | Disk_rate { rate; points } ->
-        rate > 0. && List.mem point points && uniform st.ds_rngs.(i) < rate
-  in
-  if fire then begin
-    st.ds_fired.(i) <- st.ds_fired.(i) + 1;
-    Telemetry.Metrics.incr (List.assoc i m_disk_injected)
-  end;
-  fire
-
-(** Per-point fired counts so far (non-zero entries only). *)
-let disk_fired st =
-  List.filter_map
-    (fun p ->
-       let n = st.ds_fired.(disk_point_index p) in
-       if n > 0 then Some (p, n) else None)
-    all_disk_points
+let disk_class =
+  io_class ~name:disk_point_name
+    ~prefix:"robust.disk_injected." ~mult:0xBF58476D1CE4E5B9L all_disk_points
 
 (* which faults can fire at which IO operation *)
 let disk_points_of_op : Diskio.op -> disk_point list = function
@@ -338,13 +282,13 @@ let disk_points_of_op : Diskio.op -> disk_point list = function
   | Diskio.Sync -> [ Torn_fsync ]
   | Diskio.Rename -> [ Failed_rename ]
 
-(** The {!Diskio} hook a seeded disk state drives: every candidate
-    point of the operation is probed (so hit counts stay comparable
-    across runs) and the first firing one wins.  Install with
+(** The {!Diskio} hook a seeded [disk_point io_state] drives: every
+    candidate point of the operation is probed (so hit counts stay
+    comparable across runs) and the first firing one wins.  Install with
     [Diskio.set_fault_hook (Some (disk_hook st))], clear with
     [None]. *)
-let disk_hook st : Diskio.hook =
+let disk_hook (st : disk_point io_state) : Diskio.hook =
  fun ~op ~path:_ ->
-  match List.filter (disk_fires st) (disk_points_of_op op) with
+  match List.filter (io_fires st) (disk_points_of_op op) with
   | [] -> None
   | p :: _ -> Some p

@@ -8,7 +8,7 @@
     place to (a) apply a sync policy, (b) count bytes and operations,
     and (c) inject the {e storage} fault class: a pluggable hook
     consulted at every append, sync and rename turns seeded
-    [Chaos.disk_state] decisions into ENOSPC, short writes, failed
+    [Chaos.io_state] decisions into ENOSPC, short writes, failed
     renames, flipped bits and lying fsyncs — the faults a long
     evaluation campaign's partial results actually meet.
 

@@ -1,19 +1,20 @@
-(** Serializable, mergeable registry snapshots — the unit of
-    cross-process metrics aggregation.
+(** Serializable registry snapshots — the unit of cross-process
+    metrics aggregation.
 
-    A fleet worker cannot share the master's in-memory registry, so it
-    periodically captures its registry as a {!t}, diffs it against the
-    baseline inherited at [fork] (a forked child starts with the
-    parent's counter values already in place), and ships the delta
-    over its reply pipe as one line of JSON.  The master merges worker
-    deltas (counter-add, gauge-last, bucket-wise histogram add) and
-    {!publish}es the aggregate back into its own live registry, so a
-    whole fleet run reads like one process in [Metrics.snapshot].
+    A fleet worker cannot share the master's in-memory registry, so
+    after each task it captures its registry as a {!t}, diffs it
+    against its capture after the previous task (a forked child starts
+    with the parent's counter values already in place, so the first
+    diff is against a capture taken right after [fork]), and ships the
+    delta as JSON inside that task's reply frame.  The master
+    {!publish}es each delta into its own live registry (counter-add,
+    gauge-last, bucket-wise histogram add) when it accepts the reply,
+    so a whole fleet run reads like one process in
+    [Metrics.snapshot].
 
     Snapshots are plain immutable values with name-sorted association
     lists, so structural equality and deterministic serialization come
-    for free — the merge-equals-sequential tests compare them with
-    [=]. *)
+    for free — the tests compare them with [=]. *)
 
 type histo = {
   hs_count : int;
@@ -30,8 +31,6 @@ type t = {
 }
 
 let empty = { counters = []; gauges = []; histograms = [] }
-
-let is_empty t = t.counters = [] && t.gauges = [] && t.histograms = []
 
 let find_counter t name =
   match List.assoc_opt name t.counters with Some v -> v | None -> 0
@@ -63,7 +62,7 @@ let capture () : t =
     histograms = List.rev t.histograms }
 
 (* ------------------------------------------------------------------ *)
-(* Diff and merge                                                      *)
+(* Diff                                                                *)
 (* ------------------------------------------------------------------ *)
 
 (* fold two name-sorted assoc lists into one, combining values present
@@ -79,32 +78,17 @@ let merge_assoc (combine : 'a -> 'a -> 'a) a b =
   in
   go a b []
 
-let merge_buckets a b =
-  merge_assoc ( + ) a b |> List.filter (fun (_, n) -> n > 0)
-
 let sub_buckets cur base =
-  merge_buckets cur (List.map (fun (i, n) -> (i, -n)) base)
-
-let merge_histo a b =
-  { hs_count = a.hs_count + b.hs_count;
-    hs_sum = a.hs_sum + b.hs_sum;
-    hs_max = max a.hs_max b.hs_max;
-    hs_buckets = merge_buckets a.hs_buckets b.hs_buckets }
-
-(** [merge a b]: counters add, gauges take [b]'s value where both have
-    one ("gauge-last"), histograms add bucket-wise (count and sum add,
-    max takes the max). *)
-let merge a b =
-  { counters = merge_assoc ( + ) a.counters b.counters;
-    gauges = merge_assoc (fun _ vb -> vb) a.gauges b.gauges;
-    histograms = merge_assoc merge_histo a.histograms b.histograms }
+  merge_assoc ( + ) cur (List.map (fun (i, n) -> (i, -n)) base)
+  |> List.filter (fun (_, n) -> n > 0)
 
 (** [diff ~base cur] is what happened since [base]: counter and
     histogram deltas (zero deltas dropped, so a fresh worker that did
     nothing ships an empty snapshot), gauges at their current value
     when they moved.  A histogram delta keeps the current max — the
     per-interval max is not recoverable from a cumulative registry,
-    and for merge purposes an over-approximation is harmless. *)
+    and for {!publish} (which keeps the larger max) an
+    over-approximation is harmless. *)
 let diff ~base cur =
   let counters =
     List.filter_map
@@ -143,21 +127,16 @@ let diff ~base cur =
 (* ------------------------------------------------------------------ *)
 
 (** Fold a snapshot additively into the live registry, creating the
-    metrics as needed.  With [prefix] every metric lands under its own
-    name-spaced copy ([worker3.vm.steps]); without, the values
-    accumulate into the canonical metrics, which is how a fleet
-    aggregate becomes indistinguishable from a sequential run for
-    deterministic counters. *)
-let publish ?(prefix = "") t =
-  List.iter
-    (fun (name, v) -> Metrics.add (Metrics.counter (prefix ^ name)) v)
-    t.counters;
-  List.iter
-    (fun (name, v) -> Metrics.set (Metrics.gauge (prefix ^ name)) v)
-    t.gauges;
+    metrics as needed: counters add, gauges take the snapshot's value,
+    histograms add bucket-wise (max keeps the larger).  Publishing
+    every worker delta is how a fleet run becomes indistinguishable
+    from a sequential one for deterministic counters. *)
+let publish t =
+  List.iter (fun (name, v) -> Metrics.add (Metrics.counter name) v) t.counters;
+  List.iter (fun (name, v) -> Metrics.set (Metrics.gauge name) v) t.gauges;
   List.iter
     (fun (name, hs) ->
-       let h = Metrics.histogram (prefix ^ name) in
+       let h = Metrics.histogram name in
        List.iter
          (fun (i, n) ->
             if i >= 0 && i < Metrics.num_buckets then
@@ -174,9 +153,9 @@ let publish ?(prefix = "") t =
 
 let esc = Trace_check.json_escape
 
-(** One line, no spaces — snapshots cross the fleet's line-framed
-    pipes verbatim.  [%.17g] keeps gauge floats exact across the round
-    trip. *)
+(** One line with no tab (names are escaped) — a snapshot rides a
+    fleet reply frame ahead of the frame's first tab.  [%.17g] keeps
+    gauge floats exact across the round trip. *)
 let to_json t =
   let buf = Buffer.create 256 in
   let sep = ref false in

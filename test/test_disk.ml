@@ -53,14 +53,14 @@ let fault_containment fault () =
   rm path;
   rm (path ^ ".tmp");
   let st =
-    Robust.Chaos.disk_state ~seed:5L
-      (Robust.Chaos.Disk_arms [ (fault, 2) ])
+    Robust.Chaos.io_state Robust.Chaos.disk_class ~seed:5L
+      (Robust.Chaos.Arms [ (fault, 2) ])
   in
   let table = with_hook st (fun () -> run_grid ~journal:path ()) in
   Alcotest.(check string) "faulted run's table unchanged"
     (Lazy.force baseline) table;
   Alcotest.(check bool) "fault fired and was accounted" true
-    (List.mem_assoc fault (Robust.Chaos.disk_fired st));
+    (List.mem_assoc fault (Robust.Chaos.io_fired st));
   ignore
     (Engines.Fsck.scan ~repair:true [ path ] : Engines.Fsck.report list);
   Alcotest.(check int) "repaired journal verifies clean" 0
@@ -83,8 +83,8 @@ let failed_rename_containment () =
   rm (path ^ ".tmp");
   Robust.Diskio.write_atomic ~path "first\n";
   let st =
-    Robust.Chaos.disk_state ~seed:5L
-      (Robust.Chaos.Disk_arms [ (Robust.Chaos.Failed_rename, 1) ])
+    Robust.Chaos.io_state Robust.Chaos.disk_class ~seed:5L
+      (Robust.Chaos.Arms [ (Robust.Chaos.Failed_rename, 1) ])
   in
   (match
      with_hook st (fun () -> Robust.Diskio.write_atomic ~path "second\n")
@@ -186,6 +186,38 @@ let fsck_profile_sidecar () =
   rm path;
   rm copy
 
+(* damage to the first sample must not hide the file: the format is
+   told from the first sound line, so the flipped line is reported and
+   repaired away *)
+let fsck_profile_first_byte () =
+  let path = "disk_test_profile_b0.jsonl" in
+  rm path;
+  ignore
+    (Engines.Eval.run_table2 ~tools:[ Engines.Profile.Bap ]
+       ~bombs:(Lazy.force bombs) ~profile:path ()
+      : Engines.Eval.table2_result);
+  let raw = Bytes.of_string (Robust.Diskio.read_all path) in
+  Bytes.set raw 0 (Char.chr (Char.code (Bytes.get raw 0) lxor 1));
+  Robust.Diskio.write_atomic ~path (Bytes.to_string raw);
+  (match Engines.Fsck.scan [ path ] with
+   | [ r ] ->
+     Alcotest.(check string) "still read as a profile sidecar"
+       "profile sidecar"
+       (Engines.Fsck.kind_name r.Engines.Fsck.r_kind);
+     Alcotest.(check int) "the second sample is sound" 1
+       r.Engines.Fsck.r_records;
+     Alcotest.(check int) "the first is damaged" 1 r.Engines.Fsck.r_damaged
+   | reports ->
+     Alcotest.failf "expected one report, got %d" (List.length reports));
+  Alcotest.(check int) "verify flags damage (exit 2)" 2
+    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
+  Alcotest.(check int) "repair fixes it (exit 1)" 1
+    (Engines.Fsck.exit_code ~repair:true
+       (Engines.Fsck.scan ~repair:true [ path ]));
+  Alcotest.(check int) "re-verify clean (exit 0)" 0
+    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
+  rm path
+
 (* ---------------- ENOSPC mid-grid: shed and finish ---------------- *)
 
 let enospc_shed_and_finish () =
@@ -193,8 +225,8 @@ let enospc_shed_and_finish () =
   rm path;
   let shed0 = Telemetry.Metrics.counter_value "journal.shed" in
   let st =
-    Robust.Chaos.disk_state ~seed:9L
-      (Robust.Chaos.Disk_arms [ (Robust.Chaos.Enospc, 2) ])
+    Robust.Chaos.io_state Robust.Chaos.disk_class ~seed:9L
+      (Robust.Chaos.Arms [ (Robust.Chaos.Enospc, 2) ])
   in
   let table = with_hook st (fun () -> run_grid ~journal:path ()) in
   Alcotest.(check string) "grid finishes with identical grades"
@@ -223,6 +255,8 @@ let () =
            fsck_journal_roundtrip;
          Alcotest.test_case "profile sidecar verify/repair" `Quick
            fsck_profile_sidecar;
+         Alcotest.test_case "profile sidecar with a flipped first byte"
+           `Quick fsck_profile_first_byte;
          Alcotest.test_case "stale tmp beside its journal" `Quick
            fsck_tmp_beside_journal ]);
       ("enospc",

@@ -477,7 +477,9 @@ let chaos_pool ?(workers = 1) ?(respawns = 2) ?task_timeout arms runner =
       { Fleet.Pool.default_config with
         workers; respawns; task_timeout;
         chaos =
-          Some (Robust.Chaos.fleet_state ~seed:7L (Robust.Chaos.Arms arms)) }
+          Some
+            (Robust.Chaos.io_state Robust.Chaos.fleet_class ~seed:7L
+               (Robust.Chaos.Arms arms)) }
     runner
 
 let one_ok results =
@@ -501,6 +503,27 @@ let chaos_corrupt_reply_recovers () =
     (one_ok results);
   Alcotest.(check bool) "corrupt frame detected and counted" true
     (counter "fleet.frames_corrupt" > bad0)
+
+(* a reply lost to a fault takes its registry delta with it: the task
+   is re-run, and its work is counted once, when a reply is accepted *)
+let chaos_lost_reply_counts_once () =
+  let c = "test.fleet.counted_once" in
+  List.iter
+    (fun (name, point, task_timeout) ->
+       let before = counter c in
+       let t =
+         chaos_pool ?task_timeout [ (point, 1) ] (fun ~attempt:_ ~key:_ ->
+             fun task ->
+               Telemetry.Metrics.incr (Telemetry.Metrics.counter c);
+               task)
+       in
+       Fleet.Pool.submit t ~key:"k" ~task:"v" ();
+       let results = Fleet.Pool.drain t in
+       Fleet.Pool.shutdown t;
+       Alcotest.(check string) (name ^ ": task answers") "v" (one_ok results);
+       Alcotest.(check int) (name ^ ": counted once") 1 (counter c - before))
+    [ ("corrupt reply", Robust.Chaos.Corrupt_reply, None);
+      ("dropped reply", Robust.Chaos.Drop_reply, Some 0.3) ]
 
 let chaos_corrupt_dispatch_nacked () =
   let nack0 = counter "fleet.frames_nacked" in
@@ -855,12 +878,14 @@ let () =
            chaos_corrupt_dispatch_nacked;
          Alcotest.test_case "dropped reply -> watchdog recovery" `Quick
            chaos_drop_reply_watchdog_recovers;
+         Alcotest.test_case "lost reply's work counted once" `Quick
+           chaos_lost_reply_counts_once;
          Alcotest.test_case "worker stall -> watchdog recovery" `Quick
            chaos_worker_stall_watchdog_recovers ]);
-      ("merge",
+      ("journal",
        [ Alcotest.test_case "canonical byte-identity" `Quick
            rewrite_canonical_bytes;
-         Alcotest.test_case "journal fingerprint peek" `Quick
+         Alcotest.test_case "fingerprint peek" `Quick
            journal_peek_fingerprint ]);
       ("determinism",
        [ Alcotest.test_case "1/2/4 workers = sequential table" `Quick

@@ -1,10 +1,10 @@
-(** Observability battery: snapshot codec round trips, merge algebra
-    (counter-add, gauge-last, bucket-exact histogram add), histogram
-    quantiles, fleet metrics aggregation equalling the sequential
-    registry for 2- and 4-worker runs, a SIGKILLed worker's last
-    snapshot surviving into the pool aggregate, the per-cell profiler
-    (codec, sidecar files, fleet shard merge), and the span-shard
-    Chrome merger. *)
+(** Observability battery: snapshot codec round trips, publish
+    algebra (counter-add, gauge-last, bucket-exact histogram add),
+    histogram quantiles, fleet metrics aggregation equalling the
+    sequential registry for 2- and 4-worker runs, reply-borne worker
+    deltas folded into the master registry exactly once (a SIGKILLed
+    worker's completed task kept, its killed task's work not), and the
+    per-cell profiler (codec, sidecar, fleet run artifacts). *)
 
 module Snap = Telemetry.Snapshot
 
@@ -49,65 +49,46 @@ let codec_captures_registry () =
       Alcotest.(check int) "counter value carried" 7
         (Snap.find_counter s "test.obs.codec.count")
 
-(* ---------------- merge algebra ---------------- *)
+(* ---------------- publish algebra ---------------- *)
 
-let merge_algebra () =
+(* two deltas published in turn: counters add, gauge-last, histograms
+   add bucket-wise with the larger max *)
+let publish_into_registry () =
   let a =
-    { Snap.counters = [ ("c.x", 2); ("c.y", 1) ];
-      gauges = [ ("g", 1.0) ];
+    { Snap.counters = [ ("test.obs.pub.x", 2); ("test.obs.pub.y", 1) ];
+      gauges = [ ("test.obs.pub.g", 1.0) ];
       histograms =
-        [ ( "h",
+        [ ( "test.obs.pub.h",
             { Snap.hs_count = 2; hs_sum = 5; hs_max = 4;
               hs_buckets = [ (1, 1); (3, 1) ] } ) ] }
   in
   let b =
-    { Snap.counters = [ ("c.x", 3); ("c.z", 4) ];
-      gauges = [ ("g", 9.0) ];
+    { Snap.counters = [ ("test.obs.pub.x", 3); ("test.obs.pub.z", 4) ];
+      gauges = [ ("test.obs.pub.g", 9.0) ];
       histograms =
-        [ ( "h",
+        [ ( "test.obs.pub.h",
             { Snap.hs_count = 3; hs_sum = 20; hs_max = 16;
               hs_buckets = [ (3, 2); (5, 1) ] } ) ] }
   in
-  let m = Snap.merge a b in
-  Alcotest.(check int) "counters add" 5 (Snap.find_counter m "c.x");
-  Alcotest.(check int) "left-only counter kept" 1 (Snap.find_counter m "c.y");
-  Alcotest.(check int) "right-only counter kept" 4 (Snap.find_counter m "c.z");
+  Snap.publish a;
+  Snap.publish b;
+  let m = Snap.capture () in
+  Alcotest.(check int) "counters add" 5 (Snap.find_counter m "test.obs.pub.x");
+  Alcotest.(check int) "first-only counter kept" 1
+    (Snap.find_counter m "test.obs.pub.y");
+  Alcotest.(check int) "second-only counter kept" 4
+    (Snap.find_counter m "test.obs.pub.z");
   Alcotest.(check (option (float 0.0))) "gauge-last wins" (Some 9.0)
-    (List.assoc_opt "g" m.Snap.gauges);
-  let h = List.assoc "h" m.Snap.histograms in
+    (List.assoc_opt "test.obs.pub.g" m.Snap.gauges);
+  let h = List.assoc "test.obs.pub.h" m.Snap.histograms in
   Alcotest.(check int) "histogram counts add" 5 h.Snap.hs_count;
   Alcotest.(check int) "histogram sums add" 25 h.Snap.hs_sum;
   Alcotest.(check int) "histogram max maxes" 16 h.Snap.hs_max;
   Alcotest.(check (list (pair int int))) "buckets add bucket-wise"
     [ (1, 1); (3, 3); (5, 1) ]
     h.Snap.hs_buckets;
-  (* merge of two diffs equals the diff across both intervals *)
-  let d1 = Snap.diff ~base:Snap.empty a in
-  Alcotest.check snap "diff from empty is identity" a d1
-
-let merge_publish_into_registry () =
-  let h0 =
-    { Snap.hs_count = 3; hs_sum = 10; hs_max = 6;
-      hs_buckets = [ (1, 1); (3, 2) ] }
-  in
-  let s =
-    { Snap.counters = [ ("test.obs.pub.c", 11) ];
-      gauges = [ ("test.obs.pub.g", 4.5) ];
-      histograms = [ ("test.obs.pub.h", h0) ] }
-  in
-  Snap.publish ~prefix:"pre." s;
-  Alcotest.(check int) "published counter lands prefixed" 11
-    (Telemetry.Metrics.counter_value "pre.test.obs.pub.c");
-  let h = Telemetry.Metrics.histogram "pre.test.obs.pub.h" in
-  Alcotest.(check int) "published histogram count" 3
-    h.Telemetry.Metrics.h_count;
-  Alcotest.(check int) "published histogram sum" 10
-    h.Telemetry.Metrics.h_sum;
-  Alcotest.(check int) "published histogram max" 6 h.Telemetry.Metrics.h_max;
-  (* publishing twice accumulates — the pool guards with [published] *)
-  Snap.publish ~prefix:"pre." s;
-  Alcotest.(check int) "second publish adds" 22
-    (Telemetry.Metrics.counter_value "pre.test.obs.pub.c")
+  Alcotest.check snap "diff from empty is identity" a
+    (Snap.diff ~base:Snap.empty a)
 
 let quantiles () =
   let h = Telemetry.Metrics.histogram "test.obs.quant" in
@@ -198,9 +179,10 @@ let fleet_counters_equal_sequential () =
 
 let sigkill_snapshot_survives () =
   let survive = "test.obs.survive" and lost = "test.obs.lost" in
+  let survive0 = Telemetry.Metrics.counter_value survive in
   let config =
     { Fleet.Pool.default_config with
-      workers = 1; respawns = 0; task_timeout = Some 0.5; snapshots = true }
+      workers = 1; respawns = 0; task_timeout = Some 0.5 }
   in
   let t =
     Fleet.Pool.create ~config (fun ~attempt:_ ~key ->
@@ -211,7 +193,7 @@ let sigkill_snapshot_survives () =
           end
           else begin
             (* this increment must NOT surface: the worker is SIGKILLed
-               before it replies, so no snapshot ships it *)
+               before it replies, so no reply carries it *)
             Telemetry.Metrics.incr (Telemetry.Metrics.counter lost);
             Unix.sleep 30;
             "unreachable"
@@ -220,12 +202,11 @@ let sigkill_snapshot_survives () =
   Fleet.Pool.submit t ~key:"bump" ~task:"x" ();
   Fleet.Pool.submit t ~key:"hang" ~task:"x" ();
   let results = Fleet.Pool.drain t in
-  let agg = Fleet.Pool.metrics_snapshot t in
   Fleet.Pool.shutdown t;
   Alcotest.(check int) "completed task's counter survives the SIGKILL" 1
-    (Snap.find_counter agg survive);
-  Alcotest.(check int) "killed task's partial work never double-counts" 0
-    (Snap.find_counter agg lost);
+    (Telemetry.Metrics.counter_value survive - survive0);
+  Alcotest.(check int) "killed task's partial work never counts" 0
+    (Telemetry.Metrics.counter_value lost);
   match
     (List.find (fun (r : Fleet.Pool.result) -> r.r_key = "hang") results)
       .r_payload
@@ -233,30 +214,28 @@ let sigkill_snapshot_survives () =
   | Error (Fleet.Pool.Worker_lost _) -> ()
   | _ -> Alcotest.fail "hanging task must be Worker_lost"
 
-let shutdown_flush_collects_final_snapshot () =
-  let c = "test.obs.final_flush" in
-  let config =
-    { Fleet.Pool.default_config with workers = 2; snapshots = true }
-  in
+(* every accepted reply's delta is in the master registry by the time
+   [drain] returns; shutting the pool down adds nothing *)
+let reply_deltas_fold_once () =
+  let c = "test.obs.reply_delta" in
   let t =
-    Fleet.Pool.create ~config (fun ~attempt:_ ~key:_ ->
+    Fleet.Pool.create
+      ~config:{ Fleet.Pool.default_config with workers = 2 }
+      (fun ~attempt:_ ~key:_ ->
         fun task ->
           Telemetry.Metrics.incr (Telemetry.Metrics.counter c);
           task)
   in
+  let before = Telemetry.Metrics.counter_value c in
   for i = 0 to 9 do
     Fleet.Pool.submit t ~key:(Printf.sprintf "k%d" i) ~task:"x" ()
   done;
   ignore (Fleet.Pool.drain t);
+  Alcotest.(check int) "every task's bump folded on its reply" 10
+    (Telemetry.Metrics.counter_value c - before);
   Fleet.Pool.shutdown t;
-  Alcotest.(check int) "every task's bump aggregated" 10
-    (Snap.find_counter (Fleet.Pool.metrics_snapshot t) c);
-  (* publish folds the aggregate into the master registry, once *)
-  let before = Telemetry.Metrics.counter_value c in
-  Fleet.Pool.publish_metrics t;
-  Fleet.Pool.publish_metrics t;
-  Alcotest.(check int) "publish is idempotent" (before + 10)
-    (Telemetry.Metrics.counter_value c)
+  Alcotest.(check int) "shutdown folds nothing more" 10
+    (Telemetry.Metrics.counter_value c - before)
 
 (* ---------------- per-cell profiler ---------------- *)
 
@@ -435,9 +414,8 @@ let () =
        [ Alcotest.test_case "JSON codec round trips" `Quick codec_round_trip;
          Alcotest.test_case "captured registry round trips" `Quick
            codec_captures_registry;
-         Alcotest.test_case "merge algebra" `Quick merge_algebra;
          Alcotest.test_case "publish folds into the registry" `Quick
-           merge_publish_into_registry;
+           publish_into_registry;
          Alcotest.test_case "histogram quantiles" `Quick quantiles;
          Alcotest.test_case "prometheus exposition" `Quick
            prometheus_exposition ]);
@@ -446,8 +424,8 @@ let () =
            fleet_counters_equal_sequential;
          Alcotest.test_case "SIGKILLed worker's snapshot survives" `Quick
            sigkill_snapshot_survives;
-         Alcotest.test_case "shutdown flush + idempotent publish" `Quick
-           shutdown_flush_collects_final_snapshot ]);
+         Alcotest.test_case "reply deltas fold once" `Quick
+           reply_deltas_fold_once ]);
       ("profile",
        [ Alcotest.test_case "profiled sample + codec" `Quick
            profiled_sample_and_codec;

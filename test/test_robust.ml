@@ -134,6 +134,32 @@ let cancellation_probe_sets_flag () =
     (exhausted_resource (fun () -> Robust.Meter.checkpoint m)
      = Some Robust.Meter.Cancelled)
 
+(* the first 64 Rate-mode decisions of one seed per IO fault class,
+   probing each point in turn: a seed must keep firing the same faults
+   at the same probe hits *)
+let decisions fires points =
+  let pts = Array.of_list points in
+  String.init 64 (fun i ->
+      if fires pts.(i mod Array.length pts) then '1' else '0')
+
+let io_decisions_pinned () =
+  let fleet =
+    Robust.Chaos.io_state Robust.Chaos.fleet_class ~seed:0xC0FFEEL
+      (Robust.Chaos.Rate
+         { rate = 0.3; points = Robust.Chaos.all_fleet_points })
+  in
+  Alcotest.(check string) "fleet class, seed 0xC0FFEE"
+    "1001000010010100101001000010000100001000010000100001000010000100"
+    (decisions (Robust.Chaos.io_fires fleet) Robust.Chaos.all_fleet_points);
+  let disk =
+    Robust.Chaos.io_state Robust.Chaos.disk_class ~seed:0xD15CL
+      (Robust.Chaos.Rate
+         { rate = 0.3; points = Robust.Chaos.all_disk_points })
+  in
+  Alcotest.(check string) "disk class, seed 0xD15C"
+    "0000000000000000101000100001010100100010010000001010011011001100"
+    (decisions (Robust.Chaos.io_fires disk) Robust.Chaos.all_disk_points)
+
 (* ---------------- session rollback ---------------- *)
 
 let v x = Smt.Expr.var ~width:8 x
@@ -669,7 +695,9 @@ let () =
          Alcotest.test_case "probe fires at nth hit" `Quick
            probe_fires_at_nth_hit;
          Alcotest.test_case "cancellation sets flag" `Quick
-           cancellation_probe_sets_flag ]);
+           cancellation_probe_sets_flag;
+         Alcotest.test_case "IO fault decisions pinned per seed" `Quick
+           io_decisions_pinned ]);
       ("session",
        [ Alcotest.test_case "rollback on budget fault" `Quick
            session_rollback_on_budget_fault;
