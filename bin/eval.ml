@@ -169,8 +169,7 @@ let run_resume force no_incremental no_ladder budget_spec retries backoff
 (* Fleet service: serve / submit / drain                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_serve socket workers max_queue queue_journal force task_timeout
-    breaker =
+let run_serve socket workers max_queue queue_journal force task_timeout =
   if workers < 1 then begin
     Printf.eprintf "--workers must be >= 1\n";
     exit 2
@@ -178,7 +177,6 @@ let run_serve socket workers max_queue queue_journal force task_timeout
   match
     Engines.Service.serve ~workers ~max_queue ?queue_journal ~force
       ?task_timeout:(if task_timeout <= 0. then None else Some task_timeout)
-      ?breaker:(if breaker <= 0 then None else Some breaker)
       ~socket ()
   with
   | () -> ()
@@ -204,8 +202,8 @@ let run_serve socket workers max_queue queue_journal force task_timeout
       path;
     exit 2
 
-let run_submit socket reconnect tools_filter bombs_filter budget_spec retries
-    backoff no_incremental no_ladder =
+let run_submit socket tools_filter bombs_filter budget_spec retries backoff
+    no_incremental no_ladder =
   let tools = parse_tools tools_filter in
   let bombs =
     List.map (fun (b : Bombs.Common.t) -> b.name) (parse_bombs bombs_filter)
@@ -223,48 +221,26 @@ let run_submit socket reconnect tools_filter bombs_filter budget_spec retries
       (fun bomb ->
          List.map
            (fun tool ->
-              let id = Engines.Profile.name tool ^ "/" ^ bomb in
-              ( id,
-                Engines.Service.encode_request ~id ~tool ~bomb
-                  ?budget:budget_spec ~retries ~backoff
-                  ~incremental:(not no_incremental) ~ladder:(not no_ladder)
-                  () ))
+              Engines.Service.encode_request
+                ~id:(Engines.Profile.name tool ^ "/" ^ bomb)
+                ~tool ~bomb ?budget:budget_spec ~retries ~backoff
+                ~incremental:(not no_incremental) ~ladder:(not no_ladder) ())
            tools)
       bombs
   in
-  if reconnect then begin
-    (* resilient path: reconnect across daemon restarts, resubmitting
-       under the same idempotency keys so the durable queue dedupes *)
-    let r =
-      Engines.Service.submit_resilient ~socket ~on_line:print_endline
-        requests
-    in
-    if r.Engines.Service.sr_unanswered > 0 then begin
-      Printf.eprintf
-        "submit: %d request(s) unanswered after %d session(s) — daemon \
-         on %s unreachable or restarting too slowly\n"
-        r.Engines.Service.sr_unanswered r.Engines.Service.sr_sessions socket;
-      exit 2
-    end;
-    if r.Engines.Service.sr_failed > 0 then exit 1
-  end
-  else
-    match
-      Engines.Service.submit ~socket ~on_line:print_endline
-        (List.map snd requests)
-    with
-    | failures -> if failures > 0 then exit 1
-    | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "submit: cannot reach daemon on %s: %s\n" socket
-        (Unix.error_message e);
-      exit 2
-    | exception Sys_error msg ->
-      Printf.eprintf "submit: connection to daemon on %s failed: %s\n" socket
-        msg;
-      exit 2
-    | exception End_of_file ->
-      Printf.eprintf "submit: daemon on %s hung up mid-stream\n" socket;
-      exit 2
+  match Engines.Service.submit ~socket ~on_line:print_endline requests with
+  | failures -> if failures > 0 then exit 1
+  | exception Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "submit: cannot reach daemon on %s: %s\n" socket
+      (Unix.error_message e);
+    exit 2
+  | exception Sys_error msg ->
+    Printf.eprintf "submit: connection to daemon on %s failed: %s\n" socket
+      msg;
+    exit 2
+  | exception End_of_file ->
+    Printf.eprintf "submit: daemon on %s hung up mid-stream\n" socket;
+    exit 2
 
 let run_health socket =
   match Engines.Service.health ~socket () with
@@ -348,7 +324,7 @@ let run_table1 () = print_string (Engines.Eval.render_table1 ())
 (* chaos: seeded fault-injection soak over supervised cells.  The
    seed comes from --seed, else ROBUST_CHAOS_SEED, else a fixed
    default so bare runs are reproducible *)
-let run_chaos no_incremental seed plans serve disk rate workers tools_filter
+let run_chaos no_incremental seed plans disk rate workers tools_filter
     bombs_filter verbose =
   let seed =
     match seed with
@@ -374,10 +350,6 @@ let run_chaos no_incremental seed plans serve disk rate workers tools_filter
     | names -> names
   in
   if disk then begin
-    if serve then begin
-      Printf.eprintf "chaos: --disk and --serve are mutually exclusive\n";
-      exit 2
-    end;
     (* storage-fault soak: journaled fleet grid under seeded disk
        faults (ENOSPC, short writes, bit flips, torn fsyncs, failed
        renames), then fsck --repair + resume must reconstruct a
@@ -388,20 +360,6 @@ let run_chaos no_incremental seed plans serve disk rate workers tools_filter
     print_string (Engines.Disk_soak.render report);
     if not (Engines.Disk_soak.ok report) then begin
       Printf.eprintf "chaos: disk soak containment FAILED\n";
-      exit 1
-    end;
-    exit 0
-  end;
-  if serve then begin
-    (* service-plane soak: live daemon under seeded IPC chaos plus a
-       mid-stream SIGKILL + warm restart; exactly-once grading and a
-       byte-identical merged journal are the containment gate *)
-    let report =
-      Engines.Serve_soak.run ~plans ~seed ~rate ~tools ~bombs ()
-    in
-    print_string (Engines.Serve_soak.render report);
-    if not (Engines.Serve_soak.ok report) then begin
-      Printf.eprintf "chaos: serve soak containment FAILED\n";
       exit 1
     end;
     exit 0
@@ -731,14 +689,6 @@ let serve_cmd =
              "Per-cell wall watchdog: a worker silent this long on one \
               cell is killed and the cell re-dispatched (0 disables)")
   in
-  let breaker_arg =
-    Arg.(value & opt int 5
-         & info [ "breaker" ] ~docv:"N"
-           ~doc:
-             "Circuit breaker: quarantine a worker slot after $(docv) \
-              consecutive deaths instead of respawning it forever \
-              (0 disables)")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -750,19 +700,9 @@ let serve_cmd =
           live or stale socket. Runs until `eval drain` (or SIGINT), \
           which finishes the queue and removes the socket.")
     Term.(const run_serve $ socket_arg $ serve_workers_arg $ max_queue_arg
-          $ queue_journal_arg $ force_arg $ task_timeout_arg $ breaker_arg)
+          $ queue_journal_arg $ force_arg $ task_timeout_arg)
 
 let submit_cmd =
-  let reconnect_arg =
-    Arg.(value & flag
-         & info [ "reconnect" ]
-           ~doc:
-             "Survive daemon restarts: reconnect with backoff on \
-              connection refusal or mid-stream hangup and resubmit \
-              unanswered requests under the same idempotency keys (a \
-              daemon with --queue-journal answers repeats from its \
-              journal instead of re-grading)")
-  in
   Cmd.v
     (Cmd.info "submit"
        ~doc:
@@ -770,7 +710,7 @@ let submit_cmd =
           request per --tool x --bomb combination; defaults to the \
           full grid) and stream the graded outcome lines as they \
           complete. Exits 1 if any cell fails.")
-    Term.(const run_submit $ socket_arg $ reconnect_arg $ tools_arg
+    Term.(const run_submit $ socket_arg $ tools_arg
           $ bombs_arg $ budget_arg $ retries_arg $ backoff_arg
           $ no_incremental_arg $ no_ladder_arg)
 
@@ -843,19 +783,6 @@ let chaos_cmd =
     Arg.(value & flag
          & info [ "v"; "verbose" ] ~doc:"Print every derived fault plan")
   in
-  let serve_arg =
-    Arg.(value & flag
-         & info [ "serve" ]
-           ~doc:
-             "Soak the service plane instead of single cells: run a \
-              live `eval serve` daemon under seeded IPC fault \
-              injection (corrupted/dropped/delayed frames, wedged \
-              workers, client resets), SIGKILL it mid-stream, \
-              warm-restart it from its durable queue journal and \
-              resubmit everything; fails unless every request is \
-              graded exactly once and the merged outcome journal is \
-              byte-identical to a fault-free baseline")
-  in
   let disk_arg =
     Arg.(value & flag
          & info [ "disk" ]
@@ -875,8 +802,8 @@ let chaos_cmd =
     Arg.(value & opt float 0.05
          & info [ "rate" ] ~docv:"P"
            ~doc:
-             "With --serve/--disk: per-opportunity fault probability \
-              for each armed fault class")
+             "With --disk: per-opportunity fault probability for each \
+              armed fault point")
   in
   let workers_arg =
     Arg.(value & opt int 2
@@ -891,13 +818,11 @@ let chaos_cmd =
          "Seeded fault-injection soak: run supervised cells under \
           deterministically derived fault plans and verify every \
           injected fault is contained to its cell (exit 1 otherwise). \
-          With --serve, soak the whole service plane — daemon, durable \
-          queue, IPC, client — under seeded faults and a mid-stream \
-          daemon kill. With --disk, soak the storage layer: journaled \
+          With --disk, soak the storage layer: journaled \
           runs under injected disk faults must recover byte-identical \
           via fsck --repair + resume.")
     Term.(const run_chaos $ no_incremental_arg $ seed_arg $ plans_arg
-          $ serve_arg $ disk_arg $ rate_arg $ workers_arg $ tools_arg
+          $ disk_arg $ rate_arg $ workers_arg $ tools_arg
           $ bombs_arg $ verbose_arg)
 
 let table1_cmd =

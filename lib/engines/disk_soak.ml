@@ -1,6 +1,5 @@
-(** [eval chaos --disk]: a seeded storage-fault soak, one layer below
-    {!Serve_soak}'s IPC chaos — the faults live under the bytes of
-    the artifacts themselves.
+(** [eval chaos --disk]: a seeded storage-fault soak — the faults live
+    under the bytes of the artifacts themselves.
 
     + Baseline: a fault-free journaled sequential run of a small
       (tool × bomb) grid — its rendered table and journal bytes are
@@ -84,7 +83,7 @@ let run ?(prefix = "disk_soak") ?(plans = 30) ?(seed = 0xD15CL)
   for i = 0 to plans - 1 do
     clear_chaos ();
     let st =
-      Robust.Chaos.io_state Robust.Chaos.disk_class
+      Robust.Chaos.io_state
         ~seed:(Int64.add seed (Int64.of_int i))
         (Robust.Chaos.Rate
            { rate; points = Robust.Chaos.all_disk_points })

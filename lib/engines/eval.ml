@@ -348,10 +348,7 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
          | Error f -> failed ~attempts:1 f)
     in
     let config =
-      { Fleet.Pool.default_config with
-        workers;
-        respawns = max 1 pol.retries;
-        task_timeout }
+      { Fleet.Pool.workers; respawns = max 1 pol.retries; task_timeout }
     in
     let pool = Fleet.Pool.create ~config run in
     let restore_sigint = Fleet.Pool.install_sigint pool in
@@ -361,7 +358,7 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
         Fleet.Pool.shutdown pool)
       (fun () ->
          List.iter
-           (fun (key, _) -> Fleet.Pool.submit pool ~key ~task:key ())
+           (fun (key, _) -> Fleet.Pool.submit pool ~key ~task:key)
            todo;
          let last_tick = ref 0. in
          while Fleet.Pool.pending pool > 0 && not (Fleet.Pool.cancelled pool)
@@ -372,10 +369,9 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
              last_tick := t;
              show ~left:(Fleet.Pool.pending pool)
                (List.map
-                  (fun (slot, alive, quarantined, task) ->
+                  (fun (slot, alive, task) ->
                      Printf.sprintf "w%d:%s" slot
-                       (if quarantined then "quar"
-                        else if not alive then "dead"
+                       (if not alive then "dead"
                         else Option.value ~default:"-" task))
                   (Fleet.Pool.worker_states pool))
            end

@@ -26,20 +26,16 @@ let str s = "\"" ^ esc s ^ "\""
 
 (** [idem] is the request's idempotency key (defaults to [id]): the
     daemon's durable queue dedupes resubmissions on it, so a client
-    that reconnects after a crash reuses the same key and gets the
-    journaled outcome instead of a second grading.  [deadline] bounds
-    the seconds the request may wait in the daemon's queue. *)
-let encode_request ~id ?idem ?deadline ~tool ~bomb ?budget ?(retries = 0)
+    that resubmits after a crash reuses the same key and gets the
+    journaled outcome instead of a second grading. *)
+let encode_request ~id ?idem ~tool ~bomb ?budget ?(retries = 0)
     ?(backoff = 10.0) ?(incremental = true) ?(ladder = true) () =
   Printf.sprintf
-    "{\"op\":\"submit\",\"id\":%s,\"idem\":%s,%s\"tool\":%s,\"bomb\":%s,\
+    "{\"op\":\"submit\",\"id\":%s,\"idem\":%s,\"tool\":%s,\"bomb\":%s,\
      \"budget\":%s,\
      \"retries\":%d,\"backoff\":%g,\"incremental\":%b,\"ladder\":%b}"
     (str id)
     (str (Option.value ~default:id idem))
-    (match deadline with
-     | None -> ""
-     | Some d -> Printf.sprintf "\"deadline_s\":%g," d)
     (str (Profile.name tool)) (str bomb)
     (match budget with None -> "null" | Some s -> str s)
     retries backoff incremental ladder
@@ -165,38 +161,19 @@ let queue_fingerprint () =
     {!Fleet.Serve.Journal_mismatch} when [queue_journal] was written
     under a different configuration (unless [force]).
 
-    [task_timeout] is the per-cell wall watchdog (0 disables);
-    [breaker] quarantines a worker slot after that many consecutive
-    deaths; [chaos_rate]/[chaos_seed] arm seeded IPC fault injection
-    on the pool pipes and client sockets (soaks only). *)
+    [task_timeout] is the per-cell wall watchdog. *)
 let serve ?(workers = 2) ?(max_queue = 10_000) ?queue_journal
-    ?(force = false) ?task_timeout ?(respawns = 1) ?breaker
-    ?(chaos_seed = 0xC0FFEEL) ?(chaos_rate = 0.) ?default_deadline ~socket ()
-    =
-  let mk_chaos points =
-    if chaos_rate > 0. then
-      Some
-        (Robust.Chaos.io_state Robust.Chaos.fleet_class ~seed:chaos_seed
-           (Robust.Chaos.Rate { rate = chaos_rate; points }))
-    else None
-  in
+    ?(force = false) ?task_timeout ~socket () =
   let pool =
     Fleet.Pool.create
-      ~config:
-        { Fleet.Pool.workers; respawns; task_timeout; breaker;
-          chaos =
-            mk_chaos
-              Robust.Chaos.
-                [ Corrupt_dispatch; Corrupt_reply; Drop_reply; Delay_reply;
-                  Worker_stall ] }
+      ~config:{ Fleet.Pool.default_config with workers; task_timeout }
       worker_run
   in
   match
     Fleet.Serve.run
       { (Fleet.Serve.default_config ~socket) with
-        max_queue; queue_journal; force; default_deadline;
-        run_fingerprint = queue_fingerprint ();
-        chaos = mk_chaos [ Robust.Chaos.Client_reset ] }
+        max_queue; queue_journal; force;
+        run_fingerprint = queue_fingerprint () }
       ~pool
   with
   | () -> ()
@@ -313,131 +290,3 @@ let metrics ~socket ?(prometheus = false) () : string option =
          match Option.bind (parse_opt line) (member "text") with
          | Some (Str text) -> Some text
          | _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Resilient client                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** [worker_run]'s response layout is fixed: the ["outcome"] field is
-    last, so its exact byte text is the slice between the marker and
-    the closing brace — no decode/re-encode round trip, the same trick
-    as {!Robust.Journal.raw_payload_of_body}.  [None] for non-[done]
-    lines. *)
-let outcome_raw_of_response (line : string) : string option =
-  let marker = ",\"outcome\":" in
-  let n = String.length line and m = String.length marker in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub line i m = marker then Some (i + m)
-    else find (i + 1)
-  in
-  if status_of_line line <> Some "done" then None
-  else
-    match find 0 with
-    | Some p when n > p && line.[n - 1] = '}' ->
-        Some (String.sub line p (n - 1 - p))
-    | _ -> None
-
-type submit_report = {
-  sr_answered : int;  (** requests that came back [done] *)
-  sr_failed : int;  (** final error/expired past the retry budget *)
-  sr_unanswered : int;  (** still pending when sessions ran out *)
-  sr_sessions : int;  (** connections attempted (1 = no reconnect) *)
-}
-
-(** Crash-tolerant [submit]: send every request, reconnect with linear
-    backoff when the daemon drops the connection or refuses it
-    (ECONNREFUSED while it restarts, EPIPE/EOF when it is killed
-    mid-stream), and resubmit whatever has no final answer yet under
-    the same idempotency keys — the daemon's durable queue turns the
-    resubmissions into journal replays, not re-gradings.  Shed
-    requests ([rejected] with [retry_after_s]) back off by the
-    daemon's own hint.  [retry_failures] additionally retries
-    error/expired finals that many times.  [should_abort], checked
-    after every received line, ends the current session early (the
-    soak uses it to stop submitting at the kill point). *)
-let submit_resilient ~socket ?(sessions = 8) ?(delay = 0.15)
-    ?(retry_failures = 0) ?(on_line = fun (_ : string) -> ())
-    ?(should_abort = fun () -> false) (requests : (string * string) list) :
-  submit_report =
-  let pending = Hashtbl.create 64 in
-  List.iter (fun (id, line) -> Hashtbl.replace pending id line) requests;
-  let fail_budget = Hashtbl.create 16 in
-  let answered = ref 0 and failed = ref 0 and attempts = ref 0 in
-  let id_of line =
-    match Option.bind (parse_opt line) (member "id") with
-    | Some (Str s) -> Some s
-    | _ -> None
-  in
-  (* one connection: send everything still pending, read until every
-     sent request has a final answer; returns the largest retry_after
-     hint seen *)
-  let session () =
-    with_connection socket @@ fun ic oc ->
-    let sent = Hashtbl.fold (fun id line acc -> (id, line) :: acc) pending [] in
-    List.iter
-      (fun (_, line) ->
-         output_string oc line;
-         output_char oc '\n')
-      sent;
-    flush oc;
-    let outstanding = ref (List.length sent) in
-    let retry_hint = ref 0 in
-    while !outstanding > 0 && not (should_abort ()) do
-      let line = input_line ic in
-      on_line line;
-      match (status_of_line line, id_of line) with
-      | Some "queued", _ -> ()
-      | Some "done", id ->
-          (match id with
-           | Some id when Hashtbl.mem pending id ->
-               Hashtbl.remove pending id;
-               incr answered
-           | _ -> ());
-          decr outstanding
-      | Some "rejected", _ ->
-          (* shed: stays pending for the next session *)
-          (match Option.bind (parse_opt line) (member "retry_after_s") with
-           | Some (Num n) -> retry_hint := max !retry_hint (int_of_float n)
-           | _ -> ());
-          decr outstanding
-      | Some ("error" | "expired"), id ->
-          (match id with
-           | Some id when Hashtbl.mem pending id ->
-               let budget =
-                 Option.value ~default:retry_failures
-                   (Hashtbl.find_opt fail_budget id)
-               in
-               if budget > 0 then Hashtbl.replace fail_budget id (budget - 1)
-               else begin
-                 Hashtbl.remove pending id;
-                 incr failed
-               end
-           | _ -> ());
-          decr outstanding
-      | _ -> ()
-    done;
-    !retry_hint
-  in
-  let rec go n =
-    if Hashtbl.length pending = 0 || should_abort () || n > sessions then ()
-    else begin
-      incr attempts;
-      match session () with
-      | hint ->
-          if Hashtbl.length pending > 0 && not (should_abort ()) then begin
-            ignore
-              (Unix.select [] [] []
-                 (Float.max (float_of_int hint) (delay *. float_of_int n)));
-            go (n + 1)
-          end
-      | exception (Unix.Unix_error _ | End_of_file | Sys_error _) ->
-          ignore (Unix.select [] [] [] (delay *. float_of_int n));
-          go (n + 1)
-    end
-  in
-  go 1;
-  { sr_answered = !answered;
-    sr_failed = !failed;
-    sr_unanswered = Hashtbl.length pending;
-    sr_sessions = !attempts }

@@ -19,15 +19,18 @@
     master crash then loses at most the tasks still in flight.
     {!worker_slot} tells a runner which worker it runs in.
 
-    Liveness: every worker message doubles as a heartbeat.  A worker
-    that dies (EOF on its pipe) or blows the per-task wall watchdog is
-    reaped and respawned into the same slot, and its in-flight task is
-    re-dispatched — with the attempt number bumped so the caller's
-    retry/backoff policy can escalate — up to [respawns] extra times
-    before the task is failed.  Cancellation is cooperative: SIGINT
-    (via {!install_sigint}) or {!cancel} stops dispatch, lets
-    in-flight cells finish, and reports still-queued tasks as
-    [Cancelled]. *)
+    Liveness: a worker that dies (EOF on its pipe) or blows the
+    per-task wall watchdog is reaped and respawned into the same slot,
+    and its in-flight task is re-dispatched — with the attempt number
+    bumped so the caller's retry/backoff policy can escalate — up to
+    [respawns] extra times before the task is failed.  Every frame
+    carries a checksum of its body, and a damaged frame takes the same
+    path: a worker that reads a damaged dispatch frame exits, and a
+    worker whose reply frame fails its check is killed.
+
+    Cancellation is cooperative: SIGINT (via {!install_sigint}) or
+    {!cancel} stops dispatch, lets in-flight cells finish, and reports
+    still-queued tasks as [Cancelled]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -42,10 +45,7 @@ let m_redispatched = Telemetry.Metrics.counter "fleet.redispatched"
 let m_failed = Telemetry.Metrics.counter "fleet.tasks_failed"
 let m_cancelled = Telemetry.Metrics.counter "fleet.tasks_cancelled"
 let m_timeouts = Telemetry.Metrics.counter "fleet.watchdog_kills"
-let m_nacked = Telemetry.Metrics.counter "fleet.frames_nacked"
 let m_bad_frames = Telemetry.Metrics.counter "fleet.frames_corrupt"
-let m_expired = Telemetry.Metrics.counter "fleet.tasks_expired"
-let m_quarantined = Telemetry.Metrics.counter "fleet.slots_quarantined"
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -58,35 +58,19 @@ type config = {
   task_timeout : float option;
       (** wall seconds a dispatched task may run before its worker is
           killed and the task re-dispatched (liveness watchdog) *)
-  breaker : int option;
-      (** circuit breaker: a slot whose worker dies this many times in
-          a row (without one verified reply in between) is quarantined
-          — no further respawns — instead of burning respawn cycles on
-          a poisoned environment forever *)
-  chaos : Robust.Chaos.fleet_point Robust.Chaos.io_state option;
-      (** seeded IPC fault injection (master side): corrupt dispatch
-          and reply frames, drop or delay replies, wedge workers past
-          the watchdog.  [None] (the default) costs nothing. *)
 }
 
-let default_config =
-  { workers = 2; respawns = 1; task_timeout = None; breaker = None;
-    chaos = None }
+let default_config = { workers = 2; respawns = 1; task_timeout = None }
 
 type failure =
   | Worker_lost of int  (** workers died running it; the attempt count *)
   | Run_raised of string  (** the runner raised (worker survived) *)
   | Cancelled  (** still queued when the pool was cancelled *)
-  | Expired  (** its deadline passed while it sat in the queue *)
-  | Quarantined
-      (** every worker slot is circuit-broken; the task can never run *)
 
 let failure_to_string = function
   | Worker_lost n -> Printf.sprintf "worker lost (%d attempts)" n
   | Run_raised msg -> "runner raised: " ^ msg
   | Cancelled -> "cancelled"
-  | Expired -> "deadline expired before execution"
-  | Quarantined -> "all worker slots quarantined"
 
 type result = {
   r_key : string;
@@ -100,7 +84,6 @@ type job = {
   j_key : string;
   j_task : string;
   j_submitted : float;
-  j_deadline : float option;  (** absolute; checked at dispatch time *)
   mutable j_attempt : int;
 }
 
@@ -114,12 +97,6 @@ type worker = {
   mutable rbuf : Buffer.t;
   mutable state : wstate;
   mutable w_alive : bool;
-  mutable last_seen : float;
-  mutable deaths : int;
-      (** consecutive deaths without a verified reply in between —
-          the circuit breaker's streak counter, deliberately carried
-          across respawns *)
-  mutable quarantined : bool;  (** circuit-broken: never respawned *)
 }
 
 type t = {
@@ -153,6 +130,74 @@ let check_key key =
     invalid_arg "Fleet.Pool: key contains a tab"
 
 (* ------------------------------------------------------------------ *)
+(* Frames                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A dispatch frame is "T <id> <attempt> <chk> <key>\t<task>", a reply
+   frame "D|X <id> <chk> <delta>\t<payload>" ([X]: the runner raised,
+   the payload is the exception text).  [chk] is the FNV-1a checksum of
+   everything after it, so the far end refuses a frame damaged in
+   transit instead of running or grading garbage, and a reply's
+   registry delta is accepted or refused together with its payload. *)
+
+let checksum = Robust.Journal.fnv64_hex
+
+(* "<chk> <body>" split on spaces: the body, if it passes its check *)
+let checked = function
+  | chk :: words ->
+      let body = String.concat " " words in
+      if String.equal chk (checksum body) then Some body else None
+  | [] -> None
+
+let split_tab body =
+  match String.index_opt body '\t' with
+  | Some i ->
+      let n = String.length body in
+      Some (String.sub body 0 i, String.sub body (i + 1) (n - i - 1))
+  | None -> None
+
+let dispatch_frame (j : job) =
+  let body = j.j_key ^ "\t" ^ j.j_task in
+  Printf.sprintf "T %d %d %s %s" j.j_id j.j_attempt (checksum body) body
+
+(** A sound dispatch frame's (id, attempt, key, task). *)
+let decode_dispatch line =
+  match String.split_on_char ' ' line with
+  | "T" :: id :: attempt :: rest -> (
+      match
+        (int_of_string_opt id, int_of_string_opt attempt,
+         Option.bind (checked rest) split_tab)
+      with
+      | Some id, Some attempt, Some (key, task) -> Some (id, attempt, key, task)
+      | _ -> None)
+  | _ -> None
+
+type reply = {
+  id : int;
+  raised : bool;
+  delta : Telemetry.Snapshot.t;
+  payload : string;
+}
+
+let reply_frame { id; raised; delta; payload } =
+  let body = Telemetry.Snapshot.to_json delta ^ "\t" ^ payload in
+  Printf.sprintf "%c %d %s %s" (if raised then 'X' else 'D') id (checksum body)
+    body
+
+(** A sound reply frame, or [None] when it fails its check or does not
+    parse: nothing of such a frame may be used, its delta included. *)
+let decode_reply line =
+  match String.split_on_char ' ' line with
+  | ("D" | "X") :: id :: rest -> (
+      match (int_of_string_opt id, Option.bind (checked rest) split_tab) with
+      | Some id, Some (delta, payload) ->
+          Option.map
+            (fun delta -> { id; raised = line.[0] = 'X'; delta; payload })
+            (Telemetry.Snapshot.of_json delta)
+      | _ -> None)
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -170,76 +215,47 @@ let worker_loop ~slot ~run rd wr : 'a =
   let oc = Unix.out_channel_of_descr wr in
   current_slot := slot;
   Telemetry.Log.set_prefix (Printf.sprintf "[w%d] " slot);
-  let send fmt =
-    Printf.ksprintf
-      (fun s ->
-         output_string oc s;
-         output_char oc '\n';
-         flush oc)
-      fmt
+  let send s =
+    output_string oc s;
+    output_char oc '\n';
+    flush oc
   in
   (* a fork inherits the parent's registry, so each reply ships the
      delta since the previous one (the first since this capture) *)
   let prev = ref (Telemetry.Snapshot.capture ()) in
-  (* "D|X <id> <chk> <delta>\t<payload>", [chk] over everything after
-     it: the delta is accepted or refused together with its reply *)
-  let reply kind id payload =
+  let reply ~raised id payload =
     let cur = Telemetry.Snapshot.capture () in
     let delta = Telemetry.Snapshot.diff ~base:!prev cur in
     prev := cur;
-    let body = Telemetry.Snapshot.to_json delta ^ "\t" ^ payload in
-    send "%c %d %s %s" kind id (Robust.Journal.fnv64_hex body) body
+    send (reply_frame { id; raised; delta; payload })
   in
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> Unix._exit 0
     | "Q" -> Unix._exit 0
     | line -> (
-        (* "T <id> <attempt> <stall_ms> <chk> <key>\t<task>" where
-           [chk] is the FNV-1a checksum of "<key>\t<task>" — a frame
-           damaged in transit is detected here and nacked instead of
-           silently running (or grading) garbage *)
-        match String.split_on_char ' ' line with
-        | "T" :: id :: attempt :: stall :: chk :: rest ->
-            let id = int_of_string id and attempt = int_of_string attempt in
-            let stall_ms = int_of_string stall in
-            let body = String.concat " " rest in
-            if not (String.equal chk (Robust.Journal.fnv64_hex body)) then begin
-              (* damaged dispatch frame: refuse it by id; the master
-                 re-sends without charging the task an attempt *)
-              send "N %d" id;
-              loop ()
-            end
-            else begin
-              (* chaos stall directive: wedge here, before running, so
-                 the master's wall watchdog sees a hung worker *)
-              if stall_ms > 0 then
-                ignore (Unix.select [] [] [] (float_of_int stall_ms /. 1e3));
-              let key, task =
-                match String.index_opt body '\t' with
-                | Some i ->
-                    ( String.sub body 0 i,
-                      String.sub body (i + 1) (String.length body - i - 1) )
-                | None -> (body, body)
-              in
-              (match run ~attempt ~key task with
-               | payload ->
-                   check_frame "payload" payload;
-                   reply 'D' id payload
-               | exception e ->
-                   reply 'X' id
-                     (String.map
-                        (fun c -> if c = '\n' then ' ' else c)
-                        (Printexc.to_string e)));
-              loop ()
-            end
-        | _ -> Unix._exit 3 (* protocol violation: die loudly *))
+        match decode_dispatch line with
+        | Some (id, attempt, key, task) ->
+            (match run ~attempt ~key task with
+             | payload ->
+                 check_frame "payload" payload;
+                 reply ~raised:false id payload
+             | exception e ->
+                 reply ~raised:true id
+                   (String.map
+                      (fun c -> if c = '\n' then ' ' else c)
+                      (Printexc.to_string e)));
+            loop ()
+        | None ->
+            (* a damaged or malformed frame: die loudly; the master
+               re-dispatches the task as it does a dead worker's *)
+            Unix._exit 3)
   in
   (* whatever happens — a broken pipe racing the master's shutdown, a
      runner blowing the stack — the worker must die here, never return
      into the forked copy of the caller *)
   (try
-     send "H %d" slot;
+     send (Printf.sprintf "H %d" slot);
      loop ()
    with _ -> ());
   Unix._exit 4
@@ -282,8 +298,7 @@ let spawn (t : t) slot =
       w.from_w <- m_rd;
       Buffer.clear w.rbuf;
       w.state <- Idle;
-      w.w_alive <- true;
-      w.last_seen <- now ()
+      w.w_alive <- true
 
 (* a worker dying between select and write must surface as EPIPE, not
    a fatal SIGPIPE *)
@@ -311,8 +326,7 @@ let create ?(config = default_config) run : t =
       ws =
         Array.init config.workers (fun slot ->
             { slot; pid = -1; to_w = Unix.stdin; from_w = Unix.stdin;
-              rbuf = Buffer.create 256; state = Idle; w_alive = false;
-              last_seen = 0.; deaths = 0; quarantined = false });
+              rbuf = Buffer.create 256; state = Idle; w_alive = false });
       queue = Queue.create ();
       inflight = 0;
       next_id = 0;
@@ -326,13 +340,13 @@ let create ?(config = default_config) run : t =
   done;
   t
 
-let submit (t : t) ?deadline ~key ~task () =
+let submit (t : t) ~key ~task =
   if t.closed then invalid_arg "Fleet.Pool.submit: pool is closed";
   check_key key;
   check_frame "task" task;
   let j =
     { j_id = t.next_id; j_key = key; j_task = task; j_submitted = now ();
-      j_deadline = deadline; j_attempt = 1 }
+      j_attempt = 1 }
   in
   t.next_id <- t.next_id + 1;
   Queue.push j t.queue
@@ -358,12 +372,10 @@ let complete (t : t) (j : job) payload =
       r_done = now () }
     t.done_q
 
-(* a worker died (EOF / watchdog kill): reap it, settle or re-dispatch
-   its in-flight task, and refill the slot — unless its death streak
-   trips the circuit breaker, in which case the slot is quarantined *)
-let bury (t : t) (w : worker) ~respawn =
+(* a worker died (EOF / watchdog kill / damaged frame): reap it, settle
+   or re-dispatch its in-flight task, and refill the slot *)
+let bury (t : t) (w : worker) =
   Telemetry.Metrics.incr m_deaths;
-  w.deaths <- w.deaths + 1;
   w.w_alive <- false;
   (try Unix.close w.to_w with Unix.Unix_error _ -> ());
   (try Unix.close w.from_w with Unix.Unix_error _ -> ());
@@ -392,80 +404,17 @@ let bury (t : t) (w : worker) ~respawn =
          Queue.push j t.queue
        end);
   w.state <- Idle;
-  if (match t.cfg.breaker with
-      | Some k -> w.deaths >= k
-      | None -> false)
-  then begin
-    if not w.quarantined then begin
-      w.quarantined <- true;
-      Telemetry.Metrics.incr m_quarantined;
-      Telemetry.Log.warnf
-        "fleet: slot %d died %d time(s) in a row; quarantined (no respawn)"
-        w.slot w.deaths
-    end
-  end
-  else if respawn && not t.closed then begin
+  if not t.closed then begin
     Telemetry.Metrics.incr m_respawns;
     spawn t w.slot
   end
 
-(* ---- chaos: frame corruption at the pipe boundary ---- *)
-
-(* flip one byte — never a framing byte ('\t'/'\n') — to something
-   visibly wrong; the checksum machinery must catch it *)
-let corrupt_at line i =
-  let b = Bytes.of_string line in
-  let i =
-    if i < Bytes.length b && Bytes.get b i <> '\t' && Bytes.get b i <> '\n'
-    then i
-    else i - 1
-  in
-  Bytes.set b i (if Bytes.get b i = '#' then '!' else '#');
-  Bytes.unsafe_to_string b
-
-(* dispatch frames: corrupt the "<key>\t<task>" body region, which is
-   the trailing [body_len + 1] bytes of the line (incl. '\n') *)
-let corrupt_dispatch_frame ~body_len line =
-  corrupt_at line (String.length line - 1 - body_len + (body_len / 2))
-
-(* reply frames ("D <id> <chk> <delta>\t<payload>"): corrupt past the
-   third space, i.e. in the checksummed body *)
-let corrupt_reply_frame line =
-  let n = String.length line in
-  let sp = ref 0 and i = ref 0 in
-  while !sp < 3 && !i < n do
-    if line.[!i] = ' ' then incr sp;
-    incr i
-  done;
-  if !i >= n then line else corrupt_at line (!i + ((n - !i) / 2))
-
-let dispatch_one (t : t) (w : worker) (j : job) =
+(* hand [j] to idle worker [w] as [frame] (normally [dispatch_frame j]) *)
+let dispatch_one (t : t) (w : worker) (j : job) frame =
   w.state <- Busy (j, now ());
   t.inflight <- t.inflight + 1;
   Telemetry.Metrics.incr m_dispatched;
-  (* chaos: a stall directive makes the worker wedge well past the
-     wall watchdog before touching the task — only meaningful when a
-     watchdog exists to catch it *)
-  let stall_ms =
-    match (t.cfg.chaos, t.cfg.task_timeout) with
-    | Some st, Some limit
-      when Robust.Chaos.io_fires st Robust.Chaos.Worker_stall ->
-        int_of_float (limit *. 2500.)
-    | _ -> 0
-  in
-  let body = j.j_key ^ "\t" ^ j.j_task in
-  let line =
-    Printf.sprintf "T %d %d %d %s %s\n" j.j_id j.j_attempt stall_ms
-      (Robust.Journal.fnv64_hex body) body
-  in
-  let line =
-    match t.cfg.chaos with
-    | Some st when Robust.Chaos.io_fires st Robust.Chaos.Corrupt_dispatch
-      ->
-        corrupt_dispatch_frame ~body_len:(String.length body) line
-    | _ -> line
-  in
-  match write_all w.to_w line with
+  match write_all w.to_w (frame ^ "\n") with
   | () -> ()
   | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
       (* the worker died before taking the task: not the task's fault,
@@ -473,46 +422,21 @@ let dispatch_one (t : t) (w : worker) (j : job) =
       t.inflight <- t.inflight - 1;
       w.state <- Idle;
       Queue.push j t.queue;
-      bury t w ~respawn:true
-
-(* next runnable job, settling queue-expired ones along the way *)
-let rec take_job (t : t) =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some j -> (
-      match j.j_deadline with
-      | Some d when now () > d ->
-          Telemetry.Metrics.incr m_expired;
-          Telemetry.Log.warnf
-            "fleet: task %s expired in queue before dispatch" j.j_key;
-          complete t j (Error Expired);
-          take_job t
-      | _ -> Some j)
+      bury t w
 
 let dispatch (t : t) =
   Array.iter
     (fun w ->
        if w.w_alive && w.state = Idle && not t.pool_cancelled then
-         match take_job t with
-         | Some j -> dispatch_one t w j
+         match Queue.take_opt t.queue with
+         | Some j -> dispatch_one t w j (dispatch_frame j)
          | None -> ())
-    t.ws;
-  (* circuit-broken pool: every slot quarantined with work still
-     queued — it can never run, so fail it now rather than spinning *)
-  if not t.closed && t.inflight = 0
-     && not (Queue.is_empty t.queue)
-     && Array.for_all (fun w -> (not w.w_alive) && w.quarantined) t.ws
-  then
-    while not (Queue.is_empty t.queue) do
-      let j = Queue.pop t.queue in
-      Telemetry.Metrics.incr m_failed;
-      complete t j (Error Quarantined)
-    done
+    t.ws
 
-(* a reply frame that failed its checksum (or is unparseable while a
-   task is in flight): the channel can no longer be trusted — kill the
-   incarnation and let [bury] re-dispatch its task.  The frame's delta
-   goes with it: the re-run's reply carries the task's counters. *)
+(* a line that is not a sound frame: the channel can no longer be
+   trusted — kill the incarnation and let [bury] re-dispatch its task.
+   The frame's delta goes with it: the re-run's reply carries the
+   task's counters. *)
 let recover_corrupt_channel (t : t) (w : worker) line =
   Telemetry.Metrics.incr m_bad_frames;
   Telemetry.Log.warnf
@@ -520,105 +444,34 @@ let recover_corrupt_channel (t : t) (w : worker) line =
     w.slot
     (String.sub line 0 (min 48 (String.length line)));
   (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  bury t w ~respawn:true
+  bury t w
 
 (* one complete line from worker [w] *)
 let handle_line (t : t) (w : worker) line =
-  w.last_seen <- now ();
-  (* chaos: reply frames can be dropped (only under a watchdog that
-     will eventually recover the silence), delayed, or corrupted on
-     the way in *)
-  let is_reply =
-    String.length line >= 2
-    && (line.[0] = 'D' || line.[0] = 'X')
-    && line.[1] = ' '
-  in
-  let line =
-    match t.cfg.chaos with
-    | Some st when is_reply ->
-        if
-          t.cfg.task_timeout <> None
-          && Robust.Chaos.io_fires st Robust.Chaos.Drop_reply
-        then begin
-          Telemetry.Log.warnf
-            "fleet(chaos): dropped a reply frame from worker %d" w.slot;
-          None
+  if not (String.starts_with ~prefix:"H " line) then
+    match (decode_reply line, w.state) with
+    | None, _ -> recover_corrupt_channel t w line
+    | Some r, Busy (j, _) when j.j_id = r.id ->
+        w.state <- Idle;
+        t.inflight <- t.inflight - 1;
+        Telemetry.Snapshot.publish r.delta;
+        if r.raised then begin
+          Telemetry.Metrics.incr m_raised;
+          complete t j (Error (Run_raised r.payload))
         end
         else begin
-          if Robust.Chaos.io_fires st Robust.Chaos.Delay_reply then
-            ignore (Unix.select [] [] [] 0.02);
-          if Robust.Chaos.io_fires st Robust.Chaos.Corrupt_reply then
-            Some (corrupt_reply_frame line)
-          else Some line
+          Telemetry.Metrics.incr m_completed;
+          complete t j (Ok r.payload)
         end
-    | _ -> Some line
-  in
-  match line with
-  | None -> ()
-  | Some line -> (
-      match String.split_on_char ' ' line with
-      | "H" :: _ -> () (* hello/heartbeat *)
-      | "N" :: id_s :: _ -> (
-          (* the worker refused a dispatch frame that failed its
-             checksum: damage in transit, not the task's fault — put
-             it back without charging an attempt *)
-          match (int_of_string_opt id_s, w.state) with
-          | Some id, Busy (j, _) when j.j_id = id ->
-              Telemetry.Metrics.incr m_nacked;
-              Telemetry.Log.warnf
-                "fleet: worker %d nacked a damaged dispatch frame for %s; \
-                 re-sending"
-                w.slot j.j_key;
-              w.deaths <- 0;
-              w.state <- Idle;
-              t.inflight <- t.inflight - 1;
-              Queue.push j t.queue
-          | _ ->
-              Telemetry.Log.warnf
-                "fleet: worker %d nacked an unexpected frame; dropped" w.slot)
-      | ("D" | "X") :: id_s :: chk :: rest -> (
-          let body = String.concat " " rest in
-          match (int_of_string_opt id_s, String.index_opt body '\t') with
-          | Some id, Some i
-            when String.equal chk (Robust.Journal.fnv64_hex body) -> (
-              match (Telemetry.Snapshot.of_json (String.sub body 0 i), w.state)
-              with
-              | None, _ -> recover_corrupt_channel t w line
-              | Some delta, Busy (j, _) when j.j_id = id ->
-                  (* a verified reply proves the slot healthy: reset the
-                     breaker streak *)
-                  w.deaths <- 0;
-                  w.state <- Idle;
-                  t.inflight <- t.inflight - 1;
-                  Telemetry.Snapshot.publish delta;
-                  let payload =
-                    String.sub body (i + 1) (String.length body - i - 1)
-                  in
-                  if line.[0] = 'D' then begin
-                    Telemetry.Metrics.incr m_completed;
-                    complete t j (Ok payload)
-                  end
-                  else begin
-                    Telemetry.Metrics.incr m_raised;
-                    complete t j (Error (Run_raised payload))
-                  end
-              | Some _, _ ->
-                  Telemetry.Log.warnf
-                    "fleet: worker %d answered for unexpected task %d; \
-                     dropped"
-                    w.slot id)
-          | _ -> recover_corrupt_channel t w line)
-      | _ -> (
-          match w.state with
-          | Busy _ -> recover_corrupt_channel t w line
-          | Idle ->
-              Telemetry.Log.warnf "fleet: worker %d sent garbage %S" w.slot
-                line))
+    | Some r, _ ->
+        Telemetry.Log.warnf
+          "fleet: worker %d answered for unexpected task %d; dropped" w.slot
+          r.id
 
 let pump_worker (t : t) (w : worker) =
   let chunk = Bytes.create 65536 in
   match Unix.read w.from_w chunk 0 (Bytes.length chunk) with
-  | 0 -> bury t w ~respawn:true
+  | 0 -> bury t w
   | n ->
       Buffer.add_subbytes w.rbuf chunk 0 n;
       let data = Buffer.contents w.rbuf in
@@ -637,7 +490,7 @@ let pump_worker (t : t) (w : worker) =
     ->
       ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) ->
-      bury t w ~respawn:true
+      bury t w
 
 let watchdog (t : t) =
   match t.cfg.task_timeout with
@@ -654,7 +507,7 @@ let watchdog (t : t) =
                  j.j_key limit;
                (try Unix.kill w.pid Sys.sigkill
                 with Unix.Unix_error _ -> ());
-               bury t w ~respawn:true
+               bury t w
            | _ -> ())
         t.ws
 
@@ -752,16 +605,11 @@ let shutdown (t : t) =
 let alive_workers (t : t) =
   Array.fold_left (fun n w -> if w.w_alive then n + 1 else n) 0 t.ws
 
-(** Per-slot status: (slot, alive, quarantined, in-flight task key if
-    busy). *)
-let worker_states (t : t) : (int * bool * bool * string option) list =
+(** Per-slot status: (slot, alive, in-flight task key if busy). *)
+let worker_states (t : t) : (int * bool * string option) list =
   Array.to_list t.ws
   |> List.map (fun w ->
       let task =
         match w.state with Busy (j, _) -> Some j.j_key | Idle -> None
       in
-      (w.slot, w.w_alive, w.quarantined, task))
-
-(** Circuit-broken slot count. *)
-let quarantined_workers (t : t) =
-  Array.fold_left (fun n w -> if w.quarantined then n + 1 else n) 0 t.ws
+      (w.slot, w.w_alive, task))

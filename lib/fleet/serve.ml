@@ -12,10 +12,8 @@
       sized to the current queue and completion latency) or the daemon
       is draining — and later with the runner's own response line
       (which must carry the id).  A request may carry
-      ["idem":KEY] (an idempotency key; defaults to a hash of the
-      whole request line) and ["deadline_s":SECS] (queue-wait budget:
-      a request still queued when it runs out is answered
-      [{"status":"expired"}] instead of executing).
+      ["idem":KEY], an idempotency key; it defaults to a hash of the
+      whole request line.
     - [{"op":"ping"}] → [{"status":"ok","pending":N}] — liveness, also
       used by {!check_socket} to distinguish a live daemon from a
       stale socket file.
@@ -45,9 +43,7 @@ let m_clients = Telemetry.Metrics.counter "serve.clients"
 let m_latency = Telemetry.Metrics.histogram "serve.latency_us"
 let m_shed = Telemetry.Metrics.counter "serve.shed"
 let m_deduped = Telemetry.Metrics.counter "serve.deduped"
-let m_expired = Telemetry.Metrics.counter "serve.expired"
 let m_recovered = Telemetry.Metrics.counter "serve.recovered"
-let m_resets = Telemetry.Metrics.counter "serve.chaos_client_resets"
 
 (** Protocol/build identity reported by [ping] and [health]. *)
 let version = "eval-serve/2"
@@ -65,17 +61,11 @@ type config = {
   force : bool;
       (** reopen a fingerprint-mismatched queue journal anyway,
           treating its records as stale *)
-  default_deadline : float option;
-      (** queue-wait budget applied to requests that don't carry their
-          own ["deadline_s"] *)
-  chaos : Robust.Chaos.fleet_point Robust.Chaos.io_state option;
-      (** socket-side fault injection ({!Robust.Chaos.Client_reset}) *)
 }
 
 let default_config ~socket =
   { socket; max_queue = 10_000; accept_backlog = 64; queue_journal = None;
-    run_fingerprint = "eval-serve"; force = false; default_deadline = None;
-    chaos = None }
+    run_fingerprint = "eval-serve"; force = false }
 
 (* ------------------------------------------------------------------ *)
 (* Stale-socket detection                                              *)
@@ -142,7 +132,6 @@ type state = {
   mutable completed : int;
   mutable shed : int;
   mutable deduped : int;
-  mutable expired : int;
   mutable recovered : int;
   started : float;  (** daemon start, for uptime *)
   fingerprint : string;  (** unique per daemon instance *)
@@ -174,10 +163,9 @@ let reject st c ~id msg =
 let workers_json st =
   String.concat ","
     (List.map
-       (fun (slot, alive, quarantined, task) ->
-          Printf.sprintf
-            "{\"slot\":%d,\"alive\":%b,\"quarantined\":%b,\"inflight\":%d%s}"
-            slot alive quarantined
+       (fun (slot, alive, task) ->
+          Printf.sprintf "{\"slot\":%d,\"alive\":%b,\"inflight\":%d%s}"
+            slot alive
             (if task = None then 0 else 1)
             (match task with
              | Some k -> Printf.sprintf ",\"task\":\"%s\"" (esc k)
@@ -207,17 +195,6 @@ let status_of_payload line =
 (* the durable accept path, shared by live submits and warm-restart
    recovery (which must NOT re-journal its already-journaled records) *)
 let enqueue st ?route ~journal ~idem line =
-  let deadline =
-    let open Telemetry.Trace_check in
-    let explicit =
-      match Option.bind (parse_opt line) (member "deadline_s") with
-      | Some (Num f) when f > 0. -> Some f
-      | _ -> None
-    in
-    match (explicit, st.cfg.default_deadline) with
-    | Some f, _ | None, Some f -> Some (Unix.gettimeofday () +. f)
-    | None, None -> None
-  in
   if journal then
     (match st.queue_w with
      | Some w ->
@@ -230,7 +207,7 @@ let enqueue st ?route ~journal ~idem line =
   (match route with Some c -> Hashtbl.replace st.routes tag c | None -> ());
   Hashtbl.replace st.pending_idem idem tag;
   Hashtbl.replace st.tag_idem tag idem;
-  Pool.submit st.pool ?deadline ~key:tag ~task:line ()
+  Pool.submit st.pool ~key:tag ~task:line
 
 let handle_request st (c : client) line =
   Telemetry.Metrics.incr m_requests;
@@ -254,32 +231,29 @@ let handle_request st (c : client) line =
             (Printf.sprintf
                "{\"status\":\"ok\",\"queued\":%d,\"inflight\":%d,\
                 \"completed\":%d,\"clients\":%d,\"draining\":%b,\
-                \"shed\":%d,\"deduped\":%d,\"expired\":%d,\
+                \"shed\":%d,\"deduped\":%d,\
                 \"recovered\":%d,\"workers\":[%s]}"
                (Pool.queued st.pool) (Pool.inflight st.pool) st.completed
                (List.length st.clients) st.draining st.shed st.deduped
-               st.expired st.recovered (workers_json st))
+               st.recovered (workers_json st))
       | Some (Str "health") ->
           send_line st c
             (Printf.sprintf
                "{\"status\":\"ok\",\"version\":\"%s\",\
                 \"fingerprint\":\"%s\",\"run_fingerprint\":\"%s\",\
                 \"uptime_s\":%.1f,\
-                \"workers\":%d,\"workers_alive\":%d,\"quarantined\":%d,\
-                \"queued\":%d,\
+                \"workers\":%d,\"workers_alive\":%d,\"queued\":%d,\
                 \"inflight\":%d,\"completed\":%d,\"draining\":%b,\
-                \"durable\":%b,\"shed\":%d,\"deduped\":%d,\"expired\":%d,\
+                \"durable\":%b,\"shed\":%d,\"deduped\":%d,\
                 \"recovered\":%d,\
                 \"latency_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f}}"
                (esc version) (esc st.fingerprint)
                (esc st.cfg.run_fingerprint)
                (Unix.gettimeofday () -. st.started)
                (List.length (Pool.worker_states st.pool))
-               (Pool.alive_workers st.pool)
-               (Pool.quarantined_workers st.pool) (Pool.queued st.pool)
+               (Pool.alive_workers st.pool) (Pool.queued st.pool)
                (Pool.inflight st.pool) st.completed st.draining
-               (st.queue_w <> None) st.shed st.deduped st.expired
-               st.recovered
+               (st.queue_w <> None) st.shed st.deduped st.recovered
                (latency_ms 0.50) (latency_ms 0.95) (latency_ms 0.99))
       | Some (Str "metrics") ->
           (* the pool folds each accepted reply's worker delta into
@@ -383,14 +357,6 @@ let route_result st (r : Pool.result) =
            the queue's point of view: not journaled, so a resubmission
            retries instead of replaying the failure forever *)
         (payload, status_of_payload payload <> Some "error")
-    | Error Pool.Expired ->
-        st.expired <- st.expired + 1;
-        Telemetry.Metrics.incr m_expired;
-        ( Printf.sprintf
-            "{\"id\":%s,\"status\":\"expired\",\
-             \"error\":\"deadline exceeded before execution\"}"
-            id_json,
-          false )
     | Error f ->
         ( Printf.sprintf "{\"id\":%s,\"status\":\"error\",\"error\":\"%s\"}"
             id_json
@@ -412,20 +378,9 @@ let route_result st (r : Pool.result) =
    | _ -> ());
   match Hashtbl.find_opt st.routes r.r_key with
   | None -> Telemetry.Metrics.incr m_dropped
-  | Some c -> (
+  | Some c ->
       Hashtbl.remove st.routes r.r_key;
-      (* chaos: reset the client's connection instead of replying —
-         the outcome is already journaled, so the client's reconnect
-         and resubmit must be answered from the journal *)
-      match st.cfg.chaos with
-      | Some cst
-        when c.c_alive
-             && Robust.Chaos.io_fires cst Robust.Chaos.Client_reset ->
-          Telemetry.Metrics.incr m_resets;
-          Telemetry.Log.warnf
-            "serve(chaos): reset a client connection before replying";
-          drop_client st c
-      | _ -> send_line st c reply)
+      send_line st c reply
 
 let pump_client st (c : client) =
   let chunk = Bytes.create 65536 in
@@ -502,7 +457,7 @@ let run (cfg : config) ~(pool : Pool.t) : unit =
       queue_w; done_cache = Hashtbl.create 64;
       pending_idem = Hashtbl.create 64; tag_idem = Hashtbl.create 64;
       next_tag = 0; draining = false; completed = 0; shed = 0; deduped = 0;
-      expired = 0; recovered = 0; started;
+      recovered = 0; started;
       fingerprint =
         Robust.Journal.fingerprint
           [ version; string_of_int (Unix.getpid ());

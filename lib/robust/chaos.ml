@@ -132,134 +132,14 @@ let fires st point =
   else None
 
 (* ------------------------------------------------------------------ *)
-(* IO fault classes: seeded probe states                               *)
+(* Disk faults: seeded probe states under the durable-IO layer         *)
 (* ------------------------------------------------------------------ *)
 
-(** How an {!io_state} decides whether a probe fires:
-    - [Arms]: fire at exactly the given hit counts of each point —
-      deterministic placement for unit tests ("corrupt the first
-      reply, nothing else").
-    - [Rate]: per-probe Bernoulli draw at the given rate over the
-      enabled points, from a seed-pure stream — the soak mode,
-      where fault {e placement} may vary with scheduling but the run
-      is still reproducible for a fixed seed and message order. *)
-type 'p mode =
-  | Arms of ('p * int) list
-  | Rate of { rate : float; points : 'p list }
-
-(** A class of fault points one layer out from {!point}: its points
-    (a point's index is its position in the list), the multiplier that
-    spaces each point's seed, and one injected-fault counter per
-    point. *)
-type 'p io_class = {
-  c_points : 'p list;
-  c_mult : int64;
-  c_injected : Telemetry.Metrics.counter array;
-}
-
-let io_class ~name ~prefix ~mult points =
-  { c_points = points; c_mult = mult;
-    c_injected =
-      Array.of_list
-        (List.map (fun p -> Telemetry.Metrics.counter (prefix ^ name p)) points)
-  }
-
-type 'p io_state = {
-  io_cls : 'p io_class;
-  io_mode : 'p mode;
-  io_rngs : int64 ref array;
-      (** one independent SplitMix stream per point, so probes of one
-          point never perturb another point's draws *)
-  io_hits : int array;
-  io_fired : int array;
-}
-
-let io_state cls ~seed mode =
-  let n = List.length cls.c_points in
-  { io_cls = cls;
-    io_mode = mode;
-    io_rngs =
-      Array.init n (fun i ->
-          ref (Int64.add seed (Int64.mul cls.c_mult (Int64.of_int (i + 1)))));
-    io_hits = Array.make n 0;
-    io_fired = Array.make n 0 }
-
-(* a 53-bit uniform draw in [0,1) from the point's own stream *)
-let uniform (rng : int64 ref) =
-  Int64.to_float (Int64.logand (mix rng) 0x1FFFFFFFFFFFFFL)
-  /. 9007199254740992.0
-
-(** [io_fires st point] counts one probe hit of [point] and reports
-    whether the fault fires there. *)
-let io_fires st point =
-  let rec index i = function
-    | [] -> invalid_arg "Chaos.io_fires: point not in its class"
-    | p :: rest -> if p = point then i else index (i + 1) rest
-  in
-  let i = index 0 st.io_cls.c_points in
-  st.io_hits.(i) <- st.io_hits.(i) + 1;
-  let fire =
-    match st.io_mode with
-    | Arms arms -> List.mem (point, st.io_hits.(i)) arms
-    | Rate { rate; points } ->
-        rate > 0. && List.mem point points && uniform st.io_rngs.(i) < rate
-  in
-  if fire then begin
-    st.io_fired.(i) <- st.io_fired.(i) + 1;
-    Telemetry.Metrics.incr st.io_cls.c_injected.(i)
-  end;
-  fire
-
-(** Per-point fired counts so far (non-zero entries only). *)
-let io_fired st =
-  List.mapi (fun i p -> (p, st.io_fired.(i))) st.io_cls.c_points
-  |> List.filter (fun (_, n) -> n > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Fleet fault class: faults at the IPC boundary                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Fault sites one layer up from {!point}: not inside a cell but on
-    the pipes and sockets that carry cells between processes.  The
-    probe discipline is the same — the fleet master and the serve
-    daemon consult {!io_fires} at every dispatch write, reply read
-    and response send, and the seeded state decides which probes turn
-    into faults. *)
-type fleet_point =
-  | Corrupt_dispatch  (** flip a byte in a dispatch frame on the pipe *)
-  | Corrupt_reply  (** flip a byte in a worker reply frame *)
-  | Drop_reply  (** lose a reply frame entirely (worker looks wedged) *)
-  | Delay_reply  (** stall a reply frame briefly before processing *)
-  | Worker_stall  (** wedge the worker past the wall watchdog *)
-  | Client_reset  (** close a served client's connection mid-reply *)
-
-let all_fleet_points =
-  [ Corrupt_dispatch; Corrupt_reply; Drop_reply; Delay_reply; Worker_stall;
-    Client_reset ]
-
-let fleet_point_name = function
-  | Corrupt_dispatch -> "corrupt_dispatch"
-  | Corrupt_reply -> "corrupt_reply"
-  | Drop_reply -> "drop_reply"
-  | Delay_reply -> "delay_reply"
-  | Worker_stall -> "worker_stall"
-  | Client_reset -> "client_reset"
-
-let fleet_class =
-  io_class ~name:fleet_point_name ~prefix:"robust.fleet_injected."
-    ~mult:0x9E3779B97F4A7C15L all_fleet_points
-
-(* ------------------------------------------------------------------ *)
-(* Disk fault class: faults under the durable-IO layer                 *)
-(* ------------------------------------------------------------------ *)
-
-(** The storage fault class, one layer below {!fleet_point}: not the
-    pipes between processes but the bytes under the journals and
-    sidecars.  {!Diskio} consults an installed hook at every
-    append, sync and rename; a [disk_point io_state] turns those
-    probes into seeded faults with the same [Arms]/[Rate] discipline
-    as the fleet class.  Constructors are {!Diskio.fault}'s,
-    re-exported. *)
+(** Fault sites one layer out from {!point}: not inside a cell but in
+    the bytes under the journals and sidecars.  {!Diskio} consults an
+    installed hook at every append, sync and rename; an {!io_state}
+    turns those probes into seeded faults.  Constructors are
+    {!Diskio.fault}'s, re-exported. *)
 type disk_point = Diskio.fault =
   | Enospc  (** the append raises {!Diskio.Full}; nothing lands *)
   | Short_write  (** a prefix lands (torn tail), then {!Diskio.Full} *)
@@ -272,9 +152,79 @@ let all_disk_points =
 
 let disk_point_name = Diskio.fault_name
 
-let disk_class =
-  io_class ~name:disk_point_name
-    ~prefix:"robust.disk_injected." ~mult:0xBF58476D1CE4E5B9L all_disk_points
+(** How an {!io_state} decides whether a probe fires:
+    - [Arms]: fire at exactly the given hit counts of each point —
+      deterministic placement for unit tests ("fail the second append,
+      nothing else").
+    - [Rate]: per-probe Bernoulli draw at the given rate over the
+      enabled points, from a seed-pure stream — the soak mode,
+      where fault {e placement} may vary with scheduling but the run
+      is still reproducible for a fixed seed and message order. *)
+type mode =
+  | Arms of (disk_point * int) list
+  | Rate of { rate : float; points : disk_point list }
+
+type io_state = {
+  io_mode : mode;
+  io_rngs : int64 ref array;
+      (** one independent SplitMix stream per point, so probes of one
+          point never perturb another point's draws *)
+  io_hits : int array;
+  io_fired : int array;
+}
+
+(* a point's index is its position in [all_disk_points] *)
+let disk_index point =
+  let rec go i = function
+    | [] -> assert false
+    | p :: rest -> if p = point then i else go (i + 1) rest
+  in
+  go 0 all_disk_points
+
+let m_disk_injected =
+  let counter p =
+    Telemetry.Metrics.counter ("robust.disk_injected." ^ disk_point_name p)
+  in
+  Array.of_list (List.map counter all_disk_points)
+
+(* spaces the seeds of the points' streams *)
+let seed_mult = 0xBF58476D1CE4E5B9L
+
+let io_state ~seed mode =
+  let n = List.length all_disk_points in
+  { io_mode = mode;
+    io_rngs =
+      Array.init n (fun i ->
+          ref (Int64.add seed (Int64.mul seed_mult (Int64.of_int (i + 1)))));
+    io_hits = Array.make n 0;
+    io_fired = Array.make n 0 }
+
+(* a 53-bit uniform draw in [0,1) from the point's own stream *)
+let uniform (rng : int64 ref) =
+  Int64.to_float (Int64.logand (mix rng) 0x1FFFFFFFFFFFFFL)
+  /. 9007199254740992.0
+
+(** [io_fires st point] counts one probe hit of [point] and reports
+    whether the fault fires there. *)
+let io_fires st point =
+  let i = disk_index point in
+  st.io_hits.(i) <- st.io_hits.(i) + 1;
+  let fire =
+    match st.io_mode with
+    | Arms arms -> List.mem (point, st.io_hits.(i)) arms
+    | Rate { rate; points } ->
+        rate > 0. && List.mem point points && uniform st.io_rngs.(i) < rate
+  in
+  if fire then begin
+    st.io_fired.(i) <- st.io_fired.(i) + 1;
+    Telemetry.Metrics.incr m_disk_injected.(i)
+  end;
+  fire
+
+(** Per-point fired counts so far (non-zero entries only). *)
+let io_fired st =
+  List.mapi (fun i p -> (p, st.io_fired.(i))) all_disk_points
+  |> List.filter (fun (_, n) -> n > 0)
 
 (* which faults can fire at which IO operation *)
 let disk_points_of_op : Diskio.op -> disk_point list = function
@@ -282,12 +232,12 @@ let disk_points_of_op : Diskio.op -> disk_point list = function
   | Diskio.Sync -> [ Torn_fsync ]
   | Diskio.Rename -> [ Failed_rename ]
 
-(** The {!Diskio} hook a seeded [disk_point io_state] drives: every
-    candidate point of the operation is probed (so hit counts stay
-    comparable across runs) and the first firing one wins.  Install with
+(** The {!Diskio} hook a seeded {!io_state} drives: every candidate
+    point of the operation is probed (so hit counts stay comparable
+    across runs) and the first firing one wins.  Install with
     [Diskio.set_fault_hook (Some (disk_hook st))], clear with
     [None]. *)
-let disk_hook (st : disk_point io_state) : Diskio.hook =
+let disk_hook (st : io_state) : Diskio.hook =
  fun ~op ~path:_ ->
   match List.filter (io_fires st) (disk_points_of_op op) with
   | [] -> None

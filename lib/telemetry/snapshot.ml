@@ -82,34 +82,50 @@ let sub_buckets cur base =
   merge_assoc ( + ) cur (List.map (fun (i, n) -> (i, -n)) base)
   |> List.filter (fun (_, n) -> n > 0)
 
+(* one walk over two name-sorted assoc lists: [f base_value cur_value]
+   for every name of [cur] ([None] when [base] lacks it), keeping the
+   [Some] results; names only in [base] are skipped *)
+let diff_assoc (f : 'a option -> 'a -> 'a option) base cur =
+  let rec go base cur acc =
+    match (base, cur) with
+    | _, [] -> List.rev acc
+    | (kb, _) :: tb, (kc, _) :: _ when kb < kc -> go tb cur acc
+    | _, (kc, vc) :: tc ->
+        let b, base =
+          match base with
+          | (kb, vb) :: tb when kb = kc -> (Some vb, tb)
+          | _ -> (None, base)
+        in
+        go base tc (match f b vc with Some d -> (kc, d) :: acc | None -> acc)
+  in
+  go base cur []
+
 (** [diff ~base cur] is what happened since [base]: counter and
     histogram deltas (zero deltas dropped, so a fresh worker that did
     nothing ships an empty snapshot), gauges at their current value
     when they moved.  A histogram delta keeps the current max — the
     per-interval max is not recoverable from a cumulative registry,
     and for {!publish} (which keeps the larger max) an
-    over-approximation is harmless. *)
+    over-approximation is harmless.  Both snapshots' lists are
+    name-sorted, so it is one walk over each. *)
 let diff ~base cur =
   let counters =
-    List.filter_map
-      (fun (name, v) ->
-         let d = v - find_counter base name in
-         if d = 0 then None else Some (name, d))
-      cur.counters
+    diff_assoc
+      (fun b v ->
+         let d = v - Option.value ~default:0 b in
+         if d = 0 then None else Some d)
+      base.counters cur.counters
   in
   let gauges =
-    List.filter
-      (fun (name, v) ->
-         match List.assoc_opt name base.gauges with
-         | Some b -> v <> b
-         | None -> v <> 0.0)
-      cur.gauges
+    diff_assoc
+      (fun b v -> if v <> Option.value ~default:0.0 b then Some v else None)
+      base.gauges cur.gauges
   in
   let histograms =
-    List.filter_map
-      (fun (name, h) ->
-         match List.assoc_opt name base.histograms with
-         | None -> if h.hs_count = 0 then None else Some (name, h)
+    diff_assoc
+      (fun b h ->
+         match b with
+         | None -> if h.hs_count = 0 then None else Some h
          | Some b ->
              let d =
                { hs_count = h.hs_count - b.hs_count;
@@ -117,8 +133,8 @@ let diff ~base cur =
                  hs_max = h.hs_max;
                  hs_buckets = sub_buckets h.hs_buckets b.hs_buckets }
              in
-             if d.hs_count = 0 then None else Some (name, d))
-      cur.histograms
+             if d.hs_count = 0 then None else Some d)
+      base.histograms cur.histograms
   in
   { counters; gauges; histograms }
 

@@ -53,7 +53,7 @@ let fault_containment fault () =
   rm path;
   rm (path ^ ".tmp");
   let st =
-    Robust.Chaos.io_state Robust.Chaos.disk_class ~seed:5L
+    Robust.Chaos.io_state ~seed:5L
       (Robust.Chaos.Arms [ (fault, 2) ])
   in
   let table = with_hook st (fun () -> run_grid ~journal:path ()) in
@@ -83,7 +83,7 @@ let failed_rename_containment () =
   rm (path ^ ".tmp");
   Robust.Diskio.write_atomic ~path "first\n";
   let st =
-    Robust.Chaos.io_state Robust.Chaos.disk_class ~seed:5L
+    Robust.Chaos.io_state ~seed:5L
       (Robust.Chaos.Arms [ (Robust.Chaos.Failed_rename, 1) ])
   in
   (match
@@ -225,7 +225,7 @@ let enospc_shed_and_finish () =
   rm path;
   let shed0 = Telemetry.Metrics.counter_value "journal.shed" in
   let st =
-    Robust.Chaos.io_state Robust.Chaos.disk_class ~seed:9L
+    Robust.Chaos.io_state ~seed:9L
       (Robust.Chaos.Arms [ (Robust.Chaos.Enospc, 2) ])
   in
   let table = with_hook st (fun () -> run_grid ~journal:path ()) in

@@ -1,7 +1,10 @@
 (** Fleet battery: pool scheduling (work-stealing, latency stamps,
     runner exceptions), fault injection (worker killed mid-cell →
     re-dispatch with identical grading, watchdog on a stuck worker,
-    cooperative cancellation), the journal's grid-order rewrite
+    cooperative cancellation), checksummed frames (a damaged frame
+    decodes to nothing and its task re-runs), IPC faults injected by
+    hand (a real reply frame damaged or dropped, a stalled worker: the
+    task re-runs and its work is counted once), the journal's grid-order rewrite
     (canonical byte-identity), fleet-vs-sequential Table II
     determinism across 1/2/4 workers (table and journal both
     byte-identical, replayable by the sequential resume path), a
@@ -31,7 +34,7 @@ let pool_echo_many () =
   let n = 200 in
   for i = 0 to n - 1 do
     Fleet.Pool.submit t ~key:(Printf.sprintf "k%d" i)
-      ~task:(Printf.sprintf "t%d" i) ()
+      ~task:(Printf.sprintf "t%d" i)
   done;
   Alcotest.(check int) "all queued or running" n (Fleet.Pool.pending t);
   let results = Fleet.Pool.drain t in
@@ -56,9 +59,9 @@ let pool_runner_raise_contained () =
     Fleet.Pool.create ~config:(echo_config 2) (fun ~attempt:_ ~key ->
         fun task -> if key = "bad" then failwith "boom" else task)
   in
-  Fleet.Pool.submit t ~key:"a" ~task:"1" ();
-  Fleet.Pool.submit t ~key:"bad" ~task:"2" ();
-  Fleet.Pool.submit t ~key:"b" ~task:"3" ();
+  Fleet.Pool.submit t ~key:"a" ~task:"1";
+  Fleet.Pool.submit t ~key:"bad" ~task:"2";
+  Fleet.Pool.submit t ~key:"b" ~task:"3";
   let results = Fleet.Pool.drain t in
   Fleet.Pool.shutdown t;
   let find k =
@@ -93,8 +96,8 @@ let pool_worker_kill_redispatch () =
             Engines.Journal_codec.encode_outcome
               (Engines.Supervisor.run_cell Engines.Profile.Bap bomb))
   in
-  Fleet.Pool.submit t ~key:"die-once" ~task:"x" ();
-  Fleet.Pool.submit t ~key:"plain" ~task:"y" ();
+  Fleet.Pool.submit t ~key:"die-once" ~task:"x";
+  Fleet.Pool.submit t ~key:"plain" ~task:"y";
   let results = Fleet.Pool.drain t in
   Fleet.Pool.shutdown t;
   Alcotest.(check bool) "cell re-dispatched" true
@@ -118,8 +121,8 @@ let pool_worker_lost_after_respawns () =
     Fleet.Pool.create ~config:(echo_config 2) (fun ~attempt:_ ~key ->
         fun task -> if key = "always-dies" then Unix._exit 9 else task)
   in
-  Fleet.Pool.submit t ~key:"always-dies" ~task:"x" ();
-  Fleet.Pool.submit t ~key:"ok" ~task:"y" ();
+  Fleet.Pool.submit t ~key:"always-dies" ~task:"x";
+  Fleet.Pool.submit t ~key:"ok" ~task:"y";
   let results = Fleet.Pool.drain t in
   Fleet.Pool.shutdown t;
   let find k =
@@ -139,14 +142,13 @@ let pool_watchdog_kills_stuck () =
   let t =
     Fleet.Pool.create
       ~config:
-        { Fleet.Pool.default_config with
-          workers = 2; respawns = 0; task_timeout = Some 0.3 }
+        { Fleet.Pool.workers = 2; respawns = 0; task_timeout = Some 0.3 }
       (fun ~attempt:_ ~key ->
         fun task ->
           if key = "stuck" then (Unix.sleep 600; task) else task)
   in
-  Fleet.Pool.submit t ~key:"stuck" ~task:"x" ();
-  Fleet.Pool.submit t ~key:"quick" ~task:"y" ();
+  Fleet.Pool.submit t ~key:"stuck" ~task:"x";
+  Fleet.Pool.submit t ~key:"quick" ~task:"y";
   let t0 = Unix.gettimeofday () in
   let results = Fleet.Pool.drain t in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -170,7 +172,7 @@ let pool_cancel_fails_queued () =
         fun task -> ignore (Unix.select [] [] [] 0.2); task)
   in
   for i = 0 to 4 do
-    Fleet.Pool.submit t ~key:(Printf.sprintf "c%d" i) ~task:"t" ()
+    Fleet.Pool.submit t ~key:(Printf.sprintf "c%d" i) ~task:"t"
   done;
   (* dispatch exactly one task, then cancel the rest cooperatively *)
   ignore (Fleet.Pool.poll ~timeout:0. t);
@@ -467,171 +469,191 @@ let serve_round_trip () =
   Alcotest.(check bool) "socket removed on shutdown" false
     (Sys.file_exists socket)
 
-(* ---------------- IPC chaos (deterministic arms) ---------------- *)
+(* ---------------- checksummed frames ---------------- *)
 
-(* one-shot armed fault at hit #1 of [point]; the pool must absorb it
-   and still grade the task correctly *)
-let chaos_pool ?(workers = 1) ?(respawns = 2) ?task_timeout arms runner =
-  Fleet.Pool.create
-    ~config:
-      { Fleet.Pool.default_config with
-        workers; respawns; task_timeout;
-        chaos =
-          Some
-            (Robust.Chaos.io_state Robust.Chaos.fleet_class ~seed:7L
-               (Robust.Chaos.Arms arms)) }
-    runner
+module Pool = Fleet.Pool
+
+(* one byte of a frame flipped in transit *)
+let flip_at line i =
+  let b = Bytes.of_string line in
+  Bytes.set b i (if Bytes.get b i = '#' then '!' else '#');
+  Bytes.to_string b
+
+(* a frame's last byte is always in its checksummed body *)
+let flip_last line = flip_at line (String.length line - 1)
 
 let one_ok results =
   match results with
-  | [ ({ r_payload = Ok p; _ } : Fleet.Pool.result) ] -> p
+  | [ ({ r_payload = Ok p; _ } : Pool.result) ] -> p
   | [ { r_payload = Error f; _ } ] ->
       Alcotest.failf "task must survive the fault, got %s"
-        (Fleet.Pool.failure_to_string f)
+        (Pool.failure_to_string f)
   | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
 
-let chaos_corrupt_reply_recovers () =
-  let bad0 = counter "fleet.frames_corrupt" in
-  let t =
-    chaos_pool [ (Robust.Chaos.Corrupt_reply, 1) ]
-      (fun ~attempt:_ ~key:_ -> fun task -> task ^ "!")
+let frames_decode () =
+  let j =
+    { Pool.j_id = 3; j_key = "k"; j_task = "a b\tc"; j_submitted = 0.;
+      j_attempt = 2 }
   in
-  Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  Alcotest.(check string) "re-dispatch grades the same" "v!"
-    (one_ok results);
-  Alcotest.(check bool) "corrupt frame detected and counted" true
-    (counter "fleet.frames_corrupt" > bad0)
-
-(* a reply lost to a fault takes its registry delta with it: the task
-   is re-run, and its work is counted once, when a reply is accepted *)
-let chaos_lost_reply_counts_once () =
-  let c = "test.fleet.counted_once" in
-  List.iter
-    (fun (name, point, task_timeout) ->
-       let before = counter c in
-       let t =
-         chaos_pool ?task_timeout [ (point, 1) ] (fun ~attempt:_ ~key:_ ->
-             fun task ->
-               Telemetry.Metrics.incr (Telemetry.Metrics.counter c);
-               task)
-       in
-       Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-       let results = Fleet.Pool.drain t in
-       Fleet.Pool.shutdown t;
-       Alcotest.(check string) (name ^ ": task answers") "v" (one_ok results);
-       Alcotest.(check int) (name ^ ": counted once") 1 (counter c - before))
-    [ ("corrupt reply", Robust.Chaos.Corrupt_reply, None);
-      ("dropped reply", Robust.Chaos.Drop_reply, Some 0.3) ]
-
-let chaos_corrupt_dispatch_nacked () =
-  let nack0 = counter "fleet.frames_nacked" in
-  let kill0 = counter "fleet.worker_deaths" in
-  let t =
-    chaos_pool [ (Robust.Chaos.Corrupt_dispatch, 1) ]
-      (fun ~attempt ~key:_ ->
-        fun task -> Printf.sprintf "%s@%d" task attempt)
+  let frame = Pool.dispatch_frame j in
+  Alcotest.(check bool) "dispatch frame decodes to its job" true
+    (Pool.decode_dispatch frame = Some (3, 2, "k", "a b\tc"));
+  Alcotest.(check bool) "a flipped dispatch byte decodes to nothing" true
+    (Pool.decode_dispatch (flip_last frame) = None);
+  let delta =
+    { Telemetry.Snapshot.empty with counters = [ ("test.fleet.frame", 2) ] }
   in
-  Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  (* the worker detects the damaged frame, nacks, and the re-send does
-     not charge an attempt — the run still sees attempt 1 *)
-  Alcotest.(check string) "re-sent frame runs as attempt 1" "v@1"
-    (one_ok results);
-  Alcotest.(check bool) "nack counted" true
-    (counter "fleet.frames_nacked" > nack0);
-  Alcotest.(check int) "no worker died for a bad dispatch frame" kill0
+  let r = { Pool.id = 7; raised = false; delta; payload = "{\"ok\":1}" } in
+  let frame = Pool.reply_frame r in
+  Alcotest.(check bool) "reply frame yields its delta and payload" true
+    (Pool.decode_reply frame = Some r);
+  Alcotest.(check bool) "a raised reply stays raised" true
+    (Pool.decode_reply (Pool.reply_frame { r with raised = true })
+     = Some { r with raised = true });
+  Alcotest.(check bool) "a flipped payload byte yields nothing" true
+    (Pool.decode_reply (flip_last frame) = None);
+  (* the delta's own bytes are covered too: a reply whose count was
+     damaged never reaches [publish] *)
+  let count_at =
+    let rec find i = if frame.[i] = '2' then i else find (i + 1) in
+    find (String.index frame '{')
+  in
+  Alcotest.(check bool) "a flipped delta byte yields nothing" true
+    (Pool.decode_reply (flip_at frame count_at) = None)
+
+(* dispatch [j] to the pool's only worker by hand, as [frame] *)
+let dispatch_by_hand (t : Pool.t) frame_of =
+  let j = Queue.pop t.queue in
+  Pool.dispatch_one t t.ws.(0) j (frame_of j)
+
+(* the worker's next reply frame, read off its pipe before the pool
+   sees it (the hello line is skipped) *)
+let read_reply (w : Pool.worker) =
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match String.index_opt (Buffer.contents buf) '\n' with
+    | Some i ->
+        let data = Buffer.contents buf in
+        let line = String.sub data 0 i in
+        Buffer.clear buf;
+        Buffer.add_string buf
+          (String.sub data (i + 1) (String.length data - i - 1));
+        if String.starts_with ~prefix:"H " line then go () else line
+    | None -> (
+        match Unix.select [ w.from_w ] [] [] 20. with
+        | [], _, _ -> Alcotest.fail "the worker never replied"
+        | _ ->
+            let n = Unix.read w.from_w chunk 0 (Bytes.length chunk) in
+            if n = 0 then Alcotest.fail "the worker died before replying";
+            Buffer.add_subbytes buf chunk 0 n;
+            go ())
+  in
+  go ()
+
+(* a dispatch frame damaged on the way: the worker refuses it by
+   exiting, and the pool re-runs the task as it re-runs a dead
+   worker's, to the same grade *)
+let frames_corrupt_dispatch_reruns () =
+  let bomb = Bombs.Catalog.find "time_bomb" in
+  let grade () =
+    Engines.Journal_codec.encode_outcome
+      (Engines.Supervisor.run_cell Engines.Profile.Bap bomb)
+  in
+  let clean = grade () in
+  let deaths0 = counter "fleet.worker_deaths" in
+  let t =
+    Pool.create ~config:(echo_config 1) (fun ~attempt ~key:_ _ ->
+        Printf.sprintf "%d %s" attempt (grade ()))
+  in
+  Pool.submit t ~key:"k" ~task:"x";
+  dispatch_by_hand t (fun j -> flip_last (Pool.dispatch_frame j));
+  let results = Pool.drain t in
+  Pool.shutdown t;
+  Alcotest.(check string) "the re-run (attempt 2) grades the same"
+    ("2 " ^ clean) (one_ok results);
+  Alcotest.(check int) "the worker died on the damaged frame" (deaths0 + 1)
     (counter "fleet.worker_deaths")
 
-let chaos_drop_reply_watchdog_recovers () =
-  let t =
-    chaos_pool ~task_timeout:0.3
-      [ (Robust.Chaos.Drop_reply, 1) ]
-      (fun ~attempt ~key:_ ->
-        fun task -> Printf.sprintf "%s@%d" task attempt)
-  in
-  Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  (* the dropped reply looks like a hang; the watchdog reclaims the
-     slot and the re-dispatch (attempt 2) answers *)
-  Alcotest.(check string) "watchdog re-dispatch answers" "v@2"
-    (one_ok results)
+(* ---------------- IPC faults, injected by hand ---------------- *)
 
-let chaos_worker_stall_watchdog_recovers () =
+(* the worker's reply to a hand dispatch of the only task, lost on the
+   way: [`Corrupt] hands the pool the frame with one byte flipped,
+   [`Drop] never hands it over *)
+let lose_reply ?task_timeout fault runner =
+  let t = Pool.create ~config:{ (echo_config 1) with task_timeout } runner in
+  Pool.submit t ~key:"k" ~task:"v";
+  dispatch_by_hand t Pool.dispatch_frame;
+  let w = t.ws.(0) in
+  let reply = read_reply w in
+  (match fault with
+   | `Corrupt -> Pool.handle_line t w (flip_last reply)
+   | `Drop -> ());
+  let results = Pool.drain t in
+  Pool.shutdown t;
+  results
+
+let tag_attempt ~attempt ~key:_ task = Printf.sprintf "%s@%d" task attempt
+
+(* a damaged reply frame: the worker is killed and the task re-run *)
+let ipc_corrupt_reply_redispatch () =
+  let bad0 = counter "fleet.frames_corrupt"
+  and redisp0 = counter "fleet.redispatched" in
+  let results = lose_reply `Corrupt tag_attempt in
+  Alcotest.(check string) "the re-dispatch (attempt 2) answers" "v@2"
+    (one_ok results);
+  Alcotest.(check int) "the damaged frame was counted" (bad0 + 1)
+    (counter "fleet.frames_corrupt");
+  Alcotest.(check bool) "the task was re-dispatched" true
+    (counter "fleet.redispatched" > redisp0)
+
+(* a dropped reply looks like a hang: the watchdog reclaims the slot
+   and the re-dispatch answers *)
+let ipc_drop_reply_watchdog () =
   let kills0 = counter "fleet.watchdog_kills" in
-  let t =
-    chaos_pool ~task_timeout:0.3
-      [ (Robust.Chaos.Worker_stall, 1) ]
-      (fun ~attempt ~key:_ ->
-        fun task -> Printf.sprintf "%s@%d" task attempt)
-  in
-  Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  Alcotest.(check string) "stalled worker killed, re-dispatch answers"
-    "v@2" (one_ok results);
-  Alcotest.(check bool) "watchdog fired on the stall" true
+  let results = lose_reply ~task_timeout:0.3 `Drop tag_attempt in
+  Alcotest.(check string) "watchdog re-dispatch answers" "v@2"
+    (one_ok results);
+  Alcotest.(check bool) "watchdog fired" true
     (counter "fleet.watchdog_kills" > kills0)
 
-(* ---------------- circuit breaker / deadlines ---------------- *)
+(* a lost reply takes its registry delta with it: the task is re-run,
+   and its work is counted once, when a reply is accepted *)
+let ipc_lost_reply_counts_once () =
+  let c = "test.fleet.counted_once" in
+  List.iter
+    (fun (name, fault, task_timeout) ->
+       let before = counter c in
+       let results =
+         lose_reply ?task_timeout fault (fun ~attempt ~key task ->
+             Telemetry.Metrics.incr (Telemetry.Metrics.counter c);
+             tag_attempt ~attempt ~key task)
+       in
+       Alcotest.(check string) (name ^ ": the re-run answers") "v@2"
+         (one_ok results);
+       Alcotest.(check int) (name ^ ": counted once") 1 (counter c - before))
+    [ ("corrupt reply", `Corrupt, None); ("dropped reply", `Drop, Some 0.3) ]
 
-let breaker_quarantines_dying_slots () =
+(* a worker stalled past the watchdog is killed and its task re-run,
+   with the attempt number bumped, and the re-run answers *)
+let ipc_worker_stall_watchdog () =
+  let kills0 = counter "fleet.watchdog_kills" in
   let t =
     Fleet.Pool.create
-      ~config:
-        { Fleet.Pool.default_config with
-          workers = 2; respawns = 10; breaker = Some 2 }
-      (fun ~attempt:_ ~key:_ -> fun _task -> Unix._exit 9)
+      ~config:{ (echo_config 1) with task_timeout = Some 0.3 }
+      (fun ~attempt ~key:_ ->
+        fun task ->
+          if attempt = 1 then Unix.sleep 600;
+          Printf.sprintf "%s@%d" task attempt)
   in
-  for i = 0 to 5 do
-    Fleet.Pool.submit t ~key:(Printf.sprintf "d%d" i) ~task:"x" ()
-  done;
+  Fleet.Pool.submit t ~key:"k" ~task:"v";
   let results = Fleet.Pool.drain t in
   Fleet.Pool.shutdown t;
-  Alcotest.(check int) "every task settled" 6 (List.length results);
-  (* two consecutive deaths trip the breaker before the 10-respawn
-     budget is anywhere near spent; once every slot is quarantined the
-     rest of the queue fails fast instead of deadlocking *)
-  Alcotest.(check int) "both slots quarantined" 2
-    (Fleet.Pool.quarantined_workers t);
-  List.iter
-    (fun (r : Fleet.Pool.result) ->
-       match r.r_payload with
-       | Error (Fleet.Pool.Worker_lost _ | Fleet.Pool.Quarantined) -> ()
-       | Error f ->
-           Alcotest.failf "%s: unexpected failure %s" r.r_key
-             (Fleet.Pool.failure_to_string f)
-       | Ok _ -> Alcotest.failf "%s cannot succeed" r.r_key)
-    results
-
-let deadline_expires_in_queue () =
-  let exp0 = counter "fleet.tasks_expired" in
-  let t =
-    Fleet.Pool.create ~config:(echo_config 1) (fun ~attempt:_ ~key:_ ->
-        fun task -> ignore (Unix.select [] [] [] 0.3); task)
-  in
-  Fleet.Pool.submit t ~key:"head" ~task:"a" ();
-  Fleet.Pool.submit t
-    ~deadline:(Unix.gettimeofday () +. 0.05)
-    ~key:"late" ~task:"b" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  let find k =
-    (List.find (fun (r : Fleet.Pool.result) -> r.r_key = k) results)
-      .r_payload
-  in
-  Alcotest.(check bool) "head task unaffected" true (find "head" = Ok "a");
-  (match find "late" with
-   | Error Fleet.Pool.Expired -> ()
-   | Error f ->
-       Alcotest.failf "late: expected Expired, got %s"
-         (Fleet.Pool.failure_to_string f)
-   | Ok _ -> Alcotest.fail "a queue-expired task cannot run");
-  Alcotest.(check bool) "expiry counted" true
-    (counter "fleet.tasks_expired" > exp0)
+  Alcotest.(check bool) "watchdog fired" true
+    (counter "fleet.watchdog_kills" > kills0);
+  match results with
+  | [ { r_payload = Ok p; _ } ] ->
+      Alcotest.(check string) "the re-dispatch (attempt 2) answers" "v@2" p
+  | _ -> Alcotest.fail "the wedged task must be re-run to an answer"
 
 (* ---------------- journal fingerprint peek ---------------- *)
 
@@ -770,10 +792,30 @@ let serve_sheds_when_queue_full () =
   | _, Unix.WEXITED 0 -> ()
   | _ -> Alcotest.fail "daemon did not exit cleanly after the drain"
 
-(* kill the daemon after one graded request, warm-restart it from the
-   queue journal, resubmit under the same idempotency key: the client
-   gets the journaled response byte-for-byte and the journal holds
-   exactly one grading for the key *)
+(* the journal's phases per key, in append order *)
+let queue_phases queue =
+  let l =
+    Robust.Journal.load ~dedup:false
+      ~fingerprint:(Engines.Service.queue_fingerprint ())
+      queue
+  in
+  List.map
+    (fun (e : Robust.Journal.entry) ->
+       ( e.key,
+         match Telemetry.Trace_check.member "phase" e.cell with
+         | Some (Telemetry.Trace_check.Str p) -> p
+         | _ -> "?" ))
+    l.entries
+
+let phases_of key phases =
+  List.filter_map (fun (k, p) -> if k = key then Some p else None) phases
+
+(* kill the daemon after one graded request and while two more are
+   queued, warm-restart it from the queue journal and resubmit all
+   three under the same idempotency keys: the graded one is answered
+   byte-for-byte from the journal, the queued ones were re-queued at
+   restart, and the journal holds one acceptance and one grading per
+   key *)
 let serve_durable_exactly_once () =
   let socket = temp_socket () in
   let queue = Filename.temp_file "fleet_queue" ".jsonl" in
@@ -787,70 +829,92 @@ let serve_durable_exactly_once () =
         with _ -> Unix._exit 1)
     | pid -> pid
   in
-  let request =
-    Engines.Service.encode_request ~id:"once/Bap/time_bomb"
-      ~tool:Engines.Profile.Bap ~bomb:"time_bomb" ()
+  let request (tool, bomb) =
+    let id = Engines.Profile.name tool ^ "/" ^ bomb in
+    (id, Engines.Service.encode_request ~id ~tool ~bomb ())
   in
-  let submit_one () =
+  let graded = request (Engines.Profile.Bap, "time_bomb") in
+  (* two ~250 ms cells on the one worker: the second cannot finish
+     within half a second of its ack *)
+  let ahead = request (Engines.Profile.Angr_nolib, "jumptable_bomb") in
+  let victim = request (Engines.Profile.Angr, "jumptable_bomb") in
+  let submit (id, line) =
     let final = ref None in
-    let r =
-      Engines.Service.submit_resilient ~socket ~sessions:4
+    let failures =
+      Engines.Service.submit ~socket
         ~on_line:(fun l ->
           if Engines.Service.status_of_line l = Some "done" then
             final := Some l)
-        [ ("once/Bap/time_bomb", request) ]
+        [ line ]
     in
-    Alcotest.(check int) "request answered" 1 r.Engines.Service.sr_answered;
+    Alcotest.(check int) (id ^ " answered") 0 failures;
     match !final with
     | Some l -> l
-    | None -> Alcotest.fail "no done line streamed"
+    | None -> Alcotest.failf "%s: no done line streamed" id
   in
-  let pid = fork_daemon () in
-  let cleanup = ref (fun () -> ()) in
-  (cleanup :=
-     fun () ->
-       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()));
+  let daemon = ref (Some (fork_daemon ())) in
+  (* [signal] the live daemon, if any, and reap it *)
+  let stop ?(signal = true) () =
+    Option.iter
+      (fun pid ->
+         if signal then
+           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+         try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+      !daemon;
+    daemon := None
+  in
   Fun.protect
     ~finally:(fun () ->
-      !cleanup ();
+      stop ();
       if Sys.file_exists socket then Sys.remove socket;
       if Sys.file_exists queue then Sys.remove queue)
   @@ fun () ->
   await_daemon socket;
-  let resp1 = submit_one () in
-  (* SIGKILL: no drain, no cleanup — the journal is all that survives *)
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
+  let resp1 = submit graded in
+  (* queue two more, and SIGKILL the daemon the moment the victim is
+     acked: no drain, no cleanup — the journal is all that survives *)
+  Engines.Service.with_connection socket (fun ic oc ->
+      List.iter
+        (fun (_, line) ->
+           output_string oc line;
+           output_char oc '\n')
+        [ ahead; victim ];
+      flush oc;
+      let rec await_ack () =
+        let line = input_line ic in
+        let open Telemetry.Trace_check in
+        match
+          ( Engines.Service.status_of_line line,
+            Option.bind (parse_opt line) (member "id") )
+        with
+        | Some "queued", Some (Str id) when id = fst victim -> ()
+        | _ -> await_ack ()
+      in
+      await_ack ();
+      stop ());
+  Alcotest.(check (list string)) "at the kill: the victim accepted, not done"
+    [ "acc" ]
+    (phases_of (fst victim) (queue_phases queue));
   Sys.remove socket;
-  let pid2 = fork_daemon () in
-  (cleanup :=
-     fun () ->
-       (try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ());
-       (try ignore (Unix.waitpid [] pid2) with Unix.Unix_error _ -> ()));
+  daemon := Some (fork_daemon ());
   await_daemon socket;
-  let resp2 = submit_one () in
   Alcotest.(check string)
     "resubmission answered verbatim from the journal, not re-graded"
-    resp1 resp2;
+    resp1 (submit graded);
+  ignore (submit ahead);
+  ignore (submit victim);
   Engines.Service.drain ~socket ();
-  ignore (Unix.waitpid [] pid2);
-  (cleanup := fun () -> ());
-  let l =
-    Robust.Journal.load ~dedup:false
-      ~fingerprint:(Engines.Service.queue_fingerprint ())
-      queue
-  in
-  let dones =
-    List.filter
-      (fun (e : Robust.Journal.entry) ->
-         match Telemetry.Trace_check.member "phase" e.cell with
-         | Some (Telemetry.Trace_check.Str "done") -> true
-         | _ -> false)
-      l.entries
-  in
-  Alcotest.(check int) "exactly one grading journaled across the crash" 1
-    (List.length dones)
+  stop ~signal:false ();
+  (* one acceptance and one grading per key: the resubmissions were
+     answered from the journal or joined the re-queued request, and
+     none was accepted a second time *)
+  let phases = queue_phases queue in
+  List.iter
+    (fun (id, _) ->
+       Alcotest.(check (list string))
+         (id ^ ": accepted once, graded once across the crash")
+         [ "acc"; "done" ] (phases_of id phases))
+    [ graded; ahead; victim ]
 
 let () =
   Alcotest.run "fleet"
@@ -866,22 +930,21 @@ let () =
          Alcotest.test_case "watchdog kills a stuck worker" `Quick
            pool_watchdog_kills_stuck;
          Alcotest.test_case "cancel fails queued, keeps in-flight" `Quick
-           pool_cancel_fails_queued;
-         Alcotest.test_case "deadline expires in queue" `Quick
-           deadline_expires_in_queue;
-         Alcotest.test_case "breaker quarantines dying slots" `Quick
-           breaker_quarantines_dying_slots ]);
+           pool_cancel_fails_queued ]);
+      ("frames",
+       [ Alcotest.test_case "codec refuses a flipped byte" `Quick
+           frames_decode;
+         Alcotest.test_case "corrupt dispatch -> exit, same grade" `Quick
+           frames_corrupt_dispatch_reruns ]);
       ("ipc-chaos",
        [ Alcotest.test_case "corrupt reply -> kill + re-dispatch" `Quick
-           chaos_corrupt_reply_recovers;
-         Alcotest.test_case "corrupt dispatch -> nack, no charge" `Quick
-           chaos_corrupt_dispatch_nacked;
+           ipc_corrupt_reply_redispatch;
          Alcotest.test_case "dropped reply -> watchdog recovery" `Quick
-           chaos_drop_reply_watchdog_recovers;
+           ipc_drop_reply_watchdog;
          Alcotest.test_case "lost reply's work counted once" `Quick
-           chaos_lost_reply_counts_once;
+           ipc_lost_reply_counts_once;
          Alcotest.test_case "worker stall -> watchdog recovery" `Quick
-           chaos_worker_stall_watchdog_recovers ]);
+           ipc_worker_stall_watchdog ]);
       ("journal",
        [ Alcotest.test_case "canonical byte-identity" `Quick
            rewrite_canonical_bytes;

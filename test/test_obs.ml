@@ -1,5 +1,6 @@
 (** Observability battery: snapshot codec round trips, publish
-    algebra (counter-add, gauge-last, bucket-exact histogram add),
+    algebra (counter-add, gauge-last, bucket-exact histogram add), the
+    snapshot diff over interleaved names,
     histogram quantiles, fleet metrics aggregation equalling the
     sequential registry for 2- and 4-worker runs, reply-borne worker
     deltas folded into the master registry exactly once (a SIGKILLed
@@ -89,6 +90,38 @@ let publish_into_registry () =
     h.Snap.hs_buckets;
   Alcotest.check snap "diff from empty is identity" a
     (Snap.diff ~base:Snap.empty a)
+
+(* names only in [base], only in [cur] and in both, interleaved: one
+   walk over both sorted lists must pair each name with its own base *)
+let diff_interleaved () =
+  let h n =
+    { Snap.hs_count = n; hs_sum = 10 * n; hs_max = n; hs_buckets = [ (1, n) ] }
+  in
+  let base =
+    { Snap.counters =
+        [ ("a.base_only", 4); ("c.both", 2); ("e.base_only", 1);
+          ("g.same", 5) ];
+      gauges = [ ("g.back", 3.5); ("g.base_only", 1.0); ("g.still", 2.0) ];
+      histograms = [ ("h.both", h 2); ("h.same", h 1) ] }
+  in
+  let cur =
+    { Snap.counters =
+        [ ("b.cur_only", 3); ("c.both", 7); ("d.cur_only", 1);
+          ("g.same", 5) ];
+      gauges =
+        [ ("g.back", 0.0); ("g.cur_only", 2.5); ("g.still", 2.0);
+          ("g.zero", 0.0) ];
+      histograms = [ ("h.both", h 5); ("h.new", h 3); ("h.same", h 1) ] }
+  in
+  Alcotest.check snap "counter deltas, gauges that moved, histogram deltas"
+    { Snap.counters = [ ("b.cur_only", 3); ("c.both", 5); ("d.cur_only", 1) ];
+      gauges = [ ("g.back", 0.0); ("g.cur_only", 2.5) ];
+      histograms =
+        [ ( "h.both",
+            { Snap.hs_count = 3; hs_sum = 30; hs_max = 5;
+              hs_buckets = [ (1, 3) ] } );
+          ("h.new", h 3) ] }
+    (Snap.diff ~base cur)
 
 let quantiles () =
   let h = Telemetry.Metrics.histogram "test.obs.quant" in
@@ -181,8 +214,7 @@ let sigkill_snapshot_survives () =
   let survive = "test.obs.survive" and lost = "test.obs.lost" in
   let survive0 = Telemetry.Metrics.counter_value survive in
   let config =
-    { Fleet.Pool.default_config with
-      workers = 1; respawns = 0; task_timeout = Some 0.5 }
+    { Fleet.Pool.workers = 1; respawns = 0; task_timeout = Some 0.5 }
   in
   let t =
     Fleet.Pool.create ~config (fun ~attempt:_ ~key ->
@@ -199,8 +231,8 @@ let sigkill_snapshot_survives () =
             "unreachable"
           end)
   in
-  Fleet.Pool.submit t ~key:"bump" ~task:"x" ();
-  Fleet.Pool.submit t ~key:"hang" ~task:"x" ();
+  Fleet.Pool.submit t ~key:"bump" ~task:"x";
+  Fleet.Pool.submit t ~key:"hang" ~task:"x";
   let results = Fleet.Pool.drain t in
   Fleet.Pool.shutdown t;
   Alcotest.(check int) "completed task's counter survives the SIGKILL" 1
@@ -228,7 +260,7 @@ let reply_deltas_fold_once () =
   in
   let before = Telemetry.Metrics.counter_value c in
   for i = 0 to 9 do
-    Fleet.Pool.submit t ~key:(Printf.sprintf "k%d" i) ~task:"x" ()
+    Fleet.Pool.submit t ~key:(Printf.sprintf "k%d" i) ~task:"x"
   done;
   ignore (Fleet.Pool.drain t);
   Alcotest.(check int) "every task's bump folded on its reply" 10
@@ -416,6 +448,8 @@ let () =
            codec_captures_registry;
          Alcotest.test_case "publish folds into the registry" `Quick
            publish_into_registry;
+         Alcotest.test_case "diff walks interleaved names" `Quick
+           diff_interleaved;
          Alcotest.test_case "histogram quantiles" `Quick quantiles;
          Alcotest.test_case "prometheus exposition" `Quick
            prometheus_exposition ]);

@@ -134,25 +134,17 @@ let cancellation_probe_sets_flag () =
     (exhausted_resource (fun () -> Robust.Meter.checkpoint m)
      = Some Robust.Meter.Cancelled)
 
-(* the first 64 Rate-mode decisions of one seed per IO fault class,
-   probing each point in turn: a seed must keep firing the same faults
-   at the same probe hits *)
+(* the first 64 Rate-mode disk-fault decisions of one seed, probing
+   each point in turn: a seed must keep firing the same faults at the
+   same probe hits *)
 let decisions fires points =
   let pts = Array.of_list points in
   String.init 64 (fun i ->
       if fires pts.(i mod Array.length pts) then '1' else '0')
 
 let io_decisions_pinned () =
-  let fleet =
-    Robust.Chaos.io_state Robust.Chaos.fleet_class ~seed:0xC0FFEEL
-      (Robust.Chaos.Rate
-         { rate = 0.3; points = Robust.Chaos.all_fleet_points })
-  in
-  Alcotest.(check string) "fleet class, seed 0xC0FFEE"
-    "1001000010010100101001000010000100001000010000100001000010000100"
-    (decisions (Robust.Chaos.io_fires fleet) Robust.Chaos.all_fleet_points);
   let disk =
-    Robust.Chaos.io_state Robust.Chaos.disk_class ~seed:0xD15CL
+    Robust.Chaos.io_state ~seed:0xD15CL
       (Robust.Chaos.Rate
          { rate = 0.3; points = Robust.Chaos.all_disk_points })
   in
