@@ -322,23 +322,9 @@ let run_negative () =
 let run_table1 () = print_string (Engines.Eval.render_table1 ())
 
 (* chaos: seeded fault-injection soak over supervised cells.  The
-   seed comes from --seed, else ROBUST_CHAOS_SEED, else a fixed
-   default so bare runs are reproducible *)
-let run_chaos no_incremental seed plans disk rate workers tools_filter
-    bombs_filter verbose =
-  let seed =
-    match seed with
-    | Some s -> s
-    | None -> (
-        match Sys.getenv_opt "ROBUST_CHAOS_SEED" with
-        | Some v -> (
-            match Int64.of_string_opt v with
-            | Some s -> s
-            | None ->
-              Printf.eprintf "ROBUST_CHAOS_SEED=%S is not an integer\n" v;
-              exit 2)
-        | None -> 0xC0FFEEL)
-  in
+   seed comes from --seed, else a fixed default so bare runs are
+   reproducible *)
+let run_chaos no_incremental seed plans tools_filter bombs_filter verbose =
   let tools =
     match tools_filter with
     | [] -> Engines.Supervisor.default_soak_tools
@@ -349,21 +335,6 @@ let run_chaos no_incremental seed plans disk rate workers tools_filter
     | [] -> Engines.Supervisor.default_soak_bombs
     | names -> names
   in
-  if disk then begin
-    (* storage-fault soak: journaled fleet grid under seeded disk
-       faults (ENOSPC, short writes, bit flips, torn fsyncs, failed
-       renames), then fsck --repair + resume must reconstruct a
-       byte-identical table and journal *)
-    let report =
-      Engines.Disk_soak.run ~plans ~seed ~rate ~workers ~tools ~bombs ()
-    in
-    print_string (Engines.Disk_soak.render report);
-    if not (Engines.Disk_soak.ok report) then begin
-      Printf.eprintf "chaos: disk soak containment FAILED\n";
-      exit 1
-    end;
-    exit 0
-  end;
   if verbose then
     List.iter
       (fun i ->
@@ -769,11 +740,9 @@ let profile_cmd =
 
 let chaos_cmd =
   let seed_arg =
-    Arg.(value & opt (some int64) None
+    Arg.(value & opt int64 0xC0FFEEL
          & info [ "seed" ] ~docv:"SEED"
-           ~doc:
-             "Chaos seed deriving the fault plans (default: \
-              $(b,ROBUST_CHAOS_SEED), else 0xC0FFEE)")
+           ~doc:"Chaos seed deriving the fault plans (default 0xC0FFEE)")
   in
   let plans_arg =
     Arg.(value & opt int 50
@@ -783,47 +752,14 @@ let chaos_cmd =
     Arg.(value & flag
          & info [ "v"; "verbose" ] ~doc:"Print every derived fault plan")
   in
-  let disk_arg =
-    Arg.(value & flag
-         & info [ "disk" ]
-           ~doc:
-             "Soak the storage layer instead of single cells: run a \
-              journaled fleet grid under seeded disk faults (ENOSPC, \
-              short writes, bit flips, lying fsyncs, failed renames) \
-              injected at every durable-IO append, sync and rename, \
-              all of them made by the master process; then fsck \
-              --repair and resume the survivors (the resume rewrites \
-              the journal in grid order); fails unless the recovered \
-              table and journal \
-              are byte-identical to a fault-free baseline and every \
-              fired fault is accounted in robust.disk_injected.*")
-  in
-  let rate_arg =
-    Arg.(value & opt float 0.05
-         & info [ "rate" ] ~docv:"P"
-           ~doc:
-             "With --disk: per-opportunity fault probability for each \
-              armed fault point")
-  in
-  let workers_arg =
-    Arg.(value & opt int 2
-         & info [ "workers" ] ~docv:"N"
-           ~doc:
-             "With --disk: fleet width of the chaos-phase grid (1 = \
-              sequential)")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Seeded fault-injection soak: run supervised cells under \
           deterministically derived fault plans and verify every \
-          injected fault is contained to its cell (exit 1 otherwise). \
-          With --disk, soak the storage layer: journaled \
-          runs under injected disk faults must recover byte-identical \
-          via fsck --repair + resume.")
+          injected fault is contained to its cell (exit 1 otherwise).")
     Term.(const run_chaos $ no_incremental_arg $ seed_arg $ plans_arg
-          $ disk_arg $ rate_arg $ workers_arg $ tools_arg
-          $ bombs_arg $ verbose_arg)
+          $ tools_arg $ bombs_arg $ verbose_arg)
 
 let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table I")

@@ -86,23 +86,6 @@ let split_lines raw =
       ((if complete = "" then [] else String.split_on_char '\n' complete),
        tail)
 
-(* a structurally sound journal line, whatever its fingerprint *)
-let journal_line_fp line : string option =
-  if not (looks_journal_line line) then None
-  else
-    let sum = String.sub line 0 16 in
-    let b = String.sub line 17 (String.length line - 17) in
-    if not (String.equal sum (Robust.Diskio.fnv64_hex b)) then None
-    else
-      let open Telemetry.Trace_check in
-      match parse_opt b with
-      | None -> None
-      | Some j -> (
-          match (member "fp" j, member "seq" j, member "key" j,
-                 member "cell" j) with
-          | Some (Str fp), Some (Num _), Some (Str _), Some _ -> Some fp
-          | _ -> None)
-
 (* verify/repair any line-record file given a per-line validity check
    returning [Some tag] (an optional fingerprint) for sound lines *)
 let check_jsonl ~repair ~(sound : string -> string option) path r =
@@ -163,7 +146,7 @@ let detect path : kind =
       | exception Sys_error _ -> []
     in
     let sound_kind line =
-      if journal_line_fp line <> None then Some Journal
+      if Robust.Journal.line_fingerprint line <> None then Some Journal
       else if sound_profile line <> None then Some Profile_sidecar
       else None
     in
@@ -201,12 +184,15 @@ let check ?(repair = false) path : report =
           else r
       | Journal as k -> (
           let r = { r with r_kind = k } in
-          try check_jsonl ~repair ~sound:journal_line_fp path r
-          with Sys_error msg -> { r with r_unrepairable = Some msg })
+          try
+            check_jsonl ~repair ~sound:Robust.Journal.line_fingerprint path r
+          with Sys_error msg | Robust.Diskio.Full msg ->
+            { r with r_unrepairable = Some msg })
       | Profile_sidecar as k -> (
           let r = { r with r_kind = k } in
           try check_jsonl ~repair ~sound:sound_profile path r
-          with Sys_error msg -> { r with r_unrepairable = Some msg })
+          with Sys_error msg | Robust.Diskio.Full msg ->
+            { r with r_unrepairable = Some msg })
       | Unknown -> { r with r_kind = Unknown }
   in
   if has_damage r then Telemetry.Metrics.incr m_damaged;

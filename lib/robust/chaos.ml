@@ -130,115 +130,3 @@ let fires st point =
     Some hit
   end
   else None
-
-(* ------------------------------------------------------------------ *)
-(* Disk faults: seeded probe states under the durable-IO layer         *)
-(* ------------------------------------------------------------------ *)
-
-(** Fault sites one layer out from {!point}: not inside a cell but in
-    the bytes under the journals and sidecars.  {!Diskio} consults an
-    installed hook at every append, sync and rename; an {!io_state}
-    turns those probes into seeded faults.  Constructors are
-    {!Diskio.fault}'s, re-exported. *)
-type disk_point = Diskio.fault =
-  | Enospc  (** the append raises {!Diskio.Full}; nothing lands *)
-  | Short_write  (** a prefix lands (torn tail), then {!Diskio.Full} *)
-  | Failed_rename  (** the publishing rename raises [Sys_error] *)
-  | Bit_flip  (** one byte flipped silently; checksums catch it *)
-  | Torn_fsync  (** the synced record's tail is silently dropped *)
-
-let all_disk_points =
-  [ Enospc; Short_write; Failed_rename; Bit_flip; Torn_fsync ]
-
-let disk_point_name = Diskio.fault_name
-
-(** How an {!io_state} decides whether a probe fires:
-    - [Arms]: fire at exactly the given hit counts of each point —
-      deterministic placement for unit tests ("fail the second append,
-      nothing else").
-    - [Rate]: per-probe Bernoulli draw at the given rate over the
-      enabled points, from a seed-pure stream — the soak mode,
-      where fault {e placement} may vary with scheduling but the run
-      is still reproducible for a fixed seed and message order. *)
-type mode =
-  | Arms of (disk_point * int) list
-  | Rate of { rate : float; points : disk_point list }
-
-type io_state = {
-  io_mode : mode;
-  io_rngs : int64 ref array;
-      (** one independent SplitMix stream per point, so probes of one
-          point never perturb another point's draws *)
-  io_hits : int array;
-  io_fired : int array;
-}
-
-(* a point's index is its position in [all_disk_points] *)
-let disk_index point =
-  let rec go i = function
-    | [] -> assert false
-    | p :: rest -> if p = point then i else go (i + 1) rest
-  in
-  go 0 all_disk_points
-
-let m_disk_injected =
-  let counter p =
-    Telemetry.Metrics.counter ("robust.disk_injected." ^ disk_point_name p)
-  in
-  Array.of_list (List.map counter all_disk_points)
-
-(* spaces the seeds of the points' streams *)
-let seed_mult = 0xBF58476D1CE4E5B9L
-
-let io_state ~seed mode =
-  let n = List.length all_disk_points in
-  { io_mode = mode;
-    io_rngs =
-      Array.init n (fun i ->
-          ref (Int64.add seed (Int64.mul seed_mult (Int64.of_int (i + 1)))));
-    io_hits = Array.make n 0;
-    io_fired = Array.make n 0 }
-
-(* a 53-bit uniform draw in [0,1) from the point's own stream *)
-let uniform (rng : int64 ref) =
-  Int64.to_float (Int64.logand (mix rng) 0x1FFFFFFFFFFFFFL)
-  /. 9007199254740992.0
-
-(** [io_fires st point] counts one probe hit of [point] and reports
-    whether the fault fires there. *)
-let io_fires st point =
-  let i = disk_index point in
-  st.io_hits.(i) <- st.io_hits.(i) + 1;
-  let fire =
-    match st.io_mode with
-    | Arms arms -> List.mem (point, st.io_hits.(i)) arms
-    | Rate { rate; points } ->
-        rate > 0. && List.mem point points && uniform st.io_rngs.(i) < rate
-  in
-  if fire then begin
-    st.io_fired.(i) <- st.io_fired.(i) + 1;
-    Telemetry.Metrics.incr m_disk_injected.(i)
-  end;
-  fire
-
-(** Per-point fired counts so far (non-zero entries only). *)
-let io_fired st =
-  List.mapi (fun i p -> (p, st.io_fired.(i))) all_disk_points
-  |> List.filter (fun (_, n) -> n > 0)
-
-(* which faults can fire at which IO operation *)
-let disk_points_of_op : Diskio.op -> disk_point list = function
-  | Diskio.Append -> [ Enospc; Short_write; Bit_flip ]
-  | Diskio.Sync -> [ Torn_fsync ]
-  | Diskio.Rename -> [ Failed_rename ]
-
-(** The {!Diskio} hook a seeded {!io_state} drives: every candidate
-    point of the operation is probed (so hit counts stay comparable
-    across runs) and the first firing one wins.  Install with
-    [Diskio.set_fault_hook (Some (disk_hook st))], clear with
-    [None]. *)
-let disk_hook (st : io_state) : Diskio.hook =
- fun ~op ~path:_ ->
-  match List.filter (io_fires st) (disk_points_of_op op) with
-  | [] -> None
-  | p :: _ -> Some p

@@ -5,28 +5,24 @@
 
     Before this module the repo carried five independent copies of
     torn-tail healing and tmp+rename.  Centralizing them buys one
-    place to (a) apply a sync policy, (b) count bytes and operations,
-    and (c) inject the {e storage} fault class: a pluggable hook
-    consulted at every append, sync and rename turns seeded
-    [Chaos.io_state] decisions into ENOSPC, short writes, failed
-    renames, flipped bits and lying fsyncs — the faults a long
-    evaluation campaign's partial results actually meet.
+    place to count bytes and operations and one place to type the
+    storage failures callers must survive.
 
-    Fault semantics, as a caller observes them:
-    - [Enospc]: {!Full} raised, nothing written — callers shed or
-      degrade (the journal stops journaling).
-    - [Short_write]: a prefix of the record lands (torn tail), then
-      {!Full} — the next append on the same handle heals with a
-      newline first, exactly like a crashed-writer reopen.
-    - [Bit_flip]: one byte of the record is flipped and the write
-      "succeeds" — silent corruption, caught by checksums at load and
-      repaired by [eval fsck].
-    - [Torn_fsync]: the sync "succeeds" but the tail of the record it
-      claimed durable is dropped from the file — the durability lie,
-      healed over on the next append so damage stays record-local.
-    - [Failed_rename]: the tmp file is written but the publishing
-      rename raises [Sys_error] — readers keep seeing the old bytes,
-      never a half-published file. *)
+    Failure semantics, as a caller observes them:
+    - a full device (ENOSPC) or an exhausted quota (EDQUOT) raises
+      {!Full} from {!append} or {!write_atomic}; callers shed or
+      degrade (the journal stops journaling, the profile sidecar drops
+      the sample).  Any other write error propagates as [Sys_error].
+    - bytes of a record that landed before the device refused the
+      rest stay in the file as a torn tail; the next append on the
+      same handle heals it with a newline first, exactly like a
+      crashed-writer reopen, so the damage stays confined to one
+      record.
+    - {!write_atomic} never leaves a half-written file under the final
+      name: a crash (or a failed rename) can leave only a stale
+      [path ^ ".tmp"], which [eval fsck --repair] removes.
+    - a flipped byte anywhere is caught by the record checksums at
+      load and repaired by [eval fsck]. *)
 
 (* ------------------------------------------------------------------ *)
 (* FNV-1a 64-bit — the checksum every durable format shares.  It      *)
@@ -49,25 +45,8 @@ let fnv64 (s : string) : int64 =
 let fnv64_hex s = Printf.sprintf "%016Lx" (fnv64 s)
 
 (* ------------------------------------------------------------------ *)
-(* Fault hook                                                          *)
+(* Typed failures                                                      *)
 (* ------------------------------------------------------------------ *)
-
-(** The disk fault class.  Constructors are re-exported (and seeded)
-    by [Chaos.disk_point]; metric accounting lives with the chaos
-    state so [robust.disk_injected.*] mirrors the compute and fleet
-    fault classes. *)
-type fault = Enospc | Short_write | Failed_rename | Bit_flip | Torn_fsync
-
-let fault_name = function
-  | Enospc -> "enospc"
-  | Short_write -> "short_write"
-  | Failed_rename -> "failed_rename"
-  | Bit_flip -> "bit_flip"
-  | Torn_fsync -> "torn_fsync"
-
-(** Where a probe sits: one hook consultation per record append, per
-    claimed-durable sync, and per publishing rename. *)
-type op = Append | Sync | Rename
 
 (** ENOSPC-class failure: the device refused the bytes.  The payload
     is a one-line human-readable description including the path. *)
@@ -78,18 +57,31 @@ let () =
     | Full msg -> Some (Printf.sprintf "Robust.Diskio.Full(%s)" msg)
     | _ -> None)
 
-type hook = op:op -> path:string -> fault option
+(* a full device or quota is {!Full} ([EUNKNOWNERR 122] is Linux's
+   EDQUOT, which [Unix.error] has no constructor for); every other
+   error is the [Sys_error] the channel functions raise *)
+let typed path = function
+  | Unix.Unix_error (((ENOSPC | EUNKNOWNERR 122) as e), _, _) ->
+      Full (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  | Unix.Unix_error (e, _, _) ->
+      Sys_error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  | e -> e
 
-(* disabled by default: the happy path costs one ref read per op *)
-let fault_hook : hook option ref = ref None
-
-(** Install (or clear, with [None]) the ambient fault hook.  Every
-    append/sync/rename in the process consults it — including the
-    forked fleet workers, which inherit it across [fork]. *)
-let set_fault_hook h = fault_hook := h
-
-let probe ~op ~path =
-  match !fault_hook with None -> None | Some h -> h ~op ~path
+(* [s] at the end of [fd], one write(2) per 64-KiB chunk (every record
+   this repo writes is one chunk), retried on EINTR; [landed n] is told
+   each time the first [n] bytes are in.  Raises {!typed}'s
+   exception. *)
+let write_all ~path ?(landed = ignore) fd s =
+  let n = String.length s in
+  let rec go off =
+    if off > 0 then landed off;
+    if off < n then
+      match Unix.single_write_substring fd s off (n - off) with
+      | k -> go (off + k)
+      | exception Unix.Unix_error (EINTR, _, _) -> go off
+      | exception e -> raise (typed path e)
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -97,39 +89,25 @@ let probe ~op ~path =
 
 let m_appends = Telemetry.Metrics.counter "diskio.appends"
 let m_bytes = Telemetry.Metrics.counter "diskio.bytes"
-let m_syncs = Telemetry.Metrics.counter "diskio.syncs"
 let m_atomic = Telemetry.Metrics.counter "diskio.atomic_writes"
-let m_renames = Telemetry.Metrics.counter "diskio.renames"
 let m_reads = Telemetry.Metrics.counter "diskio.reads"
 
 (* ------------------------------------------------------------------ *)
 (* Append handles                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** How much durability an append buys before it returns:
-    [`None] leaves bytes in the channel buffer (callers flush on
-    close), [`Flush] pushes them to the kernel (survives the process
-    dying), [`Fsync] additionally fsyncs (survives the machine
-    dying).  Journals default to [`Flush] — the historical
-    behavior. *)
-type sync_policy = [ `None | `Flush | `Fsync ]
-
 type handle = {
-  h_oc : out_channel;
+  h_fd : Unix.file_descr;
   h_path : string;
-  h_sync : sync_policy;
   mutable h_torn : bool;
-      (* an injected short write / torn fsync left the file without a
-         trailing newline; heal before the next append so the damage
-         stays confined to one record *)
+      (* the file does not end in '\n' (a crashed writer's tail, or
+         the prefix of a record the device refused): the next record
+         starts with a newline so the damage stays in one record *)
 }
 
-let handle_path h = h.h_path
-
 (* a well-formed record file ends in '\n'; anything else is the torn
-   tail of a crashed append — terminate it so new records never fuse
-   with the torn bytes.  (The journal writer and the profile sidecar
-   both heal through here.) *)
+   tail of a crashed append.  (The journal writer and the profile
+   sidecar both heal through here.) *)
 let ends_torn path =
   Sys.file_exists path
   && (let ic = open_in_bin path in
@@ -142,123 +120,66 @@ let ends_torn path =
       close_in ic;
       torn)
 
-(** Open [path] for record appends, healing a torn tail first. *)
-let open_append ?(sync : sync_policy = `Flush) path : handle =
+(** Open [path] for record appends.  A torn tail is healed by the
+    first append, in the same write, so opening writes nothing. *)
+let open_append path : handle =
   let torn = ends_torn path in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
+  let fd =
+    try Unix.openfile path [ O_WRONLY; O_APPEND; O_CREAT ] 0o644
+    with e -> raise (typed path e)
   in
-  if torn then output_char oc '\n';
-  { h_oc = oc; h_path = path; h_sync = sync; h_torn = false }
+  { h_fd = fd; h_path = path; h_torn = torn }
 
-let flip_byte s =
-  let i = String.length s / 2 in
-  let b = Bytes.of_string s in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-  Bytes.to_string b
-
-(* apply the sync policy; a firing [Torn_fsync] probe truncates the
-   tail of the [wrote]-byte record the sync just claimed durable *)
-let do_sync h ~wrote =
-  match h.h_sync with
-  | `None -> ()
-  | (`Flush | `Fsync) as s ->
-      flush h.h_oc;
-      Telemetry.Metrics.incr m_syncs;
-      let fd = Unix.descr_of_out_channel h.h_oc in
-      (match probe ~op:Sync ~path:h.h_path with
-       | Some Torn_fsync when wrote > 0 ->
-           let size = (Unix.fstat fd).Unix.st_size in
-           let cut = min size ((wrote / 2) + 1) in
-           Unix.ftruncate fd (size - cut);
-           h.h_torn <- true
-       | _ -> ());
-      if s = `Fsync then Unix.fsync fd
+(* write [s] after the newline a torn tail is owed, in one write, and
+   track whether the file now ends mid-record *)
+let write_record h s =
+  let s = if h.h_torn then "\n" ^ s else s in
+  write_all ~path:h.h_path h.h_fd s
+    ~landed:(fun n -> h.h_torn <- s.[n - 1] <> '\n')
 
 (** Append one complete record (the caller includes any trailing
-    newline) and apply the handle's sync policy.  Raises {!Full} on
-    an (injected) ENOSPC or short write. *)
+    newline).  It reaches the kernel before [append] returns, so it
+    survives the process dying.  Raises {!Full} on ENOSPC or EDQUOT;
+    a prefix that landed first is healed over by the next append. *)
 let append h s =
-  if h.h_torn then begin
-    output_char h.h_oc '\n';
-    h.h_torn <- false
-  end;
-  (match probe ~op:Append ~path:h.h_path with
-   | Some Enospc ->
-       raise (Full (Printf.sprintf "%s: no space left on device" h.h_path))
-   | Some Short_write ->
-       output_string h.h_oc (String.sub s 0 (String.length s / 2));
-       flush h.h_oc;
-       h.h_torn <- true;
-       raise
-         (Full (Printf.sprintf "%s: short write (device full)" h.h_path))
-   | Some Bit_flip -> output_string h.h_oc (flip_byte s)
-   | _ -> output_string h.h_oc s);
+  write_record h s;
   Telemetry.Metrics.incr m_appends;
-  Telemetry.Metrics.add m_bytes (String.length s);
-  do_sync h ~wrote:(String.length s)
+  Telemetry.Metrics.add m_bytes (String.length s)
 
-(** Test helper: write [s] verbatim (no newline, no fault probes) and
-    flush — simulates a crash between [output] and the terminator. *)
-let append_torn h s =
-  output_string h.h_oc s;
-  flush h.h_oc
+(** Test helper: write [s] verbatim (no newline) — simulates a crash
+    between writing a record and its terminator. *)
+let append_torn h s = write_record h s
 
-let close h =
-  (try do_sync h ~wrote:0 with Full _ -> ());
-  close_out h.h_oc
+let close h = Unix.close h.h_fd
 
 (* ------------------------------------------------------------------ *)
 (* Atomic publication and reads                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Rename [src] over [dst] (a publishing rename).  A firing
-    [Failed_rename] probe leaves [src] in place and raises
-    [Sys_error] — exactly what a remote filesystem does. *)
-let rename ~src ~dst =
-  (match probe ~op:Rename ~path:dst with
-   | Some Failed_rename ->
-       raise
-         (Sys_error
-            (Printf.sprintf "%s -> %s: rename failed (injected)" src dst))
-   | _ -> ());
-  Sys.rename src dst;
-  Telemetry.Metrics.incr m_renames
-
 (** Write [contents] under [path] via tmp+rename, fsync before the
-    publish: a crash (or fault) can leave a stale [path ^ ".tmp"] but
-    never a torn file under the final name.  Raises {!Full} on
-    ENOSPC/short write and [Sys_error] on a failed rename. *)
+    publish: a crash can leave a stale [path ^ ".tmp"] but never a
+    torn file under the final name.  Raises {!Full} on ENOSPC or
+    EDQUOT (the partial tmp is removed) and [Sys_error] on any other
+    failure, a failed rename included (the tmp stays behind). *)
 let write_atomic ~path contents =
   let tmp = path ^ ".tmp" in
-  (match probe ~op:Append ~path with
-   | Some Enospc ->
-       raise (Full (Printf.sprintf "%s: no space left on device" path))
-   | Some Short_write ->
-       let oc = open_out_bin tmp in
-       output_string oc
-         (String.sub contents 0 (String.length contents / 2));
-       close_out oc;
-       raise (Full (Printf.sprintf "%s: short write (device full)" path))
-   | fault ->
-       let contents =
-         match fault with
-         | Some Bit_flip when String.length contents > 0 ->
-             flip_byte contents
-         | _ -> contents
-       in
-       let oc = open_out_bin tmp in
-       output_string oc contents;
-       flush oc;
-       let fd = Unix.descr_of_out_channel oc in
-       (match probe ~op:Sync ~path with
-        | Some Torn_fsync when String.length contents > 0 ->
-            let size = (Unix.fstat fd).Unix.st_size in
-            Unix.ftruncate fd (size - min size 8)
-        | _ -> ());
-       Unix.fsync fd;
-       close_out oc);
-  rename ~src:tmp ~dst:path;
+  (try
+     let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+     match
+       write_all ~path:tmp fd contents;
+       Unix.fsync fd
+     with
+     | () -> Unix.close fd
+     | exception e ->
+         (try Unix.close fd with Unix.Unix_error _ -> ());
+         raise e
+   with e -> (
+     match typed tmp e with
+     | Full _ as full ->
+         (try Sys.remove tmp with Sys_error _ -> ());
+         raise full
+     | e -> raise e));
+  Sys.rename tmp path;
   Telemetry.Metrics.incr m_atomic;
   Telemetry.Metrics.add m_bytes (String.length contents)
 
@@ -271,10 +192,3 @@ let read_all path =
        let s = really_input_string ic (in_channel_length ic) in
        Telemetry.Metrics.incr m_reads;
        s)
-
-(** [read_checksummed path] — the file plus its FNV-1a fingerprint,
-    for callers that compare artifact bytes (the disk soak, fsck's
-    report). *)
-let read_checksummed path =
-  let s = read_all path in
-  (s, fnv64_hex s)

@@ -11,9 +11,9 @@
     knows about lines, checksums and fingerprints — the cell payload
     codec lives with the evaluation layer.
 
-    Durability model: every {!append} writes one complete line and
-    flushes before returning, so after a crash the file is a valid
-    journal plus at most one torn final line.  {!load} skips (and
+    Durability model: every {!append} hands one complete line to the
+    kernel in one write before returning, so after a crash the file is
+    a valid journal plus at most one torn final line.  {!load} skips (and
     counts, and warns about) torn, corrupt and stale records rather
     than failing: a damaged journal costs re-running cells, never a
     wrong cached grade. *)
@@ -95,8 +95,8 @@ let line ~fingerprint ~seq ~key ~payload =
   let b = body ~fingerprint ~seq ~key ~payload in
   fnv64_hex b ^ " " ^ b ^ "\n"
 
-(** Append one record ([payload] must be a complete JSON value) and
-    flush: once [append] returns, the record survives a [kill -9].
+(** Append one record ([payload] must be a complete JSON value): once
+    [append] returns, the record survives a [kill -9].
 
     ENOSPC degradation: if the device refuses the bytes
     ({!Diskio.Full}), the writer warns once, counts the record in
@@ -203,9 +203,9 @@ let empty_load =
   { entries = []; total_lines = 0; valid = 0; corrupt = 0; truncated = 0;
     stale = 0; next_seq = 0 }
 
-(* one "<checksum> <body>" line; [last] discriminates torn-tail from
-   mid-file corruption *)
-type parsed = Valid of entry * string | Stale | Damaged
+(* one "<checksum> <body>" line; a sound record carries its
+   fingerprint *)
+type parsed = Valid of entry * string | Stale of string | Damaged
 
 let parse_line ~fingerprint line : parsed =
   let open Telemetry.Trace_check in
@@ -221,7 +221,7 @@ let parse_line ~fingerprint line : parsed =
           match (member "fp" j, member "seq" j, member "key" j,
                  member "cell" j) with
           | Some (Str fp), Some (Num seq), Some (Str key), Some cell -> (
-              if not (String.equal fp fingerprint) then Stale
+              if not (String.equal fp fingerprint) then Stale fp
               else
                 match raw_payload_of_body b with
                 | Some raw ->
@@ -229,36 +229,25 @@ let parse_line ~fingerprint line : parsed =
                 | None -> Damaged)
           | _ -> Damaged)
 
+(** The fingerprint a sound record line carries, whatever run it
+    belongs to; [None] for a damaged line. *)
+let line_fingerprint line =
+  match parse_line ~fingerprint:"" line with
+  | Valid (_, fp) | Stale fp -> Some fp
+  | Damaged -> None
+
 (** The fingerprint of the first checksummed-valid record of [path],
     whatever it is — [None] for a missing, empty or wholly damaged
     file.  Lets a resuming caller distinguish "this journal belongs to
     a different run configuration" (refuse loudly) from damage (skip
     and re-run), instead of {!load} silently treating every record as
-    stale. *)
+    stale.  Reads the file once, as {!load} does, so the read is
+    bounded by the file's size. *)
 let peek_fingerprint path : string option =
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let found = ref None in
-    (try
-       while !found = None do
-         let line = input_line ic in
-         if String.length line >= 18 && line.[16] = ' ' then begin
-           let sum = String.sub line 0 16 in
-           let b = String.sub line 17 (String.length line - 17) in
-           if String.equal sum (fnv64_hex b) then
-             match
-               Option.bind (Telemetry.Trace_check.parse_opt b)
-                 (Telemetry.Trace_check.member "fp")
-             with
-             | Some (Telemetry.Trace_check.Str fp) -> found := Some fp
-             | _ -> ()
-         end
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !found
-  end
+  else
+    List.find_map line_fingerprint
+      (String.split_on_char '\n' (Diskio.read_all path))
 
 (** Load every record of [path] that matches [fingerprint].  A missing
     file is an empty journal.  Damaged or stale lines are skipped with
@@ -304,7 +293,7 @@ let load ?(dedup = true) ?(quiet = false) ~fingerprint path : load_result =
               valid = !acc.valid + 1;
               entries = e :: !acc.entries;
               next_seq = max !acc.next_seq (e.seq + 1) }
-      | Stale ->
+      | Stale _ ->
           skip ~kind:"stale (fingerprint mismatch)" m_stale lineno;
           acc := { !acc with stale = !acc.stale + 1 }
       | Damaged when torn ->

@@ -1,29 +1,60 @@
-(** Storage-fault hardening: {!Robust.Diskio} primitives, per-fault-class
-    containment of injected disk faults under a journaled grid,
-    {!Engines.Fsck} verify/repair round-trips on deliberately damaged
-    fixtures, and ENOSPC shed-and-finish. *)
+(** Storage-failure hardening: {!Robust.Diskio} primitives, a real
+    full device under a journaled grid (shed and finish), and
+    {!Engines.Fsck} verify/repair + resume over damage inflicted on
+    finished artifacts from the test side.
+
+    A full device is [/dev/full], reached only through a symlink in
+    the test's own directory: the code under test may rename over or
+    remove that symlink, never the device, and nothing here reads it
+    with a line reader. *)
 
 let tools = [ Engines.Profile.Bap; Engines.Profile.Triton ]
 let bombs = lazy (List.map Bombs.Catalog.find [ "time_bomb"; "argvlen_bomb" ])
 let rm p = try Sys.remove p with Sys_error _ -> ()
 
-let with_hook st f =
-  Robust.Diskio.set_fault_hook (Some (Robust.Chaos.disk_hook st));
-  Fun.protect ~finally:(fun () -> Robust.Diskio.set_fault_hook None) f
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
 
-let run_grid ?journal () =
-  let journal =
-    Option.map
-      (fun path ->
-         { Engines.Eval.journal_path = path; kill_after = None;
-           kill_torn = false })
-      journal
-  in
+(* [path] becomes a symlink to the full device *)
+let to_dev_full path =
+  rm path;
+  Unix.symlink "/dev/full" path
+
+let journal_of path =
+  { Engines.Eval.journal_path = path; kill_after = None; kill_torn = false }
+
+let run_grid ?workers ?journal ?profile () =
   Engines.Eval.render_table2
-    (Engines.Eval.run_table2 ~tools ~bombs:(Lazy.force bombs) ?journal ())
+    (Engines.Eval.run_table2 ~tools ~bombs:(Lazy.force bombs) ?workers
+       ?journal:(Option.map journal_of journal) ?profile ())
 
-(* fault-free ground truth for the grid *)
+(* fault-free ground truth: the grid's table and its journal bytes *)
 let baseline = lazy (run_grid ())
+
+let baseline_journal =
+  lazy
+    (let path = "disk_test_base.jsonl" in
+     rm path;
+     ignore (run_grid ~journal:path () : string);
+     let bytes = Robust.Diskio.read_all path in
+     rm path;
+     bytes)
+
+let shed () = Telemetry.Metrics.counter_value "journal.shed"
+
+(* fsck --repair over [paths], then a clean verify of [path] and a
+   resume off it: the table and the journal bytes must both be the
+   fault-free run's *)
+let repair_and_resume ~what path paths =
+  ignore (Engines.Fsck.scan ~repair:true paths : Engines.Fsck.report list);
+  Alcotest.(check int) (what ^ ": repaired journal verifies clean") 0
+    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
+  Alcotest.(check string) (what ^ ": resumed table")
+    (Lazy.force baseline)
+    (run_grid ~journal:path ());
+  Alcotest.(check string) (what ^ ": resumed journal bytes")
+    (Lazy.force baseline_journal)
+    (Robust.Diskio.read_all path)
 
 (* ---------------- diskio primitives ---------------- *)
 
@@ -31,68 +62,126 @@ let diskio_roundtrip () =
   let path = "disk_test_rt.dat" in
   rm path;
   Robust.Diskio.write_atomic ~path "hello\nworld\n";
-  let contents, sum = Robust.Diskio.read_checksummed path in
-  Alcotest.(check string) "contents" "hello\nworld\n" contents;
-  Alcotest.(check string) "checksum"
-    (Robust.Diskio.fnv64_hex "hello\nworld\n") sum;
+  Alcotest.(check string) "contents" "hello\nworld\n"
+    (Robust.Diskio.read_all path);
   let h = Robust.Diskio.open_append path in
   Robust.Diskio.append h "more\n";
+  (* bytes that end mid-record are healed over by the next append *)
+  Robust.Diskio.append_torn h "tor";
+  Robust.Diskio.append h "next\n";
   Robust.Diskio.close h;
-  Alcotest.(check string) "appended" "hello\nworld\nmore\n"
+  Alcotest.(check string) "appended" "hello\nworld\nmore\ntor\nnext\n"
+    (Robust.Diskio.read_all path);
+  (* a torn tail found on open is healed by the first append *)
+  Robust.Diskio.write_atomic ~path "crashed mid-rec";
+  let h = Robust.Diskio.open_append path in
+  Robust.Diskio.append h "after\n";
+  Robust.Diskio.close h;
+  Alcotest.(check string) "healed on open" "crashed mid-rec\nafter\n"
     (Robust.Diskio.read_all path);
   rm path
 
-(* ---------------- per-fault-class containment ----------------
-   One exactly-placed fault during a journaled grid run: the run's
-   table must not change (results live in memory; the journal is a
-   cache), the fire must be accounted, and fsck --repair + resume
-   must reconstruct the same table from what survives on disk. *)
-
-let fault_containment fault () =
-  let path = "disk_test_fault.jsonl" in
+(* a real ENOSPC is the typed Full, from an append and from an atomic
+   publish, and leaves nothing half done *)
+let diskio_full_device () =
+  let path = "disk_test_dev_full.dat" in
+  to_dev_full path;
+  let h = Robust.Diskio.open_append path in
+  (match Robust.Diskio.append h "record\n" with
+   | () -> Alcotest.fail "an append to a full device must fail"
+   | exception Robust.Diskio.Full _ -> ());
+  Robust.Diskio.close h;
   rm path;
-  rm (path ^ ".tmp");
-  let st =
-    Robust.Chaos.io_state ~seed:5L
-      (Robust.Chaos.Arms [ (fault, 2) ])
-  in
-  let table = with_hook st (fun () -> run_grid ~journal:path ()) in
-  Alcotest.(check string) "faulted run's table unchanged"
-    (Lazy.force baseline) table;
-  Alcotest.(check bool) "fault fired and was accounted" true
-    (List.mem_assoc fault (Robust.Chaos.io_fired st));
-  ignore
-    (Engines.Fsck.scan ~repair:true [ path ] : Engines.Fsck.report list);
-  Alcotest.(check int) "repaired journal verifies clean" 0
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
-  Alcotest.(check string) "resume off the repaired journal"
-    (Lazy.force baseline)
-    (run_grid ~journal:path ());
-  rm path
-
-let enospc_containment = fault_containment Robust.Chaos.Enospc
-let short_write_containment = fault_containment Robust.Chaos.Short_write
-let bit_flip_containment = fault_containment Robust.Chaos.Bit_flip
-let torn_fsync_containment = fault_containment Robust.Chaos.Torn_fsync
-
-(* a failed rename must leave the published target untouched and only
-   a stale tmp behind, which fsck --repair clears *)
-let failed_rename_containment () =
-  let path = "disk_test_rename.dat" in
-  rm path;
-  rm (path ^ ".tmp");
   Robust.Diskio.write_atomic ~path "first\n";
-  let st =
-    Robust.Chaos.io_state ~seed:5L
-      (Robust.Chaos.Arms [ (Robust.Chaos.Failed_rename, 1) ])
-  in
-  (match
-     with_hook st (fun () -> Robust.Diskio.write_atomic ~path "second\n")
-   with
-   | () -> Alcotest.fail "armed rename should have failed"
-   | exception Sys_error _ -> ());
+  to_dev_full (path ^ ".tmp");
+  (match Robust.Diskio.write_atomic ~path "second\n" with
+   | () -> Alcotest.fail "a publish through a full device must fail"
+   | exception Robust.Diskio.Full _ -> ());
   Alcotest.(check string) "published target untouched" "first\n"
     (Robust.Diskio.read_all path);
+  Alcotest.(check bool) "the refused tmp is removed" false
+    (Sys.file_exists (path ^ ".tmp"));
+  rm path
+
+(* ---------------- a real full device ----------------
+   The profile sidecar is a symlink to /dev/full: every sample append
+   meets a real ENOSPC.  The sidecar drops its samples and the grid
+   finishes with the fault-free table, at 1 and 2 workers. *)
+
+let sidecar_enospc () =
+  let sidecar = "disk_test_full_profile.jsonl" in
+  List.iter
+    (fun workers ->
+       to_dev_full sidecar;
+       Alcotest.(check string)
+         (Printf.sprintf "%d worker(s): a full --profile sidecar drops its \
+                          samples" workers)
+         (Lazy.force baseline)
+         (run_grid ~workers ~profile:sidecar ()))
+    [ 1; 2 ];
+  rm sidecar
+
+(* ---------------- damage to a finished journal ----------------
+   What a short write, a lying fsync or bit rot leaves behind, made
+   by hand on a finished journal: fsck --repair and a resume must
+   rebuild the fault-free table and journal byte for byte. *)
+
+let finished_journal path =
+  rm path;
+  rm (path ^ ".tmp");
+  ignore (run_grid ~journal:path () : string);
+  Robust.Diskio.read_all path
+
+(* the byte range [start, stop) of record [i] (0-based), newline
+   excluded *)
+let record_span raw i =
+  let rec start k pos =
+    if k = 0 then pos else start (k - 1) (String.index_from raw pos '\n' + 1)
+  in
+  let s = start i 0 in
+  (s, String.index_from raw s '\n')
+
+let damage_containment damage () =
+  let path = "disk_test_damage.jsonl" in
+  let raw = finished_journal path in
+  write_file path (damage raw (record_span raw 1));
+  repair_and_resume ~what:"damaged" path [ path ]
+
+(* a prefix of the second record landed, then the device was full *)
+let short_write =
+  damage_containment (fun raw (s, e) -> String.sub raw 0 ((s + e) / 2))
+
+(* the second record's tail was claimed durable and lost; the next
+   append healed over it *)
+let torn_fsync =
+  damage_containment (fun raw (s, e) ->
+      let cut = (s + e) / 2 in
+      String.sub raw 0 cut ^ String.sub raw e (String.length raw - e))
+
+let flip raw i =
+  let b = Bytes.of_string raw in
+  Bytes.set b i (Char.chr (Char.code raw.[i] lxor 0x10));
+  Bytes.to_string b
+
+(* one byte of the second record flipped silently *)
+let bit_flip = damage_containment (fun raw (s, e) -> flip raw ((s + e) / 2))
+
+(* rename(2) onto a non-empty directory fails: the target is
+   untouched, only a stale tmp stays behind, and fsck --repair clears
+   it *)
+let failed_rename () =
+  let path = "disk_test_rename.dir" in
+  let inner = Filename.concat path "keep" in
+  rm inner;
+  (try Sys.rmdir path with Sys_error _ -> ());
+  rm (path ^ ".tmp");
+  Sys.mkdir path 0o755;
+  close_out (open_out_bin inner);
+  (match Robust.Diskio.write_atomic ~path "second\n" with
+   | () -> Alcotest.fail "rename onto a non-empty directory must fail"
+   | exception Sys_error _ -> ());
+  Alcotest.(check bool) "target untouched" true
+    (Sys.is_directory path && Sys.file_exists inner);
   Alcotest.(check bool) "tmp left behind" true
     (Sys.file_exists (path ^ ".tmp"));
   let reports = Engines.Fsck.scan ~repair:true [ path ^ ".tmp" ] in
@@ -100,6 +189,33 @@ let failed_rename_containment () =
     (Engines.Fsck.exit_code ~repair:true reports);
   Alcotest.(check bool) "tmp removed" false
     (Sys.file_exists (path ^ ".tmp"));
+  rm inner;
+  Sys.rmdir path
+
+(* 30 seeds, each 1-3 damages to a finished 4-cell journal: a byte
+   flipped anywhere, a truncation at any offset, or a stale tmp *)
+let seeded_damage () =
+  let path = "disk_test_seeded.jsonl" in
+  let tmp = path ^ ".tmp" in
+  let raw = finished_journal path in
+  for seed = 1 to 30 do
+    let rng = Random.State.make [| seed |] in
+    let damaged = ref raw in
+    for _ = 1 to 1 + Random.State.int rng 3 do
+      let len = String.length !damaged in
+      match Random.State.int rng 3 with
+      | 0 when len > 0 -> damaged := flip !damaged (Random.State.int rng len)
+      | 0 | 1 ->
+          damaged := String.sub !damaged 0 (Random.State.int rng (len + 1))
+      | _ -> write_file tmp "stale"
+    done;
+    write_file path !damaged;
+    repair_and_resume
+      ~what:(Printf.sprintf "seed %d" seed)
+      path
+      (if Sys.file_exists tmp then [ path; tmp ] else [ path ]);
+    Alcotest.(check bool) "no tmp left" false (Sys.file_exists tmp)
+  done;
   rm path
 
 (* ---------------- fsck round-trips on damaged fixtures ------------- *)
@@ -218,38 +334,68 @@ let fsck_profile_first_byte () =
     (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
   rm path
 
-(* ---------------- ENOSPC mid-grid: shed and finish ---------------- *)
+(* a repair that meets a full device reports the file unrepairable
+   (exit 2) instead of raising, and leaves the damage for a retry *)
+let fsck_repair_on_full_device () =
+  let path = "disk_test_fsck_full.jsonl" in
+  let raw = finished_journal path in
+  let damaged = flip raw 0 ^ "torn" in
+  write_file path damaged;
+  to_dev_full (path ^ ".tmp");
+  Alcotest.(check int) "unrepairable (exit 2)" 2
+    (Engines.Fsck.exit_code ~repair:true
+       (Engines.Fsck.scan ~repair:true [ path ]));
+  Alcotest.(check string) "journal untouched" damaged
+    (Robust.Diskio.read_all path);
+  rm (path ^ ".tmp");
+  rm path
+
+(* ---------------- ENOSPC mid-grid: shed and finish ----------------
+   The journal is a symlink to /dev/full: the first append, after the
+   first cell finishes, meets a real ENOSPC.  The grid must finish
+   with the fault-free table, shedding its journal writes, at 1 and 2
+   workers; a resume onto a real file must then rebuild table and
+   journal. *)
 
 let enospc_shed_and_finish () =
-  let path = "disk_test_shed.jsonl" in
-  rm path;
-  let shed0 = Telemetry.Metrics.counter_value "journal.shed" in
-  let st =
-    Robust.Chaos.io_state ~seed:9L
-      (Robust.Chaos.Arms [ (Robust.Chaos.Enospc, 2) ])
-  in
-  let table = with_hook st (fun () -> run_grid ~journal:path ()) in
-  Alcotest.(check string) "grid finishes with identical grades"
-    (Lazy.force baseline) table;
-  Alcotest.(check bool) "shed records counted (journal.shed)" true
-    (Telemetry.Metrics.counter_value "journal.shed" > shed0);
-  Alcotest.(check string) "resume re-runs the unjournaled cells"
-    (Lazy.force baseline)
-    (run_grid ~journal:path ());
+  let path = "disk_test_full.jsonl" in
+  List.iter
+    (fun workers ->
+       let what = Printf.sprintf "%d worker(s)" workers in
+       rm (path ^ ".tmp");
+       to_dev_full path;
+       let shed0 = shed () in
+       Alcotest.(check string) (what ^ ": grid finishes, same table")
+         (Lazy.force baseline)
+         (run_grid ~workers ~journal:path ());
+       Alcotest.(check bool) (what ^ ": journal.shed counts the shed") true
+         (shed () > shed0);
+       (* space comes back: the journal is an empty file *)
+       rm path;
+       close_out (open_out_bin path);
+       Alcotest.(check string) (what ^ ": resumed table")
+         (Lazy.force baseline)
+         (run_grid ~workers ~journal:path ());
+       Alcotest.(check string) (what ^ ": resumed journal bytes")
+         (Lazy.force baseline_journal)
+         (Robust.Diskio.read_all path))
+    [ 1; 2 ];
   rm path
 
 let () =
   Alcotest.run "disk"
     [ ("diskio",
        [ Alcotest.test_case "atomic write + append round trip" `Quick
-           diskio_roundtrip ]);
+           diskio_roundtrip;
+         Alcotest.test_case "full device raises Full" `Quick
+           diskio_full_device ]);
       ("containment",
-       [ Alcotest.test_case "enospc" `Quick enospc_containment;
-         Alcotest.test_case "short write" `Quick short_write_containment;
-         Alcotest.test_case "bit flip" `Quick bit_flip_containment;
-         Alcotest.test_case "torn fsync" `Quick torn_fsync_containment;
-         Alcotest.test_case "failed rename" `Quick
-           failed_rename_containment ]);
+       [ Alcotest.test_case "enospc" `Quick sidecar_enospc;
+         Alcotest.test_case "short write" `Quick short_write;
+         Alcotest.test_case "bit flip" `Quick bit_flip;
+         Alcotest.test_case "torn fsync" `Quick torn_fsync;
+         Alcotest.test_case "failed rename" `Quick failed_rename;
+         Alcotest.test_case "30 seeded damage plans" `Quick seeded_damage ]);
       ("fsck",
        [ Alcotest.test_case "journal verify/repair round trip" `Quick
            fsck_journal_roundtrip;
@@ -258,7 +404,9 @@ let () =
          Alcotest.test_case "profile sidecar with a flipped first byte"
            `Quick fsck_profile_first_byte;
          Alcotest.test_case "stale tmp beside its journal" `Quick
-           fsck_tmp_beside_journal ]);
+           fsck_tmp_beside_journal;
+         Alcotest.test_case "repair on a full device" `Quick
+           fsck_repair_on_full_device ]);
       ("enospc",
        [ Alcotest.test_case "shed and finish mid-grid" `Quick
            enospc_shed_and_finish ]) ]

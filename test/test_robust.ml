@@ -134,24 +134,6 @@ let cancellation_probe_sets_flag () =
     (exhausted_resource (fun () -> Robust.Meter.checkpoint m)
      = Some Robust.Meter.Cancelled)
 
-(* the first 64 Rate-mode disk-fault decisions of one seed, probing
-   each point in turn: a seed must keep firing the same faults at the
-   same probe hits *)
-let decisions fires points =
-  let pts = Array.of_list points in
-  String.init 64 (fun i ->
-      if fires pts.(i mod Array.length pts) then '1' else '0')
-
-let io_decisions_pinned () =
-  let disk =
-    Robust.Chaos.io_state ~seed:0xD15CL
-      (Robust.Chaos.Rate
-         { rate = 0.3; points = Robust.Chaos.all_disk_points })
-  in
-  Alcotest.(check string) "disk class, seed 0xD15C"
-    "0000000000000000101000100001010100100010010000001010011011001100"
-    (decisions (Robust.Chaos.io_fires disk) Robust.Chaos.all_disk_points)
-
 (* ---------------- session rollback ---------------- *)
 
 let v x = Smt.Expr.var ~width:8 x
@@ -687,9 +669,7 @@ let () =
          Alcotest.test_case "probe fires at nth hit" `Quick
            probe_fires_at_nth_hit;
          Alcotest.test_case "cancellation sets flag" `Quick
-           cancellation_probe_sets_flag;
-         Alcotest.test_case "IO fault decisions pinned per seed" `Quick
-           io_decisions_pinned ]);
+           cancellation_probe_sets_flag ]);
       ("session",
        [ Alcotest.test_case "rollback on budget fault" `Quick
            session_rollback_on_budget_fault;
