@@ -48,7 +48,7 @@ let parse_policy budget_spec retries backoff =
           Printf.eprintf "bad --budget: %s\n" e;
           exit 2)
   in
-  { Engines.Supervisor.default_policy with budget; retries; backoff }
+  { Engines.Supervisor.budget; retries; backoff }
 
 (* a simulated crash (--kill-after) must look like a death, not a
    clean exit: distinctive code, no table output *)
@@ -321,56 +321,6 @@ let run_negative () =
 
 let run_table1 () = print_string (Engines.Eval.render_table1 ())
 
-(* chaos: seeded fault-injection soak over supervised cells.  The
-   seed comes from --seed, else a fixed default so bare runs are
-   reproducible *)
-let run_chaos no_incremental seed plans tools_filter bombs_filter verbose =
-  let tools =
-    match tools_filter with
-    | [] -> Engines.Supervisor.default_soak_tools
-    | _ -> parse_tools tools_filter
-  in
-  let bombs =
-    match bombs_filter with
-    | [] -> Engines.Supervisor.default_soak_bombs
-    | names -> names
-  in
-  if verbose then
-    List.iter
-      (fun i ->
-         Printf.printf "plan %d: %s\n" i
-           (Format.asprintf "%a" Robust.Chaos.pp_plan
-              (Robust.Chaos.plan_of_seed (Int64.add seed (Int64.of_int i)))))
-      (List.init plans (fun i -> i));
-  let report =
-    Engines.Supervisor.soak ~incremental:(not no_incremental) ~tools ~bombs
-      ~seed ~plans ()
-  in
-  print_string (Engines.Supervisor.render_soak report);
-  Printf.printf "robust counters:\n";
-  List.iter
-    (fun (name, reading) ->
-       if String.length name >= 7 && String.sub name 0 7 = "robust." then
-         match reading with
-         | Telemetry.Metrics.Vcounter n when n > 0 ->
-           Printf.printf "  %-32s %d\n" name n
-         | _ -> ())
-    (Telemetry.Metrics.snapshot ());
-  (* CI gate: a containment violation — or a soak that injected
-     nothing at all, which would make the gate vacuous — fails the
-     run with a nonzero exit *)
-  if not (Engines.Supervisor.contained report) then begin
-    Printf.eprintf "chaos: containment check FAILED\n";
-    exit 1
-  end;
-  if plans > 0 && report.Engines.Supervisor.faults_fired = 0 then begin
-    Printf.eprintf
-      "chaos: %d plans fired no faults — soak did not exercise \
-       containment\n"
-      plans;
-    exit 1
-  end
-
 (* --explain: run one cell under span tracing, print the Es-stage
    diagnosis, then render/dump the trace through the chosen sinks *)
 let run_explain no_incremental no_ladder budget_spec bomb_name tool_name sinks
@@ -495,8 +445,9 @@ let budget_arg =
          ~doc:
            "Per-cell resource budget, e.g. \
             $(b,vm=200000,lift=50000,smt=2000,nodes=100000,taint=100000,wall=2.5) \
-            (wall in seconds). A tripped budget grades the cell E (or \
-            P for cancellation) instead of aborting the run.")
+            (wall in seconds). A tripped budget grades the cell E (P \
+            when the degradation ladder decides a tripped solver check) \
+            instead of aborting the run.")
 
 let retries_arg =
   Arg.(value & opt int 0
@@ -738,29 +689,6 @@ let profile_cmd =
           per bomb x tool, and the Es-stage x resource correlation")
     Term.(const run_profile $ path_arg $ top_arg)
 
-let chaos_cmd =
-  let seed_arg =
-    Arg.(value & opt int64 0xC0FFEEL
-         & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Chaos seed deriving the fault plans (default 0xC0FFEE)")
-  in
-  let plans_arg =
-    Arg.(value & opt int 50
-         & info [ "plans" ] ~doc:"Number of seed-derived fault plans")
-  in
-  let verbose_arg =
-    Arg.(value & flag
-         & info [ "v"; "verbose" ] ~doc:"Print every derived fault plan")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Seeded fault-injection soak: run supervised cells under \
-          deterministically derived fault plans and verify every \
-          injected fault is contained to its cell (exit 1 otherwise).")
-    Term.(const run_chaos $ no_incremental_arg $ seed_arg $ plans_arg
-          $ tools_arg $ bombs_arg $ verbose_arg)
-
 let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table I")
     Term.(const run_table1 $ const ())
@@ -899,6 +827,6 @@ let () =
   exit (Cmd.eval (Cmd.group ~default:explain_term info
                     [ table1_cmd; table2_cmd; resume_cmd; fig3_cmd;
                       sizes_cmd; negative_cmd; validate_trace_cmd;
-                      chaos_cmd; debug_cmd; serve_cmd; submit_cmd;
-                      drain_cmd; health_cmd; metrics_cmd; profile_cmd;
-                      fsck_cmd; all_cmd ]))
+                      debug_cmd; serve_cmd; submit_cmd; drain_cmd;
+                      health_cmd; metrics_cmd; profile_cmd; fsck_cmd;
+                      all_cmd ]))

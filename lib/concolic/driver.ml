@@ -117,7 +117,7 @@ let explore ?(seed = "5") (config : config) (target : target) : verdict =
      while !solved = None && !iterations < config.max_iterations do
        incr iterations;
        (* each iteration records and replays a whole trace, so poll the
-          cancellation/deadline gate once per iteration *)
+          deadline once per iteration *)
        Robust.Meter.checkpoint_ambient ();
        let input =
          match Queue.take_opt worklist with

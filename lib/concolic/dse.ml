@@ -600,7 +600,7 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
            raise Exit
          end;
          t.total_steps <- t.total_steps + 1;
-         (* amortized cancellation/deadline poll for the DSE walk; the
+         (* amortized deadline poll for the DSE walk; the
             per-instruction budgets are charged by the lifter and
             session layers this loop calls into *)
          if t.total_steps land 0xFF = 0 then Robust.Meter.checkpoint_ambient ();

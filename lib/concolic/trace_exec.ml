@@ -217,9 +217,9 @@ let run (config : config) ?session ?(sources : source list option)
   in
   Trace.iteri trace
     (fun idx ev ->
-       (* cooperative cancellation/deadline poll, amortized over the
-          replay loop (budget charging itself happens in the lifter
-          and taint layers this loop drives) *)
+       (* deadline poll, amortized over the replay loop (budget
+          charging itself happens in the lifter and taint layers this
+          loop drives) *)
        if idx land 0xFFF = 0 then Robust.Meter.checkpoint_ambient ();
        match ev with
        | Vm.Event.Exec e ->

@@ -12,7 +12,7 @@ type cell_result = {
   graded : Grade.graded;
   robust : Supervisor.outcome;
       (** supervision record: cause/stage of a degraded cell, retry
-          count, chaos faults fired *)
+          count *)
 }
 
 type table2_result = {
@@ -31,9 +31,9 @@ let cell_of_outcome tool (bomb : Bombs.Common.t) (o : Supervisor.outcome) =
     graded = o.Supervisor.graded;
     robust = o }
 
-(** One supervised cell.  With the default policy (no budgets, no
-    chaos) the measured cell is exactly {!Grade.run_cell}'s — the
-    supervisor only isolates crashes. *)
+(** One supervised cell.  With the default policy (no budgets) the
+    measured cell is exactly {!Grade.run_cell}'s — the supervisor only
+    isolates crashes. *)
 let run_cell ?incremental ?ladder ?policy tool bomb : cell_result =
   cell_of_outcome tool bomb
     (Supervisor.run_cell ?incremental ?ladder ?policy tool bomb)
@@ -60,8 +60,8 @@ let cell_key tool (bomb : Bombs.Common.t) =
   Profile.name tool ^ "/" ^ bomb.name
 
 (** Run fingerprint: any component changing (tool set, bomb catalog
-    content, budget/retry/chaos policy, incremental flag, ladder
-    shape) makes previously journaled cells stale. *)
+    content, budget/retry policy, incremental flag, ladder shape)
+    makes previously journaled cells stale. *)
 let journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs () =
   let policy = Option.value ~default:Supervisor.default_policy policy in
   let ladder =
@@ -73,10 +73,7 @@ let journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs () =
        "ladder=" ^ Smt.Degrade.ladder_to_string ladder;
        "budget=" ^ Robust.Budget.to_string policy.Supervisor.budget;
        Printf.sprintf "retries=%d" policy.Supervisor.retries;
-       Printf.sprintf "backoff=%g" policy.Supervisor.backoff;
-       (match policy.Supervisor.chaos with
-        | None -> "chaos=none"
-        | Some p -> Format.asprintf "chaos=%a" Robust.Chaos.pp_plan p) ]
+       Printf.sprintf "backoff=%g" policy.Supervisor.backoff ]
      @ List.map Profile.name tools
      @ List.concat_map
          (fun (b : Bombs.Common.t) ->
@@ -125,8 +122,7 @@ let outcome_of_failure ~attempts (f : Fleet.Pool.failure) :
         work = 0 };
     cause = Some cause;
     stage = Supervisor.stage_of_cause cause;
-    attempts;
-    fired = [] }
+    attempts }
 
 (* one fresh cell as either executor hands it back: the outcome, its
    profile sample when profiling, its Chrome events when tracing *)
@@ -178,8 +174,11 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
          List.map (fun tool -> (cell_key tool bomb, (tool, bomb))) tools)
       bombs
   in
+  (* the fingerprint links every bomb, so only a journaled run pays
+     for it up front; without a journal a bomb that fails to link
+     grades E in its own cell *)
   let fp =
-    journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs ()
+    lazy (journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs ())
   in
   (* replay every journaled cell before running any *)
   let replayable : (string, Supervisor.outcome) Hashtbl.t =
@@ -188,7 +187,8 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
   let loaded =
     match journal with
     | None -> Robust.Journal.empty_load
-    | Some j -> Robust.Journal.load ~fingerprint:fp j.journal_path
+    | Some j ->
+        Robust.Journal.load ~fingerprint:(Lazy.force fp) j.journal_path
   in
   List.iter
     (fun (e : Robust.Journal.entry) ->
@@ -225,8 +225,8 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
     Option.map
       (fun j ->
          ( j,
-           Robust.Journal.open_writer ~fingerprint:fp ~seq:loaded.next_seq
-             j.journal_path ))
+           Robust.Journal.open_writer ~fingerprint:(Lazy.force fp)
+             ~seq:loaded.next_seq j.journal_path ))
       journal
   in
   let journaled = ref 0 in
@@ -390,8 +390,8 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
        (* the appended journal is already sound; a failed reorder only
           leaves it as appended *)
        try
-         Robust.Journal.rewrite ~fingerprint:fp ~order:(List.map fst grid)
-           j.journal_path
+         Robust.Journal.rewrite ~fingerprint:(Lazy.force fp)
+           ~order:(List.map fst grid) j.journal_path
        with Robust.Diskio.Full msg | Sys_error msg ->
          Telemetry.Log.warnf "journal: grid-order rewrite failed (%s)" msg)
     writer;

@@ -45,20 +45,13 @@ let stage_blurb = function
 (** The Es-stage a tripped budget belongs to: instruction-count caps
     die while tracing/lifting (Es1), a taint-event cap dies in data
     propagation (Es2), solver and expression caps die in constraint
-    modeling (Es3).  The deadline and cancellation are whole-cell
-    conditions with no single pipeline stage. *)
+    modeling (Es3).  The deadline and a fleet's cancellation are
+    whole-cell conditions with no single pipeline stage. *)
 let stage_of_resource : Robust.Meter.resource -> stage option = function
   | Robust.Meter.Vm_steps | Robust.Meter.Lifted_insns -> Some Es1
   | Robust.Meter.Taint_events -> Some Es2
   | Robust.Meter.Solver_conflicts | Robust.Meter.Expr_nodes -> Some Es3
   | Robust.Meter.Deadline | Robust.Meter.Cancelled -> None
-
-(** The Es-stage an injected fault surfaces at, mirroring where its
-    probe point lives in the pipeline. *)
-let stage_of_point : Robust.Chaos.point -> stage option = function
-  | Robust.Chaos.Lifter_unmodeled -> Some Es1
-  | Robust.Chaos.Solver_timeout | Robust.Chaos.Alloc_failure -> Some Es3
-  | Robust.Chaos.Cancellation -> None
 
 (** Span names where each stage's failure is introduced, most specific
     first; the first recorded span matching is marked. *)
@@ -109,12 +102,9 @@ let run ?incremental ?ladder ?budget (tool : Profile.tool)
             match resource with
             | Robust.Meter.Solver_conflicts | Robust.Meter.Expr_nodes ->
               Solver_budget
-            | Robust.Meter.Cancelled -> Engine_crash "cancelled"
             | _ -> State_budget
           in
-          { Grade.cell =
-              (if resource = Robust.Meter.Cancelled then Partial
-               else Abnormal);
+          { Grade.cell = Abnormal;
             proposed = None; detonated = false; false_positive = false;
             diags = [ diag ];
             work = meter.Robust.Meter.vm_steps })

@@ -136,7 +136,8 @@ let sound_profile line =
 
 (* the first sound line tells the format, so damage to the first
    record cannot hide the whole file; with no sound line the first
-   line's shape decides (a wholly damaged journal still reads as one) *)
+   line's shape or body decides (a wholly damaged journal still reads
+   as one, even when the damage hit its checksum prefix) *)
 let detect path : kind =
   if Filename.check_suffix path ".tmp" then Stale_tmp
   else
@@ -150,16 +151,22 @@ let detect path : kind =
       else if sound_profile line <> None then Some Profile_sidecar
       else None
     in
+    let has j name = Telemetry.Trace_check.member name j <> None in
+    let record_body line =
+      let n = String.length line in
+      if n <= 17 then None
+      else Telemetry.Trace_check.parse_opt (String.sub line 17 (n - 17))
+    in
     match (List.find_map sound_kind lines, lines) with
     | Some k, _ -> k
     | None, first :: _ when looks_journal_line first -> Journal
     | None, first :: _ -> (
         match Telemetry.Trace_check.parse_opt first with
-        | Some j
-          when Telemetry.Trace_check.member "wall_us" j <> None
-               && Telemetry.Trace_check.member "key" j <> None ->
-            Profile_sidecar
-        | _ -> Unknown)
+        | Some j when has j "wall_us" && has j "key" -> Profile_sidecar
+        | _ -> (
+            match record_body first with
+            | Some j when has j "fp" && has j "key" -> Journal
+            | _ -> Unknown))
     | None, [] -> Unknown
 
 (* ------------------------------------------------------------------ *)

@@ -2,11 +2,11 @@
 
     The journal itself ({!Robust.Journal}) only moves checksummed
     lines; this module round-trips a complete supervised cell result
-    — grade, proposed input, diagnostics, cause, Es-stage, attempts,
-    chaos fires — through the payload slot.  Decoding is total:
-    anything unexpected yields [None] and the caller re-runs the cell,
-    so a hand-edited or version-skewed journal can cost work but never
-    inject a wrong grade. *)
+    — grade, proposed input, diagnostics, cause, Es-stage, attempts —
+    through the payload slot.  Decoding is total: anything unexpected
+    yields [None] and the caller re-runs the cell, so a hand-edited or
+    version-skewed journal can cost work but never inject a wrong
+    grade. *)
 
 open Concolic.Error
 
@@ -73,10 +73,8 @@ let encode_cause (c : Supervisor.cause) =
   | Supervisor.Exhausted r ->
       Printf.sprintf "{\"c\":\"exhausted\",\"r\":%s}"
         (str (Robust.Meter.resource_name r))
-  | Supervisor.Injected p ->
-      Printf.sprintf "{\"c\":\"injected\",\"p\":%s}"
-        (str (Robust.Chaos.point_name p))
-  | Supervisor.Crashed m -> Printf.sprintf "{\"c\":\"crash\",\"m\":%s}" (str m)
+  | Supervisor.Crashed m | Supervisor.Injected m ->
+      Printf.sprintf "{\"c\":\"crash\",\"m\":%s}" (str m)
   | Supervisor.Degraded rung ->
       Printf.sprintf "{\"c\":\"degraded\",\"rung\":%s}" (str rung)
 
@@ -84,19 +82,13 @@ let encode_outcome (o : Supervisor.outcome) : string =
   let g = o.graded in
   Printf.sprintf
     "{\"cell\":%s,\"proposed\":%s,\"detonated\":%b,\"false_positive\":%b,\
-     \"diags\":[%s],\"work\":%d,\"cause\":%s,\"stage\":%s,\"attempts\":%d,\
-     \"fired\":[%s]}"
+     \"diags\":[%s],\"work\":%d,\"cause\":%s,\"stage\":%s,\"attempts\":%d}"
     (encode_cell g.cell) (opt_str g.proposed) g.detonated g.false_positive
     (String.concat "," (List.map encode_diag g.diags))
     g.work
     (match o.cause with None -> "null" | Some c -> encode_cause c)
     (match o.stage with None -> "null" | Some s -> str (encode_stage s))
     o.attempts
-    (String.concat ","
-       (List.map
-          (fun (p, n) ->
-             Printf.sprintf "[%s,%d]" (str (Robust.Chaos.point_name p)) n)
-          o.fired))
 
 (* ------------------------------------------------------------------ *)
 (* Decode                                                              *)
@@ -157,11 +149,6 @@ let decode_cause j : Supervisor.cause option =
       Option.map
         (fun r -> Supervisor.Exhausted r)
         (Robust.Meter.resource_of_name r)
-  | "injected" ->
-      let* p = Option.bind (member "p" j) as_str in
-      Option.map
-        (fun p -> Supervisor.Injected p)
-        (Robust.Chaos.point_of_name p)
   | "crash" ->
       Option.map
         (fun m -> Supervisor.Crashed m)
@@ -178,15 +165,6 @@ let rec map_all f = function
       let* y = f x in
       let* ys = map_all f xs in
       Some (y :: ys)
-
-let decode_fired j =
-  match j with
-  | Arr [ p; Num n ] ->
-      let* p = as_str p in
-      Option.map
-        (fun p -> (p, int_of_float n))
-        (Robust.Chaos.point_of_name p)
-  | _ -> None
 
 let decode_outcome (j : json) : Supervisor.outcome option =
   let* cell = Option.bind (Option.bind (member "cell" j) as_str) decode_cell in
@@ -213,10 +191,7 @@ let decode_outcome (j : json) : Supervisor.outcome option =
           (Option.bind (as_str s) decode_stage)
   in
   let* attempts = Option.bind (member "attempts" j) as_int in
-  let* fired =
-    Option.bind (Option.bind (member "fired" j) as_arr) (map_all decode_fired)
-  in
   Some
     { Supervisor.graded =
         { Grade.cell; proposed; detonated; false_positive; diags; work };
-      cause; stage; attempts; fired }
+      cause; stage; attempts }

@@ -191,9 +191,9 @@ let run_angr ?incremental ?ladder ~(mode : Concolic.Dse.mode)
   match Concolic.Dse.explore (angr_config ?incremental ?ladder mode) image with
   | outcome -> attempt_of_dse outcome
   | exception e when not (Robust.is_fault e) ->
-    (* typed robust faults (budget trips, injected chaos) must reach
-       the cell supervisor for cause attribution — only unexpected
-       engine crashes degrade to an Engine_crash diag here *)
+    (* budget trips must reach the cell supervisor for cause
+       attribution — only unexpected engine crashes degrade to an
+       Engine_crash diag here *)
     { proposed = None;
       diags = [ Concolic.Error.Engine_crash (Printexc.to_string e) ];
       crashed = true;

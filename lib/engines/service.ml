@@ -89,8 +89,7 @@ let decode_request line : (request, string) Stdlib.result =
                       rq_tool = tool;
                       rq_bomb = bomb;
                       rq_policy =
-                        { Supervisor.default_policy with
-                          budget; retries; backoff };
+                        { Supervisor.budget; retries; backoff };
                       rq_incremental = bool_field "incremental" true;
                       rq_ladder = bool_field "ladder" true }))
       | _ -> Error "request needs string fields \"tool\" and \"bomb\"")

@@ -299,9 +299,9 @@ let count stmts =
     whose lifting degrades to [Special] (the Es1 failure mode —
     semantics the IR cannot model). *)
 let lift features ~next insn : stmt list =
-  (* charge the ambient budget meter (and run the unmodeled-insn chaos
-     probe) before doing the work: a tripped lifted-insn cap must stop
-     the cell here, at the paper's Es1 stage *)
+  (* charge the ambient budget meter before doing the work: a tripped
+     lifted-insn cap must stop the cell here, at the paper's Es1
+     stage *)
   Robust.Meter.lift_tick ();
   count (lift_insn features ~next insn)
 
@@ -312,8 +312,7 @@ let lift features ~next insn : stmt list =
     [(features, next, insn)], and a hit also requires the instruction
     at the pc to equal the remembered one.  [Memo.lift] ticks the meter
     and the counters on every call, exactly as {!lift} does, so
-    lifted-insn budgets, the chaos probe and every count are
-    unchanged. *)
+    lifted-insn budgets and every count are unchanged. *)
 module Memo = struct
   type entry = {
     insn : Isa.Insn.t;

@@ -9,9 +9,9 @@
     through every call site.
 
     Charging past a cap raises {!Exhausted} naming the resource that
-    tripped; {!checkpoint} additionally polls the wall-clock deadline
-    and the cooperative cancellation flag.  All charge paths are a
-    single [option] match when no meter is installed. *)
+    tripped; {!checkpoint} additionally polls the wall-clock deadline.
+    All charge paths are a single [option] match when no meter is
+    installed. *)
 
 type resource =
   | Vm_steps
@@ -21,6 +21,8 @@ type resource =
   | Taint_events
   | Deadline
   | Cancelled
+      (** never tripped by a meter: grades the cells a SIGINT-cancelled
+          fleet never dispatched *)
 
 let all_resources =
   [ Vm_steps; Lifted_insns; Solver_conflicts; Expr_nodes; Taint_events;
@@ -47,8 +49,8 @@ let resource_of_name = function
   | _ -> None
 
 (** A budget tripped: [resource] names which cap, [limit] its value,
-    [spent] the count that crossed it (0/0 for deadline and
-    cancellation, which are conditions rather than counters). *)
+    [spent] the count that crossed it (0/0 for the deadline, a
+    condition rather than a counter). *)
 exception Exhausted of { resource : resource; limit : int; spent : int }
 
 let () =
@@ -67,16 +69,13 @@ type t = {
   mutable expr_nodes : int;
   mutable taint_events : int;
   deadline_us : float option;  (** absolute monotonic deadline *)
-  mutable cancelled : bool;
-  chaos : Chaos.state option;
 }
 
-let create ?chaos budget =
+let create budget =
   { budget; vm_steps = 0; lifted_insns = 0; solver_conflicts = 0;
     expr_nodes = 0; taint_events = 0;
     deadline_us =
-      Option.map (fun w -> Telemetry.clock_us () +. w) budget.Budget.wall_us;
-    cancelled = false; chaos }
+      Option.map (fun w -> Telemetry.clock_us () +. w) budget.Budget.wall_us }
 
 let m_exhausted =
   List.map
@@ -87,20 +86,15 @@ let exhaust resource ~limit ~spent =
   Telemetry.Metrics.incr (List.assq resource m_exhausted);
   raise (Exhausted { resource; limit; spent })
 
-(** [cancel t] requests cooperative cancellation; the next
-    {!checkpoint} raises [Exhausted Cancelled]. *)
-let cancel t = t.cancelled <- true
-
 let checkpoint t =
-  if t.cancelled then exhaust Cancelled ~limit:0 ~spent:0;
   match t.deadline_us with
   | Some d when Telemetry.clock_us () > d ->
       exhaust Deadline ~limit:0 ~spent:0
   | _ -> ()
 
-(* Counter charges trip their own cap eagerly; the deadline and the
-   cancellation flag are only polled every [mask+1] charges so hot
-   loops do not pay a clock read per instruction. *)
+(* Counter charges trip their own cap eagerly; the deadline is only
+   polled every [mask+1] charges so hot loops do not pay a clock read
+   per instruction. *)
 let charged t resource spent cap mask =
   (match cap with
    | Some limit when spent > limit -> exhaust resource ~limit ~spent
@@ -128,22 +122,6 @@ let charge_taint_events t n =
   t.taint_events <- t.taint_events + n;
   charged t Taint_events t.taint_events t.budget.Budget.taint_events 0xFFF
 
-(** [probe t point] runs a chaos probe: a no-op unless the meter
-    carries a chaos state whose plan fires at this hit.  A firing
-    {!Chaos.Cancellation} sets the cancelled flag (surfacing as a
-    graded-[P] [Exhausted Cancelled] at the next checkpoint); every
-    other point raises {!Chaos.Injected} on the spot. *)
-let probe t point =
-  match t.chaos with
-  | None -> ()
-  | Some st -> (
-      match Chaos.fires st point with
-      | None -> ()
-      | Some hit -> (
-          match point with
-          | Chaos.Cancellation -> t.cancelled <- true
-          | point -> raise (Chaos.Injected { point; hit })))
-
 (* ---- ambient meter ---- *)
 
 let current : t option ref = ref None
@@ -168,9 +146,7 @@ let default m = match m with Some _ -> m | None -> ambient ()
 let lift_tick () =
   match !current with
   | None -> ()
-  | Some m ->
-      charge_lifted_insns m 1;
-      probe m Chaos.Lifter_unmodeled
+  | Some m -> charge_lifted_insns m 1
 
 let checkpoint_ambient () =
   match !current with None -> () | Some m -> checkpoint m

@@ -211,8 +211,7 @@ let attempt rung cs =
 
 (** Walk [ladder] over the constraint set; returns the verdict plus
     the name of the rung that decided it ([give_up_name] when every
-    rung declined).  Injected chaos faults and budget trips are never
-    swallowed; any other rung-internal exception just advances to the
+    rung declined).  Budget trips are never swallowed; any other rung-internal exception just advances to the
     next rung. *)
 let run ~ladder cs : verdict * string =
   let rec go = function

@@ -98,7 +98,7 @@ type t = {
   stats : Stats.t;
   meter : Robust.Meter.t option;
       (** cell budget accounting: node interning charges the
-          expr-node cap, [check] polls deadline/cancellation and
+          expr-node cap, [check] polls the deadline and
           threads the meter into the CDCL core *)
 }
 
@@ -179,12 +179,10 @@ and cons t (e : Expr.t) : interned =
   match Ktbl.find_opt t.consed k with
   | Some i -> i
   | None ->
-    (* a genuinely fresh node: charge the interned-node budget and run
-       the allocation-failure chaos probe before allocating the id *)
+    (* a genuinely fresh node: charge the interned-node budget before
+       allocating the id *)
     (match t.meter with
-     | Some m ->
-       Robust.Meter.charge_expr_nodes m 1;
-       Robust.Meter.probe m Robust.Chaos.Alloc_failure
+     | Some m -> Robust.Meter.charge_expr_nodes m 1
      | None -> ());
     let id = t.next_id in
     t.next_id <- id + 1;
@@ -356,14 +354,10 @@ let solve_uncached t (cfg : config) (cs_i : interned list) : outcome =
     feasibility pruning and a large one for final queries). *)
 let check ?config t : outcome =
   Telemetry.with_span "smt.check" @@ fun () ->
-  (* budget/chaos gate on every solver entry: the solver-timeout and
-     cancellation probes fire here, and a cancelled or past-deadline
-     cell stops before paying for blasting *)
+  (* budget gate on every solver entry: a past-deadline cell stops
+     before paying for blasting *)
   (match t.meter with
-   | Some m ->
-     Robust.Meter.probe m Robust.Chaos.Solver_timeout;
-     Robust.Meter.probe m Robust.Chaos.Cancellation;
-     Robust.Meter.checkpoint m
+   | Some m -> Robust.Meter.checkpoint m
    | None -> ());
   let cfg = Option.value ~default:t.config config in
   (* wall-clock time on the spans' clock, not process CPU time; it
@@ -411,9 +405,8 @@ let check ?config t : outcome =
               when cfg.ladder <> [] -> (
                 (* the cell budget tripped mid-solve: walk the
                    degradation ladder over the same assertion set
-                   instead of aborting the cell.  Injected chaos
-                   faults and cooperative cancellation still escape —
-                   only genuine resource exhaustion degrades. *)
+                   instead of aborting the cell.  Only these three
+                   resources degrade; any other trip escapes. *)
                 match Degrade.run ~ladder:cfg.ladder cs with
                 | Degrade.Sat m, rung when model_holds m cs ->
                   Stats.record_degraded t.stats rung;
@@ -447,10 +440,9 @@ let check ?config t : outcome =
 
 (** [set_assertions] followed by [check] — the engines' entry point.
 
-    Exception-safe: if a budget trip, injected fault, or any other
-    exception escapes mid-call, the assertion stack is rolled back to
-    its pre-call state so a failed cell cannot poison a reused
-    session.  Restoring the saved frame list is sound because
+    Exception-safe: if a budget trip or any other exception escapes
+    mid-call, the assertion stack is rolled back to its pre-call state
+    so a failed cell cannot poison a reused session.  Restoring the saved frame list is sound because
     [set_assertions] never mutates surviving frames — it only pops
     suffixes and pushes fresh frames, which the restore discards. *)
 let check_assertions ?config t cs =

@@ -759,7 +759,7 @@ let run t =
    with
    | Exit -> ()
    | e ->
-     (* a tripped budget or injected fault propagates to the cell
+     (* a tripped budget or a crash propagates to the cell
         supervisor; record the step delta before unwinding *)
      account ();
      raise e);

@@ -334,6 +334,42 @@ let fsck_profile_first_byte () =
     (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
   rm path
 
+(* the same damage to a one-record journal: no line is sound and the
+   checksum prefix no longer looks like one, so the record body tells
+   the format; verify, repair and a resume then agree *)
+let fsck_journal_first_byte () =
+  let path = "disk_test_journal_b0.jsonl" in
+  rm path;
+  let grid () =
+    Engines.Eval.render_table2
+      (Engines.Eval.run_table2 ~tools:[ Engines.Profile.Bap ]
+         ~bombs:[ Bombs.Catalog.find "time_bomb" ] ~journal:(journal_of path)
+         ())
+  in
+  let table = grid () in
+  let raw = Bytes.of_string (Robust.Diskio.read_all path) in
+  Bytes.set raw 0 'z';
+  Robust.Diskio.write_atomic ~path (Bytes.to_string raw);
+  (match Engines.Fsck.scan [ path ] with
+   | [ r ] ->
+     Alcotest.(check string) "still read as a journal" "journal"
+       (Engines.Fsck.kind_name r.Engines.Fsck.r_kind);
+     Alcotest.(check int) "no sound record" 0 r.Engines.Fsck.r_records;
+     Alcotest.(check int) "one corrupt" 1 r.Engines.Fsck.r_damaged
+   | reports ->
+     Alcotest.failf "expected one report, got %d" (List.length reports));
+  Alcotest.(check int) "verify flags damage (exit 2)" 2
+    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
+  Alcotest.(check int) "repair fixes it (exit 1)" 1
+    (Engines.Fsck.exit_code ~repair:true
+       (Engines.Fsck.scan ~repair:true [ path ]));
+  (* `eval resume` refuses a nonempty journal with no sound record;
+     the repaired one is empty, so it runs *)
+  Alcotest.(check string) "repaired journal is empty" ""
+    (Robust.Diskio.read_all path);
+  Alcotest.(check string) "resumed table" table (grid ());
+  rm path
+
 (* a repair that meets a full device reports the file unrepairable
    (exit 2) instead of raising, and leaves the damage for a retry *)
 let fsck_repair_on_full_device () =
@@ -403,6 +439,8 @@ let () =
            fsck_profile_sidecar;
          Alcotest.test_case "profile sidecar with a flipped first byte"
            `Quick fsck_profile_first_byte;
+         Alcotest.test_case "journal with a flipped first byte" `Quick
+           fsck_journal_first_byte;
          Alcotest.test_case "stale tmp beside its journal" `Quick
            fsck_tmp_beside_journal;
          Alcotest.test_case "repair on a full device" `Quick
