@@ -35,9 +35,9 @@ let parse_bombs bombs_filter =
          | None -> Cli.unknown_name "bomb" n Bombs.Catalog.names)
       names
 
-(* supervision policy off the CLI flags; an unlimited budget with no
-   retries is the default-policy fast path preserving current output *)
-let parse_policy budget_spec retries backoff =
+(* supervision policy off the CLI flags; no --budget and the default
+   ladder is the default policy, preserving the unsupervised output *)
+let parse_policy budget_spec no_ladder =
   let budget =
     match budget_spec with
     | None -> Robust.Budget.unlimited
@@ -48,11 +48,9 @@ let parse_policy budget_spec retries backoff =
           Printf.eprintf "bad --budget: %s\n" e;
           exit 2)
   in
-  { Engines.Supervisor.budget; retries; backoff }
-
-(* a simulated crash (--kill-after) must look like a death, not a
-   clean exit: distinctive code, no table output *)
-let kill_exit_code = 9
+  { Engines.Supervisor.budget;
+    ladder =
+      (if no_ladder then [] else Engines.Supervisor.default_policy.ladder) }
 
 (* --metrics-out: the deterministic engine counters (vm/smt/lifter/
    taint/concolic/dse) as "name value" lines — the fleet
@@ -76,94 +74,53 @@ let write_metrics_out path =
     (Telemetry.Metrics.snapshot ());
   Robust.Diskio.write_atomic ~path (Buffer.contents buf)
 
-let run_table2_common ~require_journal ?(force = false) no_incremental
-    no_ladder budget_spec retries backoff tools_filter bombs_filter journal
-    kill_after kill_torn workers profile fleet_trace progress metrics_out =
+let run_table2 no_incremental no_ladder budget_spec tools_filter bombs_filter
+    journal force workers profile fleet_trace progress metrics_out =
   if workers < 1 then begin
     Printf.eprintf "--workers must be >= 1\n";
     exit 2
   end;
   let tools = parse_tools tools_filter in
   let bombs = parse_bombs bombs_filter in
-  let policy = parse_policy budget_spec retries backoff in
-  let ladder = if no_ladder then Some [] else None in
-  let journal =
-    match journal with
-    | None ->
-      if require_journal then begin
-        Printf.eprintf "resume requires --journal PATH\n";
-        exit 2
-      end;
-      if kill_after <> None || kill_torn then begin
-        Printf.eprintf "--kill-after/--kill-torn require --journal\n";
-        exit 2
-      end;
-      None
-    | Some path ->
-      if require_journal && not (Sys.file_exists path) then begin
-        Printf.eprintf
-          "resume: journal %s does not exist (nothing to resume)\n" path;
-        exit 2
-      end;
-      (* refuse to silently re-run a whole grid because one flag
-         differs from the interrupted run: compare the journal's
-         stamped fingerprint against this invocation's before work *)
-      let expected =
-        Engines.Eval.journal_fingerprint ~incremental:(not no_incremental)
-          ?ladder ~policy ~tools ~bombs ()
-      in
-      (match Robust.Journal.peek_fingerprint path with
-       | Some found when found <> expected && not force ->
-         Printf.eprintf
-           "%s: journal %s was written under a different configuration \
-            (journal fingerprint %s, this run %s) — rerun with the \
-            original flags, or pass --force to ignore the journal and \
-            re-grade every cell\n"
-           (if require_journal then "resume" else "table2")
-           path found expected;
-         exit 2
-       | None
-         when require_journal && not force && Sys.file_exists path
-              && (try (Unix.stat path).Unix.st_size > 0
-                  with Unix.Unix_error _ -> false) ->
-         (* a nonempty journal with zero decodable records is damage,
-            not a fresh run: refuse with one line instead of silently
-            re-grading the whole grid *)
-         Printf.eprintf
-           "resume: journal %s holds no decodable records — corrupt or \
-            not a journal; run `eval fsck --repair %s`, or pass --force \
-            to re-grade every cell\n"
-           path path;
-         exit 2
-       | _ -> ());
-      Some
-        { Engines.Eval.journal_path = path; kill_after; kill_torn }
+  let policy = parse_policy budget_spec no_ladder in
+  (* unless --force, refuse to silently re-run a whole grid over a
+     journal this run cannot replay: compare the journal's stamped
+     fingerprint against this invocation's before any work *)
+  if not force then
+    Option.iter
+      (fun path ->
+         let expected =
+           Engines.Eval.journal_fingerprint ~incremental:(not no_incremental)
+             ~policy ~tools ~bombs ()
+         in
+         match Robust.Journal.peek_fingerprint path with
+         | Some found when found <> expected ->
+           Printf.eprintf
+             "table2: journal %s was written under a different \
+              configuration (journal fingerprint %s, this run %s) — rerun \
+              with the original flags, or pass --force to ignore the \
+              journal and re-grade every cell\n"
+             path found expected;
+           exit 2
+         | None
+           when (try (Unix.stat path).Unix.st_size > 0
+                 with Unix.Unix_error _ -> false) ->
+           (* a nonempty journal with zero decodable records is damage,
+              not a fresh run *)
+           Printf.eprintf
+             "table2: journal %s holds no decodable records — corrupt or \
+              not a journal; run `eval fsck --repair %s`, or pass --force \
+              to re-grade every cell\n"
+             path path;
+           exit 2
+         | _ -> ())
+      journal;
+  let r =
+    Engines.Eval.run_table2 ~incremental:(not no_incremental) ~policy ~tools
+      ~bombs ?journal ~workers ?profile ?spans_out:fleet_trace ~progress ()
   in
-  match
-    Engines.Eval.run_table2 ~incremental:(not no_incremental) ?ladder
-      ~policy ~tools ~bombs ?journal ~workers ?profile
-      ?spans_out:fleet_trace ~progress ()
-  with
-  | r ->
-    print_string (Engines.Eval.render_table2 r);
-    Option.iter write_metrics_out metrics_out
-  | exception Engines.Eval.Simulated_crash ->
-    Printf.eprintf "simulated crash after --kill-after cells\n";
-    exit kill_exit_code
-
-let run_table2 no_incremental no_ladder budget_spec retries backoff
-    tools_filter bombs_filter journal kill_after kill_torn workers profile
-    fleet_trace progress metrics_out =
-  run_table2_common ~require_journal:false no_incremental no_ladder
-    budget_spec retries backoff tools_filter bombs_filter journal kill_after
-    kill_torn workers profile fleet_trace progress metrics_out
-
-let run_resume force no_incremental no_ladder budget_spec retries backoff
-    tools_filter bombs_filter journal workers profile fleet_trace progress
-    metrics_out =
-  run_table2_common ~require_journal:true ~force no_incremental no_ladder
-    budget_spec retries backoff tools_filter bombs_filter journal None false
-    workers profile fleet_trace progress metrics_out
+  print_string (Engines.Eval.render_table2 r);
+  Option.iter write_metrics_out metrics_out
 
 (* ------------------------------------------------------------------ *)
 (* Fleet service: serve / submit / drain                               *)
@@ -202,8 +159,8 @@ let run_serve socket workers max_queue queue_journal force task_timeout =
       path;
     exit 2
 
-let run_submit socket tools_filter bombs_filter budget_spec retries backoff
-    no_incremental no_ladder =
+let run_submit socket tools_filter bombs_filter budget_spec no_incremental
+    no_ladder =
   let tools = parse_tools tools_filter in
   let bombs =
     List.map (fun (b : Bombs.Common.t) -> b.name) (parse_bombs bombs_filter)
@@ -223,7 +180,7 @@ let run_submit socket tools_filter bombs_filter budget_spec retries backoff
            (fun tool ->
               Engines.Service.encode_request
                 ~id:(Engines.Profile.name tool ^ "/" ^ bomb)
-                ~tool ~bomb ?budget:budget_spec ~retries ~backoff
+                ~tool ~bomb ?budget:budget_spec
                 ~incremental:(not no_incremental) ~ladder:(not no_ladder) ())
            tools)
       bombs
@@ -350,19 +307,9 @@ let run_explain no_incremental no_ladder budget_spec bomb_name tool_name sinks
                exit 2)
           names
     in
-    let budget =
-      Option.map
-        (fun spec ->
-           match Robust.Budget.parse spec with
-           | Ok b -> b
-           | Error e ->
-             Printf.eprintf "bad --budget: %s\n" e;
-             exit 2)
-        budget_spec
-    in
     let r =
       Engines.Explain.run ~incremental:(not no_incremental)
-        ?ladder:(if no_ladder then Some [] else None) ?budget tool bomb
+        ~policy:(parse_policy budget_spec no_ladder) tool bomb
     in
     print_string (Engines.Explain.render r);
     List.iter
@@ -449,13 +396,6 @@ let budget_arg =
             when the degradation ladder decides a tripped solver check) \
             instead of aborting the run.")
 
-let retries_arg =
-  Arg.(value & opt int 0
-       & info [ "retries" ]
-         ~doc:
-           "Retry a budget-tripped cell this many times with the \
-            budget scaled by --backoff each time")
-
 let no_ladder_arg =
   Arg.(value & flag
        & info [ "no-ladder" ]
@@ -472,27 +412,13 @@ let journal_arg =
             a checksummed record, and replay valid records matching \
             this run's fingerprint instead of re-running their cells")
 
-let kill_after_arg =
-  Arg.(value & opt (some int) None
-       & info [ "kill-after" ] ~docv:"N"
-         ~doc:
-           "Simulate a crash: die (exit 9) when the journal record of \
-            fresh cell N+1 is due, leaving N freshly journaled cells \
-            (requires --journal; replayed cells do not count; works \
-            with --workers too)")
-
-let kill_torn_arg =
+let force_arg =
   Arg.(value & flag
-       & info [ "kill-torn" ]
+       & info [ "force" ]
          ~doc:
-           "With --kill-after, first write a deliberately torn record \
-            (a death mid-append) that the resuming run must detect \
-            and skip")
-
-let backoff_arg =
-  Arg.(value & opt float 10.0
-       & info [ "backoff" ]
-         ~doc:"Budget scale factor applied on each retry")
+           "Proceed despite a journal this run cannot replay (written \
+            under other flags or another build, or damaged): ignore \
+            its records and re-grade from scratch")
 
 let workers_arg =
   Arg.(value & opt int 1
@@ -546,33 +472,16 @@ let metrics_out_arg =
             run's for the same grid.")
 
 let table2_cmd =
-  Cmd.v (Cmd.info "table2" ~doc:"Reproduce Table II")
+  Cmd.v
+    (Cmd.info "table2"
+       ~doc:
+         "Reproduce Table II. With --journal, cells journaled by an \
+          earlier run under the same flags are replayed and only the \
+          rest run, so a crashed run continues where it died")
     Term.(const run_table2 $ no_incremental_arg $ no_ladder_arg $ budget_arg
-          $ retries_arg $ backoff_arg $ tools_arg $ bombs_arg $ journal_arg
-          $ kill_after_arg $ kill_torn_arg $ workers_arg
+          $ tools_arg $ bombs_arg $ journal_arg $ force_arg $ workers_arg
           $ profile_out_arg $ fleet_trace_arg $ progress_arg
           $ metrics_out_arg)
-
-let force_arg =
-  Arg.(value & flag
-       & info [ "force" ]
-         ~doc:
-           "Proceed despite a journal fingerprint mismatch: ignore the \
-            incompatible journal's records and re-grade from scratch")
-
-let resume_cmd =
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:
-         "Continue a partially-journaled Table II run after a crash: \
-          replay every journaled cell, execute only the missing ones \
-          (requires --journal, with the same flags as the interrupted \
-          run so the fingerprints match; a mismatch is refused unless \
-          --force)")
-    Term.(const run_resume $ force_arg $ no_incremental_arg $ no_ladder_arg
-          $ budget_arg $ retries_arg $ backoff_arg $ tools_arg $ bombs_arg
-          $ journal_arg $ workers_arg $ profile_out_arg
-          $ fleet_trace_arg $ progress_arg $ metrics_out_arg)
 
 let socket_arg =
   Arg.(value & opt string "eval.sock"
@@ -633,8 +542,7 @@ let submit_cmd =
           full grid) and stream the graded outcome lines as they \
           complete. Exits 1 if any cell fails.")
     Term.(const run_submit $ socket_arg $ tools_arg
-          $ bombs_arg $ budget_arg $ retries_arg $ backoff_arg
-          $ no_incremental_arg $ no_ladder_arg)
+          $ bombs_arg $ budget_arg $ no_incremental_arg $ no_ladder_arg)
 
 let drain_cmd =
   Cmd.v
@@ -674,7 +582,7 @@ let profile_cmd =
   let path_arg =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"PATH"
-           ~doc:"Profile sidecar written by table2/resume --profile")
+           ~doc:"Profile sidecar written by table2 --profile")
   in
   let top_arg =
     Arg.(value & opt int 10
@@ -757,8 +665,7 @@ let all_cmd =
     print_newline ();
     run_sizes ();
     print_newline ();
-    run_table2 false false None 0 10.0 [] [] None None false 1 None None
-      false None;
+    run_table2 false false None [] [] None false 1 None None false None;
     print_newline ();
     run_fig3 ();
     print_newline ();
@@ -825,7 +732,7 @@ let explain_term =
 let () =
   let info = Cmd.info "eval" ~doc:"Logic-bomb evaluation harness" in
   exit (Cmd.eval (Cmd.group ~default:explain_term info
-                    [ table1_cmd; table2_cmd; resume_cmd; fig3_cmd;
+                    [ table1_cmd; table2_cmd; fig3_cmd;
                       sizes_cmd; negative_cmd; validate_trace_cmd;
                       debug_cmd; serve_cmd; submit_cmd; drain_cmd;
                       health_cmd; metrics_cmd; profile_cmd; fsck_cmd;

@@ -8,8 +8,8 @@
     The measurement is a counter-delta around the run (the registry is
     cumulative), so profiles compose with journaling, the fleet (a
     worker ships its sample back in its reply and the master appends
-    it, like an in-process run does) and the supervisor's retries
-    without touching {!Supervisor.outcome}.  The phase breakdown comes
+    it, like an in-process run does) without touching
+    {!Supervisor.outcome}.  The phase breakdown comes
     from the cell's spans, which the caller captures ({!phases_of}). *)
 
 open Concolic.Error

@@ -11,7 +11,7 @@ type cell_result = {
   expected : cell option;
   graded : Grade.graded;
   robust : Supervisor.outcome;
-      (** supervision record: cause/stage of a degraded cell, retry
+      (** supervision record: cause/stage of a degraded cell, attempt
           count *)
 }
 
@@ -34,51 +34,37 @@ let cell_of_outcome tool (bomb : Bombs.Common.t) (o : Supervisor.outcome) =
 (** One supervised cell.  With the default policy (no budgets) the
     measured cell is exactly {!Grade.run_cell}'s — the supervisor only
     isolates crashes. *)
-let run_cell ?incremental ?ladder ?policy tool bomb : cell_result =
-  cell_of_outcome tool bomb
-    (Supervisor.run_cell ?incremental ?ladder ?policy tool bomb)
+let run_cell ?incremental ?policy tool bomb : cell_result =
+  cell_of_outcome tool bomb (Supervisor.run_cell ?incremental ?policy tool bomb)
 
 (* ------------------------------------------------------------------ *)
 (* Write-ahead cell journal                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Journal-backed execution of Table II (see {!Robust.Journal}).
-    [kill_after] simulates a crash: when the record of fresh cell
-    [kill_after + 1] is due (journaled replays do not count), the run
-    raises {!Simulated_crash} instead of appending it — with
-    [kill_torn], after first writing half of it, modelling a death
-    mid-append. *)
-type journal = {
-  journal_path : string;
-  kill_after : int option;
-  kill_torn : bool;
-}
-
-exception Simulated_crash
-
 let cell_key tool (bomb : Bombs.Common.t) =
   Profile.name tool ^ "/" ^ bomb.name
 
-(** Run fingerprint: any component changing (tool set, bomb catalog
-    content, budget/retry policy, incremental flag, ladder shape)
-    makes previously journaled cells stale. *)
-let journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs () =
-  let policy = Option.value ~default:Supervisor.default_policy policy in
-  let ladder =
-    Option.value ~default:Smt.Degrade.default_ladder ladder
-  in
+(** A bomb's part of a fingerprint: name, category and linked image.
+    A bomb that fails to link is fingerprinted by its link error, so
+    its cell still grades [E] on its own in a journaled run. *)
+let bomb_fingerprint (b : Bombs.Common.t) =
+  [ b.name; b.category;
+    (match Bombs.Catalog.image b with
+     | image -> Asm.Image.to_bytes image
+     | exception Asm.Link.Link_error msg -> "link error: " ^ msg) ]
+
+(** Run fingerprint of a journaled Table II run (see
+    {!Robust.Journal}): any component changing (tool set, bomb catalog
+    content, budget, incremental flag, ladder shape) makes previously
+    journaled cells stale. *)
+let journal_fingerprint ?(incremental = true)
+    ?(policy = Supervisor.default_policy) ~tools ~bombs () =
   Robust.Journal.fingerprint
-    ([ "table2"; Printf.sprintf "incremental=%b"
-         (Option.value ~default:true incremental);
-       "ladder=" ^ Smt.Degrade.ladder_to_string ladder;
-       "budget=" ^ Robust.Budget.to_string policy.Supervisor.budget;
-       Printf.sprintf "retries=%d" policy.Supervisor.retries;
-       Printf.sprintf "backoff=%g" policy.Supervisor.backoff ]
+    ([ "table2"; Printf.sprintf "incremental=%b" incremental;
+       "ladder=" ^ Smt.Degrade.ladder_to_string policy.Supervisor.ladder;
+       "budget=" ^ Robust.Budget.to_string policy.Supervisor.budget ]
      @ List.map Profile.name tools
-     @ List.concat_map
-         (fun (b : Bombs.Common.t) ->
-            [ b.name; b.category; Asm.Image.to_bytes (Bombs.Catalog.image b) ])
-         bombs)
+     @ List.concat_map bomb_fingerprint bombs)
 
 (** Fold finished cells into the table: per-tool solved counts and the
     paper-agreement ratio. *)
@@ -138,19 +124,17 @@ type capture = {
 
     - [workers = 1] (the default) runs them in this process;
     - [workers > 1] shards them across a {!Fleet.Pool} of forked
-      workers.  A worker death re-dispatches the cell up to
-      [max 1 policy.retries] times, each attempt escalating the budget
-      by the policy's backoff ({!Supervisor.escalate}), before the
-      cell grades as crashed; [task_timeout] arms the watchdog.  The
-      workers' metric deltas fold into this process's registry, so
-      the fleet's [vm.*]/[smt.*] counters equal an in-process run's.
+      workers.  A worker death re-dispatches the cell once, under the
+      same policy, before the cell grades as crashed; [task_timeout]
+      arms the watchdog.  The workers' metric deltas fold into this
+      process's registry, so the fleet's [vm.*]/[smt.*] counters equal
+      an in-process run's.
 
     Either way this process is the journal's one writer: it appends
     each fresh cell's record as the cell finishes (as the pool's reply
-    arrives), and [kill_after]/[kill_torn] simulate a crash at that
-    step.  A crash therefore loses at most the cells still running.
+    arrives), so a crash loses at most the cells still running.
     Cells the pool itself failed (a worker lost for good, a cancelled
-    run) are not journaled, so a resume re-runs them.  A journaled run
+    run) are not journaled, so rerunning the grid re-runs them.  A journaled run
     that finishes rewrites the journal once into grid order
     ({!Robust.Journal.rewrite}), so it is byte-identical whichever
     executor ran it and however often it was resumed.
@@ -164,10 +148,9 @@ type capture = {
     returns both in its reply, so the sidecar and the trace are
     written here, in grid order, as in process.  [progress] keeps a
     live done/total line with lane states and an ETA on stderr. *)
-let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
+let run_table2 ?incremental ?policy ?(tools = Profile.all)
     ?(bombs = Bombs.Catalog.table2) ?journal ?profile ?(progress = false)
     ?(workers = 1) ?task_timeout ?spans_out () : table2_result =
-  let pol = Option.value ~default:Supervisor.default_policy policy in
   let grid =
     List.concat_map
       (fun bomb ->
@@ -175,11 +158,8 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
       bombs
   in
   (* the fingerprint links every bomb, so only a journaled run pays
-     for it up front; without a journal a bomb that fails to link
-     grades E in its own cell *)
-  let fp =
-    lazy (journal_fingerprint ?incremental ?ladder ?policy ~tools ~bombs ())
-  in
+     for it *)
+  let fp = lazy (journal_fingerprint ?incremental ?policy ~tools ~bombs ()) in
   (* replay every journaled cell before running any *)
   let replayable : (string, Supervisor.outcome) Hashtbl.t =
     Hashtbl.create 128
@@ -187,8 +167,7 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
   let loaded =
     match journal with
     | None -> Robust.Journal.empty_load
-    | Some j ->
-        Robust.Journal.load ~fingerprint:(Lazy.force fp) j.journal_path
+    | Some path -> Robust.Journal.load ~fingerprint:(Lazy.force fp) path
   in
   List.iter
     (fun (e : Robust.Journal.entry) ->
@@ -223,33 +202,23 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
   (* the one journaling step, for both executors *)
   let writer =
     Option.map
-      (fun j ->
-         ( j,
+      (fun path ->
+         ( path,
            Robust.Journal.open_writer ~fingerprint:(Lazy.force fp)
-             ~seq:loaded.next_seq j.journal_path ))
+             ~seq:loaded.next_seq path ))
       journal
   in
-  let journaled = ref 0 in
   let journal_cell key o =
     Option.iter
-      (fun (j, w) ->
-         (match j.kill_after with
-          | Some k when !journaled >= k ->
-              if j.kill_torn then Robust.Journal.append_torn w ~key;
-              raise Simulated_crash
-          | _ -> ());
-         Robust.Journal.append w ~key
-           ~payload:(Journal_codec.encode_outcome o);
-         incr journaled)
+      (fun (_, w) ->
+         Robust.Journal.append w ~key ~payload:(Journal_codec.encode_outcome o))
       writer
   in
   (* the one per-cell capture, in process or in a pool worker: the
      cell's spans feed both the sample's phases and the trace's
      events, then leave the recorder, whose enablement is restored *)
-  let capture ~policy ~key tool bomb =
-    let run () =
-      Supervisor.run_cell ?incremental ?ladder ~policy tool bomb
-    in
+  let capture ~key tool bomb =
+    let run () = Supervisor.run_cell ?incremental ?policy tool bomb in
     let was = Telemetry.is_enabled () in
     let mark = Telemetry.watermark () in
     if profile <> None || spans_out <> None then Telemetry.enable ();
@@ -293,7 +262,7 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
     List.iteri
       (fun i (key, (tool, bomb)) ->
          show ~left:(n_todo - i) [ "main:" ^ key ];
-         let c = capture ~policy:pol ~key tool bomb in
+         let c = capture ~key tool bomb in
          record key c;
          journal_cell key c.c_outcome)
       todo
@@ -301,11 +270,9 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
   let in_pool () =
     (* only the key crosses the pipe; the worker looks its cell up in
        the closed-over grid, so custom tool/bomb lists work *)
-    let run ~attempt ~key (_task : string) =
+    let run ~attempt:_ ~key (_task : string) =
       let tool, bomb = List.assoc key grid in
-      let c =
-        capture ~policy:(Supervisor.escalate pol ~attempt) ~key tool bomb
-      in
+      let c = capture ~key tool bomb in
       (* the whole capture rides the reply: every field is JSON whose
          strings escape all control bytes, so tabs separate them *)
       String.concat "\t"
@@ -347,9 +314,7 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
          | Error (Fleet.Pool.Worker_lost n as f) -> failed ~attempts:n f
          | Error f -> failed ~attempts:1 f)
     in
-    let config =
-      { Fleet.Pool.workers; respawns = max 1 pol.retries; task_timeout }
-    in
+    let config = { Fleet.Pool.default_config with workers; task_timeout } in
     let pool = Fleet.Pool.create ~config run in
     let restore_sigint = Fleet.Pool.install_sigint pool in
     Fun.protect
@@ -385,13 +350,13 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
   in
   if workers > 1 then in_pool () else in_process ();
   Option.iter
-    (fun (j, w) ->
+    (fun (path, w) ->
        Robust.Journal.close_writer w;
        (* the appended journal is already sound; a failed reorder only
           leaves it as appended *)
        try
          Robust.Journal.rewrite ~fingerprint:(Lazy.force fp)
-           ~order:(List.map fst grid) j.journal_path
+           ~order:(List.map fst grid) path
        with Robust.Diskio.Full msg | Sys_error msg ->
          Telemetry.Log.warnf "journal: grid-order rewrite failed (%s)" msg)
     writer;

@@ -42,17 +42,6 @@ let stage_blurb = function
      but its predicate could not be expressed or solved (symbolic \
      addresses, computed jumps, floating point, solver budget)"
 
-(** The Es-stage a tripped budget belongs to: instruction-count caps
-    die while tracing/lifting (Es1), a taint-event cap dies in data
-    propagation (Es2), solver and expression caps die in constraint
-    modeling (Es3).  The deadline and a fleet's cancellation are
-    whole-cell conditions with no single pipeline stage. *)
-let stage_of_resource : Robust.Meter.resource -> stage option = function
-  | Robust.Meter.Vm_steps | Robust.Meter.Lifted_insns -> Some Es1
-  | Robust.Meter.Taint_events -> Some Es2
-  | Robust.Meter.Solver_conflicts | Robust.Meter.Expr_nodes -> Some Es3
-  | Robust.Meter.Deadline | Robust.Meter.Cancelled -> None
-
 (** Span names where each stage's failure is introduced, most specific
     first; the first recorded span matching is marked. *)
 let spans_of_stage = function
@@ -78,36 +67,29 @@ let mark_stage stage =
     the caller can render or dump them through any sink; the previous
     tracing enablement is restored.
 
-    [budget] meters the cell like a supervised run would, so a
+    [policy] meters the cell like a supervised run would, so a
     diagnosis can reproduce budget-tripped behaviour — including the
     degradation-ladder rungs — for one cell in isolation. *)
-let run ?incremental ?ladder ?budget (tool : Profile.tool)
-    (bomb : Bombs.Common.t) : t =
+let run ?incremental ?(policy = Supervisor.default_policy)
+    (tool : Profile.tool) (bomb : Bombs.Common.t) : t =
   let was_enabled = Telemetry.is_enabled () in
   Telemetry.reset ();
   Telemetry.Metrics.reset ();
   Telemetry.enable ();
-  let bare () = Grade.run_cell ?incremental ?ladder tool bomb in
+  let meter = Robust.Meter.create policy.budget in
   let graded =
-    match budget with
-    | None -> bare ()
-    | Some b -> (
-        let meter = Robust.Meter.create b in
-        match Robust.Meter.with_ambient meter bare with
-        | g -> g
-        | exception Robust.Meter.Exhausted { resource; _ } ->
-          (* mirror the supervisor's degraded-cell grading so the
-             explained cell matches what Table II would print *)
-          let diag =
-            match resource with
-            | Robust.Meter.Solver_conflicts | Robust.Meter.Expr_nodes ->
-              Solver_budget
-            | _ -> State_budget
-          in
-          { Grade.cell = Abnormal;
-            proposed = None; detonated = false; false_positive = false;
-            diags = [ diag ];
-            work = meter.Robust.Meter.vm_steps })
+    match
+      Robust.Meter.with_ambient meter (fun () ->
+          Grade.run_cell ?incremental ~ladder:policy.ladder tool bomb)
+    with
+    | g -> g
+    | exception Robust.Meter.Exhausted { resource; _ } ->
+      (* graded as the supervisor grades a tripped cell, so the
+         explained cell matches what Table II would print *)
+      { Grade.cell = Abnormal;
+        proposed = None; detonated = false; false_positive = false;
+        diags = [ Supervisor.diag_of_cause (Supervisor.Exhausted resource) ];
+        work = meter.Robust.Meter.vm_steps }
   in
   if not was_enabled then Telemetry.disable ();
   let stage = stage_of_cell graded.cell in

@@ -4,7 +4,7 @@
 
     A request is one JSON line:
     [{"op":"submit","id":ID,"tool":T,"bomb":B,"budget":SPEC|null,
-      "retries":N,"backoff":F,"incremental":BOOL,"ladder":BOOL}]
+      "incremental":BOOL,"ladder":BOOL}]
     — a Table II cell (bomb + tool profile) plus its supervision
     budget.  The daemon ({!Fleet.Serve}) acks it as queued and later
     streams back the graded outcome:
@@ -28,25 +28,23 @@ let str s = "\"" ^ esc s ^ "\""
     daemon's durable queue dedupes resubmissions on it, so a client
     that resubmits after a crash reuses the same key and gets the
     journaled outcome instead of a second grading. *)
-let encode_request ~id ?idem ~tool ~bomb ?budget ?(retries = 0)
-    ?(backoff = 10.0) ?(incremental = true) ?(ladder = true) () =
+let encode_request ~id ?idem ~tool ~bomb ?budget ?(incremental = true)
+    ?(ladder = true) () =
   Printf.sprintf
     "{\"op\":\"submit\",\"id\":%s,\"idem\":%s,\"tool\":%s,\"bomb\":%s,\
-     \"budget\":%s,\
-     \"retries\":%d,\"backoff\":%g,\"incremental\":%b,\"ladder\":%b}"
+     \"budget\":%s,\"incremental\":%b,\"ladder\":%b}"
     (str id)
     (str (Option.value ~default:id idem))
     (str (Profile.name tool)) (str bomb)
     (match budget with None -> "null" | Some s -> str s)
-    retries backoff incremental ladder
+    incremental ladder
 
 type request = {
   rq_id : string option;
   rq_tool : Profile.tool;
   rq_bomb : Bombs.Common.t;
-  rq_policy : Supervisor.policy;
+  rq_policy : Supervisor.policy;  (** ["ladder":false] empties its ladder *)
   rq_incremental : bool;
-  rq_ladder : bool;  (** false: run with the degradation ladder off *)
 }
 
 let decode_request line : (request, string) Stdlib.result =
@@ -74,24 +72,17 @@ let decode_request line : (request, string) Stdlib.result =
               match budget with
               | Error e -> Error e
               | Ok budget ->
-                  let retries =
-                    match member "retries" j with
-                    | Some (Num n) -> int_of_float n
-                    | _ -> 0
-                  in
-                  let backoff =
-                    match member "backoff" j with
-                    | Some (Num f) -> f
-                    | _ -> 10.0
+                  let ladder =
+                    if bool_field "ladder" true then
+                      Supervisor.default_policy.ladder
+                    else []
                   in
                   Ok
                     { rq_id = id;
                       rq_tool = tool;
                       rq_bomb = bomb;
-                      rq_policy =
-                        { Supervisor.budget; retries; backoff };
-                      rq_incremental = bool_field "incremental" true;
-                      rq_ladder = bool_field "ladder" true }))
+                      rq_policy = { Supervisor.budget; ladder };
+                      rq_incremental = bool_field "incremental" true }))
       | _ -> Error "request needs string fields \"tool\" and \"bomb\"")
 
 (* ------------------------------------------------------------------ *)
@@ -108,15 +99,13 @@ let error_response ~id msg =
     the supervised cell, encode the streamed outcome.  Total — every
     failure becomes an error response line, so the daemon never sees a
     raising runner for a malformed request. *)
-let worker_run ~attempt ~key:_ (task : string) : string =
+let worker_run ~attempt:_ ~key:_ (task : string) : string =
   match decode_request task with
   | Error msg -> error_response ~id:None msg
   | Ok rq -> (
       match
         Supervisor.run_cell ~incremental:rq.rq_incremental
-          ?ladder:(if rq.rq_ladder then None else Some [])
-          ~policy:(Supervisor.escalate rq.rq_policy ~attempt)
-          rq.rq_tool rq.rq_bomb
+          ~policy:rq.rq_policy rq.rq_tool rq.rq_bomb
       with
       | o ->
           Printf.sprintf
@@ -149,10 +138,7 @@ let queue_fingerprint () =
   Robust.Journal.fingerprint
     (Fleet.Serve.version
      :: List.map Profile.name Profile.all
-     @ List.concat_map
-         (fun (b : Bombs.Common.t) ->
-            [ b.name; b.category; Asm.Image.to_bytes (Bombs.Catalog.image b) ])
-         Bombs.Catalog.all)
+     @ List.concat_map Eval.bomb_fingerprint Bombs.Catalog.all)
 
 (** Run the [eval serve] daemon on [socket] until drained.  Raises
     {!Fleet.Serve.Socket_in_use} / {!Fleet.Serve.Stale_socket} instead

@@ -5,10 +5,9 @@
     installed as the ambient meter, so budgets govern the whole engine
     stack without parameter threading.  A tripped budget or any
     unexpected exception is caught here, mapped to the paper's [E]/[P]
-    grades with the Es-stage attribution from {!Explain}, and counted
+    grades with an Es-stage attribution ({!stage_of_resource}), and counted
     in [robust.*] telemetry — the rest of the table is never
-    disturbed.  Optionally the cell is retried with an
-    escalated budget before being graded as degraded. *)
+    disturbed.  Each cell runs once, under one policy. *)
 
 open Concolic.Error
 
@@ -19,7 +18,7 @@ type cause =
   | Injected of string
       (** nothing produces this; graded as {!Crashed}.  It stays only
           because [bench/ledger] matches on it, and goes with the
-          ledger change listed under ROADMAP item 3 *)
+          ledger change listed under ROADMAP item 4 *)
   | Degraded of string
       (** the cell completed, but only because the solver degradation
           ladder answered budget-tripped checks; names the deepest
@@ -31,34 +30,25 @@ let cause_name = function
   | Degraded rung -> "degraded:" ^ rung
 
 type policy = {
-  budget : Robust.Budget.t;  (** caps for the first attempt *)
-  retries : int;  (** extra attempts after a budget trip *)
-  backoff : float;  (** budget scale factor per retry *)
+  budget : Robust.Budget.t;  (** caps on the cell's one attempt *)
+  ladder : Smt.Degrade.rung list;
+      (** what a tripped solver budget does: walk these rungs and
+          grade the cell P if they decide it, or, when empty, abort
+          the cell (graded E) *)
 }
 
-(** No caps, no retries: supervised output is identical to running
-    the engine bare (the supervisor only adds the catch). *)
+(** No caps, the default ladder: supervised output is identical to
+    running the engine bare (the supervisor only adds the catch). *)
 let default_policy =
-  { budget = Robust.Budget.unlimited; retries = 0; backoff = 10.0 }
-
-(** The policy for dispatch [attempt] of a cell whose earlier
-    attempts died with their worker: the budget scaled by
-    [backoff ** (attempt - 1)], as that many supervisor retries would
-    have scaled it. *)
-let escalate policy ~attempt =
-  if attempt <= 1 then policy
-  else
-    { policy with
-      budget =
-        Robust.Budget.scale
-          (policy.backoff ** float_of_int (attempt - 1))
-          policy.budget }
+  { budget = Robust.Budget.unlimited; ladder = Smt.Degrade.default_ladder }
 
 type outcome = {
   graded : Grade.graded;
-  cause : cause option;  (** [None]: the final attempt completed *)
+  cause : cause option;  (** [None]: the cell completed *)
   stage : stage option;  (** Es attribution of [cause] *)
   attempts : int;
+      (** 1 for a cell that ran; a cell the fleet lost with its
+          workers carries the dispatches it took *)
 }
 
 (* robust.* accounting: per-resource cause counters live in
@@ -67,7 +57,6 @@ type outcome = {
 let m_cells = Telemetry.Metrics.counter "robust.cells"
 let m_cells_e = Telemetry.Metrics.counter "robust.cells_e"
 let m_cells_p = Telemetry.Metrics.counter "robust.cells_p"
-let m_retries = Telemetry.Metrics.counter "robust.retries"
 let m_crashes = Telemetry.Metrics.counter "robust.crashes"
 
 let m_stage =
@@ -76,10 +65,20 @@ let m_stage =
     [ ("es0", Some Es0); ("es1", Some Es1); ("es2", Some Es2);
       ("es3", Some Es3); ("none", None) ]
 
-(** Es-stage of a degraded cell, reusing {!Explain}'s budget
-    attribution table. *)
+(** The Es-stage a tripped budget belongs to: instruction-count caps
+    die while tracing/lifting (Es1), a taint-event cap dies in data
+    propagation (Es2), solver and expression caps die in constraint
+    modeling (Es3).  The deadline and a fleet's cancellation are
+    whole-cell conditions with no single pipeline stage. *)
+let stage_of_resource : Robust.Meter.resource -> stage option = function
+  | Robust.Meter.Vm_steps | Robust.Meter.Lifted_insns -> Some Es1
+  | Robust.Meter.Taint_events -> Some Es2
+  | Robust.Meter.Solver_conflicts | Robust.Meter.Expr_nodes -> Some Es3
+  | Robust.Meter.Deadline | Robust.Meter.Cancelled -> None
+
+(** Es-stage of a degraded cell. *)
 let stage_of_cause = function
-  | Exhausted r -> Explain.stage_of_resource r
+  | Exhausted r -> stage_of_resource r
   | Crashed _ | Injected _ -> None
   | Degraded _ -> Some Es3  (* constraint modeling, like a solver trip *)
 
@@ -99,13 +98,6 @@ let diag_of_cause = function
   | Crashed msg | Injected msg -> Engine_crash msg
   | Degraded rung -> Solver_degraded rung
 
-(* no meter trips [Cancelled]: it reaches a cell only from a cancelled
-   fleet, which never retries *)
-let retryable = function
-  | Exhausted _ -> true
-  | Degraded _ -> true  (* an escalated budget may decide it cleanly *)
-  | Injected _ | Crashed _ -> false
-
 (* deepest ladder rung recorded for a cell: a give-up outranks an
    enumeration outranks a resimplification *)
 let rung_depth = function
@@ -123,56 +115,40 @@ let deepest_rung = function
 
 (** Supervised version of {!Grade.run_cell}.  With {!default_policy}
     the graded result is exactly what the bare engine produces. *)
-let run_cell ?incremental ?ladder ?(policy = default_policy)
-    (tool : Profile.tool) (bomb : Bombs.Common.t) : outcome =
+let run_cell ?incremental ?(policy = default_policy) (tool : Profile.tool)
+    (bomb : Bombs.Common.t) : outcome =
   Telemetry.Metrics.incr m_cells;
-  let rec attempt n budget =
-    let meter = Robust.Meter.create budget in
-    match
-      Robust.Meter.with_ambient meter (fun () ->
-          Grade.run_cell ?incremental ?ladder tool bomb)
-    with
-    | graded -> (
-        match deepest_rung (degraded_rungs graded.diags) with
-        | None ->
-            { graded; cause = None; stage = None; attempts = n }
-        | Some _ when n <= policy.retries ->
-            (* the cell only survived through the ladder; a scaled
-               budget may decide it without degradation *)
-            Telemetry.Metrics.incr m_retries;
-            attempt (n + 1) (Robust.Budget.scale policy.backoff budget)
-        | Some rung ->
-            (* completed, but only thanks to off-budget fallbacks: a
-               graded partial success, attributed to the deepest rung *)
-            let cause = Degraded rung in
-            let stage = stage_of_cause cause in
-            Telemetry.Metrics.incr m_cells_p;
-            Telemetry.Metrics.incr (List.assoc stage m_stage);
-            { graded = { graded with cell = Partial };
-              cause = Some cause; stage; attempts = n })
-    | exception e ->
-        let cause =
-          match e with
-          | Robust.Meter.Exhausted { resource; _ } -> Exhausted resource
-          | e ->
-              Telemetry.Metrics.incr m_crashes;
-              Crashed (Printexc.to_string e)
-        in
-        if retryable cause && n <= policy.retries then begin
-          Telemetry.Metrics.incr m_retries;
-          attempt (n + 1) (Robust.Budget.scale policy.backoff budget)
-        end
-        else begin
-          let cell = cell_of_cause cause in
+  let meter = Robust.Meter.create policy.budget in
+  match
+    Robust.Meter.with_ambient meter (fun () ->
+        Grade.run_cell ?incremental ~ladder:policy.ladder tool bomb)
+  with
+  | graded -> (
+      match deepest_rung (degraded_rungs graded.diags) with
+      | None -> { graded; cause = None; stage = None; attempts = 1 }
+      | Some rung ->
+          (* completed, but only thanks to off-budget fallbacks: a
+             graded partial success, attributed to the deepest rung *)
+          let cause = Degraded rung in
           let stage = stage_of_cause cause in
-          Telemetry.Metrics.incr
-            (if cell = Partial then m_cells_p else m_cells_e);
+          Telemetry.Metrics.incr m_cells_p;
           Telemetry.Metrics.incr (List.assoc stage m_stage);
-          { graded =
-              { cell; proposed = None; detonated = false;
-                false_positive = false; diags = [ diag_of_cause cause ];
-                work = meter.Robust.Meter.vm_steps };
-            cause = Some cause; stage; attempts = n }
-        end
-  in
-  attempt 1 policy.budget
+          { graded = { graded with cell = Partial };
+            cause = Some cause; stage; attempts = 1 })
+  | exception e ->
+      let cause =
+        match e with
+        | Robust.Meter.Exhausted { resource; _ } -> Exhausted resource
+        | e ->
+            Telemetry.Metrics.incr m_crashes;
+            Crashed (Printexc.to_string e)
+      in
+      let cell = cell_of_cause cause in
+      let stage = stage_of_cause cause in
+      Telemetry.Metrics.incr (if cell = Partial then m_cells_p else m_cells_e);
+      Telemetry.Metrics.incr (List.assoc stage m_stage);
+      { graded =
+          { cell; proposed = None; detonated = false;
+            false_positive = false; diags = [ diag_of_cause cause ];
+            work = meter.Robust.Meter.vm_steps };
+        cause = Some cause; stage; attempts = 1 }

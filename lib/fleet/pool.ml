@@ -21,12 +21,12 @@
 
     Liveness: a worker that dies (EOF on its pipe) or blows the
     per-task wall watchdog is reaped and respawned into the same slot,
-    and its in-flight task is re-dispatched — with the attempt number
-    bumped so the caller's retry/backoff policy can escalate — up to
-    [respawns] extra times before the task is failed.  Every frame
-    carries a checksum of its body, and a damaged frame takes the same
-    path: a worker that reads a damaged dispatch frame exits, and a
-    worker whose reply frame fails its check is killed.
+    and its in-flight task is re-dispatched, with the attempt number
+    the runner sees bumped, up to [respawns] extra times before the
+    task is failed.  Every frame carries a checksum of its body, and a
+    damaged frame takes the same path: a worker that reads a damaged
+    dispatch frame exits, and a worker whose reply frame fails its
+    check is killed.
 
     Cancellation is cooperative: SIGINT (via {!install_sigint}) or
     {!cancel} stops dispatch, lets in-flight cells finish, and reports

@@ -2,9 +2,8 @@
 
     Every field is an optional cap; [None] means the resource is
     unmetered.  Budgets are plain data — the mutable accounting lives
-    in {!Meter} — so they can be scaled for retry escalation, printed
-    in reports, and parsed off the [eval.exe --budget] flag without
-    touching any engine state. *)
+    in {!Meter} — so they can be printed in reports and parsed off
+    the [eval.exe --budget] flag without touching any engine state. *)
 
 type t = {
   vm_steps : int option;  (** concrete VM instructions executed *)
@@ -21,8 +20,8 @@ let unlimited =
 
 let is_unlimited b = b = unlimited
 
-(** [scale factor b] multiplies every finite cap by [factor] (used for
-    retry escalation; caps are clamped to at least 1). *)
+(** [scale factor b] multiplies every finite cap by [factor] (caps
+    are clamped to at least 1). *)
 let scale factor b =
   let s = Option.map (fun n -> max 1 (int_of_float (float_of_int n *. factor))) in
   { vm_steps = s b.vm_steps;

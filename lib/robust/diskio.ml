@@ -130,25 +130,18 @@ let open_append path : handle =
   in
   { h_fd = fd; h_path = path; h_torn = torn }
 
-(* write [s] after the newline a torn tail is owed, in one write, and
-   track whether the file now ends mid-record *)
-let write_record h s =
-  let s = if h.h_torn then "\n" ^ s else s in
-  write_all ~path:h.h_path h.h_fd s
-    ~landed:(fun n -> h.h_torn <- s.[n - 1] <> '\n')
-
 (** Append one complete record (the caller includes any trailing
     newline).  It reaches the kernel before [append] returns, so it
     survives the process dying.  Raises {!Full} on ENOSPC or EDQUOT;
     a prefix that landed first is healed over by the next append. *)
 let append h s =
-  write_record h s;
+  (* after the newline a torn tail is owed, in one write; track
+     whether the file now ends mid-record *)
+  let record = if h.h_torn then "\n" ^ s else s in
+  write_all ~path:h.h_path h.h_fd record
+    ~landed:(fun n -> h.h_torn <- record.[n - 1] <> '\n');
   Telemetry.Metrics.incr m_appends;
   Telemetry.Metrics.add m_bytes (String.length s)
-
-(** Test helper: write [s] verbatim (no newline) — simulates a crash
-    between writing a record and its terminator. *)
-let append_torn h s = write_record h s
 
 let close h = Unix.close h.h_fd
 

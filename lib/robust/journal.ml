@@ -125,16 +125,6 @@ let append (w : writer) ~key ~payload =
 (** Whether the writer has started shedding appends (disk full). *)
 let is_shedding (w : writer) = w.shedding
 
-(** Write the prefix of a record and stop mid-line without a trailing
-    newline — simulates a crash between [output] and [flush] for the
-    kill-and-resume smoke test. *)
-let append_torn (w : writer) ~key =
-  let b =
-    body ~fingerprint:w.w_fingerprint ~seq:w.seq ~key ~payload:"{\"torn\":"
-  in
-  let half = String.length b / 2 in
-  Diskio.append_torn w.h (fnv64_hex b ^ " " ^ String.sub b 0 half)
-
 let close_writer (w : writer) = Diskio.close w.h
 
 (* ------------------------------------------------------------------ *)

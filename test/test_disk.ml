@@ -20,13 +20,10 @@ let to_dev_full path =
   rm path;
   Unix.symlink "/dev/full" path
 
-let journal_of path =
-  { Engines.Eval.journal_path = path; kill_after = None; kill_torn = false }
-
 let run_grid ?workers ?journal ?profile () =
   Engines.Eval.render_table2
     (Engines.Eval.run_table2 ~tools ~bombs:(Lazy.force bombs) ?workers
-       ?journal:(Option.map journal_of journal) ?profile ())
+       ?journal ?profile ())
 
 (* fault-free ground truth: the grid's table and its journal bytes *)
 let baseline = lazy (run_grid ())
@@ -67,7 +64,7 @@ let diskio_roundtrip () =
   let h = Robust.Diskio.open_append path in
   Robust.Diskio.append h "more\n";
   (* bytes that end mid-record are healed over by the next append *)
-  Robust.Diskio.append_torn h "tor";
+  Robust.Diskio.append h "tor";
   Robust.Diskio.append h "next\n";
   Robust.Diskio.close h;
   Alcotest.(check string) "appended" "hello\nworld\nmore\ntor\nnext\n"
@@ -257,8 +254,10 @@ let fsck_tmp_beside_journal () =
   rm path;
   let w = Robust.Journal.open_writer ~fingerprint:"fp" path in
   Robust.Journal.append w ~key:"a" ~payload:"{}";
-  Robust.Journal.append_torn w ~key:"b";
   Robust.Journal.close_writer w;
+  (* a torn tail: half a record, no newline *)
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
+    (fun oc -> output_string oc "0123456789abcdef {\"fp\":\"fp\",\"se");
   close_out (open_out (path ^ ".tmp"));
   Alcotest.(check int) "both repaired (exit 1)" 1
     (Engines.Fsck.exit_code ~repair:true
@@ -343,7 +342,7 @@ let fsck_journal_first_byte () =
   let grid () =
     Engines.Eval.render_table2
       (Engines.Eval.run_table2 ~tools:[ Engines.Profile.Bap ]
-         ~bombs:[ Bombs.Catalog.find "time_bomb" ] ~journal:(journal_of path)
+         ~bombs:[ Bombs.Catalog.find "time_bomb" ] ~journal:path
          ())
   in
   let table = grid () in
@@ -363,8 +362,8 @@ let fsck_journal_first_byte () =
   Alcotest.(check int) "repair fixes it (exit 1)" 1
     (Engines.Fsck.exit_code ~repair:true
        (Engines.Fsck.scan ~repair:true [ path ]));
-  (* `eval resume` refuses a nonempty journal with no sound record;
-     the repaired one is empty, so it runs *)
+  (* `eval table2 --journal` refuses a nonempty journal with no sound
+     record; the repaired one is empty, so it runs *)
   Alcotest.(check string) "repaired journal is empty" ""
     (Robust.Diskio.read_all path);
   Alcotest.(check string) "resumed table" table (grid ());

@@ -177,23 +177,6 @@ let budget_trip_grades_e () =
   Alcotest.(check bool) "cause counter bumped" true
     (Telemetry.Metrics.counter_value "robust.exhausted.vm_steps" > before)
 
-let retry_escalates_and_recovers () =
-  let policy =
-    { Engines.Supervisor.budget =
-        { Robust.Budget.unlimited with vm_steps = Some 100 };
-      retries = 1;
-      backoff = 1e5 }
-  in
-  let o =
-    Engines.Supervisor.run_cell ~policy Engines.Profile.Bap (bomb "time_bomb")
-  in
-  Alcotest.(check int) "two attempts" 2 o.attempts;
-  Alcotest.(check bool) "recovered" true (o.cause = None);
-  let bare = Engines.Grade.run_cell Engines.Profile.Bap (bomb "time_bomb") in
-  Alcotest.(check string) "escalated attempt matches bare"
-    (cell_symbol bare.cell)
-    (cell_symbol o.graded.cell)
-
 (* the only source of a cancelled cell: a SIGINT-cancelled fleet's
    undispatched cells *)
 let cancellation_grades_p () =
@@ -241,7 +224,33 @@ let crash_grades_e () =
   let without = Engines.Eval.run_table2 ~tools ~bombs:[ bomb "time_bomb" ] () in
   Alcotest.(check int) "both cells graded" 2 (List.length with_crash.cells);
   Alcotest.(check bool) "time_bomb row unchanged" true
-    (row with_crash = row without)
+    (row with_crash = row without);
+  (* a journaled grid fingerprints every bomb before its first cell;
+     the broken bomb must still grade E in its own cell, and a second
+     run must replay both cells from the journal *)
+  let path = Filename.temp_file "robust_crash" ".jsonl" in
+  Sys.remove path;
+  let journaled () =
+    Engines.Eval.run_table2 ~tools
+      ~bombs:[ unlinkable_bomb; bomb "time_bomb" ] ~journal:path ()
+  in
+  let symbols r =
+    List.map
+      (fun (c : Engines.Eval.cell_result) -> cell_symbol c.measured)
+      r.Engines.Eval.cells
+  in
+  (match journaled () with
+   | r ->
+     Alcotest.(check (list string)) "journaled grid = unjournaled"
+       (symbols with_crash) (symbols r)
+   | exception e ->
+     Alcotest.failf "journaled grid raised %s" (Printexc.to_string e));
+  let replayed0 = Telemetry.Metrics.counter_value "journal.replayed" in
+  Alcotest.(check (list string)) "replayed grid = unjournaled"
+    (symbols with_crash) (symbols (journaled ()));
+  Alcotest.(check int) "both cells replayed" (replayed0 + 2)
+    (Telemetry.Metrics.counter_value "journal.replayed");
+  Sys.remove path
 
 (* ---------------- budget determinism ---------------- *)
 
@@ -342,15 +351,19 @@ let soak_real_budgets () =
   for seed = 0 to 49 do
     let spec, budget, capped = budget_of_seed seed in
     let ladder_on = seed mod 2 = 0 in
-    let ladder = if ladder_on then None else Some [] in
-    let policy = { Engines.Supervisor.default_policy with budget } in
+    let policy =
+      { Engines.Supervisor.budget;
+        ladder =
+          (if ladder_on then Engines.Supervisor.default_policy.ladder
+           else []) }
+    in
     List.iter2
       (fun (tool, (b : Bombs.Common.t)) clean_graded ->
          let what =
            Printf.sprintf "seed %d (%s, ladder %b) %s x %s" seed spec
              ladder_on (Engines.Profile.name tool) b.name
          in
-         match Engines.Supervisor.run_cell ?ladder ~policy tool b with
+         match Engines.Supervisor.run_cell ~policy tool b with
          | exception e ->
            Alcotest.failf "%s: escaped the supervisor: %s" what
              (Printexc.to_string e)
@@ -366,7 +379,7 @@ let soak_real_budgets () =
                Alcotest.(check bool) (what ^ ": tripped a capped resource")
                  true (List.mem r capped);
                Alcotest.(check bool) (what ^ ": stage of the resource") true
-                 (o.stage = Engines.Explain.stage_of_resource r);
+                 (o.stage = Engines.Supervisor.stage_of_resource r);
                Hashtbl.replace trips (r, ladder_on) ()
              | Some (Engines.Supervisor.Degraded _) ->
                Alcotest.(check string) (what ^ ": graded P") "P"
@@ -520,8 +533,8 @@ let ladder_turns_e_into_p () =
     (has_degraded o.graded.diags);
   (* with the ladder off the same budget is a hard failure again *)
   let o' =
-    Engines.Supervisor.run_cell ~ladder:[] ~policy Engines.Profile.Bap
-      (bomb "srand_bomb")
+    Engines.Supervisor.run_cell ~policy:{ policy with ladder = [] }
+      Engines.Profile.Bap (bomb "srand_bomb")
   in
   Alcotest.(check string) "ladder off -> E" "E" (cell_symbol o'.graded.cell);
   Alcotest.(check bool) "cause is the raw trip" true
@@ -637,9 +650,7 @@ let codec_roundtrip () =
 let journal_replay_matches_fresh () =
   let path = Filename.temp_file "robust_journal" ".jsonl" in
   Sys.remove path;
-  let journal =
-    { Engines.Eval.journal_path = path; kill_after = None; kill_torn = false }
-  in
+  let journal = path in
   let fresh =
     Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ()) ()
   in
@@ -672,33 +683,38 @@ let journal_replay_matches_fresh () =
     (Telemetry.Metrics.counter_value "journal.stale" > stale_before);
   Sys.remove path
 
+(* a run that died after two journaled cells, in the middle of
+   appending the third: the finished run's journal cut back by hand to
+   two records and half of the third.  Resuming it must rebuild the
+   uninterrupted table and, after the grid-order rewrite, the
+   uninterrupted journal byte for byte *)
 let journal_kill_and_resume () =
   let path = Filename.temp_file "robust_journal" ".jsonl" in
   Sys.remove path;
-  let fresh =
-    Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ()) ()
-  in
-  (match
-     Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-       ~journal:
-         { Engines.Eval.journal_path = path; kill_after = Some 2;
-           kill_torn = true }
-       ()
-   with
-   | exception Engines.Eval.Simulated_crash -> ()
-   | _ -> Alcotest.fail "kill-after must abort the run");
-  let trunc_before = Telemetry.Metrics.counter_value "journal.truncated" in
-  let resumed =
+  let run () =
     Engines.Eval.run_table2 ~tools:det_tools ~bombs:(det_bombs ())
-      ~journal:
-        { Engines.Eval.journal_path = path; kill_after = None;
-          kill_torn = false }
-      ()
+      ~journal:path ()
   in
+  let fresh = run () in
+  let full = Robust.Diskio.read_all path in
+  let cut =
+    match String.split_on_char '\n' full with
+    | a :: b :: c :: _ ->
+      String.concat "\n" [ a; b; String.sub c 0 (String.length c / 2) ]
+    | _ -> Alcotest.fail "journal must have at least three records"
+  in
+  Robust.Diskio.write_atomic ~path cut;
+  let trunc_before = Telemetry.Metrics.counter_value "journal.truncated" in
+  let replayed_before = Telemetry.Metrics.counter_value "journal.replayed" in
+  let resumed = run () in
   Alcotest.(check (list string)) "resumed table = uninterrupted run"
     (symbols fresh) (symbols resumed);
   Alcotest.(check bool) "torn record detected on resume" true
     (Telemetry.Metrics.counter_value "journal.truncated" > trunc_before);
+  Alcotest.(check int) "the two sound records replayed" (replayed_before + 2)
+    (Telemetry.Metrics.counter_value "journal.replayed");
+  Alcotest.(check string) "resumed journal = uninterrupted journal" full
+    (Robust.Diskio.read_all path);
   Sys.remove path
 
 let () =
@@ -717,8 +733,6 @@ let () =
        [ Alcotest.test_case "default = bare engine" `Quick
            supervised_matches_bare;
          Alcotest.test_case "budget trip -> E" `Quick budget_trip_grades_e;
-         Alcotest.test_case "retry escalates" `Quick
-           retry_escalates_and_recovers;
          Alcotest.test_case "cancellation -> P" `Quick cancellation_grades_p;
          Alcotest.test_case "crash -> E" `Quick crash_grades_e ]);
       ("determinism",
