@@ -140,6 +140,7 @@ type t = {
   goal : int64;
   lib_funcs : (int64, string) Hashtbl.t;  (** lib function entry points *)
   session : Smt.Session.t option;  (** shared by every explored state *)
+  bounds : Smt.Bounds.t;  (** narrowing memo, shared by every state *)
   stats : Smt.Stats.t;
   lifts : Ir.Lifter.Memo.t;
   decoded : (int64, Ir.Lifter.Memo.entry option) Hashtbl.t;
@@ -152,10 +153,12 @@ type t = {
   mutable forks : int;
 }
 
-(* every solver query goes through here: the session when incremental,
-   a one-shot solve otherwise — same pipeline, same outcomes *)
+(* every solver query goes through here: narrowed by the path's own
+   bounds, then the session when incremental, a one-shot solve
+   otherwise — same pipeline, same outcomes *)
 let solve t ?(config = t.config.solver) cs =
-  Smt.Solver.solve ~config ~stats:t.stats ?session:t.session cs
+  Smt.Solver.solve ~config ~stats:t.stats ?session:t.session
+    (Smt.Bounds.narrow t.bounds cs)
 
 let fresh_var st os prefix width =
   os.fresh <- os.fresh + 1;
@@ -559,7 +562,7 @@ let init ?goal_symbol:(goal = "bomb") (config : config) (image : Asm.Image.t)
   in
   let t =
     { config; image; base_mem; goal = goal_addr; lib_funcs;
-      session; stats;
+      session; bounds = Smt.Bounds.create (); stats;
       lifts = Ir.Lifter.Memo.create Ir.Lifter.full;
       decoded = Hashtbl.create 256;
       total_steps = 0; spawned = 0; all_diags = []; unknowns = 0;

@@ -1,11 +1,13 @@
 (** Typed random generators for the differential-testing harness.
 
-    Four case families, one per oracle:
+    Five case families, one per oracle:
     - 1-bit SMT constraints over a handful of narrow bitvector
       variables (small enough that satisfiability is decidable by
       brute-force enumeration);
     - incremental-session scripts of push / pop / assert / check
       operations over the same constraint language;
+    - path predicates of constant-bound guards over narrow arithmetic,
+      for the interval pass {!Smt.Bounds};
     - straight-line VX64 programs (integer ALU, memory, stack and
       scalar-double instructions — everything except control flow);
     - bomb-style guarded branches: an argv-byte transformation chain
@@ -150,6 +152,143 @@ let gen_script : script G.t =
   let* ops = list_size (int_range 3 20) gen_op in
   (* every script decides something at least once at full depth *)
   return { ops = ops @ [ Check ] }
+
+(* ------------------------------------------------------------------ *)
+(* Bounded-arithmetic paths                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* a constant that mostly sits on, or one off, a power of two: where
+   an off-by-one bound changes how many bits a term keeps *)
+let gen_bound_const w : int64 G.t =
+  let open G in
+  let m = Int64.to_int (E.mask w) in
+  let near =
+    let* k = int_range 0 (w - 1) and* d = int_range (-1) 1 in
+    return (max 0 (min m ((1 lsl k) + d)))
+  in
+  let+ v = frequency [ (3, near); (1, int_bound m) ] in
+  Int64.of_int v
+
+(* an arithmetic term of [w] bits over zero-extended narrow variables
+   and the [shared] terms: the shapes the bounds pass has transfer
+   rules for *)
+let rec gen_arith (vars : E.var list) shared w size : E.t G.t =
+  let open G in
+  let leaf =
+    frequency
+      ([ ( 2,
+           let+ (v : E.var) = oneofl vars in
+           E.Zext (w, E.Var v) );
+         ( 1,
+           let+ c = gen_bound_const w in
+           E.Const (c, w) ) ]
+       @ if shared = [] then [] else [ (6, oneofl shared) ])
+  in
+  if size <= 0 then leaf
+  else
+    let sub = gen_arith vars shared w (size / 2) in
+    frequency
+      [ (2, leaf);
+        ( 6,
+          let* op = oneofl [ E.Add; E.Sub; E.Mul; E.Mul ] and* a = sub
+          and* b = sub in
+          return (E.Binop (op, a, b)) );
+        ( 1,
+          let* a = sub and* m = gen_bound_const w in
+          return (E.Binop (E.And, a, E.Const (m, w))) );
+        ( 1,
+          let* a = sub and* k = int_range 1 (w - 1) in
+          return (E.Binop (E.Lshr, a, E.const_int ~width:w k)) );
+        ( 1,
+          let* c = gen_guard vars shared w (size / 2) and* a = sub
+          and* b = sub in
+          return (E.Ite (c, a, b)) );
+        ( 1,
+          let* k = int_range 1 (w - 1) and* a = sub in
+          return (E.Zext (w, E.Extract (k - 1, 0, a))) ) ]
+
+(* a comparison of a term against a constant, in the shapes lifted
+   branches take: [ult]/[ule]/[eq] either way round, negated or not,
+   and the [jbe] disjunction [t < c \/ t - c = 0] *)
+and gen_guard (vars : E.var list) shared w size : E.t G.t =
+  let open G in
+  let* t = gen_arith vars shared w size in
+  guard_on t w
+
+and guard_on t w : E.t G.t =
+  let open G in
+  let* c = gen_bound_const w in
+  let c = E.Const (c, w) in
+  let* g =
+    oneof
+      [ (let+ op = oneofl [ E.Ult; E.Ule; E.Eq ] in
+         E.Cmp (op, t, c));
+        (let+ op = oneofl [ E.Ult; E.Ule ] in
+         E.Cmp (op, c, t));
+        return (E.eq (E.Binop (E.Sub, t, c)) (E.Const (0L, w)));
+        return
+          (E.not_
+             (E.and_
+                (E.not_ (E.Cmp (E.Ult, t, c)))
+                (E.not_ (E.eq (E.Binop (E.Sub, t, c)) (E.Const (0L, w)))))) ]
+  in
+  let+ negate = bool in
+  if negate then E.not_ g else g
+
+(** A path predicate for the bounds oracle, shaped like atoi's: guards
+    on a few shared terms that can wrap (so only a guard bounds them),
+    then guards on products over those terms, where a bound from an
+    earlier guard narrows the arithmetic; random guards mixed in.
+    Terms are 6 to 8 bits wide and the variables 3 to 6, at most 12
+    bits in all, so brute force stays cheap and a term takes most of
+    its values. *)
+let gen_bounded_path : E.t list G.t =
+  let open G in
+  let* vars =
+    let* n = int_range 1 2 in
+    let+ ws = list_repeat n (int_range 3 6) in
+    List.mapi (fun i width -> { E.vname = Printf.sprintf "v%d" i; width }) ws
+  in
+  let* w = int_range 6 8 in
+  let const =
+    let+ c = gen_bound_const w in
+    E.Const (c, w)
+  in
+  let* shared =
+    list_size (int_range 1 2)
+      (let* op = oneofl [ E.Add; E.Sub; E.Mul ] and* (v : E.var) = oneofl vars
+       and* c = int_bound (Int64.to_int (E.mask w)) in
+       return (E.Binop (op, E.Zext (w, E.Var v), E.const_int ~width:w c)))
+  in
+  (* an upper bound a power of two: the bit count an off-by-one moves *)
+  let upper t =
+    let* k = int_range 1 (w - 2) in
+    let p = Int64.shift_left 1L k in
+    oneofl
+      [ E.Cmp (E.Ule, t, E.Const (p, w));
+        E.Cmp (E.Ult, t, E.Const (Int64.succ p, w));
+        E.not_ (E.Cmp (E.Ult, E.Const (p, w), t)) ]
+  in
+  let on_shared =
+    let* t = oneofl shared in
+    frequency [ (3, upper t); (1, guard_on t w) ]
+  in
+  let product =
+    let* t = oneofl shared and* k = const and* rest = gen_arith vars shared w 1 in
+    let* t =
+      oneofl [ E.Binop (E.Mul, t, k); E.Binop (E.Add, E.Binop (E.Mul, t, k), rest) ]
+    in
+    let* op = oneofl [ E.Ult; E.Ule ]
+    and* c = int_bound (Int64.to_int (E.mask w)) in
+    oneof [ return (E.Cmp (op, t, E.const_int ~width:w c)); guard_on t w ]
+  in
+  list_size (int_range 2 6)
+    (frequency
+       [ (2, on_shared);
+         (2, product);
+         ( 1,
+           let* size = int_range 1 4 in
+           gen_guard vars shared w size ) ])
 
 (* ------------------------------------------------------------------ *)
 (* Straight-line VX64 programs                                         *)

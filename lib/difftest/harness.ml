@@ -10,7 +10,7 @@ module E = Smt.Expr
 
 let spf = Printf.sprintf
 
-let oracle_names = [ "blast"; "session"; "vmir"; "flip" ]
+let oracle_names = [ "blast"; "session"; "bounds"; "vmir"; "flip" ]
 
 (* per-oracle throughput metrics; [bin/fuzz.exe] renders these as its
    exit summary table *)
@@ -68,10 +68,13 @@ let render_flip (f : Gen.flip) =
 (* an oracle that escapes with an exception is itself a finding *)
 let guard f = try f () with e -> Error (spf "raised %s" (Printexc.to_string e))
 
+let render_path cs = String.concat "; " (List.map E.show cs)
+
 (** Run the case [(oracle, seed)].  Returns the oracle verdict and the
     rendered case text.  [simplify] reaches only the blast oracle's
-    pipeline (used by the mutant sanity mode). *)
-let run_case ?simplify (oracle : string) (seed : int) :
+    pipeline and [narrow] only the bounds oracle's (both used by the
+    mutant sanity mode). *)
+let run_case ?simplify ?narrow (oracle : string) (seed : int) :
   (unit, string) result * string =
   match oracle with
   | "blast" ->
@@ -80,6 +83,9 @@ let run_case ?simplify (oracle : string) (seed : int) :
   | "session" ->
     let s = Gen.of_seed Gen.gen_script seed in
     (guard (fun () -> Oracle.session_vs_oneshot s), render_script s)
+  | "bounds" ->
+    let cs = Gen.of_seed Gen.gen_bounded_path seed in
+    (guard (fun () -> Oracle.bounds_narrowing ?narrow cs), render_path cs)
   | "vmir" ->
     let p = Gen.of_seed Gen.gen_prog seed in
     (guard (fun () -> Oracle.vm_vs_ir p), render_prog p)
@@ -91,7 +97,8 @@ let run_case ?simplify (oracle : string) (seed : int) :
 (** Shrink the failing case [(oracle, seed)] to a minimal rendering,
     or [None] if the failure does not reproduce (flaky oracle —
     should never happen with seed-determined cases). *)
-let shrink_case ?simplify (oracle : string) (seed : int) : string option =
+let shrink_case ?simplify ?narrow (oracle : string) (seed : int) :
+  string option =
   let steps = m_shrink_steps oracle in
   (* every oracle evaluation during shrinking is one shrink step *)
   let failing r =
@@ -112,6 +119,12 @@ let shrink_case ?simplify (oracle : string) (seed : int) : string option =
     in
     if fails s.ops then Some (render_script { Gen.ops = Shrink.list_ fails s.ops })
     else None
+  | "bounds" ->
+    let cs = Gen.of_seed Gen.gen_bounded_path seed in
+    let fails cs =
+      failing (guard (fun () -> Oracle.bounds_narrowing ?narrow cs))
+    in
+    if fails cs then Some (render_path (Shrink.list_ fails cs)) else None
   | "vmir" ->
     let p = Gen.of_seed Gen.gen_prog seed in
     let fails insns =
@@ -146,20 +159,20 @@ type report = { oracle : string; runs : int; failures : failure list }
 
 (** Run [budget] fresh cases of [oracle], case seeds mixed from
     [seed].  Failures are shrunk as they are found. *)
-let run ?simplify ~seed ~budget (oracle : string) : report =
+let run ?simplify ?narrow ~seed ~budget (oracle : string) : report =
   let cases = m_cases oracle and fails = m_failures oracle in
   let wall = m_wall oracle in
   let t0 = Unix.gettimeofday () in
   let failures = ref [] in
   for i = 0 to budget - 1 do
     let case_seed = mix seed i in
-    let outcome, rendered = run_case ?simplify oracle case_seed in
+    let outcome, rendered = run_case ?simplify ?narrow oracle case_seed in
     Telemetry.Metrics.incr cases;
     match outcome with
     | Ok () -> ()
     | Error message ->
       Telemetry.Metrics.incr fails;
-      let shrunk = shrink_case ?simplify oracle case_seed in
+      let shrunk = shrink_case ?simplify ?narrow oracle case_seed in
       failures :=
         { oracle; seed = case_seed; message; rendered; shrunk } :: !failures
   done;

@@ -1,4 +1,4 @@
-(** The four differential oracles.
+(** The five differential oracles.
 
     Each takes a generated case and returns [Ok ()] when every layer
     agreed, or [Error message] describing the divergence.  The
@@ -6,8 +6,8 @@
     pairs them with the rendered case and a shrunk counterexample.
 
     In the paper's error-stage taxonomy: (c) catches Es1 lifting
-    errors, (d) catches Es2 propagation errors end-to-end, and (a)/(b)
-    catch Es3 constraint-model errors. *)
+    errors, (d) catches Es2 propagation errors end-to-end, and (a), (b)
+    and (e) catch Es3 constraint-model errors. *)
 
 module E = Smt.Expr
 
@@ -398,3 +398,56 @@ let concolic_flip (f : Gen.flip) : (unit, string) result =
           | None -> Ok ())
       | Smt.Session.Unknown _ ->
         Error "solver answered unknown on a single-byte guard")
+
+(* ------------------------------------------------------------------ *)
+(* (e) Bounds narrowing vs the original path                           *)
+(* ------------------------------------------------------------------ *)
+
+let render_env vars env =
+  String.concat ","
+    (List.map
+       (fun (v : E.var) -> spf "%s=%Ld" v.vname (Hashtbl.find env v.vname))
+       vars)
+
+(* how many constraints of [l], from the oldest, [env] satisfies *)
+let satisfied_prefix env l =
+  let rec go n = function
+    | c :: rest when Smt.Eval.satisfies env c -> go (n + 1) rest
+    | _ -> n
+  in
+  go 0 l
+
+(** Narrow a path predicate with {!Smt.Bounds} and check it against the
+    original: every prefix of the narrowed path has the original
+    prefix's models (brute force, so a later constraint that no
+    assignment meets cannot hide a wrong rewrite before it), the
+    solver's verdict on the narrowed path is the original's, and its
+    model satisfies the original.  [narrow] is a parameter so the
+    mutant checks can inject a broken pass. *)
+let bounds_narrowing ?(narrow = fun cs -> Smt.Bounds.narrow_list cs)
+    (cs : E.t list) : (unit, string) result =
+  let narrowed = narrow cs in
+  let vars = E.vars_of_list cs in
+  let holds env l = List.for_all (Smt.Eval.satisfies env) l in
+  match
+    enumerate vars (fun env ->
+        let n = satisfied_prefix env cs and n' = satisfied_prefix env narrowed in
+        if n = n' then None
+        else
+          Some
+            (spf "%s satisfies %d constraints of the original, %d narrowed"
+               (render_env vars env) n n'))
+  with
+  | Some m -> Error m
+  | None -> (
+      let original_sat =
+        enumerate vars (fun env -> if holds env cs then Some () else None) <> None
+      in
+      match (Smt.Solver.solve narrowed, original_sat) with
+      | Smt.Solver.Sat m, _ when not (holds (model_env vars m) cs) ->
+        Error "the narrowed path's model does not satisfy the original"
+      | Smt.Solver.Sat _, false -> Error "the original is unsat, the narrowed path sat"
+      | Smt.Solver.Unsat, true -> Error "the original is sat, the narrowed path unsat"
+      | Smt.Solver.Unknown _, _ ->
+        Error "solver answered unknown on a brute-forceable path"
+      | _ -> Ok ())

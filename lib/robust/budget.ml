@@ -20,17 +20,6 @@ let unlimited =
 
 let is_unlimited b = b = unlimited
 
-(** [scale factor b] multiplies every finite cap by [factor] (caps
-    are clamped to at least 1). *)
-let scale factor b =
-  let s = Option.map (fun n -> max 1 (int_of_float (float_of_int n *. factor))) in
-  { vm_steps = s b.vm_steps;
-    lifted_insns = s b.lifted_insns;
-    solver_conflicts = s b.solver_conflicts;
-    expr_nodes = s b.expr_nodes;
-    taint_events = s b.taint_events;
-    wall_us = Option.map (fun w -> w *. factor) b.wall_us }
-
 let to_string b =
   let f k = function
     | None -> []

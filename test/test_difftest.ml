@@ -96,12 +96,24 @@ let mutant_deterministic () =
   in
   Alcotest.(check bool) "same failures" true (sig_of r1 = sig_of r2)
 
+(* each deliberately wrong bounds pass must fail the bounds oracle *)
+let bounds_fault_is_caught fault () =
+  let r =
+    Difftest.Harness.run
+      ~narrow:(fun cs -> Smt.Bounds.narrow_list ~fault cs)
+      ~seed:(seed ()) ~budget:(budget 300) "bounds"
+  in
+  if r.failures = [] then
+    Alcotest.failf "a faulty bounds pass survived %d cases" r.runs
+
 let () =
   Alcotest.run "difftest"
     [ ("smoke",
        [ Alcotest.test_case "blast vs eval" `Quick (check_clean "blast" 60);
          Alcotest.test_case "session vs one-shot" `Quick
            (check_clean "session" 25);
+         Alcotest.test_case "bounds narrowing" `Quick
+           (check_clean "bounds" 150);
          Alcotest.test_case "vm vs ir" `Quick (check_clean "vmir" 50);
          Alcotest.test_case "concolic flip" `Quick (check_clean "flip" 6) ]);
       ("corpus",
@@ -112,4 +124,10 @@ let () =
        [ Alcotest.test_case "broken simplifier is caught" `Quick
            mutant_is_caught;
          Alcotest.test_case "campaign is deterministic" `Quick
-           mutant_deterministic ]) ]
+           mutant_deterministic;
+         Alcotest.test_case "bounds: upper bound off by one is caught"
+           `Quick (bounds_fault_is_caught Smt.Bounds.Upper_off_by_one);
+         Alcotest.test_case "bounds: wrapping add is caught" `Quick
+           (bounds_fault_is_caught Smt.Bounds.Add_ignores_wrap);
+         Alcotest.test_case "bounds: own bound is caught" `Quick
+           (bounds_fault_is_caught Smt.Bounds.Own_bound) ]) ]

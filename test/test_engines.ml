@@ -19,6 +19,10 @@ let check_dse_cell tool bomb_name expected ~states ~branches () =
     if tool = Engines.Profile.Angr then Concolic.Dse.With_libs
     else Concolic.Dse.No_libs
   in
+  let unknown_budget () =
+    Telemetry.Metrics.counter_value "smt.unknown_budget"
+  in
+  let unknown0 = unknown_budget () in
   let o =
     Concolic.Dse.explore (Engines.Profile.angr_config mode)
       (Bombs.Catalog.image bomb)
@@ -28,7 +32,11 @@ let check_dse_cell tool bomb_name expected ~states ~branches () =
   Alcotest.(check string) what (cell_symbol expected) (cell_symbol g.cell);
   Alcotest.(check int) (what ^ ": explored states") states o.explored_states;
   Alcotest.(check int) (what ^ ": symbolic branches") branches
-    o.symbolic_branches
+    o.symbolic_branches;
+  (* the bounds pass narrows these cells' atoi arithmetic: no check
+     spends its whole conflict budget *)
+  Alcotest.(check int) (what ^ ": budget-unknown checks") 0
+    (unknown_budget () - unknown0)
 
 let fig3_shape () =
   let r = Engines.Eval.run_fig3 () in
@@ -255,7 +263,8 @@ let () =
              (Angr_nolib, "jumptable_bomb", Fail Es3, 60, 59);
              (Angr, "pthread_bomb", Fail Es2, 50, 49);
              (Angr_nolib, "pthread_bomb", Fail Es2, 50, 49);
-             (Angr, "fork_bomb", Fail Es2, 67, 66) ]);
+             (Angr, "fork_bomb", Fail Es2, 67, 66);
+             (Angr_nolib, "fork_bomb", Success, 50, 49) ]);
       ("aggregates",
        [ Alcotest.test_case "fig3 shape" `Quick fig3_shape;
          Alcotest.test_case "fig3 telemetry agreement" `Quick

@@ -27,15 +27,6 @@ let budget_parse () =
   | Ok _ -> Alcotest.fail "unknown key should not parse"
   | Error _ -> ()
 
-let budget_scale () =
-  match Robust.Budget.parse "vm=100,nodes=7" with
-  | Error e -> Alcotest.failf "parse: %s" e
-  | Ok b ->
-    let s = Robust.Budget.scale 10.0 b in
-    Alcotest.(check (option int)) "vm scaled" (Some 1000) s.vm_steps;
-    Alcotest.(check (option int)) "nodes scaled" (Some 70) s.expr_nodes;
-    Alcotest.(check (option int)) "unmetered stays" None s.solver_conflicts
-
 let exhausted_resource f =
   match f () with
   | exception Robust.Meter.Exhausted { resource; _ } -> Some resource
@@ -721,7 +712,6 @@ let () =
   Alcotest.run "robust"
     [ ("budget",
        [ Alcotest.test_case "parse" `Quick budget_parse;
-         Alcotest.test_case "scale" `Quick budget_scale;
          Alcotest.test_case "meter trips" `Quick meter_trips;
          Alcotest.test_case "ambient install/restore" `Quick meter_ambient ]);
       ("session",

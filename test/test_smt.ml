@@ -1079,6 +1079,71 @@ let pin_one_shot_trajectory () =
     (Printf.sprintf "%s c=%d d=%d p=%d" verdict (n "conflicts")
        (n "decisions") (n "propagations"))
 
+(* ---------------- bounds ---------------- *)
+
+(* jump_bomb's atoi query as the DSE lifts it: eight digit guards
+   ('0' <= c as [not (c < '0')], c <= '9' as jbe's
+   [c < '9' \/ c - '9' = 0]) and the parsed value bounded by 64 *)
+let atoi_query () =
+  let digit i = Expr.Zext (64, Expr.var ~width:8 (Printf.sprintf "argv1_%d" i)) in
+  let c = Expr.const_int in
+  let le t k =
+    Expr.not_
+      (Expr.and_
+         (Expr.not_ (Expr.Cmp (Ult, t, c k)))
+         (Expr.not_ (Expr.eq (Expr.Binop (Sub, t, c k)) (c 0))))
+  in
+  let guards =
+    List.concat_map
+      (fun i -> [ Expr.not_ (Expr.Cmp (Ult, digit i, c 48)); le (digit i) 57 ])
+      (List.init 8 Fun.id)
+  in
+  let value =
+    List.fold_left
+      (fun acc i ->
+         Expr.Binop
+           (Sub, Expr.Binop (Add, Expr.Binop (Mul, acc, c 10), digit i), c 48))
+      (Expr.Binop (Sub, digit 0, c 48))
+      (List.init 7 (fun i -> i + 1))
+  in
+  guards @ [ le value 64 ]
+
+let budget_1000 = { Solver.default_config with conflict_budget = 1_000 }
+
+let bounds_decide_atoi () =
+  let cs = atoi_query () in
+  (match Solver.solve ~config:budget_1000 cs with
+   | Solver.Unknown Solver.Budget -> ()
+   | o ->
+     Alcotest.failf "unnarrowed: expected unknown (budget), got %s"
+       (Solver.outcome_to_string o));
+  match Solver.solve ~config:budget_1000 (Bounds.narrow_list cs) with
+  | Solver.Sat m ->
+    Alcotest.(check bool) "the model satisfies the original query" true
+      (List.for_all (Eval.satisfies (Eval.env_of_list m)) cs)
+  | o ->
+    Alcotest.failf "narrowed: expected sat, got %s" (Solver.outcome_to_string o)
+
+(* the rewrite is confined to constraints with a multiply, and a
+   constraint is never narrowed by its own bound *)
+let bounds_leave_mul_free_and_own () =
+  let cs = atoi_query () in
+  let narrowed = Bounds.narrow_list cs in
+  List.iteri
+    (fun i (c, c') ->
+       if i < List.length cs - 1 then
+         Alcotest.(check bool) "guard physically unchanged" true (c == c'))
+    (List.combine cs narrowed);
+  (* [x * 3] can wrap, so only its own bound could narrow it *)
+  let t = Expr.Binop (Mul, Expr.var "x", Expr.const_int 3) in
+  let own = Expr.Cmp (Ult, t, Expr.const_int 16) in
+  Alcotest.(check bool) "own bound unused" true
+    (List.hd (Bounds.narrow_list [ own ]) == own);
+  match Bounds.narrow_list [ own; Expr.eq t (Expr.const_int 9) ] with
+  | [ _; Expr.Cmp (Eq, Expr.Zext (64, Expr.Extract (3, 0, t')), _) ] ->
+    Alcotest.(check bool) "a later use is narrowed" true (t' == t)
+  | _ -> Alcotest.fail "a later use of the bounded term was not narrowed"
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ blast_agrees_with_eval; simplify_sound ]
 
@@ -1123,6 +1188,11 @@ let () =
          Alcotest.test_case "fp fallback" `Quick fp_needs_fallback;
          Alcotest.test_case "fp rounding search" `Quick fp_rounding_search;
          Alcotest.test_case "printers" `Quick printers_smoke ]);
+      ("bounds",
+       [ Alcotest.test_case "atoi query decided within 1000 conflicts" `Quick
+           bounds_decide_atoi;
+         Alcotest.test_case "mul-free and own bound untouched" `Quick
+           bounds_leave_mul_free_and_own ]);
       ("session",
        [ Alcotest.test_case "push/pop" `Quick session_push_pop;
          Alcotest.test_case "matches one-shot + caches" `Quick
