@@ -1,10 +1,19 @@
-(** Evaluation CLI: regenerate the paper's tables and figures.
+(** Evaluation CLI: regenerate the paper's tables and figures, and
+    operate the runs behind them.
 
-    Subcommands: [table1], [table2], [fig3], [sizes], [negative],
-    [validate-trace], [all].  With no subcommand, [--explain BOMB]
-    runs one cell under span tracing and prints the error-stage
-    diagnosis ([--tool] selects the engine, [--sink] the rendering,
-    [--trace-out]/[--jsonl-out] dump the recorded spans). *)
+    - the paper: [table1], [table2], [fig3], [sizes], [negative],
+      [all];
+    - artifacts: [profile] (report on a [table2 --profile] sidecar),
+      [fsck] (verify and repair journals and sidecars),
+      [validate-trace] (check emitted trace files);
+    - the service: [serve], [submit], [drain], [health], [metrics];
+    - [debug]: step through one recorded trace.
+
+    With no subcommand, [--explain BOMB] runs one supervised cell
+    under span tracing and prints its grade, cause and error-stage
+    diagnosis ([--tool] selects the engine; [--budget], [--no-ladder]
+    and [--no-incremental] set the policy as for [table2];
+    [--trace-out]/[--jsonl-out] write the recorded spans). *)
 
 (* --tool filters keep [Profile.all] order, whatever order they came in *)
 let parse_tools tools_filter =
@@ -35,9 +44,10 @@ let parse_bombs bombs_filter =
          | None -> Cli.unknown_name "bomb" n Bombs.Catalog.names)
       names
 
-(* supervision policy off the CLI flags; no --budget and the default
-   ladder is the default policy, preserving the unsupervised output *)
-let parse_policy budget_spec no_ladder =
+(* supervision policy off the CLI flags; no --budget, the default
+   ladder and incremental solving is the default policy, preserving
+   the unsupervised output *)
+let parse_policy budget_spec no_ladder no_incremental =
   let budget =
     match budget_spec with
     | None -> Robust.Budget.unlimited
@@ -50,7 +60,24 @@ let parse_policy budget_spec no_ladder =
   in
   { Engines.Supervisor.budget;
     ladder =
-      (if no_ladder then [] else Engines.Supervisor.default_policy.ladder) }
+      (if no_ladder then [] else Engines.Supervisor.default_policy.ladder);
+    incremental = not no_incremental }
+
+(* an output file whose directory is missing is a usage error, found
+   before any cell runs rather than after the grid *)
+let check_out_dirs cmd outputs =
+  List.iter
+    (fun (flag, path) ->
+       Option.iter
+         (fun path ->
+            let dir = Filename.dirname path in
+            if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+              Printf.eprintf "%s: %s %s: directory %s does not exist\n" cmd
+                flag path dir;
+              exit 2
+            end)
+         path)
+    outputs
 
 (* --metrics-out: the deterministic engine counters (vm/smt/lifter/
    taint/concolic/dse) as "name value" lines — the fleet
@@ -82,7 +109,10 @@ let run_table2 no_incremental no_ladder budget_spec tools_filter bombs_filter
   end;
   let tools = parse_tools tools_filter in
   let bombs = parse_bombs bombs_filter in
-  let policy = parse_policy budget_spec no_ladder in
+  let policy = parse_policy budget_spec no_ladder no_incremental in
+  check_out_dirs "table2"
+    [ ("--journal", journal); ("--profile", profile);
+      ("--fleet-trace", fleet_trace); ("--metrics-out", metrics_out) ];
   (* unless --force, refuse to silently re-run a whole grid over a
      journal this run cannot replay: compare the journal's stamped
      fingerprint against this invocation's before any work *)
@@ -90,8 +120,7 @@ let run_table2 no_incremental no_ladder budget_spec tools_filter bombs_filter
     Option.iter
       (fun path ->
          let expected =
-           Engines.Eval.journal_fingerprint ~incremental:(not no_incremental)
-             ~policy ~tools ~bombs ()
+           Engines.Eval.journal_fingerprint ~policy ~tools ~bombs ()
          in
          match Robust.Journal.peek_fingerprint path with
          | Some found when found <> expected ->
@@ -116,8 +145,8 @@ let run_table2 no_incremental no_ladder budget_spec tools_filter bombs_filter
          | _ -> ())
       journal;
   let r =
-    Engines.Eval.run_table2 ~incremental:(not no_incremental) ~policy ~tools
-      ~bombs ?journal ~workers ?profile ?spans_out:fleet_trace ~progress ()
+    Engines.Eval.run_table2 ~policy ~tools ~bombs ?journal ~workers ?profile
+      ?spans_out:fleet_trace ~progress ()
   in
   print_string (Engines.Eval.render_table2 r);
   Option.iter write_metrics_out metrics_out
@@ -165,14 +194,8 @@ let run_submit socket tools_filter bombs_filter budget_spec no_incremental
   let bombs =
     List.map (fun (b : Bombs.Common.t) -> b.name) (parse_bombs bombs_filter)
   in
-  (match budget_spec with
-   | None -> ()
-   | Some spec -> (
-       match Robust.Budget.parse spec with
-       | Ok _ -> ()
-       | Error e ->
-         Printf.eprintf "bad --budget: %s\n" e;
-         exit 2));
+  (* a bad --budget is refused here, not by the daemon *)
+  ignore (parse_policy budget_spec no_ladder no_incremental);
   let requests =
     List.concat_map
       (fun bomb ->
@@ -278,58 +301,36 @@ let run_negative () =
 
 let run_table1 () = print_string (Engines.Eval.render_table1 ())
 
-(* --explain: run one cell under span tracing, print the Es-stage
-   diagnosis, then render/dump the trace through the chosen sinks *)
-let run_explain no_incremental no_ladder budget_spec bomb_name tool_name sinks
+(* --explain: run one supervised cell under span tracing, print the
+   Es-stage diagnosis, then write the spans where asked *)
+let run_explain no_incremental no_ladder budget_spec bomb_name tool_name
     trace_out jsonl_out =
-  match Bombs.Catalog.find_opt bomb_name with
-  | None -> Cli.unknown_name "bomb" bomb_name Bombs.Catalog.names
-  | Some bomb ->
-    let tool =
-      match Engines.Profile.of_name tool_name with
-      | Some t -> t
-      | None ->
-        Printf.eprintf "unknown tool %S (BAP, Triton, Angr, Angr-NoLib)\n"
-          tool_name;
-        exit 2
-    in
-    let sinks =
-      match sinks with
-      | [] -> [ Telemetry.Tree ]
-      | names ->
-        List.map
-          (fun s ->
-             match Telemetry.sink_of_string s with
-             | Some sink -> sink
-             | None ->
-               Printf.eprintf
-                 "unknown sink %S (silent, tree, jsonl, chrome)\n" s;
-               exit 2)
-          names
-    in
-    let r =
-      Engines.Explain.run ~incremental:(not no_incremental)
-        ~policy:(parse_policy budget_spec no_ladder) tool bomb
-    in
-    print_string (Engines.Explain.render r);
-    List.iter
-      (fun sink ->
-         match (sink : Telemetry.sink) with
-         | Silent | Tree -> ()  (* the report already embeds the tree *)
-         | Jsonl | Chrome ->
-           Printf.printf "--- sink %s ---\n%s" (Telemetry.sink_name sink)
-             (Telemetry.render_sink sink))
-      sinks;
+  let bomb =
+    match Bombs.Catalog.find_opt bomb_name with
+    | Some b -> b
+    | None -> Cli.unknown_name "bomb" bomb_name Bombs.Catalog.names
+  in
+  let tool =
+    match Engines.Profile.of_name tool_name with
+    | Some t -> t
+    | None ->
+      Cli.unknown_name "tool" tool_name
+        (List.map Engines.Profile.name Engines.Profile.all)
+  in
+  let policy = parse_policy budget_spec no_ladder no_incremental in
+  check_out_dirs "explain"
+    [ ("--trace-out", trace_out); ("--jsonl-out", jsonl_out) ];
+  let r = Engines.Explain.run ~policy tool bomb in
+  print_string (Engines.Explain.render r);
+  let write what render path =
     Option.iter
       (fun path ->
-         Telemetry.write_chrome path;
-         Printf.printf "wrote Chrome trace to %s\n" path)
-      trace_out;
-    Option.iter
-      (fun path ->
-         Telemetry.write_jsonl path;
-         Printf.printf "wrote JSONL spans to %s\n" path)
-      jsonl_out
+         Robust.Diskio.write_atomic ~path (render ());
+         Printf.printf "wrote %s to %s\n" what path)
+      path
+  in
+  write "Chrome trace" Telemetry.to_chrome trace_out;
+  write "JSONL spans" Telemetry.to_jsonl jsonl_out
 
 (* debug: interactive step/step-back replay over one recorded trace *)
 let run_debug bomb_name input =
@@ -699,12 +700,6 @@ let explain_term =
            ~doc:"Engine profile for --explain (BAP, Triton, Angr, \
                  Angr-NoLib)")
   in
-  let sink_arg =
-    Arg.(value & opt_all string []
-         & info [ "sink" ] ~docv:"SINK"
-           ~doc:"Telemetry sink(s) to render after the diagnosis \
-                 (silent, tree, jsonl, chrome); repeatable")
-  in
   let trace_out_arg =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
@@ -716,17 +711,17 @@ let explain_term =
          & info [ "jsonl-out" ] ~docv:"FILE"
            ~doc:"Write the recorded spans as JSONL")
   in
-  let run no_incremental no_ladder budget bomb tool sinks trace_out jsonl_out =
+  let run no_incremental no_ladder budget bomb tool trace_out jsonl_out =
     match bomb with
     | Some bomb_name ->
-      run_explain no_incremental no_ladder budget bomb_name tool sinks
-        trace_out jsonl_out;
+      run_explain no_incremental no_ladder budget bomb_name tool trace_out
+        jsonl_out;
       `Ok ()
     | None -> `Help (`Pager, None)
   in
   Term.(ret
           (const run $ no_incremental_arg $ no_ladder_arg $ budget_arg
-           $ explain_arg $ tool_arg $ sink_arg $ trace_out_arg
+           $ explain_arg $ tool_arg $ trace_out_arg
            $ jsonl_out_arg))
 
 let () =

@@ -21,7 +21,6 @@ type sample = {
   p_cause : string option;
       (** {!Supervisor.cause_name} — carries the degradation rung for
           degraded cells ("degraded:enumerate") *)
-  p_attempts : int;
   p_wall_us : float;
   p_vm_steps : int;
   p_lifted : int;
@@ -77,7 +76,6 @@ let profiled ~key (run : unit -> Supervisor.outcome) :
       p_grade = cell_symbol o.Supervisor.graded.Grade.cell;
       p_stage = Option.map show_stage o.Supervisor.stage;
       p_cause = Option.map Supervisor.cause_name o.Supervisor.cause;
-      p_attempts = o.Supervisor.attempts;
       p_wall_us = wall_us;
       p_vm_steps = delta "vm.steps";
       p_lifted = delta "lifter.insns_lifted";
@@ -105,12 +103,12 @@ let encode (s : sample) =
   in
   Printf.sprintf
     "{\"key\":\"%s\",\"grade\":\"%s\",\"stage\":%s,\"cause\":%s,\
-     \"attempts\":%d,\"wall_us\":%.1f,\"vm_steps\":%d,\"lifted\":%d,\
+     \"wall_us\":%.1f,\"vm_steps\":%d,\"lifted\":%d,\
      \"blasted\":%d,\"conflicts\":%d,\"cache_hits\":%d,\"queries\":%d,\
      \"tainted\":%d,\"unknown_budget\":%d,\"unknown_budget_ms\":%.3f,\
      \"phases\":{%s}}"
     (esc s.p_key) (esc s.p_grade) (opt s.p_stage) (opt s.p_cause)
-    s.p_attempts s.p_wall_us s.p_vm_steps s.p_lifted s.p_blasted
+    s.p_wall_us s.p_vm_steps s.p_lifted s.p_blasted
     s.p_conflicts s.p_cache_hits s.p_queries s.p_tainted s.p_unknown_budget
     s.p_unknown_budget_ms
     (String.concat ","
@@ -127,10 +125,10 @@ let decode line : sample option =
       let num k = match member k j with Some (Num n) -> Some n | _ -> None in
       let int k = Option.map int_of_float (num k) in
       match
-        (str "key", str "grade", int "attempts", num "wall_us",
-         int "vm_steps", int "lifted", int "blasted", int "conflicts")
+        (str "key", str "grade", num "wall_us", int "vm_steps",
+         int "lifted", int "blasted", int "conflicts")
       with
-      | Some key, Some grade, Some attempts, Some wall, Some vm,
+      | Some key, Some grade, Some wall, Some vm,
         Some lifted, Some blasted, Some conflicts ->
           let phases =
             match member "phases" j with
@@ -147,7 +145,6 @@ let decode line : sample option =
               p_grade = grade;
               p_stage = str "stage";
               p_cause = str "cause";
-              p_attempts = attempts;
               p_wall_us = wall;
               p_vm_steps = vm;
               p_lifted = lifted;

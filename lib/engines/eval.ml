@@ -11,8 +11,7 @@ type cell_result = {
   expected : cell option;
   graded : Grade.graded;
   robust : Supervisor.outcome;
-      (** supervision record: cause/stage of a degraded cell, attempt
-          count *)
+      (** supervision record: cause/stage of a degraded cell *)
 }
 
 type table2_result = {
@@ -34,8 +33,8 @@ let cell_of_outcome tool (bomb : Bombs.Common.t) (o : Supervisor.outcome) =
 (** One supervised cell.  With the default policy (no budgets) the
     measured cell is exactly {!Grade.run_cell}'s — the supervisor only
     isolates crashes. *)
-let run_cell ?incremental ?policy tool bomb : cell_result =
-  cell_of_outcome tool bomb (Supervisor.run_cell ?incremental ?policy tool bomb)
+let run_cell ?policy tool bomb : cell_result =
+  cell_of_outcome tool bomb (Supervisor.run_cell ?policy tool bomb)
 
 (* ------------------------------------------------------------------ *)
 (* Write-ahead cell journal                                            *)
@@ -57,10 +56,10 @@ let bomb_fingerprint (b : Bombs.Common.t) =
     {!Robust.Journal}): any component changing (tool set, bomb catalog
     content, budget, incremental flag, ladder shape) makes previously
     journaled cells stale. *)
-let journal_fingerprint ?(incremental = true)
-    ?(policy = Supervisor.default_policy) ~tools ~bombs () =
+let journal_fingerprint ?(policy = Supervisor.default_policy) ~tools ~bombs
+    () =
   Robust.Journal.fingerprint
-    ([ "table2"; Printf.sprintf "incremental=%b" incremental;
+    ([ "table2"; Printf.sprintf "incremental=%b" policy.Supervisor.incremental;
        "ladder=" ^ Smt.Degrade.ladder_to_string policy.Supervisor.ladder;
        "budget=" ^ Robust.Budget.to_string policy.Supervisor.budget ]
      @ List.map Profile.name tools
@@ -91,8 +90,9 @@ let collate ~tools cells : table2_result =
 
 (** How a fleet-level failure (worker killed repeatedly, runner
     exception, cancellation) grades: synthesized supervised outcome,
-    same mapping the in-process supervisor applies. *)
-let outcome_of_failure ~attempts (f : Fleet.Pool.failure) :
+    same mapping the in-process supervisor applies.  A lost worker's
+    message carries the dispatches it took. *)
+let outcome_of_failure (f : Fleet.Pool.failure) :
   Supervisor.outcome =
   let cause =
     match f with
@@ -107,8 +107,7 @@ let outcome_of_failure ~attempts (f : Fleet.Pool.failure) :
         diags = [ Supervisor.diag_of_cause cause ];
         work = 0 };
     cause = Some cause;
-    stage = Supervisor.stage_of_cause cause;
-    attempts }
+    stage = Supervisor.stage_of_cause cause }
 
 (* one fresh cell as either executor hands it back: the outcome, its
    profile sample when profiling, its Chrome events when tracing *)
@@ -148,7 +147,7 @@ type capture = {
     returns both in its reply, so the sidecar and the trace are
     written here, in grid order, as in process.  [progress] keeps a
     live done/total line with lane states and an ETA on stderr. *)
-let run_table2 ?incremental ?policy ?(tools = Profile.all)
+let run_table2 ?policy ?(tools = Profile.all)
     ?(bombs = Bombs.Catalog.table2) ?journal ?profile ?(progress = false)
     ?(workers = 1) ?task_timeout ?spans_out () : table2_result =
   let grid =
@@ -159,7 +158,7 @@ let run_table2 ?incremental ?policy ?(tools = Profile.all)
   in
   (* the fingerprint links every bomb, so only a journaled run pays
      for it *)
-  let fp = lazy (journal_fingerprint ?incremental ?policy ~tools ~bombs ()) in
+  let fp = lazy (journal_fingerprint ?policy ~tools ~bombs ()) in
   (* replay every journaled cell before running any *)
   let replayable : (string, Supervisor.outcome) Hashtbl.t =
     Hashtbl.create 128
@@ -218,7 +217,7 @@ let run_table2 ?incremental ?policy ?(tools = Profile.all)
      cell's spans feed both the sample's phases and the trace's
      events, then leave the recorder, whose enablement is restored *)
   let capture ~key tool bomb =
-    let run () = Supervisor.run_cell ?incremental ?policy tool bomb in
+    let run () = Supervisor.run_cell ?policy tool bomb in
     let was = Telemetry.is_enabled () in
     let mark = Telemetry.watermark () in
     if profile <> None || spans_out <> None then Telemetry.enable ();
@@ -291,9 +290,8 @@ let run_table2 ?incremental ?policy ?(tools = Profile.all)
                Journal_codec.decode_outcome)
       | _ -> None
     in
-    let failed ~attempts f =
-      { c_outcome = outcome_of_failure ~attempts f; c_sample = None;
-        c_events = [] }
+    let failed f =
+      { c_outcome = outcome_of_failure f; c_sample = None; c_events = [] }
     in
     let replies = Hashtbl.create 128 in
     (* journaled as each reply arrives; recorded in grid order below *)
@@ -309,10 +307,8 @@ let run_table2 ?incremental ?policy ?(tools = Profile.all)
                  Telemetry.Log.warnf
                    "fleet: undecodable payload for %s; grading as crash"
                    r.r_key;
-                 failed ~attempts:1
-                   (Fleet.Pool.Run_raised "undecodable worker payload"))
-         | Error (Fleet.Pool.Worker_lost n as f) -> failed ~attempts:n f
-         | Error f -> failed ~attempts:1 f)
+                 failed (Fleet.Pool.Run_raised "undecodable worker payload"))
+         | Error f -> failed f)
     in
     let config = { Fleet.Pool.default_config with workers; task_timeout } in
     let pool = Fleet.Pool.create ~config run in
@@ -383,7 +379,7 @@ let run_table2 ?incremental ?policy ?(tools = Profile.all)
                 | None ->
                     (* unreachable unless the pool lost the task without
                        reporting it; grade, don't raise *)
-                    outcome_of_failure ~attempts:0
+                    outcome_of_failure
                       (Fleet.Pool.Run_raised "no result from fleet")))
       grid
   in
@@ -455,7 +451,7 @@ let run_negative () =
   let bomb = Bombs.Catalog.find "negative_bomb" in
   List.map
     (fun tool ->
-       let graded = Grade.run_cell tool bomb in
+       let { graded; _ } = run_cell tool bomb in
        { tool;
          claimed = graded.proposed <> None;
          detonated = graded.detonated })
@@ -519,17 +515,8 @@ let render_table2 (r : table2_result) : string =
     Buffer.add_string buf "degraded cells (supervisor):\n";
     List.iter
       (fun c ->
-         match c.robust.Supervisor.cause with
-         | None -> ()
-         | Some cause ->
-           Buffer.add_string buf
-             (Printf.sprintf "  %s x %s -> %s: %s%s (attempts: %d)\n" c.bomb
-                (Profile.name c.tool) (cell_symbol c.measured)
-                (Supervisor.cause_name cause)
-                (match c.robust.Supervisor.stage with
-                 | Some s -> " at " ^ show_stage s
-                 | None -> "")
-                c.robust.Supervisor.attempts))
+         Buffer.add_string buf
+           ("  " ^ Supervisor.describe ~bomb:c.bomb c.tool c.robust ^ "\n"))
       degraded
   end;
   Buffer.contents buf

@@ -2,8 +2,8 @@
 
     The journal itself ({!Robust.Journal}) only moves checksummed
     lines; this module round-trips a complete supervised cell result
-    — grade, proposed input, diagnostics, cause, Es-stage, attempts —
-    through the payload slot.  Decoding is total: anything unexpected
+    — grade, proposed input, diagnostics, cause, Es-stage — through
+    the payload slot.  Decoding is total: anything unexpected
     yields [None] and the caller re-runs the cell, so a hand-edited or
     version-skewed journal can cost work but never inject a wrong
     grade. *)
@@ -82,13 +82,12 @@ let encode_outcome (o : Supervisor.outcome) : string =
   let g = o.graded in
   Printf.sprintf
     "{\"cell\":%s,\"proposed\":%s,\"detonated\":%b,\"false_positive\":%b,\
-     \"diags\":[%s],\"work\":%d,\"cause\":%s,\"stage\":%s,\"attempts\":%d}"
+     \"diags\":[%s],\"work\":%d,\"cause\":%s,\"stage\":%s}"
     (encode_cell g.cell) (opt_str g.proposed) g.detonated g.false_positive
     (String.concat "," (List.map encode_diag g.diags))
     g.work
     (match o.cause with None -> "null" | Some c -> encode_cause c)
     (match o.stage with None -> "null" | Some s -> str (encode_stage s))
-    o.attempts
 
 (* ------------------------------------------------------------------ *)
 (* Decode                                                              *)
@@ -190,8 +189,9 @@ let decode_outcome (j : json) : Supervisor.outcome option =
           (fun s -> Some s)
           (Option.bind (as_str s) decode_stage)
   in
-  let* attempts = Option.bind (member "attempts" j) as_int in
+  (* records written before the attempt count was dropped still carry
+     an "attempts" member; it is ignored *)
   Some
     { Supervisor.graded =
         { Grade.cell; proposed; detonated; false_positive; diags; work };
-      cause; stage; attempts }
+      cause; stage }

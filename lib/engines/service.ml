@@ -9,7 +9,7 @@
     budget.  The daemon ({!Fleet.Serve}) acks it as queued and later
     streams back the graded outcome:
     [{"id":ID,"status":"done","key":"TOOL/bomb","grade":G,
-      "cause":C|null,"stage":Es|null,"attempts":N,
+      "cause":C|null,"stage":Es|null,
       "outcome":<full supervised outcome>}]
     with [cause]/[stage] carrying the supervisor's attribution
     ([degraded:give_up], [exhausted:smt], …, [Es0]..[Es3]) and
@@ -43,8 +43,9 @@ type request = {
   rq_id : string option;
   rq_tool : Profile.tool;
   rq_bomb : Bombs.Common.t;
-  rq_policy : Supervisor.policy;  (** ["ladder":false] empties its ladder *)
-  rq_incremental : bool;
+  rq_policy : Supervisor.policy;
+      (** ["ladder":false] empties its ladder; ["incremental":false]
+          is the one-shot ablation *)
 }
 
 let decode_request line : (request, string) Stdlib.result =
@@ -81,8 +82,9 @@ let decode_request line : (request, string) Stdlib.result =
                     { rq_id = id;
                       rq_tool = tool;
                       rq_bomb = bomb;
-                      rq_policy = { Supervisor.budget; ladder };
-                      rq_incremental = bool_field "incremental" true }))
+                      rq_policy =
+                        { Supervisor.budget; ladder;
+                          incremental = bool_field "incremental" true } }))
       | _ -> Error "request needs string fields \"tool\" and \"bomb\"")
 
 (* ------------------------------------------------------------------ *)
@@ -96,35 +98,28 @@ let error_response ~id msg =
     (str msg)
 
 (** Runs inside a {!Fleet.Pool} worker: decode the request line, run
-    the supervised cell, encode the streamed outcome.  Total — every
-    failure becomes an error response line, so the daemon never sees a
-    raising runner for a malformed request. *)
+    the supervised cell, encode the streamed outcome.  Total — a
+    malformed request becomes an error response line, and the
+    supervisor grades a raising cell E, so the daemon never sees a
+    raising runner. *)
 let worker_run ~attempt:_ ~key:_ (task : string) : string =
   match decode_request task with
   | Error msg -> error_response ~id:None msg
-  | Ok rq -> (
-      match
-        Supervisor.run_cell ~incremental:rq.rq_incremental
-          ~policy:rq.rq_policy rq.rq_tool rq.rq_bomb
-      with
-      | o ->
-          Printf.sprintf
-            "{\"id\":%s,\"status\":\"done\",\"key\":%s,\"grade\":%s,\
-             \"cause\":%s,\"stage\":%s,\"attempts\":%d,\"outcome\":%s}"
-            (opt_id rq.rq_id)
-            (str (Eval.cell_key rq.rq_tool rq.rq_bomb))
-            (Journal_codec.encode_cell o.Supervisor.graded.cell)
-            (match o.Supervisor.cause with
-             | None -> "null"
-             | Some c -> str (Supervisor.cause_name c))
-            (match o.Supervisor.stage with
-             | None -> "null"
-             | Some s -> str (Journal_codec.encode_stage s))
-            o.Supervisor.attempts
-            (Journal_codec.encode_outcome o)
-      | exception e ->
-          error_response ~id:rq.rq_id
-            ("cell raised: " ^ Printexc.to_string e))
+  | Ok rq ->
+      let o = Supervisor.run_cell ~policy:rq.rq_policy rq.rq_tool rq.rq_bomb in
+      Printf.sprintf
+        "{\"id\":%s,\"status\":\"done\",\"key\":%s,\"grade\":%s,\
+         \"cause\":%s,\"stage\":%s,\"outcome\":%s}"
+        (opt_id rq.rq_id)
+        (str (Eval.cell_key rq.rq_tool rq.rq_bomb))
+        (Journal_codec.encode_cell o.Supervisor.graded.cell)
+        (match o.Supervisor.cause with
+         | None -> "null"
+         | Some c -> str (Supervisor.cause_name c))
+        (match o.Supervisor.stage with
+         | None -> "null"
+         | Some s -> str (Journal_codec.encode_stage s))
+        (Journal_codec.encode_outcome o)
 
 (* ------------------------------------------------------------------ *)
 (* Daemon entry                                                        *)

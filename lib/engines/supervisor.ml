@@ -30,25 +30,27 @@ let cause_name = function
   | Degraded rung -> "degraded:" ^ rung
 
 type policy = {
-  budget : Robust.Budget.t;  (** caps on the cell's one attempt *)
+  budget : Robust.Budget.t;  (** caps on the cell's one run *)
   ladder : Smt.Degrade.rung list;
       (** what a tripped solver budget does: walk these rungs and
           grade the cell P if they decide it, or, when empty, abort
           the cell (graded E) *)
+  incremental : bool;
+      (** solve through per-engine incremental sessions; [false] is
+          the one-shot ablation, which must grade the same *)
 }
 
-(** No caps, the default ladder: supervised output is identical to
-    running the engine bare (the supervisor only adds the catch). *)
+(** No caps, the default ladder, incremental solving: supervised
+    output is identical to running the engine bare (the supervisor
+    only adds the catch). *)
 let default_policy =
-  { budget = Robust.Budget.unlimited; ladder = Smt.Degrade.default_ladder }
+  { budget = Robust.Budget.unlimited; ladder = Smt.Degrade.default_ladder;
+    incremental = true }
 
 type outcome = {
   graded : Grade.graded;
   cause : cause option;  (** [None]: the cell completed *)
   stage : stage option;  (** Es attribution of [cause] *)
-  attempts : int;
-      (** 1 for a cell that ran; a cell the fleet lost with its
-          workers carries the dispatches it took *)
 }
 
 (* robust.* accounting: per-resource cause counters live in
@@ -113,19 +115,23 @@ let deepest_rung = function
            (fun best r -> if rung_depth r > rung_depth best then r else best)
            (List.hd rungs) (List.tl rungs))
 
-(** Supervised version of {!Grade.run_cell}.  With {!default_policy}
-    the graded result is exactly what the bare engine produces. *)
-let run_cell ?incremental ?(policy = default_policy) (tool : Profile.tool)
+(** Supervised version of {!Grade.run_cell}, and the one place a cell
+    is metered, caught and graded: Table II, the fleet, the service,
+    [eval negative] and [eval --explain] all read its outcome.  With
+    {!default_policy} the graded result is exactly what the bare engine
+    produces. *)
+let run_cell ?(policy = default_policy) (tool : Profile.tool)
     (bomb : Bombs.Common.t) : outcome =
   Telemetry.Metrics.incr m_cells;
   let meter = Robust.Meter.create policy.budget in
   match
     Robust.Meter.with_ambient meter (fun () ->
-        Grade.run_cell ?incremental ~ladder:policy.ladder tool bomb)
+        Grade.run_cell ~incremental:policy.incremental ~ladder:policy.ladder
+          tool bomb)
   with
   | graded -> (
       match deepest_rung (degraded_rungs graded.diags) with
-      | None -> { graded; cause = None; stage = None; attempts = 1 }
+      | None -> { graded; cause = None; stage = None }
       | Some rung ->
           (* completed, but only thanks to off-budget fallbacks: a
              graded partial success, attributed to the deepest rung *)
@@ -134,7 +140,7 @@ let run_cell ?incremental ?(policy = default_policy) (tool : Profile.tool)
           Telemetry.Metrics.incr m_cells_p;
           Telemetry.Metrics.incr (List.assoc stage m_stage);
           { graded = { graded with cell = Partial };
-            cause = Some cause; stage; attempts = 1 })
+            cause = Some cause; stage })
   | exception e ->
       let cause =
         match e with
@@ -151,4 +157,16 @@ let run_cell ?incremental ?(policy = default_policy) (tool : Profile.tool)
           { cell; proposed = None; detonated = false;
             false_positive = false; diags = [ diag_of_cause cause ];
             work = meter.Robust.Meter.vm_steps };
-        cause = Some cause; stage; attempts = 1 }
+        cause = Some cause; stage }
+
+(** A cell's grade and, when the supervisor intervened, its cause and
+    stage: ["array1_bomb x BAP -> P: degraded:resimplify at Es3"].
+    Table II's degraded section and [eval --explain] both print it. *)
+let describe ~bomb tool (o : outcome) =
+  Printf.sprintf "%s x %s -> %s%s" bomb (Profile.name tool)
+    (cell_symbol o.graded.cell)
+    (match o.cause with
+     | None -> ""
+     | Some cause ->
+         ": " ^ cause_name cause
+         ^ (match o.stage with Some s -> " at " ^ show_stage s | None -> ""))

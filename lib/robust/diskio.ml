@@ -149,12 +149,8 @@ let close h = Unix.close h.h_fd
 (* Atomic publication and reads                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Write [contents] under [path] via tmp+rename, fsync before the
-    publish: a crash can leave a stale [path ^ ".tmp"] but never a
-    torn file under the final name.  Raises {!Full} on ENOSPC or
-    EDQUOT (the partial tmp is removed) and [Sys_error] on any other
-    failure, a failed rename included (the tmp stays behind). *)
-let write_atomic ~path contents =
+(* tmp+rename publication of a regular file *)
+let publish ~path contents =
   let tmp = path ^ ".tmp" in
   (try
      let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
@@ -172,7 +168,37 @@ let write_atomic ~path contents =
          (try Sys.remove tmp with Sys_error _ -> ());
          raise full
      | e -> raise e));
-  Sys.rename tmp path;
+  Sys.rename tmp path
+
+(* [path] exists and resolves to a device, a FIFO or a socket
+   ([/dev/stdout] on a pipe or a terminal, say): renaming a tmp over
+   it would replace the node with a regular file *)
+let is_special path =
+  match (Unix.stat path).st_kind with
+  | S_CHR | S_BLK | S_FIFO | S_SOCK -> true
+  | S_REG | S_DIR | S_LNK -> false
+  | exception Unix.Unix_error _ -> false
+
+(* a special file takes the bytes in place, unsynced: fsync on a
+   device or a FIFO fails with EINVAL (a socket refuses the open) *)
+let write_in_place ~path contents =
+  let fd =
+    try Unix.openfile path [ O_WRONLY ] 0 with e -> raise (typed path e)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> write_all ~path fd contents)
+
+(** Write [contents] under [path] via tmp+rename, fsync before the
+    publish: a crash can leave a stale [path ^ ".tmp"] but never a
+    torn file under the final name.  Raises {!Full} on ENOSPC or
+    EDQUOT (the partial tmp is removed) and [Sys_error] on any other
+    failure, a failed rename included (the tmp stays behind).  A
+    [path] that resolves to a device, a FIFO or a socket is written in
+    place instead, so the node stays what it is. *)
+let write_atomic ~path contents =
+  if is_special path then write_in_place ~path contents
+  else publish ~path contents;
   Telemetry.Metrics.incr m_atomic;
   Telemetry.Metrics.add m_bytes (String.length contents)
 

@@ -129,26 +129,8 @@ let duration_us s =
   if d < 0.0 then 0.0 else d
 
 (* ------------------------------------------------------------------ *)
-(* Sinks                                                               *)
+(* Renderings                                                          *)
 (* ------------------------------------------------------------------ *)
-
-type sink = Silent | Tree | Jsonl | Chrome
-
-let sink_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "silent" | "none" -> Some Silent
-  | "tree" | "human" -> Some Tree
-  | "jsonl" -> Some Jsonl
-  | "chrome" | "trace" -> Some Chrome
-  | _ -> None
-
-let sink_name = function
-  | Silent -> "silent"
-  | Tree -> "tree"
-  | Jsonl -> "jsonl"
-  | Chrome -> "chrome"
-
-let all_sinks = [ Silent; Tree; Jsonl; Chrome ]
 
 let children_of all id =
   List.filter (fun s -> s.parent = Some id) all
@@ -291,18 +273,3 @@ let chrome_document events =
 
 (** Every finished span as one Chrome trace on lane 1. *)
 let to_chrome () = chrome_document (chrome_events ~lane:1 (finished_spans ()))
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let write_chrome path = write_file path (to_chrome ())
-let write_jsonl path = write_file path (to_jsonl ())
-
-(** Render the recorded spans through [sink]; [Silent] yields "". *)
-let render_sink = function
-  | Silent -> ""
-  | Tree -> render_tree ()
-  | Jsonl -> to_jsonl ()
-  | Chrome -> to_chrome ()

@@ -1,9 +1,10 @@
 (** Structural validation of emitted trace files.
 
-    The sinks write JSON by string concatenation (no JSON library in
-    the toolchain), so the smoke test needs an independent reader to
-    prove the output is actually parseable.  This is a minimal
-    recursive-descent JSON parser plus two validators:
+    Spans and journals are written as JSON by string concatenation
+    (no JSON library in the toolchain), so the smoke test needs an
+    independent reader to prove the output is actually parseable.
+    This is a minimal recursive-descent JSON parser plus two
+    validators:
 
     - {!validate_chrome}: the file is one JSON object with a
       [traceEvents] array whose B/E phase events balance per

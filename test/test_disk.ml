@@ -100,6 +100,34 @@ let diskio_full_device () =
     (Sys.file_exists (path ^ ".tmp"));
   rm path
 
+(* a publish onto a FIFO reaches its reader, and the FIFO stays a
+   FIFO: a tmp+rename over it would leave a regular file in its place
+   and the reader with nothing *)
+let diskio_fifo_target () =
+  let dir = Filename.temp_dir "disk_test_fifo" "" in
+  let path = Filename.concat dir "fifo" in
+  Unix.mkfifo path 0o600;
+  (* the read end first, non-blocking, so opening the write end does
+     not wait for a reader *)
+  let rd = Unix.openfile path [ O_RDONLY; O_NONBLOCK ] 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      rm path;
+      rm (path ^ ".tmp");
+      Sys.rmdir dir)
+    (fun () ->
+       Robust.Diskio.write_atomic ~path "through the fifo\n";
+       Alcotest.(check bool) "still a FIFO" true
+         ((Unix.stat path).st_kind = S_FIFO);
+       let buf = Bytes.create 64 in
+       let n =
+         try Unix.read rd buf 0 64
+         with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> 0
+       in
+       Alcotest.(check string) "the reader got the bytes"
+         "through the fifo\n" (Bytes.sub_string buf 0 n))
+
 (* ---------------- a real full device ----------------
    The profile sidecar is a symlink to /dev/full: every sample append
    meets a real ENOSPC.  The sidecar drops its samples and the grid
@@ -423,7 +451,9 @@ let () =
        [ Alcotest.test_case "atomic write + append round trip" `Quick
            diskio_roundtrip;
          Alcotest.test_case "full device raises Full" `Quick
-           diskio_full_device ]);
+           diskio_full_device;
+         Alcotest.test_case "FIFO target written in place" `Quick
+           diskio_fifo_target ]);
       ("containment",
        [ Alcotest.test_case "enospc" `Quick sidecar_enospc;
          Alcotest.test_case "short write" `Quick short_write;

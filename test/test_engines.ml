@@ -70,9 +70,9 @@ let explain_agrees_with_grade () =
        Alcotest.(check string)
          (Printf.sprintf "%s on %s" (Engines.Profile.name tool) bomb_name)
          (cell_symbol expected.cell)
-         (cell_symbol r.graded.cell);
+         (cell_symbol r.outcome.graded.cell);
        Alcotest.(check bool) "stage derives from the cell" true
-         (Engines.Explain.stage_of_cell r.graded.cell = r.stage);
+         (Engines.Explain.stage_of_cell r.outcome.graded.cell = r.stage);
        (* a failed cell marks a span; the Chrome dump stays valid *)
        (match r.stage with
         | Some _ ->
@@ -91,6 +91,49 @@ let explain_agrees_with_grade () =
       (Engines.Profile.Triton, "pthread_bomb");(* Es2 *)
       (Engines.Profile.Angr, "array2_bomb");   (* Es3 *)
       (Engines.Profile.Angr, "array1_bomb") ]  (* Success *)
+
+(* --explain and table2 read one supervised cell: under any policy the
+   diagnosis names the cell, cause and stage Table II prints for it *)
+let explain_matches_table2 budget_spec ladder () =
+  let budget =
+    match Robust.Budget.parse budget_spec with
+    | Ok b -> b
+    | Error e -> Alcotest.fail e
+  in
+  let policy =
+    { Engines.Supervisor.default_policy with
+      budget;
+      ladder =
+        (if ladder then Engines.Supervisor.default_policy.ladder else []) }
+  in
+  List.iter
+    (fun (tool, bomb_name) ->
+       let bomb = Bombs.Catalog.find bomb_name in
+       let c = Engines.Eval.run_cell ~policy tool bomb in
+       let r = Engines.Explain.run ~policy tool bomb in
+       let what =
+         Printf.sprintf "%s on %s under %s%s" (Engines.Profile.name tool)
+           bomb_name budget_spec (if ladder then "" else " (no ladder)")
+       in
+       Alcotest.(check string) (what ^ ": cell") (cell_symbol c.measured)
+         (cell_symbol r.outcome.graded.cell);
+       Alcotest.(check (option string)) (what ^ ": cause")
+         (Option.map Engines.Supervisor.cause_name c.robust.cause)
+         (Option.map Engines.Supervisor.cause_name r.outcome.cause);
+       let stage = Option.map show_stage in
+       Alcotest.(check (option string)) (what ^ ": supervisor stage")
+         (stage c.robust.stage) (stage r.outcome.stage);
+       Alcotest.(check (option string)) (what ^ ": attributed stage")
+         (stage
+            (match c.robust.cause with
+             | Some _ -> c.robust.stage
+             | None -> Engines.Explain.stage_of_cell c.measured))
+         (stage r.stage))
+    (List.concat_map
+       (fun tool ->
+          List.map (fun b -> (tool, b))
+            [ "time_bomb"; "argvlen_bomb"; "array1_bomb" ])
+       [ Engines.Profile.Bap; Engines.Profile.Triton ])
 
 let negative_bomb_false_positive () =
   let results = Engines.Eval.run_negative () in
@@ -128,8 +171,9 @@ let grade_determinism () =
   in
   List.iter
     (fun incremental ->
-       let r1 = Engines.Eval.run_table2 ~incremental ~bombs () in
-       let r2 = Engines.Eval.run_table2 ~incremental ~bombs () in
+       let policy = { Engines.Supervisor.default_policy with incremental } in
+       let r1 = Engines.Eval.run_table2 ~policy ~bombs () in
+       let r2 = Engines.Eval.run_table2 ~policy ~bombs () in
        Alcotest.(check int) "same cell count" (List.length r1.cells)
          (List.length r2.cells);
        List.iter2
@@ -154,8 +198,12 @@ let incremental_invariance () =
       [ "argvlen_bomb"; "stack_bomb"; "array1_bomb"; "fork_bomb";
         "exception_bomb"; "pthread_bomb" ]
   in
-  let on = Engines.Eval.run_table2 ~incremental:true ~bombs () in
-  let off = Engines.Eval.run_table2 ~incremental:false ~bombs () in
+  let on = Engines.Eval.run_table2 ~bombs () in
+  let off =
+    Engines.Eval.run_table2
+      ~policy:{ Engines.Supervisor.default_policy with incremental = false }
+      ~bombs ()
+  in
   List.iter2
     (fun (a : Engines.Eval.cell_result) (b : Engines.Eval.cell_result) ->
        Alcotest.(check string)
@@ -265,6 +313,15 @@ let () =
              (Angr_nolib, "pthread_bomb", Fail Es2, 50, 49);
              (Angr, "fork_bomb", Fail Es2, 67, 66);
              (Angr_nolib, "fork_bomb", Success, 50, 49) ]);
+      ("explain = table2",
+       List.map
+         (fun (name, spec, ladder) ->
+            Alcotest.test_case name `Quick
+              (explain_matches_table2 spec ladder))
+         [ ("default policy", "unlimited", true);
+           ("smt=0", "smt=0", true);
+           ("smt=0, ladder off", "smt=0", false);
+           ("lift=50", "lift=50", true) ]);
       ("aggregates",
        [ Alcotest.test_case "fig3 shape" `Quick fig3_shape;
          Alcotest.test_case "fig3 telemetry agreement" `Quick

@@ -145,8 +145,7 @@ let supervised_matches_bare () =
          (Printf.sprintf "%s on %s" (Engines.Profile.name tool) name)
          (cell_symbol bare.cell)
          (cell_symbol sup.graded.cell);
-       Alcotest.(check bool) "no cause" true (sup.cause = None);
-       Alcotest.(check int) "one attempt" 1 sup.attempts)
+       Alcotest.(check bool) "no cause" true (sup.cause = None))
     [ (Engines.Profile.Bap, "time_bomb");
       (Engines.Profile.Triton, "stack_bomb") ]
 
@@ -172,7 +171,7 @@ let budget_trip_grades_e () =
    undispatched cells *)
 let cancellation_grades_p () =
   let o =
-    Engines.Eval.outcome_of_failure ~attempts:1 Fleet.Pool.Cancelled
+    Engines.Eval.outcome_of_failure Fleet.Pool.Cancelled
   in
   Alcotest.(check string) "graded P" "P" (cell_symbol o.graded.cell);
   Alcotest.(check bool) "cause is cancellation" true
@@ -197,7 +196,6 @@ let crash_grades_e () =
    | _ -> Alcotest.fail "cause must be a crash");
   Alcotest.(check bool) "diag is Engine_crash" true
     (match o.graded.diags with [ Engine_crash _ ] -> true | _ -> false);
-  Alcotest.(check int) "one attempt" 1 o.attempts;
   Alcotest.(check int) "robust.crashes bumped" (before + 1)
     (Telemetry.Metrics.counter_value "robust.crashes");
   (* the crash stays in its cell: the grid finishes, and its other
@@ -243,6 +241,16 @@ let crash_grades_e () =
     (Telemetry.Metrics.counter_value "journal.replayed");
   Sys.remove path
 
+(* --explain grades a raising cell as Table II does, instead of
+   letting the exception escape *)
+let explain_crash_grades_e () =
+  let r = Engines.Explain.run Engines.Profile.Bap unlinkable_bomb in
+  Alcotest.(check string) "graded E" "E" (cell_symbol r.outcome.graded.cell);
+  (match r.outcome.cause with
+   | Some (Engines.Supervisor.Crashed _) -> ()
+   | _ -> Alcotest.fail "cause must be a crash");
+  Alcotest.(check bool) "no stage" true (r.stage = None)
+
 (* ---------------- budget determinism ---------------- *)
 
 let det_bombs () =
@@ -280,7 +288,7 @@ let grades_deterministic_across_runs () =
 
 let modes_agree_under_budget () =
   let run incremental =
-    Engines.Eval.run_table2 ~incremental ~policy:tripping_policy
+    Engines.Eval.run_table2 ~policy:{ tripping_policy with incremental }
       ~tools:det_tools ~bombs:(det_bombs ()) ()
   in
   Alcotest.(check (list string)) "incremental = one-shot under budget"
@@ -343,7 +351,8 @@ let soak_real_budgets () =
     let spec, budget, capped = budget_of_seed seed in
     let ladder_on = seed mod 2 = 0 in
     let policy =
-      { Engines.Supervisor.budget;
+      { Engines.Supervisor.default_policy with
+        budget;
         ladder =
           (if ladder_on then Engines.Supervisor.default_policy.ladder
            else []) }
@@ -603,12 +612,37 @@ let journal_skips_damage () =
     (Telemetry.Metrics.counter_value "journal.stale" > stale_before);
   Sys.remove path
 
+(* a record as journals written before the attempt count was dropped
+   carry it: it still decodes, so those journals replay *)
+let codec_reads_attempts_member () =
+  let payload =
+    "{\"cell\":\"P\",\"proposed\":null,\"detonated\":false,\
+     \"false_positive\":false,\"diags\":[{\"d\":\"solver_degraded\",\
+     \"s\":\"enumerate\"}],\"work\":42,\"cause\":{\"c\":\"degraded\",\
+     \"rung\":\"enumerate\"},\"stage\":\"Es3\",\"attempts\":2}"
+  in
+  let expected =
+    { Engines.Supervisor.graded =
+        { Engines.Grade.cell = Partial; proposed = None; detonated = false;
+          false_positive = false; diags = [ Solver_degraded "enumerate" ];
+          work = 42 };
+      cause = Some (Engines.Supervisor.Degraded "enumerate");
+      stage = Some Es3 }
+  in
+  match
+    Option.bind
+      (Telemetry.Trace_check.parse_opt payload)
+      Engines.Journal_codec.decode_outcome
+  with
+  | None -> Alcotest.failf "older record must decode: %s" payload
+  | Some o -> Alcotest.(check bool) "decoded outcome" true (o = expected)
+
 let codec_roundtrip () =
   let outcomes =
     [ { Engines.Supervisor.graded =
           { Engines.Grade.cell = Success; proposed = Some "ab\x00\xffz";
             detonated = true; false_positive = false; diags = []; work = 123 };
-        cause = None; stage = None; attempts = 1 };
+        cause = None; stage = None };
       { Engines.Supervisor.graded =
           { Engines.Grade.cell = Partial; proposed = None; detonated = false;
             false_positive = false;
@@ -617,13 +651,13 @@ let codec_roundtrip () =
                 Unsupported_syscall "ptrace"; Fp_constraint ];
             work = 0 };
         cause = Some (Engines.Supervisor.Degraded "enumerate");
-        stage = Some Es3; attempts = 2 };
+        stage = Some Es3 };
       { Engines.Supervisor.graded =
           { Engines.Grade.cell = Fail Es1; proposed = None; detonated = false;
             false_positive = true; diags = [ Lift_failure "rdtsc" ];
             work = 7 };
         cause = Some (Engines.Supervisor.Exhausted Robust.Meter.Deadline);
-        stage = Some Es1; attempts = 3 } ]
+        stage = Some Es1 } ]
   in
   List.iter
     (fun (o : Engines.Supervisor.outcome) ->
@@ -724,7 +758,9 @@ let () =
            supervised_matches_bare;
          Alcotest.test_case "budget trip -> E" `Quick budget_trip_grades_e;
          Alcotest.test_case "cancellation -> P" `Quick cancellation_grades_p;
-         Alcotest.test_case "crash -> E" `Quick crash_grades_e ]);
+         Alcotest.test_case "crash -> E" `Quick crash_grades_e;
+         Alcotest.test_case "explain: crash -> E" `Quick
+           explain_crash_grades_e ]);
       ("determinism",
        [ Alcotest.test_case "same budget, same grades" `Quick
            grades_deterministic_across_runs;
@@ -747,6 +783,8 @@ let () =
        [ Alcotest.test_case "damage skipped, never trusted" `Quick
            journal_skips_damage;
          Alcotest.test_case "codec round trip" `Quick codec_roundtrip;
+         Alcotest.test_case "codec reads an attempts member" `Quick
+           codec_reads_attempts_member;
          Alcotest.test_case "replay = fresh run" `Quick
            journal_replay_matches_fresh;
          Alcotest.test_case "kill and resume" `Quick
