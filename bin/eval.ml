@@ -4,8 +4,7 @@
     - the paper: [table1], [table2], [fig3], [sizes], [negative],
       [all];
     - artifacts: [profile] (report on a [table2 --profile] sidecar),
-      [fsck] (verify and repair journals and sidecars),
-      [validate-trace] (check emitted trace files);
+      [validate-trace] (check an emitted Chrome trace);
     - the service: [serve], [submit], [drain], [health], [metrics];
     - [debug]: step through one recorded trace.
 
@@ -13,7 +12,12 @@
     under span tracing and prints its grade, cause and error-stage
     diagnosis ([--tool] selects the engine; [--budget], [--no-ladder]
     and [--no-incremental] set the policy as for [table2];
-    [--trace-out]/[--jsonl-out] write the recorded spans). *)
+    [--trace-out] writes the recorded spans as a Chrome trace).
+
+    A damaged journal or sidecar is found and reported where it is
+    read: the loaders skip and count each undecodable line, and the
+    next [table2 --journal] run rewrites the journal from its sound
+    records. *)
 
 (* --tool filters keep [Profile.all] order, whatever order they came in *)
 let parse_tools tools_filter =
@@ -138,9 +142,9 @@ let run_table2 no_incremental no_ladder budget_spec tools_filter bombs_filter
               not a fresh run *)
            Printf.eprintf
              "table2: journal %s holds no decodable records — corrupt or \
-              not a journal; run `eval fsck --repair %s`, or pass --force \
-              to re-grade every cell\n"
-             path path;
+              not a journal; pass --force to re-grade every cell and \
+              rewrite it\n"
+             path;
            exit 2
          | _ -> ())
       journal;
@@ -245,8 +249,8 @@ let run_profile path top =
   | [] ->
     Printf.eprintf
       "profile: %s holds no decodable samples — corrupt or not a \
-       profile sidecar; run `eval fsck %s`\n"
-      path path;
+       profile sidecar\n"
+      path;
     exit 2
   | samples -> print_string (Engines.Cellprof.render_report ~top samples)
   | exception Sys_error msg ->
@@ -304,7 +308,7 @@ let run_table1 () = print_string (Engines.Eval.render_table1 ())
 (* --explain: run one supervised cell under span tracing, print the
    Es-stage diagnosis, then write the spans where asked *)
 let run_explain no_incremental no_ladder budget_spec bomb_name tool_name
-    trace_out jsonl_out =
+    trace_out =
   let bomb =
     match Bombs.Catalog.find_opt bomb_name with
     | Some b -> b
@@ -318,19 +322,14 @@ let run_explain no_incremental no_ladder budget_spec bomb_name tool_name
         (List.map Engines.Profile.name Engines.Profile.all)
   in
   let policy = parse_policy budget_spec no_ladder no_incremental in
-  check_out_dirs "explain"
-    [ ("--trace-out", trace_out); ("--jsonl-out", jsonl_out) ];
+  check_out_dirs "explain" [ ("--trace-out", trace_out) ];
   let r = Engines.Explain.run ~policy tool bomb in
   print_string (Engines.Explain.render r);
-  let write what render path =
-    Option.iter
-      (fun path ->
-         Robust.Diskio.write_atomic ~path (render ());
-         Printf.printf "wrote %s to %s\n" what path)
-      path
-  in
-  write "Chrome trace" Telemetry.to_chrome trace_out;
-  write "JSONL spans" Telemetry.to_jsonl jsonl_out
+  Option.iter
+    (fun path ->
+       Robust.Diskio.write_atomic ~path (Telemetry.to_chrome ());
+       Printf.printf "wrote Chrome trace to %s\n" path)
+    trace_out
 
 (* debug: interactive step/step-back replay over one recorded trace *)
 let run_debug bomb_name input =
@@ -338,33 +337,15 @@ let run_debug bomb_name input =
   | None -> Cli.unknown_name "bomb" bomb_name Bombs.Catalog.names
   | Some bomb -> Engines.Debug.run ?input bomb
 
-(* fsck: verify (and with --repair, fix) on-disk artifacts *)
-let run_fsck repair paths =
-  let reports = Engines.Fsck.scan ~repair paths in
-  if reports <> [] then print_endline (Engines.Fsck.render reports);
-  exit (Engines.Fsck.exit_code ~repair reports)
-
-(* validate-trace: independent structural check of emitted files *)
+(* validate-trace: independent structural check of emitted traces *)
 let run_validate_trace files =
   let fail = ref false in
   List.iter
     (fun path ->
-       let jsonl = Filename.check_suffix path ".jsonl" in
-       let outcome =
-         if jsonl then
-           match Telemetry.Trace_check.validate_jsonl_file path with
-           | Ok n -> Ok (Printf.sprintf "%d span objects" n)
-           | Error e -> Error e
-         else
-           match Telemetry.Trace_check.validate_chrome_file path with
-           | Ok { events; spans; max_depth } ->
-             Ok
-               (Printf.sprintf "%d events, %d balanced spans, depth %d"
-                  events spans max_depth)
-           | Error e -> Error e
-       in
-       match outcome with
-       | Ok msg -> Printf.printf "%s: OK (%s)\n" path msg
+       match Telemetry.Trace_check.validate_chrome_file path with
+       | Ok { events; spans; max_depth } ->
+         Printf.printf "%s: OK (%d events, %d balanced spans, depth %d)\n"
+           path events spans max_depth
        | Error e ->
          Printf.printf "%s: INVALID (%s)\n" path e;
          fail := true)
@@ -625,33 +606,6 @@ let debug_cmd =
           (reads commands from stdin; try `help`)")
     Term.(const run_debug $ bomb_arg $ input_arg)
 
-let fsck_cmd =
-  let repair_arg =
-    Arg.(value & flag
-         & info [ "repair" ]
-           ~doc:
-             "Fix what can be fixed: rewrite journals and sidecars \
-              keeping only sound records, truncate torn tails, and \
-              remove stale *.tmp files")
-  in
-  let paths_arg =
-    Arg.(non_empty & pos_all string []
-         & info [] ~docv:"PATH"
-           ~doc:
-             "Artifacts to check — journals, profile sidecars, or \
-              directories (scanned recursively)")
-  in
-  Cmd.v
-    (Cmd.info "fsck"
-       ~doc:
-         "Verify on-disk artifacts: detect each file's format, walk \
-          its per-record checksums, flag torn tails, corrupt records \
-          and stale tmp files, and report \
-          journal fingerprints. Exit 0 if everything is clean, 1 if \
-          damage was found and fully repaired (--repair), 2 if damage \
-          remains.")
-    Term.(const run_fsck $ repair_arg $ paths_arg)
-
 let sizes_cmd =
   Cmd.v (Cmd.info "sizes" ~doc:"Dataset binary-size statistics (§V-A)")
     Term.(const run_sizes $ const ())
@@ -678,8 +632,7 @@ let validate_trace_cmd =
   let files =
     Arg.(non_empty & pos_all file []
          & info [] ~docv:"FILE"
-           ~doc:"Trace files to validate (.jsonl validates as JSONL \
-                 spans, anything else as Chrome trace_event JSON)")
+           ~doc:"Chrome trace_event JSON files to validate")
   in
   Cmd.v
     (Cmd.info "validate-trace"
@@ -706,23 +659,16 @@ let explain_term =
            ~doc:"Write the recorded spans as Chrome trace_event JSON \
                  (loadable in about:tracing / Perfetto)")
   in
-  let jsonl_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "jsonl-out" ] ~docv:"FILE"
-           ~doc:"Write the recorded spans as JSONL")
-  in
-  let run no_incremental no_ladder budget bomb tool trace_out jsonl_out =
+  let run no_incremental no_ladder budget bomb tool trace_out =
     match bomb with
     | Some bomb_name ->
-      run_explain no_incremental no_ladder budget bomb_name tool trace_out
-        jsonl_out;
+      run_explain no_incremental no_ladder budget bomb_name tool trace_out;
       `Ok ()
     | None -> `Help (`Pager, None)
   in
   Term.(ret
           (const run $ no_incremental_arg $ no_ladder_arg $ budget_arg
-           $ explain_arg $ tool_arg $ trace_out_arg
-           $ jsonl_out_arg))
+           $ explain_arg $ tool_arg $ trace_out_arg))
 
 let () =
   let info = Cmd.info "eval" ~doc:"Logic-bomb evaluation harness" in
@@ -730,5 +676,5 @@ let () =
                     [ table1_cmd; table2_cmd; fig3_cmd;
                       sizes_cmd; negative_cmd; validate_trace_cmd;
                       debug_cmd; serve_cmd; submit_cmd; drain_cmd;
-                      health_cmd; metrics_cmd; profile_cmd; fsck_cmd;
+                      health_cmd; metrics_cmd; profile_cmd;
                       all_cmd ]))

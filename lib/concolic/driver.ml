@@ -18,9 +18,6 @@ type config = {
   max_iterations : int;
   max_events : int;
   solver : Smt.Solver.config;
-  max_blast_cost : int;
-      (** skip solving when the predicted CNF is larger than this —
-          the crypto-bomb blow-up *)
   incremental : bool;
       (** solve branch flips through one {!Smt.Session}: each flip
           shares the path-predicate prefix of the previous one, so the
@@ -33,7 +30,6 @@ let default_config trace_cfg =
     max_iterations = 24;
     max_events = 400_000;
     solver = { Smt.Solver.default_config with conflict_budget = 20_000 };
-    max_blast_cost = 300_000;
     incremental = true }
 
 (** The system under test, abstracted from bombs so examples can reuse
@@ -56,26 +52,6 @@ type verdict = {
 
 let dedup_diags diags =
   List.sort_uniq Error.compare_diag diags
-
-(* model -> argv string: model bytes override the seed's, cut at NUL *)
-let input_of_model ~seed ~width (model : Smt.Solver.model) =
-  let b = Bytes.create width in
-  for i = 0 to width - 1 do
-    let default =
-      if i < String.length seed then Char.code seed.[i] else 0
-    in
-    let v =
-      match List.assoc_opt (Printf.sprintf "argv1_%d" i) model with
-      | Some x -> Int64.to_int (Int64.logand x 0xffL)
-      | None -> default
-    in
-    Bytes.set b i (Char.chr v)
-  done;
-  let s = Bytes.to_string b in
-  match String.index_opt s '\000' with
-  | Some 0 -> "\001" (* empty argv would change layout; keep 1 byte *)
-  | Some i -> String.sub s 0 i
-  | None -> s
 
 let m_traces = Telemetry.Metrics.counter "concolic.traces"
 let m_branch_flips = Telemetry.Metrics.counter "concolic.branch_flips"
@@ -161,7 +137,9 @@ let explore ?(seed = "5") (config : config) (target : target) : verdict =
                   in
                   let negated = E.not_ b.cond in
                   let cs = prefix @ [ negated ] in
-                  let cap = config.max_blast_cost in
+                  (* skip solving when the predicted CNF is larger
+                     than the blow-up guard *)
+                  let cap = State.max_blast_cost in
                   let rec total acc = function
                     | [] -> acc
                     | c :: rest ->
@@ -170,13 +148,16 @@ let explore ?(seed = "5") (config : config) (target : target) : verdict =
                   in
                   let cost = total 0 cs in
                   match
-                    if cost > config.max_blast_cost then
+                    if cost > cap then
                       Smt.Solver.Unknown Smt.Solver.Budget
                     else solve cs
                   with
                   | Smt.Solver.Sat model ->
                     Telemetry.Metrics.incr m_branch_flips;
-                    let input' = input_of_model ~seed:input ~width model in
+                    let input' =
+                      State.input_of_model ~fill:input ~empty:"\001" ~width
+                        model
+                    in
                     if not (Hashtbl.mem tried input') then
                       Queue.add input' worklist
                   | Smt.Solver.Unsat -> ()

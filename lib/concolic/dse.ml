@@ -34,9 +34,6 @@ type config = {
   solver : Smt.Solver.config;
   feasibility_budget : int;   (** conflict budget for fork pruning *)
   mem_window : int;
-  max_constraint_nodes : int;
-      (** refuse to bit-blast larger path predicates (crypto blow-up:
-          the paper's "memory out") *)
   incremental : bool;
       (** run all feasibility and goal queries through one
           {!Smt.Session}: forked states inherit the encoded prefix of
@@ -52,7 +49,6 @@ let default_config mode =
     solver = { Smt.Solver.default_config with conflict_budget = 20_000 };
     feasibility_budget = 1_000;
     mem_window = 64;
-    max_constraint_nodes = 300_000;
     incremental = true }
 
 (* ------------------------------------------------------------------ *)
@@ -458,22 +454,6 @@ let run_summary t (s : sstate) name : step_result =
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let input_of_model ~width (model : Smt.Solver.model) =
-  let b = Bytes.create width in
-  for i = 0 to width - 1 do
-    let v =
-      match List.assoc_opt (Printf.sprintf "argv1_%d" i) model with
-      | Some x -> Int64.to_int (Int64.logand x 0xffL)
-      | None -> Char.code 'x'
-    in
-    Bytes.set b i (Char.chr v)
-  done;
-  let str = Bytes.to_string b in
-  match String.index_opt str '\000' with
-  | Some 0 -> "\001"
-  | Some i -> String.sub str 0 i
-  | None -> str
-
 (** Does [w] model all of [cs] (newest first)?  It models [w.upto], so
     only the constraints consed on since need evaluating — including
     those recorded with no check ([Address_bound], [Fault_guard]). *)
@@ -491,7 +471,7 @@ let m_dse_witnessed = Telemetry.Metrics.counter "dse.witnessed"
 let feasible t (s : sstate) =
   (* the O(1) size guard first: on crypto paths it spares a walk of the
      whole path per fork *)
-  if s.st.State.built_cost > t.config.max_constraint_nodes then true
+  if s.st.State.built_cost > State.max_blast_cost then true
   else
     let cs = s.st.State.constraints in
     match s.witness with
@@ -614,7 +594,7 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
              t.fp_seen <- true;
              t.all_diags <- Error.Fp_constraint :: t.all_diags
            end;
-           let too_large = s.st.State.built_cost > config.max_constraint_nodes in
+           let too_large = s.st.State.built_cost > State.max_blast_cost in
            let has_unconstrained_external =
              List.exists
                (function Error.Unconstrained_external _ -> true | _ -> false)
@@ -639,7 +619,10 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
             | Smt.Solver.Sat model ->
               claims :=
                 { model;
-                  input = input_of_model ~width:config.argv_width model;
+                  input =
+                    State.input_of_model
+                      ~fill:(String.make config.argv_width 'x') ~empty:"\001"
+                      ~width:config.argv_width model;
                   diags = s.st.State.diags }
                 :: !claims;
               if List.length !claims >= config.max_claims then raise Exit

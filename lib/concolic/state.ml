@@ -65,10 +65,28 @@ let attach_session t session = t.session <- Some session
 
 let diag t d = t.diags <- d :: t.diags
 
-(* don't intern constraints past the engines' blow-up guards
-   (Profile.max_blast_cost / Dse.max_constraint_nodes): such predicates
-   are never solved, and crypto-sized DAGs are too deep to walk *)
-let intern_cost_cap = 300_000
+(** The constraint-system blow-up guard every engine shares: a path
+    predicate whose bit-blast cost exceeds this is never solved — the
+    crypto-bomb "memory out" of the paper's E rows.  Constraints past
+    it are not interned either: crypto-sized DAGs are too deep to
+    walk. *)
+let max_blast_cost = 300_000
+
+(** argv[1] from a model over [argv1_0 .. argv1_{width-1}]: a byte the
+    model leaves out is [fill]'s byte at that position (NUL past its
+    end), the string is cut at the first NUL, and a NUL first byte
+    gives [empty] (an empty argv[1] would change the argv layout). *)
+let input_of_model ~fill ~empty ~width (model : Smt.Solver.model) =
+  let s =
+    String.init width (fun i ->
+        match List.assoc_opt (Printf.sprintf "argv1_%d" i) model with
+        | Some x -> Char.chr (Int64.to_int (Int64.logand x 0xffL))
+        | None -> if i < String.length fill then fill.[i] else '\000')
+  in
+  match String.index_opt s '\000' with
+  | Some 0 -> empty
+  | Some i -> String.sub s 0 i
+  | None -> s
 
 let add_constraint t ?(kind = Branch) ~pc ~taken e =
   (match t.meter with
@@ -79,7 +97,7 @@ let add_constraint t ?(kind = Branch) ~pc ~taken e =
   | _ ->
     let e =
       match t.session with
-      | Some s when t.built_cost <= intern_cost_cap -> Smt.Session.intern s e
+      | Some s when t.built_cost <= max_blast_cost -> Smt.Session.intern s e
       | _ -> e
     in
     t.constraints <-

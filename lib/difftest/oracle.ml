@@ -362,7 +362,10 @@ let concolic_flip (f : Gen.flip) : (unit, string) result =
       let query = prefix @ [ E.not_ b.cond; nonzero ] in
       match Smt.Session.check_assertions (Smt.Session.create ()) query with
       | Smt.Session.Sat model -> (
-          let input = Concolic.Driver.input_of_model ~seed:decoy ~width:1 model in
+          let input =
+            Concolic.State.input_of_model ~fill:decoy ~empty:"\001" ~width:1
+              model
+          in
           let path' = run_path image input in
           match
             List.find_opt

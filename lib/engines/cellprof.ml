@@ -94,7 +94,7 @@ let profiled ~key (run : unit -> Supervisor.outcome) :
 (* JSONL codec and sidecar files                                       *)
 (* ------------------------------------------------------------------ *)
 
-let esc = Robust.Journal.json_escape
+let esc = Telemetry.Trace_check.json_escape
 
 let encode (s : sample) =
   let opt = function
@@ -172,21 +172,30 @@ let append ~path (s : sample) =
     Robust.Diskio.close h
   with Robust.Diskio.Full _ -> ()
 
+let m_skipped = Telemetry.Metrics.counter "profile.skipped"
+
 (** Load a sidecar: last sample wins per key (a resumed run re-appends
-    the cells it re-executed); undecodable lines are skipped. *)
+    the cells it re-executed).  An undecodable line (a torn tail, a
+    flipped byte) is skipped with a {!Telemetry.Log} warning and
+    counted in [profile.skipped], as {!Robust.Journal.load} does. *)
 let load path : sample list =
   let ic = open_in path in
   let tbl = Hashtbl.create 64 in
   let order = ref [] in
+  let lineno = ref 0 in
   (try
      while true do
        let line = input_line ic in
+       incr lineno;
        match decode line with
        | Some s ->
            if not (Hashtbl.mem tbl s.p_key) then
              order := s.p_key :: !order;
            Hashtbl.replace tbl s.p_key s
-       | None -> ()
+       | None ->
+           Telemetry.Metrics.incr m_skipped;
+           Telemetry.Log.warnf "profile: skipping undecodable sample at %s:%d"
+             path !lineno
      done
    with End_of_file -> ());
   close_in ic;

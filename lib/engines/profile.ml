@@ -41,16 +41,15 @@ type attempt = {
   work : int;                 (** instructions / steps spent *)
 }
 
-(** Constraint-system blow-up guard: bit-blasting a crypto-sized
+(** The path's predicate is past the blow-up guard
+    {!Concolic.State.max_blast_cost}: bit-blasting a crypto-sized
     predicate is the "memory out" of the paper's E rows. *)
-let max_blast_cost = 300_000
-
 let path_too_large (path : Concolic.Trace_exec.path) =
   match path.constraints with
   | [] -> false
   | cs ->
     let _, (info : Concolic.State.info) = List.nth cs (List.length cs - 1) in
-    info.cost > max_blast_cost
+    info.cost > Concolic.State.max_blast_cost
 
 (* ------------------------------------------------------------------ *)
 (* BAP-like: replay-and-rederive from the triggering input            *)
@@ -59,21 +58,10 @@ let path_too_large (path : Concolic.Trace_exec.path) =
 let solver_config =
   { Smt.Solver.default_config with conflict_budget = 20_000 }
 
-let input_of_model ~width (model : Smt.Solver.model) =
-  let b = Bytes.create width in
-  for i = 0 to width - 1 do
-    let v =
-      match List.assoc_opt (Printf.sprintf "argv1_%d" i) model with
-      | Some x -> Int64.to_int (Int64.logand x 0xffL)
-      | None -> Char.code 'A'  (* neutral filler, never the seed *)
-    in
-    Bytes.set b i (Char.chr v)
-  done;
-  let s = Bytes.to_string b in
-  match String.index_opt s '\000' with
-  | Some 0 -> "A"
-  | Some i -> String.sub s 0 i
-  | None -> s
+(* the bytes a model leaves out are a neutral filler, never the seed *)
+let input_of_model ~width model =
+  Concolic.State.input_of_model ~fill:(String.make width 'A') ~empty:"A"
+    ~width model
 
 let run_bap ?(incremental = true) ?(ladder = Smt.Degrade.default_ladder)
     ~(image : Asm.Image.t) ~(run_config : string -> Vm.Machine.config)

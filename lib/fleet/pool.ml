@@ -140,7 +140,7 @@ let check_key key =
    transit instead of running or grading garbage, and a reply's
    registry delta is accepted or refused together with its payload. *)
 
-let checksum = Robust.Journal.fnv64_hex
+let checksum = Robust.Diskio.fnv64_hex
 
 (* "<chk> <body>" split on spaces: the body, if it passes its check *)
 let checked = function

@@ -284,7 +284,7 @@ let handle_request st (c : client) line =
           let idem =
             match member "idem" j with
             | Some (Str s) -> s
-            | _ -> Robust.Journal.fnv64_hex line
+            | _ -> Robust.Diskio.fnv64_hex line
           in
           match Hashtbl.find_opt st.done_cache idem with
           | Some resp ->

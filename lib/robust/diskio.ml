@@ -20,14 +20,14 @@
       record.
     - {!write_atomic} never leaves a half-written file under the final
       name: a crash (or a failed rename) can leave only a stale
-      [path ^ ".tmp"], which [eval fsck --repair] removes.
+      [path ^ ".tmp"], which the next publish of [path] consumes.
     - a flipped byte anywhere is caught by the record checksums at
-      load and repaired by [eval fsck]. *)
+      load, skipped and counted; a journal's next rewrite drops it. *)
 
 (* ------------------------------------------------------------------ *)
 (* FNV-1a 64-bit — the checksum every durable format shares.  It      *)
-(* lives here (not in Journal) so the wire protocol and fsck both     *)
-(* hash through the IO layer without a dependency cycle.              *)
+(* lives here (not in Journal) so the wire protocol hashes through    *)
+(* the IO layer without a dependency cycle.                           *)
 (* ------------------------------------------------------------------ *)
 
 let fnv_offset = 0xcbf29ce484222325L
@@ -189,16 +189,26 @@ let write_in_place ~path contents =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () -> write_all ~path fd contents)
 
+(* a symlink is published at the file it resolves to, so the link
+   stays a link and its target gets the bytes; a dangling one is
+   replaced like any other path *)
+let resolve path =
+  match (Unix.lstat path).st_kind with
+  | S_LNK -> (try Unix.realpath path with Unix.Unix_error _ -> path)
+  | _ -> path
+  | exception Unix.Unix_error _ -> path
+
 (** Write [contents] under [path] via tmp+rename, fsync before the
     publish: a crash can leave a stale [path ^ ".tmp"] but never a
     torn file under the final name.  Raises {!Full} on ENOSPC or
     EDQUOT (the partial tmp is removed) and [Sys_error] on any other
     failure, a failed rename included (the tmp stays behind).  A
     [path] that resolves to a device, a FIFO or a socket is written in
-    place instead, so the node stays what it is. *)
+    place instead, so the node stays what it is; a symlink is
+    published at the path it resolves to. *)
 let write_atomic ~path contents =
   if is_special path then write_in_place ~path contents
-  else publish ~path contents;
+  else publish ~path:(resolve path) contents;
   Telemetry.Metrics.incr m_atomic;
   Telemetry.Metrics.add m_bytes (String.length contents)
 

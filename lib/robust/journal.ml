@@ -18,13 +18,6 @@
     than failing: a damaged journal costs re-running cells, never a
     wrong cached grade. *)
 
-(* ------------------------------------------------------------------ *)
-(* FNV-1a 64-bit (the implementation lives with the IO layer)          *)
-(* ------------------------------------------------------------------ *)
-
-let fnv64 = Diskio.fnv64
-let fnv64_hex = Diskio.fnv64_hex
-
 (** Fingerprint a run configuration: hash of the given components in
     order, stable across processes.  Components may be arbitrary
     binary (bomb images); length-prefixing keeps the encoding
@@ -37,7 +30,7 @@ let fingerprint (components : string list) : string =
        Buffer.add_char buf ':';
        Buffer.add_string buf c)
     components;
-  fnv64_hex (Buffer.contents buf)
+  Diskio.fnv64_hex (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -93,7 +86,7 @@ let body ~fingerprint ~seq ~key ~payload =
 (* one complete record line: checksum, body, newline *)
 let line ~fingerprint ~seq ~key ~payload =
   let b = body ~fingerprint ~seq ~key ~payload in
-  fnv64_hex b ^ " " ^ b ^ "\n"
+  Diskio.fnv64_hex b ^ " " ^ b ^ "\n"
 
 (** Append one record ([payload] must be a complete JSON value): once
     [append] returns, the record survives a [kill -9].
@@ -121,9 +114,6 @@ let append (w : writer) ~key ~payload =
            resume will re-run unjournaled cells)"
           msg
   end
-
-(** Whether the writer has started shedding appends (disk full). *)
-let is_shedding (w : writer) = w.shedding
 
 let close_writer (w : writer) = Diskio.close w.h
 
@@ -203,7 +193,7 @@ let parse_line ~fingerprint line : parsed =
   else
     let sum = String.sub line 0 16 in
     let b = String.sub line 17 (String.length line - 17) in
-    if not (String.equal sum (fnv64_hex b)) then Damaged
+    if not (String.equal sum (Diskio.fnv64_hex b)) then Damaged
     else
       match parse_opt b with
       | None -> Damaged
@@ -219,13 +209,6 @@ let parse_line ~fingerprint line : parsed =
                 | None -> Damaged)
           | _ -> Damaged)
 
-(** The fingerprint a sound record line carries, whatever run it
-    belongs to; [None] for a damaged line. *)
-let line_fingerprint line =
-  match parse_line ~fingerprint:"" line with
-  | Valid (_, fp) | Stale fp -> Some fp
-  | Damaged -> None
-
 (** The fingerprint of the first checksummed-valid record of [path],
     whatever it is — [None] for a missing, empty or wholly damaged
     file.  Lets a resuming caller distinguish "this journal belongs to
@@ -236,7 +219,11 @@ let line_fingerprint line =
 let peek_fingerprint path : string option =
   if not (Sys.file_exists path) then None
   else
-    List.find_map line_fingerprint
+    List.find_map
+      (fun line ->
+         match parse_line ~fingerprint:"" line with
+         | Valid (_, fp) | Stale fp -> Some fp
+         | Damaged -> None)
       (String.split_on_char '\n' (Diskio.read_all path))
 
 (** Load every record of [path] that matches [fingerprint].  A missing

@@ -6,10 +6,9 @@
     while tracing is {!enable}d; {!with_span} is a single flag check
     when disabled, so instrumented hot paths (the VM step loop, the
     solver's check) cost nothing in normal runs.  Finished spans
-    accumulate in memory and can be rendered three ways: a
-    human-readable tree ({!render_tree}), JSONL ({!to_jsonl}), or
-    Chrome [trace_event] JSON ({!to_chrome}) loadable in
-    [about:tracing] / Perfetto. *)
+    accumulate in memory and can be rendered two ways: a
+    human-readable tree ({!render_tree}), or Chrome [trace_event] JSON
+    ({!to_chrome}) loadable in [about:tracing] / Perfetto. *)
 
 module Metrics = Metrics
 module Log = Log
@@ -197,29 +196,6 @@ let attrs_json attrs =
        (fun (k, v) ->
           Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
        attrs)
-
-(** One span as a single JSONL object (no trailing newline): id,
-    parent, name, start/duration in µs, attributes. *)
-let span_jsonl s =
-  Printf.sprintf
-    "{\"id\": %d, \"parent\": %s, \"name\": \"%s\", \
-     \"ts_us\": %.1f, \"dur_us\": %.1f%s}"
-    s.id
-    (match s.parent with Some p -> string_of_int p | None -> "null")
-    (json_escape s.name) s.t_start (duration_us s)
-    (match s.attrs with
-     | [] -> ""
-     | attrs -> Printf.sprintf ", \"args\": {%s}" (attrs_json attrs))
-
-(** One finished span per line. *)
-let to_jsonl () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-       Buffer.add_string buf (span_jsonl s);
-       Buffer.add_char buf '\n')
-    (finished_spans ());
-  Buffer.contents buf
 
 (** One group of spans (one cell's, say) as Chrome trace_event events
     on lane [lane] (the events' [pid]): paired B/E duration events

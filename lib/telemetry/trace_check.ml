@@ -3,15 +3,11 @@
     Spans and journals are written as JSON by string concatenation
     (no JSON library in the toolchain), so the smoke test needs an
     independent reader to prove the output is actually parseable.
-    This is a minimal recursive-descent JSON parser plus two
-    validators:
-
-    - {!validate_chrome}: the file is one JSON object with a
-      [traceEvents] array whose B/E phase events balance per
-      (pid, tid) like a bracket language — what [about:tracing] /
-      Perfetto requires to render a span tree.
-    - {!validate_jsonl}: every non-empty line is a standalone JSON
-      object. *)
+    This is a minimal recursive-descent JSON parser plus
+    {!validate_chrome}: the file is one JSON object with a
+    [traceEvents] array whose B/E phase events balance per (pid, tid)
+    like a bracket language — what [about:tracing] / Perfetto requires
+    to render a span tree. *)
 
 type json =
   | Null
@@ -272,21 +268,6 @@ let validate_chrome (s : string) : (chrome_summary, string) result =
                   max_depth = !max_depth }))
      | Some _ -> Error "traceEvents is not an array")
 
-(** Validate a JSONL string: every non-empty line parses as a JSON
-    object.  Returns the number of objects. *)
-let validate_jsonl (s : string) : (int, string) result =
-  let lines = String.split_on_char '\n' s in
-  let count = ref 0 and err = ref None in
-  List.iteri
-    (fun i line ->
-       if !err = None && String.trim line <> "" then
-         match parse_opt line with
-         | Some (Obj _) -> incr count
-         | Some _ -> err := Some (Printf.sprintf "line %d: not a JSON object" (i + 1))
-         | None -> err := Some (Printf.sprintf "line %d: not parseable" (i + 1)))
-    lines;
-  match !err with Some e -> Error e | None -> Ok !count
-
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -295,4 +276,3 @@ let read_file path =
   s
 
 let validate_chrome_file path = validate_chrome (read_file path)
-let validate_jsonl_file path = validate_jsonl (read_file path)

@@ -1,7 +1,8 @@
 (** Storage-failure hardening: {!Robust.Diskio} primitives, a real
-    full device under a journaled grid (shed and finish), and
-    {!Engines.Fsck} verify/repair + resume over damage inflicted on
-    finished artifacts from the test side.
+    full device under a journaled grid (shed and finish), and a plain
+    resume over damage inflicted on finished artifacts from the test
+    side: the loaders skip and count what is damaged, and the resumed
+    run rewrites the journal from its sound records.
 
     A full device is [/dev/full], reached only through a symlink in
     the test's own directory: the code under test may rename over or
@@ -39,19 +40,23 @@ let baseline_journal =
 
 let shed () = Telemetry.Metrics.counter_value "journal.shed"
 
-(* fsck --repair over [paths], then a clean verify of [path] and a
-   resume off it: the table and the journal bytes must both be the
-   fault-free run's *)
-let repair_and_resume ~what path paths =
-  ignore (Engines.Fsck.scan ~repair:true paths : Engines.Fsck.report list);
-  Alcotest.(check int) (what ^ ": repaired journal verifies clean") 0
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
+(* a resume off the damaged journal at [path]: the table and the
+   journal bytes must both be the fault-free run's, and the rewritten
+   journal must load with nothing left to skip *)
+let resume ~what path =
   Alcotest.(check string) (what ^ ": resumed table")
     (Lazy.force baseline)
     (run_grid ~journal:path ());
   Alcotest.(check string) (what ^ ": resumed journal bytes")
     (Lazy.force baseline_journal)
-    (Robust.Diskio.read_all path)
+    (Robust.Diskio.read_all path);
+  let fingerprint =
+    Engines.Eval.journal_fingerprint ~tools ~bombs:(Lazy.force bombs) ()
+  in
+  let l = Robust.Journal.load ~fingerprint path in
+  Alcotest.(check (pair int int)) (what ^ ": no corrupt or truncated record")
+    (0, 0)
+    (l.Robust.Journal.corrupt, l.Robust.Journal.truncated)
 
 (* ---------------- diskio primitives ---------------- *)
 
@@ -128,6 +133,28 @@ let diskio_fifo_target () =
        Alcotest.(check string) "the reader got the bytes"
          "through the fifo\n" (Bytes.sub_string buf 0 n))
 
+(* a publish through a symlink to a regular file lands in that file,
+   and the link stays a link: a tmp+rename over the link itself would
+   replace it with a regular file and leave its target stale *)
+let diskio_symlink_target () =
+  let dir = Filename.temp_dir "disk_test_link" "" in
+  let target = Filename.concat dir "target.txt"
+  and link = Filename.concat dir "link" in
+  write_file target "old\n";
+  Unix.symlink "target.txt" link;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter rm [ link; target; link ^ ".tmp"; target ^ ".tmp" ];
+      Sys.rmdir dir)
+    (fun () ->
+       Robust.Diskio.write_atomic ~path:link "new\n";
+       Alcotest.(check bool) "still a symlink" true
+         ((Unix.lstat link).st_kind = S_LNK);
+       Alcotest.(check string) "the target holds the new bytes" "new\n"
+         (Robust.Diskio.read_all target);
+       Alcotest.(check (list string)) "no tmp left" [ "link"; "target.txt" ]
+         (List.sort compare (Array.to_list (Sys.readdir dir))))
+
 (* ---------------- a real full device ----------------
    The profile sidecar is a symlink to /dev/full: every sample append
    meets a real ENOSPC.  The sidecar drops its samples and the grid
@@ -148,8 +175,8 @@ let sidecar_enospc () =
 
 (* ---------------- damage to a finished journal ----------------
    What a short write, a lying fsync or bit rot leaves behind, made
-   by hand on a finished journal: fsck --repair and a resume must
-   rebuild the fault-free table and journal byte for byte. *)
+   by hand on a finished journal: a plain resume must rebuild the
+   fault-free table and journal byte for byte. *)
 
 let finished_journal path =
   rm path;
@@ -170,7 +197,7 @@ let damage_containment damage () =
   let path = "disk_test_damage.jsonl" in
   let raw = finished_journal path in
   write_file path (damage raw (record_span raw 1));
-  repair_and_resume ~what:"damaged" path [ path ]
+  resume ~what:"damaged" path
 
 (* a prefix of the second record landed, then the device was full *)
 let short_write =
@@ -192,13 +219,14 @@ let flip raw i =
 let bit_flip = damage_containment (fun raw (s, e) -> flip raw ((s + e) / 2))
 
 (* rename(2) onto a non-empty directory fails: the target is
-   untouched, only a stale tmp stays behind, and fsck --repair clears
-   it *)
+   untouched and only a stale tmp stays behind; once the obstacle is
+   gone, the next publish goes through and consumes the tmp *)
 let failed_rename () =
   let path = "disk_test_rename.dir" in
   let inner = Filename.concat path "keep" in
   rm inner;
   (try Sys.rmdir path with Sys_error _ -> ());
+  rm path;
   rm (path ^ ".tmp");
   Sys.mkdir path 0o755;
   close_out (open_out_bin inner);
@@ -209,13 +237,12 @@ let failed_rename () =
     (Sys.is_directory path && Sys.file_exists inner);
   Alcotest.(check bool) "tmp left behind" true
     (Sys.file_exists (path ^ ".tmp"));
-  let reports = Engines.Fsck.scan ~repair:true [ path ^ ".tmp" ] in
-  Alcotest.(check int) "stale tmp repaired" 1
-    (Engines.Fsck.exit_code ~repair:true reports);
-  Alcotest.(check bool) "tmp removed" false
-    (Sys.file_exists (path ^ ".tmp"));
   rm inner;
-  Sys.rmdir path
+  Sys.rmdir path;
+  Robust.Diskio.write_atomic ~path "third\n";
+  Alcotest.(check string) "published" "third\n" (Robust.Diskio.read_all path);
+  Alcotest.(check bool) "tmp consumed" false (Sys.file_exists (path ^ ".tmp"));
+  rm path
 
 (* 30 seeds, each 1-3 damages to a finished 4-cell journal: a byte
    flipped anywhere, a truncation at any offset, or a stale tmp *)
@@ -235,68 +262,17 @@ let seeded_damage () =
       | _ -> write_file tmp "stale"
     done;
     write_file path !damaged;
-    repair_and_resume
-      ~what:(Printf.sprintf "seed %d" seed)
-      path
-      (if Sys.file_exists tmp then [ path; tmp ] else [ path ]);
+    resume ~what:(Printf.sprintf "seed %d" seed) path;
     Alcotest.(check bool) "no tmp left" false (Sys.file_exists tmp)
   done;
   rm path
 
-(* ---------------- fsck round-trips on damaged fixtures ------------- *)
+(* ---------------- damage to a profile sidecar ----------------
+   A real --profile sidecar with its second sample's closing brace
+   flipped: the loader returns the first sample, warns and counts the
+   skipped line. *)
 
-let fsck_journal_roundtrip () =
-  let path = "disk_test_fsck.jsonl" in
-  rm path;
-  let fp = "testfp" in
-  let w = Robust.Journal.open_writer ~fingerprint:fp path in
-  Robust.Journal.append w ~key:"a" ~payload:{|{"grade":1}|};
-  Robust.Journal.append w ~key:"b" ~payload:{|{"grade":2}|};
-  Robust.Journal.close_writer w;
-  let clean = Robust.Diskio.read_all path in
-  (* damage: a corrupt middle record plus a torn tail *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "deadbeefdeadbeef {\"garbage\":true}\n";
-  output_string oc "0123456789abcdef {\"fp\":\"x\",\"se";
-  close_out oc;
-  Alcotest.(check int) "verify flags damage (exit 2)" 2
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
-  Alcotest.(check int) "repair fixes it (exit 1)" 1
-    (Engines.Fsck.exit_code ~repair:true
-       (Engines.Fsck.scan ~repair:true [ path ]));
-  Alcotest.(check string) "repaired bytes = pre-damage bytes" clean
-    (Robust.Diskio.read_all path);
-  Alcotest.(check int) "re-verify clean (exit 0)" 0
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
-  let l = Robust.Journal.load ~fingerprint:fp path in
-  Alcotest.(check int) "loader sees both records" 2
-    (List.length l.Robust.Journal.entries);
-  Alcotest.(check int) "no damage left for the loader" 0
-    (l.Robust.Journal.corrupt + l.Robust.Journal.truncated);
-  rm path
-
-(* repairing a journal publishes through its tmp path: a stale tmp
-   named after the journal must still be reported removed, not missing *)
-let fsck_tmp_beside_journal () =
-  let path = "disk_test_fsck_tmp.jsonl" in
-  rm path;
-  let w = Robust.Journal.open_writer ~fingerprint:"fp" path in
-  Robust.Journal.append w ~key:"a" ~payload:"{}";
-  Robust.Journal.close_writer w;
-  (* a torn tail: half a record, no newline *)
-  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
-    (fun oc -> output_string oc "0123456789abcdef {\"fp\":\"fp\",\"se");
-  close_out (open_out (path ^ ".tmp"));
-  Alcotest.(check int) "both repaired (exit 1)" 1
-    (Engines.Fsck.exit_code ~repair:true
-       (Engines.Fsck.scan ~repair:true [ path; path ^ ".tmp" ]));
-  Alcotest.(check bool) "tmp gone" false (Sys.file_exists (path ^ ".tmp"));
-  rm path
-
-(* a real --profile sidecar: each line is a ~360-byte sample, so the
-   format must be told from the whole first line; a bit-flipped copy
-   must then verify damaged and repair *)
-let fsck_profile_sidecar () =
+let sidecar_skip () =
   let path = "disk_test_profile.jsonl" and copy = "disk_test_profile2.jsonl" in
   rm path;
   rm copy;
@@ -304,114 +280,21 @@ let fsck_profile_sidecar () =
     (Engines.Eval.run_table2 ~tools:[ Engines.Profile.Bap ]
        ~bombs:(Lazy.force bombs) ~profile:path ()
       : Engines.Eval.table2_result);
-  (match Engines.Fsck.scan [ path ] with
-   | [ r ] ->
-     Alcotest.(check string) "read as a profile sidecar" "profile sidecar"
-       (Engines.Fsck.kind_name r.Engines.Fsck.r_kind);
-     Alcotest.(check int) "one sample per cell" 2 r.Engines.Fsck.r_records;
-     Alcotest.(check int) "clean (exit 0)" 0
-       (Engines.Fsck.exit_code ~repair:false [ r ])
-   | reports ->
-     Alcotest.failf "expected one report, got %d" (List.length reports));
-  (* flip the low bit of the second sample's closing brace *)
+  let keys p =
+    List.map (fun s -> s.Engines.Cellprof.p_key) (Engines.Cellprof.load p)
+  in
+  let sound = keys path in
+  Alcotest.(check int) "one sample per cell" 2 (List.length sound);
   let raw = Robust.Diskio.read_all path in
-  let flipped = Bytes.of_string raw in
-  let i = String.length raw - 2 in
-  Bytes.set flipped i (Char.chr (Char.code raw.[i] lxor 1));
-  Robust.Diskio.write_atomic ~path:copy (Bytes.to_string flipped);
-  Alcotest.(check int) "bit flip verifies damaged (exit 2)" 2
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ copy ]));
-  Alcotest.(check int) "repair fixes it (exit 1)" 1
-    (Engines.Fsck.exit_code ~repair:true
-       (Engines.Fsck.scan ~repair:true [ copy ]));
-  Alcotest.(check int) "re-verify clean (exit 0)" 0
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ copy ]));
+  write_file copy (flip raw (String.length raw - 2));
+  let skipped () = Telemetry.Metrics.counter_value "profile.skipped" in
+  let skipped0 = skipped () in
+  Alcotest.(check (list string)) "the sound sample loads" [ List.hd sound ]
+    (keys copy);
+  Alcotest.(check int) "profile.skipped counts the damaged line" 1
+    (skipped () - skipped0);
   rm path;
   rm copy
-
-(* damage to the first sample must not hide the file: the format is
-   told from the first sound line, so the flipped line is reported and
-   repaired away *)
-let fsck_profile_first_byte () =
-  let path = "disk_test_profile_b0.jsonl" in
-  rm path;
-  ignore
-    (Engines.Eval.run_table2 ~tools:[ Engines.Profile.Bap ]
-       ~bombs:(Lazy.force bombs) ~profile:path ()
-      : Engines.Eval.table2_result);
-  let raw = Bytes.of_string (Robust.Diskio.read_all path) in
-  Bytes.set raw 0 (Char.chr (Char.code (Bytes.get raw 0) lxor 1));
-  Robust.Diskio.write_atomic ~path (Bytes.to_string raw);
-  (match Engines.Fsck.scan [ path ] with
-   | [ r ] ->
-     Alcotest.(check string) "still read as a profile sidecar"
-       "profile sidecar"
-       (Engines.Fsck.kind_name r.Engines.Fsck.r_kind);
-     Alcotest.(check int) "the second sample is sound" 1
-       r.Engines.Fsck.r_records;
-     Alcotest.(check int) "the first is damaged" 1 r.Engines.Fsck.r_damaged
-   | reports ->
-     Alcotest.failf "expected one report, got %d" (List.length reports));
-  Alcotest.(check int) "verify flags damage (exit 2)" 2
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
-  Alcotest.(check int) "repair fixes it (exit 1)" 1
-    (Engines.Fsck.exit_code ~repair:true
-       (Engines.Fsck.scan ~repair:true [ path ]));
-  Alcotest.(check int) "re-verify clean (exit 0)" 0
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
-  rm path
-
-(* the same damage to a one-record journal: no line is sound and the
-   checksum prefix no longer looks like one, so the record body tells
-   the format; verify, repair and a resume then agree *)
-let fsck_journal_first_byte () =
-  let path = "disk_test_journal_b0.jsonl" in
-  rm path;
-  let grid () =
-    Engines.Eval.render_table2
-      (Engines.Eval.run_table2 ~tools:[ Engines.Profile.Bap ]
-         ~bombs:[ Bombs.Catalog.find "time_bomb" ] ~journal:path
-         ())
-  in
-  let table = grid () in
-  let raw = Bytes.of_string (Robust.Diskio.read_all path) in
-  Bytes.set raw 0 'z';
-  Robust.Diskio.write_atomic ~path (Bytes.to_string raw);
-  (match Engines.Fsck.scan [ path ] with
-   | [ r ] ->
-     Alcotest.(check string) "still read as a journal" "journal"
-       (Engines.Fsck.kind_name r.Engines.Fsck.r_kind);
-     Alcotest.(check int) "no sound record" 0 r.Engines.Fsck.r_records;
-     Alcotest.(check int) "one corrupt" 1 r.Engines.Fsck.r_damaged
-   | reports ->
-     Alcotest.failf "expected one report, got %d" (List.length reports));
-  Alcotest.(check int) "verify flags damage (exit 2)" 2
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
-  Alcotest.(check int) "repair fixes it (exit 1)" 1
-    (Engines.Fsck.exit_code ~repair:true
-       (Engines.Fsck.scan ~repair:true [ path ]));
-  (* `eval table2 --journal` refuses a nonempty journal with no sound
-     record; the repaired one is empty, so it runs *)
-  Alcotest.(check string) "repaired journal is empty" ""
-    (Robust.Diskio.read_all path);
-  Alcotest.(check string) "resumed table" table (grid ());
-  rm path
-
-(* a repair that meets a full device reports the file unrepairable
-   (exit 2) instead of raising, and leaves the damage for a retry *)
-let fsck_repair_on_full_device () =
-  let path = "disk_test_fsck_full.jsonl" in
-  let raw = finished_journal path in
-  let damaged = flip raw 0 ^ "torn" in
-  write_file path damaged;
-  to_dev_full (path ^ ".tmp");
-  Alcotest.(check int) "unrepairable (exit 2)" 2
-    (Engines.Fsck.exit_code ~repair:true
-       (Engines.Fsck.scan ~repair:true [ path ]));
-  Alcotest.(check string) "journal untouched" damaged
-    (Robust.Diskio.read_all path);
-  rm (path ^ ".tmp");
-  rm path
 
 (* ---------------- ENOSPC mid-grid: shed and finish ----------------
    The journal is a symlink to /dev/full: the first append, after the
@@ -453,27 +336,18 @@ let () =
          Alcotest.test_case "full device raises Full" `Quick
            diskio_full_device;
          Alcotest.test_case "FIFO target written in place" `Quick
-           diskio_fifo_target ]);
+           diskio_fifo_target;
+         Alcotest.test_case "symlink target written through" `Quick
+           diskio_symlink_target ]);
       ("containment",
        [ Alcotest.test_case "enospc" `Quick sidecar_enospc;
          Alcotest.test_case "short write" `Quick short_write;
          Alcotest.test_case "bit flip" `Quick bit_flip;
          Alcotest.test_case "torn fsync" `Quick torn_fsync;
          Alcotest.test_case "failed rename" `Quick failed_rename;
-         Alcotest.test_case "30 seeded damage plans" `Quick seeded_damage ]);
-      ("fsck",
-       [ Alcotest.test_case "journal verify/repair round trip" `Quick
-           fsck_journal_roundtrip;
-         Alcotest.test_case "profile sidecar verify/repair" `Quick
-           fsck_profile_sidecar;
-         Alcotest.test_case "profile sidecar with a flipped first byte"
-           `Quick fsck_profile_first_byte;
-         Alcotest.test_case "journal with a flipped first byte" `Quick
-           fsck_journal_first_byte;
-         Alcotest.test_case "stale tmp beside its journal" `Quick
-           fsck_tmp_beside_journal;
-         Alcotest.test_case "repair on a full device" `Quick
-           fsck_repair_on_full_device ]);
+         Alcotest.test_case "30 seeded damage plans" `Quick seeded_damage;
+         Alcotest.test_case "sidecar skips a damaged sample" `Quick
+           sidecar_skip ]);
       ("enospc",
        [ Alcotest.test_case "shed and finish mid-grid" `Quick
            enospc_shed_and_finish ]) ]

@@ -1,6 +1,6 @@
 (** Telemetry core: span nesting/ordering, histogram bucket edges,
-    disabled-mode no-op behaviour, and sink well-formedness (JSONL and
-    Chrome trace_event output must parse and balance). *)
+    disabled-mode no-op behaviour, and sink well-formedness (Chrome
+    trace_event output must parse and balance). *)
 
 module T = Telemetry
 module M = Telemetry.Metrics
@@ -121,13 +121,6 @@ let record_sample_spans () =
           T.annotate "note" "with \"quotes\" and\nnewline");
       T.with_span "child" (fun () -> ()))
 
-let jsonl_well_formed () =
-  with_tracing @@ fun () ->
-  record_sample_spans ();
-  match C.validate_jsonl (T.to_jsonl ()) with
-  | Ok n -> Alcotest.(check int) "one object per span" 3 n
-  | Error e -> Alcotest.failf "invalid JSONL: %s" e
-
 let chrome_well_formed () =
   with_tracing @@ fun () ->
   record_sample_spans ();
@@ -239,8 +232,7 @@ let () =
          Alcotest.test_case "histogram observe/reset" `Quick histogram_observe;
          Alcotest.test_case "counter registry" `Quick counter_registry ]);
       ("sinks",
-       [ Alcotest.test_case "jsonl parses" `Quick jsonl_well_formed;
-         Alcotest.test_case "chrome balances" `Quick chrome_well_formed;
+       [ Alcotest.test_case "chrome balances" `Quick chrome_well_formed;
          Alcotest.test_case "chrome groups nest per cell" `Quick
            chrome_groups_nest_per_cell;
          Alcotest.test_case "escape round-trips every byte" `Quick
