@@ -5,8 +5,7 @@
       [all];
     - artifacts: [profile] (report on a [table2 --profile] sidecar),
       [validate-trace] (check an emitted Chrome trace);
-    - the service: [serve], [submit], [drain], [health], [metrics];
-    - [debug]: step through one recorded trace.
+    - the service: [serve], [submit], [drain], [health], [metrics].
 
     With no subcommand, [--explain BOMB] runs one supervised cell
     under span tracing and prints its grade, cause and error-stage
@@ -331,12 +330,6 @@ let run_explain no_incremental no_ladder budget_spec bomb_name tool_name
        Printf.printf "wrote Chrome trace to %s\n" path)
     trace_out
 
-(* debug: interactive step/step-back replay over one recorded trace *)
-let run_debug bomb_name input =
-  match Bombs.Catalog.find_opt bomb_name with
-  | None -> Cli.unknown_name "bomb" bomb_name Bombs.Catalog.names
-  | Some bomb -> Engines.Debug.run ?input bomb
-
 (* validate-trace: independent structural check of emitted traces *)
 let run_validate_trace files =
   let fail = ref false in
@@ -587,25 +580,6 @@ let fig3_cmd =
   Cmd.v (Cmd.info "fig3" ~doc:"Reproduce Figure 3")
     Term.(const run_fig3 $ const ())
 
-let debug_cmd =
-  let bomb_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BOMB")
-  in
-  let input_arg =
-    Arg.(value & opt (some string) None
-         & info [ "input" ] ~docv:"ARGV1"
-           ~doc:"argv[1] for the recorded run (default: the bomb's decoy)")
-  in
-  Cmd.v
-    (Cmd.info "debug"
-       ~doc:
-         "Interactive trace debugger: record one concrete execution \
-          and step forward and backward through it, inspect memory \
-          rebuilt by replaying the recorded events, run to an \
-          address/syscall/taint event, and query taint provenance \
-          (reads commands from stdin; try `help`)")
-    Term.(const run_debug $ bomb_arg $ input_arg)
-
 let sizes_cmd =
   Cmd.v (Cmd.info "sizes" ~doc:"Dataset binary-size statistics (§V-A)")
     Term.(const run_sizes $ const ())
@@ -675,6 +649,6 @@ let () =
   exit (Cmd.eval (Cmd.group ~default:explain_term info
                     [ table1_cmd; table2_cmd; fig3_cmd;
                       sizes_cmd; negative_cmd; validate_trace_cmd;
-                      debug_cmd; serve_cmd; submit_cmd; drain_cmd;
+                      serve_cmd; submit_cmd; drain_cmd;
                       health_cmd; metrics_cmd; profile_cmd;
                       all_cmd ]))

@@ -3,11 +3,10 @@
     state for the followed threads, and extract one constraint per
     branch with a symbolic condition.
 
-    A concrete *replica* of the traced machine runs alongside the
-    symbolic state: every event re-seeds a scratch CPU from its
-    recorded pre-state and re-executes against a private memory image,
-    so the executor can answer "what is the concrete value here?"
-    for any address — the concolic half of concolic execution. *)
+    A concrete replica of the traced process ({!Trace.Replica}) is
+    stepped alongside the symbolic state, so the executor can answer
+    "what is the concrete value here?" for any address — the concolic
+    half of concolic execution. *)
 
 module E = Smt.Expr
 
@@ -106,10 +105,8 @@ let run (config : config) ?session ?(sources : source list option)
             [])
   in
   (* --- concrete replica --- *)
-  let mem, _rsp, _layout =
-    Vm.Machine.fresh_memory ~config:trace.config trace.image
-  in
-  let scratch = Vm.Cpu.create () in
+  let replica = Trace.Replica.create trace in
+  let mem = replica.mem and scratch = replica.cpu in
   (* --- symbolic state --- *)
   let st = State.create ?session () in
   let input_env : Smt.Eval.env = Hashtbl.create 32 in
@@ -125,10 +122,7 @@ let run (config : config) ?session ?(sources : source list option)
     sources;
   (* kernel-object shadow for covert propagation *)
   let kobj : (int * int, E.t) Hashtbl.t = Hashtbl.create 64 in
-  let follow_kernel =
-    config.taint_policy.through_files || config.taint_policy.through_pipes
-    || config.taint_policy.through_sockets
-  in
+  let follow_kernel = config.taint_policy.through_kernel in
   (* taint pre-pass (used for the stack-op gap and for statistics) *)
   let taint =
     Taint.analyze ~policy:config.taint_policy
@@ -172,7 +166,6 @@ let run (config : config) ?session ?(sources : source list option)
   let ctx = Sym_exec.make_ctx st hooks in
   let branches = ref [] and sym_jumps = ref [] in
   let aborted = ref false in
-  let last_rsp = ref 0L in
   let followed tid =
     match config.threads with
     | All_threads -> true
@@ -180,15 +173,7 @@ let run (config : config) ?session ?(sources : source list option)
   in
   (* one encode and one lift per static instruction of this run *)
   let lifts = Ir.Lifter.Memo.create config.features in
-  (* replay one exec event concretely on the replica; [next] is its
-     fall-through address *)
-  let replay (e : Vm.Event.exec) next =
-    Array.blit e.regs_before 0 scratch.Vm.Cpu.regs 0 Isa.Reg.count;
-    Array.blit e.xmm_before 0 scratch.Vm.Cpu.xmm 0 Isa.Reg.xmm_count;
-    Vm.Cpu.unpack_flags scratch e.flags_before;
-    scratch.Vm.Cpu.pc <- e.pc;
-    match Vm.Cpu.execute scratch mem ~next_pc:next e.insn with _ -> ()
-  in
+  let replay e next = Trace.Replica.exec replica e ~next in
   let havoc_written (e : Vm.Event.exec) =
     (* lift failed: written state becomes its concrete value *)
     let acc = Vm.Access.of_insn e.regs_before e.insn in
@@ -224,7 +209,6 @@ let run (config : config) ?session ?(sources : source list option)
        match ev with
        | Vm.Event.Exec e ->
          cur_event := Some e;
-         last_rsp := e.regs_before.(Isa.Reg.index Isa.Reg.RSP);
          let follow = followed e.tid && not !aborted in
          let entry = Ir.Lifter.Memo.find lifts ~pc:e.pc e.insn in
          let next = entry.next in
@@ -324,13 +308,15 @@ let run (config : config) ?session ?(sources : source list option)
             in
             scan 0
           end);
-         (* the replica memory gets kernel read effects; the symbolic
-            state gets them too (policy-dependent provenance) *)
+         (* the replica gets the kernel's copies into memory; the
+            symbolic state gets them as the kernel-object shadow's
+            bytes when the taint policy follows the kernel, and as
+            concrete bytes otherwise *)
+         Trace.Replica.sys replica record;
          List.iter
            (fun eff ->
               match eff with
-              | Vm.Event.Eff_read { obj; off; addr; len; data } ->
-                Vm.Mem.write_bytes mem addr data;
+              | Vm.Event.Eff_read { obj; off; addr; len; _ } ->
                 for i = 0 to len - 1 do
                   let a = Int64.add addr (Int64.of_int i) in
                   match
@@ -365,10 +351,9 @@ let run (config : config) ?session ?(sources : source list option)
            else State.write_var st "RAX" (E.Const (record.ret, 64))
          end
        | Vm.Event.Signal { resume; _ } ->
-         (* mirror the kernel's push of the resume address so the
-            replica stack matches the traced machine *)
-         let slot = Int64.sub !last_rsp 8L in
-         Vm.Mem.write mem slot 8 resume;
+         (* the replica mirrors the kernel's push of the resume
+            address; the pushed slot is concrete *)
+         let slot = Trace.Replica.signal replica ~resume in
          for i = 0 to 7 do
            Hashtbl.remove st.State.shadow (Int64.add slot (Int64.of_int i))
          done;

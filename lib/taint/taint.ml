@@ -7,51 +7,21 @@
     (files, pipes, sockets), which is how the covert-propagation rows
     of Table II fail.
 
-    The analysis makes one in-order pass over the trace and optionally
-    records {e provenance} — for each write that became tainted, which
-    tainted locations fed it — which is what the debugger's "why is
-    this byte tainted" query walks. *)
+    The analysis makes one in-order pass over the trace. *)
 
 type policy = {
-  through_files : bool;   (** write(2)-then-read(2) round trips *)
-  through_pipes : bool;
-  through_sockets : bool;
+  through_kernel : bool;
+      (** taint survives write(2)-then-read(2) round trips through
+          files, pipes and sockets *)
 }
 
 (** Pin-class taint: kernel round-trips all lose taint. *)
-let pin_policy =
-  { through_files = false; through_pipes = false; through_sockets = false }
+let pin_policy = { through_kernel = false }
 
 (** Full kernel-object tracking (our extension). *)
-let full_policy =
-  { through_files = true; through_pipes = true; through_sockets = true }
+let full_policy = { through_kernel = true }
 
 open Vm.Access
-
-(* ------------------------------------------------------------------ *)
-(* Provenance                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** A taintable location. *)
-type loc =
-  | L_reg of int * int    (** (tid, register index) *)
-  | L_xmm of int * int    (** (tid, xmm index) *)
-  | L_flags of int        (** tid *)
-  | L_mem of int64        (** one byte of memory *)
-  | L_kobj of int * int   (** (kernel object, byte offset) *)
-
-let pp_loc ppf = function
-  | L_reg (tid, r) ->
-    Fmt.pf ppf "%s@%d" (Isa.Reg.show (Isa.Reg.of_index r)) tid
-  | L_xmm (tid, x) -> Fmt.pf ppf "XMM%d@%d" x tid
-  | L_flags tid -> Fmt.pf ppf "flags@%d" tid
-  | L_mem a -> Fmt.pf ppf "[0x%Lx]" a
-  | L_kobj (obj, off) -> Fmt.pf ppf "kobj%d+%d" obj off
-
-(** One taint flow: at event [p_ev], location [p_dst] became tainted
-    because tainted [p_srcs] were read.  A location with no entry was
-    tainted at the source (an argv byte, say). *)
-type prov_entry = { p_ev : int; p_dst : loc; p_srcs : loc list }
 
 (* ------------------------------------------------------------------ *)
 (* Analysis                                                            *)
@@ -72,9 +42,6 @@ type result = {
   kernel_writes : int list;
       (** event indices where tainted data left through the kernel
           without the policy following it (diagnostic for Es2) *)
-  prov : prov_entry list;
-      (** taint flows in execution order; empty unless the analysis
-          ran with [~provenance:true] *)
 }
 
 (* registry metrics: Figure 3's tainted-instruction count is read back
@@ -84,7 +51,7 @@ let metric_tainted_insns = "taint.tainted_insns"
 let m_tainted_insns = Telemetry.Metrics.counter metric_tainted_insns
 let m_kills = Telemetry.Metrics.counter "taint.kills"
 
-let analyze ?(policy = pin_policy) ?(provenance = false)
+let analyze ?(policy = pin_policy)
     ~(sources : (int64 * int) list) (trace : Trace.t) : result =
   Telemetry.with_span "taint.analyze" @@ fun () ->
   (* ambient budget meter, fetched once: the per-event charge below is
@@ -122,7 +89,6 @@ let analyze ?(policy = pin_policy) ?(provenance = false)
   in
   let tainted = Array.make (max 1 (Trace.length trace)) false in
   let branches = ref [] and jumps = ref [] and kwrites = ref [] in
-  let prov = ref [] in
   let count = ref 0 in
   Trace.iteri trace (fun idx ev ->
       (match meter with
@@ -144,38 +110,6 @@ let analyze ?(policy = pin_policy) ?(provenance = false)
           tainted.(idx) <- true;
           incr count
         end;
-        (* tainted inputs of this instruction, for provenance *)
-        let srcs =
-          if not (provenance && in_taint) then []
-          else
-            List.filter_map
-              (fun r ->
-                 let i = Isa.Reg.index r in
-                 if Hashtbl.mem regs (e.tid, i) then Some (L_reg (e.tid, i))
-                 else None)
-              acc.r_regs
-            @ List.filter_map
-              (fun x ->
-                 let i = Isa.Reg.xmm_index x in
-                 if Hashtbl.mem xmms (e.tid, i) then Some (L_xmm (e.tid, i))
-                 else None)
-              acc.r_xmm
-            @ List.concat_map
-              (fun (a, n) ->
-                 List.filter_map
-                   (fun i ->
-                      let b = Int64.add a (Int64.of_int i) in
-                      if Hashtbl.mem mem b then Some (L_mem b) else None)
-                   (List.init n Fun.id))
-              acc.r_mem
-            @ (if acc.r_flags && Hashtbl.mem flags e.tid then
-                 [ L_flags e.tid ]
-               else [])
-        in
-        let flow dst =
-          if provenance && in_taint then
-            prov := { p_ev = idx; p_dst = dst; p_srcs = srcs } :: !prov
-        in
         (* branch/jump classification *)
         (match e.insn with
          | Jcc (_, target) when acc.r_flags && Hashtbl.mem flags e.tid ->
@@ -187,10 +121,7 @@ let analyze ?(policy = pin_policy) ?(provenance = false)
         List.iter
           (fun r ->
              let key = (e.tid, Isa.Reg.index r) in
-             if in_taint then begin
-               Hashtbl.replace regs key ();
-               flow (L_reg (e.tid, Isa.Reg.index r))
-             end
+             if in_taint then Hashtbl.replace regs key ()
              else if Hashtbl.mem regs key then begin
                Hashtbl.remove regs key;
                incr kills
@@ -199,28 +130,15 @@ let analyze ?(policy = pin_policy) ?(provenance = false)
         List.iter
           (fun x ->
              let key = (e.tid, Isa.Reg.xmm_index x) in
-             if in_taint then begin
-               Hashtbl.replace xmms key ();
-               flow (L_xmm (e.tid, Isa.Reg.xmm_index x))
-             end
+             if in_taint then Hashtbl.replace xmms key ()
              else if Hashtbl.mem xmms key then begin
                Hashtbl.remove xmms key;
                incr kills
              end)
           acc.w_xmm;
-        List.iter
-          (fun (a, n) ->
-             set_mem a n in_taint;
-             if in_taint then
-               for i = 0 to n - 1 do
-                 flow (L_mem (Int64.add a (Int64.of_int i)))
-               done)
-          acc.w_mem;
+        List.iter (fun (a, n) -> set_mem a n in_taint) acc.w_mem;
         if acc.w_flags then
-          if in_taint then begin
-            Hashtbl.replace flags e.tid ();
-            flow (L_flags e.tid)
-          end
+          if in_taint then Hashtbl.replace flags e.tid ()
           else if Hashtbl.mem flags e.tid then begin
             Hashtbl.remove flags e.tid;
             incr kills
@@ -232,36 +150,17 @@ let analyze ?(policy = pin_policy) ?(provenance = false)
              | Vm.Event.Eff_write { obj; off; addr; len } ->
                (* memory -> kernel object; the policy decides whether
                   taint survives the kernel round trip *)
-               let follow =
-                 policy.through_files || policy.through_pipes
-                 || policy.through_sockets
-               in
-               let any_tainted = mem_tainted addr len in
-               if any_tainted && not follow then kwrites := idx :: !kwrites;
-               if follow then
+               if policy.through_kernel then
                  for i = 0 to len - 1 do
-                   let b = Int64.add addr (Int64.of_int i) in
-                   if mem_tainted b 1 then begin
-                     Hashtbl.replace kobj (obj, off + i) ();
-                     if provenance then
-                       prov :=
-                         { p_ev = idx; p_dst = L_kobj (obj, off + i);
-                           p_srcs = [ L_mem b ] }
-                         :: !prov
-                   end
+                   if mem_tainted (Int64.add addr (Int64.of_int i)) 1 then
+                     Hashtbl.replace kobj (obj, off + i) ()
                  done
+               else if mem_tainted addr len then kwrites := idx :: !kwrites
              | Vm.Event.Eff_read { obj; off; addr; len; _ } ->
                (* kernel object -> memory: strong update *)
-               ignore record;
                for i = 0 to len - 1 do
-                 let t = Hashtbl.mem kobj (obj, off + i) in
-                 let b = Int64.add addr (Int64.of_int i) in
-                 set_mem b 1 t;
-                 if t && provenance then
-                   prov :=
-                     { p_ev = idx; p_dst = L_mem b;
-                       p_srcs = [ L_kobj (obj, off + i) ] }
-                     :: !prov
+                 set_mem (Int64.add addr (Int64.of_int i)) 1
+                   (Hashtbl.mem kobj (obj, off + i))
                done
              | Vm.Event.Eff_spawn _ -> ())
           record.effects
@@ -273,5 +172,4 @@ let analyze ?(policy = pin_policy) ?(provenance = false)
     tainted_jumps = List.rev !jumps;
     tainted_count = !count;
     kills = !kills;
-    kernel_writes = List.rev !kwrites;
-    prov = List.rev !prov }
+    kernel_writes = List.rev !kwrites }

@@ -7,8 +7,8 @@
 
     A trace is the in-memory event array of one run, plus what the
     run left behind (result, argv layout) and what it started from
-    (image, machine configuration), so {!mem_before} can rebuild
-    memory by replay. *)
+    (image, machine configuration), so a {!Replica} can rebuild the
+    traced process's memory by replaying the events in order. *)
 
 type t = {
   events : Vm.Event.t array;
@@ -94,63 +94,56 @@ let exec_count t =
 let argv_region t i =
   if i < 0 then None else List.nth_opt t.argv_layout i
 
-(* first event at seq >= [from] satisfying [p] *)
-let find_from t ~from p =
-  let n = length t in
-  let rec go i =
-    if i >= n then None else if p t.events.(i) then Some i else go (i + 1)
-  in
-  go (max 0 from)
-
-(** First exec event at instruction address [pc] with seq >= [from]. *)
-let next_exec_at t ~from pc =
-  find_from t ~from (function
-    | Vm.Event.Exec e -> Int64.equal e.pc pc
-    | _ -> false)
-
-(** First syscall event named [name] with seq >= [from]. *)
-let next_syscall t ~from name =
-  find_from t ~from (function
-    | Vm.Event.Sys { record; _ } -> String.equal record.name name
-    | _ -> false)
-
 (* ------------------------------------------------------------------ *)
-(* State reconstruction                                                *)
+(* Replica                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(** Reconstruct the traced process's memory as it was immediately
-    before event [pos]: start from the freshly loaded image and replay
-    events [\[0, pos)] — each exec re-executed on a scratch CPU, each
-    syscall's kernel-to-memory copies applied, each signal's resume
-    push written below the faulting exec's stack pointer. *)
-let mem_before t pos =
-  let mem, _rsp, _layout =
-    Vm.Machine.fresh_memory ~config:t.config t.image
-  in
-  let scratch = Vm.Cpu.create () in
-  let last_rsp = ref 0L in
-  iteri ~upto:pos t (fun _ ev ->
-      match ev with
-      | Vm.Event.Exec e ->
-        last_rsp := e.regs_before.(Isa.Reg.index Isa.Reg.RSP);
-        Array.blit e.regs_before 0 scratch.Vm.Cpu.regs 0 Isa.Reg.count;
-        Array.blit e.xmm_before 0 scratch.Vm.Cpu.xmm 0 Isa.Reg.xmm_count;
-        Vm.Cpu.unpack_flags scratch e.flags_before;
-        scratch.Vm.Cpu.pc <- e.pc;
-        let size = String.length (Isa.Codec.encode e.insn) in
-        let next_pc = Int64.add e.pc (Int64.of_int size) in
-        (match Vm.Cpu.execute scratch mem ~next_pc e.insn with _ -> ())
-      | Vm.Event.Sys { record; _ } ->
-        List.iter
-          (fun eff ->
-             match eff with
-             | Vm.Event.Eff_read { addr; data; _ } ->
-               Vm.Mem.write_bytes mem addr data
-             | Vm.Event.Eff_write _ | Vm.Event.Eff_spawn _ -> ())
-          record.effects
-      | Vm.Event.Signal { resume; _ } ->
-        Vm.Mem.write mem (Int64.sub !last_rsp 8L) 8 resume);
-  mem
+(** A concrete replica of the traced process, stepped forward one event
+    at a time in trace order: it starts from the freshly loaded image,
+    and after the step for event [i] its memory is the traced process's
+    memory after event [i].  This is the memory a trace-based executor
+    reads concrete values from. *)
+module Replica = struct
+  type trace = t
+
+  type t = {
+    mem : Vm.Mem.t;
+    cpu : Vm.Cpu.t;  (** scratch: the last replayed exec's post-state *)
+    mutable last_rsp : int64;  (** RSP before the last replayed exec *)
+  }
+
+  let create (tr : trace) =
+    let mem, _rsp, _layout =
+      Vm.Machine.fresh_memory ~config:tr.config tr.image
+    in
+    { mem; cpu = Vm.Cpu.create (); last_rsp = 0L }
+
+  (** Re-execute [e] on the scratch CPU, seeded from its recorded
+      pre-state; [next] is its fall-through address. *)
+  let exec r (e : Vm.Event.exec) ~next =
+    r.last_rsp <- e.regs_before.(Isa.Reg.index Isa.Reg.RSP);
+    Array.blit e.regs_before 0 r.cpu.Vm.Cpu.regs 0 Isa.Reg.count;
+    Array.blit e.xmm_before 0 r.cpu.Vm.Cpu.xmm 0 Isa.Reg.xmm_count;
+    Vm.Cpu.unpack_flags r.cpu e.flags_before;
+    r.cpu.Vm.Cpu.pc <- e.pc;
+    match Vm.Cpu.execute r.cpu r.mem ~next_pc:next e.insn with _ -> ()
+
+  (** Apply a syscall's kernel-to-memory copies. *)
+  let sys r (record : Vm.Event.sys_record) =
+    List.iter
+      (function
+        | Vm.Event.Eff_read { addr; data; _ } ->
+          Vm.Mem.write_bytes r.mem addr data
+        | Vm.Event.Eff_write _ | Vm.Event.Eff_spawn _ -> ())
+      record.effects
+
+  (** Write a signal's resume address where the kernel pushed it, below
+      the faulting exec's stack pointer; returns that slot. *)
+  let signal r ~resume =
+    let slot = Int64.sub r.last_rsp 8L in
+    Vm.Mem.write r.mem slot 8 resume;
+    slot
+end
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing                                                     *)
