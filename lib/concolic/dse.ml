@@ -141,6 +141,11 @@ type t = {
   lifts : Ir.Lifter.Memo.t;
   decoded : (int64, Ir.Lifter.Memo.entry option) Hashtbl.t;
       (** one decode per pc; [None]: the pc does not decode *)
+  fp_flags : bool E.Phys.t;
+      (** path constraint -> uses a floating-point operation; each
+          constraint's DAG is walked once per exploration *)
+  zeros : int64 E.Phys.t;
+      (** symbolic address -> its value with every input zero *)
   mutable total_steps : int;
   mutable spawned : int;
   mutable all_diags : Error.diag list;
@@ -169,24 +174,32 @@ let get_reg t s r =
 
 let set_reg s r e = State.write_var s.st (reg_name r) e
 
-let zero_env_of e =
-  let env : Smt.Eval.env = Hashtbl.create 4 in
-  List.iter (fun (v : E.var) -> Hashtbl.replace env v.vname 0L) (E.vars e);
-  env
+(* [e] with every input zero, memoised per exploration: the same
+   symbolic addresses are resolved again and again *)
+let zero_value t (e : E.t) =
+  match e with
+  | E.Const (v, _) -> v
+  | _ -> (
+      let k = Obj.repr e in
+      match E.Phys.find_opt t.zeros k with
+      | Some v -> v
+      | None ->
+        let v = Smt.Eval.eval ~default:0L Simplify_env.empty e in
+        E.Phys.replace t.zeros k v;
+        v)
 
-let concretize s (e : E.t) =
+let concretize t s (e : E.t) =
   match e with
   | E.Const (v, _) -> v
   | _ ->
     State.diag s.st (Error.Concretized_store 0L);
-    Smt.Eval.eval (zero_env_of e) e
+    zero_value t e
 
 let hooks_of t (_s : sstate) =
   { Sym_exec.concrete_var = (fun _ -> 0L);
     concrete_byte = (fun a -> Vm.Mem.read_u8 t.base_mem a);
-    resolve_addr =
-      (fun e ->
-         try Smt.Eval.eval (zero_env_of e) e with _ -> 0L);
+    resolve_addr = (fun e -> try zero_value t e with _ -> 0L);
+    zero_addr = zero_value t;
     mode = Sym_exec.Indexed { window = t.config.mem_window; max_depth = 1 };
     keep_concrete_stores = true }
 
@@ -221,10 +234,10 @@ let store t s addr n v =
 
 (* pop the (concrete) return address and jump there *)
 let do_return t s =
-  let rsp = concretize s (get_reg t s RSP) in
+  let rsp = concretize t s (get_reg t s RSP) in
   let ret = load t s (E.Const (rsp, 64)) 8 in
   set_reg s RSP (E.Const (Int64.add rsp 8L, 64));
-  s.pc <- concretize s ret
+  s.pc <- concretize t s ret
 
 (* one unconstrained read of [len] bytes into memory at [addr] *)
 let unconstrained_bytes t s ~what addr len =
@@ -272,9 +285,9 @@ let simos_syscall t (s : sstate) : step_result =
                 Redirected
               | None -> Dead)
           | "read" -> (
-              let fd = Int64.to_int (concretize s (arg 0)) in
-              let buf = concretize s (arg 1) in
-              let len = Int64.to_int (concretize s (arg 2)) in
+              let fd = Int64.to_int (concretize t s (arg 0)) in
+              let buf = concretize t s (arg 1) in
+              let len = Int64.to_int (concretize t s (arg 2)) in
               match List.assoc_opt fd os.fds with
               | Some (SPipe_r p) -> (
                   match List.assoc_opt p os.pipes with
@@ -303,9 +316,9 @@ let simos_syscall t (s : sstate) : step_result =
                 ret (E.Const (Int64.of_int len, 64));
                 Running)
           | "write" -> (
-              let fd = Int64.to_int (concretize s (arg 0)) in
-              let buf = concretize s (arg 1) in
-              let len = Int64.to_int (concretize s (arg 2)) in
+              let fd = Int64.to_int (concretize t s (arg 0)) in
+              let buf = concretize t s (arg 1) in
+              let len = Int64.to_int (concretize t s (arg 2)) in
               (match List.assoc_opt fd os.fds with
                | Some (SPipe_w p) -> (
                    match List.assoc_opt p os.pipes with
@@ -322,7 +335,7 @@ let simos_syscall t (s : sstate) : step_result =
               ret (E.Const (Int64.of_int len, 64));
               Running)
           | "open" ->
-            let path = read_cstring t s (concretize s (arg 0)) in
+            let path = read_cstring t s (concretize t s (arg 0)) in
             ignore path;
             (* simuvex-style: any file opens, contents unconstrained *)
             let fd = os.next_fd in
@@ -339,7 +352,7 @@ let simos_syscall t (s : sstate) : step_result =
             let rfd = os.next_fd and wfd = os.next_fd + 1 in
             os.next_fd <- os.next_fd + 2;
             os.fds <- (rfd, SPipe_r p) :: (wfd, SPipe_w p) :: os.fds;
-            let fds_ptr = concretize s (arg 0) in
+            let fds_ptr = concretize t s (arg 0) in
             store t s (E.Const (fds_ptr, 64)) 4 (E.Const (Int64.of_int rfd, 32));
             store t s (E.Const (Int64.add fds_ptr 4L, 64)) 4
               (E.Const (Int64.of_int wfd, 32));
@@ -359,7 +372,7 @@ let simos_syscall t (s : sstate) : step_result =
             ret (E.Const (Vm.Machine.default_config.now, 64));
             Running
           | "gettimeofday" ->
-            let ptr = concretize s (arg 0) in
+            let ptr = concretize t s (arg 0) in
             store t s (E.Const (ptr, 64)) 8
               (E.Const (Vm.Machine.default_config.now, 64));
             store t s (E.Const (Int64.add ptr 8L, 64)) 8 (E.Const (0L, 64));
@@ -371,8 +384,8 @@ let simos_syscall t (s : sstate) : step_result =
             ret (E.Const (0L, 64));
             Running
           | "getrandom" ->
-            let buf = concretize s (arg 0) in
-            let len = Int64.to_int (concretize s (arg 1)) in
+            let buf = concretize t s (arg 0) in
+            let len = Int64.to_int (concretize t s (arg 1)) in
             unconstrained_bytes t s ~what:"random" buf len;
             ret (arg 1);
             Running
@@ -435,8 +448,8 @@ let run_summary t (s : sstate) name : step_result =
   | "fork" ->
     (* sequential (vfork-like) simulation: run the child to its exit,
        then resume here as the parent *)
-    let rsp = concretize s (get_reg t s RSP) in
-    let ret_addr = concretize s (load t s (E.Const (rsp, 64)) 8) in
+    let rsp = concretize t s (get_reg t s RSP) in
+    let ret_addr = concretize t s (load t s (E.Const (rsp, 64)) 8) in
     let saved =
       (reg_name Isa.Reg.RSP, E.Const (Int64.add rsp 8L, 64))
       :: List.map
@@ -458,13 +471,29 @@ let run_summary t (s : sstate) name : step_result =
     only the constraints consed on since need evaluating — including
     those recorded with no check ([Address_bound], [Fault_guard]). *)
 let witness_covers w cs =
-  let rec newer_hold l =
-    l == w.upto
-    || match l with
-       | (c, _) :: rest -> Smt.Eval.satisfies w.env c && newer_hold rest
-       | [] -> false
+  let rec newer acc l =
+    if l == w.upto then Some (List.rev acc)
+    else
+      match l with
+      | (c, _) :: rest -> newer (c :: acc) rest
+      | [] -> None
   in
-  newer_hold cs
+  match newer [] cs with
+  | Some newer -> Smt.Eval.satisfies_all w.env newer
+  | None -> false
+
+(* does any constraint of [cs] use a floating-point operation? *)
+let path_has_fp t cs =
+  List.exists
+    (fun (c, _) ->
+       let k = Obj.repr c in
+       match E.Phys.find_opt t.fp_flags k with
+       | Some b -> b
+       | None ->
+         let b = E.contains_fp c in
+         E.Phys.replace t.fp_flags k b;
+         b)
+    cs
 
 let m_dse_witnessed = Telemetry.Metrics.counter "dse.witnessed"
 
@@ -482,15 +511,14 @@ let feasible t (s : sstate) =
       s.witness <- Some { w with upto = cs };
       true
     | _ ->
-      let path = State.path_condition s.st in
-      if E.exists_fp path then true (* cannot check: assume *)
+      if path_has_fp t cs then true (* cannot check: assume *)
       else
         match
           solve t
             ~config:
               { t.config.solver with
                 conflict_budget = t.config.feasibility_budget }
-            path
+            (State.path_condition s.st)
         with
         | Smt.Solver.Sat m ->
           s.witness <- Some { env = Smt.Eval.env_of_list m; upto = cs };
@@ -545,6 +573,7 @@ let init ?goal_symbol:(goal = "bomb") (config : config) (image : Asm.Image.t)
       session; bounds = Smt.Bounds.create (); stats;
       lifts = Ir.Lifter.Memo.create Ir.Lifter.full;
       decoded = Hashtbl.create 256;
+      fp_flags = E.Phys.create 256; zeros = E.Phys.create 64;
       total_steps = 0; spawned = 0; all_diags = []; unknowns = 0;
       fp_seen = false; forks = 0 }
   in
@@ -590,7 +619,7 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
          if Int64.equal s.pc t.goal then begin
            incr reached;
            let cs = State.path_condition s.st in
-           if E.exists_fp cs then begin
+           if path_has_fp t s.st.State.constraints then begin
              t.fp_seen <- true;
              t.all_diags <- Error.Fp_constraint :: t.all_diags
            end;
@@ -719,10 +748,7 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
                           | _ ->
                             State.diag s.st Error.Symbolic_jump_target;
                             (* concretize like a pointer: zero inputs *)
-                            let a =
-                              try Smt.Eval.eval (zero_env_of tgt) tgt
-                              with _ -> 0L
-                            in
+                            let a = try zero_value t tgt with _ -> 0L in
                             if Int64.equal a 0L then finish_state ()
                             else s.pc <- a)
                       | Sym_exec.Sys_enter -> (

@@ -25,6 +25,9 @@ type hooks = {
   concrete_byte : int64 -> int;  (** live concrete memory *)
   resolve_addr : E.t -> int64;
       (** concretization of a symbolic address *)
+  zero_addr : E.t -> int64;
+      (** a symbolic address with every input zero: the [Indexed]
+          window's base candidate *)
   mode : mem_mode;
   keep_concrete_stores : bool;
       (** no replica runs alongside: shadow must hold constants too *)
@@ -75,11 +78,7 @@ let sym_load ctx addr_e n =
         else begin
           (* base candidate: the address with all inputs zeroed tends
              to be the table base; fall back to the concrete one *)
-          let zero_env : Smt.Eval.env = Hashtbl.create 4 in
-          List.iter
-            (fun (v : E.var) -> Hashtbl.replace zero_env v.vname 0L)
-            (E.vars addr_e);
-          let a0 = Smt.Eval.eval zero_env addr_e in
+          let a0 = h.zero_addr addr_e in
           let lo = if Int64.unsigned_compare a0 caddr <= 0 then a0 else caddr in
           (* the concretely-observed address must sit inside the
              window; recenter when the zero-input estimate is far off *)

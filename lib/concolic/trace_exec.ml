@@ -160,6 +160,7 @@ let run (config : config) ?session ?(sources : source list option)
                    | _ -> 0L)));
       concrete_byte = (fun a -> Vm.Mem.read_u8 mem a);
       resolve_addr;
+      zero_addr = Smt.Eval.eval ~default:0L Simplify_env.empty;
       mode = config.mem_mode;
       keep_concrete_stores = false }
   in

@@ -105,12 +105,6 @@ let rec subst (pins : (string, int64) Hashtbl.t) (e : Expr.t) : Expr.t =
   | Fof_int a -> Fof_int (s a)
   | Fto_int a -> Fto_int (s a)
 
-let model_holds m cs =
-  let env = Eval.env_of_list m in
-  List.for_all
-    (fun c -> try Eval.holds env c with Eval.Unbound _ -> false)
-    cs
-
 let resimplify ~conflicts cs : verdict =
   let pins = Hashtbl.create 16 in
   List.iter (fun (n, x) -> Hashtbl.replace pins n x) (pinned_vars cs);
@@ -153,7 +147,8 @@ let resimplify ~conflicts cs : verdict =
                      | None -> (v.vname, 0L)))
               (Expr.vars_of_list cs)
           in
-          if model_holds m cs then Sat m else Undecided)
+          if Eval.satisfies_all (Eval.env_of_list m) cs then Sat m
+          else Undecided)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -169,11 +164,6 @@ let enumerate ~max_bits cs : verdict =
   if total_bits > max_bits || max_bits <= 0 || total_bits >= 63 then Undecided
   else begin
     let env : Eval.env = Hashtbl.create 16 in
-    let holds_all () =
-      List.for_all
-        (fun c -> try Eval.holds env c with Eval.Unbound _ -> false)
-        cs
-    in
     (* walk the combined assignment space as one [total_bits]-wide
        counter, slicing each variable's bits out in declaration order;
        2^max_bits is the rung's explicit cost bound *)
@@ -192,7 +182,7 @@ let enumerate ~max_bits cs : verdict =
              Hashtbl.replace env v.vname x;
              off := !off + v.width)
           vars;
-        if holds_all () then
+        if Eval.satisfies_all env cs then
           Sat (List.map (fun (v : Expr.var) -> (v.vname, Hashtbl.find env v.vname)) vars)
         else try_assignment (Int64.add n 1L)
       end

@@ -11,10 +11,13 @@ let env_of_list l : env =
   List.iter (fun (k, v) -> Hashtbl.replace h k v) l;
   h
 
-let lookup (env : env) (v : Expr.var) =
+let lookup ?default (env : env) (v : Expr.var) =
   match Hashtbl.find_opt env v.vname with
   | Some x -> Int64.logand x (Expr.mask v.width)
-  | None -> raise (Unbound v.vname)
+  | None -> (
+      match default with
+      | Some x -> Int64.logand x (Expr.mask v.width)
+      | None -> raise (Unbound v.vname))
 
 let sext_to64 w v =
   if w >= 64 then v
@@ -24,10 +27,11 @@ let sext_to64 w v =
 
 (* memoised on physical identity so shared sub-DAGs evaluate once.  The
    table exists only when memoising: the constant folds in [State] and
-   [Simplify] call with [~memo:false] once per node they build. *)
+   [Simplify] call with [~memo:false] once per node they build.  One
+   evaluator (and its memo) may serve several terms. *)
 module Phys = Expr.Phys
 
-let eval ?(memo = true) (env : env) (e : Expr.t) : int64 =
+let evaluator ~memo ?default (env : env) : Expr.t -> int64 =
   let cache : int64 Phys.t option =
     if memo then Some (Phys.create 256) else None
   in
@@ -48,7 +52,7 @@ let eval ?(memo = true) (env : env) (e : Expr.t) : int64 =
     let bits f = Int64.bits_of_float f in
     let v =
       match e with
-      | Var v -> lookup env v
+      | Var v -> lookup ?default env v
       | Const (v, _) -> v
       | Unop (Neg, a) -> Int64.neg (go a)
       | Unop (Not, a) -> Int64.lognot (go a)
@@ -125,7 +129,11 @@ let eval ?(memo = true) (env : env) (e : Expr.t) : int64 =
     in
     Int64.logand v m
   in
-  go e
+  go
+
+(** The value of [e] under [env].  A variable [env] does not bind is
+    [default] when one is given, and raises [Unbound] otherwise. *)
+let eval ?(memo = true) ?default env e = evaluator ~memo ?default env e
 
 (** Does [env] satisfy the (1-bit) constraint? *)
 let holds env e = eval env e = 1L
@@ -133,3 +141,9 @@ let holds env e = eval env e = 1L
 (** Is [env] a model of [e]: does [e] hold, with every variable bound?
     [Unbound] is the only exception [eval] raises. *)
 let satisfies env e = try holds env e with Unbound _ -> false
+
+(** [List.for_all (satisfies env) cs], with one memo over the whole
+    list: the sub-DAGs constraints share are evaluated once. *)
+let satisfies_all env cs =
+  let go = evaluator ~memo:true env in
+  try List.for_all (fun c -> go c = 1L) cs with Unbound _ -> false

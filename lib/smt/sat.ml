@@ -242,8 +242,8 @@ let new_clause ?(owner = -1) t lits =
 let add_clause ?owner t lits =
   if t.ok then begin
     (* simplify: drop duplicate/false literals, detect tautology *)
-    let lits = List.sort_uniq compare lits in
-    let taut = List.exists (fun l -> List.mem (lit_neg l) lits) lits in
+    let lits = List.sort_uniq Int.compare lits in
+    let taut = List.exists (fun l -> List.memq (lit_neg l) lits) lits in
     if not taut then begin
       let lits =
         List.filter

@@ -19,6 +19,14 @@
       Cached sat models are revalidated through {!Eval} before reuse;
       cached unsat answers are reused directly.
 
+    A check pays for what is new on its path, not for the whole
+    prefix again: a node's floating-point flag is set when it is
+    consed, from its children's flags, and a constraint's variables
+    are collected once, the first time a model is restricted to it.
+    What stays per check is one pass over the asserted list and the
+    validation of each model, which evaluates every constraint under
+    one memo ({!Eval.satisfies_all}).
+
     Floating-point constraints fall back to the one-shot search solver
     ({!Search}), exactly as the non-incremental front-end does.
     {!Solver.solve} is a thin one-shot wrapper over a fresh session, so
@@ -77,11 +85,26 @@ end
 
 module Ktbl = Hashtbl.Make (Key)
 
-type interned = { node : Expr.t; id : int }
+(* [fp]: the term uses a floating-point operation, set once when the
+   node is consed from its own constructor and its children's flags *)
+type interned = { node : Expr.t; id : int; fp : bool }
 
 type frame = { mutable asserted : interned list (* newest first *) }
 
 type cached = Cached_sat of model | Cached_unsat
+
+(* query-cache key: the sorted, de-duplicated interned ids of the
+   checked set, hashed over every id (the polymorphic hash would read
+   only a prefix, and checks share long prefixes) *)
+module Qkey = Hashtbl.Make (struct
+    type t = int array
+
+    let equal (a : t) b =
+      Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+    let hash (a : t) =
+      Array.fold_left (fun h id -> (h * 31) + id) (Array.length a) a
+  end)
 
 type t = {
   mutable config : config;
@@ -90,11 +113,13 @@ type t = {
   intern_memo : interned Phys.t; (* raw node -> canonical, O(1) re-intern *)
   consed : interned Ktbl.t;
   vars : (string, Expr.var) Hashtbl.t;  (* every interned variable *)
-  fp_memo : (int, bool) Hashtbl.t;      (* id -> contains an FP term *)
+  names : (int, Expr.var list) Hashtbl.t;
+      (* id -> the variables of that asserted constraint, filled the
+         first time a model is restricted to it *)
   mutable next_id : int;
   blast : Blast.t;
   lits : (int, int) Hashtbl.t;          (* id -> assumption literal *)
-  query_cache : (string, cached) Hashtbl.t;
+  query_cache : cached Qkey.t;
   stats : Stats.t;
   meter : Robust.Meter.t option;
       (** cell budget accounting: node interning charges the
@@ -110,11 +135,11 @@ let create ?meter ?(config = default_config) ?stats () =
     intern_memo = Phys.create 1024;
     consed = Ktbl.create 1024;
     vars = Hashtbl.create 32;
-    fp_memo = Hashtbl.create 64;
+    names = Hashtbl.create 64;
     next_id = 0;
     blast = Blast.create ();
     lits = Hashtbl.create 64;
-    query_cache = Hashtbl.create 64;
+    query_cache = Qkey.create 64;
     stats = (match stats with Some s -> s | None -> Stats.create ());
     meter }
 
@@ -131,7 +156,17 @@ let rec intern_node t (e : Expr.t) : interned =
 
 and cons t (e : Expr.t) : interned =
   let open Expr in
-  let sub a = intern_node t a in
+  (* a node uses FP when it is an FP operation or a child does *)
+  let fp =
+    ref (match e with
+        | Fbin _ | Fcmp _ | Fsqrt _ | Fof_int _ | Fto_int _ -> true
+        | _ -> false)
+  in
+  let sub a =
+    let i = intern_node t a in
+    if i.fp then fp := true;
+    i
+  in
   let k, node =
     match e with
     | Var v -> (key 0 ~n:v.width ~s:v.vname [||], e)
@@ -189,7 +224,7 @@ and cons t (e : Expr.t) : interned =
     (match node with
      | Var v -> Hashtbl.replace t.vars v.vname v
      | _ -> ());
-    let i = { node; id } in
+    let i = { node; id; fp = !fp } in
     Ktbl.replace t.consed k i;
     i
 
@@ -264,29 +299,38 @@ let set_assertions t cs =
 (* Checking                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let contains_fp t (i : interned) =
-  match Hashtbl.find_opt t.fp_memo i.id with
-  | Some b -> b
-  | None ->
-    let b = Expr.contains_fp i.node in
-    Hashtbl.replace t.fp_memo i.id b;
-    b
+let model_holds (m : model) cs = Eval.satisfies_all (Eval.env_of_list m) cs
 
-let model_holds (m : model) cs =
-  List.for_all (Eval.satisfies (Eval.env_of_list m)) cs
+(* the variables of one asserted constraint, walked once per session *)
+let names_of t (i : interned) =
+  match Hashtbl.find_opt t.names i.id with
+  | Some vs -> vs
+  | None ->
+    let vs = Expr.vars i.node in
+    Hashtbl.replace t.names i.id vs;
+    vs
 
 (* restrict a session-wide model to the variables of the checked set,
    matching the one-shot front-end's model shape *)
-let restrict_model m cs =
+let restrict_model t m cs_i =
   let names = Hashtbl.create 16 in
   List.iter
-    (fun (v : Expr.var) -> Hashtbl.replace names v.vname ())
-    (Expr.vars_of_list cs);
+    (fun i ->
+       List.iter
+         (fun (v : Expr.var) -> Hashtbl.replace names v.vname ())
+         (names_of t i))
+    cs_i;
   List.filter (fun (n, _) -> Hashtbl.mem names n) m
+
+(** The floating-point flag and the variables of [e]'s interned node:
+    what a check reads instead of walking the term. *)
+let node_fp t e = (intern_node t e).fp
+
+let node_vars t e = names_of t (intern_node t e)
 
 let solve_uncached t (cfg : config) (cs_i : interned list) : outcome =
   let cs = List.map (fun i -> i.node) cs_i in
-  if List.exists (contains_fp t) cs_i then begin
+  if List.exists (fun (i : interned) -> i.fp) cs_i then begin
     if not cfg.enable_fp_search then Unknown Fp_unsupported
     else
       match
@@ -299,8 +343,7 @@ let solve_uncached t (cfg : config) (cs_i : interned list) : outcome =
   else begin
     (* try caller seeds before paying for bit-blasting *)
     let seed_hit =
-      List.find_opt (fun seed -> List.for_all (Eval.satisfies seed) cs)
-        cfg.seeds
+      List.find_opt (fun seed -> Eval.satisfies_all seed cs) cfg.seeds
     in
     match seed_hit with
     | Some seed ->
@@ -342,7 +385,7 @@ let solve_uncached t (cfg : config) (cs_i : interned list) : outcome =
                     ?meter:t.meter ~assumptions t.blast)
             with
             | Sat ->
-              let m = restrict_model (Blast.model t.blast) cs in
+              let m = restrict_model t (Blast.model t.blast) cs_i in
               (* defensive validation, as in the one-shot front-end *)
               if model_holds m cs then Sat m else Unknown Budget
             | Unsat -> Unsat
@@ -380,12 +423,12 @@ let check ?config t : outcome =
         (* interned ids are exact within the session: the key admits no
            collisions, so unsat entries are reusable as-is *)
         let key =
-          List.sort_uniq compare (List.map (fun (i : interned) -> i.id) cs_i)
-          |> List.map string_of_int |> String.concat ","
+          List.sort_uniq Int.compare (List.map (fun (i : interned) -> i.id) cs_i)
+          |> Array.of_list
         in
         let cs = List.map (fun (i : interned) -> i.node) cs_i in
         let cached =
-          match Hashtbl.find_opt t.query_cache key with
+          match Qkey.find_opt t.query_cache key with
           | Some Cached_unsat -> Some Unsat
           | Some (Cached_sat m) when model_holds m cs -> Some (Sat m)
           | _ -> None
@@ -420,8 +463,8 @@ let check ?config t : outcome =
                   Unknown Budget)
           in
           (match r with
-           | Sat m -> Hashtbl.replace t.query_cache key (Cached_sat m)
-           | Unsat -> Hashtbl.replace t.query_cache key Cached_unsat
+           | Sat m -> Qkey.replace t.query_cache key (Cached_sat m)
+           | Unsat -> Qkey.replace t.query_cache key Cached_unsat
            | Unknown _ -> () (* budget-dependent: not cacheable *));
           r
       end

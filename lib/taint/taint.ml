@@ -149,11 +149,14 @@ let analyze ?(policy = pin_policy)
              match eff with
              | Vm.Event.Eff_write { obj; off; addr; len } ->
                (* memory -> kernel object; the policy decides whether
-                  taint survives the kernel round trip *)
+                  taint survives the kernel round trip.  A strong
+                  update, as [Trace_exec]'s kernel shadow does: an
+                  untainted byte clears the one it overwrites *)
                if policy.through_kernel then
                  for i = 0 to len - 1 do
                    if mem_tainted (Int64.add addr (Int64.of_int i)) 1 then
                      Hashtbl.replace kobj (obj, off + i) ()
+                   else Hashtbl.remove kobj (obj, off + i)
                  done
                else if mem_tainted addr len then kwrites := idx :: !kwrites
              | Vm.Event.Eff_read { obj; off; addr; len; _ } ->

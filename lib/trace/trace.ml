@@ -76,11 +76,11 @@ let length t = Array.length t.events
 (** Event at sequence [i]. *)
 let get t i = t.events.(i)
 
-(** [iteri ?from ?upto t f] — [f i ev] over the window
-    [\[from, upto)], default the whole trace. *)
-let iteri ?(from = 0) ?upto t f =
+(** [iteri ?upto t f] — [f i ev] over the first [upto] events,
+    default the whole trace. *)
+let iteri ?upto t f =
   let upto = match upto with Some u -> u | None -> length t in
-  for i = from to min upto (length t) - 1 do
+  for i = 0 to min upto (length t) - 1 do
     f i t.events.(i)
   done
 

@@ -92,6 +92,30 @@ let explain_agrees_with_grade () =
       (Engines.Profile.Angr, "array2_bomb");   (* Es3 *)
       (Engines.Profile.Angr, "array1_bomb") ]  (* Success *)
 
+(* Angr/aes under the lifted-instruction cap the perf ledger runs it
+   with: the solver work of its forks is pinned, so a change to how a
+   query is prepared or checked cannot move the queries, their answers
+   or the CDCL search behind them *)
+let pin_angr_aes_queries () =
+  let bomb = Bombs.Catalog.find "aes_bomb" in
+  let policy =
+    match Robust.Budget.parse "lift=50000" with
+    | Ok budget -> { Engines.Supervisor.default_policy with budget }
+    | Error e -> Alcotest.fail e
+  in
+  let names =
+    [ "smt.queries"; "smt.sat"; "smt.unsat"; "smt.conflicts"; "dse.witnessed" ]
+  in
+  let read () = List.map Telemetry.Metrics.counter_value names in
+  let before = read () in
+  let c = Engines.Eval.run_cell ~policy Engines.Profile.Angr bomb in
+  Alcotest.(check string) "cell" (cell_symbol Abnormal) (cell_symbol c.measured);
+  List.iter2
+    (fun (name, expected) delta ->
+       Alcotest.(check int) name expected delta)
+    (List.combine names [ 141; 87; 54; 146; 109 ])
+    (List.map2 ( - ) (read ()) before)
+
 (* --explain and table2 read one supervised cell: under any policy the
    diagnosis names the cell, cause and stage Table II prints for it *)
 let explain_matches_table2 budget_spec ladder () =
@@ -312,7 +336,9 @@ let () =
              (Angr, "pthread_bomb", Fail Es2, 50, 49);
              (Angr_nolib, "pthread_bomb", Fail Es2, 50, 49);
              (Angr, "fork_bomb", Fail Es2, 67, 66);
-             (Angr_nolib, "fork_bomb", Success, 50, 49) ]);
+             (Angr_nolib, "fork_bomb", Success, 50, 49) ]
+       @ [ Alcotest.test_case "pin Angr/aes queries under lift=50000" `Quick
+             pin_angr_aes_queries ]);
       ("explain = table2",
        List.map
          (fun (name, spec, ladder) ->

@@ -548,6 +548,63 @@ let walks_match_tree_references =
        && var_names (Expr.vars_of_list es) = naive_var_names es
        && List.for_all (fun e -> Expr.blast_cost e = naive_blast_cost e) es)
 
+(* a session reads a node's FP flag and a constraint's variables off
+   its interned node instead of walking the term: they must be what
+   the walks return, for every node of every term *)
+let session_facts_match_walks =
+  QCheck2.Test.make ~count:300
+    ~name:"session FP flags and variables match the walks"
+    ~print:(fun es -> String.concat "\n" (List.map Expr.show es))
+    gen_shared_terms
+    (fun es ->
+       let s = Session.create () in
+       let nodes = ref [] in
+       Expr.iter_dag (fun e -> nodes := e :: !nodes) es;
+       List.for_all
+         (fun e ->
+            Session.node_fp s e = Expr.contains_fp e
+            && List.equal Expr.equal_var (Session.node_vars s e) (Expr.vars e))
+         !nodes)
+
+(* some of v0..v3 bound, the rest unbound *)
+let gen_terms_partial_env =
+  QCheck2.Gen.(
+    pair gen_eval_terms (list_repeat 4 (opt ~ratio:0.8 (int_bound 255))))
+
+let partial_env values =
+  List.concat
+    (List.mapi
+       (fun i v ->
+          match v with
+          | Some v -> [ (Printf.sprintf "v%d" i, Int64.of_int v) ]
+          | None -> [])
+       values)
+
+let satisfies_all_is_for_all =
+  QCheck2.Test.make ~count:500
+    ~name:"satisfies_all = for_all satisfies, unbound variables included"
+    gen_terms_partial_env
+    (fun (terms, values) ->
+       let env = Eval.env_of_list (partial_env values) in
+       Eval.satisfies_all env terms = List.for_all (Eval.satisfies env) terms)
+
+let eval_default_binds_the_rest =
+  QCheck2.Test.make ~count:300
+    ~name:"eval ~default = eval with the unbound variables bound"
+    gen_terms_partial_env
+    (fun (terms, values) ->
+       let bound = partial_env values in
+       let env = Eval.env_of_list bound in
+       let full =
+         Eval.env_of_list
+           (List.init 4 (fun i ->
+                let n = Printf.sprintf "v%d" i in
+                (n, Option.value ~default:5L (List.assoc_opt n bound))))
+       in
+       List.for_all
+         (fun e -> Int64.equal (Eval.eval ~default:5L env e) (Eval.eval full e))
+         terms)
+
 (* 64 levels of [Add (e, e)]: 65 distinct nodes, 2^64 tree paths *)
 let doubling_chain base =
   let rec go e n = if n = 0 then e else go (Expr.Binop (Add, e, e)) (n - 1) in
@@ -1172,10 +1229,13 @@ let () =
            pin_one_shot_trajectory ]);
       ("eval",
        [ QCheck_alcotest.to_alcotest eval_agrees_with_reference;
+         QCheck_alcotest.to_alcotest satisfies_all_is_for_all;
+         QCheck_alcotest.to_alcotest eval_default_binds_the_rest;
          Alcotest.test_case "unmemoised allocation" `Quick
            eval_unmemoised_allocation ]);
       ("walks",
        [ QCheck_alcotest.to_alcotest walks_match_tree_references;
+         QCheck_alcotest.to_alcotest session_facts_match_walks;
          Alcotest.test_case "doubling chain" `Quick walks_on_doubling_chain;
          Alcotest.test_case "blast cost saturates" `Quick
            blast_cost_saturates ]);

@@ -79,6 +79,68 @@ let overwrite_clears_taint () =
   Alcotest.(check int) "no tainted branch after overwrite" 0
     (List.length r.tainted_branch)
 
+(* write argv[1][0] to a file, seek back, optionally overwrite it with
+   a constant, seek back, read it into memory and branch on it *)
+let file_overwrite_program ~overwrite =
+  let open Dsl in
+  let rewind =
+    [ mov rdi r12; xor rsi rsi; xor rdx rdx; call "lseek" ]
+  in
+  Asm.Ast.obj
+    ~data:[ label "__path"; asciz "data.txt"; label "__zero"; asciz "0" ]
+    ~bss:[ label "__buf"; space 8 ]
+    ([ label "main";
+       mov rbx (mreg ~disp:8 Isa.Reg.RSI);
+       (* fd = open(path, O_RDWR|O_CREAT|O_TRUNC) *)
+       lea rdi "__path";
+       mov rsi (imm 0o1102);
+       call "open";
+       mov r12 rax;
+       mov rdi r12;
+       mov rsi rbx;
+       mov rdx (imm 1);
+       call "write" ]
+     @ rewind
+     @ (if overwrite then
+          [ mov rdi r12; lea rsi "__zero"; mov rdx (imm 1); call "write" ]
+          @ rewind
+        else [])
+     @ [ mov rdi r12;
+         lea rsi "__buf";
+         mov rdx (imm 1);
+         call "read";
+         lea rax "__buf";
+         movzx rcx ~sw:Isa.Insn.W8 (mreg Isa.Reg.RAX);
+         cmp rcx (imm (Char.code 'a'));
+         je ".eq";
+         mov rax (imm 1);
+         ret;
+         label ".eq";
+         mov rax (imm 0);
+         ret ])
+
+let kernel_overwrite_clears_taint () =
+  let tainted_branches ~overwrite =
+    let image =
+      Libc.Runtime.link_with_libs (file_overwrite_program ~overwrite)
+    in
+    let config = { Vm.Machine.default_config with argv = [ "t"; "abc" ] } in
+    let t = Trace.record ~config image in
+    let addr, len =
+      match Trace.argv_region t 1 with
+      | Some r -> r
+      | None -> failwith "trace has no argv.(1)"
+    in
+    let r =
+      Taint.analyze ~policy:Taint.full_policy ~sources:[ (addr, len - 1) ] t
+    in
+    List.length r.tainted_branch
+  in
+  Alcotest.(check int) "re-read input byte is tainted" 1
+    (tainted_branches ~overwrite:false);
+  Alcotest.(check int) "re-read constant overwrite is untainted" 0
+    (tainted_branches ~overwrite:true)
+
 let flags_propagate () =
   (* cmp on tainted value; the following jcc is a tainted branch with
      the right direction *)
@@ -133,5 +195,7 @@ let () =
          Alcotest.test_case "clean program" `Quick untainted_program_is_clean ]);
       ("kernel-policy",
        [ Alcotest.test_case "files" `Quick file_policy_matrix;
-         Alcotest.test_case "pipes" `Quick pipe_policy_matrix ]);
+         Alcotest.test_case "pipes" `Quick pipe_policy_matrix;
+         Alcotest.test_case "file overwrite clears taint" `Quick
+           kernel_overwrite_clears_taint ]);
       ("fig3", [ Alcotest.test_case "monotone" `Quick fig3_monotone ]) ]
