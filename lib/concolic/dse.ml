@@ -134,18 +134,19 @@ type t = {
   image : Asm.Image.t;
   base_mem : Vm.Mem.t;           (** initial concrete memory (read-only) *)
   goal : int64;
-  lib_funcs : (int64, string) Hashtbl.t;  (** lib function entry points *)
+  lib_funcs : string Isa.Addr.Tbl.t;  (** lib function entry points *)
   session : Smt.Session.t option;  (** shared by every explored state *)
   bounds : Smt.Bounds.t;  (** narrowing memo, shared by every state *)
   stats : Smt.Stats.t;
   lifts : Ir.Lifter.Memo.t;
-  decoded : (int64, Ir.Lifter.Memo.entry option) Hashtbl.t;
+  decoded : Ir.Lifter.Memo.entry option Isa.Addr.Tbl.t;
       (** one decode per pc; [None]: the pc does not decode *)
   fp_flags : bool E.Phys.t;
       (** path constraint -> uses a floating-point operation; each
           constraint's DAG is walked once per exploration *)
   zeros : int64 E.Phys.t;
       (** symbolic address -> its value with every input zero *)
+  hooks : Sym_exec.hooks;
   mutable total_steps : int;
   mutable spawned : int;
   mutable all_diags : Error.diag list;
@@ -176,16 +177,16 @@ let set_reg s r e = State.write_var s.st (reg_name r) e
 
 (* [e] with every input zero, memoised per exploration: the same
    symbolic addresses are resolved again and again *)
-let zero_value t (e : E.t) =
+let zero_value zeros (e : E.t) =
   match e with
   | E.Const (v, _) -> v
   | _ -> (
       let k = Obj.repr e in
-      match E.Phys.find_opt t.zeros k with
+      match E.Phys.find_opt zeros k with
       | Some v -> v
       | None ->
         let v = Smt.Eval.eval ~default:0L Simplify_env.empty e in
-        E.Phys.replace t.zeros k v;
+        E.Phys.replace zeros k v;
         v)
 
 let concretize t s (e : E.t) =
@@ -193,14 +194,16 @@ let concretize t s (e : E.t) =
   | E.Const (v, _) -> v
   | _ ->
     State.diag s.st (Error.Concretized_store 0L);
-    zero_value t e
+    zero_value t.zeros e
 
-let hooks_of t (_s : sstate) =
+(* what every state's symbolic step reads of the engine; one record
+   per exploration *)
+let make_hooks config base_mem zeros =
   { Sym_exec.concrete_var = (fun _ -> 0L);
-    concrete_byte = (fun a -> Vm.Mem.read_u8 t.base_mem a);
-    resolve_addr = (fun e -> try zero_value t e with _ -> 0L);
-    zero_addr = zero_value t;
-    mode = Sym_exec.Indexed { window = t.config.mem_window; max_depth = 1 };
+    concrete_byte = Vm.Mem.read_u8 base_mem;
+    resolve_addr = (fun e -> try zero_value zeros e with _ -> 0L);
+    zero_addr = zero_value zeros;
+    mode = Sym_exec.Indexed { window = config.mem_window; max_depth = 1 };
     keep_concrete_stores = true }
 
 (* read a NUL-terminated concrete string via the state's memory *)
@@ -211,7 +214,7 @@ let read_cstring t s addr =
     else
       let a = Int64.add addr (Int64.of_int i) in
       let byte =
-        match Hashtbl.find_opt s.st.State.shadow a with
+        match State.Shadow.find_opt s.st.State.shadow a with
         | Some (E.Const (v, _)) -> Int64.to_int v land 0xff
         | Some _ -> 0 (* symbolic filename byte: stop *)
         | None -> Vm.Mem.read_u8 t.base_mem a
@@ -225,12 +228,10 @@ let read_cstring t s addr =
   Buffer.contents b
 
 let load t s addr n =
-  let ctx = Sym_exec.make_ctx s.st (hooks_of t s) in
-  Sym_exec.sym_load ctx addr n
+  Sym_exec.sym_load (Sym_exec.make_ctx s.st t.hooks) addr n
 
 let store t s addr n v =
-  let ctx = Sym_exec.make_ctx s.st (hooks_of t s) in
-  Sym_exec.sym_store ctx addr n v
+  Sym_exec.sym_store (Sym_exec.make_ctx s.st t.hooks) addr n v
 
 (* pop the (concrete) return address and jump there *)
 let do_return t s =
@@ -533,7 +534,7 @@ let m_dse_forks = Telemetry.Metrics.counter "dse.forks"
 (* the instruction at [pc], decoded once per exploration; its lift is
    memoised in the entry *)
 let insn_at t pc =
-  match Hashtbl.find_opt t.decoded pc with
+  match Isa.Addr.Tbl.find_opt t.decoded pc with
   | Some e -> e
   | None ->
     let e =
@@ -541,7 +542,7 @@ let insn_at t pc =
       | insn, next -> Some { Ir.Lifter.Memo.insn; next; stmts = None }
       | exception _ -> None
     in
-    Hashtbl.replace t.decoded pc e;
+    Isa.Addr.Tbl.replace t.decoded pc e;
     e
 
 (** The engine for one exploration of [image], and its initial state. *)
@@ -555,12 +556,12 @@ let init ?goal_symbol:(goal = "bomb") (config : config) (image : Asm.Image.t)
     Vm.Machine.fresh_memory ~config:run_config image
   in
   let goal_addr = Asm.Image.symbol_addr image goal in
-  let lib_funcs = Hashtbl.create 64 in
+  let lib_funcs = Isa.Addr.Tbl.create 64 in
   if config.mode = No_libs then
     List.iter
       (fun (sym : Asm.Image.symbol) ->
          if sym.from_lib && sym.kind = Func && List.mem sym.name summarised
-         then Hashtbl.replace lib_funcs sym.addr sym.name)
+         then Isa.Addr.Tbl.replace lib_funcs sym.addr sym.name)
       image.symbols;
   let stats = Smt.Stats.create () in
   let session =
@@ -568,12 +569,14 @@ let init ?goal_symbol:(goal = "bomb") (config : config) (image : Asm.Image.t)
       Some (Smt.Session.create ~config:config.solver ~stats ())
     else None
   in
+  let zeros = E.Phys.create 64 in
   let t =
     { config; image; base_mem; goal = goal_addr; lib_funcs;
       session; bounds = Smt.Bounds.create (); stats;
       lifts = Ir.Lifter.Memo.create Ir.Lifter.full;
-      decoded = Hashtbl.create 256;
-      fp_flags = E.Phys.create 256; zeros = E.Phys.create 64;
+      decoded = Isa.Addr.Tbl.create 256;
+      fp_flags = E.Phys.create 256; zeros;
+      hooks = make_hooks config base_mem zeros;
       total_steps = 0; spawned = 0; all_diags = []; unknowns = 0;
       fp_seen = false; forks = 0 }
   in
@@ -669,7 +672,8 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
          else begin
            (* No-libs summaries intercept library entry points *)
            match
-             if config.mode = No_libs then Hashtbl.find_opt t.lib_funcs s.pc
+             if config.mode = No_libs then
+               Isa.Addr.Tbl.find_opt t.lib_funcs s.pc
              else None
            with
            | Some name -> (
@@ -687,7 +691,7 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
                | Some entry ->
                  let insn = entry.insn and next = entry.next in
                  let lift () = Ir.Lifter.Memo.lift t.lifts entry in
-                 let ctx = Sym_exec.make_ctx s.st (hooks_of t s) in
+                 let ctx = Sym_exec.make_ctx s.st t.hooks in
                  let finish_state () =
                    (if Telemetry.Log.enabled Telemetry.Log.Debug then
                       Telemetry.Log.debugf "dse: state dies at 0x%Lx (%s)" s.pc
@@ -748,7 +752,7 @@ let explore ?goal_symbol (config : config) (image : Asm.Image.t) : outcome =
                           | _ ->
                             State.diag s.st Error.Symbolic_jump_target;
                             (* concretize like a pointer: zero inputs *)
-                            let a = try zero_value t tgt with _ -> 0L in
+                            let a = try zero_value t.zeros tgt with _ -> 0L in
                             if Int64.equal a 0L then finish_state ()
                             else s.pc <- a)
                       | Sym_exec.Sys_enter -> (

@@ -8,9 +8,26 @@ module E = Smt.Expr
 
 module Phys = E.Phys
 
+(** Tables keyed by state-variable name and by byte address, hashed
+    without the polymorphic hash. *)
+module Env = Hashtbl.Make (struct
+    type t = string
+
+    let equal = String.equal
+
+    let hash s =
+      let h = ref 0 in
+      for i = 0 to String.length s - 1 do
+        h := (!h * 31) + Char.code s.[i]
+      done;
+      !h land max_int
+  end)
+
+module Shadow = Isa.Addr.Tbl
+
 type t = {
-  env : (string, E.t) Hashtbl.t;        (** registers, flags, temps *)
-  shadow : (int64, E.t) Hashtbl.t;      (** memory bytes with symbolic values *)
+  env : E.t Env.t;        (** registers, flags, temps *)
+  shadow : E.t Shadow.t;  (** memory bytes with symbolic values *)
   mutable constraints : (E.t * info) list;  (** newest first *)
   mutable diags : Error.diag list;
   mutable load_depth : int;
@@ -40,8 +57,8 @@ and info = {
 and kind = Branch | Fault_guard | Address_bound | Assumption of string
 
 let create ?meter ?session () =
-  { env = Hashtbl.create 64;
-    shadow = Hashtbl.create 256;
+  { env = Env.create 64;
+    shadow = Shadow.create 256;
     constraints = [];
     diags = [];
     load_depth = 0;
@@ -51,8 +68,8 @@ let create ?meter ?session () =
     meter = Robust.Meter.default meter }
 
 let clone t =
-  { env = Hashtbl.copy t.env;
-    shadow = Hashtbl.copy t.shadow;
+  { env = Env.copy t.env;
+    shadow = Shadow.copy t.shadow;
     constraints = t.constraints;
     diags = t.diags;
     load_depth = t.load_depth;
@@ -112,23 +129,9 @@ let path_condition t = List.rev_map fst t.constraints
 
 let is_c = function E.Const _ -> true | _ -> false
 
-let fold1 mk a =
-  let e = mk a in
-  if is_c a then E.Const (Smt.Eval.eval ~memo:false Simplify_env.empty e,
-                          E.width_of e)
-  else e
-
-let fold2 mk a b =
-  let e = mk a b in
-  if is_c a && is_c b then
-    E.Const (Smt.Eval.eval ~memo:false Simplify_env.empty e, E.width_of e)
-  else e
-
-let fold3 mk a b c =
-  let e = mk a b c in
-  if is_c a && is_c b && is_c c then
-    E.Const (Smt.Eval.eval ~memo:false Simplify_env.empty e, E.width_of e)
-  else e
+(* [e] folded to its constant when [all_const] says its children are
+   all constants *)
+let fold_if all_const e = if all_const then Smt.Eval.fold e else e
 
 (* light algebraic rules beyond folding keep lifted code small *)
 let mk_binop op a b =
@@ -140,10 +143,10 @@ let mk_binop op a b =
   | And, _, E.Const (0L, w) | And, E.Const (0L, w), _ -> E.Const (0L, w)
   | Or, x, E.Const (0L, _) | Or, E.Const (0L, _), x -> x
   | Xor, x, E.Const (0L, _) | Xor, E.Const (0L, _), x -> x
-  | _ -> fold2 (fun a b -> E.Binop (op, a, b)) a b
+  | _ -> fold_if (is_c a && is_c b) (E.Binop (op, a, b))
 
-let mk_unop op a = fold1 (fun a -> E.Unop (op, a)) a
-let mk_cmp op a b = fold2 (fun a b -> E.Cmp (op, a, b)) a b
+let mk_unop op a = fold_if (is_c a) (E.Unop (op, a))
+let mk_cmp op a b = fold_if (is_c a && is_c b) (E.Cmp (op, a, b))
 
 let mk_ite c a b =
   match c with
@@ -156,7 +159,7 @@ let mk_extract hi lo a =
   if lo = 0 && hi = w - 1 then a
   else
     match a with
-    | E.Const _ -> fold1 (fun a -> E.Extract (hi, lo, a)) a
+    | E.Const _ -> Smt.Eval.fold (E.Extract (hi, lo, a))
     | E.Zext (_, x) when hi < E.width_of x -> E.Extract (hi, lo, x)
     | E.Zext (_, x) when lo >= E.width_of x -> E.Const (0L, hi - lo + 1)
     | E.Concat (_, lo_part) when hi < E.width_of lo_part ->
@@ -166,25 +169,25 @@ let mk_extract hi lo a =
 
 let mk_concat a b =
   match (a, b) with
-  | E.Const _, E.Const _ -> fold2 (fun a b -> E.Concat (a, b)) a b
+  | E.Const _, E.Const _ -> Smt.Eval.fold (E.Concat (a, b))
   | E.Const (0L, wz), x -> E.Zext (wz + E.width_of x, x)
   | _ -> E.Concat (a, b)
 
 let mk_zext w a =
   if E.width_of a = w then a
-  else if is_c a then fold1 (fun a -> E.Zext (w, a)) a
+  else if is_c a then Smt.Eval.fold (E.Zext (w, a))
   else E.Zext (w, a)
 
 let mk_sext w a =
   if E.width_of a = w then a
-  else if is_c a then fold1 (fun a -> E.Sext (w, a)) a
+  else if is_c a then Smt.Eval.fold (E.Sext (w, a))
   else E.Sext (w, a)
 
-let mk_fbin op a b = fold2 (fun a b -> E.Fbin (op, a, b)) a b
-let mk_fcmp op a b = fold2 (fun a b -> E.Fcmp (op, a, b)) a b
-let mk_fsqrt a = fold1 (fun a -> E.Fsqrt a) a
-let mk_fof_int a = fold1 (fun a -> E.Fof_int a) a
-let mk_fto_int a = fold1 (fun a -> E.Fto_int a) a
+let mk_fbin op a b = fold_if (is_c a && is_c b) (E.Fbin (op, a, b))
+let mk_fcmp op a b = fold_if (is_c a && is_c b) (E.Fcmp (op, a, b))
+let mk_fsqrt a = fold_if (is_c a) (E.Fsqrt a)
+let mk_fof_int a = fold_if (is_c a) (E.Fof_int a)
+let mk_fto_int a = fold_if (is_c a) (E.Fto_int a)
 
 (* charge a state for a freshly built (non-constant) node, at the
    weight {!Smt.Expr.blast_cost} sums *)
@@ -201,53 +204,90 @@ let charge t (e : E.t) =
 (** Read a state variable; absent variables resolve through
     [concrete], which supplies the live concrete value. *)
 let read_var t name width ~concrete =
-  match Hashtbl.find_opt t.env name with
-  | Some e -> e
-  | None -> E.Const (Int64.logand (concrete name) (E.mask width), width)
+  match Env.find t.env name with
+  | e -> e
+  | exception Not_found ->
+    E.Const (Int64.logand (concrete name) (E.mask width), width)
 
-let write_var t name e =
-  match e with
-  | E.Const _ -> Hashtbl.replace t.env name e
-  | _ -> Hashtbl.replace t.env name e
+let write_var t name e = Env.replace t.env name e
+
+(* the bytes of an all-concrete load, little-endian *)
+let word = Bytes.create 8
 
 (** Read [n] shadow bytes at a concrete address; bytes with no shadow
     entry resolve through [concrete_byte].  Returns the little-endian
-    concatenation. *)
+    concatenation: when every byte is a constant, the one constant of
+    the whole word (the folded concatenation), and a 1-byte load
+    returns the byte's shadow node itself. *)
 let load_concrete t addr n ~concrete_byte =
   let byte i =
     let a = Int64.add addr (Int64.of_int i) in
-    match Hashtbl.find_opt t.shadow a with
-    | Some e -> e
-    | None -> E.Const (Int64.of_int (concrete_byte a land 0xff), 8)
+    match Shadow.find t.shadow a with
+    | e -> e
+    | exception Not_found ->
+      E.Const (Int64.of_int (concrete_byte a land 0xff), 8)
+  in
+  (* fill [word] from byte [i] on; false at the first symbolic byte *)
+  let rec concrete i =
+    i = n
+    || (let a = Int64.add addr (Int64.of_int i) in
+        match Shadow.find t.shadow a with
+        | E.Const (v, 8) ->
+          Bytes.set_uint8 word i (Int64.to_int v);
+          concrete (i + 1)
+        | _ -> false
+        | exception Not_found ->
+          Bytes.set_uint8 word i (concrete_byte a);
+          concrete (i + 1))
   in
   let rec build i acc =
     if i < 0 then acc
     else build (i - 1) (charge t (mk_concat acc (byte i)))
   in
-  (* most significant byte first in the accumulator *)
   if n = 1 then byte 0
+  else if n <= 8 && concrete 0 then begin
+    Bytes.fill word n (8 - n) '\000';
+    E.Const (Bytes.get_int64_le word 0, 8 * n)
+  end
+  (* most significant byte first in the accumulator *)
   else build (n - 2) (byte (n - 1))
 
 (** Store the [n]-byte value [e] at a concrete address.
     [keep_concrete] forces constant bytes into the shadow as well —
     required when there is no concrete replica running alongside
-    (the DSE engine). *)
+    (the DSE engine).  A constant [e] is cut into its bytes directly,
+    with the nodes and costs of [mk_extract]. *)
 let store_concrete ?(keep_concrete = false) t addr n e =
-  for i = 0 to n - 1 do
-    let a = Int64.add addr (Int64.of_int i) in
-    let b = charge t (mk_extract ((8 * i) + 7) (8 * i) e) in
+  let put a b =
     match b with
-    | E.Const _ when (not keep_concrete) && not (Hashtbl.mem t.shadow a) ->
+    | E.Const _ when (not keep_concrete) && not (Shadow.mem t.shadow a) ->
       (* concrete over concrete: the replica remembers it *)
       ()
-    | _ -> Hashtbl.replace t.shadow a b
-  done
+    | _ -> Shadow.replace t.shadow a b
+  in
+  match e with
+  | E.Const (v, w) ->
+    let v = Int64.logand v (E.mask w) in
+    for i = 0 to n - 1 do
+      let lo = 8 * i in
+      put
+        (Int64.add addr (Int64.of_int i))
+        (if lo = 0 && w = 8 then e
+         else
+           E.Const (Int64.logand (Int64.shift_right_logical v lo) 0xffL, 8))
+    done
+  | _ ->
+    for i = 0 to n - 1 do
+      put
+        (Int64.add addr (Int64.of_int i))
+        (charge t (mk_extract ((8 * i) + 7) (8 * i) e))
+    done
 
 (** Mark [len] bytes at [addr] as fresh symbolic input bytes named
     [prefix ^ "_" ^ i]. *)
 let symbolize_region t ~prefix addr len =
   for i = 0 to len - 1 do
-    Hashtbl.replace t.shadow
+    Shadow.replace t.shadow
       (Int64.add addr (Int64.of_int i))
       (E.Var { vname = Printf.sprintf "%s_%d" prefix i; width = 8 })
   done

@@ -137,27 +137,24 @@ let run (config : config) ?session ?(sources : source list option)
       (* symbolic value we did not create (defensive): zero it *)
       0L
   in
+  let flag_bit = function
+    | "ZF" -> 0 | "SF" -> 1 | "CF" -> 2 | "OF" -> 3 | "PF" -> 4 | _ -> -1
+  in
   let hooks =
     { Sym_exec.concrete_var =
         (fun name ->
            match !cur_event with
            | None -> 0L
            | Some e -> (
-               match Isa.Reg.of_name name with
-               | r -> e.regs_before.(Isa.Reg.index r)
-               | exception _ -> (
-                   (* XMM or flag *)
-                   match name with
-                   | "XMM0" | "XMM1" | "XMM2" | "XMM3" | "XMM4" | "XMM5"
-                   | "XMM6" | "XMM7" ->
-                     Int64.bits_of_float
-                       e.xmm_before.(Char.code name.[3] - Char.code '0')
-                   | "ZF" -> Int64.of_int (e.flags_before land 1)
-                   | "SF" -> Int64.of_int ((e.flags_before lsr 1) land 1)
-                   | "CF" -> Int64.of_int ((e.flags_before lsr 2) land 1)
-                   | "OF" -> Int64.of_int ((e.flags_before lsr 3) land 1)
-                   | "PF" -> Int64.of_int ((e.flags_before lsr 4) land 1)
-                   | _ -> 0L)));
+               match Isa.Reg.index_of_show name with
+               | -1 -> (
+                   match Isa.Reg.xmm_index_of_show name with
+                   | -1 -> (
+                       match flag_bit name with
+                       | -1 -> 0L
+                       | b -> Int64.of_int ((e.flags_before lsr b) land 1))
+                   | x -> Int64.bits_of_float e.xmm_before.(x))
+               | i -> Vm.Cpu.get e.regs_before i));
       concrete_byte = (fun a -> Vm.Mem.read_u8 mem a);
       resolve_addr;
       zero_addr = Smt.Eval.eval ~default:0L Simplify_env.empty;
@@ -181,7 +178,7 @@ let run (config : config) ?session ?(sources : source list option)
     List.iter
       (fun r ->
          State.write_var st (Isa.Reg.show r)
-           (E.Const (scratch.Vm.Cpu.regs.(Isa.Reg.index r), 64)))
+           (E.Const (Vm.Cpu.reg scratch r, 64)))
       acc.w_regs;
     List.iter
       (fun x ->
@@ -193,12 +190,12 @@ let run (config : config) ?session ?(sources : source list option)
     List.iter
       (fun (a, n) ->
          for i = 0 to n - 1 do
-           Hashtbl.remove st.shadow (Int64.add a (Int64.of_int i))
+           State.Shadow.remove st.shadow (Int64.add a (Int64.of_int i))
          done)
       acc.w_mem;
     if acc.w_flags then
       List.iter
-        (fun f -> Hashtbl.remove st.env f)
+        (fun f -> State.Env.remove st.env f)
         [ "ZF"; "SF"; "CF"; "OF"; "PF" ]
   in
   Trace.iteri trace
@@ -301,8 +298,8 @@ let run (config : config) ?session ?(sources : source list option)
               else
                 let a = Int64.add addr (Int64.of_int i) in
                 if Vm.Mem.read_u8 mem a = 0 then ()
-                else if Hashtbl.mem st.State.shadow a then
-                  (match Hashtbl.find_opt st.State.shadow a with
+                else if State.Shadow.mem st.State.shadow a then
+                  (match State.Shadow.find_opt st.State.shadow a with
                    | Some (E.Const _) | None -> scan (i + 1)
                    | Some _ -> State.diag st Error.Taint_lost_in_kernel)
                 else scan (i + 1)
@@ -324,14 +321,14 @@ let run (config : config) ?session ?(sources : source list option)
                     if follow_kernel then Hashtbl.find_opt kobj (obj, off + i)
                     else None
                   with
-                  | Some e -> Hashtbl.replace st.shadow a e
-                  | None -> Hashtbl.remove st.shadow a
+                  | Some e -> State.Shadow.replace st.shadow a e
+                  | None -> State.Shadow.remove st.shadow a
                 done
               | Vm.Event.Eff_write { obj; off; addr; len } ->
                 let lost = ref false in
                 for i = 0 to len - 1 do
                   let a = Int64.add addr (Int64.of_int i) in
-                  match Hashtbl.find_opt st.shadow a with
+                  match State.Shadow.find_opt st.shadow a with
                   | Some e ->
                     if follow_kernel then
                       Hashtbl.replace kobj (obj, off + i) e
@@ -356,7 +353,7 @@ let run (config : config) ?session ?(sources : source list option)
             address; the pushed slot is concrete *)
          let slot = Trace.Replica.signal replica ~resume in
          for i = 0 to 7 do
-           Hashtbl.remove st.State.shadow (Int64.add slot (Int64.of_int i))
+           State.Shadow.remove st.State.shadow (Int64.add slot (Int64.of_int i))
          done;
          (match config.signals with
           | Abort_on_signal ->

@@ -320,18 +320,18 @@ module Memo = struct
     mutable stmts : stmt list option;  (** lifted on first [lift] *)
   }
 
-  type t = { features : features; entries : (int64, entry) Hashtbl.t }
+  type t = { features : features; entries : entry Isa.Addr.Tbl.t }
 
-  let create features = { features; entries = Hashtbl.create 64 }
+  let create features = { features; entries = Isa.Addr.Tbl.create 64 }
 
   (** The entry for [insn] at [pc], made (and encoded) on a miss. *)
   let find t ~pc insn =
-    match Hashtbl.find_opt t.entries pc with
+    match Isa.Addr.Tbl.find_opt t.entries pc with
     | Some e when e.insn == insn || Isa.Insn.equal e.insn insn -> e
     | _ ->
       let next = Int64.add pc (Int64.of_int (Isa.Codec.encoded_size insn)) in
       let e = { insn; next; stmts = None } in
-      Hashtbl.replace t.entries pc e;
+      Isa.Addr.Tbl.replace t.entries pc e;
       e
 
   let lift t e =

@@ -74,9 +74,9 @@ let g_and t a b =
   else begin
     let owner = gate t a b (-1) in
     let c = Sat.mk_lit owner true in
-    Sat.add_clause ~owner t.sat [ Sat.lit_neg a; Sat.lit_neg b; c ];
-    Sat.add_clause ~owner t.sat [ a; Sat.lit_neg c ];
-    Sat.add_clause ~owner t.sat [ b; Sat.lit_neg c ];
+    Sat.add_clause3 ~owner t.sat (Sat.lit_neg a) (Sat.lit_neg b) c;
+    Sat.add_clause2 ~owner t.sat a (Sat.lit_neg c);
+    Sat.add_clause2 ~owner t.sat b (Sat.lit_neg c);
     c
   end
 
@@ -92,10 +92,11 @@ let g_xor t a b =
   else begin
     let owner = gate t a b (-1) in
     let c = Sat.mk_lit owner true in
-    Sat.add_clause ~owner t.sat [ Sat.lit_neg a; Sat.lit_neg b; Sat.lit_neg c ];
-    Sat.add_clause ~owner t.sat [ a; b; Sat.lit_neg c ];
-    Sat.add_clause ~owner t.sat [ a; Sat.lit_neg b; c ];
-    Sat.add_clause ~owner t.sat [ Sat.lit_neg a; b; c ];
+    Sat.add_clause3 ~owner t.sat
+      (Sat.lit_neg a) (Sat.lit_neg b) (Sat.lit_neg c);
+    Sat.add_clause3 ~owner t.sat a b (Sat.lit_neg c);
+    Sat.add_clause3 ~owner t.sat a (Sat.lit_neg b) c;
+    Sat.add_clause3 ~owner t.sat (Sat.lit_neg a) b c;
     c
   end
 
@@ -107,10 +108,10 @@ let g_mux t s a b =
   else begin
     let owner = gate t s a b in
     let c = Sat.mk_lit owner true in
-    Sat.add_clause ~owner t.sat [ Sat.lit_neg s; Sat.lit_neg a; c ];
-    Sat.add_clause ~owner t.sat [ Sat.lit_neg s; a; Sat.lit_neg c ];
-    Sat.add_clause ~owner t.sat [ s; Sat.lit_neg b; c ];
-    Sat.add_clause ~owner t.sat [ s; b; Sat.lit_neg c ];
+    Sat.add_clause3 ~owner t.sat (Sat.lit_neg s) (Sat.lit_neg a) c;
+    Sat.add_clause3 ~owner t.sat (Sat.lit_neg s) a (Sat.lit_neg c);
+    Sat.add_clause3 ~owner t.sat s (Sat.lit_neg b) c;
+    Sat.add_clause3 ~owner t.sat s b (Sat.lit_neg c);
     c
   end
 

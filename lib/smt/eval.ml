@@ -25,10 +25,102 @@ let sext_to64 w v =
     let sh = 64 - w in
     Int64.shift_right (Int64.shift_left v sh) sh
 
+(* The value of the node [e] (masked to its width) when [value] gives
+   its children's values.  [Var] has no children: {!evaluator} looks
+   variables up itself, and [fold] has none to see. *)
+let apply value (e : Expr.t) : int64 =
+  let f64 x = Int64.float_of_bits x in
+  let bits f = Int64.bits_of_float f in
+  let v =
+    match e with
+    | Var v -> raise (Unbound v.vname)
+    | Const (v, _) -> v
+    | Unop (Neg, a) -> Int64.neg (value a)
+    | Unop (Not, a) -> Int64.lognot (value a)
+    | Binop (op, a, b) ->
+      let w = Expr.width_of a in
+      let x = value a and y = value b in
+      (match op with
+       | Add -> Int64.add x y
+       | Sub -> Int64.sub x y
+       | Mul -> Int64.mul x y
+       | Udiv ->
+         if y = 0L then Expr.mask w else Int64.unsigned_div x y
+       | Urem -> if y = 0L then x else Int64.unsigned_rem x y
+       | Sdiv ->
+         if y = 0L then
+           (* SMT-Lib: bvsdiv x 0 is -1 for x >= 0, +1 for x < 0 *)
+           if sext_to64 w x < 0L then 1L else Expr.mask w
+         else Int64.div (sext_to64 w x) (sext_to64 w y)
+       | Srem ->
+         if y = 0L then x
+         else Int64.rem (sext_to64 w x) (sext_to64 w y)
+       | And -> Int64.logand x y
+       | Or -> Int64.logor x y
+       | Xor -> Int64.logxor x y
+       | Shl ->
+         let s = Int64.to_int y in
+         if s >= w then 0L else Int64.shift_left x s
+       | Lshr ->
+         let s = Int64.to_int y in
+         if s >= w then 0L else Int64.shift_right_logical x s
+       | Ashr ->
+         let s = Int64.to_int y in
+         let xs = sext_to64 w x in
+         if s >= 64 then Int64.shift_right xs 63
+         else Int64.shift_right xs (min s 63))
+    | Cmp (op, a, b) ->
+      let w = Expr.width_of a in
+      let x = value a and y = value b in
+      let r =
+        match op with
+        | Eq -> x = y
+        | Ult -> Int64.unsigned_compare x y < 0
+        | Ule -> Int64.unsigned_compare x y <= 0
+        | Slt -> sext_to64 w x < sext_to64 w y
+        | Sle -> sext_to64 w x <= sext_to64 w y
+      in
+      if r then 1L else 0L
+    | Ite (c, a, b) -> if value c = 1L then value a else value b
+    | Extract (hi, lo, a) ->
+      Int64.shift_right_logical (value a) lo
+      |> Int64.logand (Expr.mask (hi - lo + 1))
+    | Concat (a, b) ->
+      let wb = Expr.width_of b in
+      Int64.logor (Int64.shift_left (value a) wb) (value b)
+    | Zext (_, a) -> value a
+    | Sext (_, a) -> sext_to64 (Expr.width_of a) (value a)
+    | Fbin (op, a, b) ->
+      let x = f64 (value a) and y = f64 (value b) in
+      bits
+        (match op with
+         | Fadd -> x +. y
+         | Fsub -> x -. y
+         | Fmul -> x *. y
+         | Fdiv -> x /. y)
+    | Fcmp (op, a, b) ->
+      let x = f64 (value a) and y = f64 (value b) in
+      let r =
+        match op with Feq -> x = y | Flt -> x < y | Fle -> x <= y
+      in
+      if r then 1L else 0L
+    | Fsqrt a -> bits (Float.sqrt (f64 (value a)))
+    | Fof_int a -> bits (Int64.to_float (sext_to64 (Expr.width_of a) (value a)))
+    | Fto_int a -> Int64.of_float (Float.trunc (f64 (value a)))
+  in
+  Int64.logand v (Expr.mask (Expr.width_of e))
+
+let const_value = function
+  | Expr.Const (v, w) -> Int64.logand v (Expr.mask w)
+  | e -> invalid_arg ("Eval.fold: a child is not a constant: " ^ Expr.show e)
+
+(** The constant a node whose children are all constants folds to: one
+    direct evaluation, equal to [Const (eval ~memo:false env e, w)]. *)
+let fold (e : Expr.t) = Expr.Const (apply const_value e, Expr.width_of e)
+
 (* memoised on physical identity so shared sub-DAGs evaluate once.  The
-   table exists only when memoising: the constant folds in [State] and
-   [Simplify] call with [~memo:false] once per node they build.  One
-   evaluator (and its memo) may serve several terms. *)
+   table exists only when memoising.  One evaluator (and its memo) may
+   serve several terms. *)
 module Phys = Expr.Phys
 
 let evaluator ~memo ?default (env : env) : Expr.t -> int64 =
@@ -47,87 +139,9 @@ let evaluator ~memo ?default (env : env) : Expr.t -> int64 =
         Phys.replace cache key v;
         v)
   and compute (e : Expr.t) : int64 =
-    let m = Expr.mask (Expr.width_of e) in
-    let f64 x = Int64.float_of_bits x in
-    let bits f = Int64.bits_of_float f in
-    let v =
-      match e with
-      | Var v -> lookup ?default env v
-      | Const (v, _) -> v
-      | Unop (Neg, a) -> Int64.neg (go a)
-      | Unop (Not, a) -> Int64.lognot (go a)
-      | Binop (op, a, b) ->
-        let w = Expr.width_of a in
-        let x = go a and y = go b in
-        (match op with
-         | Add -> Int64.add x y
-         | Sub -> Int64.sub x y
-         | Mul -> Int64.mul x y
-         | Udiv ->
-           if y = 0L then Expr.mask w else Int64.unsigned_div x y
-         | Urem -> if y = 0L then x else Int64.unsigned_rem x y
-         | Sdiv ->
-           if y = 0L then
-             (* SMT-Lib: bvsdiv x 0 is -1 for x >= 0, +1 for x < 0 *)
-             if sext_to64 w x < 0L then 1L else Expr.mask w
-           else Int64.div (sext_to64 w x) (sext_to64 w y)
-         | Srem ->
-           if y = 0L then x
-           else Int64.rem (sext_to64 w x) (sext_to64 w y)
-         | And -> Int64.logand x y
-         | Or -> Int64.logor x y
-         | Xor -> Int64.logxor x y
-         | Shl ->
-           let s = Int64.to_int y in
-           if s >= w then 0L else Int64.shift_left x s
-         | Lshr ->
-           let s = Int64.to_int y in
-           if s >= w then 0L else Int64.shift_right_logical x s
-         | Ashr ->
-           let s = Int64.to_int y in
-           let xs = sext_to64 w x in
-           if s >= 64 then Int64.shift_right xs 63
-           else Int64.shift_right xs (min s 63))
-      | Cmp (op, a, b) ->
-        let w = Expr.width_of a in
-        let x = go a and y = go b in
-        let r =
-          match op with
-          | Eq -> x = y
-          | Ult -> Int64.unsigned_compare x y < 0
-          | Ule -> Int64.unsigned_compare x y <= 0
-          | Slt -> sext_to64 w x < sext_to64 w y
-          | Sle -> sext_to64 w x <= sext_to64 w y
-        in
-        if r then 1L else 0L
-      | Ite (c, a, b) -> if go c = 1L then go a else go b
-      | Extract (hi, lo, a) ->
-        Int64.shift_right_logical (go a) lo
-        |> Int64.logand (Expr.mask (hi - lo + 1))
-      | Concat (a, b) ->
-        let wb = Expr.width_of b in
-        Int64.logor (Int64.shift_left (go a) wb) (go b)
-      | Zext (_, a) -> go a
-      | Sext (_, a) -> sext_to64 (Expr.width_of a) (go a)
-      | Fbin (op, a, b) ->
-        let x = f64 (go a) and y = f64 (go b) in
-        bits
-          (match op with
-           | Fadd -> x +. y
-           | Fsub -> x -. y
-           | Fmul -> x *. y
-           | Fdiv -> x /. y)
-      | Fcmp (op, a, b) ->
-        let x = f64 (go a) and y = f64 (go b) in
-        let r =
-          match op with Feq -> x = y | Flt -> x < y | Fle -> x <= y
-        in
-        if r then 1L else 0L
-      | Fsqrt a -> bits (Float.sqrt (f64 (go a)))
-      | Fof_int a -> bits (Int64.to_float (sext_to64 (Expr.width_of a) (go a)))
-      | Fto_int a -> Int64.of_float (Float.trunc (f64 (go a)))
-    in
-    Int64.logand v m
+    match e with
+    | Var v -> lookup ?default env v
+    | _ -> apply go e
   in
   go
 

@@ -64,6 +64,8 @@ type t = {
   mutable cone : bool;
   mutable in_cone : int array;    (* var -> [cone_stamp] when in the cone *)
   mutable cone_stamp : int;
+  mutable cone_free : int;        (* unassigned cone vars, in a cone solve *)
+  mutable lits : int array;       (* literals of the clause being added *)
 }
 
 let lit_var l = l lsr 1
@@ -101,7 +103,9 @@ let create () =
     heap_full = true;
     cone = false;
     in_cone = Array.make 8 0;
-    cone_stamp = 0 }
+    cone_stamp = 0;
+    cone_free = 0;
+    lits = Array.make 8 0 }
 
 (* [arr] with room for [n] cells, doubling; new cells hold [def] *)
 let grow arr n def =
@@ -123,6 +127,7 @@ let ensure_capacity t n =
   t.trail_lim <- grow t.trail_lim n 0;
   t.heap <- grow t.heap n 0;
   t.heap_pos <- grow t.heap_pos n (-1);
+  t.in_cone <- grow t.in_cone n 0;
   t.value <- grow t.value (2 * n) (-1);
   t.watches <- grow t.watches (2 * n) [||];
   t.watch_n <- grow t.watch_n (2 * n) 0
@@ -203,6 +208,7 @@ let new_var t =
   v
 
 let enqueue t l reason =
+  if t.cone && decidable t (lit_var l) then t.cone_free <- t.cone_free - 1;
   t.value.(l) <- 1;
   t.value.(lit_neg l) <- 0;
   t.level.(lit_var l) <- t.levels;
@@ -223,47 +229,92 @@ let watch t l c =
 let owner_shift = 31
 let size_mask = (1 lsl owner_shift) - 1
 
-(* copy [lits] into the arena and watch its first two literals *)
-let new_clause ?(owner = -1) t lits =
+(* copy the first [n] literals of [lits] into the arena and watch the
+   first two *)
+let new_clause ~owner t lits n =
   let c = t.arena_n in
-  let n = List.length lits in
   t.arena <- grow t.arena (c + n + 1) 0;
   t.arena.(c) <- n lor ((owner + 1) lsl owner_shift);
-  List.iteri (fun i l -> t.arena.(c + 1 + i) <- l) lits;
+  let arena = t.arena in
+  for i = 0 to n - 1 do arena.(c + 1 + i) <- lits.(i) done;
   t.arena_n <- c + n + 1;
   watch t (lit_neg t.arena.(c + 1)) c;
   watch t (lit_neg t.arena.(c + 2)) c;
   c
 
+(* add the problem clause of the [n] literals in [t.lits]: sorted with
+   duplicates dropped, a tautology ignored, literals false at level 0
+   dropped and one true at level 0 satisfying it *)
+let add_lits ~owner t n =
+  if t.ok then begin
+    let a = t.lits in
+    (* insertion sort, dropping duplicates *)
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      let l = a.(i) in
+      let j = ref !m in
+      while !j > 0 && a.(!j - 1) > l do decr j done;
+      if not (!j > 0 && a.(!j - 1) = l) then begin
+        for k = !m downto !j + 1 do a.(k) <- a.(k - 1) done;
+        a.(!j) <- l;
+        incr m
+      end
+    done;
+    (* sorted, a literal's negation can only sit right after it *)
+    let taut = ref false in
+    for i = 0 to !m - 2 do
+      if a.(i + 1) = lit_neg a.(i) then taut := true
+    done;
+    if not !taut then begin
+      let k = ref 0 and sat = ref false in
+      for i = 0 to !m - 1 do
+        let l = a.(i) in
+        if t.level.(lit_var l) = 0 && t.value.(l) >= 0 then begin
+          if t.value.(l) = 1 then sat := true
+        end
+        else begin
+          a.(!k) <- l;
+          incr k
+        end
+      done;
+      if not !sat then
+        match !k with
+        | 0 -> t.ok <- false
+        | 1 ->
+          let l = a.(0) in
+          if t.value.(l) = 0 then t.ok <- false
+          else if t.value.(l) < 0 then enqueue t l (-1)
+        | k ->
+          ignore (new_clause ~owner t a k);
+          t.nclauses <- t.nclauses + 1
+    end
+  end
+
+(* [lits] copied into [t.lits]; returns their count *)
+let load_lits t lits =
+  let n = List.length lits in
+  t.lits <- grow t.lits n 0;
+  List.iteri (fun i l -> t.lits.(i) <- l) lits;
+  n
+
 (** Add a problem clause.  [owner] names the gate variable whose
     Tseitin definition the clause belongs to: a cone-restricted
     [solve] leaves it inert above level 0 while [owner] is outside the
     cone.  Without [owner] the clause is always active. *)
-let add_clause ?owner t lits =
-  if t.ok then begin
-    (* simplify: drop duplicate/false literals, detect tautology *)
-    let lits = List.sort_uniq Int.compare lits in
-    let taut = List.exists (fun l -> List.memq (lit_neg l) lits) lits in
-    if not taut then begin
-      let lits =
-        List.filter
-          (fun l -> not (t.value.(l) = 0 && t.level.(lit_var l) = 0))
-          lits
-      in
-      if List.exists (fun l -> t.value.(l) = 1 && t.level.(lit_var l) = 0)
-          lits
-      then ()
-      else
-        match lits with
-        | [] -> t.ok <- false
-        | [ l ] ->
-          if t.value.(l) = 0 then t.ok <- false
-          else if t.value.(l) < 0 then enqueue t l (-1)
-        | _ ->
-          ignore (new_clause ?owner t lits);
-          t.nclauses <- t.nclauses + 1
-    end
-  end
+let add_clause ?(owner = -1) t lits = add_lits ~owner t (load_lits t lits)
+
+(** [add_clause ~owner t [a; b]] and [[a; b; c]], with no list: the
+    bit-blaster's gate clauses. *)
+let add_clause2 ~owner t a b =
+  t.lits.(0) <- a;
+  t.lits.(1) <- b;
+  add_lits ~owner t 2
+
+let add_clause3 ~owner t a b c =
+  t.lits.(0) <- a;
+  t.lits.(1) <- b;
+  t.lits.(2) <- c;
+  add_lits ~owner t 3
 
 (* a clause [header] whose owner gate is outside the running cone *)
 let outside_cone t header =
@@ -385,19 +436,26 @@ let cancel_until t lvl =
       t.value.(l) <- -1;
       t.value.(lit_neg l) <- -1;
       t.reason.(lit_var l) <- -1;
-      if decidable t (lit_var l) then heap_insert t (lit_var l)
+      if decidable t (lit_var l) then begin
+        heap_insert t (lit_var l);
+        if t.cone then t.cone_free <- t.cone_free + 1
+      end
     done;
     t.trail_n <- target;
     t.prop_head <- target;
     t.levels <- lvl
   end
 
-let rec pick_branch t =
-  (* highest-activity unassigned variable, via the order heap *)
+let rec pick_heap t =
   if t.heap_n = 0 then -1
   else
     let v = heap_pop t in
-    if t.value.(mk_lit v true) < 0 then v else pick_branch t
+    if t.value.(mk_lit v true) < 0 then v else pick_heap t
+
+(* highest-activity unassigned variable, via the order heap; in a cone
+   solve with every cone variable assigned, none, without popping the
+   assigned ones the heap still holds *)
+let pick_branch t = if t.cone && t.cone_free = 0 then -1 else pick_heap t
 
 (* geometric restart schedule *)
 let restart_interval n = int_of_float (100.0 *. (1.5 ** float_of_int n))
@@ -425,7 +483,6 @@ let start t cone =
        solve's trail re-inserts nothing *)
     t.cone <- true;
     t.cone_stamp <- t.cone_stamp + 1;
-    t.in_cone <- grow t.in_cone t.nvars 0;
     cancel_until t 0;
     let lo = ref max_int and hi = ref (-1) in
     for i = 0 to n - 1 do
@@ -435,6 +492,7 @@ let start t cone =
       if v > !hi then hi := v
     done;
     heap_rebuild t !lo !hi;
+    t.cone_free <- t.heap_n;
     t.heap_full <- false
 
 (** Decide the clauses under [assumptions].  [cone = (vars, n)]
@@ -472,7 +530,11 @@ let solve ?(conflict_budget = max_int) ?meter ?(assumptions = []) ?cone t :
              let learnt, btlevel = analyze t confl in
              cancel_until t btlevel;
              let reason =
-               match learnt with [ _ ] -> -1 | _ -> new_clause t learnt
+               match learnt with
+               | [ _ ] -> -1
+               | _ ->
+                 let n = load_lits t learnt in
+                 new_clause ~owner:(-1) t t.lits n
              in
              enqueue t (List.hd learnt) reason;
              var_decay t
@@ -512,6 +574,9 @@ let solve ?(conflict_budget = max_int) ?meter ?(assumptions = []) ?cone t :
          end
        done
      with Exit -> ());
+    (* retire the cone: the next [start] rebuilds the heap, so the
+       unwind before it ([reset_to_root]) need not refill it *)
+    if t.cone then t.cone_stamp <- t.cone_stamp + 1;
     !result
   end
 

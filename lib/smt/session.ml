@@ -89,7 +89,11 @@ module Ktbl = Hashtbl.Make (Key)
    node is consed from its own constructor and its children's flags *)
 type interned = { node : Expr.t; id : int; fp : bool }
 
-type frame = { mutable asserted : interned list (* newest first *) }
+type frame = {
+  mutable asserted : interned list;  (* newest first *)
+  mutable src : Expr.t option;
+      (* the raw constraint [set_assertions] stacked this frame for *)
+}
 
 type cached = Cached_sat of model | Cached_unsat
 
@@ -130,7 +134,7 @@ type t = {
 let create ?meter ?(config = default_config) ?stats () =
   let meter = Robust.Meter.default meter in
   { config;
-    frames = [ { asserted = [] } ];
+    frames = [ { asserted = []; src = None } ];
     simp_cache = Simplify.create_cache ();
     intern_memo = Phys.create 1024;
     consed = Ktbl.create 1024;
@@ -245,7 +249,8 @@ let stats t = t.stats
 (* Assertion stack                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let push t = t.frames <- { asserted = [] } :: t.frames
+let push_frame t src = t.frames <- { asserted = []; src } :: t.frames
+let push t = push_frame t None
 
 let pop t =
   match t.frames with
@@ -274,23 +279,35 @@ let assertions t = List.map (fun i -> i.node) (asserted t)
     Consecutive path predicates share long prefixes, so the usual cost
     is one pop and one push. *)
 let set_assertions t cs =
-  let target =
-    List.map (fun c -> intern_node t (Simplify.run ~cache:t.simp_cache c)) cs
-  in
   (* current stack, bottom-up, excluding the base frame *)
   let stacked = List.rev t.frames |> List.tl in
-  let rec shared n (xs : interned list) (fs : frame list) =
+  (* frames stacked for these very terms: the simplifier and intern
+     memos would map each term to the node already asserted there *)
+  let rec same n cs (fs : frame list) =
+    match (cs, fs) with
+    | c :: cs', { src = Some s; asserted = [ _ ] } :: fs' when s == c ->
+      same (n + 1) cs' fs'
+    | _ -> (n, cs, fs)
+  in
+  let same_n, cs, fs = same 0 cs stacked in
+  let target =
+    List.map
+      (fun c -> (c, intern_node t (Simplify.run ~cache:t.simp_cache c)))
+      cs
+  in
+  let rec shared n (xs : (Expr.t * interned) list) (fs : frame list) =
     match (xs, fs) with
-    | x :: xs', { asserted = [ y ] } :: fs' when x.id = y.id ->
+    | (c, x) :: xs', ({ asserted = [ y ]; _ } as f) :: fs' when x.id = y.id ->
+      f.src <- Some c;
       shared (n + 1) xs' fs'
     | _ -> n
   in
-  let keep = shared 0 target stacked in
+  let keep = same_n + shared 0 target fs in
   for _ = 1 to List.length stacked - keep do pop t done;
   List.iteri
-    (fun idx i ->
-       if idx >= keep then begin
-         push t;
+    (fun idx (c, i) ->
+       if same_n + idx >= keep then begin
+         push_frame t (Some c);
          assert_interned t i
        end)
     target
@@ -486,8 +503,10 @@ let check ?config t : outcome =
     Exception-safe: if a budget trip or any other exception escapes
     mid-call, the assertion stack is rolled back to its pre-call state
     so a failed cell cannot poison a reused session.  Restoring the saved frame list is sound because
-    [set_assertions] never mutates surviving frames — it only pops
-    suffixes and pushes fresh frames, which the restore discards. *)
+    [set_assertions] never changes what a surviving frame asserts — it
+    only pops suffixes and pushes fresh frames, which the restore
+    discards (a frame's [src] may be re-pointed at an equal term, which
+    maps to the same node). *)
 let check_assertions ?config t cs =
   let saved = t.frames in
   match

@@ -4,8 +4,6 @@
 
 module Phys = Expr.Phys
 
-let empty_env : Eval.env = Hashtbl.create 1
-
 let is_const = function Expr.Const _ -> true | _ -> false
 
 let const_value = function
@@ -134,6 +132,6 @@ let run ?cache (e : Expr.t) : Expr.t =
     | Fto_int a ->
       let a = go a in
       if is_const a then fold (Fto_int a) else Fto_int a
-  and fold e = Expr.Const (Eval.eval ~memo:false empty_env e, Expr.width_of e)
+  and fold e = Eval.fold e
   in
   go e

@@ -58,11 +58,11 @@ let analyze ?(policy = pin_policy)
      a single option match when no cell supervisor is active *)
   let meter = Robust.Meter.ambient () in
   let kills = ref 0 in
-  let mem : (int64, unit) Hashtbl.t = Hashtbl.create 256 in
+  let mem : unit Isa.Addr.Tbl.t = Isa.Addr.Tbl.create 256 in
   List.iter
     (fun (addr, len) ->
        for i = 0 to len - 1 do
-         Hashtbl.replace mem (Int64.add addr (Int64.of_int i)) ()
+         Isa.Addr.Tbl.replace mem (Int64.add addr (Int64.of_int i)) ()
        done)
     sources;
   let regs : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -73,16 +73,17 @@ let analyze ?(policy = pin_policy)
   let kobj : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   let mem_tainted a n =
     let rec go i =
-      i < n && (Hashtbl.mem mem (Int64.add a (Int64.of_int i)) || go (i + 1))
+      i < n
+      && (Isa.Addr.Tbl.mem mem (Int64.add a (Int64.of_int i)) || go (i + 1))
     in
     go 0
   in
   let set_mem a n v =
     for i = 0 to n - 1 do
       let key = Int64.add a (Int64.of_int i) in
-      if v then Hashtbl.replace mem key ()
-      else if Hashtbl.mem mem key then begin
-        Hashtbl.remove mem key;
+      if v then Isa.Addr.Tbl.replace mem key ()
+      else if Isa.Addr.Tbl.mem mem key then begin
+        Isa.Addr.Tbl.remove mem key;
         incr kills
       end
     done

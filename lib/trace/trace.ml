@@ -121,8 +121,8 @@ module Replica = struct
   (** Re-execute [e] on the scratch CPU, seeded from its recorded
       pre-state; [next] is its fall-through address. *)
   let exec r (e : Vm.Event.exec) ~next =
-    r.last_rsp <- e.regs_before.(Isa.Reg.index Isa.Reg.RSP);
-    Array.blit e.regs_before 0 r.cpu.Vm.Cpu.regs 0 Isa.Reg.count;
+    r.last_rsp <- Vm.Cpu.get e.regs_before (Isa.Reg.index Isa.Reg.RSP);
+    Bytes.blit e.regs_before 0 r.cpu.Vm.Cpu.regs 0 Vm.Cpu.regs_size;
     Array.blit e.xmm_before 0 r.cpu.Vm.Cpu.xmm 0 Isa.Reg.xmm_count;
     Vm.Cpu.unpack_flags r.cpu e.flags_before;
     r.cpu.Vm.Cpu.pc <- e.pc;

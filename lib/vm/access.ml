@@ -1,7 +1,7 @@
 (** Read/write classification of an instruction against a recorded
-    register pre-state: which registers, memory bytes, and flags it
-    reads and writes.  Shared by the taint engine, the tracer (to
-    record concrete bytes read), and the symbolic executors. *)
+    register pre-state (a flat register file, see {!Cpu.get}): which
+    registers, memory bytes, and flags it reads and writes.  Shared by
+    the taint engine and the trace-based symbolic executor. *)
 
 type access = {
   r_regs : Isa.Reg.t list;
@@ -20,7 +20,7 @@ let no_access =
 
 (* effective address from the recorded pre-state *)
 let ea_of regs ({ base; index; scale; disp } : Isa.Insn.mem) =
-  let rv r = regs.(Isa.Reg.index r) in
+  let rv r = Cpu.get regs (Isa.Reg.index r) in
   let b = match base with Some r -> rv r | None -> 0L in
   let i =
     match index with
@@ -64,7 +64,7 @@ let xsrc_access regs (xs : Isa.Insn.xsrc) =
 
 (** What one executed instruction reads and writes. *)
 let of_insn regs (insn : Isa.Insn.t) : access =
-  let rsp = regs.(Isa.Reg.index Isa.Reg.RSP) in
+  let rsp = Cpu.get regs (Isa.Reg.index Isa.Reg.RSP) in
   let op = operand_access regs in
   match insn with
   | Mov (w, d, s) -> merge (op w d ~is_read:false ~is_write:true)

@@ -13,20 +13,24 @@ type flags = {
 }
 
 type t = {
-  regs : int64 array;       (* 16 GPRs, indexed by Reg.index *)
+  regs : Bytes.t;
+      (* 16 GPRs, 8 little-endian bytes each at [8 * Reg.index]: a
+         write stores the word in place, with no box to allocate *)
   xmm : float array;        (* 8 scalar doubles *)
   mutable pc : int64;
   flags : flags;
 }
 
+let regs_size = 8 * Isa.Reg.count
+
 let create ?(pc = 0L) () =
-  { regs = Array.make Isa.Reg.count 0L;
+  { regs = Bytes.make regs_size '\000';
     xmm = Array.make Isa.Reg.xmm_count 0.0;
     pc;
     flags = { zf = false; sf = false; cf = false; o_f = false; pf = false } }
 
 let clone t =
-  { regs = Array.copy t.regs;
+  { regs = Bytes.copy t.regs;
     xmm = Array.copy t.xmm;
     pc = t.pc;
     flags = { t.flags with zf = t.flags.zf } }
@@ -47,8 +51,12 @@ let unpack_flags t v =
   f.o_f <- v land 8 <> 0;
   f.pf <- v land 16 <> 0
 
-let reg t r = t.regs.(Isa.Reg.index r)
-let set_reg t r v = t.regs.(Isa.Reg.index r) <- v
+(** Register [i] (by {!Isa.Reg.index}) of a flat register file: the
+    layout of [t.regs] and of a trace event's [regs_before]. *)
+let get regs i = Bytes.get_int64_le regs (8 * i)
+
+let reg t r = get t.regs (Isa.Reg.index r)
+let set_reg t r v = Bytes.set_int64_le t.regs (8 * Isa.Reg.index r) v
 let xmm t x = t.xmm.(Isa.Reg.xmm_index x)
 let set_xmm t x v = t.xmm.(Isa.Reg.xmm_index x) <- v
 

@@ -28,10 +28,9 @@ type exec = {
   pc : int64;
   insn : Isa.Insn.t;
   next_pc : int64;          (** where control actually went *)
-  ea : int64 list;          (** effective addresses touched *)
-  mem_reads : (int64 * string) list;
-      (** concrete bytes each memory read saw (pre-execution) *)
-  regs_before : int64 array;
+  regs_before : Bytes.t;
+      (** the flat register file before the step (read with
+          {!Cpu.get}) *)
   xmm_before : float array;
   flags_before : int;  (** packed ZF|SF<<1|CF<<2|OF<<3|PF<<4 *)
 }

@@ -106,7 +106,7 @@ type t = {
   mutable prng : int64;
   mutable steps : int;
   mutable fault : fault option;
-  decode_cache : (int64, Isa.Insn.t * int64) Hashtbl.t;
+  decode_cache : (Isa.Insn.t * int64) Isa.Addr.Tbl.t;
   mutable hook : (Event.t -> unit) option;
   argv_layout : (int64 * int) list;
       (** (address, length-with-NUL) of each argv string *)
@@ -185,7 +185,7 @@ let create ?meter ?(config = default_config) image =
       prng = config.random_seed;
       steps = 0;
       fault = None;
-      decode_cache = Hashtbl.create 1024;
+      decode_cache = Isa.Addr.Tbl.create 1024;
       hook = None;
       argv_layout;
       meter }
@@ -509,7 +509,7 @@ let handle_syscall t task : sys_outcome =
     in
     (* child's pc still points at the syscall insn; advance it past *)
     let _, next_pc =
-      Hashtbl.find t.decode_cache cpu.Cpu.pc
+      Isa.Addr.Tbl.find t.decode_cache cpu.Cpu.pc
     in
     child_cpu.Cpu.pc <- next_pc;
     t.tasks <- t.tasks @ [ child_task ];
@@ -595,14 +595,14 @@ let handle_syscall t task : sys_outcome =
 exception Decode_fault of string
 
 let decode_at t (proc : proc) pc =
-  match Hashtbl.find_opt t.decode_cache pc with
+  match Isa.Addr.Tbl.find_opt t.decode_cache pc with
   | Some r -> r
   | None ->
     let raw = Mem.read_bytes proc.mem pc 64 in
     (match Isa.Codec.decode raw 0 with
      | insn, sz ->
        let r = (insn, Int64.add pc (Int64.of_int sz)) in
-       Hashtbl.replace t.decode_cache pc r;
+       Isa.Addr.Tbl.replace t.decode_cache pc r;
        r
      | exception Isa.Codec.Decode_error m -> raise (Decode_fault m))
 
@@ -619,19 +619,19 @@ let step_task t task =
     kill_process t proc.pid 132;
     true
   | insn, next_pc ->
-  let ea = Cpu.effective_addrs cpu insn in
-  let regs_before = Array.copy cpu.Cpu.regs in
-  let xmm_before = Array.copy cpu.Cpu.xmm in
-  let mem_reads =
-    let acc = Access.of_insn regs_before insn in
-    List.map (fun (a, n) -> (a, Mem.read_bytes proc.mem a n)) acc.Access.r_mem
-  in
-  let flags_before = Cpu.pack_flags cpu in
-  let exec actual_next =
-    emit t
-      (Event.Exec
-         { pid = proc.pid; tid = task.tid; pc; insn; next_pc = actual_next;
-           ea; mem_reads; regs_before; xmm_before; flags_before })
+  (* the pre-state snapshot exists only for a hook to see *)
+  let exec =
+    match t.hook with
+    | None -> fun _ -> ()
+    | Some f ->
+      let regs_before = Bytes.copy cpu.Cpu.regs in
+      let xmm_before = Array.copy cpu.Cpu.xmm in
+      let flags_before = Cpu.pack_flags cpu in
+      fun actual_next ->
+        f (Event.Exec
+             { pid = proc.pid; tid = task.tid; pc; insn;
+               next_pc = actual_next; regs_before; xmm_before;
+               flags_before })
   in
   match Cpu.execute cpu proc.mem ~next_pc insn with
   | Next ->

@@ -82,13 +82,29 @@ let write t addr n v =
       write_u8 t (Int64.add addr (Int64.of_int i)) b
     done
 
+(* [iter_pages t addr n f]: [f page off pos len] over the pieces of the
+   [n] bytes at [addr], one per page touched, where [pos] counts bytes
+   from [addr] *)
+let iter_pages t addr n f =
+  let rec go pos =
+    if pos < n then begin
+      let a = Int64.to_int addr + pos in
+      let off = a land (page_size - 1) in
+      let len = min (n - pos) (page_size - off) in
+      f (page t (a lsr page_bits)) off pos len;
+      go (pos + len)
+    end
+  in
+  go 0
+
 let read_bytes t addr n =
-  String.init n (fun i -> Char.chr (read_u8 t (Int64.add addr (Int64.of_int i))))
+  let b = Bytes.create n in
+  iter_pages t addr n (fun p off pos len -> Bytes.blit p off b pos len);
+  Bytes.unsafe_to_string b
 
 let write_bytes t addr s =
-  String.iteri
-    (fun i c -> write_u8 t (Int64.add addr (Int64.of_int i)) (Char.code c))
-    s
+  iter_pages t addr (String.length s) (fun p off pos len ->
+      Bytes.blit_string s pos p off len)
 
 (** Read the NUL-terminated string at [addr] (bounded at [max]). *)
 let read_cstring ?(max = 4096) t addr =

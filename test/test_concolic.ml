@@ -328,6 +328,110 @@ let depth_of_shared_dag () =
   Alcotest.(check int) "registered depth" 3
     (Concolic.Sym_exec.depth_of depths (double load 64))
 
+(* ---------------- all-concrete loads and stores ---------------- *)
+
+module St = Concolic.State
+
+(* A shadow over 16 bytes at [base]: each byte absent (the concrete
+   memory's), a constant, or a symbolic variable *)
+let base = 0x4000L
+
+let gen_shadow =
+  QCheck2.Gen.(list_repeat 16 (pair (int_bound 2) (int_bound 255)))
+
+let state_of shadow =
+  let st = St.create () in
+  List.iteri
+    (fun i (kind, v) ->
+       let a = Int64.add base (Int64.of_int i) in
+       match kind with
+       | 0 -> ()
+       | 1 -> St.Shadow.replace st.St.shadow a (E.Const (Int64.of_int v, 8))
+       | _ ->
+         St.Shadow.replace st.St.shadow a
+           (E.var ~width:8 (Printf.sprintf "s_%d" i)))
+    shadow;
+  st
+
+let concrete_byte a = Int64.to_int (Int64.mul a 0x9dL) land 0x1ff
+
+(* the load as a chain of byte concatenations: the term path *)
+let load_terms st addr n =
+  let byte i =
+    let a = Int64.add addr (Int64.of_int i) in
+    match St.Shadow.find_opt st.St.shadow a with
+    | Some e -> e
+    | None -> E.Const (Int64.of_int (concrete_byte a land 0xff), 8)
+  in
+  let rec build i acc =
+    if i < 0 then acc
+    else build (i - 1) (St.charge st (St.mk_concat acc (byte i)))
+  in
+  if n = 1 then byte 0 else build (n - 2) (byte (n - 1))
+
+(* the store as one extract per byte: the term path *)
+let store_terms ~keep_concrete st addr n e =
+  for i = 0 to n - 1 do
+    let a = Int64.add addr (Int64.of_int i) in
+    match St.charge st (St.mk_extract ((8 * i) + 7) (8 * i) e) with
+    | E.Const _ when (not keep_concrete) && not (St.Shadow.mem st.shadow a)
+      -> ()
+    | b -> St.Shadow.replace st.shadow a b
+  done
+
+let shadow_bytes st =
+  List.init 24 (fun i ->
+      St.Shadow.find_opt st.St.shadow (Int64.add base (Int64.of_int i)))
+
+let load_matches_terms =
+  QCheck2.Test.make ~count:1000 ~name:"load_concrete = the concat chain"
+    QCheck2.Gen.(triple gen_shadow (int_bound 8) (int_range 1 8))
+    (fun (shadow, off, n) ->
+       let addr = Int64.add base (Int64.of_int off) in
+       let st = state_of shadow and ref_st = state_of shadow in
+       let got = St.load_concrete st addr n ~concrete_byte in
+       let want = load_terms ref_st addr n in
+       E.equal got want
+       && st.built_cost = ref_st.built_cost
+       (* [mk_ite] tests [a == b]: a 1-byte load is the shadow node *)
+       && (n > 1
+           ||
+           match St.Shadow.find_opt st.shadow addr with
+           | Some node -> got == node
+           | None -> true))
+
+let gen_stored =
+  let open QCheck2.Gen in
+  let* n = int_range 1 8 in
+  let* w = oneofl [ 8; 16; 32; 64; 8 * n ] in
+  let* v = ui64 in
+  let* kind = int_bound 2 in
+  let e =
+    match kind with
+    | 0 -> E.Const (Int64.logand v (E.mask w), w)
+    | 1 -> E.var ~width:(8 * n) "x"
+    | _ ->
+      E.Binop (Add, E.var ~width:w "x", E.Const (Int64.logand v (E.mask w), w))
+  in
+  return (n, e)
+
+let store_matches_terms =
+  QCheck2.Test.make ~count:1000 ~name:"store_concrete = the extract per byte"
+    QCheck2.Gen.(quad gen_shadow (int_bound 8) gen_stored bool)
+    (fun (shadow, off, (n, e), keep_concrete) ->
+       let addr = Int64.add base (Int64.of_int off) in
+       let st = state_of shadow and ref_st = state_of shadow in
+       St.store_concrete ~keep_concrete st addr n e;
+       store_terms ~keep_concrete ref_st addr n e;
+       List.equal (Option.equal E.equal) (shadow_bytes st) (shadow_bytes ref_st)
+       && st.built_cost = ref_st.built_cost
+       (* a stored byte-wide constant is the node itself *)
+       && (n > 1 || E.width_of e <> 8
+           ||
+           match St.Shadow.find_opt st.shadow addr with
+           | Some b -> b == e
+           | None -> true))
+
 let qtests = List.map QCheck_alcotest.to_alcotest [ lifter_consistency ]
 
 let () =
@@ -344,7 +448,9 @@ let () =
          Alcotest.test_case "memory model gap" `Quick memory_model_gap ]);
       ("sym-exec",
        [ Alcotest.test_case "load depth on a shared DAG" `Quick
-           depth_of_shared_dag ]);
+           depth_of_shared_dag;
+         QCheck_alcotest.to_alcotest load_matches_terms;
+         QCheck_alcotest.to_alcotest store_matches_terms ]);
       ("driver",
        [ Alcotest.test_case "cracks stack bomb" `Quick
            driver_cracks_stack_bomb;

@@ -116,6 +116,24 @@ let pin_angr_aes_queries () =
     (List.combine names [ 141; 87; 54; 146; 109 ])
     (List.map2 ( - ) (read ()) before)
 
+(* the trace pipeline's work on the crypto bombs, for the two
+   trace-based tools: what the VM steps, the trace records, the replay
+   lifts, the path holds and the solver is asked are pinned, so making
+   any of those layers cheaper cannot move what it computes *)
+let pin_trace_cell tool bomb_name expected () =
+  let names =
+    [ "vm.steps"; "trace.events"; "lifter.insns_lifted";
+      "concolic.constraints"; "smt.queries" ]
+  in
+  let read () = List.map Telemetry.Metrics.counter_value names in
+  let before = read () in
+  ignore (Engines.Eval.run_cell tool (Bombs.Catalog.find bomb_name));
+  let what = Engines.Profile.name tool ^ "/" ^ bomb_name ^ ": " in
+  List.iter2
+    (fun (name, want) got -> Alcotest.(check int) (what ^ name) want got)
+    (List.combine names expected)
+    (List.map2 ( - ) (read ()) before)
+
 (* --explain and table2 read one supervised cell: under any policy the
    diagnosis names the cell, cause and stage Table II prints for it *)
 let explain_matches_table2 budget_spec ladder () =
@@ -339,6 +357,19 @@ let () =
              (Angr_nolib, "fork_bomb", Success, 50, 49) ]
        @ [ Alcotest.test_case "pin Angr/aes queries under lift=50000" `Quick
              pin_angr_aes_queries ]);
+      ("trace cells",
+       List.map
+         (fun (tool, bomb, expected) ->
+            Alcotest.test_case
+              (Printf.sprintf "pin %s/%s work" (Engines.Profile.name tool)
+                 bomb)
+              `Quick
+              (pin_trace_cell tool bomb expected))
+         Engines.Profile.
+           [ (Bap, "aes_bomb", [ 15588; 7845; 7842; 11; 1 ]);
+             (Triton, "aes_bomb", [ 15216; 15222; 15216; 2; 1 ]);
+             (Bap, "sha1_bomb", [ 4682; 4685; 4682; 26; 0 ]);
+             (Triton, "sha1_bomb", [ 8954; 8960; 8954; 4; 1 ]) ]);
       ("explain = table2",
        List.map
          (fun (name, spec, ladder) ->

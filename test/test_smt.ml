@@ -520,8 +520,71 @@ let eval_agrees_with_reference =
             && Int64.equal (Eval.eval ~memo:true env e) expected)
          terms)
 
-(* the constant folds in [State] and [Simplify] evaluate one new node
-   per call with [~memo:false]; that must not build a memo table *)
+(* one node over constant children: every operator, every width, and
+   the values where folding goes wrong — division by zero, shift
+   amounts at and past the width, sign bits, FP specials *)
+let gen_fold_node : Expr.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  (* a child's value beyond its width must be masked off, as [eval]
+     masks it *)
+  let const w =
+    let m = Expr.mask w in
+    map2
+      (fun masked v -> Expr.Const ((if masked then Int64.logand v m else v), w))
+      (frequencyl [ (4, true); (1, false) ])
+      (oneof
+         [ oneofl
+             [ 0L; 1L; m; Int64.shift_right_logical m 1; Int64.of_int w;
+               Int64.of_int (w - 1); Int64.of_int (w + 1); 64L; 65L ];
+           ui64 ])
+  in
+  let double =
+    map
+      (fun f -> Expr.Const (Int64.bits_of_float f, 64))
+      (oneof
+         [ oneofl [ 0.; -0.; 1.5; -2.25; Float.nan; Float.infinity; 1e300 ];
+           float ])
+  in
+  let* w = oneofl [ 1; 8; 16; 32; 64 ] in
+  let* a = const w and* b = const w in
+  oneof
+    [ map (fun op -> Expr.Unop (op, a)) (oneofl [ Expr.Neg; Not ]);
+      map
+        (fun op -> Expr.Binop (op, a, b))
+        (oneofl
+           Expr.[ Add; Sub; Mul; Udiv; Urem; Sdiv; Srem; And; Or; Xor; Shl;
+                  Lshr; Ashr ]);
+      map
+        (fun op -> Expr.Cmp (op, a, b))
+        (oneofl Expr.[ Eq; Ult; Ule; Slt; Sle ]);
+      map (fun c -> Expr.Ite (c, a, b)) (const 1);
+      (let* lo = int_bound (w - 1) in
+       let* hi = int_range lo (w - 1) in
+       return (Expr.Extract (hi, lo, a)));
+      (let* wa = int_range 1 63 in
+       let* wb = int_range 1 (64 - wa) in
+       map2 (fun x y -> Expr.Concat (x, y)) (const wa) (const wb));
+      map (fun w' -> Expr.Zext (w', a)) (int_range w 64);
+      map (fun w' -> Expr.Sext (w', a)) (int_range w 64);
+      map3
+        (fun op x y -> Expr.Fbin (op, x, y))
+        (oneofl Expr.[ Fadd; Fsub; Fmul; Fdiv ]) double double;
+      map3
+        (fun op x y -> Expr.Fcmp (op, x, y))
+        (oneofl Expr.[ Feq; Flt; Fle ]) double double;
+      map (fun x -> Expr.Fsqrt x) double;
+      map (fun x -> Expr.Fto_int x) double;
+      return (Expr.Fof_int a) ]
+
+let fold_agrees_with_eval =
+  QCheck2.Test.make ~count:2000 ~name:"fold = eval ~memo:false"
+    ~print:Expr.show gen_fold_node (fun e ->
+        Expr.equal (Eval.fold e)
+          (Expr.Const
+             (Eval.eval ~memo:false (Eval.env_of_list []) e, Expr.width_of e)))
+
+(* an unmemoised evaluation (the difftest IR interpreter's) must not
+   build a memo table; the constant folds build no evaluator at all *)
 let eval_unmemoised_allocation () =
   let e = Expr.Binop (Add, Expr.const 3L, Expr.const 4L) in
   let env = Eval.env_of_list [] in
@@ -534,7 +597,17 @@ let eval_unmemoised_allocation () =
   let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per call < 64" per_call)
-    true (per_call < 64.0)
+    true (per_call < 64.0);
+  (* a fold builds no evaluator: its result, and the boxed values of
+     its children *)
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Eval.fold e))
+  done;
+  let per_fold = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per fold < 16" per_fold)
+    true (per_fold < 16.0)
 
 let walks_match_tree_references =
   QCheck2.Test.make ~count:300
@@ -1229,6 +1302,7 @@ let () =
            pin_one_shot_trajectory ]);
       ("eval",
        [ QCheck_alcotest.to_alcotest eval_agrees_with_reference;
+         QCheck_alcotest.to_alcotest fold_agrees_with_eval;
          QCheck_alcotest.to_alcotest satisfies_all_is_for_all;
          QCheck_alcotest.to_alcotest eval_default_binds_the_rest;
          Alcotest.test_case "unmemoised allocation" `Quick

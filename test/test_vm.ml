@@ -296,6 +296,90 @@ let mem_matches_byte_map =
                    (List.init n Fun.id))
           ops)
 
+(* [write_bytes]/[read_bytes] move each page's run in one blit; they
+   must equal the byte loop, across page edges and on untouched pages *)
+let gen_page_runs =
+  let open QCheck2.Gen in
+  let page = Vm.Mem.page_size in
+  let* start =
+    map (fun (p, o) -> (p * page) + o)
+      (pair (int_range 1 6) (int_range (-40) 40))
+  in
+  let* data = string_size ~gen:char (int_range 0 ((2 * page) + 100)) in
+  let* roff = int_range (-50) 50 and* rlen = int_range 0 ((2 * page) + 200) in
+  return (Int64.of_int start, data, Int64.of_int (start + roff), rlen)
+
+let mem_bytes_match_byte_loop =
+  QCheck2.Test.make ~count:200 ~name:"mem write_bytes/read_bytes = byte loop"
+    gen_page_runs (fun (addr, data, raddr, rlen) ->
+        let at a i = Int64.add a (Int64.of_int i) in
+        let m = Vm.Mem.create () and r = Vm.Mem.create () in
+        Vm.Mem.write_bytes m addr data;
+        String.iteri (fun i c -> Vm.Mem.write_u8 r (at addr i) (Char.code c))
+          data;
+        let loop mem =
+          String.init rlen (fun i -> Char.chr (Vm.Mem.read_u8 mem (at raddr i)))
+        in
+        let want = loop r in
+        String.equal (Vm.Mem.read_bytes m raddr rlen) want
+        && String.equal (loop m) want
+        && String.equal (Vm.Mem.read_bytes m addr (String.length data)) data)
+
+(* the flat register file: a write at every width keeps x86's merge
+   rules, reads back through [reg], [get] and [read_operand], and
+   leaves every other register as it was *)
+let flat_registers_at_every_width =
+  QCheck2.Test.make ~count:500 ~name:"flat registers at every width"
+    QCheck2.Gen.(tup4 gen_reg gen_width ui64 ui64)
+    (fun (r, w, init, v) ->
+       let cpu = Vm.Cpu.create () and mem = Vm.Mem.create () in
+       let fill i = Int64.mul 0x0101010101010101L (Int64.of_int (i + 1)) in
+       List.iteri (fun i r -> Vm.Cpu.set_reg cpu r (fill i)) Reg.all;
+       Vm.Cpu.set_reg cpu r init;
+       Vm.Cpu.write_operand cpu mem w (Insn.Reg r) v;
+       let m = Vm.Cpu.mask_of_width w in
+       let want =
+         match w with
+         | W64 -> v
+         | W32 -> Int64.logand v m
+         | W8 | W16 ->
+           Int64.logor (Int64.logand init (Int64.lognot m)) (Int64.logand v m)
+       in
+       let i = Reg.index r in
+       Bytes.length cpu.Vm.Cpu.regs = 8 * Reg.count
+       && Int64.equal (Vm.Cpu.reg cpu r) want
+       && Int64.equal (Vm.Cpu.get cpu.Vm.Cpu.regs i) want
+       && Int64.equal
+            (Vm.Cpu.read_operand cpu mem w (Insn.Reg r))
+            (Int64.logand want m)
+       && List.for_all
+            (fun j ->
+               j = i || Int64.equal (Vm.Cpu.get cpu.Vm.Cpu.regs j) (fill j))
+            (List.init Reg.count Fun.id))
+
+(* the register name table keeps the strings the derived printers
+   print, and finds each register back from its name *)
+let register_names () =
+  List.iter
+    (fun r ->
+       let shown = Format.asprintf "%a" Reg.pp r in
+       Alcotest.(check string) "show" shown (Reg.show r);
+       Alcotest.(check string) "name" (String.lowercase_ascii shown)
+         (Reg.name r);
+       Alcotest.(check int) "index_of_show" (Reg.index r)
+         (Reg.index_of_show shown))
+    Reg.all;
+  List.iter
+    (fun x ->
+       let shown = Format.asprintf "%a" Reg.pp_xmm x in
+       Alcotest.(check string) "show_xmm" shown (Reg.show_xmm x);
+       Alcotest.(check string) "xmm_name" (String.lowercase_ascii shown)
+         (Reg.xmm_name x);
+       Alcotest.(check int) "xmm_index_of_show" (Reg.xmm_index x)
+         (Reg.xmm_index_of_show shown))
+    Reg.all_xmm;
+  Alcotest.(check int) "a flag is no register" (-1) (Reg.index_of_show "ZF")
+
 (* a clone taken while the last-page cache is warm shares no page with
    its source: writes on either side stay on that side *)
 let mem_clone_after_primed_cache () =
@@ -330,7 +414,9 @@ let () =
            partial_register_write;
          Alcotest.test_case "idiv" `Quick idiv_semantics;
          Alcotest.test_case "div by zero faults" `Quick div_by_zero_faults;
-         Alcotest.test_case "signal handler" `Quick signal_handler_resumes ]);
+         Alcotest.test_case "signal handler" `Quick signal_handler_resumes;
+         QCheck_alcotest.to_alcotest flat_registers_at_every_width;
+         Alcotest.test_case "register names" `Quick register_names ]);
       ("kernel",
        [ Alcotest.test_case "pipe round-trip" `Quick pipe_roundtrip;
          Alcotest.test_case "file round-trip" `Quick file_roundtrip;
@@ -340,5 +426,6 @@ let () =
          Alcotest.test_case "fuel" `Quick fuel_limits ]);
       ("mem",
        [ QCheck_alcotest.to_alcotest mem_matches_byte_map;
+         QCheck_alcotest.to_alcotest mem_bytes_match_byte_loop;
          Alcotest.test_case "clone after primed cache" `Quick
            mem_clone_after_primed_cache ]) ]
